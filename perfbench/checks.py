@@ -4,8 +4,9 @@ Every timed run is checked.  A check returns the scenario indices it
 finds wrong; a run that exits abnormally, or lacks a table or a sane
 manifest, counts all of its scenarios as wrong.
 
-* Reference: for seeds with a shipped reference, ``frontier.csv`` and
-  ``results_by_year.csv`` match it cell by cell to 1e-9 relative.
+* Reference: for seeds with a shipped reference (``ref/<workload>.json.gz``),
+  ``frontier.csv`` and ``results_by_year.csv`` match it cell by cell to
+  1e-9 relative.
 * Repeat: every run of an invocation writes the same two tables,
   byte for byte, as its first run.
 * Invariants, for any seed: no NaN or infinity; ten year rows per
@@ -86,17 +87,21 @@ def _close(a: str, b: str, rel_tol: float) -> bool:
     return abs(x - y) <= rel_tol * max(abs(x), abs(y))
 
 
-def load_reference(ref_dir: Path) -> dict[str, str] | None:
-    if not ref_dir.is_dir():
-        return None
-    return {t: gzip.decompress((ref_dir / f"{t}.gz").read_bytes()).decode() for t in TABLES}
+def _load_references(path: Path) -> dict[str, dict[str, str]]:
+    """A workload's reference file: seed -> table name -> table text."""
+    return json.loads(gzip.decompress(path.read_bytes())) if path.is_file() else {}
 
 
-def write_reference(ref_dir: Path, out_dir: Path) -> None:
-    ref_dir.mkdir(parents=True, exist_ok=True)
-    for table in TABLES:
-        data = (out_dir / table).read_bytes()
-        (ref_dir / f"{table}.gz").write_bytes(gzip.compress(data, mtime=0))
+def load_reference(path: Path, seed: int) -> dict[str, str] | None:
+    return _load_references(path).get(str(seed))
+
+
+def write_reference(path: Path, seed: int, out_dir: Path) -> None:
+    references = _load_references(path)
+    references[str(seed)] = {t: (out_dir / t).read_text() for t in TABLES}
+    data = json.dumps(references, sort_keys=True).encode()
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(gzip.compress(data, mtime=0))
 
 
 def _numbers_finite(table: str, rows: list[list[str]]) -> None:
@@ -110,7 +115,7 @@ def check_run(
     out_dir: Path,
     exit_code: int,
     scenario_count: int,
-    extra_files: tuple[str, ...],
+    year_detail: int | None,
 ) -> tuple[set[int], dict[str, str]]:
     """Scenarios a run got wrong by the invariants, and its two tables.
 
@@ -151,13 +156,14 @@ def check_run(
 
     if succeeded:
         names = set(manifest.get("files", ()))
-        for name in (*FIGURES, *extra_files):
+        written = (*FIGURES, f"dispatch_{year_detail}.csv") if year_detail else FIGURES
+        for name in written:
             if name not in names or not (out_dir / name).is_file():
                 raise RunBroken(f"{name} missing")
         detail = manifest.get("detail_scenario")
         if not _mix_balances(out_dir / "chronological_mix_2030.csv"):
             wrong.add(detail)
-        for name in (n for n in (*FIGURES, *extra_files) if n.startswith("dispatch_")):
+        for name in (n for n in written if n.startswith("dispatch_")):
             year = int(name.removeprefix("dispatch_").removesuffix(".csv"))
             with (out_dir / name).open() as fh:
                 if sum(1 for _ in fh) - 1 != _slots_in_year(year):

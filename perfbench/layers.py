@@ -50,28 +50,6 @@ CALLS = {
     "shapes.map_calls": "shapes.map_values_to_year",
 }
 
-#: every metric ``layer_metrics`` returns: name -> (unit, better)
-UNITS = {
-    **{name: ("s", "lower") for name in SELF_TIME},
-    **{name: ("count", "lower") for name in CALLS},
-    "newsupply.solar_sizing_ok_frac": ("ratio", "higher"),
-    "newsupply.soc_per_sizing": ("ratio", "lower"),
-    "shapes.gap_slots": ("count", "lower"),
-    "pipeline.self_s": ("s", "lower"),
-    "pipeline.detail_s": ("s", "lower"),
-    "pipeline.scenario_n": ("count", "higher"),
-    "pipeline.scenario_ms.p50": ("ms", "lower"),
-    "pipeline.scenario_ms.tail": ("ms", "lower"),
-    "cli.self_s": ("s", "lower"),
-    "cli.worker_busy_s": ("s", "lower"),
-    "cli.worker_idle_frac": ("ratio", "lower"),
-    "cli.result_bytes": ("B", "lower"),
-    "cli.out_bytes": ("B", "lower"),
-    "dispatch.relaxed_slots": ("count", "lower"),
-    "trace.coverage_frac": ("ratio", "higher"),
-    "trace.overhead_frac": ("ratio", "lower"),
-}
-
 _NS = 1e-9
 
 

@@ -10,9 +10,9 @@ with a fresh output directory.  Wall time is taken from spawn to exit;
 CPU time (user plus system) and peak resident memory of the largest
 process come from ``os.wait4`` and cover the whole process tree.
 
-``--trace 0`` first times ``--validate-only`` several times (set-up),
-then repeats the full run for the rest of ``--seconds`` and reports the
-end-to-end metrics as medians.  ``--trace 1`` alternates untraced runs
+``--trace 0`` alternates a ``--validate-only`` run (set-up) with a full
+run until ``--seconds`` is used up and reports the end-to-end metrics as
+medians.  ``--trace 1`` alternates untraced runs
 with runs under ``tracer.py`` and reports the per-layer metrics (medians
 over the traced runs) and the tracing overhead.  Every run's outputs are
 checked (see ``checks.py``).  The last line of standard output is one
@@ -43,7 +43,7 @@ ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
 from checks import REL_TOL, RunBroken, check_run, compare_tables, load_reference, write_reference  # noqa: E402
-from layers import UNITS, layer_metrics  # noqa: E402
+from layers import layer_metrics  # noqa: E402
 from workloads import WORKLOADS, Workload, input_args  # noqa: E402
 
 #: fewest full runs (and set-up runs) an invocation makes
@@ -55,14 +55,6 @@ MIN_TRACED = 3
 DEADLINE_S = 150.0
 
 CLI = [sys.executable, "-m", "gridlab.cli"]
-
-END_TO_END_UNITS = {
-    "setup_s": "s",
-    "run_s": "s",
-    "scenarios_per_s": "1/s",
-    "cpu_s": "s",
-    "peak_rss_mb": "MB",
-}
 
 
 @dataclass
@@ -119,7 +111,7 @@ class Bench:
         self.workload = workload
         self.work = work
         self.inputs = input_args(workload, seed, work / "in")
-        self.reference = load_reference(HERE / "ref" / workload.name / f"seed-{seed}")
+        self.reference = load_reference(reference_path(workload), seed)
         self.first_tables: dict[str, str] | None = None
         self.attempted = 0
         self.failed = 0
@@ -155,11 +147,12 @@ class Bench:
         n = self.workload.scenario_count
         self.attempted += n
         try:
-            wrong, tables = check_run(out, exit_code, n, self.workload.extra_files)
+            wrong, tables = check_run(out, exit_code, n, self.workload.year_detail)
             if self.first_tables is None:
                 self.first_tables = tables
             for name, text in tables.items():
-                wrong |= compare_tables(name, text, self.first_tables[name], rel_tol=0.0)
+                if text != self.first_tables[name]:
+                    wrong |= set(range(n))
                 if self.reference is not None:
                     wrong |= compare_tables(name, text, self.reference[name], rel_tol=REL_TOL)
             if wrong:
@@ -170,6 +163,10 @@ class Bench:
             wrong = set(range(n))
         self.failed += len(wrong)
         return not wrong
+
+
+def reference_path(workload: Workload) -> Path:
+    return HERE / "ref" / f"{workload.name}.json.gz"
 
 
 def _out_bytes(out: Path) -> int:
@@ -192,7 +189,7 @@ def measure_end_to_end(bench: Bench, seconds: float) -> dict[str, float]:
         + statistics.median(setups) + statistics.median(r.wall_s for r in runs)
         <= seconds
     ):
-        setups += [bench.setup(), bench.setup()]
+        setups.append(bench.setup())
         proc, out, _ = bench.run()
         shutil.rmtree(out, ignore_errors=True)
         runs.append(proc)
@@ -240,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--write-reference", action="store_true",
@@ -254,6 +251,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no gridlab sources under {ROOT / 'src'}", file=sys.stderr)
         return 2
     workload = WORKLOADS[args.workload]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    units = {m["name"]: m["unit"] for m in spec["per_layer" if args.trace else "end_to_end"]}
     (ROOT / ".perfbench-work").mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f"{workload.name}-", dir=ROOT / ".perfbench-work"))
     try:
@@ -264,16 +263,18 @@ def main(argv: list[str] | None = None) -> int:
             if not ok:
                 print("\n".join(bench.problems), file=sys.stderr)
                 return 1
-            write_reference(HERE / "ref" / workload.name / f"seed-{args.seed}", out)
+            write_reference(reference_path(workload), args.seed, out)
             return 0
         if args.trace:
             values = measure_layers(bench, args.seconds)
-            units = {name: UNITS[name][0] for name in values}
         else:
             values = measure_end_to_end(bench, args.seconds)
-            units = END_TO_END_UNITS
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    if set(values) != set(units):
+        print(f"measured metrics differ from BENCHMARK.json: {sorted(set(values) ^ set(units))}",
+              file=sys.stderr)
+        return 2
 
     correct = bench.failed == 0 and not bench.problems
     for name, value in values.items():

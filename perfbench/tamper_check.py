@@ -1,8 +1,8 @@
 """Show that the output check catches a wrong table and passes a right one.
 
-usage: python3 perfbench/tamper_check.py [WORKLOAD]
+usage: python3 perfbench/tamper_check.py
 
-Runs the workload once at a seed with a shipped reference, then checks
+Runs ``csv_detail`` once at a seed with a shipped reference, then checks
 three copies of its ``frontier.csv`` against that reference: as
 written, with one numeric cell moved by 1e-12 relative (inside the
 1e-9 gate, must pass), and with the same cell moved by 1e-8 relative
@@ -23,7 +23,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 from checks import REL_TOL, compare_tables, load_reference  # noqa: E402
-from run import ROOT, Bench  # noqa: E402
+from run import ROOT, Bench, reference_path  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEED = 0
@@ -39,9 +39,9 @@ def _nudge(text: str, rel: float) -> str:
     return buf.getvalue()
 
 
-def main(argv: list[str]) -> int:
-    workload = WORKLOADS[argv[0] if argv else "csv_detail"]
-    reference = load_reference(HERE / "ref" / workload.name / f"seed-{SEED}")
+def main() -> int:
+    workload = WORKLOADS["csv_detail"]
+    reference = load_reference(reference_path(workload), SEED)
     if reference is None:
         print(f"no reference for {workload.name} seed {SEED}", file=sys.stderr)
         return 2
@@ -72,4 +72,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -26,7 +26,7 @@ _THERMAL_POINTS = {
 }
 _BATTERY_POINTS = {
     "demand_growth": [0.0525],
-    "flex_limit": [0.55, 0.7],
+    "flex_limit": [0.55],
     "re_2030": [300.0, 500.0],
     "solar_share": [7 / 12],
 }
@@ -44,12 +44,10 @@ DETAIL_YEAR = 2024
 @dataclass(frozen=True)
 class Workload:
     name: str
-    why: str
     config: dict
     parallelism: int
     csv_inputs: bool = False
     year_detail: int | None = None
-    extra_files: tuple[str, ...] = field(default=())
 
     @property
     def scenario_count(self) -> int:
@@ -65,32 +63,23 @@ WORKLOADS = {
     for w in (
         Workload(
             name="battery_grid",
-            why=(
-                "battery_re at 4 paper-grid points x size fraction {1, 0.5}, parallelism 1: "
-                "single-process baseline where newsupply (SoC, solar bisection, displacement) dominates"
-            ),
             config={
                 **_BATTERY_POINTS,
                 "new_option": "battery_re",
                 "battery_size_fraction": [1.0, 0.5],
+                # 1.0 sizes dedicated solar for a full daily recharge, which
+                # runs the per-cycle bisection in size_for_full_recharge
+                "dedicated_solar_extra": [0.0, 1.0],
             },
             parallelism=1,
         ),
         Workload(
             name="thermal_grid",
-            why=(
-                "5 thermal options at 12 paper-grid points, parallelism 2: despatch-bound "
-                "short scenarios where pool and serial tail weigh most; runs no battery code"
-            ),
             config={**_THERMAL_POINTS, "new_option": THERMAL_OPTIONS},
             parallelism=2,
         ),
         Workload(
             name="csv_detail",
-            why=(
-                "patchy 2021 base_year.csv and solar_shape.csv, one scenario per NEW option, "
-                "--year-detail 2024: CSV loader, detail re-run and exports; leap base years not covered"
-            ),
             config={
                 "new_option": NEW_OPTIONS,
                 "data": {"year": CSV_YEAR, "solar_capacity_mw": CSV_SOLAR_MW},
@@ -98,7 +87,6 @@ WORKLOADS = {
             parallelism=1,
             csv_inputs=True,
             year_detail=DETAIL_YEAR,
-            extra_files=(f"dispatch_{DETAIL_YEAR}.csv",),
         ),
     )
 }

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from gridlab import __version__
 from gridlab import dispatch as dsp
-from gridlab import newsupply as new
+from gridlab.economics import COMPONENTS, frontier
 from gridlab.errors import GridlabError, ParameterError
 from gridlab.pipeline import ScenarioOutcome, evaluate_scenario
 from gridlab.scenario import (
@@ -90,18 +90,6 @@ YEAR_COLUMNS = (
     "displaced_coal_twh",
     "bonus_curtailment_twh",
     "flex_relaxed_slots",
-)
-
-_COMPONENTS = (
-    "re_capex",
-    "re_om",
-    "coal_fuel",
-    "gas_fuel_2019",
-    "gas_fuel_nonapm",
-    "new_capex",
-    "new_fuel",
-    "new_om",
-    "biodiesel",
 )
 
 
@@ -261,7 +249,7 @@ def _write_frontier(path: Path, ranked: Sequence[tuple[int, ScenarioOutcome]]) -
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["rank", "scenario", *AXIS_COLUMNS, "npv_total_rs"]
-            + [f"npv_{c}_rs" for c in _COMPONENTS]
+            + [f"npv_{c}_rs" for c in COMPONENTS]
             + [
                 "levelized_existing_rs_per_kwh",
                 "levelized_new_rs_per_kwh",
@@ -274,7 +262,7 @@ def _write_frontier(path: Path, ranked: Sequence[tuple[int, ScenarioOutcome]]) -
             row = [rank, index]
             row += [_fmt(v) for v in _axis_values(outcome.params)]
             row.append(_fmt(report.npv_total))
-            row += [_fmt(report.npv_by_component.get(c, 0.0)) for c in _COMPONENTS]
+            row += [_fmt(report.npv_by_component.get(c, 0.0)) for c in COMPONENTS]
             row.append(_fmt(report.levelized_existing))
             row.append(_fmt(report.levelized_new))
             row.append(_fmt(outcome.result.new_capacity_mw))
@@ -479,15 +467,12 @@ def run(
     for index, message in failures:
         log.error("scenario %d failed: %s", index, message)
 
-    ranked = sorted(
-        successes,
-        key=lambda pair: (
-            pair[1].result.report.npv_total,
-            pair[1].result.new_capacity_mw,
-            pair[1].result.curtailment_twh,
-            pair[0],
-        ),
-    )
+    # successes are in scenario order, so frontier's input-order tie
+    # break is the scenario index
+    ranked: list[tuple[int, ScenarioOutcome]] = []
+    if successes:
+        by_result = {id(outcome.result): (index, outcome) for index, outcome in successes}
+        ranked = [by_result[id(r)] for r in frontier([o.result for _, o in successes])]
 
     files: list[str] = []
     _write_frontier(out / "frontier.csv", ranked)

@@ -6,7 +6,8 @@ nuclear) from four existing-fleet tranches in a fixed order:
 two represent utilisation up to the observed base-year pattern, the
 slack tranches the headroom above it.  A daily coal flexibility floor
 then raises coal in low-net-demand slots, pushing out must-run supply
-as curtailment.  A grid-buffer check and a ramp audit run post facto.
+as curtailment.  A grid-buffer check runs post facto and yields the
+unmet residual that NEW supply must serve.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ TRANCHES = ("coal_2019", "gas_2019", "coal_slack", "gas_slack")
 
 #: Every supply key a fully assembled despatch year carries.
 SUPPLY_KEYS = ("re", "hydro", "nuclear") + TRANCHES + ("new",)
-
-#: Ramp-rate class edges in percent of nominal capacity per minute.
-RAMP_CLASSES = ("<=0.5", "0.5-1", "1-2", ">2")
 
 _TOL = 1e-6
 
@@ -52,11 +50,8 @@ def _values(series) -> np.ndarray:
 
 def _wrap(year: int, values: np.ndarray, label: str):
     """Return a HalfHourlySeries when the length matches the year."""
-    try:
-        if values.shape[0] == slots_in_year(year):
-            return HalfHourlySeries(year, values, label=label)
-    except Exception:
-        pass
+    if values.shape[0] == slots_in_year(year):
+        return HalfHourlySeries(year, values, label=label)
     return values
 
 
@@ -363,39 +358,6 @@ def buffer_check(
     return BufferReport(headroom=headroom, requirement=requirement, shortfall=shortfall)
 
 
-def ramp_audit(dy: DispatchYear, nominal_coal_in_operation) -> dict[str, int]:
-    """Histogram of half-hourly coal ramp rates, in % of nominal per minute.
-
-    Each slot pair is classed by |delta coal| over 30 minutes against
-    the nominal coal in operation on the day being ramped into.  Purely
-    diagnostic; despatch is never constrained by it.
-    """
-    nominal = np.asarray(nominal_coal_in_operation, dtype=float)
-    if nominal.shape != (dy.n_days,):
-        raise ParameterError(
-            f"nominal coal per day has shape {nominal.shape}, want ({dy.n_days},)"
-        )
-    coal = dy.coal_total()
-    days = day_index(dy.n_slots)
-    pair_day = days[1:]
-    nom = nominal[pair_day]
-    delta = np.abs(np.diff(coal))
-    bad = (nom <= 0) & (np.maximum(coal[1:], coal[:-1]) > 0)
-    if np.any(bad):
-        raise DataIntegrityError(
-            "coal ran on a day with zero nominal coal in operation"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pct_per_min = np.where(nom > 0, delta / (30.0 * nom) * 100.0, 0.0)
-    counts = {
-        "<=0.5": int(np.sum(pct_per_min <= 0.5)),
-        "0.5-1": int(np.sum((pct_per_min > 0.5) & (pct_per_min <= 1.0))),
-        "1-2": int(np.sum((pct_per_min > 1.0) & (pct_per_min <= 2.0))),
-        ">2": int(np.sum(pct_per_min > 2.0)),
-    }
-    return counts
-
-
 def compute_unmet(
     dy: DispatchYear, buffer: BufferReport
 ) -> tuple[HalfHourlySeries, float]:
@@ -428,12 +390,3 @@ def load_duration_curve(values: Iterable[float]) -> np.ndarray:
     """Slot values sorted descending, the standard duration-curve form."""
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
     return np.sort(arr)[::-1]
-
-
-def duration_curve_csv(values, path, column: str = "unmet_mw") -> None:
-    curve = load_duration_curve(values)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", column])
-        for i, v in enumerate(curve):
-            writer.writerow([i, f"{v:.3f}"])

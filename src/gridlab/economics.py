@@ -11,7 +11,6 @@ scenarios.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -21,8 +20,6 @@ from gridlab.errors import DataIntegrityError, ParameterError, UndefinedCostErro
 from gridlab.dispatch import DispatchYear
 from gridlab.newsupply import NewSupplyPlan
 from gridlab.scenario import (
-    BASE_YEAR,
-    FINAL_YEAR,
     N_YEARS,
     YEARS,
     CapacityPath,
@@ -36,29 +33,6 @@ COMPONENTS = (
 
 KWH_PER_TWH = 1e9
 KWH_PER_MWH = 1e3
-
-
-def fuel_price_path(base: float, escalation: float, year: int) -> float:
-    """Compound-escalated fuel price for one year of the horizon."""
-    if not BASE_YEAR <= year <= FINAL_YEAR:
-        raise ParameterError(f"year {year} outside horizon {BASE_YEAR}..{FINAL_YEAR}")
-    if base <= 0:
-        raise ParameterError("fuel price base must be positive")
-    return base * (1.0 + escalation) ** (year - BASE_YEAR)
-
-
-def battery_price_usd(p: ScenarioParams, year: int) -> float:
-    """Cell price in USD/kWh after the learning-rate decline."""
-    if not BASE_YEAR <= year <= FINAL_YEAR:
-        raise ParameterError(f"year {year} outside horizon {BASE_YEAR}..{FINAL_YEAR}")
-    return p.battery_price_2021_usd * (1.0 - p.battery_learning_rate) ** (year - BASE_YEAR)
-
-
-def battery_price_path(p: ScenarioParams, year: int) -> float:
-    """Cell price in Rs/kWh: the USD price at a depreciating rupee."""
-    usd = battery_price_usd(p, year)
-    forex = p.inr_per_usd_2021 * (1.0 + p.forex_escalation) ** (year - BASE_YEAR)
-    return usd * forex
 
 
 def annuity_payment(principal: float, rate: float, n_years: int) -> float:
@@ -136,19 +110,6 @@ class CostReport:
     levelized_existing: float | None
     levelized_new: float | None
     cash_by_component: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def to_json(self, path=None) -> str:
-        payload = {
-            "npv_total": self.npv_total,
-            "npv_by_component": self.npv_by_component,
-            "levelized_existing": self.levelized_existing,
-            "levelized_new": self.levelized_new,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 def discount_factors(discount: float, n: int = N_YEARS) -> np.ndarray:
@@ -415,15 +376,3 @@ def frontier(results: Sequence[ScenarioResult]) -> list[ScenarioResult]:
         pair[0],
     ))
     return [r for _, r in indexed]
-
-
-def frontier_cells(
-    results: Sequence[ScenarioResult],
-) -> dict[tuple[float, str], ScenarioResult]:
-    """Cheapest scenario per (re_2030, new_option) cell."""
-    best: dict[tuple[float, str], ScenarioResult] = {}
-    for r in frontier(results):
-        key = (r.params.re_2030, r.params.new_option)
-        if key not in best:
-            best[key] = r
-    return best

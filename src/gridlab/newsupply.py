@@ -23,20 +23,19 @@ Conventions for battery flows:
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from gridlab.errors import InfeasibleError, ParameterError
 from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS, PerMwShape
 from gridlab.dispatch import DispatchYear, day_index
-from gridlab.scenario import NEW_OPTIONS, ScenarioParams
+from gridlab.scenario import EFF_SPLITS, NEW_OPTIONS, ScenarioParams
 
-#: Default displacement priority: highest marginal cost first.  The
-#: gas_2019 tranche is never displaced (committed utilisation pattern).
-DISPLACEABLE_PRICES = {"gas_slack": 5.0, "coal_slack": 3.0, "coal_2019": 2.6}
+#: Displacement priority: highest marginal cost first.  The gas_2019
+#: tranche is never displaced (committed utilisation pattern).
+DISPLACEMENT_ORDER = ("gas_slack", "coal_slack", "coal_2019")
 
 _EPS = 1e-9
 
@@ -63,7 +62,7 @@ class BatterySpec:
             raise ParameterError("roundtrip_eff must lie in (0, 1]")
         if not 0.0 < self.size_fraction <= 1.0:
             raise ParameterError("size_fraction must lie in (0, 1]")
-        if self.eff_split not in ("symmetric", "charge_only"):
+        if self.eff_split not in EFF_SPLITS:
             raise ParameterError(f"unknown eff_split {self.eff_split!r}")
 
     @property
@@ -122,7 +121,6 @@ class SocTrace:
     source_re_mw: np.ndarray
     source_solar_mw: np.ndarray
     boundary_slot: int
-    cycle_reset: bool
 
     @property
     def n_slots(self) -> int:
@@ -130,9 +128,6 @@ class SocTrace:
 
     def secondary_unmet_twh(self) -> float:
         return float(np.sum(self.secondary_unmet_mw)) * SLOT_HOURS / 1e6
-
-    def served_twh(self) -> float:
-        return float(np.sum(self.served_mw)) * SLOT_HOURS / 1e6
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -159,7 +154,6 @@ class NewSupplyPlan:
 
     option: str
     capacity_mw: dict[int, float] = field(default_factory=dict)  # gross installed
-    increments_mw: dict[int, float] = field(default_factory=dict)
     battery: BatterySpec | None = None
     battery_by_year: dict[int, BatterySpec] = field(default_factory=dict)
     dedicated_solar_gw: dict[int, float] = field(default_factory=dict)
@@ -176,29 +170,6 @@ class NewSupplyPlan:
             for year, value in getattr(self, name).items():
                 if value < -_EPS:
                     raise ParameterError(f"{name}[{year}] is negative: {value}")
-
-    def to_json(self, path=None) -> str:
-        payload = {
-            "option": self.option,
-            "capacity_mw": self.capacity_mw,
-            "increments_mw": self.increments_mw,
-            "dedicated_solar_gw": self.dedicated_solar_gw,
-            "secondary_unmet_twh": self.secondary_unmet_twh,
-            "displaced_gas_nonapm_twh": self.displaced_gas_nonapm_twh,
-            "displaced_coal_twh": self.displaced_coal_twh,
-            "bonus_curtailment_avoided_twh": self.bonus_curtailment_avoided_twh,
-        }
-        if self.battery is not None:
-            payload["battery"] = {
-                "energy_capacity_mwh": self.battery.energy_capacity_mwh,
-                "inverter_capacity_mw": self.battery.inverter_capacity_mw,
-                "size_fraction": self.battery.size_fraction,
-            }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 def cycle_windows(n_slots: int, boundary_slot: int) -> list[tuple[int, int]]:
@@ -240,7 +211,6 @@ class NewBuild:
     years: tuple[int, ...]
     required_mw: np.ndarray  # gross requirement per year
     installed_mw: np.ndarray  # running maximum (no retirement in horizon)
-    increments_mw: np.ndarray
 
 
 def size_new_capacity(
@@ -255,7 +225,7 @@ def size_new_capacity(
     The net requirement in a year is the worst slot of unmet demand
     plus buffer shortfall; thermal options gross up by their auxiliary
     consumption.  Capacity once built never retires inside the horizon,
-    so increments only cover requirement beyond the installed maximum.
+    so the installed capacity is the running maximum of the requirement.
     """
     if option not in NEW_OPTIONS:
         raise ParameterError(f"unknown NEW option {option!r}")
@@ -272,9 +242,7 @@ def size_new_capacity(
         net = float(np.max(u + s)) if u.size else 0.0
         required[i] = net / (1.0 - aux)
     installed = np.maximum.accumulate(required)
-    increments = np.diff(installed, prepend=0.0)
-    return NewBuild(years=years, required_mw=required,
-                    installed_mw=installed, increments_mw=increments)
+    return NewBuild(years=years, required_mw=required, installed_mw=installed)
 
 
 def size_battery(
@@ -290,13 +258,18 @@ def size_battery(
     losses, and never less than one slot of full inverter output.
     Both scale linearly with the configured size fraction.
     """
-    f = params.battery_size_fraction
-    if f <= 0:
-        raise ParameterError("battery_size_fraction must be > 0")
+    spec = BatterySpec(
+        energy_capacity_mwh=0.0,
+        inverter_capacity_mw=0.0,
+        dod_buffer=params.battery_dod_buffer,
+        roundtrip_eff=params.battery_roundtrip_eff,
+        size_fraction=params.battery_size_fraction,
+        eff_split=params.battery_eff_split,
+    )
     unmet = np.asarray(unmet, dtype=float)
     need = unmet if buffer_shortfall is None else unmet + np.asarray(buffer_shortfall, dtype=float)
-    eta_d = params.discharge_eff
-    dod = params.battery_dod_buffer
+    eta_d = spec.discharge_eff
+    dod = spec.dod_buffer
 
     peak = float(np.max(need)) if need.size else 0.0
     inverter = peak / eta_d
@@ -306,14 +279,8 @@ def size_battery(
     energy = worst_cycle_mwh / ((1.0 - dod) * eta_d)
     energy = max(energy, inverter * SLOT_HOURS / (1.0 - dod))
 
-    return BatterySpec(
-        energy_capacity_mwh=energy * f,
-        inverter_capacity_mw=inverter * f,
-        dod_buffer=dod,
-        roundtrip_eff=params.battery_roundtrip_eff,
-        size_fraction=f,
-        eff_split=params.battery_eff_split,
-    )
+    f = spec.size_fraction
+    return replace(spec, energy_capacity_mwh=energy * f, inverter_capacity_mw=inverter * f)
 
 
 # --- state-of-charge simulation ----------------------------------------
@@ -334,30 +301,24 @@ def simulate_soc(
     curtailed_re=None,
     dedicated_solar_gen=None,
     boundary_slot: int = 34,
-    cycle_reset: bool = False,
 ) -> SocTrace:
-    """Chronological battery simulation against the unmet profile.
+    """Battery simulation against the unmet profile, cycle by cycle.
 
     Slots with unmet demand discharge (never charge); all other slots
     charge from curtailed RE first, then dedicated solar, capped by the
-    inverter, a 1C charging rate, and the remaining headroom.  With
-    ``cycle_reset`` the state of charge snaps back to full at every
-    cycle boundary, the daily-full-recharge assumption used for sizing
-    and displacement accounting.
+    inverter, a 1C charging rate, and the remaining headroom.  Every
+    cycle window (see ``cycle_windows``) starts from a full battery: the
+    daily-full-recharge assumption used for sizing and displacement
+    accounting.
     """
     unmet = np.asarray(unmet, dtype=float)
     n = unmet.shape[0]
     re_src = _as_source(curtailed_re, n, "curtailed_re")
     sol_src = _as_source(dedicated_solar_gen, n, "dedicated_solar_gen")
 
-    if cycle_reset:
-        soc, charge, discharge, served, re_take, sol_take = _simulate_cycles(
-            battery, unmet, re_src, sol_src, boundary_slot
-        )
-    else:
-        soc, charge, discharge, served, re_take, sol_take = _simulate_chrono(
-            battery, unmet, re_src, sol_src
-        )
+    soc, charge, discharge, served, re_take, sol_take = _simulate_cycles(
+        battery, unmet, re_src, sol_src, boundary_slot
+    )
     # discharge losses round-trip through eta and leave +/- ulp dust on
     # "fully served" slots; snap anything below a watt so zero is zero
     secondary = np.maximum(unmet - served, 0.0)
@@ -375,51 +336,11 @@ def simulate_soc(
         source_re_mw=re_src,
         source_solar_mw=sol_src,
         boundary_slot=boundary_slot,
-        cycle_reset=cycle_reset,
     )
 
 
-def _simulate_chrono(battery, unmet, re_src, sol_src):
-    e_cap = battery.energy_capacity_mwh
-    inv = battery.inverter_capacity_mw
-    floor = battery.floor_mwh
-    eta_c = battery.charge_eff
-    eta_d = battery.discharge_eff
-    c_rate = e_cap  # 1C: at most the full energy capacity per hour
-
-    n = unmet.shape[0]
-    soc_out = np.empty(n)
-    charge_out = np.zeros(n)
-    discharge_out = np.zeros(n)
-    served_out = np.zeros(n)
-    re_out = np.zeros(n)
-    sol_out = np.zeros(n)
-
-    soc = e_cap
-    for s in range(n):
-        u = unmet[s]
-        if u > 0:
-            want = min(u / eta_d, inv)
-            avail = max(soc - floor, 0.0) / SLOT_HOURS
-            delivered = min(want, avail)
-            served_out[s] = delivered * eta_d
-            discharge_out[s] = want
-            soc -= want * SLOT_HOURS
-        else:
-            head = max(e_cap - soc, 0.0) / (eta_c * SLOT_HOURS)
-            cap = min(inv, c_rate, head)
-            take_re = min(re_src[s], cap)
-            take_sol = min(sol_src[s], cap - take_re)
-            re_out[s] = take_re
-            sol_out[s] = take_sol
-            charge_out[s] = take_re + take_sol
-            soc += charge_out[s] * eta_c * SLOT_HOURS
-        soc_out[s] = soc
-    return soc_out, charge_out, discharge_out, served_out, re_out, sol_out
-
-
 def _simulate_cycles(battery, unmet, re_src, sol_src, boundary_slot):
-    """Vectorized variant of the slot recursion, cycles independent."""
+    """The slot recursion, vectorized across independent cycles."""
     e_cap = battery.energy_capacity_mwh
     inv = battery.inverter_capacity_mw
     floor = battery.floor_mwh
@@ -477,8 +398,7 @@ def _solar_gen(solar_shape: PerMwShape, capacity_gw: float, n: int) -> np.ndarra
 
 
 def _cycle_secondary_unmet(battery, unmet, re_src, solar, boundary_slot) -> float:
-    trace = simulate_soc(battery, unmet, re_src, solar,
-                         boundary_slot=boundary_slot, cycle_reset=True)
+    trace = simulate_soc(battery, unmet, re_src, solar, boundary_slot=boundary_slot)
     return float(np.sum(trace.secondary_unmet_mw))
 
 
@@ -610,11 +530,7 @@ class Displacement:
         return self.displaced_twh.get("gas_slack", 0.0)
 
 
-def displace_with_battery(
-    soc: SocTrace,
-    dy: DispatchYear,
-    prices: Mapping[str, float] | None = None,
-) -> Displacement:
+def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:
     """Spare battery throughput displacing fossil output, cycle by cycle.
 
     Spare energy per cycle is the conservative minimum of the unused
@@ -625,10 +541,6 @@ def displace_with_battery(
     never touched.  Volumes are attributed to the calendar day each
     cycle starts in.
     """
-    prices = dict(DISPLACEABLE_PRICES) if prices is None else {
-        k: prices[k] for k in DISPLACEABLE_PRICES if k in prices
-    }
-    order = sorted(prices, key=prices.get, reverse=True)
     battery = soc.battery
     eta_c = battery.charge_eff
     eta_d = battery.discharge_eff
@@ -645,22 +557,18 @@ def displace_with_battery(
     extra_charge = np.where(can_charge, np.minimum(leftover, np.maximum(headroom, 0.0)), 0.0)
 
     spare_cycle = np.zeros(len(windows))
-    per_day = {name: np.zeros(n_days) for name in order}
-    displaced_total = {name: 0.0 for name in order}
+    per_day = {name: np.zeros(n_days) for name in DISPLACEMENT_ORDER}
+    displaced_total = {name: 0.0 for name in DISPLACEMENT_ORDER}
 
     for i, (a, b) in enumerate(windows):
-        if soc.cycle_reset or a == 0:
-            entry = battery.energy_capacity_mwh
-        else:
-            entry = float(soc.soc_mwh[a - 1])
-        min_soc = min(entry, float(np.min(soc.soc_mwh[a:b])))
+        min_soc = min(battery.energy_capacity_mwh, float(np.min(soc.soc_mwh[a:b])))
         depth_margin = max(min_soc - battery.floor_mwh, 0.0) * eta_d
         charge_margin = float(np.sum(extra_charge[a:b])) * SLOT_HOURS * eta_c * eta_d
         spare = min(depth_margin, charge_margin)
         spare_cycle[i] = spare
 
         day = min(a // SLOTS_PER_DAY, n_days - 1)
-        for name in order:
+        for name in DISPLACEMENT_ORDER:
             if spare <= 0:
                 break
             output_mwh = float(np.sum(dy.supply[name][a:b])) * SLOT_HOURS
@@ -771,41 +679,3 @@ def displace_gas_with_new_coal(new_coal_mw: float, dy: DispatchYear) -> float:
     spare = np.maximum(new_coal_mw - dy.supply["new"], 0.0)
     displaced = np.minimum(spare, dy.supply["gas_slack"])
     return float(np.sum(displaced)) * SLOT_HOURS / 1e6
-
-
-def undersize_residual(
-    plan,
-    size_fraction: float,
-    unmet,
-    curtailed_re=None,
-    solar_gen=None,
-    net_capacity_mw: float | None = None,
-    boundary_slot: int = 34,
-    assume_full_charging: bool = True,
-) -> tuple[float, float]:
-    """Secondary unmet when NEW supply is undersized, and its peak MW.
-
-    ``plan`` may be a NewSupplyPlan or a bare BatterySpec (None for
-    thermal).  Batteries re-simulate at the reduced size (cycle-reset
-    when the daily-full-recharge assumption applies); thermal capacity
-    simply truncates slot-wise.  The peak is what a biodiesel backstop
-    must be able to serve.
-    """
-    if not 0.0 < size_fraction <= 1.0:
-        raise ParameterError("size_fraction must lie in (0, 1]")
-    battery = plan.battery if isinstance(plan, NewSupplyPlan) else plan
-    unmet = np.asarray(unmet, dtype=float)
-    if battery is not None:
-        scaled = battery.scaled(size_fraction)
-        trace = simulate_soc(
-            scaled, unmet, curtailed_re, solar_gen,
-            boundary_slot=boundary_slot, cycle_reset=assume_full_charging,
-        )
-        secondary = trace.secondary_unmet_mw
-    else:
-        if net_capacity_mw is None:
-            raise ParameterError("thermal undersizing needs net_capacity_mw")
-        secondary = np.maximum(unmet - net_capacity_mw * size_fraction, 0.0)
-    twh = float(np.sum(secondary)) * SLOT_HOURS / 1e6
-    peak = float(np.max(secondary)) if secondary.size else 0.0
-    return twh, peak

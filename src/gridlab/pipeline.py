@@ -15,7 +15,7 @@ fan out across processes and still merge deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -25,7 +25,6 @@ from gridlab import economics as eco
 from gridlab import newsupply as new
 from gridlab.errors import InfeasibleError
 from gridlab.scenario import (
-    BASE_YEAR,
     YEARS,
     CapacityPath,
     ScenarioParams,
@@ -73,10 +72,10 @@ def _snap(value: float, epsilon: float = 1e-9) -> float:
     return 0.0 if abs(value) < epsilon else value
 
 
-def _shape_for_year(values: np.ndarray, year: int) -> np.ndarray:
+def _shape_for_year(values: np.ndarray, from_year: int, year: int) -> np.ndarray:
     if values.shape[0] == slots_in_year(year):
         return values
-    return map_values_to_year(values, BASE_YEAR, year)
+    return map_values_to_year(values, from_year, year)
 
 
 def _tranche_caps(
@@ -93,8 +92,8 @@ def _tranche_caps(
     coal_avail = path.coal_total[i] * 1e3 * (1.0 - p.coal_peak_derate)
     gas_avail = path.gas_total[i] * 1e3
 
-    base_coal = _shape_for_year(base.supply_by_fuel["coal"].values, year)
-    base_gas = _shape_for_year(base.supply_by_fuel["gas"].values, year)
+    base_coal = _shape_for_year(base.supply_by_fuel["coal"].values, base.year, year)
+    base_gas = _shape_for_year(base.supply_by_fuel["gas"].values, base.year, year)
     coal_peak = float(np.max(base_coal))
     gas_peak = float(np.max(base_gas))
 
@@ -204,14 +203,7 @@ def _battery_plan(
         sized = new.size_battery(unmet, params, buffer_shortfall=shortfall)
         run_energy = max(run_energy, sized.energy_capacity_mwh)
         run_inverter = max(run_inverter, sized.inverter_capacity_mw)
-        battery = new.BatterySpec(
-            energy_capacity_mwh=run_energy,
-            inverter_capacity_mw=run_inverter,
-            dod_buffer=params.battery_dod_buffer,
-            roundtrip_eff=params.battery_roundtrip_eff,
-            size_fraction=params.battery_size_fraction,
-            eff_split=params.battery_eff_split,
-        )
+        battery = replace(sized, energy_capacity_mwh=run_energy, inverter_capacity_mw=run_inverter)
         plan.battery_by_year[year] = battery
 
         shape = PerMwShape(solar_shapes[year], label="dedicated_solar")
@@ -237,10 +229,7 @@ def _battery_plan(
         solar_gen = shape.values * run_solar_gw * 1e3
         solar_gens[year] = solar_gen
 
-        trace = new.simulate_soc(
-            battery, unmet, curtailed, solar_gen,
-            boundary_slot=boundary, cycle_reset=True,
-        )
+        trace = new.simulate_soc(battery, unmet, curtailed, solar_gen, boundary_slot=boundary)
         traces[year] = trace
         plan.secondary_unmet_twh[year] = _snap(trace.secondary_unmet_twh())
 
@@ -260,7 +249,6 @@ def _battery_plan(
 
         plan.capacity_mw[year] = battery.inverter_capacity_mw
     plan.battery = plan.battery_by_year[YEARS[-1]]
-    _fill_increments(plan)
     return plan, traces, solar_gens
 
 
@@ -299,16 +287,7 @@ def _thermal_plan(
             plan.displaced_gas_nonapm_twh[year] = 0.0
         plan.displaced_coal_twh[year] = 0.0
         plan.bonus_curtailment_avoided_twh[year] = 0.0
-    _fill_increments(plan)
     return plan
-
-
-def _fill_increments(plan: new.NewSupplyPlan) -> None:
-    prev = 0.0
-    for year in YEARS:
-        cap = plan.capacity_mw.get(year, 0.0)
-        plan.increments_mw[year] = max(cap - prev, 0.0)
-        prev = max(prev, cap)
 
 
 def _reporting_dispatch(
@@ -391,8 +370,8 @@ def evaluate_scenario(
 ) -> ScenarioOutcome:
     """Run one scenario end to end and summarize it."""
     path = build_capacity_path(params, base)
-    solar_by_year = {y: _shape_for_year(solar_shape.values, y) for y in YEARS}
-    wind_by_year = {y: _shape_for_year(wind_shape.values, y) for y in YEARS}
+    solar_by_year = {y: _shape_for_year(solar_shape.values, base.year, y) for y in YEARS}
+    wind_by_year = {y: _shape_for_year(wind_shape.values, base.year, y) for y in YEARS}
 
     years_data: dict[int, tuple[dsp.DispatchYear, dict]] = {}
     for year in YEARS:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class ScenarioParams:
     new_coal_size_fraction: float = 1.0
     dedicated_solar_extra: float = 0.0  # 0 = minimum sizing, 1 = full daily recharge
 
-    # base-year system (net busbar GW; demand in billion kWh)
-    demand_2021_bu: float = 1360.0
+    # base-year system (net busbar GW)
     re_2021: float = 98.0
     hydro_2021: float = 35.5
     gas_2021: float = 21.3
@@ -85,12 +84,10 @@ class ScenarioParams:
     fgd_penalty: float = 0.025  # relative output penalty once FGD is fitted
     fgd_start: int = 2023
     fgd_end: int = 2027
-    other_re_plf: float = 0.198
 
     # prospective RE characteristics
     solar_cuf: float = 0.27
     wind_cuf: float = 0.35
-    solar_kwh_per_kw_day: float = 5.85
 
     # despatch constraints
     ists_loss: float = 0.0339  # busbar uplift over periphery demand
@@ -100,9 +97,6 @@ class ScenarioParams:
     # auxiliary consumption by fuel (net-to-gross conversion)
     aux_coal: float = 0.08
     aux_gas: float = 0.05
-    aux_hydro: float = 0.01
-    aux_nuclear: float = 0.07
-    aux_re: float = 0.0
 
     # existing-fleet fuel prices, Rs/kWh in 2021
     coal_2019_price: float = 2.6
@@ -111,7 +105,6 @@ class ScenarioParams:
     gas_nonapm_price: float = 5.0
     coal_escalation: float = 0.05
     gas_escalation: float = 0.03
-    diesel_escalation: float = 0.03
 
     # battery and inverter
     battery_price_2021_usd: float = 175.0  # $/kWh of cells
@@ -123,7 +116,6 @@ class ScenarioParams:
     inverter_capex_rs_per_kw: float = 7500.0
     battery_dod_buffer: float = 0.05
     battery_roundtrip_eff: float = 0.90
-    battery_aux: float = 0.05
     battery_eff_split: str = "symmetric"
     battery_cycle_boundary_hour: int = 17
     battery_om_fraction: float = 0.015
@@ -185,8 +177,7 @@ class ScenarioParams:
             if not 0.0 < value < 1.0:
                 raise ParameterError(f"{name} {value} outside (0, 1)")
         for name in (
-            "aux_coal", "aux_gas", "aux_hydro", "aux_nuclear", "aux_re",
-            "battery_aux", "ists_loss", "grid_buffer", "coal_peak_derate",
+            "aux_coal", "aux_gas", "ists_loss", "grid_buffer", "coal_peak_derate",
             "fgd_penalty",
         ):
             value = getattr(self, name)
@@ -203,31 +194,8 @@ class ScenarioParams:
             raise ParameterError(f"tech_costs missing rows for {missing}")
 
     @property
-    def discharge_eff(self) -> float:
-        """Discharge-side share of round-trip efficiency."""
-        if self.battery_eff_split == "charge_only":
-            return 1.0
-        return float(np.sqrt(self.battery_roundtrip_eff))
-
-    @property
-    def charge_eff(self) -> float:
-        """Charge-side share of round-trip efficiency."""
-        if self.battery_eff_split == "charge_only":
-            return self.battery_roundtrip_eff
-        return float(np.sqrt(self.battery_roundtrip_eff))
-
-    @property
     def cycle_boundary_slot(self) -> int:
         return self.battery_cycle_boundary_hour * 2
-
-    def aux_for(self, fuel: str) -> float:
-        return {
-            "coal": self.aux_coal,
-            "gas": self.aux_gas,
-            "hydro": self.aux_hydro,
-            "nuclear": self.aux_nuclear,
-            "re": self.aux_re,
-        }[fuel]
 
 
 _FIELD_NAMES = {f.name for f in fields(ScenarioParams)}
@@ -403,7 +371,3 @@ def project_demand(p: ScenarioParams, base: BaseYearData, year: int) -> HalfHour
     factor = (1.0 + p.demand_growth) ** (year - BASE_YEAR)
     scaled = base.demand.to_year(year)
     return HalfHourlySeries(year, scaled.values * factor, label="demand")
-
-
-def iter_years() -> Iterator[int]:
-    return iter(YEARS)

@@ -167,22 +167,6 @@ class BaseYearData:
     def n_slots(self) -> int:
         return self.demand.n_slots
 
-    def supply_residual(self) -> np.ndarray:
-        """Relative per-slot gap between summed fuel supply and demand.
-
-        Diagnostic only: historical data never balances exactly and the
-        model does not require it to.
-        """
-        total = np.zeros(self.n_slots)
-        for series in self.supply_by_fuel.values():
-            total += np.nan_to_num(series.values)
-        demand = np.nan_to_num(self.demand.values)
-        denom = np.where(demand > 0, demand, 1.0)
-        return (total - demand) / denom
-
-    def balance_ok(self, tolerance: float = 0.02) -> bool:
-        return bool(np.all(np.abs(self.supply_residual()) <= tolerance))
-
 
 @dataclass(frozen=True)
 class PerMwShape:
@@ -432,7 +416,8 @@ def rescale_to_cuf(
 
     Values are multiplied up (or down) and clipped at 1.0, then
     re-measured; the clip-and-renormalise loop repeats until the mean is
-    within ``tolerance`` of the target.  Clipping flattens the peak, the
+    within ``tolerance`` of the target, and raises InfeasibleError if it
+    is not there after ``max_iter`` steps.  Clipping flattens the peak, the
     intended behaviour for prospective fleets with better siting than
     the historical one.
     """
@@ -449,10 +434,15 @@ def rescale_to_cuf(
             f"{ceiling:.4f} (fraction of non-zero slots)"
         )
     for _ in range(max_iter):
-        mean = values.mean()
         if abs(mean - target_cuf) <= tolerance:
             break
         values = np.clip(values * (target_cuf / mean), 0.0, 1.0)
+        mean = values.mean()
+    if abs(mean - target_cuf) > tolerance:
+        raise InfeasibleError(
+            f"CUF {mean:.6f} still {abs(mean - target_cuf):.1e} from the target "
+            f"{target_cuf:.6f} after {max_iter} rescaling steps"
+        )
     return PerMwShape(values, label=shape.label)
 
 

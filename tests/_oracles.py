@@ -16,6 +16,8 @@ from gridlab.dispatch import (
     net_demand,
     split_must_run,
 )
+from gridlab.errors import ParameterError
+from gridlab.newsupply import NewSupplyPlan, simulate_soc
 from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS
 
 UNMET_PRICE = 1.0e5  # Rs/kWh-scale penalty, far above any fuel
@@ -168,3 +170,37 @@ def brute_force_bonus(dy_pre, dy_flexed, displaced_mwh, flex):
     new_cut = rerun.flex_re_cut + rerun.flex_hydro_cut
     per_day = (old_cut - new_cut).reshape(n_days, SLOTS_PER_DAY).sum(axis=1)
     return per_day * SLOT_HOURS
+
+
+def undersize_residual(
+    plan,
+    size_fraction,
+    unmet,
+    curtailed_re=None,
+    solar_gen=None,
+    net_capacity_mw=None,
+    boundary_slot=34,
+):
+    """Secondary unmet when NEW supply is undersized, and its peak MW.
+
+    ``plan`` may be a NewSupplyPlan or a bare BatterySpec (None for
+    thermal).  Batteries re-simulate at the reduced size; thermal
+    capacity simply truncates slot-wise.  The peak is what a biodiesel
+    backstop must be able to serve.
+    """
+    if not 0.0 < size_fraction <= 1.0:
+        raise ParameterError("size_fraction must lie in (0, 1]")
+    battery = plan.battery if isinstance(plan, NewSupplyPlan) else plan
+    unmet = np.asarray(unmet, dtype=float)
+    if battery is not None:
+        scaled = battery.scaled(size_fraction)
+        trace = simulate_soc(scaled, unmet, curtailed_re, solar_gen,
+                             boundary_slot=boundary_slot)
+        secondary = trace.secondary_unmet_mw
+    else:
+        if net_capacity_mw is None:
+            raise ParameterError("thermal undersizing needs net_capacity_mw")
+        secondary = np.maximum(unmet - net_capacity_mw * size_fraction, 0.0)
+    twh = float(np.sum(secondary)) * SLOT_HOURS / 1e6
+    peak = float(np.max(secondary)) if secondary.size else 0.0
+    return twh, peak

@@ -14,7 +14,7 @@ import pytest
 
 import _oracles
 from gridlab import cli
-from gridlab.economics import battery_price_usd, build_price_path
+from gridlab.economics import build_price_path
 from gridlab.newsupply import coal_peak_bonus, cycle_windows
 from gridlab.pipeline import evaluate_scenario
 from gridlab.scenario import YEARS, ScenarioParams, project_demand
@@ -54,10 +54,10 @@ def test_criterion_1_closed_form_projections():
     projected = project_demand(params, base, 2030).values.sum() * 0.5 / 1e6
     assert projected == pytest.approx(2160.0, rel=0.005)
 
-    cell_2030 = battery_price_usd(params, 2030)
+    path = build_price_path(params)
+    cell_2030 = path.battery_cell_usd_per_kwh[path.index(2030)]
     assert cell_2030 == pytest.approx(91.1, abs=0.1)
 
-    path = build_price_path(params)
     coal_2030 = path.fuel_rs_per_kwh["coal_2019"][path.index(2030)]
     assert coal_2030 == pytest.approx(4.03, abs=0.01)
 

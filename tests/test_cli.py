@@ -446,6 +446,15 @@ class TestMain:
         assert cli.main(["--config", cfg, "--validate-only"]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", [
+        "demand_2021_bu", "other_re_plf", "solar_kwh_per_kw_day", "aux_hydro",
+        "aux_nuclear", "aux_re", "battery_aux", "diesel_escalation",
+    ])
+    def test_removed_inert_key_exits_2(self, tmp_path, capsys, key):
+        cfg = self.write_config(tmp_path, {key: 0.01})
+        assert cli.main(["--config", cfg, "--validate-only", "--synthetic", "0"]) == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_data_directory_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope")
         assert cli.main(["--data", missing, "--validate-only"]) == 2

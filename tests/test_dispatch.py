@@ -18,11 +18,9 @@ from gridlab.dispatch import (
     buffer_check,
     compute_unmet,
     day_index,
-    duration_curve_csv,
     load_duration_curve,
     merit_dispatch,
     net_demand,
-    ramp_audit,
     split_must_run,
     to_csv,
 )
@@ -58,6 +56,18 @@ def test_net_demand_wraps_full_year_series():
     net, curt = net_demand(d, z, z, z)
     assert isinstance(net, HalfHourlySeries) and net.year == year
     assert isinstance(curt, HalfHourlySeries)
+
+
+def test_net_demand_rejects_invalid_full_year_result():
+    # an infinite RE slot makes the curtailment series invalid; wrapping
+    # it must raise rather than hand back the bare array
+    year = 2021
+    n = slots_in_year(year)
+    d = HalfHourlySeries(year, np.full(n, 10.0), "demand")
+    re = np.zeros(n)
+    re[7] = np.inf
+    with pytest.raises(ParameterError):
+        net_demand(d, re, np.zeros(n), np.zeros(n))
 
 
 def test_split_must_run_cuts_re_first():
@@ -292,27 +302,6 @@ def test_compute_unmet_capacity_requirement():
     np.testing.assert_allclose(np.asarray(unmet), dy.unmet)
 
 
-def test_ramp_audit_classes():
-    dy = _flat_dy(n=96)
-    coal = np.full(96, 100.0)
-    coal[1] = 100.25  # 0.25 MW/30min over 100 nominal -> ~0.008 %/min
-    coal[2] = 125.25  # 25 MW jump -> ~0.83 %/min
-    coal[3] = 205.25  # 80 MW up then 105.25 back down -> two >2 ramps
-    dy.supply["coal_2019"] = coal
-    dy.supply["coal_slack"] = np.zeros(96)
-    counts = ramp_audit(dy, np.full(2, 100.0))
-    assert counts[">2"] == 2
-    assert counts["0.5-1"] == 1
-    assert sum(counts.values()) == 95
-    with pytest.raises(ParameterError):
-        ramp_audit(dy, np.full(3, 100.0))
-
-
-def test_ramp_audit_rejects_coal_on_zero_nominal_days():
-    dy = _flat_dy(n=48)
-    with pytest.raises(DataIntegrityError):
-        ramp_audit(dy, np.zeros(1))
-
 
 def test_check_balance_raises_on_corruption():
     dy = _flat_dy()
@@ -347,14 +336,8 @@ def test_dispatch_csv_golden(tmp_path):
     assert rows[1][5] == "50.000"
 
 
-def test_duration_curve_is_sorted(tmp_path):
+def test_duration_curve_is_sorted():
     values = np.array([3.0, 9.0, 1.0, 9.5, 0.0])
     curve = load_duration_curve(values)
-    assert np.all(np.diff(curve) <= 0)
-    path = tmp_path / "ldc.csv"
-    duration_curve_csv(values, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["rank", "unmet_mw"]
-    col = [float(r[1]) for r in rows[1:]]
-    assert col == sorted(col, reverse=True)
+    assert list(curve) == [9.5, 9.0, 3.0, 1.0, 0.0]
+    assert list(load_duration_curve(iter(values))) == list(curve)

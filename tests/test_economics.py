@@ -1,6 +1,5 @@
 """Price paths, annuities, NPV assembly, and frontier ranking."""
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -12,13 +11,9 @@ from gridlab.economics import (
     CostReport,
     ScenarioResult,
     annuity_payment,
-    battery_price_path,
-    battery_price_usd,
     build_price_path,
     discount_factors,
     frontier,
-    frontier_cells,
-    fuel_price_path,
     levelized_cost,
     npv_system_cost,
 )
@@ -88,40 +83,33 @@ class TestAnnuity:
 
 class TestFuelPrice:
     def test_coal_compounds_to_2030(self):
-        got = fuel_price_path(2.6, 0.05, 2030)
+        path = build_price_path(ScenarioParams())
+        got = path.fuel_rs_per_kwh["coal_2019"][path.index(2030)]
         assert got == pytest.approx(2.6 * 1.05 ** 9)
         assert got == pytest.approx(4.03, abs=0.01)
 
     def test_base_year_is_the_base_price(self):
-        assert fuel_price_path(5.0, 0.03, 2021) == 5.0
+        path = build_price_path(ScenarioParams())
+        assert path.fuel_rs_per_kwh["gas_slack"][path.index(2021)] == 5.0
 
     @pytest.mark.parametrize("year", [2020, 2031])
     def test_horizon_bounds(self, year):
         with pytest.raises(ParameterError):
-            fuel_price_path(2.6, 0.05, year)
-
-    def test_rejects_nonpositive_base(self):
-        with pytest.raises(ParameterError):
-            fuel_price_path(0.0, 0.05, 2025)
+            build_price_path(ScenarioParams()).index(year)
 
 
 class TestBatteryPrice:
     def test_learning_curve_usd(self):
-        p = ScenarioParams()
-        assert battery_price_usd(p, 2021) == pytest.approx(175.0)
-        got = battery_price_usd(p, 2030)
-        assert got == pytest.approx(175.0 * 0.93 ** 9)
-        assert got == pytest.approx(91.1, abs=0.1)
+        cell = build_price_path(ScenarioParams()).battery_cell_usd_per_kwh
+        assert cell[0] == pytest.approx(175.0)
+        assert cell[9] == pytest.approx(175.0 * 0.93 ** 9)
+        assert cell[9] == pytest.approx(91.1, abs=0.1)
 
     def test_rupee_path_adds_forex_drift(self):
-        p = ScenarioParams()
-        assert battery_price_path(p, 2021) == pytest.approx(175.0 * 73.65)
+        cell = build_price_path(ScenarioParams()).battery_cell_rs_per_kwh
+        assert cell[0] == pytest.approx(175.0 * 73.65)
         expected = 175.0 * 0.93 ** 5 * 73.65 * 1.03 ** 5
-        assert battery_price_path(p, 2026) == pytest.approx(expected)
-
-    def test_horizon_bounds(self):
-        with pytest.raises(ParameterError):
-            battery_price_usd(ScenarioParams(), 2031)
+        assert cell[5] == pytest.approx(expected)
 
 
 class TestBuildPricePath:
@@ -151,9 +139,9 @@ class TestBuildPricePath:
             ("coal_2019", 2.6, 0.05), ("coal_slack", 3.0, 0.05),
             ("gas_2019", 3.5, 0.03), ("gas_slack", 5.0, 0.03),
         ]:
-            for i, year in enumerate(YEARS):
+            for i in range(N_YEARS):
                 assert path.fuel_rs_per_kwh[name][i] == pytest.approx(
-                    fuel_price_path(base, esc, year))
+                    base * (1.0 + esc) ** i)
 
     def test_tech_rows_present(self):
         path = build_price_path(ScenarioParams())
@@ -255,13 +243,6 @@ class TestNpvFuelOnly:
         with pytest.raises(DataIntegrityError):
             npv_system_cost(decade, empty_thermal_plan(), self.paths, 0.06,
                             self.params, self.capacity)
-
-    def test_report_json_round_trip(self, tmp_path):
-        path = tmp_path / "report.json"
-        payload = json.loads(self.report.to_json(path))
-        assert payload["levelized_new"] is None
-        assert payload["npv_total"] == pytest.approx(self.report.npv_total)
-        assert json.loads(path.read_text()) == payload
 
 
 class TestNpvBatteryCohorts:
@@ -467,11 +448,10 @@ class TestThermalFuelAndBiodiesel:
 # --- frontier ranking -----------------------------------------------------
 
 
-def result(npv, capacity=0.0, curtailment=0.0, re_2030=450.0, option="battery_re"):
+def result(npv, capacity=0.0, curtailment=0.0):
     report = CostReport(npv_total=npv, npv_by_component={},
                         levelized_existing=None, levelized_new=None)
-    params = ScenarioParams(re_2030=re_2030, new_option=option)
-    return ScenarioResult(params=params, report=report,
+    return ScenarioResult(params=ScenarioParams(), report=report,
                           new_capacity_mw=capacity, curtailment_twh=curtailment)
 
 
@@ -495,15 +475,3 @@ class TestFrontier:
     def test_empty_input_rejected(self):
         with pytest.raises(ParameterError):
             frontier([])
-
-    def test_cells_pick_cheapest_per_cell(self):
-        rs = [
-            result(5.0, re_2030=450.0, option="ocgt"),
-            result(2.0, re_2030=450.0, option="ocgt"),
-            result(9.0, re_2030=500.0, option="ocgt"),
-            result(1.0, re_2030=450.0, option="battery_re"),
-        ]
-        cells = frontier_cells(rs)
-        assert cells[(450.0, "ocgt")].npv_total == 2.0
-        assert cells[(500.0, "ocgt")].npv_total == 9.0
-        assert cells[(450.0, "battery_re")].npv_total == 1.0

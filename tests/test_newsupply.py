@@ -1,7 +1,5 @@
 """Battery sizing, SoC simulation, dedicated solar, and displacement."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +21,6 @@ from gridlab.newsupply import (
     size_dedicated_solar,
     size_for_full_recharge,
     size_new_capacity,
-    undersize_residual,
 )
 from gridlab.scenario import ScenarioParams
 from gridlab.shapes import PerMwShape
@@ -174,7 +171,6 @@ class TestSizeNewCapacity:
         build = size_new_capacity(unmet, short, "ocgt", aux=0.2)
         assert build.required_mw == pytest.approx([12.5, 43.75, 25.0])
         assert build.installed_mw == pytest.approx([12.5, 43.75, 43.75])
-        assert build.increments_mw == pytest.approx([12.5, 31.25, 0.0])
         assert build.years == (0, 1, 2)
 
     def test_years_passthrough(self):
@@ -271,42 +267,30 @@ class TestSimulateSoc:
         assert not np.any(trace.secondary_unmet_mw)
 
     def test_matches_literal_recursion(self):
+        # every cycle window restarts full, so the vectorized path must
+        # equal the literal slot recursion run window by window
         rng = np.random.default_rng(11)
-        for _ in range(5):
-            n = 240
-            unmet = rng.uniform(0.0, 120.0, n) * (rng.random(n) < 0.35)
-            re = rng.uniform(0.0, 80.0, n)
-            sol = rng.uniform(0.0, 60.0, n)
-            b = make_battery(energy=rng.uniform(50, 300),
-                             inverter=rng.uniform(20, 150),
-                             dod=rng.uniform(0.05, 0.2),
-                             rt=rng.uniform(0.8, 1.0))
-            trace = simulate_soc(b, unmet, re, sol)
-            ref = _oracles.reference_soc(b, unmet, re, sol)
-            assert np.array_equal(trace.soc_mwh, ref[:, 0])
-            assert np.array_equal(trace.charge_mw, ref[:, 1])
-            assert np.array_equal(trace.discharge_mw, ref[:, 2])
-            assert np.array_equal(trace.served_mw, ref[:, 3])
-            assert np.array_equal(trace.charge_re_mw, ref[:, 4])
-            assert np.array_equal(trace.charge_solar_mw, ref[:, 5])
-
-    def test_cycle_reset_equals_windowed_chrono(self):
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            n = 200
-            unmet = rng.uniform(0.0, 120.0, n) * (rng.random(n) < 0.35)
-            re = rng.uniform(0.0, 80.0, n)
-            sol = rng.uniform(0.0, 60.0, n)
-            b = make_battery(energy=rng.uniform(50, 300),
-                             inverter=rng.uniform(20, 150))
-            whole = simulate_soc(b, unmet, re, sol, boundary_slot=34,
-                                 cycle_reset=True)
-            for a, end in cycle_windows(n, 34):
-                piece = simulate_soc(b, unmet[a:end], re[a:end], sol[a:end])
-                assert np.array_equal(whole.soc_mwh[a:end], piece.soc_mwh)
-                assert np.array_equal(whole.charge_mw[a:end], piece.charge_mw)
-                assert np.array_equal(whole.discharge_mw[a:end], piece.discharge_mw)
-                assert np.array_equal(whole.served_mw[a:end], piece.served_mw)
+        for boundary in (0, 34):
+            for _ in range(5):
+                n = 240
+                unmet = rng.uniform(0.0, 120.0, n) * (rng.random(n) < 0.35)
+                re = rng.uniform(0.0, 80.0, n)
+                sol = rng.uniform(0.0, 60.0, n)
+                b = make_battery(energy=rng.uniform(50, 300),
+                                 inverter=rng.uniform(20, 150),
+                                 dod=rng.uniform(0.05, 0.2),
+                                 rt=rng.uniform(0.8, 1.0))
+                trace = simulate_soc(b, unmet, re, sol, boundary_slot=boundary)
+                for a, end in cycle_windows(n, boundary):
+                    ref = _oracles.reference_soc(b, unmet[a:end], re[a:end],
+                                                 sol[a:end])
+                    assert np.array_equal(trace.soc_mwh[a:end], ref[:, 0])
+                    assert np.array_equal(trace.charge_mw[a:end], ref[:, 1])
+                    assert np.array_equal(trace.discharge_mw[a:end], ref[:, 2])
+                    assert np.array_equal(trace.served_mw[a:end], ref[:, 3])
+                    assert np.array_equal(trace.charge_re_mw[a:end], ref[:, 4])
+                    assert np.array_equal(trace.charge_solar_mw[a:end],
+                                          ref[:, 5])
 
     def test_overdraw_bookkeeping(self):
         # 400 MW against 95 MWh usable: the attempt is recorded in full,
@@ -355,10 +339,9 @@ class TestSimulateSoc:
         dod=st.floats(0.05, 0.3),
         rt=st.floats(0.8, 1.0),
         split=st.sampled_from(["symmetric", "charge_only"]),
-        reset=st.booleans(),
     )
     def test_state_machine_invariants(self, seed, energy, inverter, dod, rt,
-                                      split, reset):
+                                      split):
         rng = np.random.default_rng(seed)
         n = 96
         unmet = rng.uniform(0.0, 50.0, n) * (rng.random(n) < 0.4)
@@ -366,8 +349,7 @@ class TestSimulateSoc:
         sol = rng.uniform(0.0, 30.0, n)
         b = make_battery(energy=energy, inverter=inverter, dod=dod, rt=rt,
                          split=split)
-        trace = simulate_soc(b, unmet, re, sol, boundary_slot=34,
-                             cycle_reset=reset)
+        trace = simulate_soc(b, unmet, re, sol, boundary_slot=34)
         tol = 1e-9
 
         assert not np.any((trace.charge_mw > 0) & (trace.discharge_mw > 0))
@@ -387,13 +369,11 @@ class TestSimulateSoc:
             0.0, atol=1e-6)
 
         # the SoC recursion balances within every cycle
-        windows = cycle_windows(n, 34) if reset else [(0, n)]
-        for a, end in windows:
+        for a, end in cycle_windows(n, 34):
             soc = trace.soc_mwh[a:end]
             flow = (trace.charge_mw[a:end] * b.charge_eff
                     - trace.discharge_mw[a:end]) * 0.5
-            entry = energy if (reset or a == 0) else trace.soc_mwh[a - 1]
-            assert np.allclose(np.diff(soc, prepend=entry), flow, atol=1e-9)
+            assert np.allclose(np.diff(soc, prepend=energy), flow, atol=1e-9)
 
     def test_trace_csv_labels_charge_source(self, tmp_path):
         b = make_battery(energy=100.0, inverter=50.0, split="charge_only")
@@ -523,7 +503,7 @@ class TestDisplaceWithBattery:
         unmet[5] = 100.0
         re = np.zeros(48)
         re[10:30] = 500.0
-        return simulate_soc(b, unmet, re, boundary_slot=0, cycle_reset=True)
+        return simulate_soc(b, unmet, re, boundary_slot=0)
 
     def test_energy_matched_price_ordered(self):
         trace = self.hand_trace()
@@ -549,7 +529,7 @@ class TestDisplaceWithBattery:
         unmet[5] = 190.0  # exactly one usable load
         re = np.zeros(48)
         re[10:30] = 100.0
-        trace = simulate_soc(b, unmet, re, boundary_slot=0, cycle_reset=True)
+        trace = simulate_soc(b, unmet, re, boundary_slot=0)
         dy = bare_dispatch(48, gas_slack=np.full(48, 10.0))
         disp = displace_with_battery(trace, dy)
         assert disp.spare_twh == 0.0
@@ -560,22 +540,10 @@ class TestDisplaceWithBattery:
         b = make_battery(energy=300.0, inverter=200.0, split="charge_only")
         unmet = np.zeros(48)
         unmet[5] = 100.0
-        trace = simulate_soc(b, unmet, None, boundary_slot=0, cycle_reset=True)
+        trace = simulate_soc(b, unmet, None, boundary_slot=0)
         dy = bare_dispatch(48, coal_slack=np.full(48, 40.0))
         disp = displace_with_battery(trace, dy)
         assert disp.spare_twh == 0.0
-
-    def test_custom_prices_reorder_targets(self):
-        trace = self.hand_trace()
-        dy = bare_dispatch(48, gas_slack=np.full(48, 10.0),
-                           coal_slack=np.full(48, 2.0),
-                           coal_2019=np.full(48, 100.0))
-        prices = {"gas_slack": 1.0, "coal_slack": 9.0, "coal_2019": 5.0}
-        disp = displace_with_battery(trace, dy, prices=prices)
-        # coal_slack (48 MWh) drains first, coal_2019 takes the rest
-        assert disp.displaced_twh["coal_slack"] == pytest.approx(48.0 / 1e6)
-        assert disp.displaced_twh["coal_2019"] == pytest.approx(187.0 / 1e6)
-        assert disp.displaced_twh["gas_slack"] == 0.0
 
     def test_attribution_to_cycle_start_day(self):
         b = make_battery(energy=300.0, inverter=200.0, split="charge_only")
@@ -584,7 +552,7 @@ class TestDisplaceWithBattery:
         unmet[85] = 100.0  # inside the (82, 96) window, calendar day 1
         re = np.zeros(n)
         re[90:96] = 500.0
-        trace = simulate_soc(b, unmet, re, boundary_slot=34, cycle_reset=True)
+        trace = simulate_soc(b, unmet, re, boundary_slot=34)
         dy = bare_dispatch(n, gas_slack=np.full(n, 10.0),
                            coal_slack=np.full(n, 40.0))
         disp = displace_with_battery(trace, dy)
@@ -689,24 +657,25 @@ class TestDisplaceGasWithNewCoal:
             displace_gas_with_new_coal(-1.0, dy)
 
 
-# --- undersizing ---------------------------------------------------------
+# --- undersizing (reference oracle) ------------------------------------
 
 
 class TestUndersizeResidual:
     def test_thermal_truncates_slotwise(self):
-        twh, peak = undersize_residual(None, 0.5, np.array([100.0, 40.0, 0.0]),
-                                       net_capacity_mw=120.0)
+        twh, peak = _oracles.undersize_residual(
+            None, 0.5, np.array([100.0, 40.0, 0.0]), net_capacity_mw=120.0)
         assert twh == pytest.approx(40.0 * 0.5 / 1e6)
         assert peak == pytest.approx(40.0)
 
     def test_thermal_needs_capacity(self):
         with pytest.raises(ParameterError):
-            undersize_residual(None, 0.5, np.zeros(3))
+            _oracles.undersize_residual(None, 0.5, np.zeros(3))
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.2])
     def test_fraction_bounds(self, fraction):
         with pytest.raises(ParameterError):
-            undersize_residual(None, fraction, np.zeros(3), net_capacity_mw=10.0)
+            _oracles.undersize_residual(None, fraction, np.zeros(3),
+                                        net_capacity_mw=10.0)
 
     def test_battery_path_matches_direct_simulation(self):
         unmet = np.zeros(96)
@@ -714,9 +683,8 @@ class TestUndersizeResidual:
         unmet[70] = 80.0
         battery = size_battery(unmet, ScenarioParams())
         plan = NewSupplyPlan(option="battery_re", battery=battery)
-        twh, peak = undersize_residual(plan, 0.5, unmet)
-        trace = simulate_soc(battery.scaled(0.5), unmet, boundary_slot=34,
-                             cycle_reset=True)
+        twh, peak = _oracles.undersize_residual(plan, 0.5, unmet)
+        trace = simulate_soc(battery.scaled(0.5), unmet, boundary_slot=34)
         assert twh == pytest.approx(trace.secondary_unmet_twh())
         assert peak == pytest.approx(float(trace.secondary_unmet_mw.max()))
         assert twh > 0.0
@@ -725,7 +693,7 @@ class TestUndersizeResidual:
         unmet = np.zeros(96)
         unmet[40] = 150.0
         battery = size_battery(unmet, ScenarioParams())
-        twh, peak = undersize_residual(battery, 1.0, unmet)
+        twh, peak = _oracles.undersize_residual(battery, 1.0, unmet)
         assert twh == 0.0
         assert peak == 0.0
 
@@ -735,7 +703,7 @@ class TestUndersizeResidual:
         unmet[41] = 150.0
         unmet[70] = 80.0
         battery = size_battery(unmet, ScenarioParams())
-        residuals = [undersize_residual(battery, f, unmet)[0]
+        residuals = [_oracles.undersize_residual(battery, f, unmet)[0]
                      for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
         assert all(a >= b - 1e-12 for a, b in zip(residuals, residuals[1:]))
         assert residuals[0] > 0.0
@@ -757,23 +725,3 @@ class TestNewSupplyPlan:
                              secondary_unmet_twh={2030: 0.0},
                              displaced_coal_twh={2030: 1.25})
         plan.validate()
-
-    def test_json_round_trip(self, tmp_path):
-        plan = NewSupplyPlan(
-            option="battery_re",
-            capacity_mw={2030: 500.0},
-            battery=make_battery(energy=900.0, inverter=300.0, f=0.75),
-            displaced_gas_nonapm_twh={2030: 0.12},
-        )
-        path = tmp_path / "plan.json"
-        text = plan.to_json(path)
-        assert path.read_text() == text
-        payload = json.loads(text)
-        assert payload["option"] == "battery_re"
-        assert payload["capacity_mw"]["2030"] == 500.0
-        assert payload["battery"]["energy_capacity_mwh"] == 900.0
-        assert payload["battery"]["size_fraction"] == 0.75
-
-    def test_json_omits_absent_battery(self):
-        payload = json.loads(NewSupplyPlan(option="ccgt").to_json())
-        assert "battery" not in payload

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+import _oracles
 from gridlab.economics import COMPONENTS
-from gridlab.newsupply import undersize_residual
 from gridlab.pipeline import _tranche_caps, dispatch_year, evaluate_scenario
 from gridlab.scenario import YEARS, ScenarioParams, build_capacity_path
+from gridlab.shapes import (
+    BaseYearData,
+    derive_wind_shape,
+    rescale_to_cuf,
+    slots_in_year,
+    synth_solar_shape,
+)
 
 GROWTH = 1.0525
 
@@ -84,11 +91,6 @@ class TestBatteryPlan:
         solar = [outcome.plan.dedicated_solar_gw[y] for y in YEARS]
         for seq in (energies, inverters, caps, solar):
             assert all(a <= b + 1e-12 for a, b in zip(seq, seq[1:]))
-
-    def test_increments_recover_the_installed_path(self, outcome):
-        total = sum(outcome.plan.increments_mw[y] for y in YEARS)
-        assert total == pytest.approx(outcome.plan.capacity_mw[2030])
-        assert all(outcome.plan.increments_mw[y] >= 0 for y in YEARS)
 
     def test_full_battery_leaves_no_secondary_unmet(self, outcome):
         assert all(outcome.plan.secondary_unmet_twh[y] == 0.0 for y in YEARS)
@@ -179,7 +181,6 @@ class TestDetails:
         assert np.all(detail.curtailed_re >= -1e-9)
         assert np.all(detail.solar_gen == 0.0)  # extra=0, no dedicated solar
         assert detail.trace is not None
-        assert detail.trace.cycle_reset
 
 
 class TestUndersizedBattery:
@@ -210,7 +211,7 @@ class TestUndersizedBattery:
     def test_matches_undersize_residual_of_full_design(self, outcome,
                                                        outcome_half):
         detail = outcome_half.details[2030]
-        twh, peak = undersize_residual(
+        twh, peak = _oracles.undersize_residual(
             outcome.plan.battery, 0.5, detail.unmet, detail.curtailed_re,
             detail.solar_gen, boundary_slot=34)
         assert twh == pytest.approx(
@@ -284,3 +285,25 @@ class TestTrancheCaps:
         assert np.all(extras["buffer"].shortfall >= 0)
         assert np.all(extras["curtailed_re"] >= -1e-9)
         assert np.all(extras["re_available"] >= extras["curtailed_re"] - 1e-9)
+
+
+@pytest.mark.parametrize("year", range(2019, 2025))
+def test_any_base_year_evaluates(year, base_year, outcome, outcome_ocgt):
+    """The base-year data may come from any year, leap years included."""
+    base = BaseYearData(
+        year=year,
+        demand=base_year.demand.to_year(year),
+        supply_by_fuel={k: s.to_year(year) for k, s in base_year.supply_by_fuel.items()},
+    )
+    raw = synth_solar_shape(year)
+    solar = rescale_to_cuf(raw, 0.27)
+    wind = derive_wind_shape(base.supply_by_fuel["re"], raw, 35_000.0, wind_cuf=0.35)
+    for reference in (outcome_ocgt, outcome):
+        got = evaluate_scenario(reference.params, base, solar, wind, detail_years=(2024,))
+        assert got.details[2024].demand.shape == (slots_in_year(2024),)
+        if slots_in_year(year) == slots_in_year(base_year.year):
+            # same slot grid as the 2021 fixture: nothing may change
+            assert got.result.npv_total == reference.result.npv_total
+            assert got.year_rows == reference.year_rows
+        else:
+            assert got.result.npv_total == pytest.approx(reference.result.npv_total, rel=0.02)

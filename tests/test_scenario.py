@@ -1,21 +1,23 @@
 """Parameter validation, config parsing, grids, and capacity trajectories."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridlab
 from gridlab.errors import ParameterError
+from gridlab.newsupply import size_battery
 from gridlab.scenario import (
     BASE_YEAR,
     FINAL_YEAR,
-    YEARS,
     ParamGrid,
     ScenarioParams,
     build_capacity_path,
     default_tech_costs,
     expand_param_grid,
-    iter_years,
     params_from_config,
     project_demand,
 )
@@ -61,11 +63,16 @@ def test_missing_tech_cost_row_rejected():
 
 
 def test_efficiency_split_properties():
+    # the split is defined once, on BatterySpec; the parameters reach it
+    # through battery sizing
+    unmet = np.zeros(48)
+    unmet[40] = 100.0
     p = ScenarioParams()
     root = np.sqrt(0.90)
-    assert p.charge_eff == pytest.approx(root)
-    assert p.discharge_eff == pytest.approx(root)
-    q = dataclasses.replace(p, battery_eff_split="charge_only")
+    b = size_battery(unmet, p)
+    assert b.charge_eff == pytest.approx(root)
+    assert b.discharge_eff == pytest.approx(root)
+    q = size_battery(unmet, dataclasses.replace(p, battery_eff_split="charge_only"))
     assert q.charge_eff == pytest.approx(0.90)
     assert q.discharge_eff == 1.0
 
@@ -75,12 +82,31 @@ def test_cycle_boundary_slot():
     assert dataclasses.replace(ScenarioParams(), battery_cycle_boundary_hour=0).cycle_boundary_slot == 0
 
 
-def test_aux_for():
-    p = ScenarioParams()
-    assert p.aux_for("coal") == p.aux_coal
-    assert p.aux_for("re") == 0.0
-    with pytest.raises(KeyError):
-        p.aux_for("diesel")
+def _attributes_read(tree):
+    """Names read as attributes, outside ScenarioParams.__post_init__."""
+    names = set()
+
+    def visit(node, skip):
+        if skip:
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, isinstance(node, ast.ClassDef) and node.name == "ScenarioParams"
+                  and isinstance(child, ast.FunctionDef) and child.name == "__post_init__")
+
+    visit(tree, False)
+    return names
+
+
+def test_every_param_field_is_read():
+    # a field only validated, never read, is a config key that changes
+    # no output
+    read = set()
+    for path in sorted(Path(gridlab.__file__).parent.glob("*.py")):
+        read |= _attributes_read(ast.parse(path.read_text()))
+    unread = [f.name for f in dataclasses.fields(ScenarioParams) if f.name not in read]
+    assert unread == []
 
 
 # --- config parsing ----------------------------------------------------------
@@ -241,7 +267,3 @@ def test_project_demand_horizon_check():
     base = synth_shapes(7)
     with pytest.raises(ParameterError):
         project_demand(ScenarioParams(), base, 2031)
-
-
-def test_iter_years():
-    assert tuple(iter_years()) == YEARS == tuple(range(2021, 2031))

@@ -140,13 +140,6 @@ def test_base_year_data_validation():
                      supply_by_fuel=base.supply_by_fuel)
 
 
-def test_supply_residual_and_balance():
-    base = _base(demand=100.0, coal=50.0, gas=21.0, hydro=10.0, nuclear=5.0, re=15.0)
-    assert np.allclose(base.supply_residual(), 0.01)
-    assert base.balance_ok(0.02)
-    assert not base.balance_ok(0.005)
-
-
 def test_per_mw_shape_bounds():
     with pytest.raises(ParameterError):
         PerMwShape(np.array([0.2, 1.3]))
@@ -371,6 +364,13 @@ def test_rescale_infeasible_target():
     daylight = np.count_nonzero(shape.values > 0) / shape.values.size
     with pytest.raises(InfeasibleError):
         rescale_to_cuf(shape, daylight + 0.05)
+
+
+def test_rescale_unconverged_raises():
+    # the synthetic solar shape needs 16 clip-and-rescale steps to reach
+    # a 0.27 CUF; stopping after 3 must not hand back the wrong CUF
+    with pytest.raises(InfeasibleError, match="after 3 rescaling steps"):
+        rescale_to_cuf(synth_solar_shape(2021), 0.27, max_iter=3)
 
 
 def test_rescale_parameter_errors():

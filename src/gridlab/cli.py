@@ -118,6 +118,10 @@ class DataOptions:
     max_gap_slots: int = 4
 
 
+#: parameters read once, when load_inputs builds the per-MW shapes
+_INPUT_SHAPE_KEYS = {"solar_cuf", "wind_cuf"}
+
+
 def parse_config(
     config: Mapping | None,
 ) -> tuple[list[ScenarioParams], ScenarioParams, DataOptions]:
@@ -135,6 +139,12 @@ def parse_config(
     data_opts = DataOptions(**data_raw)
 
     axes = {k: tuple(v) for k, v in cfg.items() if isinstance(v, (list, tuple))}
+    swept_fixed = sorted(_INPUT_SHAPE_KEYS & set(axes))
+    if swept_fixed:
+        raise ParameterError(
+            f"config keys {swept_fixed} cannot be sweep axes: the per-MW shapes "
+            "are built once per run; give one value"
+        )
     overrides = {k: v for k, v in cfg.items() if k not in axes}
     base = params_from_config(overrides)
 
@@ -196,13 +206,17 @@ def _init_worker(base: BaseYearData, solar: PerMwShape, wind: PerMwShape) -> Non
 
 
 def _run_one(job: tuple[int, ScenarioParams]):
-    """Evaluate one scenario; never let its failure sink the sweep."""
+    """Evaluate one scenario; a GridlabError is recorded, not raised.
+
+    Any other exception is a bug, not an unsolvable scenario, and
+    propagates to end the run.
+    """
     index, params = job
     base, solar, wind = _WORKER_INPUTS
     try:
         outcome = evaluate_scenario(params, base, solar, wind)
         return index, None, outcome
-    except Exception as exc:
+    except GridlabError as exc:
         return index, f"{type(exc).__name__}: {exc}", None
 
 
@@ -435,9 +449,10 @@ def run(
 ) -> RunManifest:
     """Evaluate every scenario in the config and write the result tables.
 
-    Scenario failures are isolated: the row lands in failures.csv and
-    the sweep carries on.  The first successful scenario doubles as the
-    detail scenario feeding the figure CSVs.
+    Scenario failures (a GridlabError) are isolated: the row lands in
+    failures.csv and the sweep carries on; any other exception ends the
+    run.  The first successful scenario doubles as the detail scenario
+    feeding the figure CSVs.
     """
     start = time.monotonic()
     if parallelism < 1:
@@ -587,6 +602,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GridlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        log.exception("internal error")
+        return 3
 
     print(
         f"evaluated {manifest.scenario_count - manifest.failed} of "

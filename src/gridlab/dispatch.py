@@ -8,18 +8,23 @@ slack tranches the headroom above it.  A daily coal flexibility floor
 then raises coal in low-net-demand slots, pushing out must-run supply
 as curtailment.  A grid-buffer check runs post facto and yields the
 unmet residual that NEW supply must serve.
+
+Every slot series here is a plain float array whose length is a whole
+number of days.  Input series are validated once, where ``shapes``
+loads them; callers pass plain values.  Results are arrays too, so the
+same code serves a full year and a one-day test case.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from gridlab.errors import DataIntegrityError, ParameterError
-from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS, HalfHourlySeries, slots_in_year
+from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS
 
 #: Fixed merit order of the existing-fleet tranches.
 TRANCHES = ("coal_2019", "gas_2019", "coal_slack", "gas_slack")
@@ -37,24 +42,6 @@ def day_index(n_slots: int) -> np.ndarray:
     return np.repeat(np.arange(n_slots // SLOTS_PER_DAY), SLOTS_PER_DAY)
 
 
-def _values(series) -> np.ndarray:
-    """Accept a half-hourly series or any array-like of MW values.
-
-    Full-year series are the normal case; despatch arithmetic is
-    length-agnostic, which keeps small hand-built instances cheap.
-    """
-    if isinstance(series, HalfHourlySeries):
-        return series.values
-    return np.atleast_1d(np.asarray(series, dtype=float))
-
-
-def _wrap(year: int, values: np.ndarray, label: str):
-    """Return a HalfHourlySeries when the length matches the year."""
-    if values.shape[0] == slots_in_year(year):
-        return HalfHourlySeries(year, values, label=label)
-    return values
-
-
 @dataclass
 class DispatchYear:
     """One year of slot-level despatch.
@@ -63,9 +50,12 @@ class DispatchYear:
     for a partial result straight out of merit_dispatch, full busbar
     demand once must-run supplies are attached.  The conservation
     invariant sum(supply) + unmet == demand holds in both states.
+
+    The despatch steps never write into an array they were given: each
+    builds its result from new arrays and shares the unchanged ones.
+    Code that edits arrays in place works on a ``copy()``.
     """
 
-    year: int
     demand: np.ndarray
     supply: dict[str, np.ndarray]
     capacity: dict[str, np.ndarray]
@@ -106,14 +96,13 @@ class DispatchYear:
     def check_balance(self, tolerance: float = _TOL) -> None:
         total = sum(self.supply.values()) + self.unmet
         worst = float(np.max(np.abs(total - self.demand))) if self.n_slots else 0.0
-        if worst > tolerance:
+        if not worst <= tolerance:  # NaN fails too
             raise DataIntegrityError(
                 f"despatch imbalance of {worst:.3e} MW exceeds {tolerance:.1e}"
             )
 
     def copy(self) -> "DispatchYear":
         return DispatchYear(
-            year=self.year,
             demand=self.demand.copy(),
             supply={k: v.copy() for k, v in self.supply.items()},
             capacity={k: v.copy() for k, v in self.capacity.items()},
@@ -135,46 +124,38 @@ class BufferReport:
     requirement: np.ndarray
     shortfall: np.ndarray
 
-    @property
-    def worst_shortfall_mw(self) -> float:
-        return float(np.max(self.shortfall)) if self.shortfall.size else 0.0
 
-
-def net_demand(demand, re, hydro, nuclear):
+def net_demand(
+    demand: np.ndarray, re: np.ndarray, hydro: np.ndarray, nuclear: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Net demand after must-run supply, and the interim curtailment.
 
     Must-run output beyond demand cannot be absorbed and comes back as
-    curtailment, reported as a single series.  Full-year inputs return
-    HalfHourlySeries; bare arrays come back as arrays.
+    curtailment, reported as a single series.  All four inputs are
+    arrays of one length; both results are new arrays of that length.
     """
-    d, r, h, n = (_values(x) for x in (demand, re, hydro, nuclear))
-    if len({a.shape[0] for a in (d, r, h, n)}) != 1:
+    if len({a.shape[0] for a in (demand, re, hydro, nuclear)}) != 1:
         raise ParameterError("net_demand inputs must have equal lengths")
-    must_run = r + h + n
-    net = np.maximum(d - must_run, 0.0)
-    curtailed = np.maximum(must_run - d, 0.0)
-    year = getattr(demand, "year", 0)
-    return (
-        _wrap(year, net, "net_demand"),
-        _wrap(year, curtailed, "curtailment"),
-    )
+    must_run = re + hydro + nuclear
+    return np.maximum(demand - must_run, 0.0), np.maximum(must_run - demand, 0.0)
 
 
-def split_must_run(demand, re, hydro, nuclear) -> dict[str, np.ndarray]:
+def split_must_run(
+    demand: np.ndarray, re: np.ndarray, hydro: np.ndarray, nuclear: np.ndarray
+) -> dict[str, np.ndarray]:
     """Per-source must-run supply after netting, curtailing RE first.
 
     Surplus beyond demand is taken out of RE, then hydro, then nuclear,
     so the returned supplies always sum to min(demand, must-run total).
     """
-    d, r, h, n = (_values(x) for x in (demand, re, hydro, nuclear))
-    surplus = np.maximum(r + h + n - d, 0.0)
-    re_cut = np.minimum(surplus, r)
-    hydro_cut = np.minimum(surplus - re_cut, h)
+    surplus = np.maximum(re + hydro + nuclear - demand, 0.0)
+    re_cut = np.minimum(surplus, re)
+    hydro_cut = np.minimum(surplus - re_cut, hydro)
     nuclear_cut = surplus - re_cut - hydro_cut
     return {
-        "re": r - re_cut,
-        "hydro": h - hydro_cut,
-        "nuclear": n - nuclear_cut,
+        "re": re - re_cut,
+        "hydro": hydro - hydro_cut,
+        "nuclear": nuclear - nuclear_cut,
     }
 
 
@@ -189,7 +170,7 @@ def _as_capacity(values, n_slots: int, name: str) -> np.ndarray:
     return arr
 
 
-def merit_dispatch(net, tranches: Sequence[tuple[str, object]]) -> DispatchYear:
+def merit_dispatch(net: np.ndarray, tranches: Sequence[tuple[str, object]]) -> DispatchYear:
     """Greedy fill of net demand through the tranche stack, in order.
 
     Each tranche serves what remains of the slot's net demand, up to
@@ -197,11 +178,10 @@ def merit_dispatch(net, tranches: Sequence[tuple[str, object]]) -> DispatchYear:
     unmet.  The result is partial: must-run supplies are all zero and
     ``demand`` is the net series.
     """
-    n = _values(net)
-    n_slots = n.shape[0]
+    n_slots = net.shape[0]
     supply: dict[str, np.ndarray] = {k: np.zeros(n_slots) for k in ("re", "hydro", "nuclear")}
     capacity: dict[str, np.ndarray] = {}
-    remaining = n.copy()
+    remaining = net.copy()
     for name, cap in tranches:
         cap = _as_capacity(cap, n_slots, name)
         take = np.minimum(remaining, cap)
@@ -210,8 +190,7 @@ def merit_dispatch(net, tranches: Sequence[tuple[str, object]]) -> DispatchYear:
         remaining -= take
     supply["new"] = np.zeros(n_slots)
     return DispatchYear(
-        year=getattr(net, "year", 0),
-        demand=n.copy(),
+        demand=net,
         supply=supply,
         capacity=capacity,
         curtailment=np.zeros(n_slots),
@@ -229,18 +208,19 @@ def attach_must_run(
     ``demand`` becomes the full busbar demand (net + must-run served),
     keeping the conservation invariant intact.
     """
-    out = dy.copy()
-    for key in ("re", "hydro", "nuclear"):
-        out.supply[key] = np.asarray(must_run[key], dtype=float).copy()
-        out.demand = out.demand + out.supply[key]
-    out.curtailment = out.curtailment + interim_curtailment
-    return out
+    supply = {**dy.supply, **{key: must_run[key] for key in ("re", "hydro", "nuclear")}}
+    return replace(
+        dy,
+        demand=dy.demand + supply["re"] + supply["hydro"] + supply["nuclear"],
+        supply=supply,
+        curtailment=dy.curtailment + interim_curtailment,
+    )
 
 
 def apply_coal_flex(
     dy: DispatchYear,
     flex_limit: float,
-    re_available: HalfHourlySeries | None = None,
+    re_available: np.ndarray | None = None,
     floor_day: np.ndarray | None = None,
 ) -> DispatchYear:
     """Enforce the daily coal flexibility floor by re-despatch.
@@ -264,35 +244,34 @@ def apply_coal_flex(
     """
     if not 0.0 <= flex_limit < 1.0:
         raise ParameterError(f"flex_limit {flex_limit} outside [0, 1)")
-    out = dy.copy()
-    n_slots = out.n_slots
-    days = day_index(n_slots)
+    days = day_index(dy.n_slots)
 
-    coal_pre = out.coal_total()
-    daily_max = np.zeros(out.n_days)
+    coal_pre = dy.coal_total()
+    daily_max = np.zeros(dy.n_days)
     np.maximum.at(daily_max, days, coal_pre)
     if floor_day is None:
         floor_day = flex_limit * daily_max
     else:
         floor_day = np.asarray(floor_day, dtype=float)
-        if floor_day.shape != (out.n_days,):
+        if floor_day.shape != (dy.n_days,):
             raise ParameterError(
-                f"floor_day has shape {floor_day.shape}, want ({out.n_days},)"
+                f"floor_day has shape {floor_day.shape}, want ({dy.n_days},)"
             )
 
-    cap1 = out.capacity["coal_2019"]
-    cap2 = out.capacity["gas_2019"]
-    cap3 = out.capacity["coal_slack"]
-    cap4 = out.capacity["gas_slack"]
+    supply = dict(dy.supply)
+    cap1 = dy.capacity["coal_2019"]
+    cap2 = dy.capacity["gas_2019"]
+    cap3 = dy.capacity["coal_slack"]
+    cap4 = dy.capacity["gas_slack"]
 
     net = (
-        out.supply["coal_2019"] + out.supply["gas_2019"]
-        + out.supply["coal_slack"] + out.supply["gas_slack"] + out.unmet
+        supply["coal_2019"] + supply["gas_2019"]
+        + supply["coal_slack"] + supply["gas_slack"] + dy.unmet
     )
-    absorb_re = out.supply["re"]
+    absorb_re = supply["re"]
     if re_available is not None:
-        absorb_re = np.minimum(absorb_re, _values(re_available))
-    absorb_hydro = out.supply["hydro"]
+        absorb_re = np.minimum(absorb_re, re_available)
+    absorb_hydro = supply["hydro"]
     floor_slot = np.minimum.reduce(
         [np.broadcast_to(floor_day[days], net.shape), net + absorb_re + absorb_hydro, cap1 + cap3]
     )
@@ -318,25 +297,28 @@ def apply_coal_flex(
     for key, new_vals in (
         ("coal_2019", x1), ("gas_2019", x2), ("coal_slack", x3), ("gas_slack", x4),
     ):
-        out.supply[key] = np.where(binding, new_vals, out.supply[key])
-    out.unmet = np.where(binding, unmet_new, out.unmet)
+        supply[key] = np.where(binding, new_vals, supply[key])
     re_cut = np.where(binding, re_cut, 0.0)
     hydro_cut = np.where(binding, hydro_cut, 0.0)
-    out.supply["re"] = out.supply["re"] - re_cut
-    out.supply["hydro"] = out.supply["hydro"] - hydro_cut
-    out.curtailment = out.curtailment + re_cut + hydro_cut
+    supply["re"] = supply["re"] - re_cut
+    supply["hydro"] = supply["hydro"] - hydro_cut
 
-    out.coal_daily_max = daily_max
-    out.coal_flex_floor = floor_day
-    out.flex_re_cut = re_cut
-    out.flex_hydro_cut = hydro_cut
-    out.relaxed_slots = relaxed
-    return out
+    return replace(
+        dy,
+        supply=supply,
+        unmet=np.where(binding, unmet_new, dy.unmet),
+        curtailment=dy.curtailment + re_cut + hydro_cut,
+        coal_daily_max=daily_max,
+        coal_flex_floor=floor_day,
+        flex_re_cut=re_cut,
+        flex_hydro_cut=hydro_cut,
+        relaxed_slots=relaxed,
+    )
 
 
 def buffer_check(
     dy: DispatchYear,
-    demand,
+    demand: np.ndarray,
     despatchable_capacity,
     grid_buffer: float,
 ) -> BufferReport:
@@ -353,22 +335,19 @@ def buffer_check(
         + dy.supply["hydro"] + dy.supply["nuclear"] + dy.supply["new"]
     )
     headroom = cap - output
-    requirement = grid_buffer * _values(demand)
+    requirement = grid_buffer * demand
     shortfall = np.maximum(requirement - headroom, 0.0)
     return BufferReport(headroom=headroom, requirement=requirement, shortfall=shortfall)
 
 
-def compute_unmet(
-    dy: DispatchYear, buffer: BufferReport
-) -> tuple[HalfHourlySeries, float]:
+def compute_unmet(dy: DispatchYear, buffer: BufferReport) -> tuple[np.ndarray, float]:
     """Unmet-energy series and the year's capacity requirement.
 
     The capacity requirement is the worst slot of unmet demand plus
     buffer shortfall; it is what any new supply must be able to serve.
     """
-    unmet = _wrap(dy.year, dy.unmet.copy(), "unmet")
     requirement = float(np.max(dy.unmet + buffer.shortfall)) if dy.n_slots else 0.0
-    return unmet, requirement
+    return dy.unmet, requirement
 
 
 def to_csv(dy: DispatchYear, path) -> None:

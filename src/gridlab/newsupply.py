@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from gridlab.errors import InfeasibleError, ParameterError
-from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS, PerMwShape
-from gridlab.dispatch import DispatchYear, day_index
+from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS
+from gridlab.dispatch import DispatchYear
 from gridlab.scenario import EFF_SPLITS, NEW_OPTIONS, ScenarioParams
 
 #: Displacement priority: highest marginal cost first.  The gas_2019
@@ -204,23 +204,13 @@ def _pad_cycles(arr: np.ndarray, boundary_slot: int) -> tuple[np.ndarray, int]:
 # --- capacity sizing ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewBuild:
-    """Per-year capacity requirement and cumulative build schedule."""
-
-    years: tuple[int, ...]
-    required_mw: np.ndarray  # gross requirement per year
-    installed_mw: np.ndarray  # running maximum (no retirement in horizon)
-
-
 def size_new_capacity(
     unmet_by_year: Sequence[np.ndarray],
     shortfall_by_year: Sequence[np.ndarray],
     option: str,
     aux: float,
-    years: Sequence[int] | None = None,
-) -> NewBuild:
-    """Gross NEW capacity needed per year, built cumulatively.
+) -> np.ndarray:
+    """Gross NEW capacity installed per year, built cumulatively.
 
     The net requirement in a year is the worst slot of unmet demand
     plus buffer shortfall; thermal options gross up by their auxiliary
@@ -233,16 +223,13 @@ def size_new_capacity(
         raise ParameterError("unmet and shortfall must cover the same years")
     if not 0.0 <= aux < 1.0:
         raise ParameterError(f"aux {aux} outside [0, 1)")
-    n = len(unmet_by_year)
-    years = tuple(years) if years is not None else tuple(range(n))
-    required = np.zeros(n)
+    required = np.zeros(len(unmet_by_year))
     for i, (u, s) in enumerate(zip(unmet_by_year, shortfall_by_year)):
         u = np.asarray(u, dtype=float)
         s = np.asarray(s, dtype=float)
         net = float(np.max(u + s)) if u.size else 0.0
         required[i] = net / (1.0 - aux)
-    installed = np.maximum.accumulate(required)
-    return NewBuild(years=years, required_mw=required, installed_mw=installed)
+    return np.maximum.accumulate(required)
 
 
 def size_battery(
@@ -391,10 +378,10 @@ def _simulate_cycles(battery, unmet, re_src, sol_src, boundary_slot):
 # --- dedicated solar sizing ---------------------------------------------
 
 
-def _solar_gen(solar_shape: PerMwShape, capacity_gw: float, n: int) -> np.ndarray:
-    if solar_shape.values.shape[0] != n:
+def _solar_gen(solar_shape: np.ndarray, capacity_gw: float, n: int) -> np.ndarray:
+    if solar_shape.shape[0] != n:
         raise ParameterError("solar shape length must match the unmet series")
-    return solar_shape.values * capacity_gw * 1e3
+    return solar_shape * capacity_gw * 1e3
 
 
 def _cycle_secondary_unmet(battery, unmet, re_src, solar, boundary_slot) -> float:
@@ -448,7 +435,7 @@ def size_for_full_recharge(
     battery: BatterySpec,
     curtailed_re,
     unmet,
-    solar_shape: PerMwShape,
+    solar_shape: np.ndarray,
     boundary_slot: int = 34,
     tolerance_gw: float = 0.1,
     max_gw: float = 10_000.0,
@@ -471,7 +458,7 @@ def size_dedicated_solar(
     battery: BatterySpec,
     curtailed_re,
     unmet,
-    solar_shape: PerMwShape,
+    solar_shape: np.ndarray,
     extra: float,
     boundary_slot: int = 34,
     tolerance_gw: float = 0.1,
@@ -484,6 +471,8 @@ def size_dedicated_solar(
     ``extra`` interpolates between the two.  Raises InfeasibleError if
     even the largest searched capacity cannot serve the unmet profile,
     which is the signature of a deliberately undersized battery.
+    ``solar_shape`` is the per-MW output profile, one value per slot of
+    ``unmet``.
     """
     if not 0.0 <= extra <= 1.0:
         raise ParameterError("extra must lie in [0, 1]")
@@ -638,7 +627,6 @@ def coal_peak_bonus(
         )
 
     coal = dy.coal_total()
-    days = day_index(dy.n_slots)
     cut = dy.flex_re_cut + dy.flex_hydro_cut
     # pre-flex net demand and absorbable must-run, reconstructed
     n_pre = (

@@ -31,14 +31,7 @@ from gridlab.scenario import (
     build_capacity_path,
     project_demand,
 )
-from gridlab.shapes import (
-    SLOT_HOURS,
-    BaseYearData,
-    HalfHourlySeries,
-    PerMwShape,
-    map_values_to_year,
-    slots_in_year,
-)
+from gridlab.shapes import SLOT_HOURS, BaseYearData, PerMwShape, map_values_to_year
 
 
 @dataclass
@@ -72,12 +65,6 @@ def _snap(value: float, epsilon: float = 1e-9) -> float:
     return 0.0 if abs(value) < epsilon else value
 
 
-def _shape_for_year(values: np.ndarray, from_year: int, year: int) -> np.ndarray:
-    if values.shape[0] == slots_in_year(year):
-        return values
-    return map_values_to_year(values, from_year, year)
-
-
 def _tranche_caps(
     base: BaseYearData, path: CapacityPath, p: ScenarioParams, year: int
 ) -> dict[str, np.ndarray]:
@@ -92,8 +79,8 @@ def _tranche_caps(
     coal_avail = path.coal_total[i] * 1e3 * (1.0 - p.coal_peak_derate)
     gas_avail = path.gas_total[i] * 1e3
 
-    base_coal = _shape_for_year(base.supply_by_fuel["coal"].values, base.year, year)
-    base_gas = _shape_for_year(base.supply_by_fuel["gas"].values, base.year, year)
+    base_coal = map_values_to_year(base.supply_by_fuel["coal"].values, base.year, year)
+    base_gas = map_values_to_year(base.supply_by_fuel["gas"].values, base.year, year)
     coal_peak = float(np.max(base_coal))
     gas_peak = float(np.max(base_gas))
 
@@ -119,23 +106,21 @@ def _year_supplies(
     year: int,
     solar_shape: np.ndarray,
     wind_shape: np.ndarray,
-) -> dict[str, HalfHourlySeries]:
+) -> dict[str, np.ndarray]:
     """Must-run supply series for one year, scaled pro rata."""
     i = path.index(year)
-    re_base = base.supply_by_fuel["re"].to_year(year)
-    re_values = (
-        re_base.values
-        + path.solar_new[i] * 1e3 * solar_shape
-        + path.wind_new[i] * 1e3 * wind_shape
-    )
-    hydro = base.supply_by_fuel["hydro"].to_year(year)
-    hydro_factor = path.hydro[i] / p.hydro_2021
-    nuclear = base.supply_by_fuel["nuclear"].to_year(year)
-    nuclear_factor = path.nuclear[i] / p.nuclear_2021
+
+    def base_values(fuel: str) -> np.ndarray:
+        return map_values_to_year(base.supply_by_fuel[fuel].values, base.year, year)
+
     return {
-        "re": HalfHourlySeries(year, re_values, label="re"),
-        "hydro": HalfHourlySeries(year, hydro.values * hydro_factor, label="hydro"),
-        "nuclear": HalfHourlySeries(year, nuclear.values * nuclear_factor, label="nuclear"),
+        "re": (
+            base_values("re")
+            + path.solar_new[i] * 1e3 * solar_shape
+            + path.wind_new[i] * 1e3 * wind_shape
+        ),
+        "hydro": base_values("hydro") * (path.hydro[i] / p.hydro_2021),
+        "nuclear": base_values("nuclear") * (path.nuclear[i] / p.nuclear_2021),
     }
 
 
@@ -150,16 +135,14 @@ def dispatch_year(
     """Steps 2-4 for one year: net demand, merit order, flex, buffer."""
     i = path.index(year)
     demand = project_demand(params, base, year)
-    busbar = HalfHourlySeries(
-        year, demand.values * (1.0 + params.ists_loss), label="busbar_demand"
-    )
+    busbar = demand * (1.0 + params.ists_loss)
     supplies = _year_supplies(base, path, params, year, solar_shape, wind_shape)
 
     net, interim = dsp.net_demand(busbar, supplies["re"], supplies["hydro"], supplies["nuclear"])
     must = dsp.split_must_run(busbar, supplies["re"], supplies["hydro"], supplies["nuclear"])
     caps = _tranche_caps(base, path, params, year)
     dy = dsp.merit_dispatch(net, [(k, caps[k]) for k in dsp.TRANCHES])
-    dy = dsp.attach_must_run(dy, must, interim.values)
+    dy = dsp.attach_must_run(dy, must, interim)
     dy = dsp.apply_coal_flex(dy, params.flex_limit, supplies["re"])
     dy.check_balance()
 
@@ -168,14 +151,13 @@ def dispatch_year(
         + path.hydro[i] * 1e3 + path.nuclear[i] * 1e3
     )
     buffer = dsp.buffer_check(dy, busbar, despatchable, params.grid_buffer)
-    unmet, cap_req = dsp.compute_unmet(dy, buffer)
-    curtailed_re = (supplies["re"].values - must["re"]) + dy.flex_re_cut
+    _, cap_req = dsp.compute_unmet(dy, buffer)
+    curtailed_re = (supplies["re"] - must["re"]) + dy.flex_re_cut
     extras = {
-        "busbar": busbar.values,
+        "busbar": busbar,
         "buffer": buffer,
         "capacity_requirement_mw": cap_req,
         "curtailed_re": curtailed_re,
-        "re_available": supplies["re"].values,
     }
     return dy, extras
 
@@ -206,7 +188,7 @@ def _battery_plan(
         battery = replace(sized, energy_capacity_mwh=run_energy, inverter_capacity_mw=run_inverter)
         plan.battery_by_year[year] = battery
 
-        shape = PerMwShape(solar_shapes[year], label="dedicated_solar")
+        shape = solar_shapes[year]
         curtailed = extras["curtailed_re"]
         if battery.energy_capacity_mwh > 0:
             try:
@@ -226,7 +208,7 @@ def _battery_plan(
             gw = 0.0
         run_solar_gw = max(run_solar_gw, gw)
         plan.dedicated_solar_gw[year] = run_solar_gw
-        solar_gen = shape.values * run_solar_gw * 1e3
+        solar_gen = shape * run_solar_gw * 1e3
         solar_gens[year] = solar_gen
 
         trace = new.simulate_soc(battery, unmet, curtailed, solar_gen, boundary_slot=boundary)
@@ -262,12 +244,12 @@ def _thermal_plan(
     plan = new.NewSupplyPlan(option=option)
     unmets = [years_data[y][0].unmet for y in YEARS]
     shortfalls = [years_data[y][1]["buffer"].shortfall for y in YEARS]
-    build = new.size_new_capacity(unmets, shortfalls, option, tech.aux, years=YEARS)
+    installed_mw = new.size_new_capacity(unmets, shortfalls, option, tech.aux)
 
     size_fraction = params.new_coal_size_fraction if option == "coal" else 1.0
     diesel_aux = params.tech_costs["diesel_gen"].aux
     for i, year in enumerate(YEARS):
-        gross = build.installed_mw[i] * size_fraction
+        gross = installed_mw[i] * size_fraction
         net_cap = gross * (1.0 - tech.aux)
         plan.capacity_mw[year] = gross
         dy = years_data[year][0]
@@ -279,9 +261,7 @@ def _thermal_plan(
 
         if option == "coal":
             served = np.minimum(dy.unmet, net_cap)
-            rep = dy.copy()
-            rep.supply["new"] = served
-            rep.unmet = dy.unmet - served
+            rep = replace(dy, supply={**dy.supply, "new": served}, unmet=dy.unmet - served)
             plan.displaced_gas_nonapm_twh[year] = new.displace_gas_with_new_coal(net_cap, rep)
         else:
             plan.displaced_gas_nonapm_twh[year] = 0.0
@@ -370,8 +350,8 @@ def evaluate_scenario(
 ) -> ScenarioOutcome:
     """Run one scenario end to end and summarize it."""
     path = build_capacity_path(params, base)
-    solar_by_year = {y: _shape_for_year(solar_shape.values, base.year, y) for y in YEARS}
-    wind_by_year = {y: _shape_for_year(wind_shape.values, base.year, y) for y in YEARS}
+    solar_by_year = {y: map_values_to_year(solar_shape.values, base.year, y) for y in YEARS}
+    wind_by_year = {y: map_values_to_year(wind_shape.values, base.year, y) for y in YEARS}
 
     years_data: dict[int, tuple[dsp.DispatchYear, dict]] = {}
     for year in YEARS:
@@ -439,7 +419,7 @@ def evaluate_scenario(
                 dispatch=dy,
                 reporting=rep,
                 demand=extras["busbar"],
-                unmet=dy.unmet.copy(),
+                unmet=dy.unmet,
                 shortfall=extras["buffer"].shortfall,
                 curtailed_re=extras["curtailed_re"],
                 solar_gen=solar_gens.get(year, np.zeros(dy.n_slots)),

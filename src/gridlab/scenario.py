@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from gridlab.errors import ParameterError
-from gridlab.shapes import BaseYearData, HalfHourlySeries
+from gridlab.shapes import BaseYearData, map_values_to_year
 
 BASE_YEAR = 2021
 FINAL_YEAR = 2030
@@ -364,10 +364,9 @@ def build_capacity_path(
     )
 
 
-def project_demand(p: ScenarioParams, base: BaseYearData, year: int) -> HalfHourlySeries:
+def project_demand(p: ScenarioParams, base: BaseYearData, year: int) -> np.ndarray:
     """Scale the base-year demand shape to a target year, pro rata."""
     if not BASE_YEAR <= year <= FINAL_YEAR:
         raise ParameterError(f"year {year} outside horizon {BASE_YEAR}..{FINAL_YEAR}")
     factor = (1.0 + p.demand_growth) ** (year - BASE_YEAR)
-    scaled = base.demand.to_year(year)
-    return HalfHourlySeries(year, scaled.values * factor, label="demand")
+    return map_values_to_year(base.demand.values, base.year, year) * factor

@@ -57,10 +57,11 @@ def slots_in_year(year: int) -> int:
 def map_values_to_year(values: np.ndarray, from_year: int, to_year: int) -> np.ndarray:
     """Map a year-long slot array onto another year's slot grid.
 
-    Years of equal length copy through.  A non-leap source mapped onto a
-    leap year repeats 28 February as 29 February; a leap source mapped
-    onto a non-leap year drops 29 February.  Day-of-year alignment is
-    otherwise preserved.
+    Years of equal length return the input itself, not a copy: callers
+    pass read-only values and never write into the result.  A non-leap
+    source mapped onto a leap year repeats 28 February as 29 February; a
+    leap source mapped onto a non-leap year drops 29 February.
+    Day-of-year alignment is otherwise preserved.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (slots_in_year(from_year),):
@@ -69,7 +70,7 @@ def map_values_to_year(values: np.ndarray, from_year: int, to_year: int) -> np.n
             f"got {values.shape}"
         )
     if days_in_year(from_year) == days_in_year(to_year):
-        return values.copy()
+        return values
     days = values.reshape(days_in_year(from_year), SLOTS_PER_DAY)
     feb29 = 59  # zero-based day-of-year of 29 February
     if days_in_year(to_year) == 366:
@@ -92,10 +93,11 @@ def _gap_runs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class HalfHourlySeries:
-    """One year of half-hourly MW values.
+    """One year of half-hourly MW values, validated at the input boundary.
 
     Gaps (NaN) are permitted on freshly loaded data and are gone after
-    cleaning.  Negative or infinite values are never allowed.
+    cleaning.  Negative or infinite values are never allowed.  The model
+    works on the read-only ``values`` array.
     """
 
     year: int
@@ -126,23 +128,12 @@ class HalfHourlySeries:
     def has_gaps(self) -> bool:
         return bool(np.any(np.isnan(self.values)))
 
-    def gap_runs(self) -> tuple[tuple[int, int], ...]:
-        return _gap_runs(np.isnan(self.values))
-
     def energy_gwh(self) -> float:
         """Annual energy in GWh, ignoring gaps."""
         return float(np.nansum(self.values)) * SLOT_HOURS / 1e3
 
     def energy_twh(self) -> float:
         return self.energy_gwh() / 1e3
-
-    def to_year(self, year: int) -> "HalfHourlySeries":
-        """Same shape mapped onto another year's slot grid (leap aware)."""
-        return HalfHourlySeries(
-            year=year,
-            values=map_values_to_year(self.values, self.year, year),
-            label=self.label,
-        )
 
 
 @dataclass(frozen=True)
@@ -186,10 +177,6 @@ class PerMwShape:
         vals = np.clip(vals, 0.0, 1.0)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @property
-    def achieved_cuf(self) -> float:
-        return float(self.values.mean())
 
 
 # ---------------------------------------------------------------------------

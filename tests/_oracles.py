@@ -18,9 +18,15 @@ from gridlab.dispatch import (
 )
 from gridlab.errors import ParameterError
 from gridlab.newsupply import NewSupplyPlan, simulate_soc
-from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS
+from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS, HalfHourlySeries, map_values_to_year
 
 UNMET_PRICE = 1.0e5  # Rs/kWh-scale penalty, far above any fuel
+
+
+def series_to_year(series, year):
+    """A base-year series mapped onto another year's slot grid (leap aware)."""
+    values = map_values_to_year(series.values, series.year, year)
+    return HalfHourlySeries(year, values, label=series.label)
 
 
 def random_flex_instance(rng, n_slots=SLOTS_PER_DAY):

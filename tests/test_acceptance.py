@@ -51,7 +51,7 @@ def test_criterion_1_closed_form_projections():
     base = synth_shapes(0)
     base_twh = base.demand.values.sum() * 0.5 / 1e6
     assert base_twh == pytest.approx(1360.0, rel=1e-9)
-    projected = project_demand(params, base, 2030).values.sum() * 0.5 / 1e6
+    projected = project_demand(params, base, 2030).sum() * 0.5 / 1e6
     assert projected == pytest.approx(2160.0, rel=0.005)
 
     path = build_price_path(params)

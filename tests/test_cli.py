@@ -10,7 +10,7 @@ import pytest
 
 import gridlab
 from gridlab import cli
-from gridlab.errors import ParameterError
+from gridlab.errors import InfeasibleError, ParameterError
 from gridlab.scenario import YEARS, ScenarioParams
 from gridlab.shapes import derive_wind_shape, rescale_to_cuf, synth_shapes, synth_solar_shape
 
@@ -369,7 +369,7 @@ class TestRunModes:
 
         def flaky(params, *args, **kwargs):
             if params.battery_size_fraction == 0.5:
-                raise ValueError("boom")
+                raise InfeasibleError("boom")
             return real(params, *args, **kwargs)
 
         monkeypatch.setattr(cli, "evaluate_scenario", flaky)
@@ -383,7 +383,7 @@ class TestRunModes:
         rows = read_rows(tmp_path / "failures.csv")
         assert len(rows) == 2
         assert rows[1][0] == "1"
-        assert rows[1][-1] == "ValueError: boom"
+        assert rows[1][-1] == "InfeasibleError: boom"
         frontier = read_rows(tmp_path / "frontier.csv")
         assert len(frontier) == 2
         years = read_rows(tmp_path / "results_by_year.csv")
@@ -391,7 +391,7 @@ class TestRunModes:
 
     def test_every_scenario_failing_still_writes_tables(self, tmp_path, monkeypatch):
         def doomed(*args, **kwargs):
-            raise ValueError("boom")
+            raise InfeasibleError("boom")
 
         monkeypatch.setattr(cli, "evaluate_scenario", doomed)
         manifest = cli.run(config=None, out_dir=tmp_path, synthetic_seed=0)
@@ -455,6 +455,14 @@ class TestMain:
         assert cli.main(["--config", cfg, "--validate-only", "--synthetic", "0"]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["solar_cuf", "wind_cuf"])
+    def test_shape_cuf_sweep_axis_exits_2(self, tmp_path, capsys, key):
+        # the per-MW shapes are built once per run, so a swept CUF would
+        # give every point the same result
+        cfg = self.write_config(tmp_path, {"new_option": "ocgt", key: [0.2, 0.3]})
+        assert cli.main(["--config", cfg, "--validate-only", "--synthetic", "0"]) == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_data_directory_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope")
         assert cli.main(["--data", missing, "--validate-only"]) == 2
@@ -473,9 +481,21 @@ class TestMain:
 
     def test_scenario_failures_exit_1(self, tmp_path, capsys, monkeypatch):
         def doomed(*args, **kwargs):
-            raise ValueError("boom")
+            raise InfeasibleError("boom")
 
         monkeypatch.setattr(cli, "evaluate_scenario", doomed)
         code = cli.main(["--synthetic", "0", "--out", str(tmp_path / "out")])
         assert code == 1
         assert "failures.csv" in capsys.readouterr().err
+
+    def test_program_error_exits_3(self, tmp_path, caplog, monkeypatch):
+        # an exception that is not a GridlabError is a bug: it ends the
+        # run instead of being filed as an unsolvable scenario
+        def broken(*args, **kwargs):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(cli, "evaluate_scenario", broken)
+        out_dir = tmp_path / "out"
+        assert cli.main(["--synthetic", "0", "--out", str(out_dir)]) == 3
+        assert "TypeError: boom" in caplog.text
+        assert not (out_dir / "failures.csv").exists()

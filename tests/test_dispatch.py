@@ -25,7 +25,7 @@ from gridlab.dispatch import (
     to_csv,
 )
 from gridlab.errors import DataIntegrityError, ParameterError
-from gridlab.shapes import HalfHourlySeries, slots_in_year
+from gridlab.shapes import slots_in_year
 
 
 def test_day_index():
@@ -48,26 +48,20 @@ def test_net_demand_length_check():
         net_demand(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3))
 
 
-def test_net_demand_wraps_full_year_series():
-    year = 2021
-    n = slots_in_year(year)
-    d = HalfHourlySeries(year, np.full(n, 10.0), "demand")
-    z = np.zeros(n)
-    net, curt = net_demand(d, z, z, z)
-    assert isinstance(net, HalfHourlySeries) and net.year == year
-    assert isinstance(curt, HalfHourlySeries)
-
-
 def test_net_demand_rejects_invalid_full_year_result():
-    # an infinite RE slot makes the curtailment series invalid; wrapping
-    # it must raise rather than hand back the bare array
-    year = 2021
-    n = slots_in_year(year)
-    d = HalfHourlySeries(year, np.full(n, 10.0), "demand")
-    re = np.zeros(n)
+    # an infinite RE slot leaves NaN in the despatched supply (inf - inf);
+    # the balance check must reject it rather than compare NaN as small
+    n = slots_in_year(2021)
+    d = np.full(n, 10.0)
+    re, hydro, nuclear = np.zeros(n), np.zeros(n), np.zeros(n)
     re[7] = np.inf
-    with pytest.raises(ParameterError):
-        net_demand(d, re, np.zeros(n), np.zeros(n))
+    with np.errstate(invalid="ignore"):
+        net, interim = net_demand(d, re, hydro, nuclear)
+        must = split_must_run(d, re, hydro, nuclear)
+        dy = merit_dispatch(net, [(k, 100.0) for k in TRANCHES])
+        dy = attach_must_run(dy, must, interim)
+    with pytest.raises(DataIntegrityError):
+        dy.check_balance()
 
 
 def test_split_must_run_cuts_re_first():
@@ -270,7 +264,7 @@ def _flat_dy(coal=50.0, gas=10.0, hydro=5.0, nuclear=5.0, new=0.0, n=48):
     }
     demand = sum(supply.values())
     return DispatchYear(
-        year=0, demand=demand, supply=supply,
+        demand=demand, supply=supply,
         capacity={k: np.full(n, 100.0) for k in TRANCHES},
         curtailment=np.zeros(n), unmet=np.zeros(n),
     )
@@ -285,7 +279,6 @@ def test_buffer_check_headroom():
     np.testing.assert_allclose(report.shortfall, 0.0)
     tight = buffer_check(dy, np.full(48, 800.0), 100.0, grid_buffer=0.05)
     np.testing.assert_allclose(tight.shortfall, 10.0)
-    assert tight.worst_shortfall_mw == pytest.approx(10.0)
     with pytest.raises(ParameterError):
         buffer_check(dy, np.full(48, 800.0), 100.0, grid_buffer=-0.1)
 
@@ -306,6 +299,10 @@ def test_compute_unmet_capacity_requirement():
 def test_check_balance_raises_on_corruption():
     dy = _flat_dy()
     dy.supply["coal_2019"] = dy.supply["coal_2019"] + 5.0
+    with pytest.raises(DataIntegrityError):
+        dy.check_balance()
+    dy = _flat_dy()
+    dy.supply["coal_2019"][3] = np.nan  # nan > tolerance is False
     with pytest.raises(DataIntegrityError):
         dy.check_balance()
 

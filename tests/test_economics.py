@@ -39,7 +39,6 @@ def flat_dispatch_year(year, re=10.0, coal=4.0, gas_slack=2.0, unmet=0.0):
     supply["coal_2019"] = np.full(n, coal)
     supply["gas_slack"] = np.full(n, gas_slack)
     return DispatchYear(
-        year=year,
         demand=np.full(n, re + coal + gas_slack + unmet),
         supply=supply,
         capacity={},

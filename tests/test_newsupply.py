@@ -23,7 +23,6 @@ from gridlab.newsupply import (
     size_new_capacity,
 )
 from gridlab.scenario import ScenarioParams
-from gridlab.shapes import PerMwShape
 
 SQRT_RT = float(np.sqrt(0.9))
 
@@ -48,7 +47,6 @@ def bare_dispatch(n, **supply):
     for key, val in supply.items():
         sup[key] = np.asarray(val, dtype=float)
     return DispatchYear(
-        year=2030,
         demand=np.zeros(n),
         supply=sup,
         capacity={},
@@ -168,16 +166,13 @@ class TestSizeNewCapacity:
     def test_cumulative_build_with_aux_grossup(self):
         unmet = [np.array([10.0]), np.array([30.0]), np.array([20.0])]
         short = [np.array([0.0]), np.array([5.0]), np.array([0.0])]
-        build = size_new_capacity(unmet, short, "ocgt", aux=0.2)
-        assert build.required_mw == pytest.approx([12.5, 43.75, 25.0])
-        assert build.installed_mw == pytest.approx([12.5, 43.75, 43.75])
-        assert build.years == (0, 1, 2)
+        installed = size_new_capacity(unmet, short, "ocgt", aux=0.2)
+        # requirements 12.5, 43.75, 25.0; installed capacity never shrinks
+        assert installed == pytest.approx([12.5, 43.75, 43.75])
 
-    def test_years_passthrough(self):
-        build = size_new_capacity([np.zeros(2)], [np.zeros(2)], "ccgt", 0.0,
-                                  years=[2027])
-        assert build.years == (2027,)
-        assert build.required_mw == pytest.approx([0.0])
+    def test_zero_unmet_needs_nothing(self):
+        installed = size_new_capacity([np.zeros(2)], [np.zeros(2)], "ccgt", 0.0)
+        assert installed == pytest.approx([0.0])
 
     def test_unknown_option(self):
         with pytest.raises(ParameterError):
@@ -397,7 +392,7 @@ def block_shape(n, lo, hi, value=1.0):
     vals = np.zeros(n)
     slots = np.arange(n) % 48
     vals[(slots >= lo) & (slots < hi)] = value
-    return PerMwShape(vals)
+    return vals
 
 
 class TestFullRecharge:
@@ -440,7 +435,7 @@ class TestFullRecharge:
         n = 96
         with pytest.raises(InfeasibleError):
             size_for_full_recharge(b, None, np.zeros(n),
-                                   PerMwShape(np.zeros(n)),
+                                   np.zeros(n),
                                    boundary_slot=0, max_gw=4.0)
 
 

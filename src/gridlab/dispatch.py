@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,13 +35,6 @@ SUPPLY_KEYS = ("re", "hydro", "nuclear") + TRANCHES + ("new",)
 _TOL = 1e-6
 
 
-def day_index(n_slots: int) -> np.ndarray:
-    """Day ordinal for each slot of a 48-slot-per-day series."""
-    if n_slots % SLOTS_PER_DAY:
-        raise ParameterError(f"{n_slots} slots is not a whole number of days")
-    return np.repeat(np.arange(n_slots // SLOTS_PER_DAY), SLOTS_PER_DAY)
-
-
 @dataclass
 class DispatchYear:
     """One year of slot-level despatch.
@@ -51,9 +44,8 @@ class DispatchYear:
     demand once must-run supplies are attached.  The conservation
     invariant sum(supply) + unmet == demand holds in both states.
 
-    The despatch steps never write into an array they were given: each
-    builds its result from new arrays and shares the unchanged ones.
-    Code that edits arrays in place works on a ``copy()``.
+    No code writes into an array it was given: each step builds its
+    result from new arrays and shares the unchanged ones.
     """
 
     demand: np.ndarray
@@ -100,20 +92,6 @@ class DispatchYear:
             raise DataIntegrityError(
                 f"despatch imbalance of {worst:.3e} MW exceeds {tolerance:.1e}"
             )
-
-    def copy(self) -> "DispatchYear":
-        return DispatchYear(
-            demand=self.demand.copy(),
-            supply={k: v.copy() for k, v in self.supply.items()},
-            capacity={k: v.copy() for k, v in self.capacity.items()},
-            curtailment=self.curtailment.copy(),
-            unmet=self.unmet.copy(),
-            coal_daily_max=None if self.coal_daily_max is None else self.coal_daily_max.copy(),
-            coal_flex_floor=None if self.coal_flex_floor is None else self.coal_flex_floor.copy(),
-            flex_re_cut=None if self.flex_re_cut is None else self.flex_re_cut.copy(),
-            flex_hydro_cut=None if self.flex_hydro_cut is None else self.flex_hydro_cut.copy(),
-            relaxed_slots=self.relaxed_slots,
-        )
 
 
 @dataclass(frozen=True)
@@ -220,7 +198,6 @@ def attach_must_run(
 def apply_coal_flex(
     dy: DispatchYear,
     flex_limit: float,
-    re_available: np.ndarray | None = None,
     floor_day: np.ndarray | None = None,
 ) -> DispatchYear:
     """Enforce the daily coal flexibility floor by re-despatch.
@@ -244,11 +221,11 @@ def apply_coal_flex(
     """
     if not 0.0 <= flex_limit < 1.0:
         raise ParameterError(f"flex_limit {flex_limit} outside [0, 1)")
-    days = day_index(dy.n_slots)
+    if dy.n_slots % SLOTS_PER_DAY:
+        raise ParameterError(f"{dy.n_slots} slots is not a whole number of days")
 
     coal_pre = dy.coal_total()
-    daily_max = np.zeros(dy.n_days)
-    np.maximum.at(daily_max, days, coal_pre)
+    daily_max = coal_pre.reshape(dy.n_days, SLOTS_PER_DAY).max(axis=1)
     if floor_day is None:
         floor_day = flex_limit * daily_max
     else:
@@ -268,16 +245,11 @@ def apply_coal_flex(
         supply["coal_2019"] + supply["gas_2019"]
         + supply["coal_slack"] + supply["gas_slack"] + dy.unmet
     )
-    absorb_re = supply["re"]
-    if re_available is not None:
-        absorb_re = np.minimum(absorb_re, re_available)
-    absorb_hydro = supply["hydro"]
-    floor_slot = np.minimum.reduce(
-        [np.broadcast_to(floor_day[days], net.shape), net + absorb_re + absorb_hydro, cap1 + cap3]
-    )
+    floor = np.repeat(floor_day, SLOTS_PER_DAY)
+    floor_slot = np.minimum.reduce([floor, net + supply["re"] + supply["hydro"], cap1 + cap3])
 
     binding = coal_pre < floor_slot - _TOL
-    relaxed = int(np.sum((coal_pre < floor_day[days] - _TOL) & (floor_slot < floor_day[days] - _TOL)))
+    relaxed = int(np.sum((coal_pre < floor - _TOL) & (floor_slot < floor - _TOL)))
 
     target = np.maximum(net, floor_slot)
     x1 = np.minimum(cap1, target)
@@ -291,7 +263,7 @@ def apply_coal_flex(
     unmet_new = np.maximum(target - x1 - x2 - x3 - x4, 0.0)
 
     pushed_out = np.maximum(floor_slot - net, 0.0)
-    re_cut = np.minimum(pushed_out, absorb_re)
+    re_cut = np.minimum(pushed_out, supply["re"])
     hydro_cut = pushed_out - re_cut
 
     for key, new_vals in (
@@ -365,7 +337,6 @@ def to_csv(dy: DispatchYear, path) -> None:
             )
 
 
-def load_duration_curve(values: Iterable[float]) -> np.ndarray:
+def load_duration_curve(values: np.ndarray) -> np.ndarray:
     """Slot values sorted descending, the standard duration-curve form."""
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-    return np.sort(arr)[::-1]
+    return np.sort(values)[::-1]

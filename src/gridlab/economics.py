@@ -286,14 +286,11 @@ def npv_system_cost(
         disp_coal = year_value(plan.displaced_coal_twh, year) * KWH_PER_TWH
         bonus = year_value(plan.bonus_curtailment_avoided_twh, year) * KWH_PER_TWH
         displaced_kwh[i] = disp_gas + disp_coal
-        by_tranche = plan.displaced_by_tranche_twh.get(year) if plan.displaced_by_tranche_twh else None
-        if by_tranche:
-            coal_credit = (
-                by_tranche.get("coal_2019", 0.0) * paths.fuel_rs_per_kwh["coal_2019"][i]
-                + by_tranche.get("coal_slack", 0.0) * paths.fuel_rs_per_kwh["coal_slack"][i]
-            ) * KWH_PER_TWH * gross_coal
-        else:
-            coal_credit = disp_coal * paths.fuel_rs_per_kwh["coal_slack"][i] * gross_coal
+        by_tranche = plan.displaced_by_tranche_twh.get(year, {})
+        coal_credit = (
+            by_tranche.get("coal_2019", 0.0) * paths.fuel_rs_per_kwh["coal_2019"][i]
+            + by_tranche.get("coal_slack", 0.0) * paths.fuel_rs_per_kwh["coal_slack"][i]
+        ) * KWH_PER_TWH * gross_coal
         credits[i] = (
             disp_gas * paths.fuel_rs_per_kwh["gas_slack"][i] * gross_gas
             + coal_credit

@@ -172,32 +172,28 @@ class NewSupplyPlan:
                     raise ParameterError(f"{name}[{year}] is negative: {value}")
 
 
-def cycle_windows(n_slots: int, boundary_slot: int) -> list[tuple[int, int]]:
-    """Half-open 24h windows split at the daily cycle boundary.
+def _pad_cycles(
+    arr: np.ndarray, boundary_slot: int, fill: float = 0.0
+) -> tuple[np.ndarray, int]:
+    """Reshape a slot series to (cycles, 48), padding both ends with ``fill``.
 
-    The leading (and trailing) partial window is kept, so every slot
-    belongs to exactly one cycle.
+    This is the one definition of a battery cycle window.  Windows are
+    24h long and split at the daily cycle boundary; the leading (and
+    trailing) partial window is kept, so every slot belongs to exactly
+    one cycle.  Row ``i`` is window ``i``: it starts at slot
+    ``max(i*48 - front, 0)`` and is booked to the calendar day it starts
+    in, ``min(start // 48, n_days - 1)``, so a trailing partial window
+    counts towards the last whole day.  Returns the matrix and the front
+    padding length; padded slots are inert (no demand, no sources, or
+    ``fill`` where a row reduction must ignore them) and are trimmed off
+    after the fact.
     """
     if not 0 <= boundary_slot < SLOTS_PER_DAY:
         raise ParameterError("boundary_slot must lie in 0..47")
-    edges = list(range(boundary_slot, n_slots, SLOTS_PER_DAY))
-    if boundary_slot > 0:
-        edges = [0] + edges
-    edges.append(n_slots)
-    return [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-
-
-def _pad_cycles(arr: np.ndarray, boundary_slot: int) -> tuple[np.ndarray, int]:
-    """Reshape a slot series to (cycles, 48), zero-padding both ends.
-
-    Returns the matrix and the front padding length; padded slots are
-    inert (no demand, no sources) and are trimmed off after the fact.
-    """
     n = arr.shape[0]
     front = (SLOTS_PER_DAY - boundary_slot) % SLOTS_PER_DAY
-    total = front + n
-    back = (-total) % SLOTS_PER_DAY
-    padded = np.concatenate([np.zeros(front), arr, np.zeros(back)])
+    back = (-(front + n)) % SLOTS_PER_DAY
+    padded = np.concatenate([np.full(front, fill), arr, np.full(back, fill)])
     return padded.reshape(-1, SLOTS_PER_DAY), front
 
 
@@ -273,20 +269,16 @@ def size_battery(
 # --- state-of-charge simulation ----------------------------------------
 
 
-def _as_source(series, n: int, name: str) -> np.ndarray:
-    if series is None:
-        return np.zeros(n)
-    arr = np.asarray(series, dtype=float)
-    if arr.shape != (n,):
-        raise ParameterError(f"{name} has shape {arr.shape}, want ({n},)")
-    return arr
+def _check_source(series: np.ndarray, n: int, name: str) -> None:
+    if series.shape != (n,):
+        raise ParameterError(f"{name} has shape {series.shape}, want ({n},)")
 
 
 def simulate_soc(
     battery: BatterySpec,
     unmet,
-    curtailed_re=None,
-    dedicated_solar_gen=None,
+    curtailed_re: np.ndarray,
+    dedicated_solar_gen: np.ndarray,
     boundary_slot: int = 34,
 ) -> SocTrace:
     """Battery simulation against the unmet profile, cycle by cycle.
@@ -294,17 +286,17 @@ def simulate_soc(
     Slots with unmet demand discharge (never charge); all other slots
     charge from curtailed RE first, then dedicated solar, capped by the
     inverter, a 1C charging rate, and the remaining headroom.  Every
-    cycle window (see ``cycle_windows``) starts from a full battery: the
+    cycle window (a row of ``_pad_cycles``) starts from a full battery: the
     daily-full-recharge assumption used for sizing and displacement
     accounting.
     """
     unmet = np.asarray(unmet, dtype=float)
     n = unmet.shape[0]
-    re_src = _as_source(curtailed_re, n, "curtailed_re")
-    sol_src = _as_source(dedicated_solar_gen, n, "dedicated_solar_gen")
+    _check_source(curtailed_re, n, "curtailed_re")
+    _check_source(dedicated_solar_gen, n, "dedicated_solar_gen")
 
     soc, charge, discharge, served, re_take, sol_take = _simulate_cycles(
-        battery, unmet, re_src, sol_src, boundary_slot
+        battery, unmet, curtailed_re, dedicated_solar_gen, boundary_slot
     )
     # discharge losses round-trip through eta and leave +/- ulp dust on
     # "fully served" slots; snap anything below a watt so zero is zero
@@ -320,8 +312,8 @@ def simulate_soc(
         charge_re_mw=re_take,
         charge_solar_mw=sol_take,
         unmet_mw=unmet.copy(),
-        source_re_mw=re_src,
-        source_solar_mw=sol_src,
+        source_re_mw=curtailed_re,
+        source_solar_mw=dedicated_solar_gen,
         boundary_slot=boundary_slot,
     )
 
@@ -389,7 +381,7 @@ def _cycle_secondary_unmet(battery, unmet, re_src, solar, boundary_slot) -> floa
     return float(np.sum(trace.secondary_unmet_mw))
 
 
-def _cycle_full_recharge(battery, unmet, re_src, solar, boundary_slot) -> bool:
+def _cycle_full_recharge(battery, re_src, solar, boundary_slot) -> bool:
     """Could every full cycle's sources refill one usable battery load?
 
     An energy-budget test: source MW through the inverter (and 1C cap),
@@ -401,12 +393,11 @@ def _cycle_full_recharge(battery, unmet, re_src, solar, boundary_slot) -> bool:
     lack a full day of sun by construction, not by undersizing.
     """
     cap = min(battery.inverter_capacity_mw, battery.energy_capacity_mwh)
-    src = np.minimum(np.asarray(re_src, dtype=float) + solar, cap)
-    src_m, _ = _pad_cycles(src, boundary_slot)
+    src_m, front = _pad_cycles(np.minimum(re_src + solar, cap), boundary_slot)
     budget = src_m.sum(axis=1) * battery.charge_eff * SLOT_HOURS
 
-    n = np.asarray(unmet).shape[0]
-    full = np.array([b - a == SLOTS_PER_DAY for a, b in cycle_windows(n, boundary_slot)])
+    starts = np.arange(src_m.shape[0]) * SLOTS_PER_DAY - front
+    full = (starts >= 0) & (starts + SLOTS_PER_DAY <= re_src.shape[0])
     return bool(np.all(budget[full] >= battery.usable_mwh - 1e-6))
 
 
@@ -433,7 +424,7 @@ def _search_smallest(predicate, tolerance_gw: float, max_gw: float, what: str) -
 
 def size_for_full_recharge(
     battery: BatterySpec,
-    curtailed_re,
+    curtailed_re: np.ndarray,
     unmet,
     solar_shape: np.ndarray,
     boundary_slot: int = 34,
@@ -443,12 +434,11 @@ def size_for_full_recharge(
     """Smallest dedicated solar that refills the battery every cycle."""
     if battery.energy_capacity_mwh <= 0:
         return 0.0
-    unmet = np.asarray(unmet, dtype=float)
-    n = unmet.shape[0]
-    re_src = _as_source(curtailed_re, n, "curtailed_re")
+    n = np.asarray(unmet).shape[0]
+    _check_source(curtailed_re, n, "curtailed_re")
 
     def ok(gw: float) -> bool:
-        return _cycle_full_recharge(battery, unmet, re_src,
+        return _cycle_full_recharge(battery, curtailed_re,
                                     _solar_gen(solar_shape, gw, n), boundary_slot)
 
     return _search_smallest(ok, tolerance_gw, max_gw, "full daily recharge")
@@ -456,7 +446,7 @@ def size_for_full_recharge(
 
 def size_dedicated_solar(
     battery: BatterySpec,
-    curtailed_re,
+    curtailed_re: np.ndarray,
     unmet,
     solar_shape: np.ndarray,
     extra: float,
@@ -480,10 +470,10 @@ def size_dedicated_solar(
         return 0.0
     unmet = np.asarray(unmet, dtype=float)
     n = unmet.shape[0]
-    re_src = _as_source(curtailed_re, n, "curtailed_re")
+    _check_source(curtailed_re, n, "curtailed_re")
 
     def served(gw: float) -> bool:
-        gap = _cycle_secondary_unmet(battery, unmet, re_src,
+        gap = _cycle_secondary_unmet(battery, unmet, curtailed_re,
                                      _solar_gen(solar_shape, gw, n), boundary_slot)
         return gap <= _EPS
 
@@ -522,20 +512,20 @@ class Displacement:
 def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:
     """Spare battery throughput displacing fossil output, cycle by cycle.
 
-    Spare energy per cycle is the conservative minimum of the unused
-    discharge depth (the lowest state of charge kept above the floor)
-    and the charging the sources could still have provided.  It
-    displaces the most expensive displaceable tranche first, energy-
-    matched against that tranche's output within the cycle; gas_2019 is
-    never touched.  Volumes are attributed to the calendar day each
-    cycle starts in.
+    Every quantity is a row reduction over ``_pad_cycles`` matrices, one
+    row per cycle window.  Spare energy per cycle is the conservative
+    minimum of the unused discharge depth (the lowest state of charge
+    kept above the floor) and the charging the sources could still have
+    provided.  It displaces the most expensive displaceable tranche
+    first, energy-matched against that tranche's output within the
+    cycle; gas_2019 is never touched.  Volumes are attributed to the
+    calendar day each cycle starts in (see ``_pad_cycles``).
     """
     battery = soc.battery
     eta_c = battery.charge_eff
     eta_d = battery.discharge_eff
-    n = soc.n_slots
-    windows = cycle_windows(n, soc.boundary_slot)
-    n_days = n // SLOTS_PER_DAY
+    boundary = soc.boundary_slot
+    n_days = soc.n_slots // SLOTS_PER_DAY
 
     # untapped charging per slot: leftover source up to the unused
     # inverter/1C headroom, in charging-eligible slots only
@@ -545,67 +535,59 @@ def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:
     can_charge = soc.unmet_mw <= 0
     extra_charge = np.where(can_charge, np.minimum(leftover, np.maximum(headroom, 0.0)), 0.0)
 
-    spare_cycle = np.zeros(len(windows))
-    per_day = {name: np.zeros(n_days) for name in DISPLACEMENT_ORDER}
-    displaced_total = {name: 0.0 for name in DISPLACEMENT_ORDER}
+    # padding the SoC with a full battery leaves each row's minimum at
+    # min(capacity, lowest SoC in the window)
+    soc_m, front = _pad_cycles(soc.soc_mwh, boundary, fill=battery.energy_capacity_mwh)
+    depth_margin = np.maximum(soc_m.min(axis=1) - battery.floor_mwh, 0.0) * eta_d
+    charge_m, _ = _pad_cycles(extra_charge, boundary)
+    charge_margin = charge_m.sum(axis=1) * SLOT_HOURS * eta_c * eta_d
+    spare_cycle = np.minimum(depth_margin, charge_margin)
 
-    for i, (a, b) in enumerate(windows):
-        min_soc = min(battery.energy_capacity_mwh, float(np.min(soc.soc_mwh[a:b])))
-        depth_margin = max(min_soc - battery.floor_mwh, 0.0) * eta_d
-        charge_margin = float(np.sum(extra_charge[a:b])) * SLOT_HOURS * eta_c * eta_d
-        spare = min(depth_margin, charge_margin)
-        spare_cycle[i] = spare
+    starts = np.maximum(np.arange(soc_m.shape[0]) * SLOTS_PER_DAY - front, 0)
+    day = np.minimum(starts // SLOTS_PER_DAY, n_days - 1)
+    spare = spare_cycle
+    per_day: dict[str, np.ndarray] = {}
+    displaced_twh: dict[str, float] = {}
+    for name in DISPLACEMENT_ORDER:
+        output_m, _ = _pad_cycles(dy.supply[name], boundary)
+        take = np.minimum(spare, np.maximum(output_m.sum(axis=1) * SLOT_HOURS, 0.0))
+        spare = spare - take
+        per_day[name] = np.bincount(day, weights=take, minlength=n_days)
+        displaced_twh[name] = float(np.sum(take)) / 1e6
 
-        day = min(a // SLOTS_PER_DAY, n_days - 1)
-        for name in DISPLACEMENT_ORDER:
-            if spare <= 0:
-                break
-            output_mwh = float(np.sum(dy.supply[name][a:b])) * SLOT_HOURS
-            take = min(spare, max(output_mwh, 0.0))
-            per_day[name][day] += take
-            displaced_total[name] += take
-            spare -= take
-
-    spare_twh = float(np.sum(spare_cycle)) / 1e6
-    displaced_twh = {k: v / 1e6 for k, v in displaced_total.items()}
     return Displacement(
-        spare_twh=spare_twh,
+        spare_twh=float(np.sum(spare_cycle)) / 1e6,
         displaced_twh=displaced_twh,
         per_day_mwh=per_day,
         per_cycle_spare_mwh=spare_cycle,
     )
 
 
-def _lowered_daily_max(coal_day: np.ndarray, displaced_mwh: float) -> float:
-    """Water-fill level after shaving displaced energy off the top.
+def _lowered_daily_max(coal_days: np.ndarray, displaced_mwh: np.ndarray) -> np.ndarray:
+    """Water-fill level per day after shaving displaced energy off the top.
 
-    The day's 48 coal outputs, stacked descending, lose ``displaced``
-    MWh from the top; the return value is the resulting new maximum.
+    Each row of ``coal_days`` holds one day's 48 coal outputs; stacked
+    descending, they lose that day's ``displaced_mwh`` from the top.  The
+    return value is each day's resulting new maximum: the old maximum
+    where nothing is displaced, zero where the whole day is.
     """
-    if displaced_mwh <= 0:
-        return float(np.max(coal_day))
-    desc = np.sort(coal_day)[::-1]
-    total = float(np.sum(desc)) * SLOT_HOURS
-    if displaced_mwh >= total:
-        return 0.0
-    # drops[k] = energy removed once the level has sunk to desc[k+1]
-    steps = (desc[:-1] - desc[1:]) * np.arange(1, desc.size) * SLOT_HOURS
-    drops = np.cumsum(steps)
-    k = int(np.searchsorted(drops, displaced_mwh, side="left"))
-    removed_above = drops[k - 1] if k > 0 else 0.0
-    if k < drops.size:
-        start_level = desc[k]
-        slots_above = k + 1
-    else:
-        start_level = desc[-1]
-        slots_above = desc.size
-    remaining = displaced_mwh - removed_above
-    return float(start_level - remaining / (slots_above * SLOT_HOURS))
+    rows = np.arange(coal_days.shape[0])
+    desc = np.sort(coal_days, axis=1)[:, ::-1]
+    total = desc.sum(axis=1) * SLOT_HOURS
+    # drops[:, k] = energy removed once the level has sunk to desc[:, k+1]
+    steps = (desc[:, :-1] - desc[:, 1:]) * np.arange(1, SLOTS_PER_DAY) * SLOT_HOURS
+    drops = np.cumsum(steps, axis=1)
+    # the level settles between desc[:, k+1] and desc[:, k], k+1 slots above it
+    k = np.sum(drops < displaced_mwh[:, None], axis=1)
+    removed_above = np.concatenate([np.zeros((rows.size, 1)), drops], axis=1)[rows, k]
+    level = desc[rows, k] - (displaced_mwh - removed_above) / ((k + 1) * SLOT_HOURS)
+    level = np.where(displaced_mwh >= total, 0.0, level)
+    return np.where(displaced_mwh <= 0, desc[:, 0], level)
 
 
 def coal_peak_bonus(
     dy: DispatchYear,
-    coal_displaced_in_day,
+    coal_displaced_in_day: np.ndarray,
     flex_limit: float,
 ) -> np.ndarray:
     """Avoided flex-induced curtailment per day, in MWh.
@@ -614,45 +596,33 @@ def coal_peak_bonus(
     curve, lowering the daily maximum and with it the flexibility
     floor.  The avoided curtailment is what the flex pass would no
     longer have had to curtail at the lower floor, recomputed with the
-    same slot arithmetic the flex pass itself uses.
+    same slot arithmetic the flex pass itself uses, on (days, 48)
+    matrices.
     """
     if dy.flex_re_cut is None or dy.coal_flex_floor is None:
         raise ParameterError("coal_peak_bonus needs a flex-adjusted despatch year")
-    displaced = np.asarray(coal_displaced_in_day, dtype=float)
-    if displaced.ndim == 0:
-        displaced = np.full(dy.n_days, float(displaced))
-    if displaced.shape != (dy.n_days,):
+    if coal_displaced_in_day.shape != (dy.n_days,):
         raise ParameterError(
-            f"displaced energy has shape {displaced.shape}, want ({dy.n_days},)"
+            f"displaced energy has shape {coal_displaced_in_day.shape}, want ({dy.n_days},)"
         )
 
-    coal = dy.coal_total()
-    cut = dy.flex_re_cut + dy.flex_hydro_cut
+    days = (dy.n_days, SLOTS_PER_DAY)
+    coal = dy.coal_total().reshape(days)
+    cut = (dy.flex_re_cut + dy.flex_hydro_cut).reshape(days)
     # pre-flex net demand and absorbable must-run, reconstructed
     n_pre = (
         dy.supply["coal_2019"] + dy.supply["gas_2019"]
-        + dy.supply["coal_slack"] + dy.supply["gas_slack"] + dy.unmet - cut
-    )
-    absorb = dy.supply["re"] + dy.supply["hydro"] + cut
-    coal_cap = dy.capacity["coal_2019"] + dy.capacity["coal_slack"]
+        + dy.supply["coal_slack"] + dy.supply["gas_slack"] + dy.unmet
+    ).reshape(days) - cut
+    absorb = (dy.supply["re"] + dy.supply["hydro"]).reshape(days) + cut
+    coal_cap = (dy.capacity["coal_2019"] + dy.capacity["coal_slack"]).reshape(days)
 
-    bonus = np.zeros(dy.n_days)
-    for d in range(dy.n_days):
-        sl = slice(d * SLOTS_PER_DAY, (d + 1) * SLOTS_PER_DAY)
-        day_disp = min(displaced[d], float(np.sum(coal[sl])) * SLOT_HOURS)
-        if day_disp <= 0:
-            continue
-        new_max = _lowered_daily_max(coal[sl], day_disp)
-        new_floor = flex_limit * new_max
-        floor_slot = np.minimum.reduce([
-            np.full(SLOTS_PER_DAY, new_floor),
-            n_pre[sl] + absorb[sl],
-            coal_cap[sl],
-        ])
-        new_cut = np.maximum(floor_slot - n_pre[sl], 0.0)
-        avoided = cut[sl] - new_cut
-        bonus[d] = float(np.sum(np.maximum(avoided, 0.0))) * SLOT_HOURS
-    return bonus
+    day_disp = np.minimum(coal_displaced_in_day, coal.sum(axis=1) * SLOT_HOURS)
+    new_floor = flex_limit * _lowered_daily_max(coal, day_disp)
+    floor_slot = np.minimum(np.minimum(new_floor[:, None], n_pre + absorb), coal_cap)
+    new_cut = np.maximum(floor_slot - n_pre, 0.0)
+    avoided = np.maximum(cut - new_cut, 0.0).sum(axis=1) * SLOT_HOURS
+    return np.where(day_disp > 0, avoided, 0.0)
 
 
 def displace_gas_with_new_coal(new_coal_mw: float, dy: DispatchYear) -> float:

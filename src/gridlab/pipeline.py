@@ -31,7 +31,7 @@ from gridlab.scenario import (
     build_capacity_path,
     project_demand,
 )
-from gridlab.shapes import SLOT_HOURS, BaseYearData, PerMwShape, map_values_to_year
+from gridlab.shapes import SLOT_HOURS, SLOTS_PER_DAY, BaseYearData, PerMwShape, map_values_to_year
 
 
 @dataclass
@@ -143,7 +143,7 @@ def dispatch_year(
     caps = _tranche_caps(base, path, params, year)
     dy = dsp.merit_dispatch(net, [(k, caps[k]) for k in dsp.TRANCHES])
     dy = dsp.attach_must_run(dy, must, interim)
-    dy = dsp.apply_coal_flex(dy, params.flex_limit, supplies["re"])
+    dy = dsp.apply_coal_flex(dy, params.flex_limit)
     dy.check_balance()
 
     despatchable = (
@@ -277,14 +277,16 @@ def _reporting_dispatch(
     trace: new.SocTrace | None,
     year: int,
 ) -> dsp.DispatchYear:
-    """Fold NEW supply and displacement into a copy, for exports.
+    """Fold NEW supply and displacement into a new despatch year, for exports.
 
-    Every reduction is matched by an increase elsewhere, so slot sums
-    against demand stay exact.  Displaced coal comes off the day's
-    peak; the bonus lowers floor-bound slots and hands the energy back
-    to RE (curtailment shrinks by the same amount).
+    ``dy`` is left as it is: every changed series is a new array.  Every
+    reduction is matched by an increase elsewhere, so slot sums against
+    demand stay exact.  Displaced coal comes off each day's peak, one
+    water-fill per row of the (days, 48) coal matrix; the bonus lowers
+    floor-bound slots and hands the energy back to RE (curtailment
+    shrinks by the same amount).
     """
-    rep = dy.copy()
+    rep = replace(dy, supply=dict(dy.supply))
     if plan.option == "battery_re" and trace is not None:
         served = trace.served_mw
     else:
@@ -308,22 +310,19 @@ def _reporting_dispatch(
 
     if coal_disp_twh > 0 or bonus_twh > 0:
         coal = rep.supply["coal_2019"] + rep.supply["coal_slack"]
-        n_days = rep.n_days
-        per_day = np.zeros(n_days)
+        coal_days = coal.reshape(rep.n_days, SLOTS_PER_DAY)
         # spread recorded volumes over days proportional to coal energy
-        day_energy = coal.reshape(n_days, -1).sum(axis=1) * SLOT_HOURS
+        day_energy = coal_days.sum(axis=1) * SLOT_HOURS
         total = float(day_energy.sum())
         if total > 0:
             per_day = (coal_disp_twh * 1e6) * day_energy / total
-            for d in range(n_days):
-                sl = slice(d * 48, (d + 1) * 48)
-                level = new._lowered_daily_max(coal[sl], float(per_day[d]))
-                cut = np.maximum(coal[sl] - level, 0.0)
-                slack = rep.supply["coal_slack"][sl]
-                take_slack = np.minimum(cut, slack)
-                rep.supply["coal_slack"][sl] = slack - take_slack
-                rep.supply["coal_2019"][sl] -= cut - take_slack
-                rep.supply["new"][sl] += cut
+            level = new._lowered_daily_max(coal_days, per_day)
+            cut = np.maximum(coal - np.repeat(level, SLOTS_PER_DAY), 0.0)
+            slack = rep.supply["coal_slack"]
+            take_slack = np.minimum(cut, slack)
+            rep.supply["coal_slack"] = slack - take_slack
+            rep.supply["coal_2019"] = rep.supply["coal_2019"] - (cut - take_slack)
+            rep.supply["new"] = rep.supply["new"] + cut
         if bonus_twh > 0 and rep.flex_re_cut is not None:
             cut_profile = rep.flex_re_cut + rep.flex_hydro_cut
             weight = float(np.sum(cut_profile)) * SLOT_HOURS
@@ -333,7 +332,7 @@ def _reporting_dispatch(
                 slack = rep.supply["coal_slack"]
                 take_slack = np.minimum(give_back, slack)
                 rep.supply["coal_slack"] = slack - take_slack
-                rep.supply["coal_2019"] -= give_back - take_slack
+                rep.supply["coal_2019"] = rep.supply["coal_2019"] - (give_back - take_slack)
                 re_part = np.minimum(give_back, rep.flex_re_cut)
                 rep.supply["re"] = rep.supply["re"] + re_part
                 rep.supply["hydro"] = rep.supply["hydro"] + (give_back - re_part)

@@ -17,7 +17,12 @@ from gridlab.dispatch import (
     split_must_run,
 )
 from gridlab.errors import ParameterError
-from gridlab.newsupply import NewSupplyPlan, simulate_soc
+from gridlab.newsupply import (
+    DISPLACEMENT_ORDER,
+    Displacement,
+    NewSupplyPlan,
+    simulate_soc,
+)
 from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS, HalfHourlySeries, map_values_to_year
 
 UNMET_PRICE = 1.0e5  # Rs/kWh-scale penalty, far above any fuel
@@ -139,6 +144,67 @@ def reference_soc(battery, unmet, re_src, solar_src):
     return np.array(rows)
 
 
+def cycle_windows(n_slots, boundary_slot):
+    """Half-open 24h windows split at the daily cycle boundary.
+
+    The leading (and trailing) partial window is kept, so every slot
+    belongs to exactly one cycle.  Window ``i`` is row ``i`` of
+    ``newsupply._pad_cycles``.
+    """
+    edges = list(range(boundary_slot, n_slots, SLOTS_PER_DAY))
+    if boundary_slot > 0:
+        edges = [0] + edges
+    edges.append(n_slots)
+    return [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+
+
+def reference_displacement(soc, dy):
+    """Spare battery throughput displacing fossil output, one window at a time.
+
+    The literal per-window loop behind ``newsupply.displace_with_battery``:
+    spare energy is the lesser of the unused depth and the untapped
+    charging, spent on the tranches in ``DISPLACEMENT_ORDER`` and booked
+    to the calendar day the window starts in.
+    """
+    battery = soc.battery
+    eta_c = battery.charge_eff
+    eta_d = battery.discharge_eff
+    windows = cycle_windows(soc.n_slots, soc.boundary_slot)
+    n_days = soc.n_slots // SLOTS_PER_DAY
+
+    leftover = (soc.source_re_mw - soc.charge_re_mw) + (soc.source_solar_mw - soc.charge_solar_mw)
+    headroom = min(battery.inverter_capacity_mw, battery.energy_capacity_mwh) - soc.charge_mw
+    extra_charge = np.where(soc.unmet_mw <= 0,
+                            np.minimum(leftover, np.maximum(headroom, 0.0)), 0.0)
+
+    spare_cycle = np.zeros(len(windows))
+    per_day = {name: np.zeros(n_days) for name in DISPLACEMENT_ORDER}
+    displaced_total = {name: 0.0 for name in DISPLACEMENT_ORDER}
+    for i, (a, b) in enumerate(windows):
+        min_soc = min(battery.energy_capacity_mwh, float(np.min(soc.soc_mwh[a:b])))
+        depth_margin = max(min_soc - battery.floor_mwh, 0.0) * eta_d
+        charge_margin = float(np.sum(extra_charge[a:b])) * SLOT_HOURS * eta_c * eta_d
+        spare = min(depth_margin, charge_margin)
+        spare_cycle[i] = spare
+
+        day = min(a // SLOTS_PER_DAY, n_days - 1)
+        for name in DISPLACEMENT_ORDER:
+            if spare <= 0:
+                break
+            output_mwh = float(np.sum(dy.supply[name][a:b])) * SLOT_HOURS
+            take = min(spare, max(output_mwh, 0.0))
+            per_day[name][day] += take
+            displaced_total[name] += take
+            spare -= take
+
+    return Displacement(
+        spare_twh=float(np.sum(spare_cycle)) / 1e6,
+        displaced_twh={k: v / 1e6 for k, v in displaced_total.items()},
+        per_day_mwh=per_day,
+        per_cycle_spare_mwh=spare_cycle,
+    )
+
+
 def shaved_level(day, energy_mwh):
     """Bisect the coal level that shaves ``energy_mwh`` off the day's top."""
     if energy_mwh <= 0:
@@ -200,8 +266,13 @@ def undersize_residual(
     unmet = np.asarray(unmet, dtype=float)
     if battery is not None:
         scaled = battery.scaled(size_fraction)
-        trace = simulate_soc(scaled, unmet, curtailed_re, solar_gen,
-                             boundary_slot=boundary_slot)
+        zeros = np.zeros(unmet.shape[0])
+        trace = simulate_soc(
+            scaled, unmet,
+            zeros if curtailed_re is None else curtailed_re,
+            zeros if solar_gen is None else solar_gen,
+            boundary_slot=boundary_slot,
+        )
         secondary = trace.secondary_unmet_mw
     else:
         if net_capacity_mw is None:

@@ -15,7 +15,7 @@ import pytest
 import _oracles
 from gridlab import cli
 from gridlab.economics import build_price_path
-from gridlab.newsupply import coal_peak_bonus, cycle_windows
+from gridlab.newsupply import coal_peak_bonus
 from gridlab.pipeline import evaluate_scenario
 from gridlab.scenario import YEARS, ScenarioParams, project_demand
 from gridlab.shapes import (
@@ -113,7 +113,7 @@ def test_criterion_3_conservation_across_seeds():
 
             trace = detail.trace
             battery = trace.battery
-            for a, b in cycle_windows(trace.soc_mwh.shape[0], boundary):
+            for a, b in _oracles.cycle_windows(trace.soc_mwh.shape[0], boundary):
                 soc = trace.soc_mwh[a:b]
                 step = (
                     trace.charge_mw[a:b] * battery.charge_eff

@@ -365,6 +365,7 @@ class TestDisplacementCredits:
         plan = self.base_plan(
             displaced_gas_nonapm_twh={y: 0.001 for y in YEARS},
             displaced_coal_twh={y: 0.002 for y in YEARS},
+            displaced_by_tranche_twh={y: {"coal_slack": 0.002} for y in YEARS},
             bonus_curtailment_avoided_twh={y: 0.0005 for y in YEARS},
         )
         report = self.run(plan)

@@ -13,7 +13,6 @@ from gridlab.newsupply import (
     _lowered_daily_max,
     _pad_cycles,
     coal_peak_bonus,
-    cycle_windows,
     displace_gas_with_new_coal,
     displace_with_battery,
     simulate_soc,
@@ -121,18 +120,18 @@ class TestBatterySpec:
 
 class TestCycleWindows:
     def test_boundary_34_keeps_leading_partial(self):
-        assert cycle_windows(96, 34) == [(0, 34), (34, 82), (82, 96)]
+        assert _oracles.cycle_windows(96, 34) == [(0, 34), (34, 82), (82, 96)]
 
     def test_boundary_zero_has_no_partial_lead(self):
-        assert cycle_windows(96, 0) == [(0, 48), (48, 96)]
+        assert _oracles.cycle_windows(96, 0) == [(0, 48), (48, 96)]
 
     def test_boundary_out_of_range(self):
         with pytest.raises(ParameterError):
-            cycle_windows(96, 48)
+            _pad_cycles(np.zeros(96), 48)
 
     @given(n=st.integers(1, 500), boundary=st.integers(0, 47))
     def test_windows_partition_the_series(self, n, boundary):
-        windows = cycle_windows(n, boundary)
+        windows = _oracles.cycle_windows(n, boundary)
         assert windows[0][0] == 0
         assert windows[-1][1] == n
         for (_, b0), (a1, _) in zip(windows, windows[1:]):
@@ -255,7 +254,7 @@ class TestSizeBattery:
 class TestSimulateSoc:
     def test_idle_battery_stays_full(self):
         b = make_battery()
-        trace = simulate_soc(b, np.zeros(96))
+        trace = simulate_soc(b, np.zeros(96), np.zeros(96), np.zeros(96))
         assert np.all(trace.soc_mwh == b.energy_capacity_mwh)
         assert not np.any(trace.charge_mw)
         assert not np.any(trace.discharge_mw)
@@ -276,7 +275,7 @@ class TestSimulateSoc:
                                  dod=rng.uniform(0.05, 0.2),
                                  rt=rng.uniform(0.8, 1.0))
                 trace = simulate_soc(b, unmet, re, sol, boundary_slot=boundary)
-                for a, end in cycle_windows(n, boundary):
+                for a, end in _oracles.cycle_windows(n, boundary):
                     ref = _oracles.reference_soc(b, unmet[a:end], re[a:end],
                                                  sol[a:end])
                     assert np.array_equal(trace.soc_mwh[a:end], ref[:, 0])
@@ -292,7 +291,7 @@ class TestSimulateSoc:
         # SoC dives below the floor by the undelivered battery energy
         b = make_battery(energy=100.0, inverter=1000.0, split="charge_only")
         unmet = np.array([400.0])
-        trace = simulate_soc(b, unmet)
+        trace = simulate_soc(b, unmet, np.zeros(1), np.zeros(1))
         assert trace.served_mw[0] == pytest.approx(190.0)
         assert trace.secondary_unmet_mw[0] == pytest.approx(210.0)
         assert trace.discharge_mw[0] == pytest.approx(400.0)
@@ -304,7 +303,7 @@ class TestSimulateSoc:
         b = make_battery()
         unmet = np.zeros(10)
         unmet[4] = 100.0
-        trace = simulate_soc(b, unmet)
+        trace = simulate_soc(b, unmet, np.zeros(10), np.zeros(10))
         # round-tripping 100/eta*eta leaves ulp dust; the trace snaps it
         assert trace.secondary_unmet_mw[4] == 0.0
         assert trace.served_mw[4] == pytest.approx(100.0)
@@ -324,7 +323,7 @@ class TestSimulateSoc:
 
     def test_source_length_mismatch(self):
         with pytest.raises(ParameterError):
-            simulate_soc(make_battery(), np.zeros(10), curtailed_re=np.zeros(9))
+            simulate_soc(make_battery(), np.zeros(10), np.zeros(9), np.zeros(10))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -364,7 +363,7 @@ class TestSimulateSoc:
             0.0, atol=1e-6)
 
         # the SoC recursion balances within every cycle
-        for a, end in cycle_windows(n, 34):
+        for a, end in _oracles.cycle_windows(n, 34):
             soc = trace.soc_mwh[a:end]
             flow = (trace.charge_mw[a:end] * b.charge_eff
                     - trace.discharge_mw[a:end]) * 0.5
@@ -403,7 +402,7 @@ class TestFullRecharge:
         n = 480
         shape = block_shape(n, 10, 20)
         expected = b.usable_mwh / (10 * 0.5 * b.charge_eff * 1e3)
-        got = size_for_full_recharge(b, None, np.zeros(n), shape,
+        got = size_for_full_recharge(b, np.zeros(n), np.zeros(n), shape,
                                      boundary_slot=0, tolerance_gw=1e-4)
         assert expected - 1e-6 <= got <= expected + 2.5e-4
 
@@ -412,7 +411,7 @@ class TestFullRecharge:
         n = 500  # last 20 slots form a sunless partial window
         shape = block_shape(n, 10, 20)
         expected = b.usable_mwh / (10 * 0.5 * b.charge_eff * 1e3)
-        got = size_for_full_recharge(b, None, np.zeros(n), shape,
+        got = size_for_full_recharge(b, np.zeros(n), np.zeros(n), shape,
                                      boundary_slot=0, tolerance_gw=1e-4)
         assert got == pytest.approx(expected, abs=2.5e-4)
 
@@ -427,14 +426,14 @@ class TestFullRecharge:
 
     def test_zero_battery_needs_nothing(self):
         b = make_battery(energy=0.0, inverter=0.0)
-        assert size_for_full_recharge(b, None, np.zeros(48),
+        assert size_for_full_recharge(b, np.zeros(48), np.zeros(48),
                                       block_shape(48, 10, 20)) == 0.0
 
     def test_sunless_shape_is_infeasible(self):
         b = make_battery(energy=1000.0, inverter=400.0)
         n = 96
         with pytest.raises(InfeasibleError):
-            size_for_full_recharge(b, None, np.zeros(n),
+            size_for_full_recharge(b, np.zeros(n), np.zeros(n),
                                    np.zeros(n),
                                    boundary_slot=0, max_gw=4.0)
 
@@ -443,6 +442,7 @@ class TestSizeDedicatedSolar:
     def setup_method(self):
         self.n = 480
         self.unmet = np.zeros(self.n)
+        self.zeros = np.zeros(self.n)
         slots = np.arange(self.n) % 48
         self.unmet[(slots >= 36) & (slots < 41)] = 200.0
         self.shape = block_shape(self.n, 20, 31)
@@ -450,14 +450,14 @@ class TestSizeDedicatedSolar:
 
     def test_full_battery_needs_no_minimum_solar(self):
         # every cycle starts full and holds one cycle of unmet energy
-        got = size_dedicated_solar(self.battery, None, self.unmet, self.shape,
+        got = size_dedicated_solar(self.battery, self.zeros, self.unmet, self.shape,
                                    extra=0.0)
         assert got == 0.0
 
     def test_extra_interpolates_linearly(self):
-        full = size_dedicated_solar(self.battery, None, self.unmet, self.shape,
+        full = size_dedicated_solar(self.battery, self.zeros, self.unmet, self.shape,
                                     extra=1.0, tolerance_gw=1e-4)
-        half = size_dedicated_solar(self.battery, None, self.unmet, self.shape,
+        half = size_dedicated_solar(self.battery, self.zeros, self.unmet, self.shape,
                                     extra=0.5, tolerance_gw=1e-4)
         expected = self.battery.usable_mwh / (11 * 0.5 * self.battery.charge_eff * 1e3)
         assert full == pytest.approx(expected, abs=2.5e-4)
@@ -473,17 +473,17 @@ class TestSizeDedicatedSolar:
     def test_undersized_battery_is_infeasible(self):
         small = self.battery.scaled(0.4)
         with pytest.raises(InfeasibleError):
-            size_dedicated_solar(small, None, self.unmet, self.shape,
+            size_dedicated_solar(small, self.zeros, self.unmet, self.shape,
                                  extra=0.0, max_gw=50.0)
 
     def test_extra_out_of_range(self):
         with pytest.raises(ParameterError):
-            size_dedicated_solar(self.battery, None, self.unmet, self.shape,
+            size_dedicated_solar(self.battery, self.zeros, self.unmet, self.shape,
                                  extra=1.5)
 
     def test_zero_battery_sizes_to_zero(self):
         b = make_battery(energy=0.0, inverter=0.0)
-        assert size_dedicated_solar(b, None, self.unmet, self.shape,
+        assert size_dedicated_solar(b, self.zeros, self.unmet, self.shape,
                                     extra=1.0) == 0.0
 
 
@@ -498,7 +498,7 @@ class TestDisplaceWithBattery:
         unmet[5] = 100.0
         re = np.zeros(48)
         re[10:30] = 500.0
-        return simulate_soc(b, unmet, re, boundary_slot=0)
+        return simulate_soc(b, unmet, re, np.zeros(48), boundary_slot=0)
 
     def test_energy_matched_price_ordered(self):
         trace = self.hand_trace()
@@ -524,7 +524,7 @@ class TestDisplaceWithBattery:
         unmet[5] = 190.0  # exactly one usable load
         re = np.zeros(48)
         re[10:30] = 100.0
-        trace = simulate_soc(b, unmet, re, boundary_slot=0)
+        trace = simulate_soc(b, unmet, re, np.zeros(48), boundary_slot=0)
         dy = bare_dispatch(48, gas_slack=np.full(48, 10.0))
         disp = displace_with_battery(trace, dy)
         assert disp.spare_twh == 0.0
@@ -535,7 +535,8 @@ class TestDisplaceWithBattery:
         b = make_battery(energy=300.0, inverter=200.0, split="charge_only")
         unmet = np.zeros(48)
         unmet[5] = 100.0
-        trace = simulate_soc(b, unmet, None, boundary_slot=0)
+        trace = simulate_soc(b, unmet, np.zeros(48), np.zeros(48),
+                             boundary_slot=0)
         dy = bare_dispatch(48, coal_slack=np.full(48, 40.0))
         disp = displace_with_battery(trace, dy)
         assert disp.spare_twh == 0.0
@@ -547,7 +548,7 @@ class TestDisplaceWithBattery:
         unmet[85] = 100.0  # inside the (82, 96) window, calendar day 1
         re = np.zeros(n)
         re[90:96] = 500.0
-        trace = simulate_soc(b, unmet, re, boundary_slot=34)
+        trace = simulate_soc(b, unmet, re, np.zeros(n), boundary_slot=34)
         dy = bare_dispatch(n, gas_slack=np.full(n, 10.0),
                            coal_slack=np.full(n, 40.0))
         disp = displace_with_battery(trace, dy)
@@ -558,32 +559,67 @@ class TestDisplaceWithBattery:
         assert disp.per_day_mwh["gas_slack"][0] == 0.0
         assert disp.per_day_mwh["coal_slack"][0] == 0.0
 
+    @pytest.mark.parametrize("boundary", [0, 10, 34])
+    def test_matches_per_window_reference(self, boundary):
+        rng = np.random.default_rng(41 + boundary)
+        for _ in range(5):
+            n = 480
+            unmet = rng.uniform(0.0, 120.0, n) * (rng.random(n) < 0.3)
+            re = rng.uniform(0.0, 80.0, n) * (rng.random(n) < 0.5)
+            sol = rng.uniform(0.0, 60.0, n)
+            b = make_battery(energy=rng.uniform(200.0, 2000.0),
+                             inverter=rng.uniform(50.0, 400.0))
+            trace = simulate_soc(b, unmet, re, sol, boundary_slot=boundary)
+            dy = bare_dispatch(n, gas_slack=rng.uniform(0.0, 5.0, n),
+                               coal_slack=rng.uniform(0.0, 20.0, n),
+                               coal_2019=rng.uniform(0.0, 100.0, n))
+            got = displace_with_battery(trace, dy)
+            ref = _oracles.reference_displacement(trace, dy)
+            assert got.spare_twh > 0.0
+            np.testing.assert_allclose(got.per_cycle_spare_mwh,
+                                       ref.per_cycle_spare_mwh, rtol=1e-9)
+            for name in ref.displaced_twh:
+                np.testing.assert_allclose(got.per_day_mwh[name],
+                                           ref.per_day_mwh[name], rtol=1e-9)
+                assert got.displaced_twh[name] == pytest.approx(
+                    ref.displaced_twh[name], rel=1e-9)
+
 
 class TestLoweredDailyMax:
     def test_flat_day_water_fill(self):
-        day = np.full(48, 10_000.0)
-        assert _lowered_daily_max(day, 24_000.0) == pytest.approx(9_000.0)
+        day = np.full((1, 48), 10_000.0)
+        level = _lowered_daily_max(day, np.array([24_000.0]))
+        assert level == pytest.approx([9_000.0])
 
     def test_zero_displacement_keeps_max(self):
-        day = np.linspace(100.0, 200.0, 48)
-        assert _lowered_daily_max(day, 0.0) == pytest.approx(200.0)
+        day = np.linspace(100.0, 200.0, 48)[None, :]
+        assert _lowered_daily_max(day, np.zeros(1)) == pytest.approx([200.0])
 
     def test_displacing_everything_reaches_zero(self):
-        day = np.full(48, 50.0)
+        days = np.full((2, 48), 50.0)
         total = 50.0 * 48 * 0.5
-        assert _lowered_daily_max(day, total) == 0.0
-        assert _lowered_daily_max(day, total * 2) == 0.0
+        level = _lowered_daily_max(days, np.array([total, total * 2]))
+        assert np.array_equal(level, [0.0, 0.0])
 
     def test_matches_bisected_water_fill(self):
+        # one matrix call: zero, negative, partial and over-total rows
         rng = np.random.default_rng(23)
-        for _ in range(20):
-            day = rng.uniform(0.0, 500.0, 48)
-            energy = rng.uniform(0.0, float(day.sum()) * 0.5)
-            level = _lowered_daily_max(day, energy)
-            assert level == pytest.approx(_oracles.shaved_level(day, energy),
+        days = rng.uniform(0.0, 500.0, (24, 48))
+        days[3] = np.round(days[3], -2)  # tied slots
+        totals = days.sum(axis=1) * 0.5
+        energy = rng.uniform(0.0, 1.0, 24) * totals
+        energy[0] = 0.0
+        energy[1] = -50.0
+        energy[2] = totals[2]
+        energy[4] = totals[4] * 1.5
+        levels = _lowered_daily_max(days, energy)
+        assert levels.shape == (24,)
+        for day, e, level in zip(days, energy, levels):
+            assert level == pytest.approx(_oracles.shaved_level(day, e),
                                           abs=1e-6)
             removed = float(np.maximum(day - level, 0.0).sum()) * 0.5
-            assert removed == pytest.approx(energy, abs=1e-6)
+            assert removed == pytest.approx(
+                min(max(e, 0.0), float(day.sum()) * 0.5), abs=1e-6)
 
 
 class TestCoalPeakBonus:
@@ -600,14 +636,6 @@ class TestCoalPeakBonus:
         _, flexed = _oracles.model_flex_dispatch(demand, re, hydro, nuclear, caps, flex)
         with pytest.raises(ParameterError):
             coal_peak_bonus(flexed, np.zeros(5), flex)
-
-    def test_scalar_broadcasts(self):
-        rng = np.random.default_rng(2)
-        demand, re, hydro, nuclear, caps, _, flex = _oracles.random_flex_instance(
-            rng, n_slots=144)
-        _, flexed = _oracles.model_flex_dispatch(demand, re, hydro, nuclear, caps, flex)
-        bonus = coal_peak_bonus(flexed, 100.0, flex)
-        assert bonus.shape == (3,)
 
     def test_zero_displacement_zero_bonus(self):
         rng = np.random.default_rng(3)
@@ -679,7 +707,8 @@ class TestUndersizeResidual:
         battery = size_battery(unmet, ScenarioParams())
         plan = NewSupplyPlan(option="battery_re", battery=battery)
         twh, peak = _oracles.undersize_residual(plan, 0.5, unmet)
-        trace = simulate_soc(battery.scaled(0.5), unmet, boundary_slot=34)
+        trace = simulate_soc(battery.scaled(0.5), unmet, np.zeros(96),
+                             np.zeros(96), boundary_slot=34)
         assert twh == pytest.approx(trace.secondary_unmet_twh())
         assert peak == pytest.approx(float(trace.secondary_unmet_mw.max()))
         assert twh > 0.0

@@ -23,6 +23,7 @@ Conventions for battery flows:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -289,6 +290,13 @@ def simulate_soc(
     cycle window (a row of ``_pad_cycles``) starts from a full battery: the
     daily-full-recharge assumption used for sizing and displacement
     accounting.
+
+    There is no loop over slots.  Only the headroom clamp makes SoC
+    depend on its own past, so ``soc_t = min(soc_{t-1} + x_t, e_cap)``
+    with a SoC-free step ``x_t``, solved in closed form per cycle (see
+    ``_simulate_cycles``).  SoC therefore never exceeds ``e_cap``, and
+    the result equals the literal slot recursion to a few ulps of
+    ``e_cap``.
     """
     unmet = np.asarray(unmet, dtype=float)
     n = unmet.shape[0]
@@ -300,7 +308,7 @@ def simulate_soc(
     )
     # discharge losses round-trip through eta and leave +/- ulp dust on
     # "fully served" slots; snap anything below a watt so zero is zero
-    secondary = np.maximum(unmet - served, 0.0)
+    secondary = unmet - served
     secondary[secondary < 1e-6] = 0.0
     return SocTrace(
         battery=battery,
@@ -319,50 +327,67 @@ def simulate_soc(
 
 
 def _simulate_cycles(battery, unmet, re_src, sol_src, boundary_slot):
-    """The slot recursion, vectorized across independent cycles."""
+    """The slot recursion in closed form, across all cycles at once.
+
+    Within a slot the SoC change ``x`` does not depend on SoC, except
+    for the clamp at capacity: a discharging slot books the full
+    attempt ``min(u/eta_d, inv)`` (SoC may dive below the floor), and a
+    charging slot adds ``min(re + solar, min(inv, 1C)) * eta_c`` per
+    hour, capped only by headroom.  So ``soc_t = min(soc_{t-1} + x_t,
+    e_cap)`` from a full start, a Lindley recursion on the depth
+    ``e_cap - soc``: with ``Z = cumsum(-x)`` along a row,
+    ``depth = Z - minimum.accumulate(minimum(Z, 0))``.  The depth is
+    never negative, so SoC never exceeds ``e_cap``.  Every flow then
+    follows from the previous slot's SoC by the per-slot formulas.
+    """
     e_cap = battery.energy_capacity_mwh
     inv = battery.inverter_capacity_mw
     floor = battery.floor_mwh
     eta_c = battery.charge_eff
     eta_d = battery.discharge_eff
-    c_rate = e_cap
+    c_max = min(inv, e_cap)  # inverter and 1C charging rate
 
     u_m, front = _pad_cycles(unmet, boundary_slot)
     r_m, _ = _pad_cycles(re_src, boundary_slot)
     s_m, _ = _pad_cycles(sol_src, boundary_slot)
-    n_cycles = u_m.shape[0]
+    on = u_m > 0
+    off = ~on
 
-    soc = np.full(n_cycles, e_cap)
-    soc_m = np.empty_like(u_m)
-    charge_m = np.zeros_like(u_m)
-    discharge_m = np.zeros_like(u_m)
-    served_m = np.zeros_like(u_m)
-    re_m = np.zeros_like(u_m)
-    sol_m = np.zeros_like(u_m)
+    # Mask products, not np.where, and in-place updates: every fresh
+    # (cycles, 48) temporary costs more than the arithmetic on it.
+    discharge_m = np.minimum(u_m / eta_d, inv)
+    discharge_m *= on
+    gain = np.minimum(r_m + s_m, c_max)
+    gain *= off
+    gain *= eta_c * SLOT_HOURS
+    z = np.cumsum(discharge_m * SLOT_HOURS - gain, axis=1)  # cumsum(-x)
+    low = np.minimum(z, 0.0)
+    np.minimum.accumulate(low, axis=1, out=low)
+    z -= low  # the depth below full
+    soc_m = np.subtract(e_cap, z, out=z)
 
-    for s in range(SLOTS_PER_DAY):
-        u = u_m[:, s]
-        discharging = u > 0
-        want = np.minimum(u / eta_d, inv)
-        avail = np.maximum(soc - floor, 0.0) / SLOT_HOURS
-        delivered = np.minimum(want, avail)
+    prev = np.empty_like(soc_m)
+    prev[:, 0] = e_cap
+    prev[:, 1:] = soc_m[:, :-1]
+    served_m = prev - floor
+    np.maximum(served_m, 0.0, out=served_m)
+    served_m /= SLOT_HOURS
+    np.minimum(discharge_m, served_m, out=served_m)
+    served_m *= on
+    served_m *= eta_d
+    cap = np.subtract(e_cap, prev, out=prev)  # headroom, as source-side MW
+    np.maximum(cap, 0.0, out=cap)
+    cap /= eta_c * SLOT_HOURS
+    np.minimum(cap, c_max, out=cap)
+    re_m = np.minimum(r_m, cap, out=r_m)
+    re_m *= off
+    cap -= re_m
+    sol_m = np.minimum(s_m, cap, out=s_m)
+    sol_m *= off
+    charge_m = re_m + sol_m
 
-        head = np.maximum(e_cap - soc, 0.0) / (eta_c * SLOT_HOURS)
-        cap = np.minimum(np.minimum(inv, c_rate), head)
-        take_re = np.minimum(r_m[:, s], cap)
-        take_sol = np.minimum(s_m[:, s], cap - take_re)
-
-        discharge_m[:, s] = np.where(discharging, want, 0.0)
-        served_m[:, s] = np.where(discharging, delivered * eta_d, 0.0)
-        re_m[:, s] = np.where(discharging, 0.0, take_re)
-        sol_m[:, s] = np.where(discharging, 0.0, take_sol)
-        charge_m[:, s] = re_m[:, s] + sol_m[:, s]
-        soc = soc + charge_m[:, s] * eta_c * SLOT_HOURS - discharge_m[:, s] * SLOT_HOURS
-        soc_m[:, s] = soc
-
-    n = unmet.shape[0]
-    sl = slice(front, front + n)
-    flat = lambda m: m.reshape(-1)[sl].copy()
+    sl = slice(front, front + unmet.shape[0])
+    flat = lambda m: m.reshape(-1)[sl]
     return (flat(soc_m), flat(charge_m), flat(discharge_m),
             flat(served_m), flat(re_m), flat(sol_m))
 
@@ -402,16 +427,31 @@ def _cycle_full_recharge(battery, re_src, solar, boundary_slot) -> bool:
 
 
 def _search_smallest(predicate, tolerance_gw: float, max_gw: float, what: str) -> float:
-    """Smallest capacity satisfying a monotone predicate, by bisection."""
+    """Smallest capacity satisfying a monotone predicate, by bisection.
+
+    A doubling ladder 1, 2, 4, ... GW (up to ``max_gw``) brackets the
+    answer, then bisection narrows it to ``tolerance_gw``.  Because the
+    predicate is monotone, the ladder's top rung alone decides
+    feasibility: if it fails, every lower rung fails too, so an
+    infeasible search costs two predicate calls instead of the whole
+    ladder.  Both callers' predicates are monotone in solar GW: more
+    solar only raises every slot's SoC, and the recharge budget is a sum
+    of ``min``s.
+    """
+    if not math.isfinite(max_gw):
+        raise ParameterError(f"max_gw must be finite, got {max_gw}")
     if predicate(0.0):
         return 0.0
+    top = 1.0  # the ladder's last rung
+    while 2.0 * top <= max_gw:
+        top *= 2.0
+    if not predicate(top):
+        raise InfeasibleError(
+            f"no dedicated solar capacity below {max_gw:g} GW achieves {what}"
+        )
     hi = 1.0
-    while not predicate(hi):
+    while not predicate(hi):  # stops at top at the latest
         hi *= 2.0
-        if hi > max_gw:
-            raise InfeasibleError(
-                f"no dedicated solar capacity below {max_gw:g} GW achieves {what}"
-            )
     lo = hi / 2.0 if hi > 1.0 else 0.0
     while hi - lo > tolerance_gw:
         mid = 0.5 * (lo + hi)

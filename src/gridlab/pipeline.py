@@ -288,13 +288,16 @@ def _reporting_dispatch(
     """
     rep = replace(dy, supply=dict(dy.supply))
     if plan.option == "battery_re" and trace is not None:
-        served = trace.served_mw
+        # the trace's secondary unmet is already snapped, so a fully
+        # served slot leaves exactly zero rather than eta round-trip dust
+        rep.unmet = trace.secondary_unmet_mw
+        served = trace.unmet_mw - rep.unmet
     else:
         tech = params.tech_costs[plan.option]
         net_cap = plan.capacity_mw.get(year, 0.0) * (1.0 - tech.aux)
         served = np.minimum(rep.unmet, net_cap)
+        rep.unmet = np.maximum(rep.unmet - served, 0.0)
     rep.supply["new"] = rep.supply["new"] + served
-    rep.unmet = np.maximum(rep.unmet - served, 0.0)
 
     coal_disp_twh = plan.displaced_coal_twh.get(year, 0.0)
     gas_disp_twh = plan.displaced_gas_nonapm_twh.get(year, 0.0)

@@ -16,7 +16,7 @@ from gridlab.dispatch import (
     net_demand,
     split_must_run,
 )
-from gridlab.errors import ParameterError
+from gridlab.errors import InfeasibleError, ParameterError
 from gridlab.newsupply import (
     DISPLACEMENT_ORDER,
     Displacement,
@@ -142,6 +142,31 @@ def reference_soc(battery, unmet, re_src, solar_src):
             soc += (take_re + take_sol) * battery.charge_eff * SLOT_HOURS
             rows.append((soc, take_re + take_sol, 0.0, 0.0, take_re, take_sol))
     return np.array(rows)
+
+
+def reference_search_smallest(predicate, tolerance_gw, max_gw, what):
+    """The full doubling ladder, 1, 2, 4, ... GW, then bisection.
+
+    Walks every rung up to ``max_gw`` before giving up, so it calls the
+    predicate about ``log2(max_gw)`` times on an infeasible search.
+    """
+    if predicate(0.0):
+        return 0.0
+    hi = 1.0
+    while not predicate(hi):
+        hi *= 2.0
+        if hi > max_gw:
+            raise InfeasibleError(
+                f"no dedicated solar capacity below {max_gw:g} GW achieves {what}"
+            )
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    while hi - lo > tolerance_gw:
+        mid = 0.5 * (lo + hi)
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def cycle_windows(n_slots, boundary_slot):

@@ -12,6 +12,7 @@ from gridlab.newsupply import (
     NewSupplyPlan,
     _lowered_daily_max,
     _pad_cycles,
+    _search_smallest,
     coal_peak_bonus,
     displace_gas_with_new_coal,
     displace_with_battery,
@@ -52,6 +53,18 @@ def bare_dispatch(n, **supply):
         curtailment=np.zeros(n),
         unmet=np.zeros(n),
     )
+
+
+SOC_COLUMNS = ("soc_mwh", "charge_mw", "discharge_mw", "served_mw",
+               "charge_re_mw", "charge_solar_mw")
+
+
+def reference_windows(trace, unmet, re, sol):
+    """Per cycle window, the trace's columns and ``reference_soc``'s."""
+    for a, end in _oracles.cycle_windows(unmet.shape[0], trace.boundary_slot):
+        got = np.column_stack([getattr(trace, c)[a:end] for c in SOC_COLUMNS])
+        yield got, _oracles.reference_soc(trace.battery, unmet[a:end],
+                                          re[a:end], sol[a:end])
 
 
 # --- BatterySpec ---------------------------------------------------------
@@ -261,8 +274,9 @@ class TestSimulateSoc:
         assert not np.any(trace.secondary_unmet_mw)
 
     def test_matches_literal_recursion(self):
-        # every cycle window restarts full, so the vectorized path must
-        # equal the literal slot recursion run window by window
+        # every cycle window restarts full, so the closed form must equal
+        # the literal slot recursion run window by window; the recursion
+        # rounds at every slot, so only the discharge attempt is bitwise
         rng = np.random.default_rng(11)
         for boundary in (0, 34):
             for _ in range(5):
@@ -275,16 +289,43 @@ class TestSimulateSoc:
                                  dod=rng.uniform(0.05, 0.2),
                                  rt=rng.uniform(0.8, 1.0))
                 trace = simulate_soc(b, unmet, re, sol, boundary_slot=boundary)
-                for a, end in _oracles.cycle_windows(n, boundary):
-                    ref = _oracles.reference_soc(b, unmet[a:end], re[a:end],
-                                                 sol[a:end])
-                    assert np.array_equal(trace.soc_mwh[a:end], ref[:, 0])
-                    assert np.array_equal(trace.charge_mw[a:end], ref[:, 1])
-                    assert np.array_equal(trace.discharge_mw[a:end], ref[:, 2])
-                    assert np.array_equal(trace.served_mw[a:end], ref[:, 3])
-                    assert np.array_equal(trace.charge_re_mw[a:end], ref[:, 4])
-                    assert np.array_equal(trace.charge_solar_mw[a:end],
-                                          ref[:, 5])
+                for got, ref in reference_windows(trace, unmet, re, sol):
+                    assert np.array_equal(got[:, 2], ref[:, 2])
+                    np.testing.assert_allclose(
+                        got, ref, rtol=0, atol=1e-12 * b.energy_capacity_mwh)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 150),
+        boundary=st.sampled_from([0, 47]) | st.integers(0, 47),
+        energy=st.just(0.0) | st.floats(1.0, 500.0),
+        inverter=st.floats(1.0, 300.0),
+        dod=st.floats(0.01, 0.5),
+        rt=st.floats(0.5, 1.0),
+        split=st.sampled_from(["symmetric", "charge_only"]),
+        sources=st.sampled_from(["none", "scarce", "flood"]),
+    )
+    def test_closed_form_matches_reference(self, seed, n, boundary, energy,
+                                           inverter, dod, rt, split, sources):
+        # unmet up to twice the inverter makes the inverter bind; flooded
+        # sources cap every recharge by headroom; a zero-energy battery
+        # only ever overdraws
+        rng = np.random.default_rng(seed)
+        unmet = rng.uniform(0.0, 2.0 * inverter, n) * (rng.random(n) < 0.4)
+        top = {"none": 0.0, "scarce": 0.2 * inverter, "flood": 5.0 * inverter}[sources]
+        re = rng.uniform(0.0, top, n) * (rng.random(n) < 0.6)
+        sol = rng.uniform(0.0, top, n)
+        b = make_battery(energy=energy, inverter=inverter, dod=dod, rt=rt,
+                         split=split)
+        trace = simulate_soc(b, unmet, re, sol, boundary_slot=boundary)
+        assert np.all(trace.soc_mwh <= energy)
+        for got, ref in reference_windows(trace, unmet, re, sol):
+            assert np.array_equal(got[:, 2], ref[:, 2])
+            # overdraw takes SoC far below zero, and the rounding of the
+            # running sum scales with the largest SoC magnitude
+            scale = max(energy, float(np.abs(ref[:, 0]).max()))
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale)
 
     def test_overdraw_bookkeeping(self):
         # 400 MW against 95 MWh usable: the attempt is recorded in full,
@@ -485,6 +526,36 @@ class TestSizeDedicatedSolar:
         b = make_battery(energy=0.0, inverter=0.0)
         assert size_dedicated_solar(b, self.zeros, self.unmet, self.shape,
                                     extra=1.0) == 0.0
+
+
+class TestSearchSmallest:
+    @pytest.mark.parametrize("max_gw", [0.5, 4.0, 10_000.0])
+    @pytest.mark.parametrize(
+        "threshold", [0.0, 0.05, 0.7, 1.0, 3.3, 4096.0, 8192.0, 9000.0, 20000.0])
+    def test_matches_full_ladder(self, threshold, max_gw):
+        # the one-probe exit must not change any answer of a monotone search
+        def run(search):
+            try:
+                return search(lambda gw: gw >= threshold, 0.1, max_gw, "a step")
+            except InfeasibleError:
+                return "infeasible"
+
+        assert run(_search_smallest) == run(_oracles.reference_search_smallest)
+
+    def test_infeasible_search_costs_two_calls(self):
+        calls = []
+
+        def never(gw):
+            calls.append(gw)
+            return False
+
+        with pytest.raises(InfeasibleError):
+            _search_smallest(never, 0.1, 10_000.0, "nothing")
+        assert calls == [0.0, 8192.0]
+
+    def test_rejects_unbounded_search(self):
+        with pytest.raises(ParameterError):
+            _search_smallest(lambda gw: True, 0.1, float("inf"), "anything")
 
 
 # --- displacement --------------------------------------------------------

@@ -163,6 +163,16 @@ class TestDetails:
             imbalance = sum(rep.supply.values()) + rep.unmet - rep.demand
             assert float(np.abs(imbalance).max()) < 1e-6
 
+    def test_fully_served_battery_year_reports_zero_unmet(self, outcome):
+        # the export takes the trace's snapped secondary unmet, so eta
+        # round-trip dust on served slots never reaches the tables
+        for y in YEARS:
+            assert outcome.plan.secondary_unmet_twh[y] == 0.0
+            rep = outcome.details[y].reporting
+            assert np.all(rep.unmet == 0.0)
+            assert rep.unmet_twh() == 0.0
+            rep.check_balance(tolerance=1.0)
+
     def test_reporting_folds_new_supply_in(self, outcome):
         detail = outcome.details[2030]
         rep, dy = detail.reporting, detail.dispatch

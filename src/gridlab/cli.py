@@ -9,9 +9,13 @@ run expands the cartesian product of all axes.  Two keys are reserved:
 * ``data``: options for the base-year loader (year, RE energy target,
   installed solar MW for the wind-shape derivation, gap tolerance).
 
-Results are written once, by the parent process, in scenario order, so
-a sweep at any parallelism produces byte-identical files.  The manifest
-is the only file carrying timing and is excluded from that guarantee.
+A sweep groups its scenarios by despatch key (their values of
+``DESPATCH_FIELDS``), in first-appearance order.  One pool task takes
+one group: it despatches the decade once, then prices each member's
+NEW option on it.  Results are written once, by the parent process, in
+scenario order, so a sweep at any parallelism produces byte-identical
+files.  The manifest is the only file carrying timing and is excluded
+from that guarantee.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,9 +38,10 @@ from gridlab import __version__
 from gridlab import dispatch as dsp
 from gridlab.economics import COMPONENTS, frontier
 from gridlab.errors import GridlabError, ParameterError
-from gridlab.pipeline import ScenarioOutcome, evaluate_scenario
+from gridlab.pipeline import ScenarioOutcome, despatch_decade, evaluate_scenario, year_shapes
 from gridlab.scenario import (
     BASE_YEAR,
+    DESPATCH_FIELDS,
     FINAL_YEAR,
     YEARS,
     ParamGrid,
@@ -202,22 +208,28 @@ _WORKER_INPUTS: tuple | None = None
 
 def _init_worker(base: BaseYearData, solar: PerMwShape, wind: PerMwShape) -> None:
     global _WORKER_INPUTS
-    _WORKER_INPUTS = (base, solar, wind)
+    _WORKER_INPUTS = (base, year_shapes(base, solar), year_shapes(base, wind))
 
 
-def _run_one(job: tuple[int, ScenarioParams]):
-    """Evaluate one scenario; a GridlabError is recorded, not raised.
+def _run_one(group: list[tuple[int, ScenarioParams]]):
+    """Despatch one group's decade once, then evaluate each member on it.
 
-    Any other exception is a bug, not an unsolvable scenario, and
-    propagates to end the run.
+    A GridlabError is recorded, not raised: in the despatch it fails
+    every member with the same message, in the option stage only its
+    own scenario.  Any other exception is a bug, not an unsolvable
+    scenario, and propagates to end the run.
     """
-    index, params = job
-    base, solar, wind = _WORKER_INPUTS
     try:
-        outcome = evaluate_scenario(params, base, solar, wind)
-        return index, None, outcome
+        decade = despatch_decade(group[0][1], *_WORKER_INPUTS)
     except GridlabError as exc:
-        return index, f"{type(exc).__name__}: {exc}", None
+        return [(index, f"{type(exc).__name__}: {exc}", None) for index, _ in group]
+    results = []
+    for index, params in group:
+        try:
+            results.append((index, None, evaluate_scenario(params, decade)))
+        except GridlabError as exc:
+            results.append((index, f"{type(exc).__name__}: {exc}", None))
+    return results
 
 
 @dataclass(frozen=True)
@@ -462,23 +474,26 @@ def run(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = list(enumerate(scenarios))
+    groups: dict[tuple, list[tuple[int, ScenarioParams]]] = {}
+    for index, params in enumerate(scenarios):
+        key = tuple(getattr(params, f) for f in DESPATCH_FIELDS)
+        groups.setdefault(key, []).append((index, params))
     successes: list[tuple[int, ScenarioOutcome]] = []
     failures: list[tuple[int, str]] = []
-    log.info("evaluating %d scenarios at parallelism %d", len(jobs), parallelism)
+    log.info("evaluating %d scenarios in %d despatch groups at parallelism %d",
+             len(scenarios), len(groups), parallelism)
+    _init_worker(base, solar, wind)  # the parent's detail run reads it too
     if parallelism == 1:
-        _init_worker(base, solar, wind)
-        raw = map(_run_one, jobs)
-        for index, error, outcome in raw:
-            (failures.append((index, error)) if error else successes.append((index, outcome)))
+        raw = map(_run_one, groups.values())
     else:
         with ProcessPoolExecutor(
             max_workers=parallelism,
             initializer=_init_worker,
             initargs=(base, solar, wind),
         ) as pool:
-            for index, error, outcome in pool.map(_run_one, jobs, chunksize=1):
-                (failures.append((index, error)) if error else successes.append((index, outcome)))
+            raw = list(pool.map(_run_one, groups.values(), chunksize=1))
+    for index, error, outcome in sorted(chain.from_iterable(raw), key=lambda r: r[0]):
+        (failures.append((index, error)) if error else successes.append((index, outcome)))
     for index, message in failures:
         log.error("scenario %d failed: %s", index, message)
 
@@ -501,9 +516,9 @@ def run(
     detail_outcome: ScenarioOutcome | None = None
     if successes:
         detail_index = successes[0][0]
-        detail_outcome = evaluate_scenario(
-            scenarios[detail_index], base, solar, wind, detail_years=YEARS
-        )
+        params = scenarios[detail_index]
+        decade = despatch_decade(params, *_WORKER_INPUTS)
+        detail_outcome = evaluate_scenario(params, decade, detail_years=YEARS)
     for path in export_figures(out, detail_outcome):
         files.append(path.name)
 

@@ -312,14 +312,13 @@ def buffer_check(
     return BufferReport(headroom=headroom, requirement=requirement, shortfall=shortfall)
 
 
-def compute_unmet(dy: DispatchYear, buffer: BufferReport) -> tuple[np.ndarray, float]:
-    """Unmet-energy series and the year's capacity requirement.
+def compute_unmet(dy: DispatchYear, buffer: BufferReport) -> float:
+    """The year's capacity requirement, in MW.
 
-    The capacity requirement is the worst slot of unmet demand plus
-    buffer shortfall; it is what any new supply must be able to serve.
+    It is the worst slot of unmet demand plus buffer shortfall: what any
+    new supply must be able to serve.
     """
-    requirement = float(np.max(dy.unmet + buffer.shortfall)) if dy.n_slots else 0.0
-    return dy.unmet, requirement
+    return float(np.max(dy.unmet + buffer.shortfall)) if dy.n_slots else 0.0
 
 
 def to_csv(dy: DispatchYear, path) -> None:

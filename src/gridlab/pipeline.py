@@ -1,10 +1,16 @@
-"""End-to-end evaluation of one scenario: shapes to cost report.
+"""End-to-end evaluation of one scenario, in two stages.
 
-The pipeline stitches the modules together for each year 2021-2030:
+The despatch stage, ``despatch_decade``, runs for each year 2021-2030:
 
 1. scale demand and capacities (scenario),
 2. net demand after must-run, merit despatch, coal flex (dispatch),
-3. buffer audit and unmet residual (dispatch),
+3. buffer audit and capacity requirement (dispatch).
+
+It reads only the ``DESPATCH_FIELDS`` of the parameters and returns a
+read-only ``Decade``.  Scenarios that differ only in the NEW option,
+its sizing or prices share one decade.  The option stage,
+``evaluate_scenario``, prices one scenario on such a decade:
+
 4. NEW supply sizing, SoC simulation, displacement loops (newsupply),
 5. cash flows and NPV (economics).
 
@@ -34,6 +40,19 @@ from gridlab.scenario import (
 from gridlab.shapes import SLOT_HOURS, SLOTS_PER_DAY, BaseYearData, PerMwShape, map_values_to_year
 
 
+@dataclass(frozen=True)
+class Decade:
+    """One despatch key's decade: capacity path, despatch and solar shape.
+
+    Every array ``despatch_decade`` built is read-only, so the scenarios
+    sharing a decade cannot write into each other's inputs.
+    """
+
+    path: CapacityPath
+    years: dict[int, tuple[dsp.DispatchYear, dict]]
+    solar_by_year: Mapping[int, np.ndarray]
+
+
 @dataclass
 class YearDetail:
     """Slot-level leftovers for one year, kept only when asked for."""
@@ -41,11 +60,7 @@ class YearDetail:
     year: int
     dispatch: dsp.DispatchYear  # post-flex, pre-displacement
     reporting: dsp.DispatchYear  # NEW supply and displacement folded in
-    demand: np.ndarray
     unmet: np.ndarray
-    shortfall: np.ndarray
-    curtailed_re: np.ndarray
-    solar_gen: np.ndarray
     trace: new.SocTrace | None
 
 
@@ -55,7 +70,6 @@ class ScenarioOutcome:
 
     params: ScenarioParams
     result: eco.ScenarioResult
-    plan: new.NewSupplyPlan
     year_rows: list[dict]
     details: dict[int, YearDetail] = field(default_factory=dict)
 
@@ -151,7 +165,7 @@ def dispatch_year(
         + path.hydro[i] * 1e3 + path.nuclear[i] * 1e3
     )
     buffer = dsp.buffer_check(dy, busbar, despatchable, params.grid_buffer)
-    _, cap_req = dsp.compute_unmet(dy, buffer)
+    cap_req = dsp.compute_unmet(dy, buffer)
     curtailed_re = (supplies["re"] - must["re"]) + dy.flex_re_cut
     extras = {
         "busbar": busbar,
@@ -162,11 +176,36 @@ def dispatch_year(
     return dy, extras
 
 
-def _battery_plan(
+def year_shapes(base: BaseYearData, shape: PerMwShape) -> dict[int, np.ndarray]:
+    """A per-MW shape mapped onto every horizon year's slot grid."""
+    return {y: map_values_to_year(shape.values, base.year, y) for y in YEARS}
+
+
+def despatch_decade(
     params: ScenarioParams,
-    years_data: Mapping[int, tuple[dsp.DispatchYear, dict]],
-    solar_shapes: Mapping[int, np.ndarray],
-) -> tuple[new.NewSupplyPlan, dict[int, new.SocTrace], dict[int, np.ndarray]]:
+    base: BaseYearData,
+    solar_by_year: Mapping[int, np.ndarray],
+    wind_by_year: Mapping[int, np.ndarray],
+) -> Decade:
+    """The despatch stage: capacity path and ``dispatch_year`` for 2021-2030."""
+    path = build_capacity_path(params, base)
+    years = {
+        y: dispatch_year(params, base, path, y, solar_by_year[y], wind_by_year[y])
+        for y in YEARS
+    }
+    arrays = [v for v in vars(path).values() if isinstance(v, np.ndarray)]
+    for dy, extras in years.values():
+        arrays += [v for v in vars(dy).values() if isinstance(v, np.ndarray)]
+        arrays += [*dy.supply.values(), *dy.capacity.values(), *vars(extras["buffer"]).values()]
+        arrays += [extras["busbar"], extras["curtailed_re"]]
+    for array in arrays:
+        array.setflags(write=False)
+    return Decade(path=path, years=years, solar_by_year=solar_by_year)
+
+
+def _battery_plan(
+    params: ScenarioParams, decade: Decade
+) -> tuple[new.NewSupplyPlan, dict[int, new.SocTrace]]:
     """Size and simulate the battery option year by year.
 
     Battery and dedicated solar only ever grow; each year re-simulates
@@ -175,11 +214,10 @@ def _battery_plan(
     plan = new.NewSupplyPlan(option="battery_re")
     boundary = params.cycle_boundary_slot
     traces: dict[int, new.SocTrace] = {}
-    solar_gens: dict[int, np.ndarray] = {}
     run_energy = run_inverter = run_solar_gw = 0.0
 
     for year in YEARS:
-        dy, extras = years_data[year]
+        dy, extras = decade.years[year]
         unmet = dy.unmet
         shortfall = extras["buffer"].shortfall
         sized = new.size_battery(unmet, params, buffer_shortfall=shortfall)
@@ -188,7 +226,7 @@ def _battery_plan(
         battery = replace(sized, energy_capacity_mwh=run_energy, inverter_capacity_mw=run_inverter)
         plan.battery_by_year[year] = battery
 
-        shape = solar_shapes[year]
+        shape = decade.solar_by_year[year]
         curtailed = extras["curtailed_re"]
         if battery.energy_capacity_mwh > 0:
             try:
@@ -209,7 +247,6 @@ def _battery_plan(
         run_solar_gw = max(run_solar_gw, gw)
         plan.dedicated_solar_gw[year] = run_solar_gw
         solar_gen = shape * run_solar_gw * 1e3
-        solar_gens[year] = solar_gen
 
         trace = new.simulate_soc(battery, unmet, curtailed, solar_gen, boundary_slot=boundary)
         traces[year] = trace
@@ -231,19 +268,16 @@ def _battery_plan(
 
         plan.capacity_mw[year] = battery.inverter_capacity_mw
     plan.battery = plan.battery_by_year[YEARS[-1]]
-    return plan, traces, solar_gens
+    return plan, traces
 
 
-def _thermal_plan(
-    params: ScenarioParams,
-    years_data: Mapping[int, tuple[dsp.DispatchYear, dict]],
-) -> new.NewSupplyPlan:
+def _thermal_plan(params: ScenarioParams, decade: Decade) -> new.NewSupplyPlan:
     """Size a thermal NEW option; coal may be undersized deliberately."""
     option = params.new_option
     tech = params.tech_costs[option]
     plan = new.NewSupplyPlan(option=option)
-    unmets = [years_data[y][0].unmet for y in YEARS]
-    shortfalls = [years_data[y][1]["buffer"].shortfall for y in YEARS]
+    unmets = [decade.years[y][0].unmet for y in YEARS]
+    shortfalls = [decade.years[y][1]["buffer"].shortfall for y in YEARS]
     installed_mw = new.size_new_capacity(unmets, shortfalls, option, tech.aux)
 
     size_fraction = params.new_coal_size_fraction if option == "coal" else 1.0
@@ -252,7 +286,7 @@ def _thermal_plan(
         gross = installed_mw[i] * size_fraction
         net_cap = gross * (1.0 - tech.aux)
         plan.capacity_mw[year] = gross
-        dy = years_data[year][0]
+        dy = decade.years[year][0]
         secondary = np.maximum(dy.unmet - net_cap, 0.0)
         plan.secondary_unmet_twh[year] = _snap(float(np.sum(secondary)) * SLOT_HOURS / 1e6)
         peak_secondary = _snap(float(np.max(secondary)) if secondary.size else 0.0)
@@ -345,34 +379,21 @@ def _reporting_dispatch(
 
 def evaluate_scenario(
     params: ScenarioParams,
-    base: BaseYearData,
-    solar_shape: PerMwShape,
-    wind_shape: PerMwShape,
+    decade: Decade,
     detail_years: tuple[int, ...] = (),
 ) -> ScenarioOutcome:
-    """Run one scenario end to end and summarize it."""
-    path = build_capacity_path(params, base)
-    solar_by_year = {y: map_values_to_year(solar_shape.values, base.year, y) for y in YEARS}
-    wind_by_year = {y: map_values_to_year(wind_shape.values, base.year, y) for y in YEARS}
-
-    years_data: dict[int, tuple[dsp.DispatchYear, dict]] = {}
-    for year in YEARS:
-        years_data[year] = dispatch_year(
-            params, base, path, year, solar_by_year[year], wind_by_year[year]
-        )
-
+    """The option stage: price one scenario on its despatch key's decade."""
     traces: dict[int, new.SocTrace] = {}
-    solar_gens: dict[int, np.ndarray] = {}
     if params.new_option == "battery_re":
-        plan, traces, solar_gens = _battery_plan(params, years_data, solar_by_year)
+        plan, traces = _battery_plan(params, decade)
     else:
-        plan = _thermal_plan(params, years_data)
+        plan = _thermal_plan(params, decade)
     plan.validate()
 
     paths = eco.build_price_path(params)
-    dispatch_by_year = {y: years_data[y][0] for y in YEARS}
+    dispatch_by_year = {y: decade.years[y][0] for y in YEARS}
     report = eco.npv_system_cost(
-        dispatch_by_year, plan, paths, params.discount_rate, params, path
+        dispatch_by_year, plan, paths, params.discount_rate, params, decade.path
     )
 
     if params.new_option == "battery_re":
@@ -390,7 +411,7 @@ def evaluate_scenario(
     year_rows = []
     details: dict[int, YearDetail] = {}
     for year in YEARS:
-        dy, extras = years_data[year]
+        dy, extras = decade.years[year]
         row = {
             "year": year,
             "demand_twh": float(np.sum(extras["busbar"])) * SLOT_HOURS / 1e6,
@@ -420,14 +441,8 @@ def evaluate_scenario(
                 year=year,
                 dispatch=dy,
                 reporting=rep,
-                demand=extras["busbar"],
                 unmet=dy.unmet,
-                shortfall=extras["buffer"].shortfall,
-                curtailed_re=extras["curtailed_re"],
-                solar_gen=solar_gens.get(year, np.zeros(dy.n_slots)),
                 trace=trace,
             )
 
-    return ScenarioOutcome(
-        params=params, result=result, plan=plan, year_rows=year_rows, details=details
-    )
+    return ScenarioOutcome(params=params, result=result, year_rows=year_rows, details=details)

@@ -200,6 +200,16 @@ class ScenarioParams:
 
 _FIELD_NAMES = {f.name for f in fields(ScenarioParams)}
 
+#: Every field the despatch stage reads: scenarios equal on all of them
+#: share one despatched decade.
+DESPATCH_FIELDS = (
+    "demand_growth", "flex_limit", "re_2030", "solar_share",
+    "re_2021", "hydro_2021", "gas_2021", "nuclear_2021", "coal_2021",
+    "hydro_growth", "nuclear_growth", "coal_retirement_2030",
+    "fgd_penalty", "fgd_start", "fgd_end",
+    "ists_loss", "grid_buffer", "coal_peak_derate",
+)
+
 
 def params_from_config(config: Mapping[str, object]) -> ScenarioParams:
     """Build ScenarioParams from a flat JSON-style mapping.

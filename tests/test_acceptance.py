@@ -16,7 +16,7 @@ import _oracles
 from gridlab import cli
 from gridlab.economics import build_price_path
 from gridlab.newsupply import coal_peak_bonus
-from gridlab.pipeline import evaluate_scenario
+from gridlab.pipeline import despatch_decade, evaluate_scenario, year_shapes
 from gridlab.scenario import YEARS, ScenarioParams, project_demand
 from gridlab.shapes import (
     derive_wind_shape,
@@ -29,13 +29,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def scenario_inputs(seed, params):
+    """Base year and the solar and wind shapes mapped to every year."""
     base = synth_shapes(seed)
     raw = synth_solar_shape(base.year)
     solar = rescale_to_cuf(raw, params.solar_cuf)
     wind = derive_wind_shape(
         base.supply_by_fuel["re"], raw, 35_000.0, wind_cuf=params.wind_cuf
     )
-    return base, solar, wind
+    return base, year_shapes(base, solar), year_shapes(base, wind)
 
 
 def read_table(path):
@@ -98,7 +99,8 @@ def test_criterion_3_conservation_across_seeds():
     windows_checked = 0
     for seed in range(10):
         base, solar, wind = scenario_inputs(seed, params)
-        outcome = evaluate_scenario(params, base, solar, wind, detail_years=tuple(YEARS))
+        decade = despatch_decade(params, base, solar, wind)
+        outcome = evaluate_scenario(params, decade, detail_years=tuple(YEARS))
         for year in YEARS:
             detail = outcome.details[year]
             detail.dispatch.check_balance()
@@ -142,9 +144,8 @@ def test_criterion_4_monotonic_responses():
         for field, levels, column, direction in sweeps:
             series = []
             for value in levels:
-                outcome = evaluate_scenario(
-                    replace(params, **{field: value}), base, solar, wind
-                )
+                point = replace(params, **{field: value})
+                outcome = evaluate_scenario(point, despatch_decade(point, base, solar, wind))
                 series.append(np.array([row[column] for row in outcome.year_rows]))
             for lower, higher in zip(series, series[1:]):
                 if direction == "non-increasing":

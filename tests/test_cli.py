@@ -3,15 +3,16 @@
 import csv
 import hashlib
 import json
+import logging
 import shutil
 
 import numpy as np
 import pytest
 
 import gridlab
-from gridlab import cli
+from gridlab import cli, pipeline
 from gridlab.errors import InfeasibleError, ParameterError
-from gridlab.scenario import YEARS, ScenarioParams
+from gridlab.scenario import DESPATCH_FIELDS, YEARS, ScenarioParams
 from gridlab.shapes import derive_wind_shape, rescale_to_cuf, synth_shapes, synth_solar_shape
 
 
@@ -415,6 +416,88 @@ class TestRunModes:
             reference = (serial_dir / name).read_bytes()
             assert (repeat / name).read_bytes() == reference, name
             assert (parallel / name).read_bytes() == reference, name
+
+
+#: four despatch keys, six option points each; the option axes come
+#: first, so each group's members are spread through the scenario order
+MIXED = {
+    "new_option": ["battery_re", "coal", "ocgt"],
+    "battery_size_fraction": [1.0, 0.5],
+    "flex_limit": [0.55, 0.7],
+    "re_2030": [300.0, 500.0],
+}
+#: two despatch keys, three options each, interleaved
+TWO_KEYS = {"new_option": ["battery_re", "coal", "ocgt"], "re_2030": [300.0, 500.0]}
+
+
+def count_despatches(monkeypatch) -> list:
+    """Record the year of every dispatch_year call from here on."""
+    calls = []
+    real = pipeline.dispatch_year
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "dispatch_year", counted)
+    return calls
+
+
+class TestDespatchGroups:
+    @pytest.fixture(scope="class")
+    def alone_dir(self, tmp_path_factory):
+        """MIXED with every scenario despatched alone: the swept option
+        fields join the key, so each of the 24 points is its own group."""
+        out = tmp_path_factory.mktemp("alone")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "DESPATCH_FIELDS",
+                       DESPATCH_FIELDS + ("new_option", "battery_size_fraction"))
+            calls = count_despatches(mp)
+            manifest = cli.run(config=MIXED, out_dir=out, synthetic_seed=0)
+        assert len(calls) == (24 + 1) * len(YEARS)
+        assert manifest.failed == 0
+        return out, manifest
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_grouped_tables_match_scenarios_despatched_alone(
+        self, alone_dir, tmp_path, parallelism
+    ):
+        reference, manifest = alone_dir
+        grouped = cli.run(config=MIXED, out_dir=tmp_path, synthetic_seed=0,
+                          parallelism=parallelism)
+        assert grouped.files == manifest.files
+        for name in manifest.files:
+            assert (tmp_path / name).read_bytes() == (reference / name).read_bytes(), name
+
+    def test_one_despatch_per_key(self, tmp_path, monkeypatch):
+        calls = count_despatches(monkeypatch)
+        cli.run(config=TWO_KEYS, out_dir=tmp_path, synthetic_seed=0)
+        # two keys, then the detail scenario's re-run
+        assert len(calls) == 2 * len(YEARS) + len(YEARS)
+
+    def test_despatch_failure_fails_the_whole_group(self, tmp_path, monkeypatch):
+        real = cli.despatch_decade
+
+        def flaky(params, *args):
+            if params.re_2030 == 500.0:
+                raise InfeasibleError("no despatch")
+            return real(params, *args)
+
+        monkeypatch.setattr(cli, "despatch_decade", flaky)
+        manifest = cli.run(config=TWO_KEYS, out_dir=tmp_path, synthetic_seed=0)
+        assert manifest.failed == 3
+        rows = read_rows(tmp_path / "failures.csv")[1:]
+        assert [r[0] for r in rows] == ["1", "3", "5"]
+        assert [r[5] for r in rows] == ["battery_re", "coal", "ocgt"]
+        assert all(r[-1] == "InfeasibleError: no despatch" for r in rows)
+        frontier = read_rows(tmp_path / "frontier.csv")[1:]
+        assert sorted(r[1] for r in frontier) == ["0", "2", "4"]
+
+    def test_progress_log_counts_groups(self, tmp_path, caplog):
+        config = {"re_2030": [300.0, 500.0], "new_option": ["coal", "ocgt"]}
+        with caplog.at_level(logging.INFO, logger="gridlab"):
+            cli.run(config=config, out_dir=tmp_path, synthetic_seed=0)
+        assert "evaluating 4 scenarios in 2 despatch groups at parallelism 1" in caplog.text
 
 
 class TestMain:

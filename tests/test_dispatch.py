@@ -279,9 +279,11 @@ def test_compute_unmet_capacity_requirement():
     shortfall[10] = 100.0
     report = BufferReport(headroom=np.zeros(48), requirement=np.zeros(48),
                           shortfall=shortfall)
-    unmet, requirement = compute_unmet(dy, report)
-    assert requirement == pytest.approx(110.0)
-    np.testing.assert_allclose(np.asarray(unmet), dy.unmet)
+    assert compute_unmet(dy, report) == pytest.approx(110.0)
+    # with no shortfall, the worst unmet slot alone sets it
+    quiet = BufferReport(headroom=np.zeros(48), requirement=np.zeros(48),
+                         shortfall=np.zeros(48))
+    assert compute_unmet(dy, quiet) == 47.0
 
 
 

@@ -1,12 +1,30 @@
 """End-to-end scenario evaluation on the synthetic base year."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
 import _oracles
 from gridlab.economics import COMPONENTS
-from gridlab.pipeline import _tranche_caps, dispatch_year, evaluate_scenario
-from gridlab.scenario import YEARS, ScenarioParams, build_capacity_path
+from gridlab.pipeline import (
+    _battery_plan,
+    _thermal_plan,
+    _tranche_caps,
+    _year_supplies,
+    despatch_decade,
+    dispatch_year,
+    evaluate_scenario,
+    year_shapes,
+)
+from gridlab.scenario import (
+    DESPATCH_FIELDS,
+    YEARS,
+    ScenarioParams,
+    build_capacity_path,
+    project_demand,
+)
 from gridlab.shapes import (
     BaseYearData,
     derive_wind_shape,
@@ -18,31 +36,94 @@ from gridlab.shapes import (
 GROWTH = 1.0525
 
 
+def despatch(params, base, solar, wind):
+    return despatch_decade(params, base, year_shapes(base, solar), year_shapes(base, wind))
+
+
 @pytest.fixture(scope="module")
-def outcome(base_year, solar_shape, wind_shape):
+def decade(base_year, solar_shape, wind_shape):
+    """The base-case despatch; every scenario below shares its key."""
+    return despatch(ScenarioParams(), base_year, solar_shape, wind_shape)
+
+
+@pytest.fixture(scope="module")
+def outcome(decade):
     """Base-case battery scenario with slot detail for every year."""
-    return evaluate_scenario(ScenarioParams(), base_year, solar_shape,
-                             wind_shape, detail_years=tuple(YEARS))
+    return evaluate_scenario(ScenarioParams(), decade, detail_years=tuple(YEARS))
 
 
 @pytest.fixture(scope="module")
-def outcome_half(base_year, solar_shape, wind_shape):
-    return evaluate_scenario(
-        ScenarioParams(battery_size_fraction=0.5), base_year, solar_shape,
-        wind_shape, detail_years=(2030,))
+def plan(decade):
+    return _battery_plan(ScenarioParams(), decade)[0]
 
 
 @pytest.fixture(scope="module")
-def outcome_coal(base_year, solar_shape, wind_shape):
+def outcome_half(decade):
     return evaluate_scenario(
-        ScenarioParams(new_option="coal"), base_year, solar_shape,
-        wind_shape, detail_years=(2030,))
+        ScenarioParams(battery_size_fraction=0.5), decade, detail_years=(2030,))
 
 
 @pytest.fixture(scope="module")
-def outcome_ocgt(base_year, solar_shape, wind_shape):
+def plan_half(decade):
+    return _battery_plan(ScenarioParams(battery_size_fraction=0.5), decade)[0]
+
+
+@pytest.fixture(scope="module")
+def outcome_coal(decade):
     return evaluate_scenario(
-        ScenarioParams(new_option="ocgt"), base_year, solar_shape, wind_shape)
+        ScenarioParams(new_option="coal"), decade, detail_years=(2030,))
+
+
+@pytest.fixture(scope="module")
+def plan_coal(decade):
+    return _thermal_plan(ScenarioParams(new_option="coal"), decade)
+
+
+@pytest.fixture(scope="module")
+def outcome_ocgt(decade):
+    return evaluate_scenario(ScenarioParams(new_option="ocgt"), decade)
+
+
+@pytest.fixture(scope="module")
+def plan_ocgt(decade):
+    return _thermal_plan(ScenarioParams(new_option="ocgt"), decade)
+
+
+class TestDecade:
+    def test_arrays_are_read_only(self, decade):
+        # scenarios sharing a decade cannot write into each other's inputs
+        dy, extras = decade.years[2030]
+        arrays = [
+            dy.demand, dy.unmet, dy.curtailment, dy.flex_re_cut, dy.coal_daily_max,
+            dy.supply["coal_2019"], dy.supply["re"], dy.capacity["gas_slack"],
+            extras["busbar"], extras["buffer"].shortfall, extras["curtailed_re"],
+            decade.path.coal_total,
+        ]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1.0
+
+    def test_despatch_stage_reads_only_despatch_fields(self):
+        """The grouping key must hold every parameter despatch depends on."""
+        stage = (despatch_decade, dispatch_year, _tranche_caps, _year_supplies,
+                 build_capacity_path, project_demand)
+        names = {fn.__name__ for fn in stage}
+        read = set()
+        for fn in stage:
+            (func,) = ast.parse(inspect.getsource(fn)).body
+            (arg,) = [a.arg for a in func.args.args
+                      if ast.unparse(a.annotation) == "ScenarioParams"]
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == arg):
+                    read.add(node.attr)
+                if isinstance(node, ast.Call) and any(
+                        isinstance(a, ast.Name) and a.id == arg for a in node.args):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    assert callee in names, f"{fn.__name__} hands the params to {callee}"
+        assert read <= set(DESPATCH_FIELDS), sorted(read - set(DESPATCH_FIELDS))
+        # an unread field in the key would only split groups for nothing
+        assert read == set(DESPATCH_FIELDS)
 
 
 class TestYearRows:
@@ -82,34 +163,33 @@ class TestYearRows:
 
 
 class TestBatteryPlan:
-    def test_sizes_only_grow(self, outcome):
-        energies = [outcome.plan.battery_by_year[y].energy_capacity_mwh
+    def test_sizes_only_grow(self, plan):
+        energies = [plan.battery_by_year[y].energy_capacity_mwh
                     for y in YEARS]
-        inverters = [outcome.plan.battery_by_year[y].inverter_capacity_mw
+        inverters = [plan.battery_by_year[y].inverter_capacity_mw
                      for y in YEARS]
-        caps = [outcome.plan.capacity_mw[y] for y in YEARS]
-        solar = [outcome.plan.dedicated_solar_gw[y] for y in YEARS]
+        caps = [plan.capacity_mw[y] for y in YEARS]
+        solar = [plan.dedicated_solar_gw[y] for y in YEARS]
         for seq in (energies, inverters, caps, solar):
             assert all(a <= b + 1e-12 for a, b in zip(seq, seq[1:]))
 
-    def test_full_battery_leaves_no_secondary_unmet(self, outcome):
-        assert all(outcome.plan.secondary_unmet_twh[y] == 0.0 for y in YEARS)
-        assert all(outcome.plan.biodiesel_capacity_mw[y] == 0.0 for y in YEARS)
+    def test_full_battery_leaves_no_secondary_unmet(self, plan):
+        assert all(plan.secondary_unmet_twh[y] == 0.0 for y in YEARS)
+        assert all(plan.biodiesel_capacity_mw[y] == 0.0 for y in YEARS)
 
-    def test_minimum_sizing_needs_no_dedicated_solar(self, outcome):
+    def test_minimum_sizing_needs_no_dedicated_solar(self, plan):
         # cycle-reset sizing covers the worst cycle from a full charge,
         # so with extra=0 the dedicated solar stays at zero
-        assert all(outcome.plan.dedicated_solar_gw[y] == 0.0 for y in YEARS)
+        assert all(plan.dedicated_solar_gw[y] == 0.0 for y in YEARS)
 
-    def test_new_capacity_is_the_final_inverter(self, outcome):
+    def test_new_capacity_is_the_final_inverter(self, outcome, plan):
         assert outcome.result.new_capacity_mw == pytest.approx(
-            outcome.plan.battery.inverter_capacity_mw)
+            plan.battery.inverter_capacity_mw)
         assert outcome.result.new_capacity_mw == pytest.approx(
-            outcome.plan.capacity_mw[2030])
+            plan.capacity_mw[2030])
         assert outcome.result.new_capacity_mw > 0
 
-    def test_displacement_volumes_present_and_consistent(self, outcome):
-        plan = outcome.plan
+    def test_displacement_volumes_present_and_consistent(self, plan):
         for y in YEARS:
             by_tranche = plan.displaced_by_tranche_twh[y]
             assert by_tranche.get("gas_slack", 0.0) == pytest.approx(
@@ -122,8 +202,8 @@ class TestBatteryPlan:
         assert plan.displaced_gas_nonapm_twh[2030] > 0
         assert plan.bonus_curtailment_avoided_twh[2030] > 0
 
-    def test_plan_validates(self, outcome):
-        outcome.plan.validate()
+    def test_plan_validates(self, plan):
+        plan.validate()
 
 
 class TestEconomicsWiring:
@@ -163,11 +243,11 @@ class TestDetails:
             imbalance = sum(rep.supply.values()) + rep.unmet - rep.demand
             assert float(np.abs(imbalance).max()) < 1e-6
 
-    def test_fully_served_battery_year_reports_zero_unmet(self, outcome):
+    def test_fully_served_battery_year_reports_zero_unmet(self, outcome, plan):
         # the export takes the trace's snapped secondary unmet, so eta
         # round-trip dust on served slots never reaches the tables
         for y in YEARS:
-            assert outcome.plan.secondary_unmet_twh[y] == 0.0
+            assert plan.secondary_unmet_twh[y] == 0.0
             rep = outcome.details[y].reporting
             assert np.all(rep.unmet == 0.0)
             assert rep.unmet_twh() == 0.0
@@ -182,87 +262,88 @@ class TestDetails:
         # the coal-peak bonus hands curtailed energy back to RE and hydro
         assert rep.curtailment_twh() < dy.curtailment_twh()
 
-    def test_detail_arrays_are_consistent(self, outcome):
+    def test_detail_arrays_are_consistent(self, outcome, decade, plan):
         detail = outcome.details[2030]
         n = detail.dispatch.n_slots
-        assert detail.demand.shape == (n,)
-        assert detail.curtailed_re.shape == (n,)
-        assert np.all(detail.shortfall >= 0)
-        assert np.all(detail.curtailed_re >= -1e-9)
-        assert np.all(detail.solar_gen == 0.0)  # extra=0, no dedicated solar
+        _, extras = decade.years[2030]
+        assert extras["busbar"].shape == (n,)
+        assert extras["curtailed_re"].shape == (n,)
+        assert np.all(extras["buffer"].shortfall >= 0)
+        assert np.all(extras["curtailed_re"] >= -1e-9)
+        assert plan.dedicated_solar_gw[2030] == 0.0  # extra=0, no dedicated solar
         assert detail.trace is not None
 
 
 class TestUndersizedBattery:
-    def test_battery_is_exactly_half(self, outcome, outcome_half):
-        full = outcome.plan.battery
-        half = outcome_half.plan.battery
+    def test_battery_is_exactly_half(self, plan, plan_half):
+        full = plan.battery
+        half = plan_half.battery
         assert half.energy_capacity_mwh == pytest.approx(
             full.energy_capacity_mwh / 2, rel=1e-12)
         assert half.inverter_capacity_mw == pytest.approx(
             full.inverter_capacity_mw / 2, rel=1e-12)
 
-    def test_secondary_unmet_is_strongly_sublinear(self, outcome_half):
-        sec = outcome_half.plan.secondary_unmet_twh[2030]
+    def test_secondary_unmet_is_strongly_sublinear(self, outcome_half, plan_half):
+        sec = plan_half.secondary_unmet_twh[2030]
         unmet = outcome_half.year_rows[-1]["unmet_twh"]
         assert sec > 0
         # half the battery serves far more than half the load
         assert sec < 0.5 * unmet
 
-    def test_biodiesel_covers_peak_secondary(self, outcome_half):
+    def test_biodiesel_covers_peak_secondary(self, outcome_half, plan_half):
         detail = outcome_half.details[2030]
         peak = float(detail.trace.secondary_unmet_mw.max())
         diesel_aux = 0.005
-        assert outcome_half.plan.biodiesel_capacity_mw[2030] == pytest.approx(
+        assert plan_half.biodiesel_capacity_mw[2030] == pytest.approx(
             peak / (1 - diesel_aux))
-        bios = [outcome_half.plan.biodiesel_capacity_mw[y] for y in YEARS]
+        bios = [plan_half.biodiesel_capacity_mw[y] for y in YEARS]
         assert all(a <= b + 1e-12 for a, b in zip(bios, bios[1:]))
 
-    def test_matches_undersize_residual_of_full_design(self, outcome,
-                                                       outcome_half):
+    def test_matches_undersize_residual_of_full_design(self, decade, plan,
+                                                       outcome_half, plan_half):
         detail = outcome_half.details[2030]
+        dy, extras = decade.years[2030]
+        solar_gen = decade.solar_by_year[2030] * plan_half.dedicated_solar_gw[2030] * 1e3
         twh, peak = _oracles.undersize_residual(
-            outcome.plan.battery, 0.5, detail.unmet, detail.curtailed_re,
-            detail.solar_gen, boundary_slot=34)
+            plan.battery, 0.5, dy.unmet, extras["curtailed_re"],
+            solar_gen, boundary_slot=34)
         assert twh == pytest.approx(
-            outcome_half.plan.secondary_unmet_twh[2030], rel=1e-9)
+            plan_half.secondary_unmet_twh[2030], rel=1e-9)
         assert peak == pytest.approx(
             float(detail.trace.secondary_unmet_mw.max()), rel=1e-9)
 
 
 class TestThermalOptions:
-    def test_new_coal_displaces_nonapm_gas(self, outcome_coal):
-        assert outcome_coal.plan.displaced_gas_nonapm_twh[2030] > 0
+    def test_new_coal_displaces_nonapm_gas(self, outcome_coal, plan_coal):
+        assert plan_coal.displaced_gas_nonapm_twh[2030] > 0
         detail = outcome_coal.details[2030]
         assert (detail.reporting.energy_twh("gas_slack")
                 < detail.dispatch.energy_twh("gas_slack"))
 
-    def test_coal_has_no_battery_style_lines(self, outcome_coal):
-        plan = outcome_coal.plan
+    def test_coal_has_no_battery_style_lines(self, plan_coal):
+        plan = plan_coal
         assert plan.battery is None
         for y in YEARS:
             assert plan.displaced_coal_twh[y] == 0.0
             assert plan.bonus_curtailment_avoided_twh[y] == 0.0
             assert plan.secondary_unmet_twh[y] == 0.0
 
-    def test_ocgt_displaces_nothing(self, outcome_ocgt):
-        assert all(outcome_ocgt.plan.displaced_gas_nonapm_twh[y] == 0.0
+    def test_ocgt_displaces_nothing(self, outcome_ocgt, plan_ocgt):
+        assert all(plan_ocgt.displaced_gas_nonapm_twh[y] == 0.0
                    for y in YEARS)
         assert outcome_ocgt.result.report.npv_by_component["new_fuel"] > 0
 
-    def test_thermal_options_net_to_the_same_requirement(self, outcome_coal,
-                                                         outcome_ocgt):
-        coal_net = outcome_coal.plan.capacity_mw[2030] * (1 - 0.08)
-        ocgt_net = outcome_ocgt.plan.capacity_mw[2030] * (1 - 0.025)
+    def test_thermal_options_net_to_the_same_requirement(self, plan_coal,
+                                                         plan_ocgt):
+        coal_net = plan_coal.capacity_mw[2030] * (1 - 0.08)
+        ocgt_net = plan_ocgt.capacity_mw[2030] * (1 - 0.025)
         assert coal_net == pytest.approx(ocgt_net, rel=1e-9)
 
-    def test_undersized_coal_leaves_secondary(self, base_year, solar_shape,
-                                              wind_shape):
-        out = evaluate_scenario(
-            ScenarioParams(new_option="coal", new_coal_size_fraction=0.5),
-            base_year, solar_shape, wind_shape)
-        assert out.plan.secondary_unmet_twh[2030] > 0
-        assert out.plan.biodiesel_capacity_mw[2030] > 0
+    def test_undersized_coal_leaves_secondary(self, decade):
+        plan = _thermal_plan(
+            ScenarioParams(new_option="coal", new_coal_size_fraction=0.5), decade)
+        assert plan.secondary_unmet_twh[2030] > 0
+        assert plan.biodiesel_capacity_mw[2030] > 0
 
 
 class TestTrancheCaps:
@@ -312,8 +393,9 @@ def test_any_base_year_evaluates(year, base_year, outcome, outcome_ocgt):
     solar = rescale_to_cuf(raw, 0.27)
     wind = derive_wind_shape(base.supply_by_fuel["re"], raw, 35_000.0, wind_cuf=0.35)
     for reference in (outcome_ocgt, outcome):
-        got = evaluate_scenario(reference.params, base, solar, wind, detail_years=(2024,))
-        assert got.details[2024].demand.shape == (slots_in_year(2024),)
+        decade = despatch(reference.params, base, solar, wind)
+        got = evaluate_scenario(reference.params, decade, detail_years=(2024,))
+        assert decade.years[2024][1]["busbar"].shape == (slots_in_year(2024),)
         if slots_in_year(year) == slots_in_year(base_year.year):
             # same slot grid as the 2021 fixture: nothing may change
             assert got.result.npv_total == reference.result.npv_total

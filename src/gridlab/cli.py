@@ -34,6 +34,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from gridlab import __version__
 from gridlab import dispatch as dsp
 from gridlab.economics import COMPONENTS, frontier
@@ -346,6 +348,11 @@ def export_figures(
         written.append(path)
         return fh, writer
 
+    def _table(name: str, header: list[str], columns: list, formats: list[str]) -> None:
+        path = out / name
+        dsp.write_table(path, header, columns, formats, "\n")
+        written.append(path)
+
     yd = detail.details.get(year) if detail is not None else None
 
     # annual generation mix, after NEW supply and displacement
@@ -374,45 +381,26 @@ def export_figures(
                     + [_fmt(rep.unmet_twh()), _fmt(rep.curtailment_twh())]
                 )
 
-    # unmet-demand load duration curve for the focus year
-    fh, writer = _open(f"ldc_unmet_{year}.csv", ["rank", "unmet_mw"])
-    with fh:
-        if yd is not None:
-            for rank, value in enumerate(dsp.load_duration_curve(yd.unmet)):
-                writer.writerow([rank, f"{value:.3f}"])
-
-    # chronological mix for the focus year; rows sum to demand exactly
-    fh, writer = _open(
+    # slot-level tables for the focus year; the mix rows sum to demand
+    # exactly, the unmet load duration curve is ranked, not in slot order
+    ldc = mix = coal = []
+    if yd is not None:
+        rep = yd.reporting
+        slots = np.arange(rep.n_slots)
+        ldc = [slots, dsp.load_duration_curve(yd.dispatch.unmet)]
+        mix = [slots, rep.demand, rep.supply["re"], rep.supply["hydro"], rep.supply["nuclear"],
+               rep.coal_total(), rep.gas_total(), rep.supply["new"], rep.unmet]
+        coal = [slots, yd.dispatch.coal_total(), rep.coal_total()]
+    _table(f"ldc_unmet_{year}.csv", ["rank", "unmet_mw"], ldc, ["%d", "%.3f"])
+    _table(
         f"chronological_mix_{year}.csv",
         ["slot", "demand_mw"] + [f"{k}_mw" for k in _MIX_KEYS] + ["unmet_mw"],
+        mix, ["%d"] + ["%.3f"] * 8,
     )
-    with fh:
-        if yd is not None:
-            rep = yd.reporting
-            coal = rep.coal_total()
-            gas = rep.gas_total()
-            for s in range(rep.n_slots):
-                writer.writerow(
-                    [s, f"{rep.demand[s]:.3f}"]
-                    + [
-                        f"{rep.supply['re'][s]:.3f}",
-                        f"{rep.supply['hydro'][s]:.3f}",
-                        f"{rep.supply['nuclear'][s]:.3f}",
-                        f"{coal[s]:.3f}",
-                        f"{gas[s]:.3f}",
-                        f"{rep.supply['new'][s]:.3f}",
-                    ]
-                    + [f"{rep.unmet[s]:.3f}"]
-                )
-
-    # coal output before and after NEW supply, slot by slot
-    fh, writer = _open(f"coal_output_{year}.csv", ["slot", "pre_new_mw", "post_new_mw"])
-    with fh:
-        if yd is not None:
-            pre = yd.dispatch.coal_total()
-            post = yd.reporting.coal_total()
-            for s in range(pre.shape[0]):
-                writer.writerow([s, f"{pre[s]:.3f}", f"{post[s]:.3f}"])
+    _table(
+        f"coal_output_{year}.csv", ["slot", "pre_new_mw", "post_new_mw"],
+        coal, ["%d", "%.3f", "%.3f"],
+    )
 
     # annual coal plant load factor
     fh, writer = _open(

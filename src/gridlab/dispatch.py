@@ -17,7 +17,6 @@ same code serves a full year and a one-day test case.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -33,6 +32,11 @@ TRANCHES = ("coal_2019", "gas_2019", "coal_slack", "gas_slack")
 SUPPLY_KEYS = ("re", "hydro", "nuclear") + TRANCHES + ("new",)
 
 _TOL = 1e-6
+
+#: Rows formatted and written per ``write`` in ``write_table``.  Writing
+#: a 17,520-slot despatch table peaks at about 1.8 MB of Python objects
+#: in 2,048-row blocks and 12 MB in one block, which is no faster.
+_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -53,7 +57,6 @@ class DispatchYear:
     capacity: dict[str, np.ndarray]
     curtailment: np.ndarray
     unmet: np.ndarray
-    coal_daily_max: np.ndarray | None = None
     coal_flex_floor: np.ndarray | None = None
     flex_re_cut: np.ndarray | None = None
     flex_hydro_cut: np.ndarray | None = None
@@ -98,8 +101,6 @@ class DispatchYear:
 class BufferReport:
     """Slot-level headroom audit against the grid capacity buffer."""
 
-    headroom: np.ndarray
-    requirement: np.ndarray
     shortfall: np.ndarray
 
 
@@ -213,8 +214,9 @@ def apply_coal_flex(
     slot is counted in ``relaxed_slots``.
 
     An explicit ``floor_day`` (MW per day) replaces the default
-    flex_limit * daily-max floors; displacement accounting uses this to
-    replay the pass against a lowered coal ceiling.
+    flex_limit * daily-max floors.  The despatch never passes it; the
+    brute-force check of ``coal_peak_bonus`` uses it to replay the pass
+    against a lowered coal ceiling.
 
     One pass suffices: floors come from pre-flex maxima and raising
     minima never changes a day's maximum.
@@ -225,9 +227,8 @@ def apply_coal_flex(
         raise ParameterError(f"{dy.n_slots} slots is not a whole number of days")
 
     coal_pre = dy.coal_total()
-    daily_max = coal_pre.reshape(dy.n_days, SLOTS_PER_DAY).max(axis=1)
     if floor_day is None:
-        floor_day = flex_limit * daily_max
+        floor_day = flex_limit * coal_pre.reshape(dy.n_days, SLOTS_PER_DAY).max(axis=1)
     else:
         floor_day = np.asarray(floor_day, dtype=float)
         if floor_day.shape != (dy.n_days,):
@@ -280,7 +281,6 @@ def apply_coal_flex(
         supply=supply,
         unmet=np.where(binding, unmet_new, dy.unmet),
         curtailment=dy.curtailment + re_cut + hydro_cut,
-        coal_daily_max=daily_max,
         coal_flex_floor=floor_day,
         flex_re_cut=re_cut,
         flex_hydro_cut=hydro_cut,
@@ -307,9 +307,7 @@ def buffer_check(
         + dy.supply["hydro"] + dy.supply["nuclear"] + dy.supply["new"]
     )
     headroom = cap - output
-    requirement = grid_buffer * demand
-    shortfall = np.maximum(requirement - headroom, 0.0)
-    return BufferReport(headroom=headroom, requirement=requirement, shortfall=shortfall)
+    return BufferReport(shortfall=np.maximum(grid_buffer * demand - headroom, 0.0))
 
 
 def compute_unmet(dy: DispatchYear, buffer: BufferReport) -> float:
@@ -321,19 +319,37 @@ def compute_unmet(dy: DispatchYear, buffer: BufferReport) -> float:
     return float(np.max(dy.unmet + buffer.shortfall)) if dy.n_slots else 0.0
 
 
+def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
+                formats: Sequence[str], newline: str) -> None:
+    """Write equal-length column arrays as a comma-separated table.
+
+    Each line is ``formats`` (one ``%`` conversion per column, such as
+    ``"%d"`` or ``"%.3f"``) applied to one row.  Cells are never quoted,
+    so no text cell may hold a comma, a quote or a line break.  Rows go
+    out in blocks of ``_BLOCK_ROWS``: each block is sliced, converted
+    with ``tolist`` and written with one ``write``.  With no columns the
+    file holds the header alone.
+    """
+    line = ",".join(formats) + newline
+    n_rows = len(columns[0]) if columns else 0
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + newline)
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
+            fh.write("".join([line % row for row in zip(*block)]))
+
+
 def to_csv(dy: DispatchYear, path) -> None:
     """One row per slot with demand, every supply key, curtailment, unmet."""
     keys = [k for k in SUPPLY_KEYS if k in dy.supply]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "demand_mw", *[f"{k}_mw" for k in keys],
-                         "curtailment_mw", "unmet_mw"])
-        for s in range(dy.n_slots):
-            writer.writerow(
-                [s, f"{dy.demand[s]:.3f}"]
-                + [f"{dy.supply[k][s]:.3f}" for k in keys]
-                + [f"{dy.curtailment[s]:.3f}", f"{dy.unmet[s]:.3f}"]
-            )
+    columns = [dy.demand, *[dy.supply[k] for k in keys], dy.curtailment, dy.unmet]
+    write_table(
+        path,
+        ["slot", "demand_mw", *[f"{k}_mw" for k in keys], "curtailment_mw", "unmet_mw"],
+        [np.arange(dy.n_slots), *columns],
+        ["%d"] + ["%.3f"] * len(columns),
+        "\r\n",
+    )
 
 
 def load_duration_curve(values: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ Conventions for battery flows:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -31,12 +30,15 @@ import numpy as np
 
 from gridlab.errors import InfeasibleError, ParameterError
 from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS
-from gridlab.dispatch import DispatchYear
+from gridlab.dispatch import DispatchYear, write_table
 from gridlab.scenario import EFF_SPLITS, NEW_OPTIONS, ScenarioParams
 
 #: Displacement priority: highest marginal cost first.  The gas_2019
 #: tranche is never displaced (committed utilisation pattern).
 DISPLACEMENT_ORDER = ("gas_slack", "coal_slack", "coal_2019")
+
+#: ``SocTrace`` source column, indexed by (charge_re > 0) + 2 * (charge_solar > 0).
+_CHARGE_SOURCES = np.array(["", "re", "solar", "re+solar"])
 
 _EPS = 1e-9
 
@@ -131,22 +133,14 @@ class SocTrace:
         return float(np.sum(self.secondary_unmet_mw)) * SLOT_HOURS / 1e6
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["slot", "soc_mwh", "charge_mw", "discharge_mw", "source"])
-            for s in range(self.n_slots):
-                if self.charge_re_mw[s] > 0 and self.charge_solar_mw[s] > 0:
-                    source = "re+solar"
-                elif self.charge_re_mw[s] > 0:
-                    source = "re"
-                elif self.charge_solar_mw[s] > 0:
-                    source = "solar"
-                else:
-                    source = ""
-                writer.writerow([
-                    s, f"{self.soc_mwh[s]:.3f}", f"{self.charge_mw[s]:.3f}",
-                    f"{self.discharge_mw[s]:.3f}", source,
-                ])
+        source = _CHARGE_SOURCES[(self.charge_re_mw > 0) + 2 * (self.charge_solar_mw > 0)]
+        write_table(
+            path,
+            ["slot", "soc_mwh", "charge_mw", "discharge_mw", "source"],
+            [np.arange(self.n_slots), self.soc_mwh, self.charge_mw, self.discharge_mw, source],
+            ["%d", "%.3f", "%.3f", "%.3f", "%s"],
+            "\r\n",
+        )
 
 
 @dataclass

@@ -60,7 +60,6 @@ class YearDetail:
     year: int
     dispatch: dsp.DispatchYear  # post-flex, pre-displacement
     reporting: dsp.DispatchYear  # NEW supply and displacement folded in
-    unmet: np.ndarray
     trace: new.SocTrace | None
 
 
@@ -441,7 +440,6 @@ def evaluate_scenario(
                 year=year,
                 dispatch=dy,
                 reporting=rep,
-                unmet=dy.unmet,
                 trace=trace,
             )
 

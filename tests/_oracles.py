@@ -1,17 +1,22 @@
 """Slow, independent reference computations for cross-checking fast paths.
 
 Everything in here favours obviousness over speed: literal recursions,
-bisection instead of closed forms, and an LP solver instead of the
-greedy merit stack.
+bisection instead of closed forms, an LP solver instead of the greedy
+merit stack, and one ``csv.writer`` row per slot instead of block-wise
+``%`` formatting.
 """
+
+import csv
 
 import numpy as np
 from scipy.optimize import linprog
 
 from gridlab.dispatch import (
+    SUPPLY_KEYS,
     TRANCHES,
     apply_coal_flex,
     attach_must_run,
+    load_duration_curve,
     merit_dispatch,
     net_demand,
     split_must_run,
@@ -306,3 +311,88 @@ def undersize_residual(
     twh = float(np.sum(secondary)) * SLOT_HOURS / 1e6
     peak = float(np.max(secondary)) if secondary.size else 0.0
     return twh, peak
+
+
+# --- slot tables, one csv.writer row per slot ---------------------------------
+#
+# dispatch_*.csv and soc_trace_*.csv use the csv module's default "\r\n";
+# the figure tables use "\n".
+
+
+def slot_dispatch_csv(dy, path):
+    """``dispatch.to_csv``: demand, every supply key, curtailment, unmet."""
+    keys = [k for k in SUPPLY_KEYS if k in dy.supply]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["slot", "demand_mw", *[f"{k}_mw" for k in keys],
+                         "curtailment_mw", "unmet_mw"])
+        for s in range(dy.n_slots):
+            writer.writerow(
+                [s, f"{dy.demand[s]:.3f}"]
+                + [f"{dy.supply[k][s]:.3f}" for k in keys]
+                + [f"{dy.curtailment[s]:.3f}", f"{dy.unmet[s]:.3f}"]
+            )
+
+
+def slot_soc_trace_csv(trace, path):
+    """``SocTrace.to_csv``: SoC, charge, discharge and the charge source."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["slot", "soc_mwh", "charge_mw", "discharge_mw", "source"])
+        for s in range(trace.n_slots):
+            if trace.charge_re_mw[s] > 0 and trace.charge_solar_mw[s] > 0:
+                source = "re+solar"
+            elif trace.charge_re_mw[s] > 0:
+                source = "re"
+            elif trace.charge_solar_mw[s] > 0:
+                source = "solar"
+            else:
+                source = ""
+            writer.writerow([
+                s, f"{trace.soc_mwh[s]:.3f}", f"{trace.charge_mw[s]:.3f}",
+                f"{trace.discharge_mw[s]:.3f}", source,
+            ])
+
+
+def slot_ldc_csv(yd, path):
+    """``ldc_unmet_<year>.csv``: the pre-NEW unmet duration curve."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["rank", "unmet_mw"])
+        for rank, value in enumerate(load_duration_curve(yd.dispatch.unmet)):
+            writer.writerow([rank, f"{value:.3f}"])
+
+
+def slot_chronological_mix_csv(yd, path):
+    """``chronological_mix_<year>.csv``: the reporting despatch by fuel."""
+    rep = yd.reporting
+    coal = rep.coal_total()
+    gas = rep.gas_total()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["slot", "demand_mw", "re_mw", "hydro_mw", "nuclear_mw",
+                         "coal_mw", "gas_mw", "new_mw", "unmet_mw"])
+        for s in range(rep.n_slots):
+            writer.writerow(
+                [s, f"{rep.demand[s]:.3f}"]
+                + [
+                    f"{rep.supply['re'][s]:.3f}",
+                    f"{rep.supply['hydro'][s]:.3f}",
+                    f"{rep.supply['nuclear'][s]:.3f}",
+                    f"{coal[s]:.3f}",
+                    f"{gas[s]:.3f}",
+                    f"{rep.supply['new'][s]:.3f}",
+                ]
+                + [f"{rep.unmet[s]:.3f}"]
+            )
+
+
+def slot_coal_output_csv(yd, path):
+    """``coal_output_<year>.csv``: coal before and after NEW supply."""
+    pre = yd.dispatch.coal_total()
+    post = yd.reporting.coal_total()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["slot", "pre_new_mw", "post_new_mw"])
+        for s in range(pre.shape[0]):
+            writer.writerow([s, f"{pre[s]:.3f}", f"{post[s]:.3f}"])

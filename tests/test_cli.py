@@ -9,9 +9,12 @@ import shutil
 import numpy as np
 import pytest
 
+import _oracles
 import gridlab
 from gridlab import cli, pipeline
+from gridlab import dispatch as dsp
 from gridlab.errors import InfeasibleError, ParameterError
+from gridlab.newsupply import BatterySpec, SocTrace
 from gridlab.scenario import DESPATCH_FIELDS, YEARS, ScenarioParams
 from gridlab.shapes import derive_wind_shape, rescale_to_cuf, synth_shapes, synth_solar_shape
 
@@ -210,6 +213,73 @@ class TestExportFiguresEmpty:
         for name, header in self.HEADERS.items():
             lines = (tmp_path / name).read_text().splitlines()
             assert lines == [header]
+
+
+#: cells the %-format must write exactly as an f-string does
+SPECIAL_VALUES = [-0.0, -0.0004, -0.0005, 0.0005, 2.0005, np.nan, np.inf, -np.inf,
+                  1.5e9, 123456789012.3456, -7e12]
+
+
+def _slot_detail(n_slots, seed=7):
+    """A focus-year detail with special cells and every charge source."""
+    rng = np.random.default_rng(seed)
+
+    def series():
+        values = rng.normal(0.0, 5e3, n_slots)
+        where = rng.choice(n_slots, 3 * len(SPECIAL_VALUES), replace=False)
+        values[where] = np.tile(SPECIAL_VALUES, 3)
+        return values
+
+    def despatch():
+        return dsp.DispatchYear(
+            demand=series(), supply={k: series() for k in dsp.SUPPLY_KEYS},
+            capacity={}, curtailment=series(), unmet=series(),
+        )
+
+    charge = np.array([0.0, -0.0, 1e-9, 25.0, np.nan, -3.0])
+    zeros = np.zeros(n_slots)
+    trace = SocTrace(
+        battery=BatterySpec(100.0, 50.0, 0.1, 0.9),
+        soc_mwh=series(), charge_mw=series(), discharge_mw=series(),
+        served_mw=zeros, secondary_unmet_mw=zeros,
+        charge_re_mw=rng.choice(charge, n_slots), charge_solar_mw=rng.choice(charge, n_slots),
+        unmet_mw=zeros, source_re_mw=zeros, source_solar_mw=zeros, boundary_slot=34,
+    )
+    return pipeline.YearDetail(year=2024, dispatch=despatch(), reporting=despatch(), trace=trace)
+
+
+class TestSlotTables:
+    # 17,568 slots (a leap year) is not a whole number of write blocks;
+    # two blocks exactly puts the last row on a block edge
+    @pytest.mark.parametrize("n_slots", [17_568, 2 * dsp._BLOCK_ROWS])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the mix sums
+    def test_block_writer_matches_the_per_slot_writer(self, tmp_path, n_slots):
+        yd = _slot_detail(n_slots)
+        outcome = pipeline.ScenarioOutcome(
+            params=ScenarioParams(), result=None, year_rows=[], details={2024: yd})
+        new, ref = tmp_path / "new", tmp_path / "ref"
+        ref.mkdir()
+        cli.export_figures(new, outcome, year=2024)
+        dsp.to_csv(yd.reporting, new / "dispatch_2024.csv")
+        tables = {
+            "dispatch_2024.csv": (_oracles.slot_dispatch_csv, yd.reporting, b"\r\n"),
+            "soc_trace_2024.csv": (_oracles.slot_soc_trace_csv, yd.trace, b"\r\n"),
+            "ldc_unmet_2024.csv": (_oracles.slot_ldc_csv, yd, b"\n"),
+            "chronological_mix_2024.csv": (_oracles.slot_chronological_mix_csv, yd, b"\n"),
+            "coal_output_2024.csv": (_oracles.slot_coal_output_csv, yd, b"\n"),
+        }
+        for name, (reference, source, ending) in tables.items():
+            reference(source, ref / name)
+            got = (new / name).read_bytes()
+            assert got == (ref / name).read_bytes(), name
+            assert got.endswith(ending), name
+            assert got.count(b"\n") == got.count(ending) == n_slots + 1, name
+            assert b"\r" not in got.replace(ending, b""), name
+        dispatch = (new / "dispatch_2024.csv").read_bytes()
+        for cell in (b",-0.000,", b",nan,", b",-inf,", b",1500000000.000,"):
+            assert cell in dispatch
+        sources = {row[-1] for row in read_rows(new / "soc_trace_2024.csv")[1:]}
+        assert sources == {"", "re", "solar", "re+solar"}
 
 
 CONFIG = {"battery_size_fraction": [1.0, 0.5]}

@@ -34,7 +34,6 @@ def test_day_index():
     demand, re, hydro, nuclear, caps, _, flex = _oracles.random_flex_instance(rng, 96)
     pre, flexed = _oracles.model_flex_dispatch(demand, re, hydro, nuclear, caps, flex)
     day_max = pre.coal_total().reshape(2, 48).max(axis=1)
-    np.testing.assert_array_equal(flexed.coal_daily_max, day_max)
     np.testing.assert_array_equal(flexed.coal_flex_floor, flex * day_max)
     with pytest.raises(ParameterError):
         apply_coal_flex(_flat_dy(n=50), flex)
@@ -162,7 +161,6 @@ def test_flex_raises_coal_and_curtails_re_first():
     pre, flexed = _oracles.model_flex_dispatch(demand, re_s, hy_s, nu_s, caps, 0.6)
     # pre-flex: high slots run coal at 100 (daily max), low slots at 10
     assert float(pre.coal_total().max()) == pytest.approx(100.0)
-    np.testing.assert_allclose(flexed.coal_daily_max, [100.0])
     np.testing.assert_allclose(flexed.coal_flex_floor, [60.0])
     low = slice(24, 48)
     # the floor relaxes to net + absorbable must-run = 10 + 45
@@ -263,9 +261,9 @@ def test_buffer_check_headroom():
     dy = _flat_dy(coal=50.0, gas=10.0, hydro=5.0, nuclear=5.0)
     # despatchable output is 70 MW; 100 MW of capacity leaves 30 headroom
     report = buffer_check(dy, np.full(48, 400.0), 100.0, grid_buffer=0.05)
-    np.testing.assert_allclose(report.headroom, 30.0)
-    np.testing.assert_allclose(report.requirement, 20.0)
+    # requirement 0.05 * 400 = 20 MW fits in the 30 MW of headroom
     np.testing.assert_allclose(report.shortfall, 0.0)
+    # requirement 40 MW against 30 MW of headroom
     tight = buffer_check(dy, np.full(48, 800.0), 100.0, grid_buffer=0.05)
     np.testing.assert_allclose(tight.shortfall, 10.0)
     with pytest.raises(ParameterError):
@@ -277,12 +275,10 @@ def test_compute_unmet_capacity_requirement():
     dy.unmet = np.linspace(0.0, 47.0, 48)
     shortfall = np.zeros(48)
     shortfall[10] = 100.0
-    report = BufferReport(headroom=np.zeros(48), requirement=np.zeros(48),
-                          shortfall=shortfall)
+    report = BufferReport(shortfall=shortfall)
     assert compute_unmet(dy, report) == pytest.approx(110.0)
     # with no shortfall, the worst unmet slot alone sets it
-    quiet = BufferReport(headroom=np.zeros(48), requirement=np.zeros(48),
-                         shortfall=np.zeros(48))
+    quiet = BufferReport(shortfall=np.zeros(48))
     assert compute_unmet(dy, quiet) == 47.0
 
 

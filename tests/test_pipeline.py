@@ -94,7 +94,7 @@ class TestDecade:
         # scenarios sharing a decade cannot write into each other's inputs
         dy, extras = decade.years[2030]
         arrays = [
-            dy.demand, dy.unmet, dy.curtailment, dy.flex_re_cut, dy.coal_daily_max,
+            dy.demand, dy.unmet, dy.curtailment, dy.flex_re_cut, dy.coal_flex_floor,
             dy.supply["coal_2019"], dy.supply["re"], dy.capacity["gas_slack"],
             extras["busbar"], extras["buffer"].shortfall, extras["curtailed_re"],
             decade.path.coal_total,

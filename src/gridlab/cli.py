@@ -10,12 +10,17 @@ run expands the cartesian product of all axes.  Two keys are reserved:
   installed solar MW for the wind-shape derivation, gap tolerance).
 
 A sweep groups its scenarios by despatch key (their values of
-``DESPATCH_FIELDS``), in first-appearance order.  One pool task takes
-one group: it despatches the decade once, then prices each member's
-NEW option on it.  Results are written once, by the parent process, in
-scenario order, so a sweep at any parallelism produces byte-identical
-files.  The manifest is the only file carrying timing and is excluded
-from that guarantee.
+``DESPATCH_FIELDS``), in first-appearance order.  One task takes one
+group: it despatches the decade once, then prices each member's NEW
+option on it.  The parent process runs the group holding scenario 0
+itself while the pool works through the others.  When that group holds
+the run's first success, the detail scenario, the parent writes the
+figure CSVs and ``dispatch_<year>.csv`` from the group's decade at once
+and then drops it; only a detail scenario in another group is
+despatched again after the sweep.  Every table is written once, by the
+parent, in scenario order, so a sweep at any parallelism produces
+byte-identical files.  The manifest is the only file carrying timing
+and is excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -40,7 +45,13 @@ from gridlab import __version__
 from gridlab import dispatch as dsp
 from gridlab.economics import COMPONENTS, frontier
 from gridlab.errors import GridlabError, ParameterError
-from gridlab.pipeline import ScenarioOutcome, despatch_decade, evaluate_scenario, year_shapes
+from gridlab.pipeline import (
+    Decade,
+    ScenarioOutcome,
+    despatch_decade,
+    evaluate_scenario,
+    year_shapes,
+)
 from gridlab.scenario import (
     BASE_YEAR,
     DESPATCH_FIELDS,
@@ -213,18 +224,21 @@ def _init_worker(base: BaseYearData, solar: PerMwShape, wind: PerMwShape) -> Non
     _WORKER_INPUTS = (base, year_shapes(base, solar), year_shapes(base, wind))
 
 
-def _run_one(group: list[tuple[int, ScenarioParams]]):
+def _run_one(group: list[tuple[int, ScenarioParams]], keep: list[Decade] | None = None):
     """Despatch one group's decade once, then evaluate each member on it.
 
     A GridlabError is recorded, not raised: in the despatch it fails
     every member with the same message, in the option stage only its
     own scenario.  Any other exception is a bug, not an unsolvable
-    scenario, and propagates to end the run.
+    scenario, and propagates to end the run.  The decade is appended
+    to ``keep`` when one is given, so the caller can reuse it.
     """
     try:
         decade = despatch_decade(group[0][1], *_WORKER_INPUTS)
     except GridlabError as exc:
         return [(index, f"{type(exc).__name__}: {exc}", None) for index, _ in group]
+    if keep is not None:
+        keep.append(decade)
     results = []
     for index, params in group:
         try:
@@ -439,6 +453,50 @@ def _config_digest(config: Mapping | None) -> str:
     return hashlib.sha256(canonical).hexdigest()
 
 
+def _dispatch_years(detail_year: int | None) -> list[int]:
+    """The years that get a ``dispatch_<year>.csv``: 2030 and ``detail_year``."""
+    years = {FINAL_YEAR}
+    if detail_year is not None:
+        if detail_year not in YEARS:
+            raise ParameterError(
+                f"detail year {detail_year} outside horizon {YEARS[0]}..{YEARS[-1]}"
+            )
+        years.add(detail_year)
+    return sorted(years)
+
+
+def _write_detail(
+    out: Path, params: ScenarioParams, decade: Decade, years: Sequence[int]
+) -> list[str]:
+    """Evaluate the detail scenario on its decade and write its exports:
+    the figure CSVs, then ``dispatch_<year>.csv`` for each of ``years``."""
+    detail = evaluate_scenario(params, decade, detail_years=YEARS)
+    files = [path.name for path in export_figures(out, detail)]
+    for year in years:
+        name = f"dispatch_{year}.csv"
+        dsp.to_csv(detail.details[year].reporting, out / name)
+        files.append(name)
+    return files
+
+
+def _run_first_group(
+    group: list[tuple[int, ScenarioParams]], out: Path, years: Sequence[int]
+) -> tuple[list, list[str] | None]:
+    """Run the group holding scenario 0 in this process.
+
+    When its first success is the run's first success (every lower
+    index is a failed member of this group), write the detail exports
+    from the group's decade.  Returns the group's results and the names
+    of the files written, or None when no detail exports were written.
+    """
+    kept: list[Decade] = []
+    results = _run_one(group, kept)
+    first = next((pos for pos, (_, error, _) in enumerate(results) if error is None), None)
+    if first is None or results[first][0] != first:
+        return results, None
+    return results, _write_detail(out, group[first][1], kept[0], years)
+
+
 def run(
     config: Mapping | None = None,
     data_dir: str | Path | None = None,
@@ -452,11 +510,13 @@ def run(
     Scenario failures (a GridlabError) are isolated: the row lands in
     failures.csv and the sweep carries on; any other exception ends the
     run.  The first successful scenario doubles as the detail scenario
-    feeding the figure CSVs.
+    feeding the figure CSVs and ``dispatch_<year>.csv`` (see the module
+    docstring for when they are written).
     """
     start = time.monotonic()
     if parallelism < 1:
         raise ParameterError("parallelism must be >= 1")
+    years = _dispatch_years(detail_year)
     scenarios, base_params, data_opts = parse_config(config)
     base, solar, wind = load_inputs(data_dir, synthetic_seed, base_params, data_opts)
     out = Path(out_dir)
@@ -466,20 +526,28 @@ def run(
     for index, params in enumerate(scenarios):
         key = tuple(getattr(params, f) for f in DESPATCH_FIELDS)
         groups.setdefault(key, []).append((index, params))
-    successes: list[tuple[int, ScenarioOutcome]] = []
-    failures: list[tuple[int, str]] = []
+    first, *rest = groups.values()
     log.info("evaluating %d scenarios in %d despatch groups at parallelism %d",
              len(scenarios), len(groups), parallelism)
-    _init_worker(base, solar, wind)  # the parent's detail run reads it too
+    _init_worker(base, solar, wind)  # the parent runs the first group
     if parallelism == 1:
-        raw = map(_run_one, groups.values())
+        head, detail_files = _run_first_group(first, out, years)
+        raw = chain([head], map(_run_one, rest))
     else:
         with ProcessPoolExecutor(
             max_workers=parallelism,
             initializer=_init_worker,
             initargs=(base, solar, wind),
         ) as pool:
-            raw = list(pool.map(_run_one, groups.values(), chunksize=1))
+            pending = pool.map(_run_one, rest, chunksize=1)
+            try:
+                head, detail_files = _run_first_group(first, out, years)
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+            raw = [head, *pending]
+    successes: list[tuple[int, ScenarioOutcome]] = []
+    failures: list[tuple[int, str]] = []
     for index, error, outcome in sorted(chain.from_iterable(raw), key=lambda r: r[0]):
         (failures.append((index, error)) if error else successes.append((index, outcome)))
     for index, message in failures:
@@ -500,27 +568,16 @@ def run(
     _write_failures(out / "failures.csv", failures, scenarios)
     files.append("failures.csv")
 
-    detail_index: int | None = None
-    detail_outcome: ScenarioOutcome | None = None
-    if successes:
-        detail_index = successes[0][0]
-        params = scenarios[detail_index]
-        decade = despatch_decade(params, *_WORKER_INPUTS)
-        detail_outcome = evaluate_scenario(params, decade, detail_years=YEARS)
-    for path in export_figures(out, detail_outcome):
-        files.append(path.name)
-
-    dump_years = {FINAL_YEAR}
-    if detail_year is not None:
-        dump_years.add(detail_year)
-    if detail_outcome is not None:
-        for yr in sorted(dump_years):
-            d = detail_outcome.details.get(yr)
-            if d is None:
-                raise ParameterError(f"detail year {yr} outside horizon {YEARS[0]}..{YEARS[-1]}")
-            name = f"dispatch_{yr}.csv"
-            dsp.to_csv(d.reporting, out / name)
-            files.append(name)
+    detail_index = successes[0][0] if successes else None
+    if detail_files is None:
+        if detail_index is None:
+            detail_files = [path.name for path in export_figures(out)]
+        else:
+            params = scenarios[detail_index]
+            detail_files = _write_detail(
+                out, params, despatch_decade(params, *_WORKER_INPUTS), years
+            )
+    files += detail_files
 
     manifest = RunManifest(
         version=__version__,
@@ -584,6 +641,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 config = json.load(fh)
 
         if args.validate_only:
+            _dispatch_years(args.year_detail)
             scenarios, base_params, data_opts = parse_config(config)
             if args.data is not None or args.synthetic is not None:
                 load_inputs(args.data, args.synthetic, base_params, data_opts)

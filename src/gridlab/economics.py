@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from gridlab.errors import DataIntegrityError, ParameterError, UndefinedCostError
-from gridlab.dispatch import DispatchYear
 from gridlab.newsupply import NewSupplyPlan
 from gridlab.scenario import (
     N_YEARS,
@@ -157,7 +156,7 @@ class _CohortLedger:
 
 
 def npv_system_cost(
-    dispatch_by_year: Mapping[int, DispatchYear],
+    totals_by_year: Mapping[int, Mapping[str, float]],
     plan: NewSupplyPlan,
     paths: PricePath,
     discount: float,
@@ -166,10 +165,11 @@ def npv_system_cost(
 ) -> CostReport:
     """Assemble the decade's cash flows and discount them to 2021.
 
-    Inputs are the post-flex despatch (displacement untouched), the NEW
-    supply plan carrying displacement volumes, and the price paths.
+    Inputs are each year's post-flex despatch totals (displacement
+    untouched; see ``pipeline.year_totals``), the NEW supply plan
+    carrying displacement volumes, and the price paths.
     """
-    missing = [y for y in YEARS if y not in dispatch_by_year]
+    missing = [y for y in YEARS if y not in totals_by_year]
     if missing:
         raise DataIntegrityError(f"despatch missing for years {missing}")
 
@@ -201,13 +201,13 @@ def npv_system_cost(
     unmet_kwh = np.zeros(N_YEARS)
     existing_delivered_kwh = np.zeros(N_YEARS)
     for i, year in enumerate(YEARS):
-        dy = dispatch_by_year[year]
+        totals = totals_by_year[year]
         for key in energy_kwh:
-            energy_kwh[key][i] = dy.energy_twh(key) * KWH_PER_TWH
-        unmet_kwh[i] = dy.unmet_twh() * KWH_PER_TWH
-        delivered = sum(dy.energy_twh(k) for k in ("re", "hydro", "nuclear",
-                                                   "coal_2019", "coal_slack",
-                                                   "gas_2019", "gas_slack"))
+            energy_kwh[key][i] = totals[key] * KWH_PER_TWH
+        unmet_kwh[i] = totals["unmet_twh"] * KWH_PER_TWH
+        delivered = sum(totals[k] for k in ("re", "hydro", "nuclear",
+                                            "coal_2019", "coal_slack",
+                                            "gas_2019", "gas_slack"))
         existing_delivered_kwh[i] = delivered * KWH_PER_TWH
 
     gross_coal = 1.0 / (1.0 - p.aux_coal)

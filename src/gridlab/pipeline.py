@@ -7,8 +7,10 @@ The despatch stage, ``despatch_decade``, runs for each year 2021-2030:
 3. buffer audit and capacity requirement (dispatch).
 
 It reads only the ``DESPATCH_FIELDS`` of the parameters and returns a
-read-only ``Decade``.  Scenarios that differ only in the NEW option,
-its sizing or prices share one decade.  The option stage,
+read-only ``Decade``, which also carries each year's energy totals,
+summed once when the decade is built.  Scenarios that differ only in
+the NEW option, its sizing or prices share one decade and read those
+totals instead of summing the slot arrays again.  The option stage,
 ``evaluate_scenario``, prices one scenario on such a decade:
 
 4. NEW supply sizing, SoC simulation, displacement loops (newsupply),
@@ -45,12 +47,14 @@ class Decade:
     """One despatch key's decade: capacity path, despatch and solar shape.
 
     Every array ``despatch_decade`` built is read-only, so the scenarios
-    sharing a decade cannot write into each other's inputs.
+    sharing a decade cannot write into each other's inputs.  ``totals``
+    maps each year to its ``year_totals``.
     """
 
     path: CapacityPath
     years: dict[int, tuple[dsp.DispatchYear, dict]]
     solar_by_year: Mapping[int, np.ndarray]
+    totals: dict[int, dict[str, float]]
 
 
 @dataclass
@@ -180,6 +184,17 @@ def year_shapes(base: BaseYearData, shape: PerMwShape) -> dict[int, np.ndarray]:
     return {y: map_values_to_year(shape.values, base.year, y) for y in YEARS}
 
 
+def year_totals(dy: dsp.DispatchYear, busbar: np.ndarray) -> dict[str, float]:
+    """A despatch year's totals: TWh under each supply key, ``unmet_twh``,
+    ``curtailment_twh``, ``peak_unmet_mw`` and the busbar ``demand_twh``."""
+    totals = {key: dy.energy_twh(key) for key in dy.supply}
+    totals["unmet_twh"] = dy.unmet_twh()
+    totals["curtailment_twh"] = dy.curtailment_twh()
+    totals["peak_unmet_mw"] = dy.peak_unmet_mw()
+    totals["demand_twh"] = float(np.sum(busbar)) * SLOT_HOURS / 1e6
+    return totals
+
+
 def despatch_decade(
     params: ScenarioParams,
     base: BaseYearData,
@@ -199,7 +214,8 @@ def despatch_decade(
         arrays += [extras["busbar"], extras["curtailed_re"]]
     for array in arrays:
         array.setflags(write=False)
-    return Decade(path=path, years=years, solar_by_year=solar_by_year)
+    totals = {y: year_totals(dy, extras["busbar"]) for y, (dy, extras) in years.items()}
+    return Decade(path=path, years=years, solar_by_year=solar_by_year, totals=totals)
 
 
 def _battery_plan(
@@ -390,16 +406,15 @@ def evaluate_scenario(
     plan.validate()
 
     paths = eco.build_price_path(params)
-    dispatch_by_year = {y: decade.years[y][0] for y in YEARS}
     report = eco.npv_system_cost(
-        dispatch_by_year, plan, paths, params.discount_rate, params, decade.path
+        decade.totals, plan, paths, params.discount_rate, params, decade.path
     )
 
     if params.new_option == "battery_re":
         new_capacity = plan.battery.inverter_capacity_mw if plan.battery else 0.0
     else:
         new_capacity = max(plan.capacity_mw.values(), default=0.0)
-    curtailment = sum(dispatch_by_year[y].curtailment_twh() for y in YEARS)
+    curtailment = sum(decade.totals[y]["curtailment_twh"] for y in YEARS)
     result = eco.ScenarioResult(
         params=params,
         report=report,
@@ -411,17 +426,18 @@ def evaluate_scenario(
     details: dict[int, YearDetail] = {}
     for year in YEARS:
         dy, extras = decade.years[year]
+        t = decade.totals[year]
         row = {
             "year": year,
-            "demand_twh": float(np.sum(extras["busbar"])) * SLOT_HOURS / 1e6,
-            "re_twh": dy.energy_twh("re"),
-            "hydro_twh": dy.energy_twh("hydro"),
-            "nuclear_twh": dy.energy_twh("nuclear"),
-            "coal_twh": dy.energy_twh("coal_2019") + dy.energy_twh("coal_slack"),
-            "gas_twh": dy.energy_twh("gas_2019") + dy.energy_twh("gas_slack"),
-            "curtailment_twh": dy.curtailment_twh(),
-            "unmet_twh": dy.unmet_twh(),
-            "peak_unmet_gw": dy.peak_unmet_mw() / 1e3,
+            "demand_twh": t["demand_twh"],
+            "re_twh": t["re"],
+            "hydro_twh": t["hydro"],
+            "nuclear_twh": t["nuclear"],
+            "coal_twh": t["coal_2019"] + t["coal_slack"],
+            "gas_twh": t["gas_2019"] + t["gas_slack"],
+            "curtailment_twh": t["curtailment_twh"],
+            "unmet_twh": t["unmet_twh"],
+            "peak_unmet_gw": t["peak_unmet_mw"] / 1e3,
             "capacity_requirement_gw": extras["capacity_requirement_mw"] / 1e3,
             "new_capacity_gross_mw": plan.capacity_mw.get(year, 0.0),
             "dedicated_solar_gw": plan.dedicated_solar_gw.get(year, 0.0),

@@ -212,7 +212,7 @@ def load_timeseries_csv(path: str | Path, year: int) -> BaseYearData:
     columns = {name: np.full(n, np.nan) for name in TIMESERIES_COLUMNS[1:]}
     seen = np.zeros(n, dtype=bool)
 
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -280,7 +280,7 @@ def load_shape_csv(path: str | Path) -> PerMwShape:
     """Load a per-MW shape CSV with header ``slot,fraction``."""
     path = Path(path)
     fractions: list[float] = []
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["slot", "fraction"]:

@@ -524,7 +524,7 @@ class TestDespatchGroups:
                        DESPATCH_FIELDS + ("new_option", "battery_size_fraction"))
             calls = count_despatches(mp)
             manifest = cli.run(config=MIXED, out_dir=out, synthetic_seed=0)
-        assert len(calls) == (24 + 1) * len(YEARS)
+        assert len(calls) == 24 * len(YEARS)
         assert manifest.failed == 0
         return out, manifest
 
@@ -542,8 +542,8 @@ class TestDespatchGroups:
     def test_one_despatch_per_key(self, tmp_path, monkeypatch):
         calls = count_despatches(monkeypatch)
         cli.run(config=TWO_KEYS, out_dir=tmp_path, synthetic_seed=0)
-        # two keys, then the detail scenario's re-run
-        assert len(calls) == 2 * len(YEARS) + len(YEARS)
+        # two keys; the detail exports reuse scenario 0's decade
+        assert len(calls) == 2 * len(YEARS)
 
     def test_despatch_failure_fails_the_whole_group(self, tmp_path, monkeypatch):
         real = cli.despatch_decade
@@ -562,6 +562,62 @@ class TestDespatchGroups:
         assert all(r[-1] == "InfeasibleError: no despatch" for r in rows)
         frontier = read_rows(tmp_path / "frontier.csv")[1:]
         assert sorted(r[1] for r in frontier) == ["0", "2", "4"]
+
+    @pytest.fixture(scope="class")
+    def second_alone(self, tmp_path_factory):
+        """TWO_KEYS scenario 1 (battery_re at RE 500) as the only scenario."""
+        out = tmp_path_factory.mktemp("second")
+        manifest = cli.run(config={"new_option": "battery_re", "re_2030": 500.0},
+                           out_dir=out, synthetic_seed=0)
+        assert manifest.detail_scenario == 0
+        return out, manifest
+
+    def assert_detail_exports_match(self, out, manifest, second_alone):
+        reference, alone = second_alone
+        assert manifest.detail_scenario == 1
+        assert manifest.files == alone.files
+        sweep_tables = {"frontier.csv", "results_by_year.csv", "failures.csv"}
+        exports = [name for name in manifest.files if name not in sweep_tables]
+        assert "dispatch_2030.csv" in exports and "soc_trace_2030.csv" in exports
+        for name in exports:
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_detail_comes_from_another_group_when_group_0_fails(
+        self, tmp_path, monkeypatch, second_alone, parallelism
+    ):
+        real = cli.despatch_decade
+
+        def flaky(params, *args):
+            if params.re_2030 == 300.0:
+                raise InfeasibleError("no despatch")
+            return real(params, *args)
+
+        monkeypatch.setattr(cli, "despatch_decade", flaky)
+        manifest = cli.run(config=TWO_KEYS, out_dir=tmp_path, synthetic_seed=0,
+                           parallelism=parallelism)
+        assert manifest.failed == 3
+        self.assert_detail_exports_match(tmp_path, manifest, second_alone)
+
+    def test_detail_is_the_first_success_across_groups(
+        self, tmp_path, monkeypatch, second_alone
+    ):
+        # scenario 0 fails and scenario 2 succeeds in the first group, but
+        # scenario 1 in the second group comes first
+        real = cli.evaluate_scenario
+
+        def flaky(params, *args, **kwargs):
+            if params.re_2030 == 300.0 and params.new_option == "battery_re":
+                raise InfeasibleError("no battery")
+            return real(params, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_scenario", flaky)
+        calls = count_despatches(monkeypatch)
+        manifest = cli.run(config=TWO_KEYS, out_dir=tmp_path, synthetic_seed=0)
+        assert manifest.failed == 1
+        # the second group's decade is despatched again for the exports
+        assert len(calls) == 3 * len(YEARS)
+        self.assert_detail_exports_match(tmp_path, manifest, second_alone)
 
     def test_progress_log_counts_groups(self, tmp_path, caplog):
         config = {"re_2030": [300.0, 500.0], "new_option": ["coal", "ocgt"]}
@@ -588,6 +644,23 @@ class TestMain:
         out = capsys.readouterr().out
         assert "inputs: ok" in out
         assert "scenarios: 1" in out
+
+    def test_validate_only_rejects_a_detail_year_outside_the_horizon(self, capsys):
+        assert cli.main(["--validate-only", "--year-detail", "2035"]) == 2
+        assert "detail year 2035 outside horizon 2021..2030" in capsys.readouterr().err
+
+    def test_detail_year_outside_the_horizon_stops_before_any_scenario(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a scenario was evaluated")
+
+        monkeypatch.setattr(cli, "evaluate_scenario", never)
+        out_dir = tmp_path / "out"
+        code = cli.main(["--synthetic", "0", "--year-detail", "2035", "--out", str(out_dir)])
+        assert code == 2
+        assert "detail year 2035" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_invalid_json_config_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, "{not json")

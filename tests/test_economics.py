@@ -19,6 +19,7 @@ from gridlab.economics import (
 )
 from gridlab.errors import DataIntegrityError, ParameterError, UndefinedCostError
 from gridlab.newsupply import BatterySpec, NewSupplyPlan
+from gridlab.pipeline import year_totals
 from gridlab.scenario import (
     BASE_YEAR,
     FINAL_YEAR,
@@ -48,7 +49,9 @@ def flat_dispatch_year(year, re=10.0, coal=4.0, gas_slack=2.0, unmet=0.0):
 
 
 def flat_decade(**kwargs):
-    return {y: flat_dispatch_year(y, **kwargs) for y in YEARS}
+    """Per-year totals of a decade of flat despatch years."""
+    years = {y: flat_dispatch_year(y, **kwargs) for y in YEARS}
+    return {y: year_totals(dy, dy.demand) for y, dy in years.items()}
 
 
 def no_growth_params(**overrides):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import _oracles
+from gridlab import dispatch as dsp
 from gridlab.economics import COMPONENTS
 from gridlab.pipeline import (
     _battery_plan,
@@ -26,6 +27,7 @@ from gridlab.scenario import (
     project_demand,
 )
 from gridlab.shapes import (
+    SLOT_HOURS,
     BaseYearData,
     derive_wind_shape,
     rescale_to_cuf,
@@ -124,6 +126,27 @@ class TestDecade:
         assert read <= set(DESPATCH_FIELDS), sorted(read - set(DESPATCH_FIELDS))
         # an unread field in the key would only split groups for nothing
         assert read == set(DESPATCH_FIELDS)
+
+
+    @pytest.mark.parametrize("kind", ["battery", "thermal"])
+    def test_totals_equal_the_slot_sums_bit_for_bit(
+        self, kind, decade, base_year, solar_shape, wind_shape
+    ):
+        if kind == "thermal":
+            params = ScenarioParams(new_option="ocgt", re_2030=550.0, flex_limit=0.7)
+            decade = despatch(params, base_year, solar_shape, wind_shape)
+        assert set(decade.totals) == set(YEARS)
+        for year in YEARS:
+            dy, extras = decade.years[year]
+            totals = decade.totals[year]
+            assert set(totals) == set(dsp.SUPPLY_KEYS) | {
+                "unmet_twh", "curtailment_twh", "peak_unmet_mw", "demand_twh"}
+            for key in dsp.SUPPLY_KEYS:
+                assert totals[key] == dy.energy_twh(key), (year, key)
+            assert totals["unmet_twh"] == dy.unmet_twh()
+            assert totals["curtailment_twh"] == dy.curtailment_twh()
+            assert totals["peak_unmet_mw"] == dy.peak_unmet_mw()
+            assert totals["demand_twh"] == float(np.sum(extras["busbar"])) * SLOT_HOURS / 1e6
 
 
 class TestYearRows:

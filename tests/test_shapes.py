@@ -172,6 +172,21 @@ def test_loader_roundtrip(tmp_path):
             base.supply_by_fuel[fuel].values, atol=1e-4)
 
 
+def test_loader_accepts_a_utf8_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF
+    base = synth_shapes(3)
+    plain = tmp_path / "plain.csv"
+    write_timeseries_csv(plain, base)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    loaded = load_timeseries_csv(marked, base.year)
+    expected = load_timeseries_csv(plain, base.year)
+    np.testing.assert_array_equal(loaded.demand.values, expected.demand.values)
+    for fuel in ("coal", "gas", "hydro", "nuclear", "re"):
+        np.testing.assert_array_equal(
+            loaded.supply_by_fuel[fuel].values, expected.supply_by_fuel[fuel].values)
+
+
 def test_loader_records_gaps(tmp_path):
     base = synth_shapes(3)
     path = tmp_path / "gappy.csv"
@@ -267,6 +282,13 @@ def test_shape_csv_roundtrip_and_errors(tmp_path, data_dir):
     bad.write_text("slot,fraction\n")
     with pytest.raises(DataIntegrityError):
         load_shape_csv(bad)
+
+
+def test_shape_csv_accepts_a_utf8_byte_order_mark(tmp_path, data_dir):
+    plain = data_dir / "solar_shape.csv"
+    marked = tmp_path / "solar_shape.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    np.testing.assert_array_equal(load_shape_csv(marked).values, load_shape_csv(plain).values)
 
 
 # --- cleaning ---------------------------------------------------------------

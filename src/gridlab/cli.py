@@ -59,6 +59,7 @@ from gridlab.scenario import (
     YEARS,
     ParamGrid,
     ScenarioParams,
+    check_field_types,
     expand_param_grid,
     params_from_config,
 )
@@ -146,7 +147,9 @@ def parse_config(
 ) -> tuple[list[ScenarioParams], ScenarioParams, DataOptions]:
     """Expand a config mapping into the scenario list it describes."""
     cfg = dict(config or {})
-    paper = bool(cfg.pop("paper_grid", False))
+    paper = cfg.pop("paper_grid", False)
+    if not isinstance(paper, bool):
+        raise ParameterError(f"config key 'paper_grid' must be true or false, got {paper!r}")
 
     data_raw = cfg.pop("data", {})
     if not isinstance(data_raw, Mapping):
@@ -155,6 +158,7 @@ def parse_config(
     unknown = set(data_raw) - known
     if unknown:
         raise ParameterError(f"unknown data options: {sorted(unknown)}")
+    check_field_types(DataOptions, data_raw, "data.")
     data_opts = DataOptions(**data_raw)
 
     axes = {k: tuple(v) for k, v in cfg.items() if isinstance(v, (list, tuple))}
@@ -367,7 +371,7 @@ def export_figures(
         dsp.write_table(path, header, columns, formats, "\n")
         written.append(path)
 
-    yd = detail.details.get(year) if detail is not None else None
+    yd = detail.details[year] if detail is not None else None
 
     # annual generation mix, after NEW supply and displacement
     fh, writer = _open(

@@ -139,7 +139,6 @@ class _CohortLedger:
     def __init__(self, discount: float, full_life: bool):
         self.flows = np.zeros(N_YEARS)
         self.tail_npv = 0.0
-        self._factors = discount_factors(discount)
         self._discount = discount
         self._full_life = full_life
 
@@ -155,25 +154,32 @@ class _CohortLedger:
             self.tail_npv += float(np.sum(payment / (1.0 + self._discount) ** ks))
 
 
+def _additions(capacity: np.ndarray) -> np.ndarray:
+    """What each year adds to a cumulative capacity path."""
+    return np.maximum(np.diff(capacity, prepend=0.0), 0.0)
+
+
 def npv_system_cost(
-    totals_by_year: Mapping[int, Mapping[str, float]],
+    totals: Mapping[str, np.ndarray],
     plan: NewSupplyPlan,
-    paths: PricePath,
-    discount: float,
     params: ScenarioParams,
     capacity_path: CapacityPath,
 ) -> CostReport:
     """Assemble the decade's cash flows and discount them to 2021.
 
-    Inputs are each year's post-flex despatch totals (displacement
-    untouched; see ``pipeline.year_totals``), the NEW supply plan
-    carrying displacement volumes, and the price paths.
+    ``totals`` are the post-flex despatch totals, one array entry per
+    horizon year (displacement untouched; see ``pipeline.decade_totals``).
+    ``plan`` carries the NEW build and the displacement volumes in the
+    same layout.  Prices come from ``build_price_path(params)`` and cash
+    flows are discounted at ``params.discount_rate``.
     """
-    missing = [y for y in YEARS if y not in totals_by_year]
-    if missing:
-        raise DataIntegrityError(f"despatch missing for years {missing}")
+    short = sorted(k for k, v in totals.items() if np.shape(v) != (N_YEARS,))
+    if short:
+        raise DataIntegrityError(f"despatch totals {short} do not cover the {N_YEARS} years")
 
     p = params
+    paths = build_price_path(p)
+    discount = p.discount_rate
     full_life = p.count_full_life_annuities
     factors = discount_factors(discount)
     flows = {name: np.zeros(N_YEARS) for name in COMPONENTS}
@@ -183,13 +189,11 @@ def npv_system_cost(
     capex_ledger = _CohortLedger(discount, full_life)
     solar_mw = capacity_path.solar_new * 1e3
     wind_mw = capacity_path.wind_new * 1e3
-    solar_inc = np.diff(solar_mw, prepend=0.0)
-    wind_inc = np.diff(wind_mw, prepend=0.0)
+    solar_cost = _additions(solar_mw) * paths.solar_capex_rs_per_mw
+    wind_cost = _additions(wind_mw) * paths.wind_capex_rs_per_mw
     for i in range(N_YEARS):
-        capex_ledger.add(i, max(solar_inc[i], 0.0) * paths.solar_capex_rs_per_mw[i],
-                         p.wacc, p.solar_life_years)
-        capex_ledger.add(i, max(wind_inc[i], 0.0) * paths.wind_capex_rs_per_mw[i],
-                         p.wacc, p.wind_life_years)
+        capex_ledger.add(i, solar_cost[i], p.wacc, p.solar_life_years)
+        capex_ledger.add(i, wind_cost[i], p.wacc, p.wind_life_years)
     flows["re_capex"] = capex_ledger.flows
     tails["re_capex"] = capex_ledger.tail_npv
     flows["re_om"] = (
@@ -197,119 +201,83 @@ def npv_system_cost(
     ) * paths.om_inflation
 
     # --- existing-fleet fuel ---
-    energy_kwh = {k: np.zeros(N_YEARS) for k in ("coal_2019", "coal_slack", "gas_2019", "gas_slack")}
-    unmet_kwh = np.zeros(N_YEARS)
-    existing_delivered_kwh = np.zeros(N_YEARS)
-    for i, year in enumerate(YEARS):
-        totals = totals_by_year[year]
-        for key in energy_kwh:
-            energy_kwh[key][i] = totals[key] * KWH_PER_TWH
-        unmet_kwh[i] = totals["unmet_twh"] * KWH_PER_TWH
-        delivered = sum(totals[k] for k in ("re", "hydro", "nuclear",
-                                            "coal_2019", "coal_slack",
-                                            "gas_2019", "gas_slack"))
-        existing_delivered_kwh[i] = delivered * KWH_PER_TWH
+    fuel = paths.fuel_rs_per_kwh
+    unmet_kwh = totals["unmet_twh"] * KWH_PER_TWH
+    existing = ("re", "hydro", "nuclear", "coal_2019", "coal_slack", "gas_2019", "gas_slack")
+    existing_delivered_kwh = sum(totals[k] for k in existing) * KWH_PER_TWH
 
     gross_coal = 1.0 / (1.0 - p.aux_coal)
     gross_gas = 1.0 / (1.0 - p.aux_gas)
     flows["coal_fuel"] = (
-        energy_kwh["coal_2019"] * paths.fuel_rs_per_kwh["coal_2019"]
-        + energy_kwh["coal_slack"] * paths.fuel_rs_per_kwh["coal_slack"]
+        totals["coal_2019"] * KWH_PER_TWH * fuel["coal_2019"]
+        + totals["coal_slack"] * KWH_PER_TWH * fuel["coal_slack"]
     ) * gross_coal
-    flows["gas_fuel_2019"] = energy_kwh["gas_2019"] * paths.fuel_rs_per_kwh["gas_2019"] * gross_gas
-    flows["gas_fuel_nonapm"] = energy_kwh["gas_slack"] * paths.fuel_rs_per_kwh["gas_slack"] * gross_gas
+    flows["gas_fuel_2019"] = totals["gas_2019"] * KWH_PER_TWH * fuel["gas_2019"] * gross_gas
+    flows["gas_fuel_nonapm"] = totals["gas_slack"] * KWH_PER_TWH * fuel["gas_slack"] * gross_gas
 
     # --- NEW supply: capex, O&M, fuel less displacement credits ---
     new_ledger = _CohortLedger(discount, full_life)
     om_cohorts = np.zeros(N_YEARS)
-    served_by_new_kwh = np.zeros(N_YEARS)
-    secondary_kwh = np.zeros(N_YEARS)
-
-    def year_value(table: Mapping[int, float], year: int) -> float:
-        return float(table.get(year, 0.0))
-
-    for i, year in enumerate(YEARS):
-        secondary_kwh[i] = year_value(plan.secondary_unmet_twh, year) * KWH_PER_TWH
-        served_by_new_kwh[i] = max(unmet_kwh[i] - secondary_kwh[i], 0.0)
+    secondary_kwh = plan.secondary_unmet_twh * KWH_PER_TWH
+    served_by_new_kwh = np.maximum(unmet_kwh - secondary_kwh, 0.0)
+    displaced_gas_kwh = plan.displaced_gas_twh * KWH_PER_TWH
 
     if plan.option == "battery_re":
-        prev_energy = prev_inverter = prev_solar_mw = 0.0
-        for i, year in enumerate(YEARS):
-            spec = plan.battery_by_year.get(year)
-            energy = spec.energy_capacity_mwh if spec else prev_energy
-            inverter = spec.inverter_capacity_mw if spec else prev_inverter
-            solar_ded = year_value(plan.dedicated_solar_gw, year) * 1e3
-            cell_inc = max(energy - prev_energy, 0.0)
-            inv_inc = max(inverter - prev_inverter, 0.0)
-            sol_inc = max(solar_ded - prev_solar_mw, 0.0)
-            cell_cost = cell_inc * KWH_PER_MWH * paths.battery_cell_rs_per_kwh[i]
-            inv_cost = inv_inc * KWH_PER_MWH * p.inverter_capex_rs_per_kw
-            sol_cost = sol_inc * paths.solar_capex_rs_per_mw[i]
-            new_ledger.add(i, cell_cost, p.wacc, p.battery_life_years)
-            new_ledger.add(i, inv_cost, p.wacc, p.inverter_life_years)
-            new_ledger.add(i, sol_cost, p.wacc, p.solar_life_years)
+        cell_cost = _additions(plan.energy_mwh) * KWH_PER_MWH * paths.battery_cell_rs_per_kwh
+        inv_cost = _additions(plan.capacity_mw) * KWH_PER_MWH * p.inverter_capex_rs_per_kw
+        sol_inc = _additions(plan.dedicated_solar_gw * 1e3)
+        sol_cost = sol_inc * paths.solar_capex_rs_per_mw
+        for i in range(N_YEARS):
+            new_ledger.add(i, cell_cost[i], p.wacc, p.battery_life_years)
+            new_ledger.add(i, inv_cost[i], p.wacc, p.inverter_life_years)
+            new_ledger.add(i, sol_cost[i], p.wacc, p.solar_life_years)
             om_cohorts[i:] += (
-                p.battery_om_fraction * (cell_cost + inv_cost)
+                p.battery_om_fraction * (cell_cost[i] + inv_cost[i])
                 * paths.om_inflation[i:] / paths.om_inflation[i]
             )
             om_cohorts[i:] += (
-                sol_inc * p.solar_om_rs_per_mw * paths.om_inflation[i:]
+                sol_inc[i] * p.solar_om_rs_per_mw * paths.om_inflation[i:]
             )
-            prev_energy, prev_inverter, prev_solar_mw = energy, inverter, solar_ded
         burn = np.zeros(N_YEARS)  # charging is free curtailed RE / owned solar
     else:
         tech = p.tech_costs[plan.option]
-        prev_cap = 0.0
-        for i, year in enumerate(YEARS):
-            cap = year_value(plan.capacity_mw, year)
-            inc = max(cap - prev_cap, 0.0)
-            cost = inc * paths.tech_capex_rs_per_mw[plan.option][i]
-            new_ledger.add(i, cost, p.wacc, tech.life_years)
+        cost = _additions(plan.capacity_mw) * paths.tech_capex_rs_per_mw[plan.option]
+        for i in range(N_YEARS):
+            new_ledger.add(i, cost[i], p.wacc, tech.life_years)
             om_cohorts[i:] += (
-                tech.om_fraction * cost * paths.om_inflation[i:] / paths.om_inflation[i]
+                tech.om_fraction * cost[i] * paths.om_inflation[i:] / paths.om_inflation[i]
             )
-            prev_cap = cap
         gross_tech = 1.0 / (1.0 - tech.aux)
-        gen_kwh = served_by_new_kwh + np.array(
-            [year_value(plan.displaced_gas_nonapm_twh, y) for y in YEARS]
-        ) * KWH_PER_TWH
+        gen_kwh = served_by_new_kwh + displaced_gas_kwh
         burn = gen_kwh * paths.tech_fuel_rs_per_kwh[plan.option] * gross_tech
 
     flows["new_capex"] = new_ledger.flows
     tails["new_capex"] = new_ledger.tail_npv
     flows["new_om"] = om_cohorts
 
-    credits = np.zeros(N_YEARS)
-    displaced_kwh = np.zeros(N_YEARS)
-    for i, year in enumerate(YEARS):
-        disp_gas = year_value(plan.displaced_gas_nonapm_twh, year) * KWH_PER_TWH
-        disp_coal = year_value(plan.displaced_coal_twh, year) * KWH_PER_TWH
-        bonus = year_value(plan.bonus_curtailment_avoided_twh, year) * KWH_PER_TWH
-        displaced_kwh[i] = disp_gas + disp_coal
-        by_tranche = plan.displaced_by_tranche_twh.get(year, {})
-        coal_credit = (
-            by_tranche.get("coal_2019", 0.0) * paths.fuel_rs_per_kwh["coal_2019"][i]
-            + by_tranche.get("coal_slack", 0.0) * paths.fuel_rs_per_kwh["coal_slack"][i]
-        ) * KWH_PER_TWH * gross_coal
-        credits[i] = (
-            disp_gas * paths.fuel_rs_per_kwh["gas_slack"][i] * gross_gas
-            + coal_credit
-            + bonus * paths.fuel_rs_per_kwh["coal_slack"][i] * gross_coal
-        )
+    displaced_kwh = (
+        displaced_gas_kwh
+        + (plan.displaced_coal_2019_twh + plan.displaced_coal_slack_twh) * KWH_PER_TWH
+    )
+    coal_credit = (
+        plan.displaced_coal_2019_twh * fuel["coal_2019"]
+        + plan.displaced_coal_slack_twh * fuel["coal_slack"]
+    ) * KWH_PER_TWH * gross_coal
+    credits = (
+        displaced_gas_kwh * fuel["gas_slack"] * gross_gas
+        + coal_credit
+        + plan.bonus_curtailment_avoided_twh * KWH_PER_TWH * fuel["coal_slack"] * gross_coal
+    )
     flows["new_fuel"] = burn - credits
 
     # --- biodiesel backstop for deliberate undersizing ---
     diesel = p.tech_costs["diesel_gen"]
     bio_ledger = _CohortLedger(discount, full_life)
-    prev_bio = 0.0
+    bio_cost = _additions(plan.biodiesel_capacity_mw) * paths.tech_capex_rs_per_mw["diesel_gen"]
     bio_om = np.zeros(N_YEARS)
-    for i, year in enumerate(YEARS):
-        cap = year_value(plan.biodiesel_capacity_mw, year) if plan.biodiesel_capacity_mw else 0.0
-        inc = max(cap - prev_bio, 0.0)
-        cost = inc * paths.tech_capex_rs_per_mw["diesel_gen"][i]
-        bio_ledger.add(i, cost, p.wacc, diesel.life_years)
-        bio_om[i:] += diesel.om_fraction * cost * paths.om_inflation[i:] / paths.om_inflation[i]
-        prev_bio = max(prev_bio, cap)
+    for i in range(N_YEARS):
+        bio_ledger.add(i, bio_cost[i], p.wacc, diesel.life_years)
+        bio_om[i:] += diesel.om_fraction * bio_cost[i] * paths.om_inflation[i:] / paths.om_inflation[i]
     bio_fuel = (
         secondary_kwh / (1.0 - diesel.aux) * paths.tech_fuel_rs_per_kwh["diesel_gen"]
     )
@@ -347,14 +315,9 @@ def npv_system_cost(
 class ScenarioResult:
     """One evaluated grid point, ready for frontier ranking."""
 
-    params: ScenarioParams
     report: CostReport
     new_capacity_mw: float
     curtailment_twh: float
-
-    @property
-    def npv_total(self) -> float:
-        return self.report.npv_total
 
 
 def frontier(results: Sequence[ScenarioResult]) -> list[ScenarioResult]:

@@ -31,7 +31,7 @@ import numpy as np
 from gridlab.errors import InfeasibleError, ParameterError
 from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS
 from gridlab.dispatch import DispatchYear, write_table
-from gridlab.scenario import EFF_SPLITS, NEW_OPTIONS, ScenarioParams
+from gridlab.scenario import EFF_SPLITS, N_YEARS, NEW_OPTIONS, YEARS, ScenarioParams
 
 #: Displacement priority: highest marginal cost first.  The gas_2019
 #: tranche is never displaced (committed utilisation pattern).
@@ -143,28 +143,41 @@ class SocTrace:
         )
 
 
+def _horizon() -> np.ndarray:
+    return np.zeros(N_YEARS)
+
+
 @dataclass
 class NewSupplyPlan:
-    """The NEW supply decision for one scenario, year by year."""
+    """The NEW supply decision for one scenario, one value per horizon year.
+
+    Every array has ``N_YEARS`` entries, indexed by horizon position
+    (``year - 2021``), and starts at zero.  ``capacity_mw`` is the gross
+    thermal build or the battery inverter and ``energy_mwh`` the battery
+    energy; they, ``dedicated_solar_gw`` and ``biodiesel_capacity_mw``
+    are cumulative and never fall.  Displaced coal is kept per tranche,
+    because each tranche is credited at its own fuel price.
+    """
 
     option: str
-    capacity_mw: dict[int, float] = field(default_factory=dict)  # gross installed
-    battery: BatterySpec | None = None
-    battery_by_year: dict[int, BatterySpec] = field(default_factory=dict)
-    dedicated_solar_gw: dict[int, float] = field(default_factory=dict)
-    secondary_unmet_twh: dict[int, float] = field(default_factory=dict)
-    displaced_gas_nonapm_twh: dict[int, float] = field(default_factory=dict)
-    displaced_coal_twh: dict[int, float] = field(default_factory=dict)
-    displaced_by_tranche_twh: dict[int, dict[str, float]] = field(default_factory=dict)
-    bonus_curtailment_avoided_twh: dict[int, float] = field(default_factory=dict)
-    biodiesel_capacity_mw: dict[int, float] = field(default_factory=dict)
+    capacity_mw: np.ndarray = field(default_factory=_horizon)
+    energy_mwh: np.ndarray = field(default_factory=_horizon)
+    dedicated_solar_gw: np.ndarray = field(default_factory=_horizon)
+    secondary_unmet_twh: np.ndarray = field(default_factory=_horizon)
+    displaced_gas_twh: np.ndarray = field(default_factory=_horizon)
+    displaced_coal_2019_twh: np.ndarray = field(default_factory=_horizon)
+    displaced_coal_slack_twh: np.ndarray = field(default_factory=_horizon)
+    bonus_curtailment_avoided_twh: np.ndarray = field(default_factory=_horizon)
+    biodiesel_capacity_mw: np.ndarray = field(default_factory=_horizon)
 
     def validate(self) -> None:
-        for name in ("displaced_gas_nonapm_twh", "displaced_coal_twh",
-                     "bonus_curtailment_avoided_twh", "secondary_unmet_twh"):
-            for year, value in getattr(self, name).items():
-                if value < -_EPS:
-                    raise ParameterError(f"{name}[{year}] is negative: {value}")
+        for name in ("displaced_gas_twh", "displaced_coal_2019_twh",
+                     "displaced_coal_slack_twh", "bonus_curtailment_avoided_twh",
+                     "secondary_unmet_twh"):
+            values = getattr(self, name)
+            i = int(np.argmin(values))
+            if values[i] < -_EPS:
+                raise ParameterError(f"{name}[{YEARS[i]}] is negative: {values[i]}")
 
 
 def _pad_cycles(
@@ -530,17 +543,9 @@ class Displacement:
     """Battery spare throughput turned into fossil displacement."""
 
     spare_twh: float
-    displaced_twh: dict[str, float]
+    displaced_twh: dict[str, float]  # by tranche of DISPLACEMENT_ORDER
     per_day_mwh: dict[str, np.ndarray]  # calendar-day attribution
     per_cycle_spare_mwh: np.ndarray
-
-    @property
-    def displaced_coal_twh(self) -> float:
-        return self.displaced_twh.get("coal_2019", 0.0) + self.displaced_twh.get("coal_slack", 0.0)
-
-    @property
-    def displaced_gas_twh(self) -> float:
-        return self.displaced_twh.get("gas_slack", 0.0)
 
 
 def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:

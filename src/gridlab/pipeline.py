@@ -24,7 +24,7 @@ fan out across processes and still merge deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from gridlab import economics as eco
 from gridlab import newsupply as new
 from gridlab.errors import InfeasibleError
 from gridlab.scenario import (
+    N_YEARS,
     YEARS,
     CapacityPath,
     ScenarioParams,
@@ -48,20 +49,19 @@ class Decade:
 
     Every array ``despatch_decade`` built is read-only, so the scenarios
     sharing a decade cannot write into each other's inputs.  ``totals``
-    maps each year to its ``year_totals``.
+    is ``decade_totals``: one array per key, indexed by horizon position.
     """
 
     path: CapacityPath
     years: dict[int, tuple[dsp.DispatchYear, dict]]
     solar_by_year: Mapping[int, np.ndarray]
-    totals: dict[int, dict[str, float]]
+    totals: dict[str, np.ndarray]
 
 
 @dataclass
 class YearDetail:
     """Slot-level leftovers for one year, kept only when asked for."""
 
-    year: int
     dispatch: dsp.DispatchYear  # post-flex, pre-displacement
     reporting: dsp.DispatchYear  # NEW supply and displacement folded in
     trace: new.SocTrace | None
@@ -184,15 +184,19 @@ def year_shapes(base: BaseYearData, shape: PerMwShape) -> dict[int, np.ndarray]:
     return {y: map_values_to_year(shape.values, base.year, y) for y in YEARS}
 
 
-def year_totals(dy: dsp.DispatchYear, busbar: np.ndarray) -> dict[str, float]:
-    """A despatch year's totals: TWh under each supply key, ``unmet_twh``,
+def decade_totals(years: Iterable[tuple[dsp.DispatchYear, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Each despatch year's totals, given its busbar demand, one array
+    entry per year: TWh under each supply key, ``unmet_twh``,
     ``curtailment_twh``, ``peak_unmet_mw`` and the busbar ``demand_twh``."""
-    totals = {key: dy.energy_twh(key) for key in dy.supply}
-    totals["unmet_twh"] = dy.unmet_twh()
-    totals["curtailment_twh"] = dy.curtailment_twh()
-    totals["peak_unmet_mw"] = dy.peak_unmet_mw()
-    totals["demand_twh"] = float(np.sum(busbar)) * SLOT_HOURS / 1e6
-    return totals
+    rows = []
+    for dy, busbar in years:
+        row = {key: dy.energy_twh(key) for key in dy.supply}
+        row["unmet_twh"] = dy.unmet_twh()
+        row["curtailment_twh"] = dy.curtailment_twh()
+        row["peak_unmet_mw"] = dy.peak_unmet_mw()
+        row["demand_twh"] = float(np.sum(busbar)) * SLOT_HOURS / 1e6
+        rows.append(row)
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 
 def despatch_decade(
@@ -207,14 +211,15 @@ def despatch_decade(
         y: dispatch_year(params, base, path, y, solar_by_year[y], wind_by_year[y])
         for y in YEARS
     }
+    totals = decade_totals((dy, extras["busbar"]) for dy, extras in years.values())
     arrays = [v for v in vars(path).values() if isinstance(v, np.ndarray)]
+    arrays += totals.values()
     for dy, extras in years.values():
         arrays += [v for v in vars(dy).values() if isinstance(v, np.ndarray)]
         arrays += [*dy.supply.values(), *dy.capacity.values(), *vars(extras["buffer"]).values()]
         arrays += [extras["busbar"], extras["curtailed_re"]]
     for array in arrays:
         array.setflags(write=False)
-    totals = {y: year_totals(dy, extras["busbar"]) for y, (dy, extras) in years.items()}
     return Decade(path=path, years=years, solar_by_year=solar_by_year, totals=totals)
 
 
@@ -229,9 +234,10 @@ def _battery_plan(
     plan = new.NewSupplyPlan(option="battery_re")
     boundary = params.cycle_boundary_slot
     traces: dict[int, new.SocTrace] = {}
+    peak_secondary = np.zeros(N_YEARS)
     run_energy = run_inverter = run_solar_gw = 0.0
 
-    for year in YEARS:
+    for i, year in enumerate(YEARS):
         dy, extras = decade.years[year]
         unmet = dy.unmet
         shortfall = extras["buffer"].shortfall
@@ -239,7 +245,8 @@ def _battery_plan(
         run_energy = max(run_energy, sized.energy_capacity_mwh)
         run_inverter = max(run_inverter, sized.inverter_capacity_mw)
         battery = replace(sized, energy_capacity_mwh=run_energy, inverter_capacity_mw=run_inverter)
-        plan.battery_by_year[year] = battery
+        plan.energy_mwh[i] = run_energy
+        plan.capacity_mw[i] = run_inverter
 
         shape = decade.solar_by_year[year]
         curtailed = extras["curtailed_re"]
@@ -260,29 +267,24 @@ def _battery_plan(
         else:
             gw = 0.0
         run_solar_gw = max(run_solar_gw, gw)
-        plan.dedicated_solar_gw[year] = run_solar_gw
+        plan.dedicated_solar_gw[i] = run_solar_gw
         solar_gen = shape * run_solar_gw * 1e3
 
         trace = new.simulate_soc(battery, unmet, curtailed, solar_gen, boundary_slot=boundary)
         traces[year] = trace
-        plan.secondary_unmet_twh[year] = _snap(trace.secondary_unmet_twh())
+        plan.secondary_unmet_twh[i] = _snap(trace.secondary_unmet_twh())
+        peak_secondary[i] = _snap(float(np.max(trace.secondary_unmet_mw)) if unmet.size else 0.0)
 
         disp = new.displace_with_battery(trace, dy)
         per_day_coal = disp.per_day_mwh["coal_2019"] + disp.per_day_mwh["coal_slack"]
         bonus = new.coal_peak_bonus(dy, per_day_coal, params.flex_limit)
-        plan.displaced_gas_nonapm_twh[year] = disp.displaced_gas_twh
-        plan.displaced_coal_twh[year] = disp.displaced_coal_twh
-        plan.displaced_by_tranche_twh[year] = dict(disp.displaced_twh)
-        plan.bonus_curtailment_avoided_twh[year] = float(np.sum(bonus)) / 1e6
+        plan.displaced_gas_twh[i] = disp.displaced_twh["gas_slack"]
+        plan.displaced_coal_2019_twh[i] = disp.displaced_twh["coal_2019"]
+        plan.displaced_coal_slack_twh[i] = disp.displaced_twh["coal_slack"]
+        plan.bonus_curtailment_avoided_twh[i] = float(np.sum(bonus)) / 1e6
 
-        peak_secondary = _snap(float(np.max(trace.secondary_unmet_mw)) if unmet.size else 0.0)
-        diesel_aux = params.tech_costs["diesel_gen"].aux
-        gross_bio = peak_secondary / (1.0 - diesel_aux)
-        prev = plan.biodiesel_capacity_mw.get(year - 1, 0.0)
-        plan.biodiesel_capacity_mw[year] = max(prev, gross_bio)
-
-        plan.capacity_mw[year] = battery.inverter_capacity_mw
-    plan.battery = plan.battery_by_year[YEARS[-1]]
+    diesel_aux = params.tech_costs["diesel_gen"].aux
+    plan.biodiesel_capacity_mw = np.maximum.accumulate(peak_secondary / (1.0 - diesel_aux))
     return plan, traces
 
 
@@ -290,32 +292,26 @@ def _thermal_plan(params: ScenarioParams, decade: Decade) -> new.NewSupplyPlan:
     """Size a thermal NEW option; coal may be undersized deliberately."""
     option = params.new_option
     tech = params.tech_costs[option]
-    plan = new.NewSupplyPlan(option=option)
     unmets = [decade.years[y][0].unmet for y in YEARS]
     shortfalls = [decade.years[y][1]["buffer"].shortfall for y in YEARS]
     installed_mw = new.size_new_capacity(unmets, shortfalls, option, tech.aux)
 
     size_fraction = params.new_coal_size_fraction if option == "coal" else 1.0
-    diesel_aux = params.tech_costs["diesel_gen"].aux
-    for i, year in enumerate(YEARS):
-        gross = installed_mw[i] * size_fraction
-        net_cap = gross * (1.0 - tech.aux)
-        plan.capacity_mw[year] = gross
-        dy = decade.years[year][0]
-        secondary = np.maximum(dy.unmet - net_cap, 0.0)
-        plan.secondary_unmet_twh[year] = _snap(float(np.sum(secondary)) * SLOT_HOURS / 1e6)
-        peak_secondary = _snap(float(np.max(secondary)) if secondary.size else 0.0)
-        prev = plan.biodiesel_capacity_mw.get(year - 1, 0.0)
-        plan.biodiesel_capacity_mw[year] = max(prev, peak_secondary / (1.0 - diesel_aux))
-
+    plan = new.NewSupplyPlan(option=option, capacity_mw=installed_mw * size_fraction)
+    net_caps = plan.capacity_mw * (1.0 - tech.aux)
+    peak_secondary = np.zeros(N_YEARS)
+    for i, (unmet, net_cap) in enumerate(zip(unmets, net_caps)):
+        secondary = np.maximum(unmet - net_cap, 0.0)
+        plan.secondary_unmet_twh[i] = _snap(float(np.sum(secondary)) * SLOT_HOURS / 1e6)
+        peak_secondary[i] = _snap(float(np.max(secondary)) if secondary.size else 0.0)
         if option == "coal":
-            served = np.minimum(dy.unmet, net_cap)
-            rep = replace(dy, supply={**dy.supply, "new": served}, unmet=dy.unmet - served)
-            plan.displaced_gas_nonapm_twh[year] = new.displace_gas_with_new_coal(net_cap, rep)
-        else:
-            plan.displaced_gas_nonapm_twh[year] = 0.0
-        plan.displaced_coal_twh[year] = 0.0
-        plan.bonus_curtailment_avoided_twh[year] = 0.0
+            dy = decade.years[YEARS[i]][0]
+            served = np.minimum(unmet, net_cap)
+            rep = replace(dy, supply={**dy.supply, "new": served}, unmet=unmet - served)
+            plan.displaced_gas_twh[i] = new.displace_gas_with_new_coal(net_cap, rep)
+
+    diesel_aux = params.tech_costs["diesel_gen"].aux
+    plan.biodiesel_capacity_mw = np.maximum.accumulate(peak_secondary / (1.0 - diesel_aux))
     return plan
 
 
@@ -324,11 +320,12 @@ def _reporting_dispatch(
     dy: dsp.DispatchYear,
     plan: new.NewSupplyPlan,
     trace: new.SocTrace | None,
-    year: int,
+    i: int,
 ) -> dsp.DispatchYear:
     """Fold NEW supply and displacement into a new despatch year, for exports.
 
-    ``dy`` is left as it is: every changed series is a new array.  Every
+    ``i`` is the year's horizon position in ``plan``.  ``dy`` is left as
+    it is: every changed series is a new array.  Every
     reduction is matched by an increase elsewhere, so slot sums against
     demand stay exact.  Displaced coal comes off each day's peak, one
     water-fill per row of the (days, 48) coal matrix; the bonus lowers
@@ -343,14 +340,14 @@ def _reporting_dispatch(
         served = trace.unmet_mw - rep.unmet
     else:
         tech = params.tech_costs[plan.option]
-        net_cap = plan.capacity_mw.get(year, 0.0) * (1.0 - tech.aux)
+        net_cap = plan.capacity_mw[i] * (1.0 - tech.aux)
         served = np.minimum(rep.unmet, net_cap)
         rep.unmet = np.maximum(rep.unmet - served, 0.0)
     rep.supply["new"] = rep.supply["new"] + served
 
-    coal_disp_twh = plan.displaced_coal_twh.get(year, 0.0)
-    gas_disp_twh = plan.displaced_gas_nonapm_twh.get(year, 0.0)
-    bonus_twh = plan.bonus_curtailment_avoided_twh.get(year, 0.0)
+    coal_disp_twh = plan.displaced_coal_2019_twh[i] + plan.displaced_coal_slack_twh[i]
+    gas_disp_twh = plan.displaced_gas_twh[i]
+    bonus_twh = plan.bonus_curtailment_avoided_twh[i]
 
     if gas_disp_twh > 0:
         gas = rep.supply["gas_slack"]
@@ -398,65 +395,50 @@ def evaluate_scenario(
     detail_years: tuple[int, ...] = (),
 ) -> ScenarioOutcome:
     """The option stage: price one scenario on its despatch key's decade."""
-    traces: dict[int, new.SocTrace] = {}
+    traces: dict[int, new.SocTrace | None] = dict.fromkeys(YEARS)
     if params.new_option == "battery_re":
         plan, traces = _battery_plan(params, decade)
     else:
         plan = _thermal_plan(params, decade)
     plan.validate()
 
-    paths = eco.build_price_path(params)
-    report = eco.npv_system_cost(
-        decade.totals, plan, paths, params.discount_rate, params, decade.path
-    )
-
-    if params.new_option == "battery_re":
-        new_capacity = plan.battery.inverter_capacity_mw if plan.battery else 0.0
-    else:
-        new_capacity = max(plan.capacity_mw.values(), default=0.0)
-    curtailment = sum(decade.totals[y]["curtailment_twh"] for y in YEARS)
+    totals = decade.totals
     result = eco.ScenarioResult(
-        params=params,
-        report=report,
-        new_capacity_mw=new_capacity,
-        curtailment_twh=curtailment,
+        report=eco.npv_system_cost(totals, plan, params, decade.path),
+        new_capacity_mw=float(plan.capacity_mw.max()),
+        curtailment_twh=sum(totals["curtailment_twh"].tolist()),
     )
 
+    columns = {
+        "demand_twh": totals["demand_twh"],
+        "re_twh": totals["re"],
+        "hydro_twh": totals["hydro"],
+        "nuclear_twh": totals["nuclear"],
+        "coal_twh": totals["coal_2019"] + totals["coal_slack"],
+        "gas_twh": totals["gas_2019"] + totals["gas_slack"],
+        "curtailment_twh": totals["curtailment_twh"],
+        "unmet_twh": totals["unmet_twh"],
+        "peak_unmet_gw": totals["peak_unmet_mw"] / 1e3,
+        "new_capacity_gross_mw": plan.capacity_mw,
+        "dedicated_solar_gw": plan.dedicated_solar_gw,
+        "secondary_unmet_twh": plan.secondary_unmet_twh,
+        "displaced_gas_twh": plan.displaced_gas_twh,
+        "displaced_coal_twh": plan.displaced_coal_2019_twh + plan.displaced_coal_slack_twh,
+        "bonus_curtailment_twh": plan.bonus_curtailment_avoided_twh,
+    }
     year_rows = []
     details: dict[int, YearDetail] = {}
-    for year in YEARS:
+    for i, year in enumerate(YEARS):
         dy, extras = decade.years[year]
-        t = decade.totals[year]
-        row = {
-            "year": year,
-            "demand_twh": t["demand_twh"],
-            "re_twh": t["re"],
-            "hydro_twh": t["hydro"],
-            "nuclear_twh": t["nuclear"],
-            "coal_twh": t["coal_2019"] + t["coal_slack"],
-            "gas_twh": t["gas_2019"] + t["gas_slack"],
-            "curtailment_twh": t["curtailment_twh"],
-            "unmet_twh": t["unmet_twh"],
-            "peak_unmet_gw": t["peak_unmet_mw"] / 1e3,
-            "capacity_requirement_gw": extras["capacity_requirement_mw"] / 1e3,
-            "new_capacity_gross_mw": plan.capacity_mw.get(year, 0.0),
-            "dedicated_solar_gw": plan.dedicated_solar_gw.get(year, 0.0),
-            "secondary_unmet_twh": plan.secondary_unmet_twh.get(year, 0.0),
-            "displaced_gas_twh": plan.displaced_gas_nonapm_twh.get(year, 0.0),
-            "displaced_coal_twh": plan.displaced_coal_twh.get(year, 0.0),
-            "bonus_curtailment_twh": plan.bonus_curtailment_avoided_twh.get(year, 0.0),
-            "flex_relaxed_slots": dy.relaxed_slots,
-        }
+        row = {name: float(column[i]) for name, column in columns.items()}
+        row["year"] = year
+        row["capacity_requirement_gw"] = extras["capacity_requirement_mw"] / 1e3
+        row["flex_relaxed_slots"] = dy.relaxed_slots
         year_rows.append(row)
         if year in detail_years:
-            trace = traces.get(year)
-            rep = _reporting_dispatch(params, dy, plan, trace, year)
+            trace = traces[year]
+            rep = _reporting_dispatch(params, dy, plan, trace, i)
             rep.check_balance(tolerance=1.0)
-            details[year] = YearDetail(
-                year=year,
-                dispatch=dy,
-                reporting=rep,
-                trace=trace,
-            )
+            details[year] = YearDetail(dispatch=dy, reporting=rep, trace=trace)
 
     return ScenarioOutcome(params=params, result=result, year_rows=year_rows, details=details)

@@ -9,6 +9,7 @@ product of all axes.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
@@ -27,6 +28,36 @@ N_YEARS = len(YEARS)
 NEW_OPTIONS = ("battery_re", "coal", "ocgt", "ccgt", "gas_ic", "diesel_gen")
 
 EFF_SPLITS = ("symmetric", "charge_only")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+#: Field annotation -> what a value must be, and its test.  An integer
+#: is a valid float; a bool is never a number.
+_FIELD_TYPES = {
+    "float": ("a number", _is_number),
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "float | None": ("a number or null", lambda v: v is None or _is_number(v)),
+    "Mapping[str, TechCost]": (
+        "a mapping of cost rows",
+        lambda v: isinstance(v, Mapping) and all(isinstance(r, TechCost) for r in v.values()),
+    ),
+}
+
+
+def check_field_types(cls, values: Mapping[str, object], prefix: str = "") -> None:
+    """Reject a value whose type does not match its ``cls`` field's
+    annotation, naming ``prefix`` + key; names that are not fields pass."""
+    annotations = {f.name: f.type for f in fields(cls)}
+    for name, value in values.items():
+        if name in annotations:
+            expected, test = _FIELD_TYPES[annotations[name]]
+            if not test(value):
+                raise ParameterError(f"{prefix}{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -214,8 +245,9 @@ DESPATCH_FIELDS = (
 def params_from_config(config: Mapping[str, object]) -> ScenarioParams:
     """Build ScenarioParams from a flat JSON-style mapping.
 
-    Unknown keys are rejected.  ``tech_costs`` may be given as a nested
-    mapping of row name to field overrides, merged over the defaults.
+    Unknown keys and values of the wrong type are rejected.
+    ``tech_costs`` may be given as a nested mapping of row name to field
+    overrides, merged over the defaults.
     """
     unknown = set(config) - _FIELD_NAMES
     if unknown:
@@ -229,6 +261,7 @@ def params_from_config(config: Mapping[str, object]) -> ScenarioParams:
         for name, row in raw.items():
             if not isinstance(row, Mapping):
                 raise ParameterError(f"tech_costs[{name!r}] must be a mapping")
+            check_field_types(TechCost, row, f"tech_costs[{name!r}].")
             base = table.get(name)
             try:
                 if base is None:
@@ -238,12 +271,16 @@ def params_from_config(config: Mapping[str, object]) -> ScenarioParams:
             except TypeError as exc:
                 raise ParameterError(f"tech_costs[{name!r}]: {exc}") from None
         kwargs["tech_costs"] = table
+    check_field_types(ScenarioParams, kwargs)
     return ScenarioParams(**kwargs)
 
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Lists of values per parameter name; expansion is their product."""
+    """Lists of values per parameter name; expansion is their product.
+
+    Every value is type-checked against its parameter's field.
+    """
 
     axes: Mapping[str, tuple]
 
@@ -256,6 +293,8 @@ class ParamGrid:
             values = tuple(values)
             if not values:
                 raise ParameterError(f"grid axis {name!r} is empty")
+            for value in values:
+                check_field_types(ScenarioParams, {name: value})
             normalized[name] = values
         object.__setattr__(self, "axes", normalized)
 

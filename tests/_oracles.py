@@ -25,7 +25,6 @@ from gridlab.errors import InfeasibleError, ParameterError
 from gridlab.newsupply import (
     DISPLACEMENT_ORDER,
     Displacement,
-    NewSupplyPlan,
     simulate_soc,
 )
 from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS, HalfHourlySeries, map_values_to_year
@@ -275,7 +274,7 @@ def brute_force_bonus(dy_pre, dy_flexed, displaced_mwh, flex):
 
 
 def undersize_residual(
-    plan,
+    battery,
     size_fraction,
     unmet,
     curtailed_re=None,
@@ -285,14 +284,13 @@ def undersize_residual(
 ):
     """Secondary unmet when NEW supply is undersized, and its peak MW.
 
-    ``plan`` may be a NewSupplyPlan or a bare BatterySpec (None for
-    thermal).  Batteries re-simulate at the reduced size; thermal
-    capacity simply truncates slot-wise.  The peak is what a biodiesel
-    backstop must be able to serve.
+    ``battery`` is the full-size BatterySpec, or None for thermal.
+    Batteries re-simulate at the reduced size; thermal capacity simply
+    truncates slot-wise.  The peak is what a biodiesel backstop must be
+    able to serve.
     """
     if not 0.0 < size_fraction <= 1.0:
         raise ParameterError("size_fraction must lie in (0, 1]")
-    battery = plan.battery if isinstance(plan, NewSupplyPlan) else plan
     unmet = np.asarray(unmet, dtype=float)
     if battery is not None:
         scaled = battery.scaled(size_fraction)

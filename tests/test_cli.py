@@ -115,6 +115,24 @@ class TestParseConfig:
         with pytest.raises(ParameterError, match="unknown data options"):
             cli.parse_config({"data": {"basefile": "x.csv"}})
 
+    @pytest.mark.parametrize("config, message", [
+        ({"re_2030": [300.0, "400"]}, "re_2030 must be a number"),
+        ({"new_option": ["ocgt", 3]}, "new_option must be a string"),
+        ({"flex_limit": True}, "flex_limit must be a number"),
+        ({"data": {"year": "2021"}}, "data.year must be an integer"),
+        ({"data": {"re_annual_target_gwh": "1e6"}}, "re_annual_target_gwh"),
+        ({"tech_costs": [{"ocgt": {"life_years": 20}}]}, "tech_costs must be"),
+    ])
+    def test_mistyped_value_is_rejected(self, config, message):
+        with pytest.raises(ParameterError, match=message):
+            cli.parse_config(config)
+
+    def test_integers_and_null_pass_where_a_number_is_due(self):
+        scenarios, _, opts = cli.parse_config(
+            {"re_2030": [300, 400.0], "data": {"re_annual_target_gwh": None}})
+        assert [p.re_2030 for p in scenarios] == [300, 400.0]
+        assert opts.re_annual_target_gwh is None
+
 
 class TestLoadInputs:
     def test_synthetic_seed_reproduces_the_generator(self):
@@ -245,7 +263,7 @@ def _slot_detail(n_slots, seed=7):
         charge_re_mw=rng.choice(charge, n_slots), charge_solar_mw=rng.choice(charge, n_slots),
         unmet_mw=zeros, source_re_mw=zeros, source_solar_mw=zeros, boundary_slot=34,
     )
-    return pipeline.YearDetail(year=2024, dispatch=despatch(), reporting=despatch(), trace=trace)
+    return pipeline.YearDetail(dispatch=despatch(), reporting=despatch(), trace=trace)
 
 
 class TestSlotTables:
@@ -687,6 +705,19 @@ class TestMain:
         # give every point the same result
         cfg = self.write_config(tmp_path, {"new_option": "ocgt", key: [0.2, 0.3]})
         assert cli.main(["--config", cfg, "--validate-only", "--synthetic", "0"]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"flex_limit": "0.6"}, "flex_limit"),
+        ({"re_2030": None}, "re_2030"),
+        ({"battery_cycle_boundary_hour": 17.5}, "battery_cycle_boundary_hour"),
+        ({"new_option": "ocgt", "tech_costs": {"ocgt": {"life_years": "x"}}}, "life_years"),
+        ({"count_full_life_annuities": "no"}, "count_full_life_annuities"),
+        ({"paper_grid": "false"}, "paper_grid"),
+    ])
+    def test_mistyped_value_exits_2(self, tmp_path, capsys, payload, key):
+        cfg = self.write_config(tmp_path, payload)
+        assert cli.main(["--config", cfg, "--validate-only"]) == 2
         assert key in capsys.readouterr().err
 
     def test_missing_data_directory_exits_2(self, tmp_path, capsys):

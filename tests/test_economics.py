@@ -18,8 +18,8 @@ from gridlab.economics import (
     npv_system_cost,
 )
 from gridlab.errors import DataIntegrityError, ParameterError, UndefinedCostError
-from gridlab.newsupply import BatterySpec, NewSupplyPlan
-from gridlab.pipeline import year_totals
+from gridlab.newsupply import NewSupplyPlan
+from gridlab.pipeline import decade_totals
 from gridlab.scenario import (
     BASE_YEAR,
     FINAL_YEAR,
@@ -50,8 +50,22 @@ def flat_dispatch_year(year, re=10.0, coal=4.0, gas_slack=2.0, unmet=0.0):
 
 def flat_decade(**kwargs):
     """Per-year totals of a decade of flat despatch years."""
-    years = {y: flat_dispatch_year(y, **kwargs) for y in YEARS}
-    return {y: year_totals(dy, dy.demand) for y, dy in years.items()}
+    years = [flat_dispatch_year(y, **kwargs) for y in YEARS]
+    return decade_totals((dy, dy.demand) for dy in years)
+
+
+def every_year(value):
+    return np.full(N_YEARS, value)
+
+
+def battery_plan(builds, **extra):
+    """A battery plan from ``{build year: (energy MWh, inverter MW)}``;
+    each size holds until the next build."""
+    energy, inverter = np.zeros(N_YEARS), np.zeros(N_YEARS)
+    for year, (mwh, mw) in sorted(builds.items()):
+        energy[year - BASE_YEAR:] = mwh
+        inverter[year - BASE_YEAR:] = mw
+    return NewSupplyPlan(option="battery_re", energy_mwh=energy, capacity_mw=inverter, **extra)
 
 
 def no_growth_params(**overrides):
@@ -60,7 +74,7 @@ def no_growth_params(**overrides):
 
 
 def empty_thermal_plan():
-    return NewSupplyPlan(option="ocgt", capacity_mw={y: 0.0 for y in YEARS})
+    return NewSupplyPlan(option="ocgt")
 
 
 # --- closed-form prices ---------------------------------------------------
@@ -194,11 +208,9 @@ class TestNpvFuelOnly:
 
     def setup_method(self):
         self.params = no_growth_params()
-        self.paths = build_price_path(self.params)
         self.capacity = build_capacity_path(self.params)
         self.report = npv_system_cost(
-            flat_decade(), empty_thermal_plan(), self.paths, 0.06,
-            self.params, self.capacity)
+            flat_decade(), empty_thermal_plan(), self.params, self.capacity)
 
     def expected_flows(self):
         t = np.arange(N_YEARS)
@@ -241,28 +253,17 @@ class TestNpvFuelOnly:
 
     def test_missing_year_rejected(self):
         decade = flat_decade()
-        del decade[2030]
+        decade["coal_2019"] = decade["coal_2019"][:-1]
         with pytest.raises(DataIntegrityError):
-            npv_system_cost(decade, empty_thermal_plan(), self.paths, 0.06,
-                            self.params, self.capacity)
+            npv_system_cost(decade, empty_thermal_plan(), self.params, self.capacity)
 
 
 class TestNpvBatteryCohorts:
-    def battery_plan(self, by_year):
-        return NewSupplyPlan(option="battery_re", battery_by_year=by_year)
-
-    def spec(self, energy, inverter):
-        return BatterySpec(energy_capacity_mwh=energy,
-                           inverter_capacity_mw=inverter,
-                           dod_buffer=0.05, roundtrip_eff=0.9)
-
     def test_single_cohort_annuities_and_om(self):
         params = no_growth_params()
-        paths = build_price_path(params)
         capacity = build_capacity_path(params)
-        plan = self.battery_plan({2021: self.spec(1000.0, 400.0)})
-        report = npv_system_cost(flat_decade(), plan, paths, 0.06,
-                                 params, capacity)
+        plan = battery_plan({2021: (1000.0, 400.0)})
+        report = npv_system_cost(flat_decade(), plan, params, capacity)
 
         cell_cost = 1000.0 * 1e3 * 175.0 * 73.65
         inv_cost = 400.0 * 1e3 * 7500.0
@@ -278,14 +279,10 @@ class TestNpvBatteryCohorts:
 
     def test_full_life_counting_adds_the_post_2030_tail(self):
         base = no_growth_params()
-        plan = self.battery_plan({2021: self.spec(1000.0, 400.0)})
-        truncated = npv_system_cost(
-            flat_decade(), plan, build_price_path(base), 0.06, base,
-            build_capacity_path(base))
+        plan = battery_plan({2021: (1000.0, 400.0)})
+        truncated = npv_system_cost(flat_decade(), plan, base, build_capacity_path(base))
         full = replace(base, count_full_life_annuities=True)
-        counted = npv_system_cost(
-            flat_decade(), plan, build_price_path(full), 0.06, full,
-            build_capacity_path(full))
+        counted = npv_system_cost(flat_decade(), plan, full, build_capacity_path(full))
 
         cell_cost = 1000.0 * 1e3 * 175.0 * 73.65
         inv_cost = 400.0 * 1e3 * 7500.0
@@ -302,12 +299,8 @@ class TestNpvBatteryCohorts:
     def test_second_cohort_prices_at_build_year(self):
         params = no_growth_params()
         paths = build_price_path(params)
-        plan = self.battery_plan({
-            2021: self.spec(1000.0, 400.0),
-            2025: self.spec(1600.0, 700.0),
-        })
-        report = npv_system_cost(flat_decade(), plan, paths, 0.06,
-                                 params, build_capacity_path(params))
+        plan = battery_plan({2021: (1000.0, 400.0), 2025: (1600.0, 700.0)})
+        report = npv_system_cost(flat_decade(), plan, params, build_capacity_path(params))
 
         cell0 = 1000.0 * 1e3 * paths.battery_cell_rs_per_kwh[0]
         inv0 = 400.0 * 1e3 * 7500.0
@@ -327,16 +320,10 @@ class TestNpvBatteryCohorts:
     def test_dedicated_solar_rides_the_new_lines(self):
         params = no_growth_params()
         paths = build_price_path(params)
-        plan = NewSupplyPlan(
-            option="battery_re",
-            battery_by_year={2021: self.spec(1000.0, 400.0)},
-            dedicated_solar_gw={y: 2.0 for y in YEARS},
-        )
-        bare = self.battery_plan({2021: self.spec(1000.0, 400.0)})
-        with_solar = npv_system_cost(flat_decade(), plan, paths, 0.06,
-                                     params, build_capacity_path(params))
-        without = npv_system_cost(flat_decade(), bare, paths, 0.06,
-                                  params, build_capacity_path(params))
+        plan = battery_plan({2021: (1000.0, 400.0)}, dedicated_solar_gw=every_year(2.0))
+        bare = battery_plan({2021: (1000.0, 400.0)})
+        with_solar = npv_system_cost(flat_decade(), plan, params, build_capacity_path(params))
+        without = npv_system_cost(flat_decade(), bare, params, build_capacity_path(params))
 
         sol_cost = 2000.0 * paths.solar_capex_rs_per_mw[0]
         extra_capex = np.full(N_YEARS, annuity_payment(sol_cost, 0.085, 25))
@@ -351,25 +338,17 @@ class TestNpvBatteryCohorts:
 
 class TestDisplacementCredits:
     def base_plan(self, **extra):
-        return NewSupplyPlan(
-            option="battery_re",
-            battery_by_year={2021: BatterySpec(
-                energy_capacity_mwh=100.0, inverter_capacity_mw=50.0,
-                dod_buffer=0.05, roundtrip_eff=0.9)},
-            **extra,
-        )
+        return battery_plan({2021: (100.0, 50.0)}, **extra)
 
     def run(self, plan):
         params = no_growth_params()
-        return npv_system_cost(flat_decade(), plan, build_price_path(params),
-                               0.06, params, build_capacity_path(params))
+        return npv_system_cost(flat_decade(), plan, params, build_capacity_path(params))
 
     def test_credits_price_displaced_fuel_gross_of_aux(self):
         plan = self.base_plan(
-            displaced_gas_nonapm_twh={y: 0.001 for y in YEARS},
-            displaced_coal_twh={y: 0.002 for y in YEARS},
-            displaced_by_tranche_twh={y: {"coal_slack": 0.002} for y in YEARS},
-            bonus_curtailment_avoided_twh={y: 0.0005 for y in YEARS},
+            displaced_gas_twh=every_year(0.001),
+            displaced_coal_slack_twh=every_year(0.002),
+            bonus_curtailment_avoided_twh=every_year(0.0005),
         )
         report = self.run(plan)
         t = np.arange(N_YEARS)
@@ -383,9 +362,8 @@ class TestDisplacementCredits:
 
     def test_per_tranche_split_prices_each_tranche(self):
         plan = self.base_plan(
-            displaced_coal_twh={y: 0.002 for y in YEARS},
-            displaced_by_tranche_twh={
-                y: {"coal_2019": 0.0015, "coal_slack": 0.0005} for y in YEARS},
+            displaced_coal_2019_twh=every_year(0.0015),
+            displaced_coal_slack_twh=every_year(0.0005),
         )
         report = self.run(plan)
         t = np.arange(N_YEARS)
@@ -396,7 +374,7 @@ class TestDisplacementCredits:
         # no battery cohorts: the displacement credit is the only NEW flow
         plan = NewSupplyPlan(
             option="battery_re",
-            displaced_gas_nonapm_twh={y: 0.001 for y in YEARS})
+            displaced_gas_twh=every_year(0.001))
         report = self.run(plan)
         assert report.levelized_new is not None
         assert report.levelized_new < 0
@@ -405,15 +383,13 @@ class TestDisplacementCredits:
 class TestThermalFuelAndBiodiesel:
     def test_ocgt_burn_covers_served_and_displaced(self):
         params = no_growth_params()
-        paths = build_price_path(params)
         plan = NewSupplyPlan(
             option="ocgt",
-            capacity_mw={y: 100.0 for y in YEARS},
-            displaced_gas_nonapm_twh={y: 0.002 for y in YEARS},
+            capacity_mw=every_year(100.0),
+            displaced_gas_twh=every_year(0.002),
         )
         decade = flat_decade(unmet=1.0)  # 24 MWh of unmet each year
-        report = npv_system_cost(decade, plan, paths, 0.06, params,
-                                 build_capacity_path(params))
+        report = npv_system_cost(decade, plan, params, build_capacity_path(params))
         t = np.arange(N_YEARS)
         served_kwh = 24e3
         gen = served_kwh + 2e6
@@ -430,15 +406,13 @@ class TestThermalFuelAndBiodiesel:
 
     def test_biodiesel_backstop_costing(self):
         params = no_growth_params()
-        paths = build_price_path(params)
         plan = NewSupplyPlan(
             option="ocgt",
-            capacity_mw={y: 0.0 for y in YEARS},
-            biodiesel_capacity_mw={y: 50.0 for y in YEARS},
-            secondary_unmet_twh={y: 0.0001 for y in YEARS},
+            biodiesel_capacity_mw=every_year(50.0),
+            secondary_unmet_twh=every_year(0.0001),
         )
-        report = npv_system_cost(flat_decade(unmet=1.0), plan, paths, 0.06,
-                                 params, build_capacity_path(params))
+        report = npv_system_cost(
+            flat_decade(unmet=1.0), plan, params, build_capacity_path(params))
         t = np.arange(N_YEARS)
         capex = 50.0 * 20e6
         pay = annuity_payment(capex, 0.085, 15)
@@ -454,14 +428,13 @@ class TestThermalFuelAndBiodiesel:
 def result(npv, capacity=0.0, curtailment=0.0):
     report = CostReport(npv_total=npv, npv_by_component={},
                         levelized_existing=None, levelized_new=None)
-    return ScenarioResult(params=ScenarioParams(), report=report,
-                          new_capacity_mw=capacity, curtailment_twh=curtailment)
+    return ScenarioResult(report=report, new_capacity_mw=capacity, curtailment_twh=curtailment)
 
 
 class TestFrontier:
     def test_cheapest_first(self):
         rs = [result(3.0), result(1.0), result(2.0)]
-        assert [r.npv_total for r in frontier(rs)] == [1.0, 2.0, 3.0]
+        assert [r.report.npv_total for r in frontier(rs)] == [1.0, 2.0, 3.0]
 
     def test_npv_tie_prefers_less_capacity(self):
         rs = [result(1.0, capacity=5.0), result(1.0, capacity=3.0)]

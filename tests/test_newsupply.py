@@ -22,7 +22,7 @@ from gridlab.newsupply import (
     size_for_full_recharge,
     size_new_capacity,
 )
-from gridlab.scenario import ScenarioParams
+from gridlab.scenario import N_YEARS, ScenarioParams
 
 SQRT_RT = float(np.sqrt(0.9))
 
@@ -585,8 +585,6 @@ class TestDisplaceWithBattery:
         assert disp.displaced_twh["coal_slack"] == pytest.approx(185.0 / 1e6)
         assert disp.displaced_twh["coal_2019"] == 0.0
         assert "gas_2019" not in disp.displaced_twh
-        assert disp.displaced_gas_twh == pytest.approx(50.0 / 1e6)
-        assert disp.displaced_coal_twh == pytest.approx(185.0 / 1e6)
         assert disp.per_day_mwh["coal_slack"][0] == pytest.approx(185.0)
 
     def test_drained_battery_has_no_spare(self):
@@ -776,8 +774,7 @@ class TestUndersizeResidual:
         unmet[40] = 150.0
         unmet[70] = 80.0
         battery = size_battery(unmet, ScenarioParams())
-        plan = NewSupplyPlan(option="battery_re", battery=battery)
-        twh, peak = _oracles.undersize_residual(plan, 0.5, unmet)
+        twh, peak = _oracles.undersize_residual(battery, 0.5, unmet)
         trace = simulate_soc(battery.scaled(0.5), unmet, np.zeros(96),
                              np.zeros(96), boundary_slot=34)
         assert twh == pytest.approx(trace.secondary_unmet_twh())
@@ -810,13 +807,14 @@ class TestUndersizeResidual:
 
 class TestNewSupplyPlan:
     def test_validate_rejects_negative_energies(self):
-        plan = NewSupplyPlan(option="battery_re",
-                             secondary_unmet_twh={2030: -0.5})
-        with pytest.raises(ParameterError):
+        secondary = np.zeros(N_YEARS)
+        secondary[-1] = -0.5
+        plan = NewSupplyPlan(option="battery_re", secondary_unmet_twh=secondary)
+        with pytest.raises(ParameterError, match="2030"):
             plan.validate()
 
     def test_validate_passes_clean_plan(self):
-        plan = NewSupplyPlan(option="ocgt",
-                             secondary_unmet_twh={2030: 0.0},
-                             displaced_coal_twh={2030: 1.25})
+        coal = np.zeros(N_YEARS)
+        coal[-1] = 1.25
+        plan = NewSupplyPlan(option="ocgt", displaced_coal_2019_twh=coal)
         plan.validate()

@@ -135,18 +135,18 @@ class TestDecade:
         if kind == "thermal":
             params = ScenarioParams(new_option="ocgt", re_2030=550.0, flex_limit=0.7)
             decade = despatch(params, base_year, solar_shape, wind_shape)
-        assert set(decade.totals) == set(YEARS)
-        for year in YEARS:
+        totals = decade.totals
+        assert set(totals) == set(dsp.SUPPLY_KEYS) | {
+            "unmet_twh", "curtailment_twh", "peak_unmet_mw", "demand_twh"}
+        assert all(column.shape == (len(YEARS),) for column in totals.values())
+        for i, year in enumerate(YEARS):
             dy, extras = decade.years[year]
-            totals = decade.totals[year]
-            assert set(totals) == set(dsp.SUPPLY_KEYS) | {
-                "unmet_twh", "curtailment_twh", "peak_unmet_mw", "demand_twh"}
             for key in dsp.SUPPLY_KEYS:
-                assert totals[key] == dy.energy_twh(key), (year, key)
-            assert totals["unmet_twh"] == dy.unmet_twh()
-            assert totals["curtailment_twh"] == dy.curtailment_twh()
-            assert totals["peak_unmet_mw"] == dy.peak_unmet_mw()
-            assert totals["demand_twh"] == float(np.sum(extras["busbar"])) * SLOT_HOURS / 1e6
+                assert totals[key][i] == dy.energy_twh(key), (year, key)
+            assert totals["unmet_twh"][i] == dy.unmet_twh()
+            assert totals["curtailment_twh"][i] == dy.curtailment_twh()
+            assert totals["peak_unmet_mw"][i] == dy.peak_unmet_mw()
+            assert totals["demand_twh"][i] == float(np.sum(extras["busbar"])) * SLOT_HOURS / 1e6
 
 
 class TestYearRows:
@@ -187,43 +187,34 @@ class TestYearRows:
 
 class TestBatteryPlan:
     def test_sizes_only_grow(self, plan):
-        energies = [plan.battery_by_year[y].energy_capacity_mwh
-                    for y in YEARS]
-        inverters = [plan.battery_by_year[y].inverter_capacity_mw
-                     for y in YEARS]
-        caps = [plan.capacity_mw[y] for y in YEARS]
-        solar = [plan.dedicated_solar_gw[y] for y in YEARS]
-        for seq in (energies, inverters, caps, solar):
+        for seq in (plan.energy_mwh, plan.capacity_mw, plan.dedicated_solar_gw):
             assert all(a <= b + 1e-12 for a, b in zip(seq, seq[1:]))
 
     def test_full_battery_leaves_no_secondary_unmet(self, plan):
-        assert all(plan.secondary_unmet_twh[y] == 0.0 for y in YEARS)
-        assert all(plan.biodiesel_capacity_mw[y] == 0.0 for y in YEARS)
+        assert np.all(plan.secondary_unmet_twh == 0.0)
+        assert np.all(plan.biodiesel_capacity_mw == 0.0)
 
     def test_minimum_sizing_needs_no_dedicated_solar(self, plan):
         # cycle-reset sizing covers the worst cycle from a full charge,
         # so with extra=0 the dedicated solar stays at zero
-        assert all(plan.dedicated_solar_gw[y] == 0.0 for y in YEARS)
+        assert np.all(plan.dedicated_solar_gw == 0.0)
 
     def test_new_capacity_is_the_final_inverter(self, outcome, plan):
         assert outcome.result.new_capacity_mw == pytest.approx(
-            plan.battery.inverter_capacity_mw)
+            outcome.details[2030].trace.battery.inverter_capacity_mw)
         assert outcome.result.new_capacity_mw == pytest.approx(
-            plan.capacity_mw[2030])
+            plan.capacity_mw[-1])
         assert outcome.result.new_capacity_mw > 0
 
-    def test_displacement_volumes_present_and_consistent(self, plan):
-        for y in YEARS:
-            by_tranche = plan.displaced_by_tranche_twh[y]
-            assert by_tranche.get("gas_slack", 0.0) == pytest.approx(
-                plan.displaced_gas_nonapm_twh[y])
-            coal = (by_tranche.get("coal_2019", 0.0)
-                    + by_tranche.get("coal_slack", 0.0))
-            assert coal == pytest.approx(plan.displaced_coal_twh[y])
-            assert plan.bonus_curtailment_avoided_twh[y] >= 0.0
-        assert plan.displaced_coal_twh[2030] > 0
-        assert plan.displaced_gas_nonapm_twh[2030] > 0
-        assert plan.bonus_curtailment_avoided_twh[2030] > 0
+    def test_displacement_volumes_present_and_consistent(self, outcome, plan):
+        coal = plan.displaced_coal_2019_twh + plan.displaced_coal_slack_twh
+        for i, row in enumerate(outcome.year_rows):
+            assert row["displaced_gas_twh"] == plan.displaced_gas_twh[i]
+            assert row["displaced_coal_twh"] == pytest.approx(coal[i])
+            assert plan.bonus_curtailment_avoided_twh[i] >= 0.0
+        assert coal[-1] > 0
+        assert plan.displaced_gas_twh[-1] > 0
+        assert plan.bonus_curtailment_avoided_twh[-1] > 0
 
     def test_plan_validates(self, plan):
         plan.validate()
@@ -269,8 +260,8 @@ class TestDetails:
     def test_fully_served_battery_year_reports_zero_unmet(self, outcome, plan):
         # the export takes the trace's snapped secondary unmet, so eta
         # round-trip dust on served slots never reaches the tables
-        for y in YEARS:
-            assert plan.secondary_unmet_twh[y] == 0.0
+        for i, y in enumerate(YEARS):
+            assert plan.secondary_unmet_twh[i] == 0.0
             rep = outcome.details[y].reporting
             assert np.all(rep.unmet == 0.0)
             assert rep.unmet_twh() == 0.0
@@ -293,21 +284,19 @@ class TestDetails:
         assert extras["curtailed_re"].shape == (n,)
         assert np.all(extras["buffer"].shortfall >= 0)
         assert np.all(extras["curtailed_re"] >= -1e-9)
-        assert plan.dedicated_solar_gw[2030] == 0.0  # extra=0, no dedicated solar
+        assert plan.dedicated_solar_gw[-1] == 0.0  # extra=0, no dedicated solar
         assert detail.trace is not None
 
 
 class TestUndersizedBattery:
     def test_battery_is_exactly_half(self, plan, plan_half):
-        full = plan.battery
-        half = plan_half.battery
-        assert half.energy_capacity_mwh == pytest.approx(
-            full.energy_capacity_mwh / 2, rel=1e-12)
-        assert half.inverter_capacity_mw == pytest.approx(
-            full.inverter_capacity_mw / 2, rel=1e-12)
+        assert plan_half.energy_mwh[-1] == pytest.approx(
+            plan.energy_mwh[-1] / 2, rel=1e-12)
+        assert plan_half.capacity_mw[-1] == pytest.approx(
+            plan.capacity_mw[-1] / 2, rel=1e-12)
 
     def test_secondary_unmet_is_strongly_sublinear(self, outcome_half, plan_half):
-        sec = plan_half.secondary_unmet_twh[2030]
+        sec = plan_half.secondary_unmet_twh[-1]
         unmet = outcome_half.year_rows[-1]["unmet_twh"]
         assert sec > 0
         # half the battery serves far more than half the load
@@ -317,56 +306,53 @@ class TestUndersizedBattery:
         detail = outcome_half.details[2030]
         peak = float(detail.trace.secondary_unmet_mw.max())
         diesel_aux = 0.005
-        assert plan_half.biodiesel_capacity_mw[2030] == pytest.approx(
-            peak / (1 - diesel_aux))
-        bios = [plan_half.biodiesel_capacity_mw[y] for y in YEARS]
+        bios = plan_half.biodiesel_capacity_mw
+        assert bios[-1] == pytest.approx(peak / (1 - diesel_aux))
         assert all(a <= b + 1e-12 for a, b in zip(bios, bios[1:]))
 
-    def test_matches_undersize_residual_of_full_design(self, decade, plan,
+    def test_matches_undersize_residual_of_full_design(self, decade, outcome,
                                                        outcome_half, plan_half):
         detail = outcome_half.details[2030]
         dy, extras = decade.years[2030]
-        solar_gen = decade.solar_by_year[2030] * plan_half.dedicated_solar_gw[2030] * 1e3
+        solar_gen = decade.solar_by_year[2030] * plan_half.dedicated_solar_gw[-1] * 1e3
         twh, peak = _oracles.undersize_residual(
-            plan.battery, 0.5, dy.unmet, extras["curtailed_re"],
+            outcome.details[2030].trace.battery, 0.5, dy.unmet, extras["curtailed_re"],
             solar_gen, boundary_slot=34)
         assert twh == pytest.approx(
-            plan_half.secondary_unmet_twh[2030], rel=1e-9)
+            plan_half.secondary_unmet_twh[-1], rel=1e-9)
         assert peak == pytest.approx(
             float(detail.trace.secondary_unmet_mw.max()), rel=1e-9)
 
 
 class TestThermalOptions:
     def test_new_coal_displaces_nonapm_gas(self, outcome_coal, plan_coal):
-        assert plan_coal.displaced_gas_nonapm_twh[2030] > 0
+        assert plan_coal.displaced_gas_twh[-1] > 0
         detail = outcome_coal.details[2030]
         assert (detail.reporting.energy_twh("gas_slack")
                 < detail.dispatch.energy_twh("gas_slack"))
 
     def test_coal_has_no_battery_style_lines(self, plan_coal):
         plan = plan_coal
-        assert plan.battery is None
-        for y in YEARS:
-            assert plan.displaced_coal_twh[y] == 0.0
-            assert plan.bonus_curtailment_avoided_twh[y] == 0.0
-            assert plan.secondary_unmet_twh[y] == 0.0
+        assert np.all(plan.energy_mwh == 0.0)
+        assert np.all(plan.displaced_coal_2019_twh + plan.displaced_coal_slack_twh == 0.0)
+        assert np.all(plan.bonus_curtailment_avoided_twh == 0.0)
+        assert np.all(plan.secondary_unmet_twh == 0.0)
 
     def test_ocgt_displaces_nothing(self, outcome_ocgt, plan_ocgt):
-        assert all(plan_ocgt.displaced_gas_nonapm_twh[y] == 0.0
-                   for y in YEARS)
+        assert np.all(plan_ocgt.displaced_gas_twh == 0.0)
         assert outcome_ocgt.result.report.npv_by_component["new_fuel"] > 0
 
     def test_thermal_options_net_to_the_same_requirement(self, plan_coal,
                                                          plan_ocgt):
-        coal_net = plan_coal.capacity_mw[2030] * (1 - 0.08)
-        ocgt_net = plan_ocgt.capacity_mw[2030] * (1 - 0.025)
+        coal_net = plan_coal.capacity_mw[-1] * (1 - 0.08)
+        ocgt_net = plan_ocgt.capacity_mw[-1] * (1 - 0.025)
         assert coal_net == pytest.approx(ocgt_net, rel=1e-9)
 
     def test_undersized_coal_leaves_secondary(self, decade):
         plan = _thermal_plan(
             ScenarioParams(new_option="coal", new_coal_size_fraction=0.5), decade)
-        assert plan.secondary_unmet_twh[2030] > 0
-        assert plan.biodiesel_capacity_mw[2030] > 0
+        assert plan.secondary_unmet_twh[-1] > 0
+        assert plan.biodiesel_capacity_mw[-1] > 0
 
 
 class TestTrancheCaps:
@@ -421,7 +407,8 @@ def test_any_base_year_evaluates(year, base_year, outcome, outcome_ocgt):
         assert decade.years[2024][1]["busbar"].shape == (slots_in_year(2024),)
         if slots_in_year(year) == slots_in_year(base_year.year):
             # same slot grid as the 2021 fixture: nothing may change
-            assert got.result.npv_total == reference.result.npv_total
+            assert got.result.report.npv_total == reference.result.report.npv_total
             assert got.year_rows == reference.year_rows
         else:
-            assert got.result.npv_total == pytest.approx(reference.result.npv_total, rel=0.02)
+            assert got.result.report.npv_total == pytest.approx(
+                reference.result.report.npv_total, rel=0.02)

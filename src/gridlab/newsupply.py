@@ -542,10 +542,8 @@ def size_dedicated_solar(
 class Displacement:
     """Battery spare throughput turned into fossil displacement."""
 
-    spare_twh: float
     displaced_twh: dict[str, float]  # by tranche of DISPLACEMENT_ORDER
     per_day_mwh: dict[str, np.ndarray]  # calendar-day attribution
-    per_cycle_spare_mwh: np.ndarray
 
 
 def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:
@@ -580,11 +578,10 @@ def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:
     depth_margin = np.maximum(soc_m.min(axis=1) - battery.floor_mwh, 0.0) * eta_d
     charge_m, _ = _pad_cycles(extra_charge, boundary)
     charge_margin = charge_m.sum(axis=1) * SLOT_HOURS * eta_c * eta_d
-    spare_cycle = np.minimum(depth_margin, charge_margin)
+    spare = np.minimum(depth_margin, charge_margin)
 
     starts = np.maximum(np.arange(soc_m.shape[0]) * SLOTS_PER_DAY - front, 0)
     day = np.minimum(starts // SLOTS_PER_DAY, n_days - 1)
-    spare = spare_cycle
     per_day: dict[str, np.ndarray] = {}
     displaced_twh: dict[str, float] = {}
     for name in DISPLACEMENT_ORDER:
@@ -594,12 +591,7 @@ def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:
         per_day[name] = np.bincount(day, weights=take, minlength=n_days)
         displaced_twh[name] = float(np.sum(take)) / 1e6
 
-    return Displacement(
-        spare_twh=float(np.sum(spare_cycle)) / 1e6,
-        displaced_twh=displaced_twh,
-        per_day_mwh=per_day,
-        per_cycle_spare_mwh=spare_cycle,
-    )
+    return Displacement(displaced_twh=displaced_twh, per_day_mwh=per_day)
 
 
 def _lowered_daily_max(coal_days: np.ndarray, displaced_mwh: np.ndarray) -> np.ndarray:

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import calendar
 import csv
-import math
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date, datetime
+from itertools import chain, compress, islice
+from operator import attrgetter
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -80,15 +82,16 @@ def map_values_to_year(values: np.ndarray, from_year: int, to_year: int) -> np.n
     return out.reshape(-1)
 
 
+def _run_bounds(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and stops of the contiguous True runs of ``mask``."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return edges[::2], edges[1::2]
+
+
 def _gap_runs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Contiguous True runs of ``mask`` as half-open (start, stop) pairs."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return ()
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([idx[0]], idx[breaks + 1]))
-    stops = np.concatenate((idx[breaks] + 1, [idx[-1] + 1]))
-    return tuple((int(a), int(b)) for a, b in zip(starts, stops))
+    starts, stops = _run_bounds(mask)
+    return tuple(zip(starts.tolist(), stops.tolist()))
 
 
 @dataclass(frozen=True)
@@ -184,17 +187,131 @@ class PerMwShape:
 # ---------------------------------------------------------------------------
 
 
-def _parse_slot(stamp: str, year: int, line: int) -> int:
+#: Rows read and checked per block by the CSV loaders.  Blocks bound the
+#: loaders' working memory: loading a patchy 17,520-row base-year file
+#: peaks at 1.8 MB of Python objects in 256-row blocks, as the per-row
+#: loader did, at 3.2 MB in 2,048-row blocks and at 18 MB in one block,
+#: and larger blocks are no faster.
+_BLOCK_ROWS = 256
+#: turns a blank cell into text that ``float`` reads as NaN
+_BLANK_AS_NAN = {"": "nan"}
+
+
+def _map_prefix(func, items: list) -> tuple[list, ValueError | None]:
+    """``func`` over ``items`` up to the first item it rejects.
+
+    Returns the results before that item (so the rejected item sits at
+    ``len(results)``) and its ``ValueError``, or every result and None.
+    """
     try:
-        ts = datetime.fromisoformat(stamp)
-    except ValueError as exc:
-        raise TimeseriesParseError(f"bad timestamp {stamp!r}: {exc}", line) from None
-    if ts.year != year:
-        raise TimeseriesParseError(f"timestamp {stamp!r} outside year {year}", line)
-    if ts.minute not in (0, 30) or ts.second or ts.microsecond:
-        raise CadenceError(f"line {line}: timestamp {stamp!r} is not on a 30-minute grid")
-    day = ts.timetuple().tm_yday - 1
-    return day * SLOTS_PER_DAY + ts.hour * 2 + ts.minute // 30
+        return list(map(func, items)), None
+    except ValueError:
+        results = []
+        for item in items:
+            try:
+                results.append(func(item))
+            except ValueError as exc:
+                return results, exc
+        raise
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True in ``mask``, or None."""
+    return int(np.argmax(mask)) if mask.any() else None
+
+
+def _row_blocks(reader) -> Iterator[tuple[list[list[str]], list[int]]]:
+    """The rows after the header, ``_BLOCK_ROWS`` at a time, with their
+    line numbers; rows with no non-blank cell are left out."""
+    line = 2
+    while block := list(islice(reader, _BLOCK_ROWS)):
+        keep = np.fromiter(map(bool, map(str.strip, map("".join, block))), bool, len(block))
+        yield list(compress(block, keep)), (line + np.flatnonzero(keep)).tolist()
+        line += len(block)
+
+
+def _timeseries_block(
+    rows: list[list[str]], lines: list[int], year: int, prev_slot: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slots and ``(rows, 6)`` MW values of one block of base-year rows.
+
+    Each check runs on the whole block at once.  A check only looks at
+    the rows before the first fault an earlier check found, so the error
+    raised is the one for the first faulty line in the file, and on that
+    line the first of: field count, timestamp, year, cadence, advance,
+    then the cells left to right.  Blank cells become NaN.
+    """
+    n_fields = len(TIMESERIES_COLUMNS)
+    fault: Exception | None = None
+
+    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    i = _first(widths != n_fields)
+    if i is not None:
+        fault = TimeseriesParseError(f"expected {n_fields} fields, got {widths[i]}", lines[i])
+        rows = rows[:i]
+
+    cells = list(chain.from_iterable(rows))
+    raw_stamps = cells[::n_fields]
+    del cells[::n_fields]
+    stamps = list(map(str.strip, raw_stamps))
+    times, exc = _map_prefix(datetime.fromisoformat, stamps)
+    if exc is not None:
+        i = len(times)
+        fault = TimeseriesParseError(f"bad timestamp {stamps[i]!r}: {exc}", lines[i])
+
+    # wall-clock fields, as written: an offset such as +05:30 is ignored
+    k = len(times)
+    day = np.fromiter(map(datetime.toordinal, times), np.int64, k) - date(year, 1, 1).toordinal()
+    i = _first((day < 0) | (day >= days_in_year(year)))
+    if i is not None:
+        fault = TimeseriesParseError(f"timestamp {stamps[i]!r} outside year {year}", lines[i])
+        k = i
+    minute = np.fromiter(map(attrgetter("minute"), times[:k]), np.int64, k)
+    off_grid = np.fromiter(map(attrgetter("second"), times[:k]), np.int64, k) > 0
+    off_grid |= np.fromiter(map(attrgetter("microsecond"), times[:k]), np.int64, k) > 0
+    i = _first(off_grid | (minute % 30 != 0))
+    if i is not None:
+        fault = CadenceError(
+            f"line {lines[i]}: timestamp {stamps[i]!r} is not on a 30-minute grid"
+        )
+        k = i
+    hour = np.fromiter(map(attrgetter("hour"), times[:k]), np.int64, k)
+    slots = day[:k] * SLOTS_PER_DAY + hour * 2 + minute[:k] // 30
+    i = _first(np.diff(slots, prepend=prev_slot) <= 0)
+    if i is not None:
+        fault = CadenceError(
+            f"line {lines[i]}: timestamp {raw_stamps[i]!r} does not advance the 30-minute grid"
+        )
+        slots = slots[:i]
+
+    n_values = n_fields - 1
+    cells = cells[: slots.size * n_values]
+    floats, exc = _map_prefix(float, list(map(_BLANK_AS_NAN.get, cells, cells)))
+    if exc is not None:  # a cell of spaces is blank too
+        cells = list(map(str.strip, cells))
+        floats, exc = _map_prefix(float, list(map(_BLANK_AS_NAN.get, cells, cells)))
+    values = np.array(floats, dtype=float)
+    non_finite = np.isinf(values)
+    nan_at = np.flatnonzero(np.isnan(values))
+    non_finite[nan_at] = [cells[j] != "" for j in nan_at.tolist()]  # a NaN not from a blank
+    negative = values < 0
+    i = _first(non_finite | negative)
+    if i is not None:
+        line, name = lines[i // n_values], TIMESERIES_COLUMNS[1 + i % n_values]
+        if non_finite[i]:
+            fault = TimeseriesParseError(f"non-finite value in column {name}", line)
+        else:
+            fault = TimeseriesParseError(
+                f"negative MW ({float(values[i])}) in column {name}", line
+            )
+    elif exc is not None:
+        i = values.size
+        line, name = lines[i // n_values], TIMESERIES_COLUMNS[1 + i % n_values]
+        fault = TimeseriesParseError(f"bad value {cells[i]!r} in column {name}", line)
+
+    if fault is not None:
+        raise fault
+    return slots, values.reshape(-1, n_values)
 
 
 def load_timeseries_csv(path: str | Path, year: int) -> BaseYearData:
@@ -205,12 +322,16 @@ def load_timeseries_csv(path: str | Path, year: int) -> BaseYearData:
     ISO-8601 timestamps at a strict 30-minute cadence.  Missing rows and
     empty cells become recorded gaps; negative or unparseable values
     raise :class:`TimeseriesParseError` with the offending line; more
-    than 5% of rows absent raises :class:`DataIntegrityError`.
+    than 5% of rows absent raises :class:`DataIntegrityError`.  Rows are
+    read and checked ``_BLOCK_ROWS`` at a time.
     """
     path = Path(path)
     n = slots_in_year(year)
-    columns = {name: np.full(n, np.nan) for name in TIMESERIES_COLUMNS[1:]}
-    seen = np.zeros(n, dtype=bool)
+    # one array per column, not one (n, 6) table: freeing an 841 KB table
+    # raises glibc's mmap threshold, and the run's later slot arrays then
+    # grow the heap instead (peak RSS +1 MB on a full run)
+    columns = {name.removesuffix("_mw"): np.full(n, np.nan) for name in TIMESERIES_COLUMNS[1:]}
+    n_rows = 0
 
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -224,83 +345,79 @@ def load_timeseries_csv(path: str | Path, year: int) -> BaseYearData:
                 line=1,
             )
         prev_slot = -1
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(TIMESERIES_COLUMNS):
-                raise TimeseriesParseError(
-                    f"expected {len(TIMESERIES_COLUMNS)} fields, got {len(row)}", line
-                )
-            slot = _parse_slot(row[0].strip(), year, line)
-            if slot <= prev_slot:
-                raise CadenceError(
-                    f"line {line}: timestamp {row[0]!r} does not advance the 30-minute grid"
-                )
-            prev_slot = slot
-            seen[slot] = True
-            for name, cell in zip(TIMESERIES_COLUMNS[1:], row[1:]):
-                cell = cell.strip()
-                if not cell:
-                    continue  # gap
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise TimeseriesParseError(
-                        f"bad value {cell!r} in column {name}", line
-                    ) from None
-                if math.isnan(value) or math.isinf(value):
-                    raise TimeseriesParseError(f"non-finite value in column {name}", line)
-                if value < 0:
-                    raise TimeseriesParseError(
-                        f"negative MW ({value}) in column {name}", line
-                    )
-                columns[name][slot] = value
+        for rows, lines in _row_blocks(reader):
+            slots, values = _timeseries_block(rows, lines, year, prev_slot)
+            for column, column_values in zip(columns.values(), values.T):
+                column[slots] = column_values
+            if slots.size:
+                prev_slot = int(slots[-1])
+            n_rows += slots.size
 
-    missing_rows = int(n - seen.sum())
+    missing_rows = n - n_rows
     if missing_rows > 0.05 * n:
         raise DataIntegrityError(
             f"{path}: {missing_rows} of {n} rows missing ({missing_rows / n:.1%} > 5%)"
         )
 
-    gaps = {
-        name.removesuffix("_mw"): _gap_runs(np.isnan(values))
-        for name, values in columns.items()
-    }
+    gaps = {name: _gap_runs(np.isnan(values)) for name, values in columns.items()}
     return BaseYearData(
         year=year,
-        demand=HalfHourlySeries(year, columns["demand_mw"], "demand"),
-        supply_by_fuel={
-            fuel: HalfHourlySeries(year, columns[f"{fuel}_mw"], fuel) for fuel in FUELS
-        },
+        demand=HalfHourlySeries(year, columns["demand"], "demand"),
+        supply_by_fuel={fuel: HalfHourlySeries(year, columns[fuel], fuel) for fuel in FUELS},
         gaps={k: v for k, v in gaps.items() if v},
     )
 
 
+def _shape_block(rows: list[list[str]], lines: list[int], first_slot: int) -> np.ndarray:
+    """Fractions of one block of shape rows, checked as ``_timeseries_block``
+    checks its rows; on a line: field count, parse, order, range."""
+    fault: Exception | None = None
+
+    i = _first(np.fromiter(map(len, rows), np.intp, len(rows)) != 2)
+    if i is not None:
+        fault = TimeseriesParseError(f"expected 2 fields, got {len(rows[i])}", lines[i])
+        rows = rows[:i]
+    cells = list(chain.from_iterable(rows))
+    slots, slot_exc = _map_prefix(int, cells[::2])
+    fractions, frac_exc = _map_prefix(float, cells[1::2])
+    k = min(len(slots), len(fractions))
+    if slot_exc is not None or frac_exc is not None:
+        fault = TimeseriesParseError(f"bad shape row {rows[k]!r}", lines[k])
+    expected = list(range(first_slot, first_slot + k))
+    if slots[:k] != expected:
+        k = next(j for j in range(k) if slots[j] != expected[j])
+        fault = CadenceError(f"line {lines[k]}: slot {slots[k]} out of order")
+    values = np.array(fractions[:k], dtype=float)
+    i = _first(~((values >= 0.0) & (values <= 1.0)))
+    if i is not None:
+        fault = TimeseriesParseError(f"fraction {fractions[i]} outside [0, 1]", lines[i])
+
+    if fault is not None:
+        raise fault
+    return values
+
+
 def load_shape_csv(path: str | Path) -> PerMwShape:
-    """Load a per-MW shape CSV with header ``slot,fraction``."""
+    """Load a per-MW shape CSV with header ``slot,fraction``.
+
+    Every non-blank row has exactly two fields: the slot, counting up
+    from 0, and a fraction in [0, 1].  Rows are read and checked
+    ``_BLOCK_ROWS`` at a time.
+    """
     path = Path(path)
-    fractions: list[float] = []
+    blocks: list[np.ndarray] = []
+    n_slots = 0
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["slot", "fraction"]:
             raise TimeseriesParseError(f"unexpected header {header!r}; expected slot,fraction", 1)
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                slot = int(row[0])
-                frac = float(row[1])
-            except (ValueError, IndexError):
-                raise TimeseriesParseError(f"bad shape row {row!r}", line) from None
-            if slot != len(fractions):
-                raise CadenceError(f"line {line}: slot {slot} out of order")
-            if not 0.0 <= frac <= 1.0:
-                raise TimeseriesParseError(f"fraction {frac} outside [0, 1]", line)
-            fractions.append(frac)
-    if not fractions:
+        for rows, lines in _row_blocks(reader):
+            blocks.append(_shape_block(rows, lines, n_slots))
+            n_slots += blocks[-1].size
+    if not n_slots:
         raise DataIntegrityError(f"{path}: no shape rows")
-    return PerMwShape(np.array(fractions), label=path.stem)
+    return PerMwShape(np.concatenate(blocks), label=path.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -316,34 +433,35 @@ def _fill_gaps(values: np.ndarray, max_gap_slots: int, label: str) -> np.ndarray
     if mask.all():
         raise DataIntegrityError(f"series '{label}' has no usable values")
     n = out.shape[0]
-    for start, stop in _gap_runs(mask):
-        length = stop - start
-        if length <= max_gap_slots and start > 0 and stop < n:
-            left, right = out[start - 1], out[stop]
-            if not (np.isnan(left) or np.isnan(right)):
-                steps = np.arange(1, length + 1) / (length + 1)
-                out[start:stop] = left + (right - left) * steps
-                continue
-        # long gap (or gap at a boundary): copy the same slot-of-day from
-        # the nearest day that has it, preferring the earlier day on ties
-        for s in range(start, stop):
-            day, sod = divmod(s, SLOTS_PER_DAY)
-            n_days = n // SLOTS_PER_DAY
-            filled = False
-            for dist in range(1, n_days):
-                for other in (day - dist, day + dist):
-                    if 0 <= other < n_days:
-                        candidate = values[other * SLOTS_PER_DAY + sod]
-                        if not np.isnan(candidate):
-                            out[s] = candidate
-                            filled = True
-                            break
-                if filled:
-                    break
-            if not filled:
-                raise DataIntegrityError(
-                    f"series '{label}': slot {sod} of day is missing on every day"
-                )
+
+    # a short gap inside the series: linear between its two neighbours
+    starts, stops = _run_bounds(mask)
+    short = (stops - starts <= max_gap_slots) & (starts > 0) & (stops < n)
+    lengths = (stops - starts)[short]
+    first = np.repeat(starts[short], lengths)
+    slots = first + np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    width = np.repeat(lengths + 1, lengths)
+    left, right = values[first - 1], values[first - 1 + width]
+    out[slots] = left + (right - left) * ((slots - first + 1) / width)
+    long_gap = mask.copy()
+    long_gap[slots] = False
+    if not long_gap.any():
+        return out
+
+    # long gap (or gap at a boundary): copy the same slot-of-day from the
+    # nearest day that has it, preferring the earlier day on ties
+    days = np.arange(n // SLOTS_PER_DAY)[:, None]
+    valid = ~mask.reshape(days.size, SLOTS_PER_DAY)
+    missing = long_gap & np.tile(~valid.any(axis=0), days.size)
+    if missing.any():
+        sod = int(np.argmax(missing)) % SLOTS_PER_DAY
+        raise DataIntegrityError(f"series '{label}': slot {sod} of day is missing on every day")
+    # sentinels lie farther away than any real day
+    before = np.maximum.accumulate(np.where(valid, days, -days.size), axis=0)
+    after = np.minimum.accumulate(np.where(valid, days, 2 * days.size)[::-1], axis=0)[::-1]
+    nearest = np.where(days - before <= after - days, before, after)
+    source = (nearest * SLOTS_PER_DAY + np.arange(SLOTS_PER_DAY)).reshape(-1)
+    out[long_gap] = values[source[long_gap]]
     return out
 
 

@@ -2,11 +2,15 @@
 
 Everything in here favours obviousness over speed: literal recursions,
 bisection instead of closed forms, an LP solver instead of the greedy
-merit stack, and one ``csv.writer`` row per slot instead of block-wise
-``%`` formatting.
+merit stack, one ``csv.writer`` row per slot instead of block-wise
+``%`` formatting, and one input row (or gap slot) at a time instead of
+block-wise array checks.
 """
 
 import csv
+import math
+from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
@@ -21,13 +25,30 @@ from gridlab.dispatch import (
     net_demand,
     split_must_run,
 )
-from gridlab.errors import InfeasibleError, ParameterError
+from gridlab.errors import (
+    CadenceError,
+    DataIntegrityError,
+    InfeasibleError,
+    ParameterError,
+    TimeseriesParseError,
+)
 from gridlab.newsupply import (
     DISPLACEMENT_ORDER,
     Displacement,
     simulate_soc,
 )
-from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS, HalfHourlySeries, map_values_to_year
+from gridlab.shapes import (
+    FUELS,
+    SLOT_HOURS,
+    SLOTS_PER_DAY,
+    TIMESERIES_COLUMNS,
+    BaseYearData,
+    HalfHourlySeries,
+    PerMwShape,
+    _gap_runs,
+    map_values_to_year,
+    slots_in_year,
+)
 
 UNMET_PRICE = 1.0e5  # Rs/kWh-scale penalty, far above any fuel
 
@@ -206,15 +227,13 @@ def reference_displacement(soc, dy):
     extra_charge = np.where(soc.unmet_mw <= 0,
                             np.minimum(leftover, np.maximum(headroom, 0.0)), 0.0)
 
-    spare_cycle = np.zeros(len(windows))
     per_day = {name: np.zeros(n_days) for name in DISPLACEMENT_ORDER}
     displaced_total = {name: 0.0 for name in DISPLACEMENT_ORDER}
-    for i, (a, b) in enumerate(windows):
+    for a, b in windows:
         min_soc = min(battery.energy_capacity_mwh, float(np.min(soc.soc_mwh[a:b])))
         depth_margin = max(min_soc - battery.floor_mwh, 0.0) * eta_d
         charge_margin = float(np.sum(extra_charge[a:b])) * SLOT_HOURS * eta_c * eta_d
         spare = min(depth_margin, charge_margin)
-        spare_cycle[i] = spare
 
         day = min(a // SLOTS_PER_DAY, n_days - 1)
         for name in DISPLACEMENT_ORDER:
@@ -227,10 +246,8 @@ def reference_displacement(soc, dy):
             spare -= take
 
     return Displacement(
-        spare_twh=float(np.sum(spare_cycle)) / 1e6,
         displaced_twh={k: v / 1e6 for k, v in displaced_total.items()},
         per_day_mwh=per_day,
-        per_cycle_spare_mwh=spare_cycle,
     )
 
 
@@ -394,3 +411,157 @@ def slot_coal_output_csv(yd, path):
         writer.writerow(["slot", "pre_new_mw", "post_new_mw"])
         for s in range(pre.shape[0]):
             writer.writerow([s, f"{pre[s]:.3f}", f"{post[s]:.3f}"])
+
+
+# --- input files and gap fill, one row or slot at a time ----------------------
+
+
+def _parse_slot(stamp, year, line):
+    try:
+        ts = datetime.fromisoformat(stamp)
+    except ValueError as exc:
+        raise TimeseriesParseError(f"bad timestamp {stamp!r}: {exc}", line) from None
+    if ts.year != year:
+        raise TimeseriesParseError(f"timestamp {stamp!r} outside year {year}", line)
+    if ts.minute not in (0, 30) or ts.second or ts.microsecond:
+        raise CadenceError(f"line {line}: timestamp {stamp!r} is not on a 30-minute grid")
+    day = ts.timetuple().tm_yday - 1
+    return day * SLOTS_PER_DAY + ts.hour * 2 + ts.minute // 30
+
+
+def load_timeseries_csv(path, year):
+    """``shapes.load_timeseries_csv``: every check on one row, then the next row."""
+    path = Path(path)
+    n = slots_in_year(year)
+    columns = {name: np.full(n, np.nan) for name in TIMESERIES_COLUMNS[1:]}
+    seen = np.zeros(n, dtype=bool)
+
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataIntegrityError(f"{path}: empty file") from None
+        if [h.strip() for h in header] != list(TIMESERIES_COLUMNS):
+            raise TimeseriesParseError(
+                f"unexpected header {header!r}; expected {','.join(TIMESERIES_COLUMNS)}",
+                line=1,
+            )
+        prev_slot = -1
+        for line, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(TIMESERIES_COLUMNS):
+                raise TimeseriesParseError(
+                    f"expected {len(TIMESERIES_COLUMNS)} fields, got {len(row)}", line
+                )
+            slot = _parse_slot(row[0].strip(), year, line)
+            if slot <= prev_slot:
+                raise CadenceError(
+                    f"line {line}: timestamp {row[0]!r} does not advance the 30-minute grid"
+                )
+            prev_slot = slot
+            seen[slot] = True
+            for name, cell in zip(TIMESERIES_COLUMNS[1:], row[1:]):
+                cell = cell.strip()
+                if not cell:
+                    continue  # gap
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise TimeseriesParseError(
+                        f"bad value {cell!r} in column {name}", line
+                    ) from None
+                if math.isnan(value) or math.isinf(value):
+                    raise TimeseriesParseError(f"non-finite value in column {name}", line)
+                if value < 0:
+                    raise TimeseriesParseError(
+                        f"negative MW ({value}) in column {name}", line
+                    )
+                columns[name][slot] = value
+
+    missing_rows = int(n - seen.sum())
+    if missing_rows > 0.05 * n:
+        raise DataIntegrityError(
+            f"{path}: {missing_rows} of {n} rows missing ({missing_rows / n:.1%} > 5%)"
+        )
+
+    gaps = {
+        name.removesuffix("_mw"): _gap_runs(np.isnan(values))
+        for name, values in columns.items()
+    }
+    return BaseYearData(
+        year=year,
+        demand=HalfHourlySeries(year, columns["demand_mw"], "demand"),
+        supply_by_fuel={
+            fuel: HalfHourlySeries(year, columns[f"{fuel}_mw"], fuel) for fuel in FUELS
+        },
+        gaps={k: v for k, v in gaps.items() if v},
+    )
+
+
+def load_shape_csv(path):
+    """``shapes.load_shape_csv``: one row at a time, two fields a row."""
+    path = Path(path)
+    fractions = []
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["slot", "fraction"]:
+            raise TimeseriesParseError(f"unexpected header {header!r}; expected slot,fraction", 1)
+        for line, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 2:
+                raise TimeseriesParseError(f"expected 2 fields, got {len(row)}", line)
+            try:
+                slot = int(row[0])
+                frac = float(row[1])
+            except ValueError:
+                raise TimeseriesParseError(f"bad shape row {row!r}", line) from None
+            if slot != len(fractions):
+                raise CadenceError(f"line {line}: slot {slot} out of order")
+            if not 0.0 <= frac <= 1.0:
+                raise TimeseriesParseError(f"fraction {frac} outside [0, 1]", line)
+            fractions.append(frac)
+    if not fractions:
+        raise DataIntegrityError(f"{path}: no shape rows")
+    return PerMwShape(np.array(fractions), label=path.stem)
+
+
+def fill_gaps(values, max_gap_slots, label):
+    """``shapes._fill_gaps``: each long-gap slot searches outward day by day."""
+    out = values.copy()
+    mask = np.isnan(out)
+    if not mask.any():
+        return out
+    if mask.all():
+        raise DataIntegrityError(f"series '{label}' has no usable values")
+    n = out.shape[0]
+    for start, stop in _gap_runs(mask):
+        length = stop - start
+        if length <= max_gap_slots and start > 0 and stop < n:
+            left, right = out[start - 1], out[stop]
+            if not (np.isnan(left) or np.isnan(right)):
+                steps = np.arange(1, length + 1) / (length + 1)
+                out[start:stop] = left + (right - left) * steps
+                continue
+        for s in range(start, stop):
+            day, sod = divmod(s, SLOTS_PER_DAY)
+            n_days = n // SLOTS_PER_DAY
+            filled = False
+            for dist in range(1, n_days):
+                for other in (day - dist, day + dist):
+                    if 0 <= other < n_days:
+                        candidate = values[other * SLOTS_PER_DAY + sod]
+                        if not np.isnan(candidate):
+                            out[s] = candidate
+                            filled = True
+                            break
+                if filled:
+                    break
+            if not filled:
+                raise DataIntegrityError(
+                    f"series '{label}': slot {sod} of day is missing on every day"
+                )
+    return out

@@ -8,6 +8,7 @@ import _oracles
 from gridlab.dispatch import DispatchYear
 from gridlab.errors import InfeasibleError, ParameterError
 from gridlab.newsupply import (
+    DISPLACEMENT_ORDER,
     BatterySpec,
     NewSupplyPlan,
     _lowered_daily_max,
@@ -578,9 +579,9 @@ class TestDisplaceWithBattery:
         dy = bare_dispatch(48, gas_slack=gas, coal_slack=np.full(48, 40.0),
                            coal_2019=np.full(48, 100.0))
         disp = displace_with_battery(trace, dy)
-        # spare = depth margin: (250 - 15) MWh * eta_d(=1)
-        assert disp.per_cycle_spare_mwh == pytest.approx([235.0])
-        assert disp.spare_twh == pytest.approx(235.0 / 1e6)
+        # spare = depth margin: (250 - 15) MWh * eta_d(=1), all displaced
+        assert sum(disp.displaced_twh.values()) == pytest.approx(235.0 / 1e6)
+        assert sum(disp.per_day_mwh.values()) == pytest.approx([235.0])
         assert disp.displaced_twh["gas_slack"] == pytest.approx(50.0 / 1e6)
         assert disp.displaced_twh["coal_slack"] == pytest.approx(185.0 / 1e6)
         assert disp.displaced_twh["coal_2019"] == 0.0
@@ -596,8 +597,8 @@ class TestDisplaceWithBattery:
         trace = simulate_soc(b, unmet, re, np.zeros(48), boundary_slot=0)
         dy = bare_dispatch(48, gas_slack=np.full(48, 10.0))
         disp = displace_with_battery(trace, dy)
-        assert disp.spare_twh == 0.0
-        assert disp.displaced_twh["gas_slack"] == 0.0
+        assert disp.displaced_twh == {name: 0.0 for name in DISPLACEMENT_ORDER}
+        assert not any(days.any() for days in disp.per_day_mwh.values())
 
     def test_no_leftover_sources_no_spare(self):
         # plenty of unused depth, but nothing spare to recharge with
@@ -608,7 +609,8 @@ class TestDisplaceWithBattery:
                              boundary_slot=0)
         dy = bare_dispatch(48, coal_slack=np.full(48, 40.0))
         disp = displace_with_battery(trace, dy)
-        assert disp.spare_twh == 0.0
+        assert disp.displaced_twh == {name: 0.0 for name in DISPLACEMENT_ORDER}
+        assert not any(days.any() for days in disp.per_day_mwh.values())
 
     def test_attribution_to_cycle_start_day(self):
         b = make_battery(energy=300.0, inverter=200.0, split="charge_only")
@@ -621,7 +623,8 @@ class TestDisplaceWithBattery:
         dy = bare_dispatch(n, gas_slack=np.full(n, 10.0),
                            coal_slack=np.full(n, 40.0))
         disp = displace_with_battery(trace, dy)
-        assert disp.per_cycle_spare_mwh == pytest.approx([0.0, 0.0, 235.0])
+        # only the third window has spare energy, 235 MWh, booked to day 1
+        assert sum(disp.per_day_mwh.values()) == pytest.approx([0.0, 235.0])
         # third window: 14 slots of gas (70 MWh), remainder from coal
         assert disp.per_day_mwh["gas_slack"][1] == pytest.approx(70.0)
         assert disp.per_day_mwh["coal_slack"][1] == pytest.approx(165.0)
@@ -644,9 +647,7 @@ class TestDisplaceWithBattery:
                                coal_2019=rng.uniform(0.0, 100.0, n))
             got = displace_with_battery(trace, dy)
             ref = _oracles.reference_displacement(trace, dy)
-            assert got.spare_twh > 0.0
-            np.testing.assert_allclose(got.per_cycle_spare_mwh,
-                                       ref.per_cycle_spare_mwh, rtol=1e-9)
+            assert sum(got.displaced_twh.values()) > 0.0
             for name in ref.displaced_twh:
                 np.testing.assert_allclose(got.per_day_mwh[name],
                                            ref.per_day_mwh[name], rtol=1e-9)

@@ -11,7 +11,7 @@ import gridlab
 from gridlab.dispatch import BufferReport, DispatchYear
 from gridlab.economics import ScenarioResult
 from gridlab.errors import ParameterError
-from gridlab.newsupply import NewSupplyPlan, size_battery
+from gridlab.newsupply import Displacement, NewSupplyPlan, size_battery
 from gridlab.pipeline import Decade, ScenarioOutcome, YearDetail
 from gridlab.scenario import (
     BASE_YEAR,
@@ -112,7 +112,7 @@ def _attributes_read(tree):
 #: compare with ``_oracles.reference_soc``.
 RESULT_CLASSES = (
     NewSupplyPlan, Decade, YearDetail, ScenarioOutcome, ScenarioResult,
-    DispatchYear, BufferReport,
+    DispatchYear, BufferReport, Displacement,
 )
 
 

@@ -8,6 +8,13 @@ throughput displacing non-APM gas and coal, and the knock-on reduction
 in RE curtailment when displaced coal lowers the daily peak that sets
 the coal flexibility floor.
 
+A battery year works on one set of cycle matrices: ``CycleYear`` pads
+the unmet profile, the curtailed RE and the solar shape once into
+``(cycles, 48)`` rows, one per daily cycle window.  Sizing, the SoC
+kernel and the displacement read those rows, and ``SocTrace`` flattens
+them only as views.  Rows are independent, so a solar-sizing probe
+tests only the cycles a lower capacity left unserved.
+
 Conventions for battery flows:
 
 * ``charge_mw`` is measured on the source side (grid or solar, before
@@ -24,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -104,30 +110,80 @@ class BatterySpec:
         )
 
 
-@dataclass
-class SocTrace:
-    """Slot-level battery simulation output.
+@dataclass(frozen=True, eq=False)
+class CycleYear:
+    """One year's battery inputs, each padded once to (cycles, 48).
 
-    ``soc_mwh`` may go negative: the shortfall below the DoD floor is
-    exactly the battery-side energy that could not be delivered.
+    Row ``i`` of every matrix is cycle window ``i`` of ``_pad_cycles``,
+    which starts at year slot ``starts[i]`` (negative for the padded
+    lead).  ``solar_shape`` is dedicated solar output per MW.  ``flat``
+    trims a matrix of this layout back to the year's slots, as a view.
+    """
+
+    unmet: np.ndarray
+    curtailed_re: np.ndarray
+    solar_shape: np.ndarray
+    front: int
+    n_slots: int
+    boundary_slot: int
+
+    @classmethod
+    def pad(cls, unmet, curtailed_re, solar_shape, boundary_slot: int) -> "CycleYear":
+        n = unmet.shape[0]
+        for name, source in (("curtailed_re", curtailed_re), ("solar_shape", solar_shape)):
+            if source.shape != (n,):
+                raise ParameterError(f"{name} has shape {source.shape}, want ({n},)")
+        unmet_m, front = _pad_cycles(np.asarray(unmet, dtype=float), boundary_slot)
+        return cls(unmet_m, _pad_cycles(curtailed_re, boundary_slot)[0],
+                   _pad_cycles(solar_shape, boundary_slot)[0], front, n, boundary_slot)
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.arange(self.unmet.shape[0]) * SLOTS_PER_DAY - self.front
+
+    def flat(self, m: np.ndarray) -> np.ndarray:
+        return m.reshape(-1)[self.front:self.front + self.n_slots]
+
+    def solar(self, gw: float, rows=slice(None)) -> np.ndarray:
+        return self.solar_shape[rows] * gw * 1e3
+
+
+def _slots(matrix) -> property:
+    return property(lambda trace: trace.year.flat(matrix(trace)))
+
+
+@dataclass(frozen=True)
+class SocTrace:
+    """One year's battery simulation, on the year's cycle matrices.
+
+    Every array field is a (cycles, 48) matrix in ``year``'s layout; the
+    ``*_mw`` and ``soc_mwh`` properties are the slot series.  ``soc``
+    may go negative: the shortfall below the DoD floor is exactly the
+    battery-side energy that could not be delivered.  ``solar_gw`` of
+    dedicated solar output is ``year.solar(solar_gw)``.
     """
 
     battery: BatterySpec
-    soc_mwh: np.ndarray
-    charge_mw: np.ndarray
-    discharge_mw: np.ndarray
-    served_mw: np.ndarray
-    secondary_unmet_mw: np.ndarray
-    charge_re_mw: np.ndarray
-    charge_solar_mw: np.ndarray
-    unmet_mw: np.ndarray
-    source_re_mw: np.ndarray
-    source_solar_mw: np.ndarray
-    boundary_slot: int
+    year: CycleYear
+    solar_gw: float
+    soc: np.ndarray
+    discharge: np.ndarray
+    served: np.ndarray
+    charge_re: np.ndarray
+    charge_solar: np.ndarray
+    secondary_unmet: np.ndarray
 
     @property
-    def n_slots(self) -> int:
-        return self.soc_mwh.shape[0]
+    def charge(self) -> np.ndarray:
+        return self.charge_re + self.charge_solar
+
+    soc_mwh = _slots(lambda t: t.soc)
+    charge_mw = _slots(lambda t: t.charge)
+    discharge_mw = _slots(lambda t: t.discharge)
+    charge_re_mw = _slots(lambda t: t.charge_re)
+    charge_solar_mw = _slots(lambda t: t.charge_solar)
+    secondary_unmet_mw = _slots(lambda t: t.secondary_unmet)
+    unmet_mw = _slots(lambda t: t.year.unmet)
 
     def secondary_unmet_twh(self) -> float:
         return float(np.sum(self.secondary_unmet_mw)) * SLOT_HOURS / 1e6
@@ -137,7 +193,7 @@ class SocTrace:
         write_table(
             path,
             ["slot", "soc_mwh", "charge_mw", "discharge_mw", "source"],
-            [np.arange(self.n_slots), self.soc_mwh, self.charge_mw, self.discharge_mw, source],
+            [np.arange(self.year.n_slots), self.soc_mwh, self.charge_mw, self.discharge_mw, source],
             ["%d", "%.3f", "%.3f", "%.3f", "%s"],
             "\r\n",
         )
@@ -208,46 +264,31 @@ def _pad_cycles(
 # --- capacity sizing ---------------------------------------------------
 
 
-def size_new_capacity(
-    unmet_by_year: Sequence[np.ndarray],
-    shortfall_by_year: Sequence[np.ndarray],
-    option: str,
-    aux: float,
-) -> np.ndarray:
+def size_new_capacity(required_mw: np.ndarray, option: str, aux: float) -> np.ndarray:
     """Gross NEW capacity installed per year, built cumulatively.
 
-    The net requirement in a year is the worst slot of unmet demand
-    plus buffer shortfall; thermal options gross up by their auxiliary
-    consumption.  Capacity once built never retires inside the horizon,
-    so the installed capacity is the running maximum of the requirement.
+    ``required_mw`` is each year's net requirement, the worst slot of
+    unmet demand plus buffer shortfall (``dispatch.compute_unmet``);
+    thermal options gross up by their auxiliary consumption.  Capacity
+    once built never retires inside the horizon, so the installed
+    capacity is the running maximum of the requirement.
     """
     if option not in NEW_OPTIONS:
         raise ParameterError(f"unknown NEW option {option!r}")
-    if len(unmet_by_year) != len(shortfall_by_year):
-        raise ParameterError("unmet and shortfall must cover the same years")
     if not 0.0 <= aux < 1.0:
         raise ParameterError(f"aux {aux} outside [0, 1)")
-    required = np.zeros(len(unmet_by_year))
-    for i, (u, s) in enumerate(zip(unmet_by_year, shortfall_by_year)):
-        u = np.asarray(u, dtype=float)
-        s = np.asarray(s, dtype=float)
-        net = float(np.max(u + s)) if u.size else 0.0
-        required[i] = net / (1.0 - aux)
-    return np.maximum.accumulate(required)
+    return np.maximum.accumulate(np.asarray(required_mw, dtype=float) / (1.0 - aux))
 
 
-def size_battery(
-    unmet: np.ndarray,
-    params: ScenarioParams,
-    buffer_shortfall: np.ndarray | None = None,
-) -> BatterySpec:
+def size_battery(year: CycleYear, params: ScenarioParams, peak_mw: float) -> BatterySpec:
     """Back-calculate battery size from the unmet-demand profile.
 
-    The inverter covers the worst slot of unmet demand (plus buffer
-    shortfall) after discharge losses.  Energy covers the worst 24h
-    cycle of unmet energy, grossed up for the DoD buffer and discharge
-    losses, and never less than one slot of full inverter output.
-    Both scale linearly with the configured size fraction.
+    The inverter covers ``peak_mw``, the worst slot of unmet demand plus
+    buffer shortfall (``dispatch.compute_unmet``), after discharge
+    losses.  Energy covers the worst 24h cycle of unmet energy, grossed
+    up for the DoD buffer and discharge losses, and never less than one
+    slot of full inverter output.  Both scale linearly with the
+    configured size fraction.
     """
     spec = BatterySpec(
         energy_capacity_mwh=0.0,
@@ -257,15 +298,11 @@ def size_battery(
         size_fraction=params.battery_size_fraction,
         eff_split=params.battery_eff_split,
     )
-    unmet = np.asarray(unmet, dtype=float)
-    need = unmet if buffer_shortfall is None else unmet + np.asarray(buffer_shortfall, dtype=float)
     eta_d = spec.discharge_eff
     dod = spec.dod_buffer
 
-    peak = float(np.max(need)) if need.size else 0.0
-    inverter = peak / eta_d
-
-    cycles, _ = _pad_cycles(unmet, params.cycle_boundary_slot)
+    inverter = peak_mw / eta_d
+    cycles = year.unmet
     worst_cycle_mwh = float(np.max(cycles.sum(axis=1))) * SLOT_HOURS if cycles.size else 0.0
     energy = worst_cycle_mwh / ((1.0 - dod) * eta_d)
     energy = max(energy, inverter * SLOT_HOURS / (1.0 - dod))
@@ -277,64 +314,33 @@ def size_battery(
 # --- state-of-charge simulation ----------------------------------------
 
 
-def _check_source(series: np.ndarray, n: int, name: str) -> None:
-    if series.shape != (n,):
-        raise ParameterError(f"{name} has shape {series.shape}, want ({n},)")
-
-
-def simulate_soc(
-    battery: BatterySpec,
-    unmet,
-    curtailed_re: np.ndarray,
-    dedicated_solar_gen: np.ndarray,
-    boundary_slot: int = 34,
-) -> SocTrace:
-    """Battery simulation against the unmet profile, cycle by cycle.
+def simulate_soc(battery: BatterySpec, year: CycleYear, solar_gw: float) -> SocTrace:
+    """Battery simulation against the year's unmet profile, cycle by cycle.
 
     Slots with unmet demand discharge (never charge); all other slots
-    charge from curtailed RE first, then dedicated solar, capped by the
-    inverter, a 1C charging rate, and the remaining headroom.  Every
-    cycle window (a row of ``_pad_cycles``) starts from a full battery: the
-    daily-full-recharge assumption used for sizing and displacement
-    accounting.
-
-    There is no loop over slots.  Only the headroom clamp makes SoC
-    depend on its own past, so ``soc_t = min(soc_{t-1} + x_t, e_cap)``
-    with a SoC-free step ``x_t``, solved in closed form per cycle (see
-    ``_simulate_cycles``).  SoC therefore never exceeds ``e_cap``, and
-    the result equals the literal slot recursion to a few ulps of
-    ``e_cap``.
+    charge from curtailed RE first, then ``solar_gw`` of dedicated
+    solar, capped by the inverter, a 1C charging rate, and the remaining
+    headroom.  Every cycle window (a row of ``year``) starts from a full
+    battery: the daily-full-recharge assumption used for sizing and
+    displacement accounting.  ``_simulate_cycles`` does the work; this
+    adds the secondary unmet and wraps the matrices in a ``SocTrace``.
     """
-    unmet = np.asarray(unmet, dtype=float)
-    n = unmet.shape[0]
-    _check_source(curtailed_re, n, "curtailed_re")
-    _check_source(dedicated_solar_gen, n, "dedicated_solar_gen")
-
-    soc, charge, discharge, served, re_take, sol_take = _simulate_cycles(
-        battery, unmet, curtailed_re, dedicated_solar_gen, boundary_slot
-    )
+    solar = year.solar(solar_gw)
+    cycles = _simulate_cycles(battery, year.unmet, year.curtailed_re, solar)
     # discharge losses round-trip through eta and leave +/- ulp dust on
     # "fully served" slots; snap anything below a watt so zero is zero
-    secondary = unmet - served
+    secondary = year.unmet - cycles[2]
     secondary[secondary < 1e-6] = 0.0
-    return SocTrace(
-        battery=battery,
-        soc_mwh=soc,
-        charge_mw=charge,
-        discharge_mw=discharge,
-        served_mw=served,
-        secondary_unmet_mw=secondary,
-        charge_re_mw=re_take,
-        charge_solar_mw=sol_take,
-        unmet_mw=unmet.copy(),
-        source_re_mw=curtailed_re,
-        source_solar_mw=dedicated_solar_gen,
-        boundary_slot=boundary_slot,
-    )
+    return SocTrace(battery, year, solar_gw, *cycles, secondary)
 
 
-def _simulate_cycles(battery, unmet, re_src, sol_src, boundary_slot):
-    """The slot recursion in closed form, across all cycles at once.
+def _simulate_cycles(battery, u_m, r_m, s_m):
+    """The SoC kernel: the slot recursion in closed form, row by row.
+
+    Takes unmet, curtailed RE and dedicated solar MW for any rows of a
+    ``CycleYear`` and returns, without writing its inputs, the SoC,
+    discharge, served, RE-charge and solar-charge matrices.
+    Each row is one cycle from a full battery, computed on its own.
 
     Within a slot the SoC change ``x`` does not depend on SoC, except
     for the clamp at capacity: a discharging slot books the full
@@ -345,7 +351,8 @@ def _simulate_cycles(battery, unmet, re_src, sol_src, boundary_slot):
     ``e_cap - soc``: with ``Z = cumsum(-x)`` along a row,
     ``depth = Z - minimum.accumulate(minimum(Z, 0))``.  The depth is
     never negative, so SoC never exceeds ``e_cap``.  Every flow then
-    follows from the previous slot's SoC by the per-slot formulas.
+    follows from the previous slot's SoC by the per-slot formulas.  The
+    result equals the literal slot recursion to a few ulps of ``e_cap``.
     """
     e_cap = battery.energy_capacity_mwh
     inv = battery.inverter_capacity_mw
@@ -354,9 +361,6 @@ def _simulate_cycles(battery, unmet, re_src, sol_src, boundary_slot):
     eta_d = battery.discharge_eff
     c_max = min(inv, e_cap)  # inverter and 1C charging rate
 
-    u_m, front = _pad_cycles(unmet, boundary_slot)
-    r_m, _ = _pad_cycles(re_src, boundary_slot)
-    s_m, _ = _pad_cycles(sol_src, boundary_slot)
     on = u_m > 0
     off = ~on
 
@@ -386,80 +390,70 @@ def _simulate_cycles(battery, unmet, re_src, sol_src, boundary_slot):
     np.maximum(cap, 0.0, out=cap)
     cap /= eta_c * SLOT_HOURS
     np.minimum(cap, c_max, out=cap)
-    re_m = np.minimum(r_m, cap, out=r_m)
+    re_m = np.minimum(r_m, cap)
     re_m *= off
     cap -= re_m
-    sol_m = np.minimum(s_m, cap, out=s_m)
+    sol_m = np.minimum(s_m, cap, out=cap)
     sol_m *= off
-    charge_m = re_m + sol_m
-
-    sl = slice(front, front + unmet.shape[0])
-    flat = lambda m: m.reshape(-1)[sl]
-    return (flat(soc_m), flat(charge_m), flat(discharge_m),
-            flat(served_m), flat(re_m), flat(sol_m))
+    return soc_m, discharge_m, served_m, re_m, sol_m
 
 
 # --- dedicated solar sizing ---------------------------------------------
 
 
-def _solar_gen(solar_shape: np.ndarray, capacity_gw: float, n: int) -> np.ndarray:
-    if solar_shape.shape[0] != n:
-        raise ParameterError("solar shape length must match the unmet series")
-    return solar_shape * capacity_gw * 1e3
+def _unresolved_rows(fails, rows: np.ndarray):
+    """A monotone predicate over solar GW that re-tests only failing rows.
 
-
-def _cycle_secondary_unmet(battery, unmet, re_src, solar, boundary_slot) -> float:
-    trace = simulate_soc(battery, unmet, re_src, solar, boundary_slot=boundary_slot)
-    return float(np.sum(trace.secondary_unmet_mw))
-
-
-def _cycle_full_recharge(battery, re_src, solar, boundary_slot) -> bool:
-    """Could every full cycle's sources refill one usable battery load?
-
-    An energy-budget test: source MW through the inverter (and 1C cap),
-    charge efficiency applied, summed over the cycle, against the usable
-    capacity.  Budget rather than trace, because on days where unmet
-    demand overlaps the solar window no trace can both serve load and
-    show a full recharge; the daily-recharge assumption is an energy
-    statement.  Partial windows at the year's edges are skipped: they
-    lack a full day of sun by construction, not by undersizing.
+    ``fails(gw, rows)`` flags which of the row indices ``rows`` fail at
+    ``gw``.  Rows are independent and each row's test is monotone in GW,
+    so a row that passed at the largest failing GW so far passes at any
+    higher GW: a probe above it re-tests only the rows it left failing,
+    and one at or below it fails untested.  The answers are exact.
     """
-    cap = min(battery.inverter_capacity_mw, battery.energy_capacity_mwh)
-    src_m, front = _pad_cycles(np.minimum(re_src + solar, cap), boundary_slot)
-    budget = src_m.sum(axis=1) * battery.charge_eff * SLOT_HOURS
+    fail_gw = -math.inf
 
-    starts = np.arange(src_m.shape[0]) * SLOTS_PER_DAY - front
-    full = (starts >= 0) & (starts + SLOTS_PER_DAY <= re_src.shape[0])
-    return bool(np.all(budget[full] >= battery.usable_mwh - 1e-6))
+    def predicate(gw: float) -> bool:
+        nonlocal fail_gw, rows
+        if gw <= fail_gw:
+            return False
+        bad = fails(gw, rows)
+        if not bad.any():
+            return True
+        fail_gw, rows = gw, rows[bad]
+        return False
+
+    return predicate
 
 
 def _search_smallest(predicate, tolerance_gw: float, max_gw: float, what: str) -> float:
     """Smallest capacity satisfying a monotone predicate, by bisection.
 
-    A doubling ladder 1, 2, 4, ... GW (up to ``max_gw``) brackets the
-    answer, then bisection narrows it to ``tolerance_gw``.  Because the
-    predicate is monotone, the ladder's top rung alone decides
-    feasibility: if it fails, every lower rung fails too, so an
+    A doubling ladder ``first, 2*first, ...`` GW (up to ``max_gw``, with
+    ``first = min(1, max_gw)``) brackets the answer, then bisection
+    narrows it to ``tolerance_gw``; no answer exceeds ``max_gw``.
+    Because the predicate is monotone, the ladder's top rung alone
+    decides feasibility: if it fails, every lower rung fails too, so an
     infeasible search costs two predicate calls instead of the whole
     ladder.  Both callers' predicates are monotone in solar GW: more
     solar only raises every slot's SoC, and the recharge budget is a sum
     of ``min``s.
     """
-    if not math.isfinite(max_gw):
-        raise ParameterError(f"max_gw must be finite, got {max_gw}")
+    if not (math.isfinite(max_gw) and max_gw > 0):
+        raise ParameterError(f"max_gw must be finite and positive, got {max_gw}")
     if predicate(0.0):
         return 0.0
-    top = 1.0  # the ladder's last rung
+    first = min(1.0, max_gw)
+    top = first  # the ladder's last rung
     while 2.0 * top <= max_gw:
         top *= 2.0
     if not predicate(top):
         raise InfeasibleError(
             f"no dedicated solar capacity below {max_gw:g} GW achieves {what}"
         )
-    hi = 1.0
+    hi = first
     while not predicate(hi):  # stops at top at the latest
         hi *= 2.0
-    lo = hi / 2.0 if hi > 1.0 else 0.0
+    lo = hi / 2.0 if hi > first else 0.0
     while hi - lo > tolerance_gw:
         mid = 0.5 * (lo + hi)
         if predicate(mid):
@@ -469,68 +463,69 @@ def _search_smallest(predicate, tolerance_gw: float, max_gw: float, what: str) -
     return hi
 
 
-def size_for_full_recharge(
-    battery: BatterySpec,
-    curtailed_re: np.ndarray,
-    unmet,
-    solar_shape: np.ndarray,
-    boundary_slot: int = 34,
-    tolerance_gw: float = 0.1,
-    max_gw: float = 10_000.0,
-) -> float:
-    """Smallest dedicated solar that refills the battery every cycle."""
+def size_for_full_recharge(battery: BatterySpec, year: CycleYear,
+                           tolerance_gw: float = 0.1, max_gw: float = 10_000.0) -> float:
+    """Smallest dedicated solar that refills the battery every cycle.
+
+    An energy-budget test: source MW through the inverter (and 1C cap),
+    charge efficiency applied, summed over the cycle, against the usable
+    capacity.  Budget rather than trace, because on days where unmet
+    demand overlaps the solar window no trace can both serve load and
+    show a full recharge; the daily-recharge assumption is an energy
+    statement.  Partial windows at the year's edges are skipped: they
+    lack a full day of sun by construction, not by undersizing.
+    """
     if battery.energy_capacity_mwh <= 0:
         return 0.0
-    n = np.asarray(unmet).shape[0]
-    _check_source(curtailed_re, n, "curtailed_re")
+    cap = min(battery.inverter_capacity_mw, battery.energy_capacity_mwh)
+    need = battery.usable_mwh - 1e-6
+    full = np.flatnonzero((year.starts >= 0) & (year.starts + SLOTS_PER_DAY <= year.n_slots))
 
-    def ok(gw: float) -> bool:
-        return _cycle_full_recharge(battery, curtailed_re,
-                                    _solar_gen(solar_shape, gw, n), boundary_slot)
+    def short(gw: float, rows: np.ndarray) -> np.ndarray:
+        source = np.minimum(year.curtailed_re[rows] + year.solar(gw, rows), cap)
+        return source.sum(axis=1) * battery.charge_eff * SLOT_HOURS < need
 
-    return _search_smallest(ok, tolerance_gw, max_gw, "full daily recharge")
+    return _search_smallest(_unresolved_rows(short, full), tolerance_gw, max_gw,
+                            "full daily recharge")
 
 
-def size_dedicated_solar(
-    battery: BatterySpec,
-    curtailed_re: np.ndarray,
-    unmet,
-    solar_shape: np.ndarray,
-    extra: float,
-    boundary_slot: int = 34,
-    tolerance_gw: float = 0.1,
-    max_gw: float = 10_000.0,
-) -> float:
+def size_dedicated_solar(battery: BatterySpec, year: CycleYear, extra: float,
+                         tolerance_gw: float = 0.1, max_gw: float = 10_000.0,
+                         zero_gw: SocTrace | None = None) -> float:
     """Dedicated solar GW between minimum-service and full-recharge sizing.
 
     The minimum is the smallest capacity leaving zero secondary unmet
-    in every cycle; the maximum additionally refills the battery daily.
-    ``extra`` interpolates between the two.  Raises InfeasibleError if
-    even the largest searched capacity cannot serve the unmet profile,
-    which is the signature of a deliberately undersized battery.
-    ``solar_shape`` is the per-MW output profile, one value per slot of
-    ``unmet``.
+    (no slot at or above 1e-6 MW) in every cycle; the maximum
+    additionally refills the battery daily.  ``extra`` interpolates
+    between the two.  Raises InfeasibleError if even the largest
+    searched capacity cannot serve the unmet profile, which is the
+    signature of a deliberately undersized battery.  ``zero_gw``, if
+    given, is this battery's ``simulate_soc`` trace on ``year`` at 0 GW:
+    the search's first probe reads it instead of simulating again.
     """
     if not 0.0 <= extra <= 1.0:
         raise ParameterError("extra must lie in [0, 1]")
+    if zero_gw is not None and (zero_gw.battery, zero_gw.year, zero_gw.solar_gw) != (
+            battery, year, 0.0):
+        raise ParameterError("zero_gw must be this battery's trace on this year at 0 GW")
     if battery.energy_capacity_mwh <= 0:
         return 0.0
-    unmet = np.asarray(unmet, dtype=float)
-    n = unmet.shape[0]
-    _check_source(curtailed_re, n, "curtailed_re")
 
-    def served(gw: float) -> bool:
-        gap = _cycle_secondary_unmet(battery, unmet, curtailed_re,
-                                     _solar_gen(solar_shape, gw, n), boundary_slot)
-        return gap <= _EPS
+    def unserved(gw: float, rows: np.ndarray) -> np.ndarray:
+        if gw == 0.0 and zero_gw is not None:  # the first probe: every row
+            secondary = zero_gw.secondary_unmet
+        else:
+            unmet = year.unmet[rows]
+            served = _simulate_cycles(battery, unmet, year.curtailed_re[rows],
+                                      year.solar(gw, rows))[2]
+            secondary = unmet - served
+        return (secondary >= 1e-6).any(axis=1)
 
-    minimum = _search_smallest(served, tolerance_gw, max_gw, "zero secondary unmet")
+    every_row = _unresolved_rows(unserved, np.arange(year.unmet.shape[0]))
+    minimum = _search_smallest(every_row, tolerance_gw, max_gw, "zero secondary unmet")
     if extra == 0.0:
         return minimum
-    maximum = size_for_full_recharge(
-        battery, curtailed_re, unmet, solar_shape,
-        boundary_slot=boundary_slot, tolerance_gw=tolerance_gw, max_gw=max_gw,
-    )
+    maximum = size_for_full_recharge(battery, year, tolerance_gw=tolerance_gw, max_gw=max_gw)
     maximum = max(maximum, minimum)
     return minimum + extra * (maximum - minimum)
 
@@ -549,43 +544,40 @@ class Displacement:
 def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:
     """Spare battery throughput displacing fossil output, cycle by cycle.
 
-    Every quantity is a row reduction over ``_pad_cycles`` matrices, one
-    row per cycle window.  Spare energy per cycle is the conservative
-    minimum of the unused discharge depth (the lowest state of charge
-    kept above the floor) and the charging the sources could still have
-    provided.  It displaces the most expensive displaceable tranche
-    first, energy-matched against that tranche's output within the
-    cycle; gas_2019 is never touched.  Volumes are attributed to the
+    Every quantity is a row reduction over the trace's cycle matrices,
+    one row per cycle window.  Spare energy per cycle is the
+    conservative minimum of the unused discharge depth (the lowest state
+    of charge kept above the floor) and the charging the sources could
+    still have provided.  It displaces the most expensive displaceable
+    tranche first, energy-matched against that tranche's output within
+    the cycle; gas_2019 is never touched.  Volumes are attributed to the
     calendar day each cycle starts in (see ``_pad_cycles``).
     """
     battery = soc.battery
+    year = soc.year
     eta_c = battery.charge_eff
     eta_d = battery.discharge_eff
-    boundary = soc.boundary_slot
-    n_days = soc.n_slots // SLOTS_PER_DAY
+    n_days = year.n_slots // SLOTS_PER_DAY
 
     # untapped charging per slot: leftover source up to the unused
-    # inverter/1C headroom, in charging-eligible slots only
-    leftover = (soc.source_re_mw - soc.charge_re_mw) + (soc.source_solar_mw - soc.charge_solar_mw)
+    # inverter/1C headroom, in charging-eligible slots only; padded
+    # slots have no source, so they add nothing
+    leftover = (year.curtailed_re - soc.charge_re) + (year.solar(soc.solar_gw) - soc.charge_solar)
     headroom = np.minimum(battery.inverter_capacity_mw,
-                          battery.energy_capacity_mwh) - soc.charge_mw
-    can_charge = soc.unmet_mw <= 0
-    extra_charge = np.where(can_charge, np.minimum(leftover, np.maximum(headroom, 0.0)), 0.0)
+                          battery.energy_capacity_mwh) - soc.charge
+    extra_charge = np.where(year.unmet <= 0, np.minimum(leftover, np.maximum(headroom, 0.0)), 0.0)
 
-    # padding the SoC with a full battery leaves each row's minimum at
-    # min(capacity, lowest SoC in the window)
-    soc_m, front = _pad_cycles(soc.soc_mwh, boundary, fill=battery.energy_capacity_mwh)
-    depth_margin = np.maximum(soc_m.min(axis=1) - battery.floor_mwh, 0.0) * eta_d
-    charge_m, _ = _pad_cycles(extra_charge, boundary)
-    charge_margin = charge_m.sum(axis=1) * SLOT_HOURS * eta_c * eta_d
+    # a padded lead holds a full battery and a padded tail repeats the
+    # last SoC, so each row's minimum is min(capacity, lowest SoC in the window)
+    depth_margin = np.maximum(soc.soc.min(axis=1) - battery.floor_mwh, 0.0) * eta_d
+    charge_margin = extra_charge.sum(axis=1) * SLOT_HOURS * eta_c * eta_d
     spare = np.minimum(depth_margin, charge_margin)
 
-    starts = np.maximum(np.arange(soc_m.shape[0]) * SLOTS_PER_DAY - front, 0)
-    day = np.minimum(starts // SLOTS_PER_DAY, n_days - 1)
+    day = np.minimum(np.maximum(year.starts, 0) // SLOTS_PER_DAY, n_days - 1)
     per_day: dict[str, np.ndarray] = {}
     displaced_twh: dict[str, float] = {}
     for name in DISPLACEMENT_ORDER:
-        output_m, _ = _pad_cycles(dy.supply[name], boundary)
+        output_m, _ = _pad_cycles(dy.supply[name], year.boundary_slot)
         take = np.minimum(spare, np.maximum(output_m.sum(axis=1) * SLOT_HOURS, 0.0))
         spare = spare - take
         per_day[name] = np.bincount(day, weights=take, minlength=n_days)
@@ -628,7 +620,7 @@ def coal_peak_bonus(
     floor.  The avoided curtailment is what the flex pass would no
     longer have had to curtail at the lower floor, recomputed with the
     same slot arithmetic the flex pass itself uses, on (days, 48)
-    matrices.
+    matrices holding only the days with displaced coal.
     """
     if dy.flex_re_cut is None or dy.coal_flex_floor is None:
         raise ParameterError("coal_peak_bonus needs a flex-adjusted despatch year")
@@ -637,23 +629,33 @@ def coal_peak_bonus(
             f"displaced energy has shape {coal_displaced_in_day.shape}, want ({dy.n_days},)"
         )
 
-    days = (dy.n_days, SLOTS_PER_DAY)
-    coal = dy.coal_total().reshape(days)
-    cut = (dy.flex_re_cut + dy.flex_hydro_cut).reshape(days)
+    # only a day with displaced coal can lower its peak: the rest stay zero
+    d = np.flatnonzero(coal_displaced_in_day > 0)
+
+    def days(series: np.ndarray) -> np.ndarray:
+        return series.reshape(dy.n_days, SLOTS_PER_DAY)[d]
+
+    sup = {k: days(dy.supply[k]) for k in ("coal_2019", "gas_2019", "coal_slack",
+                                          "gas_slack", "re", "hydro")}
+    coal = sup["coal_2019"] + sup["coal_slack"]
+    cut = days(dy.flex_re_cut) + days(dy.flex_hydro_cut)
     # pre-flex net demand and absorbable must-run, reconstructed
     n_pre = (
-        dy.supply["coal_2019"] + dy.supply["gas_2019"]
-        + dy.supply["coal_slack"] + dy.supply["gas_slack"] + dy.unmet
-    ).reshape(days) - cut
-    absorb = (dy.supply["re"] + dy.supply["hydro"]).reshape(days) + cut
-    coal_cap = (dy.capacity["coal_2019"] + dy.capacity["coal_slack"]).reshape(days)
+        sup["coal_2019"] + sup["gas_2019"]
+        + sup["coal_slack"] + sup["gas_slack"] + days(dy.unmet)
+    ) - cut
+    absorb = (sup["re"] + sup["hydro"]) + cut
+    coal_cap = days(dy.capacity["coal_2019"]) + days(dy.capacity["coal_slack"])
 
-    day_disp = np.minimum(coal_displaced_in_day, coal.sum(axis=1) * SLOT_HOURS)
+    day_disp = np.minimum(coal_displaced_in_day[d], coal.sum(axis=1) * SLOT_HOURS)
     new_floor = flex_limit * _lowered_daily_max(coal, day_disp)
     floor_slot = np.minimum(np.minimum(new_floor[:, None], n_pre + absorb), coal_cap)
     new_cut = np.maximum(floor_slot - n_pre, 0.0)
     avoided = np.maximum(cut - new_cut, 0.0).sum(axis=1) * SLOT_HOURS
-    return np.where(day_disp > 0, avoided, 0.0)
+    # scattered back to every day: a shorter sum could round differently
+    bonus = np.zeros(dy.n_days)
+    bonus[d] = np.where(day_disp > 0, avoided, 0.0)
+    return bonus
 
 
 def displace_gas_with_new_coal(new_coal_mw: float, dy: DispatchYear) -> float:

@@ -224,56 +224,54 @@ def despatch_decade(
 
 
 def _battery_plan(
-    params: ScenarioParams, decade: Decade
+    params: ScenarioParams, decade: Decade, keep: tuple[int, ...] = ()
 ) -> tuple[new.NewSupplyPlan, dict[int, new.SocTrace]]:
     """Size and simulate the battery option year by year.
 
     Battery and dedicated solar only ever grow; each year re-simulates
     at the cumulative size under the daily-full-recharge assumption.
+    Each year's series are padded to cycle matrices once, and the trace
+    at 0 GW of dedicated solar is both the solar search's first probe
+    and, while no solar is built, the year's trace.  Only the traces of
+    the ``keep`` years are returned.
     """
     plan = new.NewSupplyPlan(option="battery_re")
     boundary = params.cycle_boundary_slot
+    extra = params.dedicated_solar_extra
     traces: dict[int, new.SocTrace] = {}
     peak_secondary = np.zeros(N_YEARS)
     run_energy = run_inverter = run_solar_gw = 0.0
 
     for i, year in enumerate(YEARS):
         dy, extras = decade.years[year]
-        unmet = dy.unmet
-        shortfall = extras["buffer"].shortfall
-        sized = new.size_battery(unmet, params, buffer_shortfall=shortfall)
+        cycles = new.CycleYear.pad(dy.unmet, extras["curtailed_re"],
+                                   decade.solar_by_year[year], boundary)
+        sized = new.size_battery(cycles, params, extras["capacity_requirement_mw"])
         run_energy = max(run_energy, sized.energy_capacity_mwh)
         run_inverter = max(run_inverter, sized.inverter_capacity_mw)
         battery = replace(sized, energy_capacity_mwh=run_energy, inverter_capacity_mw=run_inverter)
         plan.energy_mwh[i] = run_energy
         plan.capacity_mw[i] = run_inverter
 
-        shape = decade.solar_by_year[year]
-        curtailed = extras["curtailed_re"]
+        trace = new.simulate_soc(battery, cycles, 0.0)
         if battery.energy_capacity_mwh > 0:
             try:
-                gw = new.size_dedicated_solar(
-                    battery, curtailed, unmet, shape,
-                    extra=params.dedicated_solar_extra, boundary_slot=boundary,
-                )
+                gw = new.size_dedicated_solar(battery, cycles, extra, zero_gw=trace)
             except InfeasibleError:
                 # an undersized battery can never zero out secondary
                 # unmet; build the solar its full-size design needed and
                 # let the rest of the profile fall through to biodiesel
-                gw = new.size_dedicated_solar(
-                    battery.scaled(1.0), curtailed, unmet, shape,
-                    extra=params.dedicated_solar_extra, boundary_slot=boundary,
-                )
+                gw = new.size_dedicated_solar(battery.scaled(1.0), cycles, extra)
         else:
             gw = 0.0
         run_solar_gw = max(run_solar_gw, gw)
         plan.dedicated_solar_gw[i] = run_solar_gw
-        solar_gen = shape * run_solar_gw * 1e3
-
-        trace = new.simulate_soc(battery, unmet, curtailed, solar_gen, boundary_slot=boundary)
-        traces[year] = trace
+        if run_solar_gw > 0:
+            trace = new.simulate_soc(battery, cycles, run_solar_gw)
+        if year in keep:
+            traces[year] = trace
         plan.secondary_unmet_twh[i] = _snap(trace.secondary_unmet_twh())
-        peak_secondary[i] = _snap(float(np.max(trace.secondary_unmet_mw)) if unmet.size else 0.0)
+        peak_secondary[i] = _snap(float(np.max(trace.secondary_unmet_mw)) if dy.unmet.size else 0.0)
 
         disp = new.displace_with_battery(trace, dy)
         per_day_coal = disp.per_day_mwh["coal_2019"] + disp.per_day_mwh["coal_slack"]
@@ -293,8 +291,8 @@ def _thermal_plan(params: ScenarioParams, decade: Decade) -> new.NewSupplyPlan:
     option = params.new_option
     tech = params.tech_costs[option]
     unmets = [decade.years[y][0].unmet for y in YEARS]
-    shortfalls = [decade.years[y][1]["buffer"].shortfall for y in YEARS]
-    installed_mw = new.size_new_capacity(unmets, shortfalls, option, tech.aux)
+    required = [decade.years[y][1]["capacity_requirement_mw"] for y in YEARS]
+    installed_mw = new.size_new_capacity(required, option, tech.aux)
 
     size_fraction = params.new_coal_size_fraction if option == "coal" else 1.0
     plan = new.NewSupplyPlan(option=option, capacity_mw=installed_mw * size_fraction)
@@ -397,7 +395,7 @@ def evaluate_scenario(
     """The option stage: price one scenario on its despatch key's decade."""
     traces: dict[int, new.SocTrace | None] = dict.fromkeys(YEARS)
     if params.new_option == "battery_re":
-        plan, traces = _battery_plan(params, decade)
+        plan, traces = _battery_plan(params, decade, detail_years)
     else:
         plan = _thermal_plan(params, decade)
     plan.validate()

@@ -34,7 +34,11 @@ from gridlab.errors import (
 )
 from gridlab.newsupply import (
     DISPLACEMENT_ORDER,
+    CycleYear,
     Displacement,
+    _lowered_daily_max,
+    _pad_cycles,
+    _simulate_cycles,
     simulate_soc,
 )
 from gridlab.shapes import (
@@ -170,21 +174,22 @@ def reference_soc(battery, unmet, re_src, solar_src):
 
 
 def reference_search_smallest(predicate, tolerance_gw, max_gw, what):
-    """The full doubling ladder, 1, 2, 4, ... GW, then bisection.
+    """The full doubling ladder, ``min(1, max_gw)``, then twice that and
+    so on, then bisection.
 
     Walks every rung up to ``max_gw`` before giving up, so it calls the
     predicate about ``log2(max_gw)`` times on an infeasible search.
     """
     if predicate(0.0):
         return 0.0
-    hi = 1.0
+    first = hi = min(1.0, max_gw)
     while not predicate(hi):
         hi *= 2.0
         if hi > max_gw:
             raise InfeasibleError(
                 f"no dedicated solar capacity below {max_gw:g} GW achieves {what}"
             )
-    lo = hi / 2.0 if hi > 1.0 else 0.0
+    lo = hi / 2.0 if hi > first else 0.0
     while hi - lo > tolerance_gw:
         mid = 0.5 * (lo + hi)
         if predicate(mid):
@@ -192,6 +197,76 @@ def reference_search_smallest(predicate, tolerance_gw, max_gw, what):
         else:
             lo = mid
     return hi
+
+
+# --- whole-series dedicated solar sizing ------------------------------------
+#
+# Every probe simulates, or budgets, every cycle of the year: the
+# references for ``newsupply``'s searches, which re-test only the cycles
+# still failing.
+
+
+def _solar_gen(solar_shape, capacity_gw, n):
+    if solar_shape.shape[0] != n:
+        raise ParameterError("solar shape length must match the unmet series")
+    return solar_shape * capacity_gw * 1e3
+
+
+def _cycle_secondary_unmet(battery, unmet, re_src, solar, boundary_slot):
+    """Secondary unmet MW summed over a simulation of every cycle, with
+    ``solar`` MW of dedicated solar."""
+    unmet_m, front = _pad_cycles(unmet, boundary_slot)
+    served = _simulate_cycles(battery, unmet_m, _pad_cycles(re_src, boundary_slot)[0],
+                              _pad_cycles(solar, boundary_slot)[0])[2]
+    secondary = (unmet_m - served).reshape(-1)[front:front + unmet.shape[0]]
+    secondary[secondary < 1e-6] = 0.0
+    return float(np.sum(secondary))
+
+
+def _cycle_full_recharge(battery, re_src, solar, boundary_slot):
+    """Could every full cycle's sources refill one usable battery load?"""
+    cap = min(battery.inverter_capacity_mw, battery.energy_capacity_mwh)
+    src_m, front = _pad_cycles(np.minimum(re_src + solar, cap), boundary_slot)
+    budget = src_m.sum(axis=1) * battery.charge_eff * SLOT_HOURS
+
+    starts = np.arange(src_m.shape[0]) * SLOTS_PER_DAY - front
+    full = (starts >= 0) & (starts + SLOTS_PER_DAY <= re_src.shape[0])
+    return bool(np.all(budget[full] >= battery.usable_mwh - 1e-6))
+
+
+def reference_size_for_full_recharge(battery, curtailed_re, unmet, solar_shape,
+                                     boundary_slot=34, tolerance_gw=0.1, max_gw=10_000.0):
+    """``newsupply.size_for_full_recharge`` on whole series."""
+    if battery.energy_capacity_mwh <= 0:
+        return 0.0
+    n = unmet.shape[0]
+
+    def ok(gw):
+        return _cycle_full_recharge(battery, curtailed_re,
+                                    _solar_gen(solar_shape, gw, n), boundary_slot)
+
+    return reference_search_smallest(ok, tolerance_gw, max_gw, "full daily recharge")
+
+
+def reference_size_dedicated_solar(battery, curtailed_re, unmet, solar_shape, extra,
+                                   boundary_slot=34, tolerance_gw=0.1, max_gw=10_000.0):
+    """``newsupply.size_dedicated_solar`` on whole series."""
+    if battery.energy_capacity_mwh <= 0:
+        return 0.0
+    n = unmet.shape[0]
+
+    def served(gw):
+        gap = _cycle_secondary_unmet(battery, unmet, curtailed_re,
+                                     _solar_gen(solar_shape, gw, n), boundary_slot)
+        return gap <= 1e-9
+
+    minimum = reference_search_smallest(served, tolerance_gw, max_gw, "zero secondary unmet")
+    if extra == 0.0:
+        return minimum
+    maximum = reference_size_for_full_recharge(battery, curtailed_re, unmet, solar_shape,
+                                               boundary_slot, tolerance_gw, max_gw)
+    maximum = max(maximum, minimum)
+    return minimum + extra * (maximum - minimum)
 
 
 def cycle_windows(n_slots, boundary_slot):
@@ -219,10 +294,11 @@ def reference_displacement(soc, dy):
     battery = soc.battery
     eta_c = battery.charge_eff
     eta_d = battery.discharge_eff
-    windows = cycle_windows(soc.n_slots, soc.boundary_slot)
-    n_days = soc.n_slots // SLOTS_PER_DAY
+    windows = cycle_windows(soc.year.n_slots, soc.year.boundary_slot)
+    n_days = soc.year.n_slots // SLOTS_PER_DAY
 
-    leftover = (soc.source_re_mw - soc.charge_re_mw) + (soc.source_solar_mw - soc.charge_solar_mw)
+    sources = soc.year.flat(soc.year.curtailed_re), soc.year.flat(soc.year.solar(soc.solar_gw))
+    leftover = (sources[0] - soc.charge_re_mw) + (sources[1] - soc.charge_solar_mw)
     headroom = min(battery.inverter_capacity_mw, battery.energy_capacity_mwh) - soc.charge_mw
     extra_charge = np.where(soc.unmet_mw <= 0,
                             np.minimum(leftover, np.maximum(headroom, 0.0)), 0.0)
@@ -290,19 +366,45 @@ def brute_force_bonus(dy_pre, dy_flexed, displaced_mwh, flex):
     return per_day * SLOT_HOURS
 
 
+def reference_coal_peak_bonus(dy, coal_displaced_in_day, flex_limit):
+    """``newsupply.coal_peak_bonus`` on every day of the year at once.
+
+    The same slot arithmetic on full (days, 48) matrices, including the
+    days without displaced coal, which are zeroed at the end.
+    """
+    days = (dy.n_days, SLOTS_PER_DAY)
+    coal = dy.coal_total().reshape(days)
+    cut = (dy.flex_re_cut + dy.flex_hydro_cut).reshape(days)
+    n_pre = (
+        dy.supply["coal_2019"] + dy.supply["gas_2019"]
+        + dy.supply["coal_slack"] + dy.supply["gas_slack"] + dy.unmet
+    ).reshape(days) - cut
+    absorb = (dy.supply["re"] + dy.supply["hydro"]).reshape(days) + cut
+    coal_cap = (dy.capacity["coal_2019"] + dy.capacity["coal_slack"]).reshape(days)
+
+    day_disp = np.minimum(coal_displaced_in_day, coal.sum(axis=1) * SLOT_HOURS)
+    new_floor = flex_limit * _lowered_daily_max(coal, day_disp)
+    floor_slot = np.minimum(np.minimum(new_floor[:, None], n_pre + absorb), coal_cap)
+    new_cut = np.maximum(floor_slot - n_pre, 0.0)
+    avoided = np.maximum(cut - new_cut, 0.0).sum(axis=1) * SLOT_HOURS
+    return np.where(day_disp > 0, avoided, 0.0)
+
+
 def undersize_residual(
     battery,
     size_fraction,
     unmet,
     curtailed_re=None,
-    solar_gen=None,
+    solar_shape=None,
+    solar_gw=0.0,
     net_capacity_mw=None,
     boundary_slot=34,
 ):
     """Secondary unmet when NEW supply is undersized, and its peak MW.
 
     ``battery`` is the full-size BatterySpec, or None for thermal.
-    Batteries re-simulate at the reduced size; thermal capacity simply
+    Batteries re-simulate at the reduced size, with ``solar_gw`` of
+    dedicated solar on ``solar_shape``; thermal capacity simply
     truncates slot-wise.  The peak is what a biodiesel backstop must be
     able to serve.
     """
@@ -310,15 +412,14 @@ def undersize_residual(
         raise ParameterError("size_fraction must lie in (0, 1]")
     unmet = np.asarray(unmet, dtype=float)
     if battery is not None:
-        scaled = battery.scaled(size_fraction)
         zeros = np.zeros(unmet.shape[0])
-        trace = simulate_soc(
-            scaled, unmet,
+        year = CycleYear.pad(
+            unmet,
             zeros if curtailed_re is None else curtailed_re,
-            zeros if solar_gen is None else solar_gen,
-            boundary_slot=boundary_slot,
+            zeros if solar_shape is None else solar_shape,
+            boundary_slot,
         )
-        secondary = trace.secondary_unmet_mw
+        secondary = simulate_soc(battery.scaled(size_fraction), year, solar_gw).secondary_unmet_mw
     else:
         if net_capacity_mw is None:
             raise ParameterError("thermal undersizing needs net_capacity_mw")
@@ -354,7 +455,7 @@ def slot_soc_trace_csv(trace, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "soc_mwh", "charge_mw", "discharge_mw", "source"])
-        for s in range(trace.n_slots):
+        for s in range(trace.year.n_slots):
             if trace.charge_re_mw[s] > 0 and trace.charge_solar_mw[s] > 0:
                 source = "re+solar"
             elif trace.charge_re_mw[s] > 0:

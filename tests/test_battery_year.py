@@ -1,0 +1,291 @@
+"""One battery year on one set of cycle matrices.
+
+The row-restricted solar searches and the days-only coal-peak bonus
+against their whole-series references in ``_oracles``, the work one
+battery year does, and a fuzz of the battery option over the validated
+parameter ranges on a small synthetic decade.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import _oracles
+from gridlab import dispatch as dsp
+from gridlab import newsupply as new
+from gridlab.errors import DataIntegrityError, GridlabError, InfeasibleError
+from gridlab.pipeline import Decade, _battery_plan, decade_totals, evaluate_scenario
+from gridlab.scenario import YEARS, ScenarioParams, build_capacity_path
+from gridlab.shapes import SLOT_HOURS, SLOTS_PER_DAY
+
+
+def outcome_of(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except InfeasibleError:
+        return "infeasible"
+
+
+def battery_year(seed, n_slots, boundary):
+    """Unmet, curtailed RE and a solar shape for one synthetic year.
+
+    Mornings and evenings carry unmet demand on most days, so a battery
+    that empties in the morning needs midday solar to serve the evening.
+    """
+    rng = np.random.default_rng(seed)
+    n_days = n_slots // SLOTS_PER_DAY
+    hour = (np.arange(n_slots) % SLOTS_PER_DAY) / 2.0
+    sun = np.clip(np.sin((hour - 6.0) / 12.0 * np.pi), 0.0, None)
+    shape = sun * np.repeat(rng.uniform(0.05, 1.0, n_days), SLOTS_PER_DAY) * 0.3
+    morning = np.exp(-((hour - 7.5) / 1.2) ** 2) * np.repeat(
+        rng.uniform(0.0, 3_000.0, n_days) * (rng.random(n_days) < 0.6), SLOTS_PER_DAY)
+    evening = np.exp(-((hour - 19.5) / 1.5) ** 2) * np.repeat(
+        rng.uniform(0.0, 5_000.0, n_days) * (rng.random(n_days) < 0.8), SLOTS_PER_DAY)
+    unmet = morning + evening
+    unmet[unmet < 50.0] = 0.0
+    re = sun * np.repeat(rng.uniform(0.0, 800.0, n_days) * (rng.random(n_days) < 0.5),
+                         SLOTS_PER_DAY)
+    return unmet, re, shape, new.CycleYear.pad(unmet, re, shape, boundary)
+
+
+class TestSearchParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_slots=st.sampled_from([17_520, 17_568]),
+        boundary=st.sampled_from([0, 34, 47]),
+        fraction=st.sampled_from([0.3, 0.9, 1.0]) | st.floats(0.3, 1.0),
+        extra=st.sampled_from([0.0, 0.5, 1.0]),
+        shortfall=st.sampled_from([0.0, 1.0]),
+    )
+    def test_row_restricted_searches_match_whole_series(self, seed, n_slots, boundary,
+                                                        fraction, extra, shortfall):
+        unmet, re, shape, year = battery_year(seed, n_slots, boundary)
+        params = ScenarioParams(battery_size_fraction=fraction)
+        battery = new.size_battery(year, params, float(unmet.max()) * (1.0 + shortfall))
+        zero = new.simulate_soc(battery, year, 0.0)
+        for zero_gw in (None, zero):
+            got = outcome_of(new.size_dedicated_solar, battery, year, extra, zero_gw=zero_gw)
+            assert got == outcome_of(_oracles.reference_size_dedicated_solar,
+                                     battery, re, unmet, shape, extra, boundary)
+        assert outcome_of(new.size_for_full_recharge, battery, year) == outcome_of(
+            _oracles.reference_size_for_full_recharge, battery, re, unmet, shape, boundary)
+
+    def test_searches_cover_solar_answers_and_infeasible_ones(self):
+        # the parity draws are only worth as much as the answers they
+        # reach.  An undersized inverter never serves the peak slot; a
+        # buffer shortfall as large as the peak unmet leaves an undersized
+        # battery short of energy only, which midday solar can make up.
+        answers = set()
+        for seed in range(4):
+            unmet, re, shape, year = battery_year(seed, 17_520, 0)
+            for fraction in (0.3, 0.9, 1.0):
+                battery = new.size_battery(
+                    year, ScenarioParams(battery_size_fraction=fraction), 2.0 * float(unmet.max()))
+                got = outcome_of(new.size_dedicated_solar, battery, year, 0.0)
+                assert got == outcome_of(_oracles.reference_size_dedicated_solar,
+                                         battery, re, unmet, shape, 0.0, 0)
+                answers.add("infeasible" if got == "infeasible" else
+                            "zero" if got == 0.0 else "solar")
+        assert answers == {"infeasible", "zero", "solar"}
+
+    def test_zero_gw_trace_must_match_the_search(self):
+        unmet, _, _, year = battery_year(1, 17_520, 34)
+        battery = new.size_battery(year, ScenarioParams(), float(unmet.max()))
+        for wrong in (new.simulate_soc(battery.scaled(0.5), year, 0.0),
+                      new.simulate_soc(battery, year, 1.0)):
+            with pytest.raises(GridlabError):
+                new.size_dedicated_solar(battery, year, 0.0, zero_gw=wrong)
+
+
+def flexed_days(seed, n_days=6):
+    rng = np.random.default_rng(seed)
+    demand, re, hydro, nuclear, caps, _, flex = _oracles.random_flex_instance(
+        rng, n_slots=n_days * SLOTS_PER_DAY)
+    _, flexed = _oracles.model_flex_dispatch(demand, re, hydro, nuclear, caps, flex)
+    return rng, flexed, flex
+
+
+class TestBonusParity:
+    def assert_bit_identical(self, dy, displaced, flex):
+        got = new.coal_peak_bonus(dy, displaced, flex)
+        ref = _oracles.reference_coal_peak_bonus(dy, displaced, flex)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        return got
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_no_displacement(self, seed):
+        _, dy, flex = flexed_days(seed)
+        assert not self.assert_bit_identical(dy, np.zeros(dy.n_days), flex).any()
+
+    def test_every_day_displaced(self):
+        gained = 0.0
+        for seed in range(8):
+            rng, dy, flex = flexed_days(seed)
+            day_coal = dy.coal_total().reshape(dy.n_days, SLOTS_PER_DAY).sum(axis=1) * SLOT_HOURS
+            displaced = rng.uniform(0.01, 0.8, dy.n_days) * day_coal
+            displaced[0] = day_coal[0] * 3.0  # more than the day's coal
+            gained += float(np.sum(self.assert_bit_identical(dy, displaced, flex)))
+        assert gained > 0.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_displacement_on_a_day_without_coal(self, seed):
+        rng, dy, flex = flexed_days(seed)
+        coal_free = dy.supply["coal_2019"].copy(), dy.supply["coal_slack"].copy()
+        for series in coal_free:
+            series[2 * SLOTS_PER_DAY:3 * SLOTS_PER_DAY] = 0.0
+        dy = dataclasses.replace(dy, supply={**dy.supply, "coal_2019": coal_free[0],
+                                             "coal_slack": coal_free[1]})
+        displaced = np.where(rng.random(dy.n_days) < 0.5, rng.uniform(0.0, 5e3, dy.n_days), 0.0)
+        displaced[2] = 1e3
+        bonus = self.assert_bit_identical(dy, displaced, flex)
+        assert bonus[2] == 0.0
+
+
+# --- a small synthetic decade ----------------------------------------------
+
+N_DAYS = 3
+
+
+def small_decade(params, base_year, seed):
+    """Ten three-day despatch years through the production despatch steps.
+
+    Demand grows at ``params.demand_growth`` and RE by a tenth a year
+    against a fixed thermal fleet, so later years carry unmet evening
+    demand and midday flex curtailment.
+    """
+    rng = np.random.default_rng(seed)
+    n = N_DAYS * SLOTS_PER_DAY
+    hour = (np.arange(n) % SLOTS_PER_DAY) / 2.0
+    sun = np.clip(np.sin((hour - 6.0) / 12.0 * np.pi), 0.0, None)
+    evening = 1.0 + 0.3 * np.exp(-((hour - 19.5) / 2.0) ** 2)
+    demand0 = 150_000.0 * evening * rng.uniform(0.95, 1.05, n)
+    re0 = 70_000.0 * sun + rng.uniform(0.0, 10_000.0, n)
+    hydro = rng.uniform(5_000.0, 15_000.0, n)
+    nuclear = np.full(n, 5_000.0)
+    caps = {"coal_2019": np.full(n, 100_000.0), "gas_2019": np.full(n, 15_000.0),
+            "coal_slack": np.full(n, 50_000.0), "gas_slack": np.full(n, 15_000.0)}
+    despatchable = sum(c[0] for c in caps.values()) + 20_000.0
+
+    years = {}
+    for i, year in enumerate(YEARS):
+        busbar = demand0 * (1.0 + params.demand_growth) ** i * (1.0 + params.ists_loss)
+        re = re0 * (1.0 + 0.1 * i)
+        net, interim = dsp.net_demand(busbar, re, hydro, nuclear)
+        must = dsp.split_must_run(busbar, re, hydro, nuclear)
+        dy = dsp.merit_dispatch(net, [(k, caps[k]) for k in dsp.TRANCHES])
+        dy = dsp.attach_must_run(dy, must, interim)
+        dy = dsp.apply_coal_flex(dy, params.flex_limit)
+        buffer = dsp.buffer_check(dy, busbar, despatchable, params.grid_buffer)
+        years[year] = (dy, {
+            "busbar": busbar,
+            "buffer": buffer,
+            "capacity_requirement_mw": dsp.compute_unmet(dy, buffer),
+            "curtailed_re": (re - must["re"]) + dy.flex_re_cut,
+        })
+    return Decade(
+        path=build_capacity_path(params, base_year),
+        years=years,
+        solar_by_year=dict.fromkeys(YEARS, sun * 0.25),
+        totals=decade_totals((dy, extras["busbar"]) for dy, extras in years.values()),
+    )
+
+
+def check_battery_years(outcome, decade):
+    """Balance, SoC and sizing invariants of every year of a battery outcome."""
+    plan_rows = outcome.year_rows
+    for a, b in zip(plan_rows, plan_rows[1:]):
+        assert b["dedicated_solar_gw"] >= a["dedicated_solar_gw"]
+        assert b["new_capacity_gross_mw"] >= a["new_capacity_gross_mw"]
+    for year in YEARS:
+        detail = outcome.details[year]
+        dy, extras = decade.years[year]
+        detail.dispatch.check_balance()
+        rep = detail.reporting
+        assert np.abs(sum(rep.supply.values()) + rep.unmet - rep.demand).max() < 1e-6
+        assert np.all(rep.unmet >= 0.0)
+
+        trace = detail.trace
+        battery = trace.battery
+        e_cap = battery.energy_capacity_mwh
+        assert np.array_equal(trace.unmet_mw, dy.unmet)
+        assert np.all(trace.soc_mwh <= e_cap)
+        assert np.all(trace.secondary_unmet_mw >= 0.0)
+        assert np.all(trace.secondary_unmet_mw <= dy.unmet + 1e-9)
+        assert np.all(trace.charge_mw[dy.unmet > 0] == 0.0)
+        assert np.all(trace.charge_re_mw <= extras["curtailed_re"] + 1e-9)
+        scale = max(e_cap, float(np.abs(trace.soc_mwh).max()), 1.0)
+        for a, b in _oracles.cycle_windows(trace.year.n_slots, trace.year.boundary_slot):
+            step = (trace.charge_mw[a:b] * battery.charge_eff - trace.discharge_mw[a:b]) * 0.5
+            drift = np.diff(trace.soc_mwh[a:b], prepend=e_cap) - step
+            assert np.abs(drift).max() <= 1e-9 * scale
+
+
+def edge_or(values, strategy):
+    return st.sampled_from(values) | strategy
+
+
+class TestBatteryFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        fraction=edge_or([0.01, 1.0], st.floats(0.01, 1.0)),
+        extra=edge_or([0.0, 1.0], st.floats(0.0, 1.0)),
+        hour=edge_or([0, 23], st.integers(0, 23)),
+        flex=edge_or([0.5, 0.8], st.floats(0.5, 0.8)),
+        growth=edge_or([0.0, 0.15], st.floats(0.0, 0.15)),
+        split=st.sampled_from(["symmetric", "charge_only"]),
+        roundtrip=edge_or([0.5, 1.0], st.floats(0.5, 1.0)),
+        dod=edge_or([0.01, 0.5], st.floats(0.01, 0.5)),
+    )
+    def test_battery_option_evaluates_or_raises_a_model_error(
+            self, base_year, seed, fraction, extra, hour, flex, growth, split, roundtrip, dod):
+        params = ScenarioParams(
+            battery_size_fraction=fraction, dedicated_solar_extra=extra,
+            battery_cycle_boundary_hour=hour, flex_limit=flex, demand_growth=growth,
+            battery_eff_split=split, battery_roundtrip_eff=roundtrip, battery_dod_buffer=dod,
+        )
+        decade = small_decade(params, base_year, seed)
+        try:
+            outcome = evaluate_scenario(params, decade, detail_years=YEARS)
+        except DataIntegrityError:
+            raise  # an imbalance is a bug, not a scenario the model cannot solve
+        except GridlabError:
+            return
+        check_battery_years(outcome, decade)
+
+
+class TestBatteryYearWork:
+    def test_unbuilt_solar_pads_once_and_simulates_once(self, base_year, monkeypatch):
+        params = ScenarioParams()
+        decade = small_decade(params, base_year, 0)
+        padded, kernel_rows = [], []
+        pad, kernel = new._pad_cycles, new._simulate_cycles
+
+        def counting_pad(arr, *args, **kwargs):
+            padded.append(arr)
+            return pad(arr, *args, **kwargs)
+
+        def counting_kernel(battery, u_m, *args):
+            kernel_rows.append(u_m.shape[0])
+            return kernel(battery, u_m, *args)
+
+        monkeypatch.setattr(new, "_pad_cycles", counting_pad)
+        monkeypatch.setattr(new, "_simulate_cycles", counting_kernel)
+        plan, traces = _battery_plan(params, decade, keep=YEARS[:1])
+
+        assert not plan.dedicated_solar_gw.any()
+        assert plan.energy_mwh[-1] > 0.0  # the later years do size a battery
+        rows = traces[YEARS[0]].year.unmet.shape[0]
+        assert kernel_rows == [rows] * len(YEARS)
+        per_year = len(padded) // len(YEARS)
+        assert per_year * len(YEARS) == len(padded)
+        for i, year in enumerate(YEARS):
+            dy, extras = decade.years[year]
+            series = [dy.unmet, extras["curtailed_re"], decade.solar_by_year[year],
+                      *(dy.supply[name] for name in new.DISPLACEMENT_ORDER)]
+            got = padded[i * per_year:(i + 1) * per_year]
+            assert sorted(map(id, got)) == sorted(map(id, series))

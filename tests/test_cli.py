@@ -14,7 +14,7 @@ import gridlab
 from gridlab import cli, pipeline
 from gridlab import dispatch as dsp
 from gridlab.errors import InfeasibleError, ParameterError
-from gridlab.newsupply import BatterySpec, SocTrace
+from gridlab.newsupply import BatterySpec, CycleYear, SocTrace
 from gridlab.scenario import DESPATCH_FIELDS, YEARS, ScenarioParams
 from gridlab.shapes import derive_wind_shape, rescale_to_cuf, synth_shapes, synth_solar_shape
 
@@ -256,12 +256,19 @@ def _slot_detail(n_slots, seed=7):
 
     charge = np.array([0.0, -0.0, 1e-9, 25.0, np.nan, -3.0])
     zeros = np.zeros(n_slots)
+    year = CycleYear.pad(zeros, zeros, zeros, 34)
+
+    def cycles(values):
+        matrix = np.zeros(year.unmet.shape)
+        year.flat(matrix)[:] = values
+        return matrix
+
     trace = SocTrace(
-        battery=BatterySpec(100.0, 50.0, 0.1, 0.9),
-        soc_mwh=series(), charge_mw=series(), discharge_mw=series(),
-        served_mw=zeros, secondary_unmet_mw=zeros,
-        charge_re_mw=rng.choice(charge, n_slots), charge_solar_mw=rng.choice(charge, n_slots),
-        unmet_mw=zeros, source_re_mw=zeros, source_solar_mw=zeros, boundary_slot=34,
+        battery=BatterySpec(100.0, 50.0, 0.1, 0.9), year=year, solar_gw=0.0,
+        soc=cycles(series()), discharge=cycles(series()),
+        served=year.unmet, secondary_unmet=year.unmet,
+        charge_re=cycles(rng.choice(charge, n_slots)),
+        charge_solar=cycles(rng.choice(charge, n_slots)),
     )
     return pipeline.YearDetail(dispatch=despatch(), reporting=despatch(), trace=trace)
 

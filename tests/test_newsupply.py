@@ -10,6 +10,7 @@ from gridlab.errors import InfeasibleError, ParameterError
 from gridlab.newsupply import (
     DISPLACEMENT_ORDER,
     BatterySpec,
+    CycleYear,
     NewSupplyPlan,
     _lowered_daily_max,
     _pad_cycles,
@@ -56,14 +57,39 @@ def bare_dispatch(n, **supply):
     )
 
 
-SOC_COLUMNS = ("soc_mwh", "charge_mw", "discharge_mw", "served_mw",
-               "charge_re_mw", "charge_solar_mw")
+def cycles(unmet, re=None, shape=None, boundary=34):
+    """A ``CycleYear`` from whole series; a missing source is zero."""
+    unmet = np.asarray(unmet, dtype=float)
+    zeros = np.zeros(unmet.shape[0])
+    return CycleYear.pad(unmet, zeros if re is None else re,
+                         zeros if shape is None else shape, boundary)
 
 
-def reference_windows(trace, unmet, re, sol):
+def soc_trace(battery, unmet, re, sol, boundary_slot=34):
+    """``simulate_soc`` with ``sol`` MW of dedicated solar: ``sol`` is
+    passed as the per-MW shape and run at 1 MW (1e-3 GW), so the solar
+    output the trace ran with equals ``sol`` to the last ulp or so."""
+    return simulate_soc(battery, cycles(unmet, re, sol, boundary_slot), 1e-3)
+
+
+def sized(unmet, params, shortfall=None):
+    """``size_battery`` on a whole series, given the peak that
+    ``dispatch.compute_unmet`` reports for it."""
+    need = unmet if shortfall is None else unmet + shortfall
+    return size_battery(cycles(unmet, boundary=params.cycle_boundary_slot), params,
+                        float(need.max()))
+
+
+SOC_COLUMNS = ("soc", "charge", "discharge", "served", "charge_re", "charge_solar")
+
+
+def reference_windows(trace):
     """Per cycle window, the trace's columns and ``reference_soc``'s."""
-    for a, end in _oracles.cycle_windows(unmet.shape[0], trace.boundary_slot):
-        got = np.column_stack([getattr(trace, c)[a:end] for c in SOC_COLUMNS])
+    year = trace.year
+    unmet, re, sol = (year.flat(m) for m in (year.unmet, year.curtailed_re,
+                                             year.solar(trace.solar_gw)))
+    for a, end in _oracles.cycle_windows(year.n_slots, year.boundary_slot):
+        got = np.column_stack([year.flat(getattr(trace, c))[a:end] for c in SOC_COLUMNS])
         yield got, _oracles.reference_soc(trace.battery, unmet[a:end],
                                           re[a:end], sol[a:end])
 
@@ -177,27 +203,23 @@ class TestCycleWindows:
 
 class TestSizeNewCapacity:
     def test_cumulative_build_with_aux_grossup(self):
-        unmet = [np.array([10.0]), np.array([30.0]), np.array([20.0])]
-        short = [np.array([0.0]), np.array([5.0]), np.array([0.0])]
-        installed = size_new_capacity(unmet, short, "ocgt", aux=0.2)
-        # requirements 12.5, 43.75, 25.0; installed capacity never shrinks
+        # net requirements 10, 35 and 20 MW: the worst slot of unmet plus
+        # buffer shortfall, as dispatch.compute_unmet reports it
+        installed = size_new_capacity([10.0, 35.0, 20.0], "ocgt", aux=0.2)
+        # gross 12.5, 43.75, 25.0; installed capacity never shrinks
         assert installed == pytest.approx([12.5, 43.75, 43.75])
 
     def test_zero_unmet_needs_nothing(self):
-        installed = size_new_capacity([np.zeros(2)], [np.zeros(2)], "ccgt", 0.0)
+        installed = size_new_capacity([0.0], "ccgt", 0.0)
         assert installed == pytest.approx([0.0])
 
     def test_unknown_option(self):
         with pytest.raises(ParameterError):
-            size_new_capacity([], [], "flywheel", 0.1)
+            size_new_capacity([], "flywheel", 0.1)
 
     def test_aux_bounds(self):
         with pytest.raises(ParameterError):
-            size_new_capacity([], [], "ocgt", 1.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ParameterError):
-            size_new_capacity([np.zeros(2)], [], "ocgt", 0.1)
+            size_new_capacity([], "ocgt", 1.0)
 
 
 class TestSizeBattery:
@@ -207,7 +229,7 @@ class TestSizeBattery:
         unmet = np.zeros(96)
         unmet[50] = 1000.0
         p = ScenarioParams(battery_eff_split="charge_only")
-        b = size_battery(unmet, p)
+        b = sized(unmet, p)
         assert b.inverter_capacity_mw == pytest.approx(1000.0)
         assert b.energy_capacity_mwh == pytest.approx(500.0 / 0.95)
         assert b.energy_capacity_mwh == pytest.approx(526.3158, abs=1e-3)
@@ -215,15 +237,15 @@ class TestSizeBattery:
     def test_single_peak_symmetric(self):
         unmet = np.zeros(96)
         unmet[50] = 1000.0
-        b = size_battery(unmet, ScenarioParams())
+        b = sized(unmet, ScenarioParams())
         assert b.inverter_capacity_mw == pytest.approx(1000.0 / SQRT_RT)
         assert b.energy_capacity_mwh == pytest.approx(500.0 / (0.95 * SQRT_RT))
 
     def test_fraction_scales_both_axes(self):
         unmet = np.zeros(96)
         unmet[50] = 1000.0
-        full = size_battery(unmet, ScenarioParams())
-        half = size_battery(unmet, ScenarioParams(battery_size_fraction=0.5))
+        full = sized(unmet, ScenarioParams())
+        half = sized(unmet, ScenarioParams(battery_size_fraction=0.5))
         assert half.inverter_capacity_mw == pytest.approx(full.inverter_capacity_mw / 2)
         assert half.energy_capacity_mwh == pytest.approx(full.energy_capacity_mwh / 2)
         assert half.size_fraction == 0.5
@@ -235,7 +257,7 @@ class TestSizeBattery:
         unmet[33] = 100.0
         unmet[35] = 100.0
         p = ScenarioParams(battery_eff_split="charge_only")
-        b = size_battery(unmet, p)
+        b = sized(unmet, p)
         assert b.energy_capacity_mwh == pytest.approx(50.0 / 0.95)
 
     def test_buffer_shortfall_raises_inverter_only(self):
@@ -244,7 +266,7 @@ class TestSizeBattery:
         short = np.zeros(96)
         short[20] = 1500.0
         p = ScenarioParams(battery_eff_split="charge_only")
-        b = size_battery(unmet, p, buffer_shortfall=short)
+        b = sized(unmet, p, short)
         assert b.inverter_capacity_mw == pytest.approx(1500.0)
         # cycle energy still comes from unmet alone, but the one-slot
         # inverter floor now binds
@@ -254,12 +276,12 @@ class TestSizeBattery:
         rng = np.random.default_rng(7)
         for _ in range(20):
             unmet = rng.uniform(0.0, 300.0, 96) * (rng.random(96) < 0.3)
-            b = size_battery(unmet, ScenarioParams())
+            b = sized(unmet, ScenarioParams())
             assert b.energy_capacity_mwh >= b.inverter_capacity_mw * 0.5 / 0.95 - 1e-9
 
     def test_zero_fraction_rejected(self):
         with pytest.raises(ParameterError):
-            size_battery(np.zeros(48), ScenarioParams(battery_size_fraction=0.0))
+            sized(np.zeros(48), ScenarioParams(battery_size_fraction=0.0))
 
 
 # --- SoC simulation ------------------------------------------------------
@@ -268,7 +290,7 @@ class TestSizeBattery:
 class TestSimulateSoc:
     def test_idle_battery_stays_full(self):
         b = make_battery()
-        trace = simulate_soc(b, np.zeros(96), np.zeros(96), np.zeros(96))
+        trace = soc_trace(b, np.zeros(96), np.zeros(96), np.zeros(96))
         assert np.all(trace.soc_mwh == b.energy_capacity_mwh)
         assert not np.any(trace.charge_mw)
         assert not np.any(trace.discharge_mw)
@@ -289,8 +311,8 @@ class TestSimulateSoc:
                                  inverter=rng.uniform(20, 150),
                                  dod=rng.uniform(0.05, 0.2),
                                  rt=rng.uniform(0.8, 1.0))
-                trace = simulate_soc(b, unmet, re, sol, boundary_slot=boundary)
-                for got, ref in reference_windows(trace, unmet, re, sol):
+                trace = soc_trace(b, unmet, re, sol, boundary_slot=boundary)
+                for got, ref in reference_windows(trace):
                     assert np.array_equal(got[:, 2], ref[:, 2])
                     np.testing.assert_allclose(
                         got, ref, rtol=0, atol=1e-12 * b.energy_capacity_mwh)
@@ -319,9 +341,9 @@ class TestSimulateSoc:
         sol = rng.uniform(0.0, top, n)
         b = make_battery(energy=energy, inverter=inverter, dod=dod, rt=rt,
                          split=split)
-        trace = simulate_soc(b, unmet, re, sol, boundary_slot=boundary)
+        trace = soc_trace(b, unmet, re, sol, boundary_slot=boundary)
         assert np.all(trace.soc_mwh <= energy)
-        for got, ref in reference_windows(trace, unmet, re, sol):
+        for got, ref in reference_windows(trace):
             assert np.array_equal(got[:, 2], ref[:, 2])
             # overdraw takes SoC far below zero, and the rounding of the
             # running sum scales with the largest SoC magnitude
@@ -333,8 +355,8 @@ class TestSimulateSoc:
         # SoC dives below the floor by the undelivered battery energy
         b = make_battery(energy=100.0, inverter=1000.0, split="charge_only")
         unmet = np.array([400.0])
-        trace = simulate_soc(b, unmet, np.zeros(1), np.zeros(1))
-        assert trace.served_mw[0] == pytest.approx(190.0)
+        trace = soc_trace(b, unmet, np.zeros(1), np.zeros(1))
+        assert trace.year.flat(trace.served)[0] == pytest.approx(190.0)
         assert trace.secondary_unmet_mw[0] == pytest.approx(210.0)
         assert trace.discharge_mw[0] == pytest.approx(400.0)
         assert trace.soc_mwh[0] == pytest.approx(-100.0)
@@ -345,17 +367,17 @@ class TestSimulateSoc:
         b = make_battery()
         unmet = np.zeros(10)
         unmet[4] = 100.0
-        trace = simulate_soc(b, unmet, np.zeros(10), np.zeros(10))
+        trace = soc_trace(b, unmet, np.zeros(10), np.zeros(10))
         # round-tripping 100/eta*eta leaves ulp dust; the trace snaps it
         assert trace.secondary_unmet_mw[4] == 0.0
-        assert trace.served_mw[4] == pytest.approx(100.0)
+        assert trace.year.flat(trace.served)[4] == pytest.approx(100.0)
 
     def test_charge_prefers_curtailed_re_then_solar(self):
         b = make_battery(energy=10.0, inverter=1000.0, split="charge_only")
         unmet = np.array([8.0, 0.0])
         re = np.array([0.0, 5.0])
         sol = np.array([0.0, 100.0])
-        trace = simulate_soc(b, unmet, re, sol)
+        trace = soc_trace(b, unmet, re, sol)
         # head after the discharge: 4 MWh / (0.9 * 0.5 h), capped by 1C
         head = 4.0 / (0.9 * 0.5)
         assert trace.charge_re_mw[1] == pytest.approx(5.0)
@@ -365,7 +387,7 @@ class TestSimulateSoc:
 
     def test_source_length_mismatch(self):
         with pytest.raises(ParameterError):
-            simulate_soc(make_battery(), np.zeros(10), np.zeros(9), np.zeros(10))
+            soc_trace(make_battery(), np.zeros(10), np.zeros(9), np.zeros(10))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -385,7 +407,7 @@ class TestSimulateSoc:
         sol = rng.uniform(0.0, 30.0, n)
         b = make_battery(energy=energy, inverter=inverter, dod=dod, rt=rt,
                          split=split)
-        trace = simulate_soc(b, unmet, re, sol, boundary_slot=34)
+        trace = soc_trace(b, unmet, re, sol, boundary_slot=34)
         tol = 1e-9
 
         assert not np.any((trace.charge_mw > 0) & (trace.discharge_mw > 0))
@@ -396,12 +418,12 @@ class TestSimulateSoc:
         assert np.allclose(trace.charge_mw,
                            trace.charge_re_mw + trace.charge_solar_mw)
         assert np.all(trace.soc_mwh <= energy + tol)
-        assert np.all(trace.served_mw <= unmet + tol)
+        assert np.all(trace.year.flat(trace.served) <= unmet + tol)
         assert np.all(trace.charge_mw[unmet > 0] == 0)
         assert np.all(trace.discharge_mw[unmet <= 0] == 0)
         assert np.allclose(
             np.abs(trace.secondary_unmet_mw
-                   - np.maximum(unmet - trace.served_mw, 0.0)),
+                   - np.maximum(unmet - trace.year.flat(trace.served), 0.0)),
             0.0, atol=1e-6)
 
         # the SoC recursion balances within every cycle
@@ -416,7 +438,7 @@ class TestSimulateSoc:
         unmet = np.array([40.0, 0.0, 0.0])
         re = np.array([0.0, 30.0, 0.0])
         sol = np.array([0.0, 100.0, 0.0])
-        trace = simulate_soc(b, unmet, re, sol)
+        trace = soc_trace(b, unmet, re, sol)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().splitlines()
@@ -444,8 +466,8 @@ class TestFullRecharge:
         n = 480
         shape = block_shape(n, 10, 20)
         expected = b.usable_mwh / (10 * 0.5 * b.charge_eff * 1e3)
-        got = size_for_full_recharge(b, np.zeros(n), np.zeros(n), shape,
-                                     boundary_slot=0, tolerance_gw=1e-4)
+        got = size_for_full_recharge(b, cycles(np.zeros(n), shape=shape, boundary=0),
+                                     tolerance_gw=1e-4)
         assert expected - 1e-6 <= got <= expected + 2.5e-4
 
     def test_partial_trailing_window_is_skipped(self):
@@ -453,8 +475,8 @@ class TestFullRecharge:
         n = 500  # last 20 slots form a sunless partial window
         shape = block_shape(n, 10, 20)
         expected = b.usable_mwh / (10 * 0.5 * b.charge_eff * 1e3)
-        got = size_for_full_recharge(b, np.zeros(n), np.zeros(n), shape,
-                                     boundary_slot=0, tolerance_gw=1e-4)
+        got = size_for_full_recharge(b, cycles(np.zeros(n), shape=shape, boundary=0),
+                                     tolerance_gw=1e-4)
         assert got == pytest.approx(expected, abs=2.5e-4)
 
     def test_curtailed_re_alone_can_suffice(self):
@@ -462,45 +484,38 @@ class TestFullRecharge:
         n = 480
         re = np.zeros(n)
         re[np.arange(n) % 48 < 20] = 300.0
-        got = size_for_full_recharge(b, re, np.zeros(n), block_shape(n, 10, 20),
-                                     boundary_slot=0)
+        got = size_for_full_recharge(b, cycles(np.zeros(n), re, block_shape(n, 10, 20), 0))
         assert got == 0.0
 
     def test_zero_battery_needs_nothing(self):
         b = make_battery(energy=0.0, inverter=0.0)
-        assert size_for_full_recharge(b, np.zeros(48), np.zeros(48),
-                                      block_shape(48, 10, 20)) == 0.0
+        assert size_for_full_recharge(b, cycles(np.zeros(48), shape=block_shape(48, 10, 20))) == 0.0
 
     def test_sunless_shape_is_infeasible(self):
         b = make_battery(energy=1000.0, inverter=400.0)
         n = 96
         with pytest.raises(InfeasibleError):
-            size_for_full_recharge(b, np.zeros(n), np.zeros(n),
-                                   np.zeros(n),
-                                   boundary_slot=0, max_gw=4.0)
+            size_for_full_recharge(b, cycles(np.zeros(n), boundary=0), max_gw=4.0)
 
 
 class TestSizeDedicatedSolar:
     def setup_method(self):
         self.n = 480
         self.unmet = np.zeros(self.n)
-        self.zeros = np.zeros(self.n)
         slots = np.arange(self.n) % 48
         self.unmet[(slots >= 36) & (slots < 41)] = 200.0
         self.shape = block_shape(self.n, 20, 31)
-        self.battery = size_battery(self.unmet, ScenarioParams())
+        self.year = cycles(self.unmet, shape=self.shape)
+        self.battery = sized(self.unmet, ScenarioParams())
 
     def test_full_battery_needs_no_minimum_solar(self):
         # every cycle starts full and holds one cycle of unmet energy
-        got = size_dedicated_solar(self.battery, self.zeros, self.unmet, self.shape,
-                                   extra=0.0)
+        got = size_dedicated_solar(self.battery, self.year, extra=0.0)
         assert got == 0.0
 
     def test_extra_interpolates_linearly(self):
-        full = size_dedicated_solar(self.battery, self.zeros, self.unmet, self.shape,
-                                    extra=1.0, tolerance_gw=1e-4)
-        half = size_dedicated_solar(self.battery, self.zeros, self.unmet, self.shape,
-                                    extra=0.5, tolerance_gw=1e-4)
+        full = size_dedicated_solar(self.battery, self.year, extra=1.0, tolerance_gw=1e-4)
+        half = size_dedicated_solar(self.battery, self.year, extra=0.5, tolerance_gw=1e-4)
         expected = self.battery.usable_mwh / (11 * 0.5 * self.battery.charge_eff * 1e3)
         assert full == pytest.approx(expected, abs=2.5e-4)
         assert half == 0.5 * full
@@ -508,25 +523,22 @@ class TestSizeDedicatedSolar:
     def test_extra_one_with_ample_curtailed_re_is_zero(self):
         re = np.zeros(self.n)
         re[(np.arange(self.n) % 48) < 20] = 400.0
-        got = size_dedicated_solar(self.battery, re, self.unmet, self.shape,
+        got = size_dedicated_solar(self.battery, cycles(self.unmet, re, self.shape),
                                    extra=1.0)
         assert got == 0.0
 
     def test_undersized_battery_is_infeasible(self):
         small = self.battery.scaled(0.4)
         with pytest.raises(InfeasibleError):
-            size_dedicated_solar(small, self.zeros, self.unmet, self.shape,
-                                 extra=0.0, max_gw=50.0)
+            size_dedicated_solar(small, self.year, extra=0.0, max_gw=50.0)
 
     def test_extra_out_of_range(self):
         with pytest.raises(ParameterError):
-            size_dedicated_solar(self.battery, self.zeros, self.unmet, self.shape,
-                                 extra=1.5)
+            size_dedicated_solar(self.battery, self.year, extra=1.5)
 
     def test_zero_battery_sizes_to_zero(self):
         b = make_battery(energy=0.0, inverter=0.0)
-        assert size_dedicated_solar(b, self.zeros, self.unmet, self.shape,
-                                    extra=1.0) == 0.0
+        assert size_dedicated_solar(b, self.year, extra=1.0) == 0.0
 
 
 class TestSearchSmallest:
@@ -558,6 +570,31 @@ class TestSearchSmallest:
         with pytest.raises(ParameterError):
             _search_smallest(lambda gw: True, 0.1, float("inf"), "anything")
 
+    def test_first_rung_is_capped_at_max_gw(self):
+        # a 0.5 GW ceiling must not be answered from a 1 GW probe
+        with pytest.raises(InfeasibleError):
+            _search_smallest(lambda gw: gw >= 0.7, 0.1, 0.5, "a step")
+        assert _search_smallest(lambda gw: gw >= 0.3, 0.01, 0.5, "a step") <= 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(threshold=st.floats(0.0, 64.0), max_gw=st.floats(0.01, 50.0),
+           tolerance=st.sampled_from([0.001, 0.1, 1.0]))
+    def test_no_answer_exceeds_max_gw(self, threshold, max_gw, tolerance):
+        def run(search):
+            try:
+                return search(lambda gw: gw >= threshold, tolerance, max_gw, "a step")
+            except InfeasibleError:
+                return "infeasible"
+
+        got = run(_search_smallest)
+        assert got == run(_oracles.reference_search_smallest)
+        if got == "infeasible":
+            # the ladder's top rung, above max_gw / 2, failed
+            assert threshold > max_gw / 2
+        else:
+            assert threshold <= got <= max_gw
+            assert got - threshold <= tolerance
+
 
 # --- displacement --------------------------------------------------------
 
@@ -570,7 +607,7 @@ class TestDisplaceWithBattery:
         unmet[5] = 100.0
         re = np.zeros(48)
         re[10:30] = 500.0
-        return simulate_soc(b, unmet, re, np.zeros(48), boundary_slot=0)
+        return soc_trace(b, unmet, re, np.zeros(48), boundary_slot=0)
 
     def test_energy_matched_price_ordered(self):
         trace = self.hand_trace()
@@ -594,7 +631,7 @@ class TestDisplaceWithBattery:
         unmet[5] = 190.0  # exactly one usable load
         re = np.zeros(48)
         re[10:30] = 100.0
-        trace = simulate_soc(b, unmet, re, np.zeros(48), boundary_slot=0)
+        trace = soc_trace(b, unmet, re, np.zeros(48), boundary_slot=0)
         dy = bare_dispatch(48, gas_slack=np.full(48, 10.0))
         disp = displace_with_battery(trace, dy)
         assert disp.displaced_twh == {name: 0.0 for name in DISPLACEMENT_ORDER}
@@ -605,7 +642,7 @@ class TestDisplaceWithBattery:
         b = make_battery(energy=300.0, inverter=200.0, split="charge_only")
         unmet = np.zeros(48)
         unmet[5] = 100.0
-        trace = simulate_soc(b, unmet, np.zeros(48), np.zeros(48),
+        trace = soc_trace(b, unmet, np.zeros(48), np.zeros(48),
                              boundary_slot=0)
         dy = bare_dispatch(48, coal_slack=np.full(48, 40.0))
         disp = displace_with_battery(trace, dy)
@@ -619,7 +656,7 @@ class TestDisplaceWithBattery:
         unmet[85] = 100.0  # inside the (82, 96) window, calendar day 1
         re = np.zeros(n)
         re[90:96] = 500.0
-        trace = simulate_soc(b, unmet, re, np.zeros(n), boundary_slot=34)
+        trace = soc_trace(b, unmet, re, np.zeros(n), boundary_slot=34)
         dy = bare_dispatch(n, gas_slack=np.full(n, 10.0),
                            coal_slack=np.full(n, 40.0))
         disp = displace_with_battery(trace, dy)
@@ -641,7 +678,7 @@ class TestDisplaceWithBattery:
             sol = rng.uniform(0.0, 60.0, n)
             b = make_battery(energy=rng.uniform(200.0, 2000.0),
                              inverter=rng.uniform(50.0, 400.0))
-            trace = simulate_soc(b, unmet, re, sol, boundary_slot=boundary)
+            trace = soc_trace(b, unmet, re, sol, boundary_slot=boundary)
             dy = bare_dispatch(n, gas_slack=rng.uniform(0.0, 5.0, n),
                                coal_slack=rng.uniform(0.0, 20.0, n),
                                coal_2019=rng.uniform(0.0, 100.0, n))
@@ -774,10 +811,10 @@ class TestUndersizeResidual:
         unmet = np.zeros(96)
         unmet[40] = 150.0
         unmet[70] = 80.0
-        battery = size_battery(unmet, ScenarioParams())
+        battery = sized(unmet, ScenarioParams())
         twh, peak = _oracles.undersize_residual(battery, 0.5, unmet)
-        trace = simulate_soc(battery.scaled(0.5), unmet, np.zeros(96),
-                             np.zeros(96), boundary_slot=34)
+        trace = soc_trace(battery.scaled(0.5), unmet, np.zeros(96),
+                          np.zeros(96), boundary_slot=34)
         assert twh == pytest.approx(trace.secondary_unmet_twh())
         assert peak == pytest.approx(float(trace.secondary_unmet_mw.max()))
         assert twh > 0.0
@@ -785,7 +822,7 @@ class TestUndersizeResidual:
     def test_bare_battery_spec_accepted(self):
         unmet = np.zeros(96)
         unmet[40] = 150.0
-        battery = size_battery(unmet, ScenarioParams())
+        battery = sized(unmet, ScenarioParams())
         twh, peak = _oracles.undersize_residual(battery, 1.0, unmet)
         assert twh == 0.0
         assert peak == 0.0
@@ -795,7 +832,7 @@ class TestUndersizeResidual:
         unmet[40] = 150.0
         unmet[41] = 150.0
         unmet[70] = 80.0
-        battery = size_battery(unmet, ScenarioParams())
+        battery = sized(unmet, ScenarioParams())
         residuals = [_oracles.undersize_residual(battery, f, unmet)[0]
                      for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
         assert all(a >= b - 1e-12 for a, b in zip(residuals, residuals[1:]))

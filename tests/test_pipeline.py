@@ -314,10 +314,9 @@ class TestUndersizedBattery:
                                                        outcome_half, plan_half):
         detail = outcome_half.details[2030]
         dy, extras = decade.years[2030]
-        solar_gen = decade.solar_by_year[2030] * plan_half.dedicated_solar_gw[-1] * 1e3
         twh, peak = _oracles.undersize_residual(
             outcome.details[2030].trace.battery, 0.5, dy.unmet, extras["curtailed_re"],
-            solar_gen, boundary_slot=34)
+            decade.solar_by_year[2030], plan_half.dedicated_solar_gw[-1], boundary_slot=34)
         assert twh == pytest.approx(
             plan_half.secondary_unmet_twh[-1], rel=1e-9)
         assert peak == pytest.approx(

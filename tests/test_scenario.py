@@ -11,7 +11,7 @@ import gridlab
 from gridlab.dispatch import BufferReport, DispatchYear
 from gridlab.economics import ScenarioResult
 from gridlab.errors import ParameterError
-from gridlab.newsupply import Displacement, NewSupplyPlan, size_battery
+from gridlab.newsupply import CycleYear, Displacement, NewSupplyPlan, size_battery
 from gridlab.pipeline import Decade, ScenarioOutcome, YearDetail
 from gridlab.scenario import (
     BASE_YEAR,
@@ -71,11 +71,12 @@ def test_efficiency_split_properties():
     unmet = np.zeros(48)
     unmet[40] = 100.0
     p = ScenarioParams()
+    year = CycleYear.pad(unmet, np.zeros(48), np.zeros(48), p.cycle_boundary_slot)
     root = np.sqrt(0.90)
-    b = size_battery(unmet, p)
+    b = size_battery(year, p, 100.0)
     assert b.charge_eff == pytest.approx(root)
     assert b.discharge_eff == pytest.approx(root)
-    q = size_battery(unmet, dataclasses.replace(p, battery_eff_split="charge_only"))
+    q = size_battery(year, dataclasses.replace(p, battery_eff_split="charge_only"), 100.0)
     assert q.charge_eff == pytest.approx(0.90)
     assert q.discharge_eff == 1.0
 
@@ -108,7 +109,7 @@ def _attributes_read(tree):
 
 
 #: Result dataclasses whose every field some production code must read.
-#: ``SocTrace`` is left out: its ``served_mw`` is the column the SoC tests
+#: ``SocTrace`` is left out: its ``served`` is the column the SoC tests
 #: compare with ``_oracles.reference_soc``.
 RESULT_CLASSES = (
     NewSupplyPlan, Decade, YearDetail, ScenarioOutcome, ScenarioResult,

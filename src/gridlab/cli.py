@@ -46,6 +46,7 @@ from gridlab import dispatch as dsp
 from gridlab.economics import COMPONENTS, frontier
 from gridlab.errors import GridlabError, ParameterError
 from gridlab.pipeline import (
+    MIX_KEYS,
     Decade,
     ScenarioOutcome,
     despatch_decade,
@@ -340,8 +341,6 @@ def _write_failures(
 
 # --- figure data ----------------------------------------------------------
 
-_MIX_KEYS = ("re", "hydro", "nuclear", "coal", "gas", "new")
-
 
 def export_figures(
     out_dir: str | Path,
@@ -374,30 +373,12 @@ def export_figures(
     yd = detail.details[year] if detail is not None else None
 
     # annual generation mix, after NEW supply and displacement
-    fh, writer = _open(
-        "generation_mix.csv",
-        ["year"] + [f"{k}_twh" for k in _MIX_KEYS] + ["unmet_twh", "curtailment_twh"],
-    )
+    annual = detail.annual_mix if detail is not None else {}
+    mix_columns = [f"{k}_twh" for k in MIX_KEYS] + ["unmet_twh", "curtailment_twh"]
+    fh, writer = _open("generation_mix.csv", ["year"] + mix_columns)
     with fh:
-        if detail is not None:
-            for yr in YEARS:
-                d = detail.details.get(yr)
-                if d is None:
-                    continue
-                rep = d.reporting
-                energies = {
-                    "re": rep.energy_twh("re"),
-                    "hydro": rep.energy_twh("hydro"),
-                    "nuclear": rep.energy_twh("nuclear"),
-                    "coal": rep.energy_twh("coal_2019") + rep.energy_twh("coal_slack"),
-                    "gas": rep.energy_twh("gas_2019") + rep.energy_twh("gas_slack"),
-                    "new": rep.energy_twh("new"),
-                }
-                writer.writerow(
-                    [yr]
-                    + [_fmt(energies[k]) for k in _MIX_KEYS]
-                    + [_fmt(rep.unmet_twh()), _fmt(rep.curtailment_twh())]
-                )
+        for yr, mix in annual.items():
+            writer.writerow([yr] + [_fmt(mix[c]) for c in mix_columns])
 
     # slot-level tables for the focus year; the mix rows sum to demand
     # exactly, the unmet load duration curve is ranked, not in slot order
@@ -412,7 +393,7 @@ def export_figures(
     _table(f"ldc_unmet_{year}.csv", ["rank", "unmet_mw"], ldc, ["%d", "%.3f"])
     _table(
         f"chronological_mix_{year}.csv",
-        ["slot", "demand_mw"] + [f"{k}_mw" for k in _MIX_KEYS] + ["unmet_mw"],
+        ["slot", "demand_mw"] + [f"{k}_mw" for k in MIX_KEYS] + ["unmet_mw"],
         mix, ["%d"] + ["%.3f"] * 8,
     )
     _table(
@@ -427,19 +408,13 @@ def export_figures(
     with fh:
         if detail is not None:
             for row, yr in zip(detail.year_rows, YEARS):
-                d = detail.details.get(yr)
-                if d is None:
+                mix = annual.get(yr)
+                if mix is None:
                     continue
-                hours = slots_in_year(yr) * SLOT_HOURS
-                cap_mw = d.dispatch.capacity["coal_2019"] + d.dispatch.capacity["coal_slack"]
-                cap_twh = float(cap_mw.max()) * hours / 1e6
+                cap_twh = mix["coal_capacity_mw"] * (slots_in_year(yr) * SLOT_HOURS) / 1e6
                 pre = row["coal_twh"]
-                post = (
-                    d.reporting.energy_twh("coal_2019")
-                    + d.reporting.energy_twh("coal_slack")
-                )
                 if cap_twh > 0:
-                    writer.writerow([yr, _fmt(pre / cap_twh), _fmt(post / cap_twh)])
+                    writer.writerow([yr, _fmt(pre / cap_twh), _fmt(mix["coal_twh"] / cap_twh)])
 
     # battery state of charge for the focus year, when there is one
     if yd is not None and yd.trace is not None:
@@ -474,7 +449,7 @@ def _write_detail(
 ) -> list[str]:
     """Evaluate the detail scenario on its decade and write its exports:
     the figure CSVs, then ``dispatch_<year>.csv`` for each of ``years``."""
-    detail = evaluate_scenario(params, decade, detail_years=YEARS)
+    detail = evaluate_scenario(params, decade, detail_years=tuple(years), mix_years=YEARS)
     files = [path.name for path in export_figures(out, detail)]
     for year in years:
         name = f"dispatch_{year}.csv"

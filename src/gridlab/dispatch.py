@@ -18,6 +18,7 @@ same code serves a full year and a one-day test case.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,10 +34,39 @@ SUPPLY_KEYS = ("re", "hydro", "nuclear") + TRANCHES + ("new",)
 
 _TOL = 1e-6
 
-#: Rows formatted and written per ``write`` in ``write_table``.  Writing
-#: a 17,520-slot despatch table peaks at about 1.8 MB of Python objects
-#: in 2,048-row blocks and 12 MB in one block, which is no faster.
+#: Rows formatted and written per ``write`` in ``write_table``.  A block
+#: of a 12-column despatch table is a 2,048 x 13 x 16 byte matrix (0.4 MB)
+#: beside a few float and integer matrices of its cells.
 _BLOCK_ROWS = 2048
+
+#: Bytes per cell slot: the separator before the cell, then for a number
+#: the sign, ten integer digits, the point and three decimals, as four
+#: uint32 words.  Bytes left 0 are dropped from the written row.
+_SLOT = 16
+
+
+@cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """Four ASCII bytes per uint32 word, for ``_format_block``; built on
+    first use, so a run that writes no table never builds them.
+
+    ``digits[n]`` is ``"%04d" % n`` for 0 <= n < 10,000;
+    ``digits[n + 10_000]`` has its leading zeros as NUL, and
+    ``digits[n + 20_000]`` too but keeps the last ``0`` of 0.
+    ``decimals[m]`` is ``".%03d" % m`` for m < 1,000, and
+    ``decimals[1_000]`` is four NULs.
+    """
+    chars = 48 + np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    lead = np.cumsum(chars != 48, axis=1) == 0
+    digits = np.concatenate([
+        chars, np.where(lead, 0, chars), np.where(lead & (np.arange(4) < 3), 0, chars)])
+    decimals = np.zeros((1_001, 4), np.int64)
+    decimals[:-1] = np.column_stack([np.full(1_000, ord(".")), chars[:1_000, 1:]])
+    return tuple(t.astype(np.uint8).view(np.uint32).ravel() for t in (digits, decimals))
+
+
+#: A minus sign where it sits in a slot's first word: the second byte.
+_MINUS = np.array([0, ord("-"), 0, 0], np.uint8).view(np.uint32)[0]
 
 
 @dataclass
@@ -323,20 +353,107 @@ def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
                 formats: Sequence[str], newline: str) -> None:
     """Write equal-length column arrays as a comma-separated table.
 
-    Each line is ``formats`` (one ``%`` conversion per column, such as
-    ``"%d"`` or ``"%.3f"``) applied to one row.  Cells are never quoted,
-    so no text cell may hold a comma, a quote or a line break.  Rows go
-    out in blocks of ``_BLOCK_ROWS``: each block is sliced, converted
-    with ``tolist`` and written with one ``write``.  With no columns the
-    file holds the header alone.
+    ``formats`` has one conversion per column: ``"%d"`` or ``"%.3f"``
+    for a numeric column, ``"%s"`` for a str array.  Each line is the
+    same bytes as ``",".join(formats) + newline`` applied with ``%`` to
+    the row's values.  Cells are never quoted, so no text cell may hold
+    a comma, a quote or a line break.  With no columns the file holds
+    the header alone.
+
+    Rows go out ``_BLOCK_ROWS`` at a time, formatted as a byte matrix by
+    ``_format_block``.  A row goes through ``%`` itself when a cell's
+    text cannot be read off its value exactly: a numeric cell that is
+    not finite or is 1e9 or more in magnitude, a ``%d`` cell that is not
+    a whole number, a ``%.3f`` cell whose value in thousandths is within
+    one ``np.spacing`` of a rounding half, and a ``%s`` cell that is not
+    ASCII or holds a NUL.  ``%`` is the definition of the bytes, so the
+    block never guesses a rounding.
+
+    Raises ``ParameterError``, before the file is opened, for another
+    format, for columns of unequal length or not one per format, for a
+    ``%s`` column that is not a str array, and for a line ending other
+    than LF or CRLF.
     """
-    line = ",".join(formats) + newline
+    if newline not in ("\n", "\r\n"):
+        raise ParameterError(f"write_table line ending must be \\n or \\r\\n, not {newline!r}")
+    if unknown := sorted(set(formats) - {"%d", "%.3f", "%s"}):
+        raise ParameterError(f"write_table formats must be %d, %.3f or %s, not {unknown}")
+    if len({len(col) for col in columns}) > 1:
+        raise ParameterError(
+            f"write_table columns differ in length: {[len(col) for col in columns]}")
+    if columns and len(columns) != len(formats):
+        raise ParameterError(f"{len(columns)} columns for {len(formats)} formats")
+    if any(f == "%s" and np.asarray(col).dtype.kind != "U" for col, f in zip(columns, formats)):
+        raise ParameterError("a %s column must be a str array")
     n_rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + newline)
         for start in range(0, n_rows, _BLOCK_ROWS):
-            block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
-            fh.write("".join([line % row for row in zip(*block)]))
+            fh.write(_format_block(
+                [col[start:start + _BLOCK_ROWS] for col in columns], formats, newline))
+
+
+def _format_block(block: list[np.ndarray], formats: Sequence[str], newline: str) -> str:
+    """One block of ``write_table`` rows, as text.
+
+    Every cell gets a fixed slot of a ``(rows, columns + 1, width)``
+    byte matrix, the last slot holding the line ending.  A number's
+    words come from ``_digit_words``; leading zeros, an absent sign or
+    point and the padding of a ``%s`` cell stay 0, and one compress
+    drops them.  The rows ``write_table`` names go through ``%`` and are
+    spliced back in place.
+    """
+    rows, cols = len(block[0]), len(block)
+    num = [j for j, f in enumerate(formats) if f != "%s"]
+    text = [(j, np.ascontiguousarray(block[j]).view(np.uint32).reshape(rows, -1))
+            for j, f in enumerate(formats) if f == "%s"]
+    width = max([_SLOT] + [-(-(codes.shape[1] + 1) // 4) * 4 for _, codes in text])
+    out = np.zeros((rows, cols + 1, width), np.uint8)
+    bad = np.zeros(rows, bool)
+    for j, codes in text:
+        filled = codes != 0
+        bad |= (codes > 127).any(axis=1) | (filled[:, 1:] & ~filled[:, :-1]).any(axis=1)
+        out[:, j, 1:codes.shape[1] + 1] = codes
+    if num:
+        values = np.stack([block[j] for j in num], axis=1, dtype=np.float64)
+        fixed = np.array([formats[j] == "%.3f" for j in num])
+        scale = np.where(fixed, 1e3, 1.0)
+        scaled = np.abs(values) * scale
+        nearest = np.rint(scaled)
+        with np.errstate(invalid="ignore"):  # inf - inf; those rows fall back
+            ok = (scaled < scale * 1e9) & (
+                np.abs(scaled - nearest) <= (0.5 - np.spacing(scaled)) * fixed)
+        bad |= ~ok.all(axis=1)
+        nearest[~ok] = 0.0
+        whole = np.floor(nearest / scale)
+        # a %d cell has no decimals: index 1,000 is four NULs
+        decimals = (nearest - whole * scale + np.where(fixed, 0.0, 1e3)).astype(np.int64)
+        whole = whole.astype(np.int64)
+        top = whole // 10**4
+        high = top // 10**4
+        minus = np.signbit(values) & (fixed | (values != 0))  # %d of -0.0 is "0"
+        digits, decimal_words = _digit_words()
+        words = np.stack([
+            digits.take(high + 10_000) | minus * _MINUS,
+            digits.take(top - high * 10**4 + 10_000 * (whole < 10**8)),
+            digits.take(whole - top * 10**4 + 20_000 * (whole < 10**4)),
+            decimal_words.take(decimals),
+        ], axis=-1)
+        contiguous = num[-1] - num[0] + 1 == len(num)
+        out.view(np.uint32)[:, slice(num[0], num[-1] + 1) if contiguous else num, :4] = words
+    out[:, 1:cols, 0] = ord(",")
+    out[:, cols, :len(newline)] = np.frombuffer(newline.encode(), np.uint8)
+    out[bad] = 0
+    kept = out.tobytes().translate(None, b"\0").decode("ascii")
+    if not bad.any():
+        return kept
+    ends = np.cumsum(np.count_nonzero(out, axis=(1, 2)))
+    line = ",".join(formats) + newline
+    pieces, pos = [], 0
+    for r in np.flatnonzero(bad):
+        pieces += [kept[pos:ends[r]], line % tuple(col[r].item() for col in block)]
+        pos = ends[r]
+    return "".join(pieces) + kept[pos:]
 
 
 def to_csv(dy: DispatchYear, path) -> None:

@@ -58,6 +58,10 @@ class Decade:
     totals: dict[str, np.ndarray]
 
 
+#: The fuel groups of ``ScenarioOutcome.annual_mix``.
+MIX_KEYS = ("re", "hydro", "nuclear", "coal", "gas", "new")
+
+
 @dataclass
 class YearDetail:
     """Slot-level leftovers for one year, kept only when asked for."""
@@ -75,6 +79,7 @@ class ScenarioOutcome:
     result: eco.ScenarioResult
     year_rows: list[dict]
     details: dict[int, YearDetail] = field(default_factory=dict)
+    annual_mix: dict[int, dict[str, float]] = field(default_factory=dict)
 
 
 def _snap(value: float, epsilon: float = 1e-9) -> float:
@@ -224,21 +229,24 @@ def despatch_decade(
 
 
 def _battery_plan(
-    params: ScenarioParams, decade: Decade, keep: tuple[int, ...] = ()
-) -> tuple[new.NewSupplyPlan, dict[int, new.SocTrace]]:
+    params: ScenarioParams, decade: Decade, keep: tuple[int, ...] = (),
+    report: tuple[int, ...] = (),
+) -> tuple[new.NewSupplyPlan, dict[int, new.SocTrace], dict[int, np.ndarray]]:
     """Size and simulate the battery option year by year.
 
     Battery and dedicated solar only ever grow; each year re-simulates
     at the cumulative size under the daily-full-recharge assumption.
     Each year's series are padded to cycle matrices once, and the trace
     at 0 GW of dedicated solar is both the solar search's first probe
-    and, while no solar is built, the year's trace.  Only the traces of
-    the ``keep`` years are returned.
+    and, while no solar is built, the year's trace.  The whole traces
+    of the ``keep`` years are returned, and of the ``report`` years the
+    secondary unmet slots, all a reporting despatch reads of a trace.
     """
     plan = new.NewSupplyPlan(option="battery_re")
     boundary = params.cycle_boundary_slot
     extra = params.dedicated_solar_extra
     traces: dict[int, new.SocTrace] = {}
+    secondary: dict[int, np.ndarray] = {}
     peak_secondary = np.zeros(N_YEARS)
     run_energy = run_inverter = run_solar_gw = 0.0
 
@@ -270,6 +278,8 @@ def _battery_plan(
             trace = new.simulate_soc(battery, cycles, run_solar_gw)
         if year in keep:
             traces[year] = trace
+        if year in report:
+            secondary[year] = trace.secondary_unmet_mw
         plan.secondary_unmet_twh[i] = _snap(trace.secondary_unmet_twh())
         peak_secondary[i] = _snap(float(np.max(trace.secondary_unmet_mw)) if dy.unmet.size else 0.0)
 
@@ -283,7 +293,7 @@ def _battery_plan(
 
     diesel_aux = params.tech_costs["diesel_gen"].aux
     plan.biodiesel_capacity_mw = np.maximum.accumulate(peak_secondary / (1.0 - diesel_aux))
-    return plan, traces
+    return plan, traces, secondary
 
 
 def _thermal_plan(params: ScenarioParams, decade: Decade) -> new.NewSupplyPlan:
@@ -317,25 +327,26 @@ def _reporting_dispatch(
     params: ScenarioParams,
     dy: dsp.DispatchYear,
     plan: new.NewSupplyPlan,
-    trace: new.SocTrace | None,
+    secondary_unmet: np.ndarray | None,
     i: int,
 ) -> dsp.DispatchYear:
     """Fold NEW supply and displacement into a new despatch year, for exports.
 
-    ``i`` is the year's horizon position in ``plan``.  ``dy`` is left as
-    it is: every changed series is a new array.  Every
-    reduction is matched by an increase elsewhere, so slot sums against
-    demand stay exact.  Displaced coal comes off each day's peak, one
+    ``i`` is the year's horizon position in ``plan``, and
+    ``secondary_unmet`` the secondary unmet slots of the battery's SoC
+    trace (None for a thermal option).  ``dy`` is left as it is: every
+    changed series is a new array.  Every reduction is matched by an
+    increase elsewhere, so slot sums against demand stay exact.  Displaced coal comes off each day's peak, one
     water-fill per row of the (days, 48) coal matrix; the bonus lowers
     floor-bound slots and hands the energy back to RE (curtailment
     shrinks by the same amount).
     """
     rep = replace(dy, supply=dict(dy.supply))
-    if plan.option == "battery_re" and trace is not None:
+    if secondary_unmet is not None:
         # the trace's secondary unmet is already snapped, so a fully
         # served slot leaves exactly zero rather than eta round-trip dust
-        rep.unmet = trace.secondary_unmet_mw
-        served = trace.unmet_mw - rep.unmet
+        rep.unmet = secondary_unmet
+        served = dy.unmet - rep.unmet
     else:
         tech = params.tech_costs[plan.option]
         net_cap = plan.capacity_mw[i] * (1.0 - tech.aux)
@@ -387,15 +398,42 @@ def _reporting_dispatch(
     return rep
 
 
+def _year_mix(dy: dsp.DispatchYear, rep: dsp.DispatchYear) -> dict[str, float]:
+    """The annual figures of one year's reporting despatch that the
+    figure exports read, by ``MIX_KEYS``, plus the coal fleet's peak
+    capacity before NEW supply."""
+    coal_mw = dy.capacity["coal_2019"] + dy.capacity["coal_slack"]
+    return {
+        "re_twh": rep.energy_twh("re"),
+        "hydro_twh": rep.energy_twh("hydro"),
+        "nuclear_twh": rep.energy_twh("nuclear"),
+        "coal_twh": rep.energy_twh("coal_2019") + rep.energy_twh("coal_slack"),
+        "gas_twh": rep.energy_twh("gas_2019") + rep.energy_twh("gas_slack"),
+        "new_twh": rep.energy_twh("new"),
+        "unmet_twh": rep.unmet_twh(),
+        "curtailment_twh": rep.curtailment_twh(),
+        "coal_capacity_mw": float(coal_mw.max()),
+    }
+
+
 def evaluate_scenario(
     params: ScenarioParams,
     decade: Decade,
     detail_years: tuple[int, ...] = (),
+    mix_years: tuple[int, ...] = (),
 ) -> ScenarioOutcome:
-    """The option stage: price one scenario on its despatch key's decade."""
-    traces: dict[int, new.SocTrace | None] = dict.fromkeys(YEARS)
+    """The option stage: price one scenario on its despatch key's decade.
+
+    Each of ``detail_years`` keeps a ``YearDetail``, with the reporting
+    despatch and the SoC trace.  Each of ``mix_years`` gets its row of
+    ``annual_mix``; its reporting despatch is dropped once that row is
+    taken, unless it is a detail year too, and its trace is never kept.
+    """
+    reported = (*detail_years, *mix_years)
+    traces: dict[int, new.SocTrace] = {}
+    secondary: dict[int, np.ndarray] = {}
     if params.new_option == "battery_re":
-        plan, traces = _battery_plan(params, decade, detail_years)
+        plan, traces, secondary = _battery_plan(params, decade, detail_years, reported)
     else:
         plan = _thermal_plan(params, decade)
     plan.validate()
@@ -426,6 +464,7 @@ def evaluate_scenario(
     }
     year_rows = []
     details: dict[int, YearDetail] = {}
+    annual_mix: dict[int, dict[str, float]] = {}
     for i, year in enumerate(YEARS):
         dy, extras = decade.years[year]
         row = {name: float(column[i]) for name, column in columns.items()}
@@ -433,10 +472,13 @@ def evaluate_scenario(
         row["capacity_requirement_gw"] = extras["capacity_requirement_mw"] / 1e3
         row["flex_relaxed_slots"] = dy.relaxed_slots
         year_rows.append(row)
-        if year in detail_years:
-            trace = traces[year]
-            rep = _reporting_dispatch(params, dy, plan, trace, i)
+        if year in reported:
+            rep = _reporting_dispatch(params, dy, plan, secondary.pop(year, None), i)
             rep.check_balance(tolerance=1.0)
-            details[year] = YearDetail(dispatch=dy, reporting=rep, trace=trace)
+            if year in mix_years:
+                annual_mix[year] = _year_mix(dy, rep)
+            if year in detail_years:
+                details[year] = YearDetail(dispatch=dy, reporting=rep, trace=traces.get(year))
 
-    return ScenarioOutcome(params=params, result=result, year_rows=year_rows, details=details)
+    return ScenarioOutcome(params=params, result=result, year_rows=year_rows,
+                           details=details, annual_mix=annual_mix)

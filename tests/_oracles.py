@@ -2,9 +2,9 @@
 
 Everything in here favours obviousness over speed: literal recursions,
 bisection instead of closed forms, an LP solver instead of the greedy
-merit stack, one ``csv.writer`` row per slot instead of block-wise
-``%`` formatting, and one input row (or gap slot) at a time instead of
-block-wise array checks.
+merit stack, one ``csv.writer`` row per slot or one ``%`` per row
+instead of byte-block formatting, and one input row (or gap slot) at a
+time instead of block-wise array checks.
 """
 
 import csv
@@ -433,6 +433,16 @@ def undersize_residual(
 #
 # dispatch_*.csv and soc_trace_*.csv use the csv module's default "\r\n";
 # the figure tables use "\n".
+
+
+def reference_write_table(path, header, columns, formats, newline):
+    """``dispatch.write_table`` one row at a time: ``line % row`` on each
+    row's Python values, the definition of its bytes."""
+    line = ",".join(formats) + newline
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + newline)
+        for row in zip(*[col.tolist() for col in columns]):
+            fh.write(line % row)
 
 
 def slot_dispatch_csv(dy, path):

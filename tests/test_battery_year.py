@@ -275,7 +275,7 @@ class TestBatteryYearWork:
 
         monkeypatch.setattr(new, "_pad_cycles", counting_pad)
         monkeypatch.setattr(new, "_simulate_cycles", counting_kernel)
-        plan, traces = _battery_plan(params, decade, keep=YEARS[:1])
+        plan, traces, _ = _battery_plan(params, decade, keep=YEARS[:1])
 
         assert not plan.dedicated_solar_gw.any()
         assert plan.energy_mwh[-1] > 0.0  # the later years do size a battery

@@ -22,6 +22,7 @@ from gridlab.dispatch import (
     net_demand,
     split_must_run,
     to_csv,
+    write_table,
 )
 from gridlab.errors import DataIntegrityError, ParameterError
 from gridlab.shapes import slots_in_year
@@ -311,6 +312,107 @@ def test_dispatch_csv_golden(tmp_path):
     assert len(rows) == 49
     assert rows[1][1] == "70.000"
     assert rows[1][5] == "50.000"
+
+
+#: Cells whose text the block writer must leave to ``%``, or whose sign
+#: it must get right: zeros, tiny and subnormal values, NaN and
+#: infinities, and magnitudes at and past 1e9.
+EDGE_VALUES = [0.0, -0.0, -1e-4, -4e-4, -5e-4, 5e-4, 2.0005, 5e-324, -5e-324, 2.5e-310,
+               -2.5e-310, 1e-300, -1e-300, np.nan, np.inf, -np.inf, 999999999.9995,
+               -999999999.9995, 999999999.999, 1e9, -1e9, 1.5e9, 123456789012.3456, -7e12]
+LABELS = np.array(["", "re", "solar", "re+solar"])
+ODD_LABELS = ["\u00e9t\u00e9", "a\x00b", "x" * 20, "a b"]
+
+
+def _near_ties(rng, n):
+    """Values at or one ulp either side of a ``%.3f`` rounding half."""
+    ties = np.concatenate([rng.integers(-2 * 10**9, 2 * 10**9, n) / 2000,
+                           (2 * rng.integers(-10**7, 10**7, n) + 1) / 16])
+    return np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+
+
+def _sprinkle(rng, values, extra):
+    where = rng.choice(values.shape[0], min(values.shape[0], len(extra)), replace=False)
+    values[where] = rng.permutation(np.asarray(extra, dtype=values.dtype))[:where.size]
+    return values
+
+
+def _table_column(rng, fmt, n, specials):
+    kind = rng.integers(4)
+    if fmt == "%s":
+        labels = rng.choice(LABELS, n)
+        return _sprinkle(rng, labels.astype("U20"), ODD_LABELS) if kind == 0 else labels
+    if fmt == "%d":
+        if kind == 0:
+            return np.arange(n)
+        if kind == 1:
+            return rng.integers(-10**12, 10**12, n, endpoint=True)
+        values = np.trunc(rng.normal(0.0, 10.0 ** rng.uniform(0, 12), n))
+        extra = [-0.0, 0.5, -2.5, 1e12, -1e12, 7.25]
+        return _sprinkle(rng, values, extra + ([np.nan, np.inf] if kind == 3 else []))
+    if kind == 0:
+        return rng.integers(-10**6, 10**6, n)
+    values = rng.normal(0.0, 10.0 ** rng.uniform(-4, 9), n)
+    return _sprinkle(rng, values, [*EDGE_VALUES, *specials, *_near_ties(rng, 8)])
+
+
+def _written(writer, path, *args):
+    """The file's bytes, or the class of the error the writer raised."""
+    try:
+        writer(path, *args)
+    except (ValueError, OverflowError) as err:  # %d of NaN or inf
+        return type(err)
+    return path.read_bytes()
+
+
+class TestWriteTable:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_rows=st.sampled_from([0, 1, 2, 2047, 2048, 2049]),
+        formats=st.lists(st.sampled_from(["%d", "%.3f", "%s"]), min_size=1, max_size=5),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(st.floats(), max_size=8),
+    )
+    def test_matches_the_row_writer(self, tmp_path_factory, n_rows, formats, newline,
+                                    seed, specials):
+        rng = np.random.default_rng(seed)
+        columns = [_table_column(rng, f, n_rows, specials) for f in formats]
+        header = [f"c{j}" for j in range(len(formats))]
+        out = tmp_path_factory.mktemp("tables")
+        got = _written(write_table, out / "block.csv", header, columns, formats, newline)
+        want = _written(_oracles.reference_write_table, out / "rows.csv", header, columns,
+                        formats, newline)
+        assert got == want
+
+    def test_ties_and_edges_in_one_block(self, tmp_path):
+        # every near-tie and edge value in one 2,049-row table, so the
+        # spliced rows sit among kernel rows and across a block edge
+        rng = np.random.default_rng(11)
+        values = np.resize(np.concatenate([EDGE_VALUES, _near_ties(rng, 300)]), 2049)
+        labels = _sprinkle(rng, rng.choice(LABELS, 2049).astype("U20"), ODD_LABELS)
+        columns = [np.arange(2049), values, rng.permutation(values), labels]
+        args = (["slot", "a", "b", "source"], columns, ["%d", "%.3f", "%.3f", "%s"], "\r\n")
+        write_table(tmp_path / "block.csv", *args)
+        _oracles.reference_write_table(tmp_path / "rows.csv", *args)
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("columns, formats, newline", [
+        ([np.zeros(5), np.zeros(3)], ["%.3f", "%.3f"], "\n"),
+        ([np.zeros(5)], ["%.2f"], "\n"),
+        ([np.zeros(5)], ["%5d"], "\n"),
+        ([np.zeros(5)], ["%r"], "\n"),
+        ([np.zeros(5), np.zeros(5)], ["%.3f"], "\n"),
+        ([np.zeros(5)], ["%s"], "\n"),
+        ([np.zeros(5)], ["%.3f"], "\t"),
+    ], ids=["unequal-lengths", "two-decimals", "width", "repr", "fewer-formats",
+            "s-of-floats", "tab-line-ending"])
+    def test_rejected_before_the_file_is_opened(self, tmp_path, columns, formats, newline):
+        # unequal columns would otherwise be cut to the shortest by zip
+        path = tmp_path / "table.csv"
+        with pytest.raises(ParameterError):
+            write_table(path, ["x"] * len(formats), columns, formats, newline)
+        assert not path.exists()
 
 
 def test_duration_curve_is_sorted():

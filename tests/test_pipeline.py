@@ -13,6 +13,7 @@ from gridlab.pipeline import (
     _battery_plan,
     _thermal_plan,
     _tranche_caps,
+    _year_mix,
     _year_supplies,
     despatch_decade,
     dispatch_year,
@@ -240,6 +241,28 @@ class TestDetails:
     def test_detail_years_filter(self, outcome, outcome_half):
         assert set(outcome.details) == set(YEARS)
         assert set(outcome_half.details) == {2030}
+
+    @pytest.mark.parametrize("option", ["battery_re", "coal"])
+    def test_mix_years_keep_no_slot_arrays(self, decade, option):
+        # the figure exports' evaluation: every year's annual mix, slot
+        # arrays only for the exported years, the same as keeping all
+        params = ScenarioParams(new_option=option)
+        full = evaluate_scenario(params, decade, detail_years=tuple(YEARS))
+        lean = evaluate_scenario(params, decade, detail_years=(2024, 2030),
+                                 mix_years=tuple(YEARS))
+        assert set(lean.details) == {2024, 2030}
+        assert list(lean.annual_mix) == list(YEARS)
+        assert full.annual_mix == {}
+        for y in YEARS:
+            assert lean.annual_mix[y] == _year_mix(full.details[y].dispatch,
+                                                   full.details[y].reporting)
+        for y in (2024, 2030):
+            got, want = lean.details[y], full.details[y]
+            for key in want.reporting.supply:
+                np.testing.assert_array_equal(got.reporting.supply[key],
+                                              want.reporting.supply[key])
+            np.testing.assert_array_equal(got.reporting.unmet, want.reporting.unmet)
+            assert (got.trace is None) == (option != "battery_re")
 
     def test_dispatch_balances_every_year(self, outcome):
         for y in YEARS:

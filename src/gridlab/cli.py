@@ -25,15 +25,20 @@ and is excluded from that guarantee.
 
 from __future__ import annotations
 
+import os
+
+# gridlab makes no BLAS call, yet an OpenBLAS build of numpy starts one
+# busy-waiting worker thread per extra core when it loads, which costs
+# CPU time and no speed.  This runs before numpy is first imported (the
+# package __init__ imports no numpy); a value the user has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import csv
-import hashlib
 import json
 import logging
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -428,6 +433,8 @@ def export_figures(
 
 
 def _config_digest(config: Mapping | None) -> str:
+    import hashlib
+
     canonical = json.dumps(config or {}, sort_keys=True).encode()
     return hashlib.sha256(canonical).hexdigest()
 
@@ -509,12 +516,16 @@ def run(
     log.info("evaluating %d scenarios in %d despatch groups at parallelism %d",
              len(scenarios), len(groups), parallelism)
     _init_worker(base, solar, wind)  # the parent runs the first group
-    if parallelism == 1:
+    if parallelism == 1 or not rest:
         head, detail_files = _run_first_group(first, out, years)
         raw = chain([head], map(_run_one, rest))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a forked pool starts all its workers at the first submit, so
+        # it gets no more of them than there are groups left to run
         with ProcessPoolExecutor(
-            max_workers=parallelism,
+            max_workers=min(parallelism, len(rest)),
             initializer=_init_worker,
             initargs=(base, solar, wind),
         ) as pool:
@@ -608,9 +619,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The values GRIDLAB_LOG accepts, in any case.
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    level = os.environ.get("GRIDLAB_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("GRIDLAB_LOG") or "WARNING"
+    if level.upper() not in _LOG_LEVELS:
+        print(f"error: GRIDLAB_LOG must be one of {', '.join(_LOG_LEVELS)} "
+              f"(any case), not {level!r}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
 
     try:

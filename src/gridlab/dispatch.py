@@ -257,8 +257,9 @@ def apply_coal_flex(
         raise ParameterError(f"{dy.n_slots} slots is not a whole number of days")
 
     coal_pre = dy.coal_total()
+    by_day = coal_pre.reshape(dy.n_days, SLOTS_PER_DAY)
     if floor_day is None:
-        floor_day = flex_limit * coal_pre.reshape(dy.n_days, SLOTS_PER_DAY).max(axis=1)
+        floor_day = flex_limit * by_day.max(axis=1)
     else:
         floor_day = np.asarray(floor_day, dtype=float)
         if floor_day.shape != (dy.n_days,):
@@ -266,21 +267,23 @@ def apply_coal_flex(
                 f"floor_day has shape {floor_day.shape}, want ({dy.n_days},)"
             )
 
+    # The per-slot floor never exceeds the day's floor, so only slots
+    # below the day's floor can bind, and only they count as relaxed.
+    # The re-despatch runs on those slots alone and is scattered back
+    # into full-length copies.
+    slots = np.flatnonzero(by_day < (floor_day - _TOL)[:, None])
+    floor = floor_day[slots // SLOTS_PER_DAY]
     supply = dict(dy.supply)
-    cap1 = dy.capacity["coal_2019"]
-    cap2 = dy.capacity["gas_2019"]
-    cap3 = dy.capacity["coal_slack"]
-    cap4 = dy.capacity["gas_slack"]
+    old1, old2, old3, old4 = (supply[k][slots] for k in TRANCHES)
+    cap1, cap2, cap3, cap4 = (dy.capacity[k][slots] for k in TRANCHES)
+    unmet = dy.unmet[slots]
+    re, hydro = supply["re"][slots], supply["hydro"][slots]
 
-    net = (
-        supply["coal_2019"] + supply["gas_2019"]
-        + supply["coal_slack"] + supply["gas_slack"] + dy.unmet
-    )
-    floor = np.repeat(floor_day, SLOTS_PER_DAY)
-    floor_slot = np.minimum.reduce([floor, net + supply["re"] + supply["hydro"], cap1 + cap3])
+    net = old1 + old2 + old3 + old4 + unmet
+    floor_slot = np.minimum.reduce([floor, net + re + hydro, cap1 + cap3])
 
-    binding = coal_pre < floor_slot - _TOL
-    relaxed = int(np.sum((coal_pre < floor - _TOL) & (floor_slot < floor - _TOL)))
+    binding = coal_pre[slots] < floor_slot - _TOL
+    relaxed = int(np.sum(floor_slot < floor - _TOL))
 
     target = np.maximum(net, floor_slot)
     x1 = np.minimum(cap1, target)
@@ -294,22 +297,26 @@ def apply_coal_flex(
     unmet_new = np.maximum(target - x1 - x2 - x3 - x4, 0.0)
 
     pushed_out = np.maximum(floor_slot - net, 0.0)
-    re_cut = np.minimum(pushed_out, supply["re"])
+    re_cut = np.minimum(pushed_out, re)
     hydro_cut = pushed_out - re_cut
 
-    for key, new_vals in (
-        ("coal_2019", x1), ("gas_2019", x2), ("coal_slack", x3), ("gas_slack", x4),
-    ):
-        supply[key] = np.where(binding, new_vals, supply[key])
-    re_cut = np.where(binding, re_cut, 0.0)
-    hydro_cut = np.where(binding, hydro_cut, 0.0)
+    def scatter(full: np.ndarray, values: np.ndarray) -> np.ndarray:
+        out = full.copy()
+        out[slots] = values
+        return out
+
+    for key, old, new in zip(TRANCHES, (old1, old2, old3, old4), (x1, x2, x3, x4)):
+        supply[key] = scatter(supply[key], np.where(binding, new, old))
+    no_cut = np.zeros(dy.n_slots)
+    re_cut = scatter(no_cut, np.where(binding, re_cut, 0.0))
+    hydro_cut = scatter(no_cut, np.where(binding, hydro_cut, 0.0))
     supply["re"] = supply["re"] - re_cut
     supply["hydro"] = supply["hydro"] - hydro_cut
 
     return replace(
         dy,
         supply=supply,
-        unmet=np.where(binding, unmet_new, dy.unmet),
+        unmet=scatter(dy.unmet, np.where(binding, unmet_new, unmet)),
         curtailment=dy.curtailment + re_cut + hydro_cut,
         coal_flex_floor=floor_day,
         flex_re_cut=re_cut,

@@ -9,6 +9,7 @@ time instead of block-wise array checks.
 
 import csv
 import math
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from scipy.optimize import linprog
 from gridlab.dispatch import (
     SUPPLY_KEYS,
     TRANCHES,
+    _TOL,
     apply_coal_flex,
     attach_must_run,
     load_duration_curve,
@@ -88,6 +90,79 @@ def model_flex_dispatch(demand, re, hydro, nuclear, caps, flex):
     pre = merit_dispatch(net, [(k, caps[k]) for k in TRANCHES])
     pre = attach_must_run(pre, must, interim)
     return pre, apply_coal_flex(pre, flex)
+
+
+def reference_apply_coal_flex(dy, flex_limit, floor_day=None):
+    """``dispatch.apply_coal_flex`` on every slot of the year at once.
+
+    Each step of the re-despatch runs over the full-length series, and
+    ``np.where`` keeps the result only where the slot binds.
+    """
+    if not 0.0 <= flex_limit < 1.0:
+        raise ParameterError(f"flex_limit {flex_limit} outside [0, 1)")
+    if dy.n_slots % SLOTS_PER_DAY:
+        raise ParameterError(f"{dy.n_slots} slots is not a whole number of days")
+
+    coal_pre = dy.coal_total()
+    if floor_day is None:
+        floor_day = flex_limit * coal_pre.reshape(dy.n_days, SLOTS_PER_DAY).max(axis=1)
+    else:
+        floor_day = np.asarray(floor_day, dtype=float)
+        if floor_day.shape != (dy.n_days,):
+            raise ParameterError(
+                f"floor_day has shape {floor_day.shape}, want ({dy.n_days},)"
+            )
+
+    supply = dict(dy.supply)
+    cap1 = dy.capacity["coal_2019"]
+    cap2 = dy.capacity["gas_2019"]
+    cap3 = dy.capacity["coal_slack"]
+    cap4 = dy.capacity["gas_slack"]
+
+    net = (
+        supply["coal_2019"] + supply["gas_2019"]
+        + supply["coal_slack"] + supply["gas_slack"] + dy.unmet
+    )
+    floor = np.repeat(floor_day, SLOTS_PER_DAY)
+    floor_slot = np.minimum.reduce([floor, net + supply["re"] + supply["hydro"], cap1 + cap3])
+
+    binding = coal_pre < floor_slot - _TOL
+    relaxed = int(np.sum((coal_pre < floor - _TOL) & (floor_slot < floor - _TOL)))
+
+    target = np.maximum(net, floor_slot)
+    x1 = np.minimum(cap1, target)
+    forced_slack = np.maximum(floor_slot - x1, 0.0)
+    rest = target - x1 - forced_slack
+    x2 = np.minimum(cap2, np.maximum(rest, 0.0))
+    rest -= x2
+    x3 = forced_slack + np.minimum(np.maximum(cap3 - forced_slack, 0.0), np.maximum(rest, 0.0))
+    rest = target - x1 - x2 - x3
+    x4 = np.minimum(cap4, np.maximum(rest, 0.0))
+    unmet_new = np.maximum(target - x1 - x2 - x3 - x4, 0.0)
+
+    pushed_out = np.maximum(floor_slot - net, 0.0)
+    re_cut = np.minimum(pushed_out, supply["re"])
+    hydro_cut = pushed_out - re_cut
+
+    for key, new_vals in (
+        ("coal_2019", x1), ("gas_2019", x2), ("coal_slack", x3), ("gas_slack", x4),
+    ):
+        supply[key] = np.where(binding, new_vals, supply[key])
+    re_cut = np.where(binding, re_cut, 0.0)
+    hydro_cut = np.where(binding, hydro_cut, 0.0)
+    supply["re"] = supply["re"] - re_cut
+    supply["hydro"] = supply["hydro"] - hydro_cut
+
+    return replace(
+        dy,
+        supply=supply,
+        unmet=np.where(binding, unmet_new, dy.unmet),
+        curtailment=dy.curtailment + re_cut + hydro_cut,
+        coal_flex_floor=floor_day,
+        flex_re_cut=re_cut,
+        flex_hydro_cut=hydro_cut,
+        relaxed_slots=relaxed,
+    )
 
 
 def dispatch_cost(dy, prices, unmet_price=UNMET_PRICE):

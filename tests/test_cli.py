@@ -1,10 +1,15 @@
 """Command-line driver: config parsing, sweep execution, output tables."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -651,6 +656,77 @@ class TestDespatchGroups:
         assert "evaluating 4 scenarios in 2 despatch groups at parallelism 1" in caplog.text
 
 
+class RecordingPool:
+    """ProcessPoolExecutor's stand-in: records its size, starts no process
+    and runs each task in this one."""
+
+    def __init__(self, sizes, max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+FOUR_KEYS = {"new_option": "coal", "re_2030": [250.0, 300.0, 400.0, 500.0]}
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("config, parallelism, sizes", [
+        (FOUR_KEYS, 64, [3]),  # one worker per group left after group 0
+        (FOUR_KEYS, 2, [2]),
+        ({"new_option": ["coal", "ocgt"]}, 4, []),  # one group: no pool
+    ])
+    def test_workers_never_outnumber_the_groups_left(
+        self, tmp_path, monkeypatch, config, parallelism, sizes
+    ):
+        made = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda **kw: RecordingPool(made, **kw))
+        manifest = cli.run(config=config, out_dir=tmp_path, synthetic_seed=0,
+                           parallelism=parallelism)
+        assert made == sizes
+        assert manifest.parallelism == parallelism
+        assert manifest.failed == 0
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def fresh_interpreter(code, **env):
+    """stdout of ``python -c code`` in a new process that sees only
+    these OpenBLAS settings."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ.update(env, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=environ,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+class TestProcessCost:
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+    def test_import_starts_no_blas_threads(self):
+        code = "import os, gridlab.cli; print(len(os.listdir('/proc/self/task')))"
+        assert fresh_interpreter(code) == ["1"]
+
+    def test_a_blas_thread_count_the_user_set_is_kept(self):
+        code = "import os, gridlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert fresh_interpreter(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+    def test_import_loads_no_multiprocessing(self):
+        code = "import sys, gridlab.cli; print('multiprocessing' in sys.modules)"
+        assert fresh_interpreter(code) == ["False"]
+
+
 class TestMain:
     def write_config(self, tmp_path, payload):
         path = tmp_path / "config.json"
@@ -763,3 +839,28 @@ class TestMain:
         assert cli.main(["--synthetic", "0", "--out", str(out_dir)]) == 3
         assert "TypeError: boom" in caplog.text
         assert not (out_dir / "failures.csv").exists()
+
+    @pytest.mark.parametrize("value", ["infoo", "basic_format", "shutdown"])
+    def test_unknown_log_level_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, value
+    ):
+        # "infoo" once ran silently at WARNING, "basic_format" crashed in
+        # logging.basicConfig and "shutdown" named a function, not a level
+        def never(*args, **kwargs):
+            raise AssertionError("a decade was despatched")
+
+        monkeypatch.setattr(cli, "despatch_decade", never)
+        monkeypatch.setenv("GRIDLAB_LOG", value)
+        out_dir = tmp_path / "out"
+        assert cli.main(["--synthetic", "0", "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: GRIDLAB_LOG must be one of DEBUG, INFO, WARNING, "
+                              "ERROR, CRITICAL")
+        assert repr(value) in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["info", "Debug", "CRITICAL", ""])
+    def test_log_level_names_pass_in_any_case(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GRIDLAB_LOG", value)
+        assert cli.main(["--validate-only"]) == 0
+        assert "scenarios: 1" in capsys.readouterr().out

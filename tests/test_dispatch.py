@@ -1,6 +1,7 @@
 """Merit-order despatch, the coal flex floor, and the audit helpers."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 import _oracles
 from gridlab.dispatch import (
     TRANCHES,
+    _TOL,
     BufferReport,
     DispatchYear,
     apply_coal_flex,
@@ -239,6 +241,87 @@ def test_flex_matches_lp_oracle(seed):
     model = _oracles.dispatch_cost(flexed, prices)
     oracle = _oracles.lp_flex_cost(pre, prices, flex)
     assert model == pytest.approx(oracle, rel=1e-6, abs=1e-6)
+
+
+def _flex_case(rng, n_days, flex, explicit_floor, zero_gas, tight):
+    """A pre-flex year for the kernel parity test, with its floor_day.
+
+    The arrays are drawn independently: a slot may run above its
+    capacity or leave unmet demand beside free capacity.  The kernel
+    must match the reference on any input, and only such states show a
+    candidate mask that drops ``_TOL`` or a scatter that skips a series.
+    Some days have no coal, and some slots sit within a few ``_TOL`` of
+    their day's floor with all their coal in ``coal_2019``.
+    """
+    n = n_days * 48
+    supply = {k: rng.uniform(0.0, 60.0, n) for k in TRANCHES}
+    if zero_gas:
+        supply["gas_2019"] = np.zeros(n)
+        supply["gas_slack"] = np.zeros(n)
+    no_coal = np.repeat(rng.random(n_days) < 0.25, 48)
+    for key in ("coal_2019", "coal_slack"):
+        supply[key] = np.where(no_coal, 0.0, supply[key])
+    capacity = {k: np.maximum(supply[k] + rng.uniform(-10.0, 30.0, n), 0.0) for k in TRANCHES}
+    if zero_gas:
+        capacity["gas_2019"] = np.zeros(n)
+        capacity["gas_slack"] = np.zeros(n)
+    scale = 0.01 if tight else 1.0
+    supply["re"] = rng.uniform(0.0, 80.0, n) * scale
+    supply["hydro"] = rng.uniform(0.0, 20.0, n) * scale
+    supply["nuclear"] = rng.uniform(0.0, 5.0, n)
+    supply["new"] = np.zeros(n)
+    unmet = np.where(rng.random(n) < 0.3, rng.uniform(0.0, 20.0, n), 0.0)
+
+    day_max = (supply["coal_2019"] + supply["coal_slack"]).reshape(n_days, 48).max(axis=1)
+    floor_day = day_max * rng.uniform(0.0, 1.3, n_days) if explicit_floor else flex * day_max
+    edges = rng.choice(n, size=12, replace=False)
+    offsets = np.array([-2.0, -1.0, -0.5, 0.0, 1.0]) * _TOL
+    supply["coal_slack"][edges] = 0.0
+    supply["coal_2019"][edges] = floor_day[edges // 48] + rng.choice(offsets, edges.size)
+    dy = DispatchYear(
+        demand=sum(supply.values()) + unmet, supply=supply, capacity=capacity,
+        curtailment=rng.uniform(0.0, 10.0, n), unmet=unmet,
+    )
+    return dy, floor_day if explicit_floor else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_days=st.integers(1, 4),
+    flex=st.one_of(st.sampled_from([0.0, 0.999999]), st.floats(0.3, 0.9)),
+    explicit_floor=st.booleans(),
+    zero_gas=st.booleans(),
+    tight=st.booleans(),
+)
+def test_flex_kernel_matches_full_length_reference(
+    seed, n_days, flex, explicit_floor, zero_gas, tight
+):
+    """The binding-slot kernel is the full-length pass, bit for bit."""
+    dy, floor_day = _flex_case(np.random.default_rng(seed), n_days, flex, explicit_floor,
+                               zero_gas, tight)
+    inputs = [dy.demand, dy.curtailment, dy.unmet, *dy.supply.values(), *dy.capacity.values()]
+    before = [a.tobytes() for a in inputs]
+    got = apply_coal_flex(dy, flex, floor_day=floor_day)
+    want = _oracles.reference_apply_coal_flex(dy, flex, floor_day=floor_day)
+
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for field in dataclasses.fields(DispatchYear):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, dict):
+            assert a.keys() == b.keys(), field.name
+            assert all(same(a[k], b[k]) for k in a), field.name
+        elif isinstance(a, np.ndarray):
+            assert same(a, b), field.name
+        else:
+            assert a == b, field.name
+    # no input is written to, and every series the pass changes is new
+    assert [a.tobytes() for a in inputs] == before
+    changed = [got.unmet, got.curtailment, got.flex_re_cut, got.flex_hydro_cut,
+               *(got.supply[k] for k in ("re", "hydro", *TRANCHES))]
+    assert not any(np.shares_memory(a, b) for a in changed for b in inputs)
 
 
 # --- audits ------------------------------------------------------------------

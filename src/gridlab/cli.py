@@ -39,7 +39,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -274,18 +274,7 @@ class RunManifest:
     wall_time_s: float
 
     def to_json(self, path=None) -> str:
-        payload = {
-            "version": self.version,
-            "scenario_count": self.scenario_count,
-            "failed": self.failed,
-            "parallelism": self.parallelism,
-            "synthetic_seed": self.synthetic_seed,
-            "data_dir": self.data_dir,
-            "config_digest": self.config_digest,
-            "detail_scenario": self.detail_scenario,
-            "files": list(self.files),
-            "wall_time_s": round(self.wall_time_s, 3),
-        }
+        payload = {**asdict(self), "wall_time_s": round(self.wall_time_s, 3)}
         text = json.dumps(payload, indent=2, sort_keys=True)
         if path is not None:
             Path(path).write_text(text + "\n")
@@ -545,10 +534,8 @@ def run(
 
     # successes are in scenario order, so frontier's input-order tie
     # break is the scenario index
-    ranked: list[tuple[int, ScenarioOutcome]] = []
-    if successes:
-        by_result = {id(outcome.result): (index, outcome) for index, outcome in successes}
-        ranked = [by_result[id(r)] for r in frontier([o.result for _, o in successes])]
+    results = [outcome.result for _, outcome in successes]
+    ranked = [successes[i] for i in frontier(results)] if successes else []
 
     files: list[str] = []
     _write_frontier(out / "frontier.csv", ranked)

@@ -127,13 +127,6 @@ class DispatchYear:
             )
 
 
-@dataclass(frozen=True)
-class BufferReport:
-    """Slot-level headroom audit against the grid capacity buffer."""
-
-    shortfall: np.ndarray
-
-
 def net_demand(
     demand: np.ndarray, re: np.ndarray, hydro: np.ndarray, nuclear: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -330,11 +323,12 @@ def buffer_check(
     demand: np.ndarray,
     despatchable_capacity,
     grid_buffer: float,
-) -> BufferReport:
+) -> np.ndarray:
     """Audit despatchable headroom against the required buffer.
 
     Headroom is despatchable capacity (everything but variable RE)
     minus despatchable output; the requirement scales with demand.
+    Returns the shortfall below the requirement, MW per slot.
     """
     if grid_buffer < 0:
         raise ParameterError("grid_buffer must be >= 0")
@@ -344,16 +338,16 @@ def buffer_check(
         + dy.supply["hydro"] + dy.supply["nuclear"] + dy.supply["new"]
     )
     headroom = cap - output
-    return BufferReport(shortfall=np.maximum(grid_buffer * demand - headroom, 0.0))
+    return np.maximum(grid_buffer * demand - headroom, 0.0)
 
 
-def compute_unmet(dy: DispatchYear, buffer: BufferReport) -> float:
+def compute_unmet(dy: DispatchYear, shortfall: np.ndarray) -> float:
     """The year's capacity requirement, in MW.
 
     It is the worst slot of unmet demand plus buffer shortfall: what any
     new supply must be able to serve.
     """
-    return float(np.max(dy.unmet + buffer.shortfall)) if dy.n_slots else 0.0
+    return float(np.max(dy.unmet + shortfall)) if dy.n_slots else 0.0
 
 
 def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],

@@ -320,19 +320,17 @@ class ScenarioResult:
     curtailment_twh: float
 
 
-def frontier(results: Sequence[ScenarioResult]) -> list[ScenarioResult]:
-    """Scenarios ranked cheapest first.
+def frontier(results: Sequence[ScenarioResult]) -> list[int]:
+    """Positions into ``results``, ranked cheapest first.
 
     Ties on NPV break toward less NEW capacity, then less curtailment,
     then input order, which keeps the ranking deterministic.
     """
     if not results:
         raise ParameterError("frontier needs at least one scenario result")
-    indexed = list(enumerate(results))
-    indexed.sort(key=lambda pair: (
-        pair[1].report.npv_total,
-        pair[1].new_capacity_mw,
-        pair[1].curtailment_twh,
-        pair[0],
+    return sorted(range(len(results)), key=lambda i: (
+        results[i].report.npv_total,
+        results[i].new_capacity_mw,
+        results[i].curtailment_twh,
+        i,
     ))
-    return [r for _, r in indexed]

@@ -37,7 +37,7 @@ import numpy as np
 from gridlab.errors import InfeasibleError, ParameterError
 from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS
 from gridlab.dispatch import DispatchYear, write_table
-from gridlab.scenario import EFF_SPLITS, N_YEARS, NEW_OPTIONS, YEARS, ScenarioParams
+from gridlab.scenario import EFF_SPLITS, N_YEARS, YEARS, ScenarioParams
 
 #: Displacement priority: highest marginal cost first.  The gas_2019
 #: tranche is never displaced (committed utilisation pattern).
@@ -264,19 +264,16 @@ def _pad_cycles(
 # --- capacity sizing ---------------------------------------------------
 
 
-def size_new_capacity(required_mw: np.ndarray, option: str, aux: float) -> np.ndarray:
+def size_new_capacity(required_mw: np.ndarray, aux: float) -> np.ndarray:
     """Gross NEW capacity installed per year, built cumulatively.
 
     ``required_mw`` is each year's net requirement, the worst slot of
     unmet demand plus buffer shortfall (``dispatch.compute_unmet``);
-    thermal options gross up by their auxiliary consumption.  Capacity
-    once built never retires inside the horizon, so the installed
-    capacity is the running maximum of the requirement.
+    thermal options gross up by their auxiliary consumption ``aux``,
+    which ``ScenarioParams`` holds to [0, 1).  Capacity once built
+    never retires inside the horizon, so the installed capacity is the
+    running maximum of the requirement.
     """
-    if option not in NEW_OPTIONS:
-        raise ParameterError(f"unknown NEW option {option!r}")
-    if not 0.0 <= aux < 1.0:
-        raise ParameterError(f"aux {aux} outside [0, 1)")
     return np.maximum.accumulate(np.asarray(required_mw, dtype=float) / (1.0 - aux))
 
 

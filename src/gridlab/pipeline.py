@@ -6,11 +6,13 @@ The despatch stage, ``despatch_decade``, runs for each year 2021-2030:
 2. net demand after must-run, merit despatch, coal flex (dispatch),
 3. buffer audit and capacity requirement (dispatch).
 
-It reads only the ``DESPATCH_FIELDS`` of the parameters and returns a
-read-only ``Decade``, which also carries each year's energy totals,
-summed once when the decade is built.  Scenarios that differ only in
-the NEW option, its sizing or prices share one decade and read those
-totals instead of summing the slot arrays again.  The option stage,
+Each year ends as a frozen ``YearRecord``; the busbar and buffer
+series die with ``dispatch_year``.  The stage reads only the
+``DESPATCH_FIELDS`` of the parameters and returns a read-only
+``Decade``, which also carries each year's totals, summed once when
+the decade is built.  Scenarios that differ only in the NEW option,
+its sizing or prices share one decade and read those totals instead
+of summing the slot arrays again.  The option stage,
 ``evaluate_scenario``, prices one scenario on such a decade:
 
 4. NEW supply sizing, SoC simulation, displacement loops (newsupply),
@@ -44,6 +46,17 @@ from gridlab.shapes import SLOT_HOURS, SLOTS_PER_DAY, BaseYearData, PerMwShape, 
 
 
 @dataclass(frozen=True)
+class YearRecord:
+    """One despatched year, as the option stage reads it.  Its two
+    scalars reach the option stage through ``Decade.totals``."""
+
+    dispatch: dsp.DispatchYear  # post-flex, pre-displacement
+    curtailed_re: np.ndarray  # MW per slot a battery may charge from
+    capacity_requirement_mw: float  # ``dispatch.compute_unmet``
+    demand_twh: float  # busbar demand
+
+
+@dataclass(frozen=True)
 class Decade:
     """One despatch key's decade: capacity path, despatch and solar shape.
 
@@ -53,7 +66,7 @@ class Decade:
     """
 
     path: CapacityPath
-    years: dict[int, tuple[dsp.DispatchYear, dict]]
+    years: dict[int, YearRecord]
     solar_by_year: Mapping[int, np.ndarray]
     totals: dict[str, np.ndarray]
 
@@ -153,8 +166,8 @@ def dispatch_year(
     year: int,
     solar_shape: np.ndarray,
     wind_shape: np.ndarray,
-) -> tuple[dsp.DispatchYear, dict]:
-    """Steps 2-4 for one year: net demand, merit order, flex, buffer."""
+) -> YearRecord:
+    """Steps 2-3 for one year: net demand, merit order, flex, buffer."""
     i = path.index(year)
     demand = project_demand(params, base, year)
     busbar = demand * (1.0 + params.ists_loss)
@@ -172,16 +185,13 @@ def dispatch_year(
         caps["coal_avail"] + caps["gas_avail"]
         + path.hydro[i] * 1e3 + path.nuclear[i] * 1e3
     )
-    buffer = dsp.buffer_check(dy, busbar, despatchable, params.grid_buffer)
-    cap_req = dsp.compute_unmet(dy, buffer)
-    curtailed_re = (supplies["re"] - must["re"]) + dy.flex_re_cut
-    extras = {
-        "busbar": busbar,
-        "buffer": buffer,
-        "capacity_requirement_mw": cap_req,
-        "curtailed_re": curtailed_re,
-    }
-    return dy, extras
+    shortfall = dsp.buffer_check(dy, busbar, despatchable, params.grid_buffer)
+    return YearRecord(
+        dispatch=dy,
+        curtailed_re=(supplies["re"] - must["re"]) + dy.flex_re_cut,
+        capacity_requirement_mw=dsp.compute_unmet(dy, shortfall),
+        demand_twh=float(np.sum(busbar)) * SLOT_HOURS / 1e6,
+    )
 
 
 def year_shapes(base: BaseYearData, shape: PerMwShape) -> dict[int, np.ndarray]:
@@ -189,17 +199,19 @@ def year_shapes(base: BaseYearData, shape: PerMwShape) -> dict[int, np.ndarray]:
     return {y: map_values_to_year(shape.values, base.year, y) for y in YEARS}
 
 
-def decade_totals(years: Iterable[tuple[dsp.DispatchYear, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Each despatch year's totals, given its busbar demand, one array
-    entry per year: TWh under each supply key, ``unmet_twh``,
-    ``curtailment_twh``, ``peak_unmet_mw`` and the busbar ``demand_twh``."""
+def decade_totals(records: Iterable[YearRecord]) -> dict[str, np.ndarray]:
+    """Each year record's totals, one array entry per year: TWh under
+    each supply key, ``unmet_twh``, ``curtailment_twh``,
+    ``peak_unmet_mw``, ``capacity_requirement_mw`` and ``demand_twh``."""
     rows = []
-    for dy, busbar in years:
+    for record in records:
+        dy = record.dispatch
         row = {key: dy.energy_twh(key) for key in dy.supply}
         row["unmet_twh"] = dy.unmet_twh()
         row["curtailment_twh"] = dy.curtailment_twh()
         row["peak_unmet_mw"] = dy.peak_unmet_mw()
-        row["demand_twh"] = float(np.sum(busbar)) * SLOT_HOURS / 1e6
+        row["capacity_requirement_mw"] = record.capacity_requirement_mw
+        row["demand_twh"] = record.demand_twh
         rows.append(row)
     return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
@@ -216,13 +228,13 @@ def despatch_decade(
         y: dispatch_year(params, base, path, y, solar_by_year[y], wind_by_year[y])
         for y in YEARS
     }
-    totals = decade_totals((dy, extras["busbar"]) for dy, extras in years.values())
+    totals = decade_totals(years.values())
     arrays = [v for v in vars(path).values() if isinstance(v, np.ndarray)]
     arrays += totals.values()
-    for dy, extras in years.values():
+    for record in years.values():
+        dy = record.dispatch
         arrays += [v for v in vars(dy).values() if isinstance(v, np.ndarray)]
-        arrays += [*dy.supply.values(), *dy.capacity.values(), *vars(extras["buffer"]).values()]
-        arrays += [extras["busbar"], extras["curtailed_re"]]
+        arrays += [*dy.supply.values(), *dy.capacity.values(), record.curtailed_re]
     for array in arrays:
         array.setflags(write=False)
     return Decade(path=path, years=years, solar_by_year=solar_by_year, totals=totals)
@@ -251,10 +263,11 @@ def _battery_plan(
     run_energy = run_inverter = run_solar_gw = 0.0
 
     for i, year in enumerate(YEARS):
-        dy, extras = decade.years[year]
-        cycles = new.CycleYear.pad(dy.unmet, extras["curtailed_re"],
+        record = decade.years[year]
+        dy = record.dispatch
+        cycles = new.CycleYear.pad(dy.unmet, record.curtailed_re,
                                    decade.solar_by_year[year], boundary)
-        sized = new.size_battery(cycles, params, extras["capacity_requirement_mw"])
+        sized = new.size_battery(cycles, params, decade.totals["capacity_requirement_mw"][i])
         run_energy = max(run_energy, sized.energy_capacity_mwh)
         run_inverter = max(run_inverter, sized.inverter_capacity_mw)
         battery = replace(sized, energy_capacity_mwh=run_energy, inverter_capacity_mw=run_inverter)
@@ -300,9 +313,8 @@ def _thermal_plan(params: ScenarioParams, decade: Decade) -> new.NewSupplyPlan:
     """Size a thermal NEW option; coal may be undersized deliberately."""
     option = params.new_option
     tech = params.tech_costs[option]
-    unmets = [decade.years[y][0].unmet for y in YEARS]
-    required = [decade.years[y][1]["capacity_requirement_mw"] for y in YEARS]
-    installed_mw = new.size_new_capacity(required, option, tech.aux)
+    unmets = [decade.years[y].dispatch.unmet for y in YEARS]
+    installed_mw = new.size_new_capacity(decade.totals["capacity_requirement_mw"], tech.aux)
 
     size_fraction = params.new_coal_size_fraction if option == "coal" else 1.0
     plan = new.NewSupplyPlan(option=option, capacity_mw=installed_mw * size_fraction)
@@ -313,7 +325,7 @@ def _thermal_plan(params: ScenarioParams, decade: Decade) -> new.NewSupplyPlan:
         plan.secondary_unmet_twh[i] = _snap(float(np.sum(secondary)) * SLOT_HOURS / 1e6)
         peak_secondary[i] = _snap(float(np.max(secondary)) if secondary.size else 0.0)
         if option == "coal":
-            dy = decade.years[YEARS[i]][0]
+            dy = decade.years[YEARS[i]].dispatch
             served = np.minimum(unmet, net_cap)
             rep = replace(dy, supply={**dy.supply, "new": served}, unmet=unmet - served)
             plan.displaced_gas_twh[i] = new.displace_gas_with_new_coal(net_cap, rep)
@@ -455,6 +467,7 @@ def evaluate_scenario(
         "curtailment_twh": totals["curtailment_twh"],
         "unmet_twh": totals["unmet_twh"],
         "peak_unmet_gw": totals["peak_unmet_mw"] / 1e3,
+        "capacity_requirement_gw": totals["capacity_requirement_mw"] / 1e3,
         "new_capacity_gross_mw": plan.capacity_mw,
         "dedicated_solar_gw": plan.dedicated_solar_gw,
         "secondary_unmet_twh": plan.secondary_unmet_twh,
@@ -466,10 +479,9 @@ def evaluate_scenario(
     details: dict[int, YearDetail] = {}
     annual_mix: dict[int, dict[str, float]] = {}
     for i, year in enumerate(YEARS):
-        dy, extras = decade.years[year]
+        dy = decade.years[year].dispatch
         row = {name: float(column[i]) for name, column in columns.items()}
         row["year"] = year
-        row["capacity_requirement_gw"] = extras["capacity_requirement_mw"] / 1e3
         row["flex_relaxed_slots"] = dy.relaxed_slots
         year_rows.append(row)
         if year in reported:

@@ -223,6 +223,17 @@ class ScenarioParams:
         missing = [t for t in NEW_OPTIONS if t != "battery_re" and t not in self.tech_costs]
         if missing:
             raise ParameterError(f"tech_costs missing rows for {missing}")
+        for name, row in self.tech_costs.items():
+            if row.life_years < 1:
+                raise ParameterError(f"tech_costs[{name!r}].life_years must be >= 1")
+            if not 0.0 <= row.aux < 1.0:
+                raise ParameterError(f"tech_costs[{name!r}].aux {row.aux} outside [0, 1)")
+        for name in ("battery_life_years", "inverter_life_years", "solar_life_years",
+                     "wind_life_years"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1")
+        if not self.discount_rate > -1.0:
+            raise ParameterError(f"discount_rate {self.discount_rate} must be > -1")
 
     @property
     def cycle_boundary_slot(self) -> int:
@@ -247,7 +258,8 @@ def params_from_config(config: Mapping[str, object]) -> ScenarioParams:
 
     Unknown keys and values of the wrong type are rejected.
     ``tech_costs`` may be given as a nested mapping of row name to field
-    overrides, merged over the defaults.
+    overrides, merged over the default rows; a row name that is not one
+    of them is rejected.
     """
     unknown = set(config) - _FIELD_NAMES
     if unknown:
@@ -258,16 +270,15 @@ def params_from_config(config: Mapping[str, object]) -> ScenarioParams:
         if not isinstance(raw, Mapping):
             raise ParameterError("tech_costs must be a mapping of technology rows")
         table = default_tech_costs()
+        unknown = set(raw) - set(table)
+        if unknown:
+            raise ParameterError(f"unknown tech_costs rows: {sorted(unknown)}")
         for name, row in raw.items():
             if not isinstance(row, Mapping):
                 raise ParameterError(f"tech_costs[{name!r}] must be a mapping")
             check_field_types(TechCost, row, f"tech_costs[{name!r}].")
-            base = table.get(name)
             try:
-                if base is None:
-                    table[name] = TechCost(**row)
-                else:
-                    table[name] = replace(base, **row)
+                table[name] = replace(table[name], **row)
             except TypeError as exc:
                 raise ParameterError(f"tech_costs[{name!r}]: {exc}") from None
         kwargs["tech_costs"] = table

@@ -16,7 +16,7 @@ import _oracles
 from gridlab import dispatch as dsp
 from gridlab import newsupply as new
 from gridlab.errors import DataIntegrityError, GridlabError, InfeasibleError
-from gridlab.pipeline import Decade, _battery_plan, decade_totals, evaluate_scenario
+from gridlab.pipeline import Decade, YearRecord, _battery_plan, decade_totals, evaluate_scenario
 from gridlab.scenario import YEARS, ScenarioParams, build_capacity_path
 from gridlab.shapes import SLOT_HOURS, SLOTS_PER_DAY
 
@@ -179,18 +179,18 @@ def small_decade(params, base_year, seed):
         dy = dsp.merit_dispatch(net, [(k, caps[k]) for k in dsp.TRANCHES])
         dy = dsp.attach_must_run(dy, must, interim)
         dy = dsp.apply_coal_flex(dy, params.flex_limit)
-        buffer = dsp.buffer_check(dy, busbar, despatchable, params.grid_buffer)
-        years[year] = (dy, {
-            "busbar": busbar,
-            "buffer": buffer,
-            "capacity_requirement_mw": dsp.compute_unmet(dy, buffer),
-            "curtailed_re": (re - must["re"]) + dy.flex_re_cut,
-        })
+        shortfall = dsp.buffer_check(dy, busbar, despatchable, params.grid_buffer)
+        years[year] = YearRecord(
+            dispatch=dy,
+            curtailed_re=(re - must["re"]) + dy.flex_re_cut,
+            capacity_requirement_mw=dsp.compute_unmet(dy, shortfall),
+            demand_twh=float(np.sum(busbar)) * SLOT_HOURS / 1e6,
+        )
     return Decade(
         path=build_capacity_path(params, base_year),
         years=years,
         solar_by_year=dict.fromkeys(YEARS, sun * 0.25),
-        totals=decade_totals((dy, extras["busbar"]) for dy, extras in years.values()),
+        totals=decade_totals(years.values()),
     )
 
 
@@ -202,7 +202,8 @@ def check_battery_years(outcome, decade):
         assert b["new_capacity_gross_mw"] >= a["new_capacity_gross_mw"]
     for year in YEARS:
         detail = outcome.details[year]
-        dy, extras = decade.years[year]
+        record = decade.years[year]
+        dy = record.dispatch
         detail.dispatch.check_balance()
         rep = detail.reporting
         assert np.abs(sum(rep.supply.values()) + rep.unmet - rep.demand).max() < 1e-6
@@ -216,7 +217,7 @@ def check_battery_years(outcome, decade):
         assert np.all(trace.secondary_unmet_mw >= 0.0)
         assert np.all(trace.secondary_unmet_mw <= dy.unmet + 1e-9)
         assert np.all(trace.charge_mw[dy.unmet > 0] == 0.0)
-        assert np.all(trace.charge_re_mw <= extras["curtailed_re"] + 1e-9)
+        assert np.all(trace.charge_re_mw <= record.curtailed_re + 1e-9)
         scale = max(e_cap, float(np.abs(trace.soc_mwh).max()), 1.0)
         for a, b in _oracles.cycle_windows(trace.year.n_slots, trace.year.boundary_slot):
             step = (trace.charge_mw[a:b] * battery.charge_eff - trace.discharge_mw[a:b]) * 0.5
@@ -284,8 +285,8 @@ class TestBatteryYearWork:
         per_year = len(padded) // len(YEARS)
         assert per_year * len(YEARS) == len(padded)
         for i, year in enumerate(YEARS):
-            dy, extras = decade.years[year]
-            series = [dy.unmet, extras["curtailed_re"], decade.solar_by_year[year],
+            dy = decade.years[year].dispatch
+            series = [dy.unmet, decade.years[year].curtailed_re, decade.solar_by_year[year],
                       *(dy.supply[name] for name in new.DISPLACEMENT_ORDER)]
             got = padded[i * per_year:(i + 1) * per_year]
             assert sorted(map(id, got)) == sorted(map(id, series))

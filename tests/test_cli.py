@@ -803,6 +803,22 @@ class TestMain:
         assert cli.main(["--config", cfg, "--validate-only"]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"new_option": "battery_re", "tech_costs": {"diesel_gen": {"aux": 1.0}}},
+         "tech_costs['diesel_gen'].aux"),
+        ({"discount_rate": -1.0}, "discount_rate"),
+        ({"new_option": "ocgt", "tech_costs": {"ocgt": {"life_years": 0}}},
+         "tech_costs['ocgt'].life_years"),
+        ({"solar_life_years": 0}, "solar_life_years"),
+        ({"tech_costs": {"smr": {"life_years": 60, "capex_2021": 1e8, "capex_escalation": 0.0,
+                                 "aux": 0.08, "fuel_2021": 1.0, "fuel_escalation": 0.0}}},
+         "smr"),
+    ])
+    def test_out_of_range_cost_input_exits_2(self, tmp_path, capsys, payload, key):
+        cfg = self.write_config(tmp_path, payload)
+        assert cli.main(["--config", cfg, "--validate-only"]) == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_data_directory_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope")
         assert cli.main(["--data", missing, "--validate-only"]) == 2

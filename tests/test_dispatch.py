@@ -13,7 +13,6 @@ import _oracles
 from gridlab.dispatch import (
     TRANCHES,
     _TOL,
-    BufferReport,
     DispatchYear,
     apply_coal_flex,
     attach_must_run,
@@ -344,12 +343,12 @@ def _flat_dy(coal=50.0, gas=10.0, hydro=5.0, nuclear=5.0, new=0.0, n=48):
 def test_buffer_check_headroom():
     dy = _flat_dy(coal=50.0, gas=10.0, hydro=5.0, nuclear=5.0)
     # despatchable output is 70 MW; 100 MW of capacity leaves 30 headroom
-    report = buffer_check(dy, np.full(48, 400.0), 100.0, grid_buffer=0.05)
+    shortfall = buffer_check(dy, np.full(48, 400.0), 100.0, grid_buffer=0.05)
     # requirement 0.05 * 400 = 20 MW fits in the 30 MW of headroom
-    np.testing.assert_allclose(report.shortfall, 0.0)
+    np.testing.assert_allclose(shortfall, 0.0)
     # requirement 40 MW against 30 MW of headroom
     tight = buffer_check(dy, np.full(48, 800.0), 100.0, grid_buffer=0.05)
-    np.testing.assert_allclose(tight.shortfall, 10.0)
+    np.testing.assert_allclose(tight, 10.0)
     with pytest.raises(ParameterError):
         buffer_check(dy, np.full(48, 800.0), 100.0, grid_buffer=-0.1)
 
@@ -359,11 +358,9 @@ def test_compute_unmet_capacity_requirement():
     dy.unmet = np.linspace(0.0, 47.0, 48)
     shortfall = np.zeros(48)
     shortfall[10] = 100.0
-    report = BufferReport(shortfall=shortfall)
-    assert compute_unmet(dy, report) == pytest.approx(110.0)
+    assert compute_unmet(dy, shortfall) == pytest.approx(110.0)
     # with no shortfall, the worst unmet slot alone sets it
-    quiet = BufferReport(shortfall=np.zeros(48))
-    assert compute_unmet(dy, quiet) == 47.0
+    assert compute_unmet(dy, np.zeros(48)) == 47.0
 
 
 

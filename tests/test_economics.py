@@ -19,7 +19,7 @@ from gridlab.economics import (
 )
 from gridlab.errors import DataIntegrityError, ParameterError, UndefinedCostError
 from gridlab.newsupply import NewSupplyPlan
-from gridlab.pipeline import decade_totals
+from gridlab.pipeline import YearRecord, decade_totals
 from gridlab.scenario import (
     BASE_YEAR,
     FINAL_YEAR,
@@ -28,6 +28,7 @@ from gridlab.scenario import (
     ScenarioParams,
     build_capacity_path,
 )
+from gridlab.shapes import SLOT_HOURS
 
 
 def flat_dispatch_year(year, re=10.0, coal=4.0, gas_slack=2.0, unmet=0.0):
@@ -51,7 +52,12 @@ def flat_dispatch_year(year, re=10.0, coal=4.0, gas_slack=2.0, unmet=0.0):
 def flat_decade(**kwargs):
     """Per-year totals of a decade of flat despatch years."""
     years = [flat_dispatch_year(y, **kwargs) for y in YEARS]
-    return decade_totals((dy, dy.demand) for dy in years)
+    return decade_totals(
+        YearRecord(dispatch=dy, curtailed_re=np.zeros(dy.n_slots),
+                   capacity_requirement_mw=dy.peak_unmet_mw(),
+                   demand_twh=float(np.sum(dy.demand)) * SLOT_HOURS / 1e6)
+        for dy in years
+    )
 
 
 def every_year(value):
@@ -434,19 +440,20 @@ def result(npv, capacity=0.0, curtailment=0.0):
 class TestFrontier:
     def test_cheapest_first(self):
         rs = [result(3.0), result(1.0), result(2.0)]
-        assert [r.report.npv_total for r in frontier(rs)] == [1.0, 2.0, 3.0]
+        assert [rs[i].report.npv_total for i in frontier(rs)] == [1.0, 2.0, 3.0]
 
     def test_npv_tie_prefers_less_capacity(self):
         rs = [result(1.0, capacity=5.0), result(1.0, capacity=3.0)]
-        assert frontier(rs)[0].new_capacity_mw == 3.0
+        assert rs[frontier(rs)[0]].new_capacity_mw == 3.0
 
     def test_capacity_tie_prefers_less_curtailment(self):
         rs = [result(1.0, curtailment=9.0), result(1.0, curtailment=2.0)]
-        assert frontier(rs)[0].curtailment_twh == 2.0
+        assert rs[frontier(rs)[0]].curtailment_twh == 2.0
 
     def test_full_tie_keeps_input_order(self):
         first, second = result(1.0), result(1.0)
-        assert frontier([first, second])[0] is first
+        rs = [first, second]
+        assert rs[frontier(rs)[0]] is first
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParameterError):

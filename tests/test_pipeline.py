@@ -10,6 +10,7 @@ import _oracles
 from gridlab import dispatch as dsp
 from gridlab.economics import COMPONENTS
 from gridlab.pipeline import (
+    YearRecord,
     _battery_plan,
     _thermal_plan,
     _tranche_caps,
@@ -95,11 +96,11 @@ def plan_ocgt(decade):
 class TestDecade:
     def test_arrays_are_read_only(self, decade):
         # scenarios sharing a decade cannot write into each other's inputs
-        dy, extras = decade.years[2030]
+        dy = decade.years[2030].dispatch
         arrays = [
             dy.demand, dy.unmet, dy.curtailment, dy.flex_re_cut, dy.coal_flex_floor,
             dy.supply["coal_2019"], dy.supply["re"], dy.capacity["gas_slack"],
-            extras["busbar"], extras["buffer"].shortfall, extras["curtailed_re"],
+            decade.years[2030].curtailed_re, decade.totals["capacity_requirement_mw"],
             decade.path.coal_total,
         ]
         for array in arrays:
@@ -133,21 +134,30 @@ class TestDecade:
     def test_totals_equal_the_slot_sums_bit_for_bit(
         self, kind, decade, base_year, solar_shape, wind_shape
     ):
+        params = ScenarioParams()
         if kind == "thermal":
             params = ScenarioParams(new_option="ocgt", re_2030=550.0, flex_limit=0.7)
             decade = despatch(params, base_year, solar_shape, wind_shape)
-        totals = decade.totals
+        totals, path = decade.totals, decade.path
         assert set(totals) == set(dsp.SUPPLY_KEYS) | {
-            "unmet_twh", "curtailment_twh", "peak_unmet_mw", "demand_twh"}
+            "unmet_twh", "curtailment_twh", "peak_unmet_mw", "capacity_requirement_mw",
+            "demand_twh"}
         assert all(column.shape == (len(YEARS),) for column in totals.values())
         for i, year in enumerate(YEARS):
-            dy, extras = decade.years[year]
+            dy = decade.years[year].dispatch
             for key in dsp.SUPPLY_KEYS:
                 assert totals[key][i] == dy.energy_twh(key), (year, key)
             assert totals["unmet_twh"][i] == dy.unmet_twh()
             assert totals["curtailment_twh"][i] == dy.curtailment_twh()
             assert totals["peak_unmet_mw"][i] == dy.peak_unmet_mw()
-            assert totals["demand_twh"][i] == float(np.sum(extras["busbar"])) * SLOT_HOURS / 1e6
+            # the busbar and shortfall series are not kept: rebuild them
+            busbar = project_demand(params, base_year, year) * (1.0 + params.ists_loss)
+            caps = _tranche_caps(base_year, path, params, year)
+            despatchable = (caps["coal_avail"] + caps["gas_avail"]
+                            + path.hydro[i] * 1e3 + path.nuclear[i] * 1e3)
+            shortfall = dsp.buffer_check(dy, busbar, despatchable, params.grid_buffer)
+            assert totals["capacity_requirement_mw"][i] == dsp.compute_unmet(dy, shortfall)
+            assert totals["demand_twh"][i] == float(np.sum(busbar)) * SLOT_HOURS / 1e6
 
 
 class TestYearRows:
@@ -302,11 +312,11 @@ class TestDetails:
     def test_detail_arrays_are_consistent(self, outcome, decade, plan):
         detail = outcome.details[2030]
         n = detail.dispatch.n_slots
-        _, extras = decade.years[2030]
-        assert extras["busbar"].shape == (n,)
-        assert extras["curtailed_re"].shape == (n,)
-        assert np.all(extras["buffer"].shortfall >= 0)
-        assert np.all(extras["curtailed_re"] >= -1e-9)
+        record = decade.years[2030]
+        assert record.curtailed_re.shape == (n,)
+        # the buffer shortfall is >= 0, so it can only raise the requirement
+        assert record.capacity_requirement_mw >= record.dispatch.peak_unmet_mw()
+        assert np.all(record.curtailed_re >= -1e-9)
         assert plan.dedicated_solar_gw[-1] == 0.0  # extra=0, no dedicated solar
         assert detail.trace is not None
 
@@ -336,9 +346,9 @@ class TestUndersizedBattery:
     def test_matches_undersize_residual_of_full_design(self, decade, outcome,
                                                        outcome_half, plan_half):
         detail = outcome_half.details[2030]
-        dy, extras = decade.years[2030]
+        record = decade.years[2030]
         twh, peak = _oracles.undersize_residual(
-            outcome.details[2030].trace.battery, 0.5, dy.unmet, extras["curtailed_re"],
+            outcome.details[2030].trace.battery, 0.5, record.dispatch.unmet, record.curtailed_re,
             decade.solar_by_year[2030], plan_half.dedicated_solar_gw[-1], boundary_slot=34)
         assert twh == pytest.approx(
             plan_half.secondary_unmet_twh[-1], rel=1e-9)
@@ -399,15 +409,15 @@ class TestTrancheCaps:
         path = build_capacity_path(params, base_year)
         solar = solar_shape.values
         wind = wind_shape.values
-        dy, extras = dispatch_year(params, base_year, path, 2021, solar, wind)
+        record = dispatch_year(params, base_year, path, 2021, solar, wind)
+        dy = record.dispatch
         dy.check_balance()
         assert dy.n_slots == slots_in_year(2021)
-        assert set(extras) == {"busbar", "buffer", "capacity_requirement_mw",
-                               "curtailed_re"}
-        assert np.all(extras["buffer"].shortfall >= 0)
-        assert np.all(extras["curtailed_re"] >= -1e-9)
+        assert isinstance(record, YearRecord)
+        assert record.capacity_requirement_mw >= dy.peak_unmet_mw()
+        assert np.all(record.curtailed_re >= -1e-9)
         # curtailed RE is one part of all curtailment
-        assert np.all(extras["curtailed_re"] <= dy.curtailment + 1e-9)
+        assert np.all(record.curtailed_re <= dy.curtailment + 1e-9)
 
 
 @pytest.mark.parametrize("year", range(2019, 2025))
@@ -426,7 +436,7 @@ def test_any_base_year_evaluates(year, base_year, outcome, outcome_ocgt):
     for reference in (outcome_ocgt, outcome):
         decade = despatch(reference.params, base, solar, wind)
         got = evaluate_scenario(reference.params, decade, detail_years=(2024,))
-        assert decade.years[2024][1]["busbar"].shape == (slots_in_year(2024),)
+        assert decade.years[2024].dispatch.demand.shape == (slots_in_year(2024),)
         if slots_in_year(year) == slots_in_year(base_year.year):
             # same slot grid as the 2021 fixture: nothing may change
             assert got.result.report.npv_total == reference.result.report.npv_total

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import gridlab
-from gridlab.dispatch import BufferReport, DispatchYear
+from gridlab.dispatch import DispatchYear
 from gridlab.economics import ScenarioResult
 from gridlab.errors import ParameterError
 from gridlab.newsupply import CycleYear, Displacement, NewSupplyPlan, size_battery
-from gridlab.pipeline import Decade, ScenarioOutcome, YearDetail
+from gridlab.pipeline import Decade, ScenarioOutcome, YearDetail, YearRecord
 from gridlab.scenario import (
     BASE_YEAR,
     FINAL_YEAR,
@@ -113,7 +113,7 @@ def _attributes_read(tree):
 #: compare with ``_oracles.reference_soc``.
 RESULT_CLASSES = (
     NewSupplyPlan, Decade, YearDetail, ScenarioOutcome, ScenarioResult,
-    DispatchYear, BufferReport, Displacement,
+    DispatchYear, YearRecord, Displacement,
 )
 
 
@@ -161,6 +161,42 @@ def test_config_tech_cost_errors():
         params_from_config({"tech_costs": {"coal": {"not_a_field": 1}}})
     with pytest.raises(ParameterError):
         params_from_config({"tech_costs": {"coal": 4}})
+
+
+#: A complete cost row under a name the model has no option for.
+SMR_ROW = dataclasses.asdict(default_tech_costs()["coal"])
+
+
+@pytest.mark.parametrize("config, key", [
+    pytest.param({"tech_costs": {"ocgt": {"aux": 1.0}}}, "tech_costs['ocgt'].aux", id="aux-1"),
+    pytest.param({"tech_costs": {"ocgt": {"aux": -0.5}}}, "tech_costs['ocgt'].aux",
+                 id="aux-negative"),
+    pytest.param({"tech_costs": {"diesel_gen": {"aux": 1.0}}}, "tech_costs['diesel_gen'].aux",
+                 id="diesel-aux-1"),
+    pytest.param({"tech_costs": {"ocgt": {"life_years": 0}}}, "tech_costs['ocgt'].life_years",
+                 id="row-life-0"),
+    pytest.param({"battery_life_years": 0}, "battery_life_years", id="battery-life-0"),
+    pytest.param({"inverter_life_years": 0}, "inverter_life_years", id="inverter-life-0"),
+    pytest.param({"solar_life_years": 0}, "solar_life_years", id="solar-life-0"),
+    pytest.param({"wind_life_years": -3}, "wind_life_years", id="wind-life-negative"),
+    pytest.param({"discount_rate": -1.0}, "discount_rate", id="discount-minus-1"),
+    pytest.param({"tech_costs": {"smr": SMR_ROW}}, "smr", id="unknown-row"),
+])
+def test_cost_inputs_are_checked_at_config_time(config, key):
+    # unchecked, each reaches the cost model: nan cells, or a failure
+    # of every scenario rather than one config error
+    with pytest.raises(ParameterError) as err:
+        params_from_config(config)
+    assert key in str(err.value)
+
+
+def test_cost_inputs_at_their_bounds_pass():
+    p = params_from_config({
+        "tech_costs": {"ocgt": {"aux": 0.0, "life_years": 1}},
+        "battery_life_years": 1, "solar_life_years": 1, "discount_rate": -0.99,
+    })
+    assert p.tech_costs["ocgt"].aux == 0.0
+    assert p.tech_costs["ocgt"].life_years == 1
 
 
 # --- parameter grids ---------------------------------------------------------

@@ -11,16 +11,18 @@ run expands the cartesian product of all axes.  Two keys are reserved:
 
 A sweep groups its scenarios by despatch key (their values of
 ``DESPATCH_FIELDS``), in first-appearance order.  One task takes one
-group: it despatches the decade once, then prices each member's NEW
-option on it.  The parent process runs the group holding scenario 0
-itself while the pool works through the others.  When that group holds
-the run's first success, the detail scenario, the parent writes the
-figure CSVs and ``dispatch_<year>.csv`` from the group's decade at once
-and then drops it; only a detail scenario in another group is
-despatched again after the sweep.  Every table is written once, by the
-parent, in scenario order, so a sweep at any parallelism produces
-byte-identical files.  The manifest is the only file carrying timing
-and is excluded from that guarantee.
+group and runs it year-major: it despatches each year once, advances
+every member's NEW option on that year and drops it before the next,
+then prices each member's finished plan.  The parent process runs the
+group holding scenario 0 itself while the pool works through the
+others.  Scenario 0 is the presumptive detail scenario (the run's
+first success): it carries the reporting the figure CSVs and
+``dispatch_<year>.csv`` need through its own sweep, and the parent
+writes those files as soon as the group is done.  Only when scenario 0
+fails is the first success evaluated again, alone, after the sweep.
+Every table is written once, by the parent, in scenario order, so a
+sweep at any parallelism produces byte-identical files.  The manifest
+is the only file carrying timing and is excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -52,9 +54,10 @@ from gridlab.economics import COMPONENTS, frontier
 from gridlab.errors import GridlabError, ParameterError
 from gridlab.pipeline import (
     MIX_KEYS,
-    Decade,
+    OptionStage,
     ScenarioOutcome,
-    despatch_decade,
+    despatch_group,
+    evaluate_alone,
     evaluate_scenario,
     year_shapes,
 )
@@ -234,27 +237,45 @@ def _init_worker(base: BaseYearData, solar: PerMwShape, wind: PerMwShape) -> Non
     _WORKER_INPUTS = (base, year_shapes(base, solar), year_shapes(base, wind))
 
 
-def _run_one(group: list[tuple[int, ScenarioParams]], keep: list[Decade] | None = None):
-    """Despatch one group's decade once, then evaluate each member on it.
+@dataclass
+class _Detail:
+    """The detail exports' years, and the detail scenario's outcome with
+    their slot detail once it is evaluated."""
 
-    A GridlabError is recorded, not raised: in the despatch it fails
-    every member with the same message, in the option stage only its
-    own scenario.  Any other exception is a bug, not an unsolvable
-    scenario, and propagates to end the run.  The decade is appended
-    to ``keep`` when one is given, so the caller can reuse it.
+    years: tuple[int, ...]
+    outcome: ScenarioOutcome | None = None
+
+
+def _run_one(group: list[tuple[int, ScenarioParams]], detail: _Detail | None = None):
+    """Despatch one group year by year, stepping every member's option
+    stage on each year, then price each member's finished plan.
+
+    With ``detail``, the first member also keeps what the detail exports
+    read (the slot detail of ``detail.years`` and every year's annual
+    mix), and its outcome goes to ``detail.outcome``; the one in the
+    results carries no slot detail.  A GridlabError is recorded, not
+    raised: in the despatch it fails every member with the same
+    message, in the option stage only its own scenario.  Any other
+    exception is a bug, not an unsolvable scenario, and propagates to
+    end the run.
     """
+    stages = [OptionStage.start(params) for _, params in group]
+    if detail is not None:
+        stages[0] = OptionStage.start(group[0][1], detail.years, YEARS)
     try:
-        decade = despatch_decade(group[0][1], *_WORKER_INPUTS)
+        despatch = despatch_group(group[0][1], *_WORKER_INPUTS, stages)
     except GridlabError as exc:
         return [(index, f"{type(exc).__name__}: {exc}", None) for index, _ in group]
-    if keep is not None:
-        keep.append(decade)
     results = []
-    for index, params in group:
+    for (index, _), stage in zip(group, stages):
         try:
-            results.append((index, None, evaluate_scenario(params, decade)))
+            outcome = evaluate_scenario(stage, despatch)
         except GridlabError as exc:
             results.append((index, f"{type(exc).__name__}: {exc}", None))
+            continue
+        if detail is not None and stage is stages[0]:
+            detail.outcome, outcome = outcome, replace(outcome, details={})
+        results.append((index, None, outcome))
     return results
 
 
@@ -428,7 +449,7 @@ def _config_digest(config: Mapping | None) -> str:
     return hashlib.sha256(canonical).hexdigest()
 
 
-def _dispatch_years(detail_year: int | None) -> list[int]:
+def _dispatch_years(detail_year: int | None) -> tuple[int, ...]:
     """The years that get a ``dispatch_<year>.csv``: 2030 and ``detail_year``."""
     years = {FINAL_YEAR}
     if detail_year is not None:
@@ -437,39 +458,35 @@ def _dispatch_years(detail_year: int | None) -> list[int]:
                 f"detail year {detail_year} outside horizon {YEARS[0]}..{YEARS[-1]}"
             )
         years.add(detail_year)
-    return sorted(years)
+    return tuple(sorted(years))
 
 
-def _write_detail(
-    out: Path, params: ScenarioParams, decade: Decade, years: Sequence[int]
-) -> list[str]:
-    """Evaluate the detail scenario on its decade and write its exports:
-    the figure CSVs, then ``dispatch_<year>.csv`` for each of ``years``."""
-    detail = evaluate_scenario(params, decade, detail_years=tuple(years), mix_years=YEARS)
-    files = [path.name for path in export_figures(out, detail)]
-    for year in years:
+def _write_detail(out: Path, detail: _Detail) -> list[str]:
+    """Write the detail scenario's exports: the figure CSVs, then
+    ``dispatch_<year>.csv`` for each of ``detail.years``."""
+    files = [path.name for path in export_figures(out, detail.outcome)]
+    for year in detail.years:
         name = f"dispatch_{year}.csv"
-        dsp.to_csv(detail.details[year].reporting, out / name)
+        dsp.to_csv(detail.outcome.details[year].reporting, out / name)
         files.append(name)
     return files
 
 
 def _run_first_group(
-    group: list[tuple[int, ScenarioParams]], out: Path, years: Sequence[int]
+    group: list[tuple[int, ScenarioParams]], out: Path, years: tuple[int, ...]
 ) -> tuple[list, list[str] | None]:
-    """Run the group holding scenario 0 in this process.
+    """Run the group holding scenario 0 in this process, with scenario 0
+    keeping what the detail exports read.
 
-    When its first success is the run's first success (every lower
-    index is a failed member of this group), write the detail exports
-    from the group's decade.  Returns the group's results and the names
-    of the files written, or None when no detail exports were written.
+    When scenario 0 succeeds it is the run's first success, and its
+    exports are written here.  Returns the group's results and the names
+    of the files written, or None when scenario 0 failed.
     """
-    kept: list[Decade] = []
-    results = _run_one(group, kept)
-    first = next((pos for pos, (_, error, _) in enumerate(results) if error is None), None)
-    if first is None or results[first][0] != first:
+    detail = _Detail(years)
+    results = _run_one(group, detail)
+    if detail.outcome is None:
         return results, None
-    return results, _write_detail(out, group[first][1], kept[0], years)
+    return results, _write_detail(out, detail)
 
 
 def run(
@@ -550,10 +567,9 @@ def run(
         if detail_index is None:
             detail_files = [path.name for path in export_figures(out)]
         else:
-            params = scenarios[detail_index]
-            detail_files = _write_detail(
-                out, params, despatch_decade(params, *_WORKER_INPUTS), years
-            )
+            outcome = evaluate_alone(scenarios[detail_index], *_WORKER_INPUTS,
+                                     detail_years=years, mix_years=YEARS)
+            detail_files = _write_detail(out, _Detail(years, outcome))
     files += detail_files
 
     manifest = RunManifest(
@@ -606,6 +622,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: glibc ``mallopt`` parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _reuse_heap() -> tuple[int, ...]:
+    """Let freed year arrays be reused instead of handed back to the OS.
+
+    A despatch year's slot arrays are larger than glibc's default mmap
+    threshold, so each would be mapped on allocation, unmapped when its
+    year is dropped and faulted in again for the next year.  With the
+    thresholds raised they come from, and go back to, the heap.  Returns
+    what each ``mallopt`` call returned (1 on success), or nothing where
+    the C library has no ``mallopt``.
+    """
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return ()
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 #: The values GRIDLAB_LOG accepts, in any case.
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
@@ -634,6 +673,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"scenarios: {len(scenarios)}")
             return 0
 
+        _reuse_heap()
         manifest = run(
             config=config,
             data_dir=args.data,

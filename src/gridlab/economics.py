@@ -168,7 +168,7 @@ def npv_system_cost(
     """Assemble the decade's cash flows and discount them to 2021.
 
     ``totals`` are the post-flex despatch totals, one array entry per
-    horizon year (displacement untouched; see ``pipeline.decade_totals``).
+    horizon year (displacement untouched; see ``pipeline.year_totals``).
     ``plan`` carries the NEW build and the displacement volumes in the
     same layout.  Prices come from ``build_price_path(params)`` and cash
     flows are discounted at ``params.discount_rate``.

@@ -264,17 +264,19 @@ def _pad_cycles(
 # --- capacity sizing ---------------------------------------------------
 
 
-def size_new_capacity(required_mw: np.ndarray, aux: float) -> np.ndarray:
-    """Gross NEW capacity installed per year, built cumulatively.
+def size_new_capacity(required_mw: float, aux: float, built_mw: float = 0.0) -> float:
+    """Gross NEW capacity installed by one year, built cumulatively.
 
-    ``required_mw`` is each year's net requirement, the worst slot of
+    ``required_mw`` is the year's net requirement, the worst slot of
     unmet demand plus buffer shortfall (``dispatch.compute_unmet``);
     thermal options gross up by their auxiliary consumption ``aux``,
     which ``ScenarioParams`` holds to [0, 1).  Capacity once built
     never retires inside the horizon, so the installed capacity is the
-    running maximum of the requirement.
+    larger of ``built_mw``, what the earlier years installed, and this
+    year's gross requirement: stepped through the years, the running
+    maximum of the requirement.
     """
-    return np.maximum.accumulate(np.asarray(required_mw, dtype=float) / (1.0 - aux))
+    return float(np.maximum(built_mw, required_mw / (1.0 - aux)))
 
 
 def size_battery(year: CycleYear, params: ScenarioParams, peak_mw: float) -> BatterySpec:

@@ -1,22 +1,28 @@
-"""End-to-end evaluation of one scenario, in two stages.
+"""End-to-end evaluation of a despatch group, one year at a time.
 
-The despatch stage, ``despatch_decade``, runs for each year 2021-2030:
+A despatch group is the scenarios that share a despatch key: their
+values of ``DESPATCH_FIELDS``.  ``despatch_group`` builds the group's
+capacity path and then, for each year 2021-2030 in turn,
 
-1. scale demand and capacities (scenario),
-2. net demand after must-run, merit despatch, coal flex (dispatch),
-3. buffer audit and capacity requirement (dispatch).
+1. scales demand and capacities (scenario),
+2. nets demand after must-run, despatches the merit order and the coal
+   flex (dispatch),
+3. audits the buffer and takes the capacity requirement (dispatch),
 
-Each year ends as a frozen ``YearRecord``; the busbar and buffer
-series die with ``dispatch_year``.  The stage reads only the
-``DESPATCH_FIELDS`` of the parameters and returns a read-only
-``Decade``, which also carries each year's totals, summed once when
-the decade is built.  Scenarios that differ only in the NEW option,
-its sizing or prices share one decade and read those totals instead
-of summing the slot arrays again.  The option stage,
-``evaluate_scenario``, prices one scenario on such a decade:
+which ends the year as a frozen ``YearRecord``; the busbar and buffer
+series die with ``dispatch_year``.  Every member's ``OptionStage`` then
+advances one year on that record:
 
-4. NEW supply sizing, SoC simulation, displacement loops (newsupply),
-5. cash flows and NPV (economics).
+4. NEW supply sizing, SoC simulation, displacement loops (newsupply).
+
+The group keeps the year's totals row and drops the record before the
+next year is despatched, so no more than one year's slot arrays are
+held at a time.  The option stage is causal in years: sizes carry over
+as running maxima, so stepping the years in order gives the plan a
+whole decade would.  ``evaluate_scenario`` then prices each finished
+plan on the group's ``DespatchSummary``:
+
+5. cash flows and NPV (economics), and the year rows.
 
 Heavy slot-level arrays stay inside the worker; what comes back per
 scenario is a flat summary suitable for CSV rows, so a grid sweep can
@@ -26,16 +32,15 @@ fan out across processes and still merge deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from gridlab import dispatch as dsp
 from gridlab import economics as eco
 from gridlab import newsupply as new
-from gridlab.errors import InfeasibleError
+from gridlab.errors import GridlabError, InfeasibleError
 from gridlab.scenario import (
-    N_YEARS,
     YEARS,
     CapacityPath,
     ScenarioParams,
@@ -47,8 +52,7 @@ from gridlab.shapes import SLOT_HOURS, SLOTS_PER_DAY, BaseYearData, PerMwShape, 
 
 @dataclass(frozen=True)
 class YearRecord:
-    """One despatched year, as the option stage reads it.  Its two
-    scalars reach the option stage through ``Decade.totals``."""
+    """One despatched year, as the option stage reads it."""
 
     dispatch: dsp.DispatchYear  # post-flex, pre-displacement
     curtailed_re: np.ndarray  # MW per slot a battery may charge from
@@ -57,17 +61,15 @@ class YearRecord:
 
 
 @dataclass(frozen=True)
-class Decade:
-    """One despatch key's decade: capacity path, despatch and solar shape.
+class DespatchSummary:
+    """What a despatch group keeps once its years are dropped.
 
-    Every array ``despatch_decade`` built is read-only, so the scenarios
-    sharing a decade cannot write into each other's inputs.  ``totals``
-    is ``decade_totals``: one array per key, indexed by horizon position.
+    ``totals`` holds one read-only array per ``year_totals`` key,
+    indexed by horizon position; ``path`` is the group's capacity path,
+    read-only too.
     """
 
     path: CapacityPath
-    years: dict[int, YearRecord]
-    solar_by_year: Mapping[int, np.ndarray]
     totals: dict[str, np.ndarray]
 
 
@@ -199,83 +201,121 @@ def year_shapes(base: BaseYearData, shape: PerMwShape) -> dict[int, np.ndarray]:
     return {y: map_values_to_year(shape.values, base.year, y) for y in YEARS}
 
 
-def decade_totals(records: Iterable[YearRecord]) -> dict[str, np.ndarray]:
-    """Each year record's totals, one array entry per year: TWh under
-    each supply key, ``unmet_twh``, ``curtailment_twh``,
-    ``peak_unmet_mw``, ``capacity_requirement_mw`` and ``demand_twh``."""
-    rows = []
-    for record in records:
-        dy = record.dispatch
-        row = {key: dy.energy_twh(key) for key in dy.supply}
-        row["unmet_twh"] = dy.unmet_twh()
-        row["curtailment_twh"] = dy.curtailment_twh()
-        row["peak_unmet_mw"] = dy.peak_unmet_mw()
-        row["capacity_requirement_mw"] = record.capacity_requirement_mw
-        row["demand_twh"] = record.demand_twh
-        rows.append(row)
-    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+def year_totals(record: YearRecord) -> dict[str, float]:
+    """One year record's totals row: TWh under each supply key,
+    ``unmet_twh``, ``curtailment_twh``, ``peak_unmet_mw``,
+    ``capacity_requirement_mw``, ``demand_twh`` and the flex pass's
+    ``flex_relaxed_slots``."""
+    dy = record.dispatch
+    row = {key: dy.energy_twh(key) for key in dy.supply}
+    row["unmet_twh"] = dy.unmet_twh()
+    row["curtailment_twh"] = dy.curtailment_twh()
+    row["peak_unmet_mw"] = dy.peak_unmet_mw()
+    row["capacity_requirement_mw"] = record.capacity_requirement_mw
+    row["demand_twh"] = record.demand_twh
+    row["flex_relaxed_slots"] = dy.relaxed_slots
+    return row
 
 
-def despatch_decade(
-    params: ScenarioParams,
-    base: BaseYearData,
-    solar_by_year: Mapping[int, np.ndarray],
-    wind_by_year: Mapping[int, np.ndarray],
-) -> Decade:
-    """The despatch stage: capacity path and ``dispatch_year`` for 2021-2030."""
-    path = build_capacity_path(params, base)
-    years = {
-        y: dispatch_year(params, base, path, y, solar_by_year[y], wind_by_year[y])
-        for y in YEARS
-    }
-    totals = decade_totals(years.values())
-    arrays = [v for v in vars(path).values() if isinstance(v, np.ndarray)]
-    arrays += totals.values()
-    for record in years.values():
-        dy = record.dispatch
-        arrays += [v for v in vars(dy).values() if isinstance(v, np.ndarray)]
-        arrays += [*dy.supply.values(), *dy.capacity.values(), record.curtailed_re]
+def _freeze(arrays: Iterable[np.ndarray]) -> None:
     for array in arrays:
         array.setflags(write=False)
-    return Decade(path=path, years=years, solar_by_year=solar_by_year, totals=totals)
 
 
-def _battery_plan(
-    params: ScenarioParams, decade: Decade, keep: tuple[int, ...] = (),
-    report: tuple[int, ...] = (),
-) -> tuple[new.NewSupplyPlan, dict[int, new.SocTrace], dict[int, np.ndarray]]:
-    """Size and simulate the battery option year by year.
+class OptionStage:
+    """One scenario's option stage, advanced one despatched year at a time.
 
-    Battery and dedicated solar only ever grow; each year re-simulates
-    at the cumulative size under the daily-full-recharge assumption.
-    Each year's series are padded to cycle matrices once, and the trace
-    at 0 GW of dedicated solar is both the solar search's first probe
-    and, while no solar is built, the year's trace.  The whole traces
-    of the ``keep`` years are returned, and of the ``report`` years the
-    secondary unmet slots, all a reporting despatch reads of a trace.
+    ``step`` sizes and simulates the NEW option on one year's record
+    and fills that year's entries of ``plan``.  Each of
+    ``detail_years`` keeps a ``YearDetail``, with the reporting despatch
+    and the SoC trace.  Each of ``mix_years`` gets its row of
+    ``annual_mix``; its reporting despatch is dropped once that row is
+    taken, unless it is a detail year too.  A ``GridlabError`` in a step
+    is kept in ``error``, and the stage takes no further step.
     """
-    plan = new.NewSupplyPlan(option="battery_re")
-    boundary = params.cycle_boundary_slot
-    extra = params.dedicated_solar_extra
-    traces: dict[int, new.SocTrace] = {}
-    secondary: dict[int, np.ndarray] = {}
-    peak_secondary = np.zeros(N_YEARS)
-    run_energy = run_inverter = run_solar_gw = 0.0
 
-    for i, year in enumerate(YEARS):
-        record = decade.years[year]
+    def __init__(self, params: ScenarioParams, detail_years: tuple[int, ...] = (),
+                 mix_years: tuple[int, ...] = ()):
+        self.params = params
+        self.plan = new.NewSupplyPlan(option=params.new_option)
+        self.detail_years = detail_years
+        self.mix_years = mix_years
+        self.details: dict[int, YearDetail] = {}
+        self.annual_mix: dict[int, dict[str, float]] = {}
+        self.error: GridlabError | None = None
+        self._diesel_gross = 1.0 - params.tech_costs["diesel_gen"].aux
+        self._biodiesel_mw = 0.0
+
+    @staticmethod
+    def start(params: ScenarioParams, detail_years: tuple[int, ...] = (),
+              mix_years: tuple[int, ...] = ()) -> OptionStage:
+        """The stage of ``params.new_option``."""
+        kind = BatteryStage if params.new_option == "battery_re" else ThermalStage
+        return kind(params, detail_years, mix_years)
+
+    def step(self, i: int, record: YearRecord, solar: np.ndarray) -> None:
+        """Advance the plan by horizon year ``i``, whose record this is
+        and whose per-MW solar shape ``solar`` is."""
+        if self.error is not None:
+            return
+        try:
+            self._step(i, record, solar)
+        except GridlabError as exc:
+            self.error = exc
+
+    def _step(self, i: int, record: YearRecord, solar: np.ndarray) -> None:
+        plan, year = self.plan, YEARS[i]
+        secondary_mw, trace = self._size(i, record, solar)
+        plan.secondary_unmet_twh[i] = _snap(float(np.sum(secondary_mw)) * SLOT_HOURS / 1e6)
+        peak_secondary = _snap(float(np.max(secondary_mw)) if secondary_mw.size else 0.0)
+        self._biodiesel_mw = np.maximum(self._biodiesel_mw, peak_secondary / self._diesel_gross)
+        plan.biodiesel_capacity_mw[i] = self._biodiesel_mw
+        if year in self.detail_years or year in self.mix_years:
+            dy = record.dispatch
+            rep = _reporting_dispatch(self.params, dy, plan,
+                                      None if trace is None else secondary_mw, i)
+            rep.check_balance(tolerance=1.0)
+            if year in self.mix_years:
+                self.annual_mix[year] = _year_mix(dy, rep)
+            if year in self.detail_years:
+                self.details[year] = YearDetail(dispatch=dy, reporting=rep, trace=trace)
+
+    def _size(self, i: int, record: YearRecord, solar: np.ndarray
+              ) -> tuple[np.ndarray, new.SocTrace | None]:
+        """Fill year ``i`` of the plan but for its secondary unmet, which
+        this returns as slot series, with the year's SoC trace (None for a
+        thermal option)."""
+        raise NotImplementedError
+
+
+class BatteryStage(OptionStage):
+    """The battery option: battery and dedicated solar only ever grow,
+    and each year re-simulates at the cumulative size under the
+    daily-full-recharge assumption.  A year's series are padded to cycle
+    matrices once, and the trace at 0 GW of dedicated solar is both the
+    solar search's first probe and, while no solar is built, the year's
+    trace."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._energy_mwh = self._inverter_mw = self._solar_gw = 0.0
+
+    def _size(self, i, record, solar):
+        params, plan = self.params, self.plan
         dy = record.dispatch
-        cycles = new.CycleYear.pad(dy.unmet, record.curtailed_re,
-                                   decade.solar_by_year[year], boundary)
-        sized = new.size_battery(cycles, params, decade.totals["capacity_requirement_mw"][i])
-        run_energy = max(run_energy, sized.energy_capacity_mwh)
-        run_inverter = max(run_inverter, sized.inverter_capacity_mw)
-        battery = replace(sized, energy_capacity_mwh=run_energy, inverter_capacity_mw=run_inverter)
-        plan.energy_mwh[i] = run_energy
-        plan.capacity_mw[i] = run_inverter
+        cycles = new.CycleYear.pad(dy.unmet, record.curtailed_re, solar,
+                                   params.cycle_boundary_slot)
+        sized = new.size_battery(cycles, params, record.capacity_requirement_mw)
+        self._energy_mwh = max(self._energy_mwh, sized.energy_capacity_mwh)
+        self._inverter_mw = max(self._inverter_mw, sized.inverter_capacity_mw)
+        battery = replace(sized, energy_capacity_mwh=self._energy_mwh,
+                          inverter_capacity_mw=self._inverter_mw)
+        plan.energy_mwh[i] = self._energy_mwh
+        plan.capacity_mw[i] = self._inverter_mw
 
         trace = new.simulate_soc(battery, cycles, 0.0)
         if battery.energy_capacity_mwh > 0:
+            extra = params.dedicated_solar_extra
             try:
                 gw = new.size_dedicated_solar(battery, cycles, extra, zero_gw=trace)
             except InfeasibleError:
@@ -285,16 +325,10 @@ def _battery_plan(
                 gw = new.size_dedicated_solar(battery.scaled(1.0), cycles, extra)
         else:
             gw = 0.0
-        run_solar_gw = max(run_solar_gw, gw)
-        plan.dedicated_solar_gw[i] = run_solar_gw
-        if run_solar_gw > 0:
-            trace = new.simulate_soc(battery, cycles, run_solar_gw)
-        if year in keep:
-            traces[year] = trace
-        if year in report:
-            secondary[year] = trace.secondary_unmet_mw
-        plan.secondary_unmet_twh[i] = _snap(trace.secondary_unmet_twh())
-        peak_secondary[i] = _snap(float(np.max(trace.secondary_unmet_mw)) if dy.unmet.size else 0.0)
+        self._solar_gw = max(self._solar_gw, gw)
+        plan.dedicated_solar_gw[i] = self._solar_gw
+        if self._solar_gw > 0:
+            trace = new.simulate_soc(battery, cycles, self._solar_gw)
 
         disp = new.displace_with_battery(trace, dy)
         per_day_coal = disp.per_day_mwh["coal_2019"] + disp.per_day_mwh["coal_slack"]
@@ -303,36 +337,62 @@ def _battery_plan(
         plan.displaced_coal_2019_twh[i] = disp.displaced_twh["coal_2019"]
         plan.displaced_coal_slack_twh[i] = disp.displaced_twh["coal_slack"]
         plan.bonus_curtailment_avoided_twh[i] = float(np.sum(bonus)) / 1e6
-
-    diesel_aux = params.tech_costs["diesel_gen"].aux
-    plan.biodiesel_capacity_mw = np.maximum.accumulate(peak_secondary / (1.0 - diesel_aux))
-    return plan, traces, secondary
+        return trace.secondary_unmet_mw, trace
 
 
-def _thermal_plan(params: ScenarioParams, decade: Decade) -> new.NewSupplyPlan:
-    """Size a thermal NEW option; coal may be undersized deliberately."""
-    option = params.new_option
-    tech = params.tech_costs[option]
-    unmets = [decade.years[y].dispatch.unmet for y in YEARS]
-    installed_mw = new.size_new_capacity(decade.totals["capacity_requirement_mw"], tech.aux)
+class ThermalStage(OptionStage):
+    """A thermal NEW option; coal may be undersized deliberately."""
 
-    size_fraction = params.new_coal_size_fraction if option == "coal" else 1.0
-    plan = new.NewSupplyPlan(option=option, capacity_mw=installed_mw * size_fraction)
-    net_caps = plan.capacity_mw * (1.0 - tech.aux)
-    peak_secondary = np.zeros(N_YEARS)
-    for i, (unmet, net_cap) in enumerate(zip(unmets, net_caps)):
-        secondary = np.maximum(unmet - net_cap, 0.0)
-        plan.secondary_unmet_twh[i] = _snap(float(np.sum(secondary)) * SLOT_HOURS / 1e6)
-        peak_secondary[i] = _snap(float(np.max(secondary)) if secondary.size else 0.0)
-        if option == "coal":
-            dy = decade.years[YEARS[i]].dispatch
-            served = np.minimum(unmet, net_cap)
-            rep = replace(dy, supply={**dy.supply, "new": served}, unmet=unmet - served)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._tech = self.params.tech_costs[self.params.new_option]
+        self._installed_mw = 0.0
+
+    def _size(self, i, record, solar):
+        params, plan = self.params, self.plan
+        self._installed_mw = new.size_new_capacity(
+            record.capacity_requirement_mw, self._tech.aux, self._installed_mw)
+        coal = params.new_option == "coal"
+        plan.capacity_mw[i] = self._installed_mw * (params.new_coal_size_fraction if coal else 1.0)
+        net_cap = plan.capacity_mw[i] * (1.0 - self._tech.aux)
+        dy = record.dispatch
+        secondary = np.maximum(dy.unmet - net_cap, 0.0)
+        if coal:
+            served = np.minimum(dy.unmet, net_cap)
+            rep = replace(dy, supply={**dy.supply, "new": served}, unmet=dy.unmet - served)
             plan.displaced_gas_twh[i] = new.displace_gas_with_new_coal(net_cap, rep)
+        return secondary, None
 
-    diesel_aux = params.tech_costs["diesel_gen"].aux
-    plan.biodiesel_capacity_mw = np.maximum.accumulate(peak_secondary / (1.0 - diesel_aux))
-    return plan
+
+def despatch_group(
+    params: ScenarioParams,
+    base: BaseYearData,
+    solar_by_year: Mapping[int, np.ndarray],
+    wind_by_year: Mapping[int, np.ndarray],
+    stages: Sequence[OptionStage],
+) -> DespatchSummary:
+    """The despatch stage, year-major: despatch each year of ``params``'s
+    key once, step every stage on it, keep its totals row, drop it.
+
+    Every array of a year record is read-only, so the stages sharing it
+    cannot write into each other's inputs.  A ``GridlabError`` of the
+    despatch propagates; one of a stage stays in that stage.
+    """
+    path = build_capacity_path(params, base)
+    _freeze(v for v in vars(path).values() if isinstance(v, np.ndarray))
+    rows = []
+    for i, year in enumerate(YEARS):
+        record = dispatch_year(params, base, path, year, solar_by_year[year], wind_by_year[year])
+        dy = record.dispatch
+        _freeze([*(v for v in vars(dy).values() if isinstance(v, np.ndarray)),
+                 *dy.supply.values(), *dy.capacity.values(), record.curtailed_re])
+        rows.append(year_totals(record))
+        for stage in stages:
+            stage.step(i, record, solar_by_year[year])
+        del record, dy  # before the next year is despatched
+    totals = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    _freeze(totals.values())
+    return DespatchSummary(path=path, totals=totals)
 
 
 def _reporting_dispatch(
@@ -428,31 +488,18 @@ def _year_mix(dy: dsp.DispatchYear, rep: dsp.DispatchYear) -> dict[str, float]:
     }
 
 
-def evaluate_scenario(
-    params: ScenarioParams,
-    decade: Decade,
-    detail_years: tuple[int, ...] = (),
-    mix_years: tuple[int, ...] = (),
-) -> ScenarioOutcome:
-    """The option stage: price one scenario on its despatch key's decade.
-
-    Each of ``detail_years`` keeps a ``YearDetail``, with the reporting
-    despatch and the SoC trace.  Each of ``mix_years`` gets its row of
-    ``annual_mix``; its reporting despatch is dropped once that row is
-    taken, unless it is a detail year too, and its trace is never kept.
-    """
-    reported = (*detail_years, *mix_years)
-    traces: dict[int, new.SocTrace] = {}
-    secondary: dict[int, np.ndarray] = {}
-    if params.new_option == "battery_re":
-        plan, traces, secondary = _battery_plan(params, decade, detail_years, reported)
-    else:
-        plan = _thermal_plan(params, decade)
+def evaluate_scenario(stage: OptionStage, despatch: DespatchSummary) -> ScenarioOutcome:
+    """Price one scenario's finished option stage on its group's totals:
+    the NPV and the year rows.  A ``GridlabError`` the stage kept is
+    raised here."""
+    if stage.error is not None:
+        raise stage.error
+    plan = stage.plan
     plan.validate()
 
-    totals = decade.totals
+    totals = despatch.totals
     result = eco.ScenarioResult(
-        report=eco.npv_system_cost(totals, plan, params, decade.path),
+        report=eco.npv_system_cost(totals, plan, stage.params, despatch.path),
         new_capacity_mw=float(plan.capacity_mw.max()),
         curtailment_twh=sum(totals["curtailment_twh"].tolist()),
     )
@@ -476,21 +523,26 @@ def evaluate_scenario(
         "bonus_curtailment_twh": plan.bonus_curtailment_avoided_twh,
     }
     year_rows = []
-    details: dict[int, YearDetail] = {}
-    annual_mix: dict[int, dict[str, float]] = {}
     for i, year in enumerate(YEARS):
-        dy = decade.years[year].dispatch
         row = {name: float(column[i]) for name, column in columns.items()}
         row["year"] = year
-        row["flex_relaxed_slots"] = dy.relaxed_slots
+        row["flex_relaxed_slots"] = int(totals["flex_relaxed_slots"][i])
         year_rows.append(row)
-        if year in reported:
-            rep = _reporting_dispatch(params, dy, plan, secondary.pop(year, None), i)
-            rep.check_balance(tolerance=1.0)
-            if year in mix_years:
-                annual_mix[year] = _year_mix(dy, rep)
-            if year in detail_years:
-                details[year] = YearDetail(dispatch=dy, reporting=rep, trace=traces.get(year))
 
-    return ScenarioOutcome(params=params, result=result, year_rows=year_rows,
-                           details=details, annual_mix=annual_mix)
+    return ScenarioOutcome(params=stage.params, result=result, year_rows=year_rows,
+                           details=stage.details, annual_mix=stage.annual_mix)
+
+
+def evaluate_alone(
+    params: ScenarioParams,
+    base: BaseYearData,
+    solar_by_year: Mapping[int, np.ndarray],
+    wind_by_year: Mapping[int, np.ndarray],
+    detail_years: tuple[int, ...] = (),
+    mix_years: tuple[int, ...] = (),
+) -> ScenarioOutcome:
+    """One scenario as a despatch group of its own (see ``OptionStage``
+    for ``detail_years`` and ``mix_years``)."""
+    stage = OptionStage.start(params, detail_years, mix_years)
+    return evaluate_scenario(
+        stage, despatch_group(params, base, solar_by_year, wind_by_year, [stage]))

@@ -232,8 +232,10 @@ class ScenarioParams:
                      "wind_life_years"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1")
-        if not self.discount_rate > -1.0:
-            raise ParameterError(f"discount_rate {self.discount_rate} must be > -1")
+        for name in ("wacc", "om_inflation", "discount_rate"):
+            rate = getattr(self, name)
+            if not rate > -1.0:
+                raise ParameterError(f"{name} {rate} must be > -1")
 
     @property
     def cycle_boundary_slot(self) -> int:

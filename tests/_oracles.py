@@ -3,13 +3,16 @@
 Everything in here favours obviousness over speed: literal recursions,
 bisection instead of closed forms, an LP solver instead of the greedy
 merit stack, one ``csv.writer`` row per slot or one ``%`` per row
-instead of byte-block formatting, and one input row (or gap slot) at a
-time instead of block-wise array checks.
+instead of byte-block formatting, one input row (or gap slot) at a
+time instead of block-wise array checks, and a whole despatched decade
+held at once instead of one year at a time.
 """
 
 import csv
+import dataclasses
 import math
-from dataclasses import replace
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from gridlab.dispatch import (
     net_demand,
     split_must_run,
 )
+from gridlab.economics import ScenarioResult, npv_system_cost
 from gridlab.errors import (
     CadenceError,
     DataIntegrityError,
@@ -38,11 +42,26 @@ from gridlab.newsupply import (
     DISPLACEMENT_ORDER,
     CycleYear,
     Displacement,
+    NewSupplyPlan,
     _lowered_daily_max,
     _pad_cycles,
     _simulate_cycles,
+    coal_peak_bonus,
+    displace_gas_with_new_coal,
+    displace_with_battery,
     simulate_soc,
+    size_battery,
+    size_dedicated_solar,
 )
+from gridlab.pipeline import (
+    ScenarioOutcome,
+    YearDetail,
+    _reporting_dispatch,
+    _snap,
+    _year_mix,
+    dispatch_year,
+)
+from gridlab.scenario import N_YEARS, YEARS, CapacityPath, build_capacity_path
 from gridlab.shapes import (
     FUELS,
     SLOT_HOURS,
@@ -751,3 +770,198 @@ def fill_gaps(values, max_gap_slots, label):
                     f"series '{label}': slot {sod} of day is missing on every day"
                 )
     return out
+
+
+# --- the whole-decade evaluation -------------------------------------------
+#
+# ``pipeline`` despatches a group year by year and steps every member's
+# option stage on each year before dropping it.  The reference below
+# holds a whole decade first and then sizes, simulates and prices one
+# scenario on it, loop over the years after loop over the years.
+
+
+@dataclass(frozen=True)
+class Decade:
+    """One despatch key's decade, every year held at once."""
+
+    path: CapacityPath
+    years: dict
+    solar_by_year: dict
+    totals: dict
+
+
+def decade_totals(records):
+    """Each year record's totals, one array entry per year."""
+    rows = []
+    for record in records:
+        dy = record.dispatch
+        row = {key: dy.energy_twh(key) for key in dy.supply}
+        row["unmet_twh"] = dy.unmet_twh()
+        row["curtailment_twh"] = dy.curtailment_twh()
+        row["peak_unmet_mw"] = dy.peak_unmet_mw()
+        row["capacity_requirement_mw"] = record.capacity_requirement_mw
+        row["demand_twh"] = record.demand_twh
+        row["flex_relaxed_slots"] = dy.relaxed_slots
+        rows.append(row)
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+
+
+def despatch_decade(params, base, solar_by_year, wind_by_year):
+    """``dispatch_year`` for 2021-2030, all ten kept."""
+    path = build_capacity_path(params, base)
+    years = {y: dispatch_year(params, base, path, y, solar_by_year[y], wind_by_year[y])
+             for y in YEARS}
+    return Decade(path=path, years=years, solar_by_year=dict(solar_by_year),
+                  totals=decade_totals(years.values()))
+
+
+def reference_battery_plan(params, decade, keep=(), report=()):
+    """The battery plan over the whole decade, with the SoC traces of
+    the ``keep`` years and the secondary unmet slots of the ``report``
+    years."""
+    plan = NewSupplyPlan(option="battery_re")
+    boundary = params.cycle_boundary_slot
+    extra = params.dedicated_solar_extra
+    traces, secondary = {}, {}
+    peak_secondary = np.zeros(N_YEARS)
+    run_energy = run_inverter = run_solar_gw = 0.0
+
+    for i, year in enumerate(YEARS):
+        record = decade.years[year]
+        dy = record.dispatch
+        cycles = CycleYear.pad(dy.unmet, record.curtailed_re, decade.solar_by_year[year], boundary)
+        sized = size_battery(cycles, params, decade.totals["capacity_requirement_mw"][i])
+        run_energy = max(run_energy, sized.energy_capacity_mwh)
+        run_inverter = max(run_inverter, sized.inverter_capacity_mw)
+        battery = replace(sized, energy_capacity_mwh=run_energy, inverter_capacity_mw=run_inverter)
+        plan.energy_mwh[i] = run_energy
+        plan.capacity_mw[i] = run_inverter
+
+        trace = simulate_soc(battery, cycles, 0.0)
+        if battery.energy_capacity_mwh > 0:
+            try:
+                gw = size_dedicated_solar(battery, cycles, extra, zero_gw=trace)
+            except InfeasibleError:
+                gw = size_dedicated_solar(battery.scaled(1.0), cycles, extra)
+        else:
+            gw = 0.0
+        run_solar_gw = max(run_solar_gw, gw)
+        plan.dedicated_solar_gw[i] = run_solar_gw
+        if run_solar_gw > 0:
+            trace = simulate_soc(battery, cycles, run_solar_gw)
+        if year in keep:
+            traces[year] = trace
+        if year in report:
+            secondary[year] = trace.secondary_unmet_mw
+        plan.secondary_unmet_twh[i] = _snap(trace.secondary_unmet_twh())
+        peak_secondary[i] = _snap(float(np.max(trace.secondary_unmet_mw)) if dy.unmet.size else 0.0)
+
+        disp = displace_with_battery(trace, dy)
+        per_day_coal = disp.per_day_mwh["coal_2019"] + disp.per_day_mwh["coal_slack"]
+        bonus = coal_peak_bonus(dy, per_day_coal, params.flex_limit)
+        plan.displaced_gas_twh[i] = disp.displaced_twh["gas_slack"]
+        plan.displaced_coal_2019_twh[i] = disp.displaced_twh["coal_2019"]
+        plan.displaced_coal_slack_twh[i] = disp.displaced_twh["coal_slack"]
+        plan.bonus_curtailment_avoided_twh[i] = float(np.sum(bonus)) / 1e6
+
+    diesel_aux = params.tech_costs["diesel_gen"].aux
+    plan.biodiesel_capacity_mw = np.maximum.accumulate(peak_secondary / (1.0 - diesel_aux))
+    return plan, traces, secondary
+
+
+def reference_thermal_plan(params, decade):
+    """A thermal plan over the whole decade: the build is the running
+    maximum of the grossed-up requirement, taken in one pass."""
+    option = params.new_option
+    tech = params.tech_costs[option]
+    required = decade.totals["capacity_requirement_mw"]
+    installed_mw = np.maximum.accumulate(required / (1.0 - tech.aux))
+
+    size_fraction = params.new_coal_size_fraction if option == "coal" else 1.0
+    plan = NewSupplyPlan(option=option, capacity_mw=installed_mw * size_fraction)
+    net_caps = plan.capacity_mw * (1.0 - tech.aux)
+    peak_secondary = np.zeros(N_YEARS)
+    for i, net_cap in enumerate(net_caps):
+        dy = decade.years[YEARS[i]].dispatch
+        secondary = np.maximum(dy.unmet - net_cap, 0.0)
+        plan.secondary_unmet_twh[i] = _snap(float(np.sum(secondary)) * SLOT_HOURS / 1e6)
+        peak_secondary[i] = _snap(float(np.max(secondary)) if secondary.size else 0.0)
+        if option == "coal":
+            served = np.minimum(dy.unmet, net_cap)
+            rep = replace(dy, supply={**dy.supply, "new": served}, unmet=dy.unmet - served)
+            plan.displaced_gas_twh[i] = displace_gas_with_new_coal(net_cap, rep)
+
+    diesel_aux = params.tech_costs["diesel_gen"].aux
+    plan.biodiesel_capacity_mw = np.maximum.accumulate(peak_secondary / (1.0 - diesel_aux))
+    return plan
+
+
+def reference_evaluate_scenario(params, decade, detail_years=(), mix_years=()):
+    """One scenario sized, simulated and priced on a whole decade."""
+    reported = (*detail_years, *mix_years)
+    traces, secondary = {}, {}
+    if params.new_option == "battery_re":
+        plan, traces, secondary = reference_battery_plan(params, decade, detail_years, reported)
+    else:
+        plan = reference_thermal_plan(params, decade)
+    plan.validate()
+
+    totals = decade.totals
+    result = ScenarioResult(
+        report=npv_system_cost(totals, plan, params, decade.path),
+        new_capacity_mw=float(plan.capacity_mw.max()),
+        curtailment_twh=sum(totals["curtailment_twh"].tolist()),
+    )
+    columns = {
+        "demand_twh": totals["demand_twh"],
+        "re_twh": totals["re"],
+        "hydro_twh": totals["hydro"],
+        "nuclear_twh": totals["nuclear"],
+        "coal_twh": totals["coal_2019"] + totals["coal_slack"],
+        "gas_twh": totals["gas_2019"] + totals["gas_slack"],
+        "curtailment_twh": totals["curtailment_twh"],
+        "unmet_twh": totals["unmet_twh"],
+        "peak_unmet_gw": totals["peak_unmet_mw"] / 1e3,
+        "capacity_requirement_gw": totals["capacity_requirement_mw"] / 1e3,
+        "new_capacity_gross_mw": plan.capacity_mw,
+        "dedicated_solar_gw": plan.dedicated_solar_gw,
+        "secondary_unmet_twh": plan.secondary_unmet_twh,
+        "displaced_gas_twh": plan.displaced_gas_twh,
+        "displaced_coal_twh": plan.displaced_coal_2019_twh + plan.displaced_coal_slack_twh,
+        "bonus_curtailment_twh": plan.bonus_curtailment_avoided_twh,
+    }
+    year_rows, details, annual_mix = [], {}, {}
+    for i, year in enumerate(YEARS):
+        dy = decade.years[year].dispatch
+        row = {name: float(column[i]) for name, column in columns.items()}
+        row["year"] = year
+        row["flex_relaxed_slots"] = dy.relaxed_slots
+        year_rows.append(row)
+        if year in reported:
+            rep = _reporting_dispatch(params, dy, plan, secondary.pop(year, None), i)
+            rep.check_balance(tolerance=1.0)
+            if year in mix_years:
+                annual_mix[year] = _year_mix(dy, rep)
+            if year in detail_years:
+                details[year] = YearDetail(dispatch=dy, reporting=rep, trace=traces.get(year))
+    return ScenarioOutcome(params=params, result=result, year_rows=year_rows,
+                           details=details, annual_mix=annual_mix)
+
+
+def bits(value):
+    """``value`` with every float and array replaced by its bytes, for
+    bit-for-bit comparison: -0.0 differs from 0.0 here, and NaNs with
+    the same payload match.  Dataclasses, mappings and sequences are
+    walked field by field."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return type(value).__name__, {f.name: bits(getattr(value, f.name))
+                                      for f in dataclasses.fields(value)}
+    if isinstance(value, Mapping):
+        return {key: bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [bits(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (float, np.floating)):
+        return np.float64(value).tobytes()
+    return value

@@ -2,11 +2,14 @@
 
 The row-restricted solar searches and the days-only coal-peak bonus
 against their whole-series references in ``_oracles``, the work one
-battery year does, and a fuzz of the battery option over the validated
-parameter ranges on a small synthetic decade.
+battery year does, a fuzz of the battery option over the validated
+parameter ranges on a small synthetic decade, and a fuzz holding the
+five thermal options, stepped year by year, to the whole-decade
+reference on such decades.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +19,8 @@ import _oracles
 from gridlab import dispatch as dsp
 from gridlab import newsupply as new
 from gridlab.errors import DataIntegrityError, GridlabError, InfeasibleError
-from gridlab.pipeline import Decade, YearRecord, _battery_plan, decade_totals, evaluate_scenario
-from gridlab.scenario import YEARS, ScenarioParams, build_capacity_path
+from gridlab.pipeline import DespatchSummary, OptionStage, YearRecord, evaluate_scenario
+from gridlab.scenario import NEW_OPTIONS, YEARS, ScenarioParams, build_capacity_path
 from gridlab.shapes import SLOT_HOURS, SLOTS_PER_DAY
 
 
@@ -186,12 +189,26 @@ def small_decade(params, base_year, seed):
             capacity_requirement_mw=dsp.compute_unmet(dy, shortfall),
             demand_twh=float(np.sum(busbar)) * SLOT_HOURS / 1e6,
         )
-    return Decade(
+    return _oracles.Decade(
         path=build_capacity_path(params, base_year),
         years=years,
         solar_by_year=dict.fromkeys(YEARS, sun * 0.25),
-        totals=decade_totals(years.values()),
+        totals=_oracles.decade_totals(years.values()),
     )
+
+
+def stepped(params, decade, detail_years=(), mix_years=()):
+    """The option stage of ``params`` stepped through a decade's years."""
+    stage = OptionStage.start(params, detail_years, mix_years)
+    for i, year in enumerate(YEARS):
+        stage.step(i, decade.years[year], decade.solar_by_year[year])
+    return stage
+
+
+def year_major(params, decade, detail_years=(), mix_years=()):
+    """One scenario stepped year by year through a decade, then priced."""
+    stage = stepped(params, decade, detail_years, mix_years)
+    return evaluate_scenario(stage, DespatchSummary(path=decade.path, totals=decade.totals))
 
 
 def check_battery_years(outcome, decade):
@@ -251,7 +268,7 @@ class TestBatteryFuzz:
         )
         decade = small_decade(params, base_year, seed)
         try:
-            outcome = evaluate_scenario(params, decade, detail_years=YEARS)
+            outcome = year_major(params, decade, detail_years=YEARS)
         except DataIntegrityError:
             raise  # an imbalance is a bug, not a scenario the model cannot solve
         except GridlabError:
@@ -276,11 +293,12 @@ class TestBatteryYearWork:
 
         monkeypatch.setattr(new, "_pad_cycles", counting_pad)
         monkeypatch.setattr(new, "_simulate_cycles", counting_kernel)
-        plan, traces, _ = _battery_plan(params, decade, keep=YEARS[:1])
+        stage = stepped(params, decade, detail_years=YEARS[:1])
+        plan = stage.plan
 
         assert not plan.dedicated_solar_gw.any()
         assert plan.energy_mwh[-1] > 0.0  # the later years do size a battery
-        rows = traces[YEARS[0]].year.unmet.shape[0]
+        rows = stage.details[YEARS[0]].trace.year.unmet.shape[0]
         assert kernel_rows == [rows] * len(YEARS)
         per_year = len(padded) // len(YEARS)
         assert per_year * len(YEARS) == len(padded)
@@ -290,3 +308,45 @@ class TestBatteryYearWork:
                       *(dy.supply[name] for name in new.DISPLACEMENT_ORDER)]
             got = padded[i * per_year:(i + 1) * per_year]
             assert sorted(map(id, got)) == sorted(map(id, series))
+
+
+THERMAL_OPTIONS = tuple(option for option in NEW_OPTIONS if option != "battery_re")
+
+
+class TestThermalFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        option=st.sampled_from(THERMAL_OPTIONS),
+        coal_fraction=edge_or([0.01, 1.0], st.floats(0.01, 1.0)),
+        flex=edge_or([0.5, 0.8], st.floats(0.5, 0.8)),
+        growth=edge_or([0.0, 0.15], st.floats(0.0, 0.15)),
+        buffer=edge_or([0.0, 0.1], st.floats(0.0, 0.1)),
+        detail=st.sets(st.sampled_from(YEARS), max_size=3),
+    )
+    def test_year_major_matches_the_whole_decade_bit_for_bit(
+            self, base_year, seed, option, coal_fraction, flex, growth, buffer, detail):
+        params = ScenarioParams(
+            new_option=option, new_coal_size_fraction=coal_fraction, flex_limit=flex,
+            demand_growth=growth, grid_buffer=buffer,
+        )
+        decade = small_decade(params, base_year, seed)
+        detail_years = tuple(sorted(detail))
+        try:
+            want = _oracles.reference_evaluate_scenario(params, decade, detail_years, YEARS)
+        except DataIntegrityError:
+            raise  # an imbalance is a bug, not a scenario the model cannot solve
+        except GridlabError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                year_major(params, decade, detail_years, YEARS)
+            return
+        got = year_major(params, decade, detail_years, YEARS)
+        assert _oracles.bits(got) == _oracles.bits(want)
+
+    def test_undersized_coal_reaches_secondary_unmet_and_displaced_gas(self, base_year):
+        # the parity draws are only worth the branches they reach
+        params = ScenarioParams(new_option="coal", new_coal_size_fraction=0.3,
+                                demand_growth=0.1)
+        row = year_major(params, small_decade(params, base_year, 0)).year_rows[-1]
+        assert row["secondary_unmet_twh"] > 0
+        assert row["displaced_gas_twh"] > 0

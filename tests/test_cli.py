@@ -6,9 +6,11 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 
 import _oracles
 import gridlab
-from gridlab import cli, pipeline
+from gridlab import cli, newsupply, pipeline
 from gridlab import dispatch as dsp
 from gridlab.errors import InfeasibleError, ParameterError
 from gridlab.newsupply import BatterySpec, CycleYear, SocTrace
@@ -468,10 +470,10 @@ class TestRunModes:
     def test_one_bad_scenario_does_not_sink_the_sweep(self, tmp_path, monkeypatch):
         real = cli.evaluate_scenario
 
-        def flaky(params, *args, **kwargs):
-            if params.battery_size_fraction == 0.5:
+        def flaky(stage, *args, **kwargs):
+            if stage.params.battery_size_fraction == 0.5:
                 raise InfeasibleError("boom")
-            return real(params, *args, **kwargs)
+            return real(stage, *args, **kwargs)
 
         monkeypatch.setattr(cli, "evaluate_scenario", flaky)
         manifest = cli.run(
@@ -530,6 +532,30 @@ MIXED = {
 TWO_KEYS = {"new_option": ["battery_re", "coal", "ocgt"], "re_2030": [300.0, 500.0]}
 
 
+def fail_despatch(monkeypatch, re_2030, year=YEARS[0]):
+    """Make dispatch_year raise for one RE build-out from ``year`` on."""
+    real = pipeline.dispatch_year
+
+    def flaky(params, *args):
+        if params.re_2030 == re_2030 and args[2] >= year:
+            raise InfeasibleError("no despatch")
+        return real(params, *args)
+
+    monkeypatch.setattr(pipeline, "dispatch_year", flaky)
+
+
+def fail_battery(monkeypatch, re_2030=None):
+    """Make the battery option stage fail, for one RE build-out or all."""
+    real = newsupply.size_battery
+
+    def flaky(year, params, peak_mw):
+        if re_2030 is None or params.re_2030 == re_2030:
+            raise InfeasibleError("no battery")
+        return real(year, params, peak_mw)
+
+    monkeypatch.setattr(newsupply, "size_battery", flaky)
+
+
 def count_despatches(monkeypatch) -> list:
     """Record the year of every dispatch_year call from here on."""
     calls = []
@@ -576,14 +602,18 @@ class TestDespatchGroups:
         assert len(calls) == 2 * len(YEARS)
 
     def test_despatch_failure_fails_the_whole_group(self, tmp_path, monkeypatch):
-        real = cli.despatch_decade
+        self.assert_group_1_fails_on_despatch(tmp_path, monkeypatch)
 
-        def flaky(params, *args):
-            if params.re_2030 == 500.0:
-                raise InfeasibleError("no despatch")
-            return real(params, *args)
+    def test_despatch_failure_wins_over_an_earlier_option_failure(
+        self, tmp_path, monkeypatch
+    ):
+        # the battery member's option stage fails in 2021, the despatch in
+        # 2026: every member reports the despatch error
+        fail_battery(monkeypatch, 500.0)
+        self.assert_group_1_fails_on_despatch(tmp_path, monkeypatch)
 
-        monkeypatch.setattr(cli, "despatch_decade", flaky)
+    def assert_group_1_fails_on_despatch(self, tmp_path, monkeypatch):
+        fail_despatch(monkeypatch, 500.0, year=2026)
         manifest = cli.run(config=TWO_KEYS, out_dir=tmp_path, synthetic_seed=0)
         assert manifest.failed == 3
         rows = read_rows(tmp_path / "failures.csv")[1:]
@@ -592,6 +622,14 @@ class TestDespatchGroups:
         assert all(r[-1] == "InfeasibleError: no despatch" for r in rows)
         frontier = read_rows(tmp_path / "frontier.csv")[1:]
         assert sorted(r[1] for r in frontier) == ["0", "2", "4"]
+
+    def test_option_failure_fails_only_its_own_scenario(self, tmp_path, monkeypatch):
+        fail_battery(monkeypatch, 500.0)
+        manifest = cli.run(config=TWO_KEYS, out_dir=tmp_path, synthetic_seed=0)
+        rows = read_rows(tmp_path / "failures.csv")[1:]
+        assert [(r[0], r[-1]) for r in rows] == [("1", "InfeasibleError: no battery")]
+        assert manifest.failed == 1
+        assert manifest.detail_scenario == 0
 
     @pytest.fixture(scope="class")
     def second_alone(self, tmp_path_factory):
@@ -616,14 +654,7 @@ class TestDespatchGroups:
     def test_detail_comes_from_another_group_when_group_0_fails(
         self, tmp_path, monkeypatch, second_alone, parallelism
     ):
-        real = cli.despatch_decade
-
-        def flaky(params, *args):
-            if params.re_2030 == 300.0:
-                raise InfeasibleError("no despatch")
-            return real(params, *args)
-
-        monkeypatch.setattr(cli, "despatch_decade", flaky)
+        fail_despatch(monkeypatch, 300.0)
         manifest = cli.run(config=TWO_KEYS, out_dir=tmp_path, synthetic_seed=0,
                            parallelism=parallelism)
         assert manifest.failed == 3
@@ -636,10 +667,10 @@ class TestDespatchGroups:
         # scenario 1 in the second group comes first
         real = cli.evaluate_scenario
 
-        def flaky(params, *args, **kwargs):
-            if params.re_2030 == 300.0 and params.new_option == "battery_re":
+        def flaky(stage, *args, **kwargs):
+            if stage.params.re_2030 == 300.0 and stage.params.new_option == "battery_re":
                 raise InfeasibleError("no battery")
-            return real(params, *args, **kwargs)
+            return real(stage, *args, **kwargs)
 
         monkeypatch.setattr(cli, "evaluate_scenario", flaky)
         calls = count_despatches(monkeypatch)
@@ -649,11 +680,47 @@ class TestDespatchGroups:
         assert len(calls) == 3 * len(YEARS)
         self.assert_detail_exports_match(tmp_path, manifest, second_alone)
 
+    def test_detail_is_rerun_when_scenario_0_fails_in_its_option_stage(
+        self, tmp_path, monkeypatch
+    ):
+        # scenario 0 carried the detail reporting through the sweep; the
+        # first success of its group is evaluated again, alone
+        reference = tmp_path / "alone"
+        alone = cli.run(config={"new_option": "coal"}, out_dir=reference, synthetic_seed=0)
+        fail_battery(monkeypatch)
+        calls = count_despatches(monkeypatch)
+        out = tmp_path / "fallback"
+        manifest = cli.run(config={"new_option": ["battery_re", "coal"]}, out_dir=out,
+                           synthetic_seed=0)
+        assert manifest.failed == 1
+        assert manifest.detail_scenario == 1
+        # the group once, and the detail scenario's re-run
+        assert len(calls) == 2 * len(YEARS)
+        assert manifest.files == alone.files
+        sweep_tables = {"frontier.csv", "results_by_year.csv", "failures.csv"}
+        exports = [name for name in manifest.files if name not in sweep_tables]
+        assert "dispatch_2030.csv" in exports
+        for name in exports:
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
     def test_progress_log_counts_groups(self, tmp_path, caplog):
         config = {"re_2030": [300.0, 500.0], "new_option": ["coal", "ocgt"]}
         with caplog.at_level(logging.INFO, logger="gridlab"):
             cli.run(config=config, out_dir=tmp_path, synthetic_seed=0)
         assert "evaluating 4 scenarios in 2 despatch groups at parallelism 1" in caplog.text
+
+
+class TestMemory:
+    def test_a_sweep_holds_less_than_one_decade_of_slot_arrays(self, tmp_path):
+        # one decade of a despatch group's slot arrays was about 25 MB;
+        # year-major, a group holds one year of them at a time
+        tracemalloc.start()
+        try:
+            cli.run(config=TWO_KEYS, out_dir=tmp_path, synthetic_seed=0, detail_year=2024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6, f"{peak / 1e6:.1f} MB"
 
 
 class RecordingPool:
@@ -725,6 +792,19 @@ class TestProcessCost:
     def test_import_loads_no_multiprocessing(self):
         code = "import sys, gridlab.cli; print('multiprocessing' in sys.modules)"
         assert fresh_interpreter(code) == ["False"]
+
+    def test_import_and_set_up_need_no_ctypes(self):
+        # numpy may load ctypes itself; with it blocked, the CLI's import
+        # and a --validate-only run must still work, as only the heap
+        # setter of a full run imports it
+        code = ("import sys; sys.modules['ctypes'] = None; import gridlab.cli; "
+                "print(gridlab.cli.main(['--validate-only', '--synthetic', '0']))")
+        assert fresh_interpreter(code)[-1] == "0"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
+    def test_heap_setter_raises_both_thresholds(self):
+        code = "import gridlab.cli; print(*gridlab.cli._reuse_heap())"
+        assert fresh_interpreter(code) == ["1", "1"]
 
 
 class TestMain:
@@ -813,6 +893,9 @@ class TestMain:
         ({"tech_costs": {"smr": {"life_years": 60, "capex_2021": 1e8, "capex_escalation": 0.0,
                                  "aux": 0.08, "fuel_2021": 1.0, "fuel_escalation": 0.0}}},
          "smr"),
+        ({"om_inflation": -1.0}, "om_inflation"),
+        ({"wacc": -1.0}, "wacc"),
+        ({"wacc": -2.0}, "wacc"),
     ])
     def test_out_of_range_cost_input_exits_2(self, tmp_path, capsys, payload, key):
         cfg = self.write_config(tmp_path, payload)
@@ -834,6 +917,14 @@ class TestMain:
         assert code == 0
         assert "evaluated 1 of 1 scenarios" in capsys.readouterr().out
         assert (out_dir / "manifest.json").exists()
+
+    def test_heap_is_set_once_before_a_full_run_only(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_reuse_heap", lambda: calls.append("heap"))
+        assert cli.main(["--validate-only", "--synthetic", "0"]) == 0
+        assert calls == []
+        assert cli.main(["--synthetic", "0", "--out", str(tmp_path / "out")]) == 0
+        assert calls == ["heap"]
 
     def test_scenario_failures_exit_1(self, tmp_path, capsys, monkeypatch):
         def doomed(*args, **kwargs):
@@ -865,7 +956,7 @@ class TestMain:
         def never(*args, **kwargs):
             raise AssertionError("a decade was despatched")
 
-        monkeypatch.setattr(cli, "despatch_decade", never)
+        monkeypatch.setattr(cli, "despatch_group", never)
         monkeypatch.setenv("GRIDLAB_LOG", value)
         out_dir = tmp_path / "out"
         assert cli.main(["--synthetic", "0", "--out", str(out_dir)]) == 2

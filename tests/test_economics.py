@@ -19,7 +19,7 @@ from gridlab.economics import (
 )
 from gridlab.errors import DataIntegrityError, ParameterError, UndefinedCostError
 from gridlab.newsupply import NewSupplyPlan
-from gridlab.pipeline import YearRecord, decade_totals
+from gridlab.pipeline import YearRecord, year_totals
 from gridlab.scenario import (
     BASE_YEAR,
     FINAL_YEAR,
@@ -51,13 +51,13 @@ def flat_dispatch_year(year, re=10.0, coal=4.0, gas_slack=2.0, unmet=0.0):
 
 def flat_decade(**kwargs):
     """Per-year totals of a decade of flat despatch years."""
-    years = [flat_dispatch_year(y, **kwargs) for y in YEARS]
-    return decade_totals(
-        YearRecord(dispatch=dy, curtailed_re=np.zeros(dy.n_slots),
-                   capacity_requirement_mw=dy.peak_unmet_mw(),
-                   demand_twh=float(np.sum(dy.demand)) * SLOT_HOURS / 1e6)
-        for dy in years
-    )
+    rows = [
+        year_totals(YearRecord(dispatch=dy, curtailed_re=np.zeros(dy.n_slots),
+                               capacity_requirement_mw=dy.peak_unmet_mw(),
+                               demand_twh=float(np.sum(dy.demand)) * SLOT_HOURS / 1e6))
+        for dy in (flat_dispatch_year(y, **kwargs) for y in YEARS)
+    ]
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 
 def every_year(value):

@@ -205,13 +205,15 @@ class TestSizeNewCapacity:
     def test_cumulative_build_with_aux_grossup(self):
         # net requirements 10, 35 and 20 MW: the worst slot of unmet plus
         # buffer shortfall, as dispatch.compute_unmet reports it
-        installed = size_new_capacity([10.0, 35.0, 20.0], aux=0.2)
+        installed, built = [], 0.0
+        for required in (10.0, 35.0, 20.0):
+            built = size_new_capacity(required, aux=0.2, built_mw=built)
+            installed.append(built)
         # gross 12.5, 43.75, 25.0; installed capacity never shrinks
         assert installed == pytest.approx([12.5, 43.75, 43.75])
 
     def test_zero_unmet_needs_nothing(self):
-        installed = size_new_capacity([0.0], 0.0)
-        assert installed == pytest.approx([0.0])
+        assert size_new_capacity(0.0, 0.0) == 0.0
 
 
 class TestSizeBattery:

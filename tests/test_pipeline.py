@@ -10,19 +10,20 @@ import _oracles
 from gridlab import dispatch as dsp
 from gridlab.economics import COMPONENTS
 from gridlab.pipeline import (
+    OptionStage,
     YearRecord,
-    _battery_plan,
-    _thermal_plan,
     _tranche_caps,
     _year_mix,
     _year_supplies,
-    despatch_decade,
+    despatch_group,
     dispatch_year,
+    evaluate_alone,
     evaluate_scenario,
     year_shapes,
 )
 from gridlab.scenario import (
     DESPATCH_FIELDS,
+    NEW_OPTIONS,
     YEARS,
     ScenarioParams,
     build_capacity_path,
@@ -40,68 +41,115 @@ from gridlab.shapes import (
 GROWTH = 1.0525
 
 
-def despatch(params, base, solar, wind):
-    return despatch_decade(params, base, year_shapes(base, solar), year_shapes(base, wind))
+def inputs_of(base, solar, wind):
+    """Base year plus the solar and wind shapes mapped to every year."""
+    return base, year_shapes(base, solar), year_shapes(base, wind)
+
+
+class RecordKeeper:
+    """A stand-in option stage that keeps every year record it is
+    stepped on."""
+
+    def __init__(self):
+        self.records = {}
+
+    def step(self, i, record, solar):
+        self.records[YEARS[i]] = record
+
+
+def step_through(stage, records, solar_by_year):
+    """Step one option stage through kept year records."""
+    for i, year in enumerate(YEARS):
+        stage.step(i, records[year], solar_by_year[year])
+    return stage
 
 
 @pytest.fixture(scope="module")
-def decade(base_year, solar_shape, wind_shape):
-    """The base-case despatch; every scenario below shares its key."""
-    return despatch(ScenarioParams(), base_year, solar_shape, wind_shape)
+def inputs(base_year, solar_shape, wind_shape):
+    return inputs_of(base_year, solar_shape, wind_shape)
+
+
+#: The members of the base-case despatch group, with their detail years;
+#: every scenario below shares their key.
+MEMBERS = {
+    "base": (ScenarioParams(), tuple(YEARS)),
+    "half": (ScenarioParams(battery_size_fraction=0.5), (2030,)),
+    "coal": (ScenarioParams(new_option="coal"), (2030,)),
+    "ocgt": (ScenarioParams(new_option="ocgt"), ()),
+}
 
 
 @pytest.fixture(scope="module")
-def outcome(decade):
+def group(inputs):
+    """The base-case group, despatched year-major once: its members'
+    stepped stages, the group's summary and every year's record."""
+    stages = {name: OptionStage.start(p, years) for name, (p, years) in MEMBERS.items()}
+    keeper = RecordKeeper()
+    summary = despatch_group(ScenarioParams(), *inputs, [keeper, *stages.values()])
+    return stages, summary, keeper.records
+
+
+@pytest.fixture(scope="module")
+def records(group):
+    return group[2]
+
+
+def priced(group, name):
+    stages, summary, _ = group
+    return evaluate_scenario(stages[name], summary)
+
+
+@pytest.fixture(scope="module")
+def outcome(group):
     """Base-case battery scenario with slot detail for every year."""
-    return evaluate_scenario(ScenarioParams(), decade, detail_years=tuple(YEARS))
+    return priced(group, "base")
 
 
 @pytest.fixture(scope="module")
-def plan(decade):
-    return _battery_plan(ScenarioParams(), decade)[0]
+def plan(group):
+    return group[0]["base"].plan
 
 
 @pytest.fixture(scope="module")
-def outcome_half(decade):
-    return evaluate_scenario(
-        ScenarioParams(battery_size_fraction=0.5), decade, detail_years=(2030,))
+def outcome_half(group):
+    return priced(group, "half")
 
 
 @pytest.fixture(scope="module")
-def plan_half(decade):
-    return _battery_plan(ScenarioParams(battery_size_fraction=0.5), decade)[0]
+def plan_half(group):
+    return group[0]["half"].plan
 
 
 @pytest.fixture(scope="module")
-def outcome_coal(decade):
-    return evaluate_scenario(
-        ScenarioParams(new_option="coal"), decade, detail_years=(2030,))
+def outcome_coal(group):
+    return priced(group, "coal")
 
 
 @pytest.fixture(scope="module")
-def plan_coal(decade):
-    return _thermal_plan(ScenarioParams(new_option="coal"), decade)
+def plan_coal(group):
+    return group[0]["coal"].plan
 
 
 @pytest.fixture(scope="module")
-def outcome_ocgt(decade):
-    return evaluate_scenario(ScenarioParams(new_option="ocgt"), decade)
+def outcome_ocgt(group):
+    return priced(group, "ocgt")
 
 
 @pytest.fixture(scope="module")
-def plan_ocgt(decade):
-    return _thermal_plan(ScenarioParams(new_option="ocgt"), decade)
+def plan_ocgt(group):
+    return group[0]["ocgt"].plan
 
 
 class TestDecade:
-    def test_arrays_are_read_only(self, decade):
-        # scenarios sharing a decade cannot write into each other's inputs
-        dy = decade.years[2030].dispatch
+    def test_arrays_are_read_only(self, group):
+        # scenarios sharing a year cannot write into each other's inputs
+        _, summary, records = group
+        dy = records[2030].dispatch
         arrays = [
             dy.demand, dy.unmet, dy.curtailment, dy.flex_re_cut, dy.coal_flex_floor,
             dy.supply["coal_2019"], dy.supply["re"], dy.capacity["gas_slack"],
-            decade.years[2030].curtailed_re, decade.totals["capacity_requirement_mw"],
-            decade.path.coal_total,
+            records[2030].curtailed_re, summary.totals["capacity_requirement_mw"],
+            summary.path.coal_total,
         ]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -109,7 +157,7 @@ class TestDecade:
 
     def test_despatch_stage_reads_only_despatch_fields(self):
         """The grouping key must hold every parameter despatch depends on."""
-        stage = (despatch_decade, dispatch_year, _tranche_caps, _year_supplies,
+        stage = (despatch_group, dispatch_year, _tranche_caps, _year_supplies,
                  build_capacity_path, project_demand)
         names = {fn.__name__ for fn in stage}
         read = set()
@@ -132,24 +180,28 @@ class TestDecade:
 
     @pytest.mark.parametrize("kind", ["battery", "thermal"])
     def test_totals_equal_the_slot_sums_bit_for_bit(
-        self, kind, decade, base_year, solar_shape, wind_shape
+        self, kind, group, inputs, base_year
     ):
         params = ScenarioParams()
+        _, summary, records = group
         if kind == "thermal":
             params = ScenarioParams(new_option="ocgt", re_2030=550.0, flex_limit=0.7)
-            decade = despatch(params, base_year, solar_shape, wind_shape)
-        totals, path = decade.totals, decade.path
+            keeper = RecordKeeper()
+            summary = despatch_group(params, *inputs, [keeper])
+            records = keeper.records
+        totals, path = summary.totals, summary.path
         assert set(totals) == set(dsp.SUPPLY_KEYS) | {
             "unmet_twh", "curtailment_twh", "peak_unmet_mw", "capacity_requirement_mw",
-            "demand_twh"}
+            "demand_twh", "flex_relaxed_slots"}
         assert all(column.shape == (len(YEARS),) for column in totals.values())
         for i, year in enumerate(YEARS):
-            dy = decade.years[year].dispatch
+            dy = records[year].dispatch
             for key in dsp.SUPPLY_KEYS:
                 assert totals[key][i] == dy.energy_twh(key), (year, key)
             assert totals["unmet_twh"][i] == dy.unmet_twh()
             assert totals["curtailment_twh"][i] == dy.curtailment_twh()
             assert totals["peak_unmet_mw"][i] == dy.peak_unmet_mw()
+            assert totals["flex_relaxed_slots"][i] == dy.relaxed_slots
             # the busbar and shortfall series are not kept: rebuild them
             busbar = project_demand(params, base_year, year) * (1.0 + params.ists_loss)
             caps = _tranche_caps(base_year, path, params, year)
@@ -158,6 +210,43 @@ class TestDecade:
             shortfall = dsp.buffer_check(dy, busbar, despatchable, params.grid_buffer)
             assert totals["capacity_requirement_mw"][i] == dsp.compute_unmet(dy, shortfall)
             assert totals["demand_twh"][i] == float(np.sum(busbar)) * SLOT_HOURS / 1e6
+
+
+#: one point per NEW option, and the undersized battery (with dedicated
+#: solar) and undersized coal variants
+PARITY_POINTS = [ScenarioParams(new_option=option) for option in NEW_OPTIONS] + [
+    ScenarioParams(battery_size_fraction=0.5, dedicated_solar_extra=1.0),
+    ScenarioParams(new_option="coal", new_coal_size_fraction=0.5),
+]
+
+
+class TestYearMajorParity:
+    @pytest.fixture(scope="class")
+    def decade(self, inputs):
+        return _oracles.despatch_decade(ScenarioParams(), *inputs)
+
+    def test_matches_the_whole_decade_reference_bit_for_bit(self, inputs, decade):
+        # the sweep's shape: every point steps on one despatch of the key
+        stages = [OptionStage.start(p, (2024, 2030), tuple(YEARS)) for p in PARITY_POINTS]
+        summary = despatch_group(ScenarioParams(), *inputs, stages)
+        assert _oracles.bits(summary.totals) == _oracles.bits(decade.totals)
+        for stage in stages:
+            got = evaluate_scenario(stage, summary)
+            want = _oracles.reference_evaluate_scenario(
+                stage.params, decade, detail_years=(2024, 2030), mix_years=tuple(YEARS))
+            assert set(got.details) == {2024, 2030}
+            assert list(got.annual_mix) == list(YEARS)
+            assert _oracles.bits(got) == _oracles.bits(want), stage.params.new_option
+
+    def test_points_reach_solar_secondary_and_displacement(self, decade):
+        # the parity above is only worth the branches its points reach
+        half = _oracles.reference_evaluate_scenario(PARITY_POINTS[-2], decade)
+        coal = _oracles.reference_evaluate_scenario(PARITY_POINTS[-1], decade)
+        assert half.year_rows[-1]["dedicated_solar_gw"] > 0
+        assert half.year_rows[-1]["secondary_unmet_twh"] > 0
+        assert half.year_rows[-1]["bonus_curtailment_twh"] > 0
+        assert coal.year_rows[-1]["secondary_unmet_twh"] > 0
+        assert coal.year_rows[-1]["displaced_gas_twh"] > 0
 
 
 class TestYearRows:
@@ -253,13 +342,13 @@ class TestDetails:
         assert set(outcome_half.details) == {2030}
 
     @pytest.mark.parametrize("option", ["battery_re", "coal"])
-    def test_mix_years_keep_no_slot_arrays(self, decade, option):
+    def test_mix_years_keep_no_slot_arrays(self, inputs, option):
         # the figure exports' evaluation: every year's annual mix, slot
         # arrays only for the exported years, the same as keeping all
         params = ScenarioParams(new_option=option)
-        full = evaluate_scenario(params, decade, detail_years=tuple(YEARS))
-        lean = evaluate_scenario(params, decade, detail_years=(2024, 2030),
-                                 mix_years=tuple(YEARS))
+        full = evaluate_alone(params, *inputs, detail_years=tuple(YEARS))
+        lean = evaluate_alone(params, *inputs, detail_years=(2024, 2030),
+                              mix_years=tuple(YEARS))
         assert set(lean.details) == {2024, 2030}
         assert list(lean.annual_mix) == list(YEARS)
         assert full.annual_mix == {}
@@ -309,10 +398,11 @@ class TestDetails:
         # the coal-peak bonus hands curtailed energy back to RE and hydro
         assert rep.curtailment_twh() < dy.curtailment_twh()
 
-    def test_detail_arrays_are_consistent(self, outcome, decade, plan):
+    def test_detail_arrays_are_consistent(self, outcome, records, plan):
         detail = outcome.details[2030]
         n = detail.dispatch.n_slots
-        record = decade.years[2030]
+        record = records[2030]
+        assert record.dispatch is detail.dispatch
         assert record.curtailed_re.shape == (n,)
         # the buffer shortfall is >= 0, so it can only raise the requirement
         assert record.capacity_requirement_mw >= record.dispatch.peak_unmet_mw()
@@ -343,13 +433,13 @@ class TestUndersizedBattery:
         assert bios[-1] == pytest.approx(peak / (1 - diesel_aux))
         assert all(a <= b + 1e-12 for a, b in zip(bios, bios[1:]))
 
-    def test_matches_undersize_residual_of_full_design(self, decade, outcome,
+    def test_matches_undersize_residual_of_full_design(self, records, inputs, outcome,
                                                        outcome_half, plan_half):
         detail = outcome_half.details[2030]
-        record = decade.years[2030]
+        record = records[2030]
         twh, peak = _oracles.undersize_residual(
             outcome.details[2030].trace.battery, 0.5, record.dispatch.unmet, record.curtailed_re,
-            decade.solar_by_year[2030], plan_half.dedicated_solar_gw[-1], boundary_slot=34)
+            inputs[1][2030], plan_half.dedicated_solar_gw[-1], boundary_slot=34)
         assert twh == pytest.approx(
             plan_half.secondary_unmet_twh[-1], rel=1e-9)
         assert peak == pytest.approx(
@@ -380,9 +470,9 @@ class TestThermalOptions:
         ocgt_net = plan_ocgt.capacity_mw[-1] * (1 - 0.025)
         assert coal_net == pytest.approx(ocgt_net, rel=1e-9)
 
-    def test_undersized_coal_leaves_secondary(self, decade):
-        plan = _thermal_plan(
-            ScenarioParams(new_option="coal", new_coal_size_fraction=0.5), decade)
+    def test_undersized_coal_leaves_secondary(self, records, inputs):
+        stage = OptionStage.start(ScenarioParams(new_option="coal", new_coal_size_fraction=0.5))
+        plan = step_through(stage, records, inputs[1]).plan
         assert plan.secondary_unmet_twh[-1] > 0
         assert plan.biodiesel_capacity_mw[-1] > 0
 
@@ -434,9 +524,8 @@ def test_any_base_year_evaluates(year, base_year, outcome, outcome_ocgt):
     solar = rescale_to_cuf(raw, 0.27)
     wind = derive_wind_shape(base.supply_by_fuel["re"], raw, 35_000.0, wind_cuf=0.35)
     for reference in (outcome_ocgt, outcome):
-        decade = despatch(reference.params, base, solar, wind)
-        got = evaluate_scenario(reference.params, decade, detail_years=(2024,))
-        assert decade.years[2024].dispatch.demand.shape == (slots_in_year(2024),)
+        got = evaluate_alone(reference.params, *inputs_of(base, solar, wind), detail_years=(2024,))
+        assert got.details[2024].dispatch.demand.shape == (slots_in_year(2024),)
         if slots_in_year(year) == slots_in_year(base_year.year):
             # same slot grid as the 2021 fixture: nothing may change
             assert got.result.report.npv_total == reference.result.report.npv_total

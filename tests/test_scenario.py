@@ -12,7 +12,7 @@ from gridlab.dispatch import DispatchYear
 from gridlab.economics import ScenarioResult
 from gridlab.errors import ParameterError
 from gridlab.newsupply import CycleYear, Displacement, NewSupplyPlan, size_battery
-from gridlab.pipeline import Decade, ScenarioOutcome, YearDetail, YearRecord
+from gridlab.pipeline import DespatchSummary, ScenarioOutcome, YearDetail, YearRecord
 from gridlab.scenario import (
     BASE_YEAR,
     FINAL_YEAR,
@@ -112,7 +112,7 @@ def _attributes_read(tree):
 #: ``SocTrace`` is left out: its ``served`` is the column the SoC tests
 #: compare with ``_oracles.reference_soc``.
 RESULT_CLASSES = (
-    NewSupplyPlan, Decade, YearDetail, ScenarioOutcome, ScenarioResult,
+    NewSupplyPlan, DespatchSummary, YearDetail, ScenarioOutcome, ScenarioResult,
     DispatchYear, YearRecord, Displacement,
 )
 
@@ -180,6 +180,9 @@ SMR_ROW = dataclasses.asdict(default_tech_costs()["coal"])
     pytest.param({"solar_life_years": 0}, "solar_life_years", id="solar-life-0"),
     pytest.param({"wind_life_years": -3}, "wind_life_years", id="wind-life-negative"),
     pytest.param({"discount_rate": -1.0}, "discount_rate", id="discount-minus-1"),
+    pytest.param({"om_inflation": -1.0}, "om_inflation", id="om-inflation-minus-1"),
+    pytest.param({"wacc": -1.0}, "wacc", id="wacc-minus-1"),
+    pytest.param({"wacc": -2.0}, "wacc", id="wacc-minus-2"),
     pytest.param({"tech_costs": {"smr": SMR_ROW}}, "smr", id="unknown-row"),
 ])
 def test_cost_inputs_are_checked_at_config_time(config, key):
@@ -194,6 +197,7 @@ def test_cost_inputs_at_their_bounds_pass():
     p = params_from_config({
         "tech_costs": {"ocgt": {"aux": 0.0, "life_years": 1}},
         "battery_life_years": 1, "solar_life_years": 1, "discount_rate": -0.99,
+        "wacc": -0.99, "om_inflation": -0.99,
     })
     assert p.tech_costs["ocgt"].aux == 0.0
     assert p.tech_costs["ocgt"].life_years == 1

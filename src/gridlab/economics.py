@@ -3,27 +3,24 @@
 Costing follows the incremental-cost convention: capital of the fleet
 existing in the base year is sunk and excluded, RE expansion carries
 annuitized build cost plus O&M, existing fossil tranches carry fuel
-only, and NEW supply carries everything.  Fossil displaced by NEW
-supply is credited to the NEW cost line, never to the displaced fuel's
-own line, so the existing-fleet components stay comparable across
-scenarios.
+only, and NEW supply carries everything.  Every build, whether RE
+expansion, NEW supply or the biodiesel backstop, is costed by one
+cohort rule: each year's additions pay an annuity over the asset's life
+and O&M from their build year on.  Fossil displaced by NEW supply is
+credited to the NEW cost line, never to the displaced fuel's own line,
+so the existing-fleet components stay comparable across scenarios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from gridlab.errors import DataIntegrityError, ParameterError, UndefinedCostError
 from gridlab.newsupply import NewSupplyPlan
-from gridlab.scenario import (
-    N_YEARS,
-    YEARS,
-    CapacityPath,
-    ScenarioParams,
-)
+from gridlab.scenario import N_YEARS, CapacityPath, ScenarioParams
 
 COMPONENTS = (
     "re_capex", "re_om", "coal_fuel", "gas_fuel_2019", "gas_fuel_nonapm",
@@ -38,9 +35,9 @@ def annuity_payment(principal: float, rate: float, n_years: int) -> float:
     """Level yearly payment amortizing a principal, mortgage-style."""
     if n_years < 1:
         raise ParameterError("n_years must be >= 1")
-    if rate == 0.0:
-        return principal / n_years
     growth = (1.0 + rate) ** n_years
+    if growth == 1.0:  # a zero rate, or one too small to move the growth
+        return principal / n_years
     return principal * rate * growth / (growth - 1.0)
 
 
@@ -48,20 +45,13 @@ def annuity_payment(principal: float, rate: float, n_years: int) -> float:
 class PricePath:
     """Every per-year price the cost model consumes, 2021 through 2030."""
 
-    years: tuple[int, ...]
     fuel_rs_per_kwh: Mapping[str, np.ndarray]  # coal_2019, coal_slack, gas_2019, gas_slack
     tech_capex_rs_per_mw: Mapping[str, np.ndarray]
     tech_fuel_rs_per_kwh: Mapping[str, np.ndarray]
-    battery_cell_usd_per_kwh: np.ndarray
     battery_cell_rs_per_kwh: np.ndarray
     solar_capex_rs_per_mw: np.ndarray
     wind_capex_rs_per_mw: np.ndarray
     om_inflation: np.ndarray  # multiplier on 2021 price levels
-
-    def index(self, year: int) -> int:
-        if year not in self.years:
-            raise ParameterError(f"year {year} outside priced horizon")
-        return year - self.years[0]
 
 
 def build_price_path(p: ScenarioParams) -> PricePath:
@@ -82,11 +72,9 @@ def build_price_path(p: ScenarioParams) -> PricePath:
     solar = p.solar_capex_2021 * (1.0 + p.solar_capex_change) ** t
     wind = p.wind_capex_2021 + (p.wind_capex_2030 - p.wind_capex_2021) * t / (N_YEARS - 1)
     path = PricePath(
-        years=YEARS,
         fuel_rs_per_kwh=fuel,
         tech_capex_rs_per_mw=tech_capex,
         tech_fuel_rs_per_kwh=tech_fuel,
-        battery_cell_usd_per_kwh=cell_usd,
         battery_cell_rs_per_kwh=cell_rs,
         solar_capex_rs_per_mw=solar,
         wind_capex_rs_per_mw=wind,
@@ -108,7 +96,6 @@ class CostReport:
     npv_by_component: dict[str, float]
     levelized_existing: float | None
     levelized_new: float | None
-    cash_by_component: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def discount_factors(discount: float, n: int = N_YEARS) -> np.ndarray:
@@ -128,50 +115,55 @@ def levelized_cost(costs, energy, discount: float) -> float:
     return float(np.sum(costs / f)) / denominator
 
 
-class _CohortLedger:
-    """Accumulates annuitized cohort payments over the horizon.
-
-    Payments run from the build year for the asset's life; the horizon
-    rule truncates them at 2030 unless full-life counting is on, in
-    which case the post-2030 payments show up only in the NPV tail.
-    """
-
-    def __init__(self, discount: float, full_life: bool):
-        self.flows = np.zeros(N_YEARS)
-        self.tail_npv = 0.0
-        self._discount = discount
-        self._full_life = full_life
-
-    def add(self, build_index: int, principal: float, rate: float, life: int) -> None:
-        if principal <= 0:
-            return
-        payment = annuity_payment(principal, rate, life)
-        last = build_index + life - 1
-        stop = min(last, N_YEARS - 1)
-        self.flows[build_index:stop + 1] += payment
-        if self._full_life and last >= N_YEARS:
-            ks = np.arange(N_YEARS, last + 1, dtype=float)
-            self.tail_npv += float(np.sum(payment / (1.0 + self._discount) ** ks))
-
-
 def _additions(capacity: np.ndarray) -> np.ndarray:
     """What each year adds to a cumulative capacity path."""
     return np.maximum(np.diff(capacity, prepend=0.0), 0.0)
 
 
-def npv_system_cost(
+def _cohorts(p: ScenarioParams, inflation: np.ndarray, capex, om=()):
+    """Annuity and O&M flows of one cost line's yearly build cohorts.
+
+    ``capex`` holds ``(cost of each year's additions, life)`` streams:
+    the cohort built in year ``i`` pays ``annuity_payment(cost[i],
+    p.wacc, life)`` from year ``i`` for its life.  The horizon rule cuts
+    the payments at 2030; with ``count_full_life_annuities`` the later
+    ones are discounted into the returned tail instead.  ``om`` holds
+    ``(first-year O&M, price index)`` streams: cohort ``i`` pays
+    ``om[i] * inflation[i:] / index[i]``, so an index of ``inflation``
+    prices the O&M at build-year levels and an index of ones at 2021
+    levels.  Returns the in-horizon annuity flows, the tail NPV and the
+    O&M flows.  Cohorts add in build-year order, and within a year in
+    stream order.
+    """
+    annuities, tail, om_flows = np.zeros(N_YEARS), 0.0, np.zeros(N_YEARS)
+    for i in range(N_YEARS):
+        for cost, life in capex:
+            if cost[i] <= 0:
+                continue
+            payment = annuity_payment(cost[i], p.wacc, life)
+            last = i + life - 1
+            annuities[i:min(last, N_YEARS - 1) + 1] += payment
+            if p.count_full_life_annuities and last >= N_YEARS:
+                ks = np.arange(N_YEARS, last + 1, dtype=float)
+                tail += float(np.sum(payment / (1.0 + p.discount_rate) ** ks))
+        for amount, index in om:
+            om_flows[i:] += amount[i] * inflation[i:] / index[i]
+    return annuities, tail, om_flows
+
+
+def cash_flows(
     totals: Mapping[str, np.ndarray],
     plan: NewSupplyPlan,
     params: ScenarioParams,
     capacity_path: CapacityPath,
-) -> CostReport:
-    """Assemble the decade's cash flows and discount them to 2021.
+) -> tuple[dict[str, np.ndarray], dict[str, float], np.ndarray, np.ndarray]:
+    """The decade's undiscounted cash flows, one entry per horizon year.
 
-    ``totals`` are the post-flex despatch totals, one array entry per
-    horizon year (displacement untouched; see ``pipeline.year_totals``).
-    ``plan`` carries the NEW build and the displacement volumes in the
-    same layout.  Prices come from ``build_price_path(params)`` and cash
-    flows are discounted at ``params.discount_rate``.
+    Takes the arguments of ``npv_system_cost`` and returns ``(flows,
+    tails, existing_kwh, new_kwh)``: the flows of each component, each
+    component's post-2030 annuity NPV (zero unless full-life annuities
+    are counted), and the energy delivered by the existing fleet and by
+    NEW supply, the denominators of the two levelized costs.
     """
     short = sorted(k for k, v in totals.items() if np.shape(v) != (N_YEARS,))
     if short:
@@ -179,26 +171,20 @@ def npv_system_cost(
 
     p = params
     paths = build_price_path(p)
-    discount = p.discount_rate
-    full_life = p.count_full_life_annuities
-    factors = discount_factors(discount)
-    flows = {name: np.zeros(N_YEARS) for name in COMPONENTS}
-    tails = {name: 0.0 for name in COMPONENTS}
+    inflation = paths.om_inflation
+    flows = {}
+    tails = dict.fromkeys(COMPONENTS, 0.0)
 
     # --- RE expansion: annuitized capex plus inflating O&M ---
-    capex_ledger = _CohortLedger(discount, full_life)
     solar_mw = capacity_path.solar_new * 1e3
     wind_mw = capacity_path.wind_new * 1e3
-    solar_cost = _additions(solar_mw) * paths.solar_capex_rs_per_mw
-    wind_cost = _additions(wind_mw) * paths.wind_capex_rs_per_mw
-    for i in range(N_YEARS):
-        capex_ledger.add(i, solar_cost[i], p.wacc, p.solar_life_years)
-        capex_ledger.add(i, wind_cost[i], p.wacc, p.wind_life_years)
-    flows["re_capex"] = capex_ledger.flows
-    tails["re_capex"] = capex_ledger.tail_npv
+    flows["re_capex"], tails["re_capex"], _ = _cohorts(p, inflation, [
+        (_additions(solar_mw) * paths.solar_capex_rs_per_mw, p.solar_life_years),
+        (_additions(wind_mw) * paths.wind_capex_rs_per_mw, p.wind_life_years),
+    ])
     flows["re_om"] = (
         solar_mw * p.solar_om_rs_per_mw + wind_mw * p.wind_om_rs_per_mw
-    ) * paths.om_inflation
+    ) * inflation
 
     # --- existing-fleet fuel ---
     fuel = paths.fuel_rs_per_kwh
@@ -216,8 +202,6 @@ def npv_system_cost(
     flows["gas_fuel_nonapm"] = totals["gas_slack"] * KWH_PER_TWH * fuel["gas_slack"] * gross_gas
 
     # --- NEW supply: capex, O&M, fuel less displacement credits ---
-    new_ledger = _CohortLedger(discount, full_life)
-    om_cohorts = np.zeros(N_YEARS)
     secondary_kwh = plan.secondary_unmet_twh * KWH_PER_TWH
     served_by_new_kwh = np.maximum(unmet_kwh - secondary_kwh, 0.0)
     displaced_gas_kwh = plan.displaced_gas_twh * KWH_PER_TWH
@@ -226,34 +210,24 @@ def npv_system_cost(
         cell_cost = _additions(plan.energy_mwh) * KWH_PER_MWH * paths.battery_cell_rs_per_kwh
         inv_cost = _additions(plan.capacity_mw) * KWH_PER_MWH * p.inverter_capex_rs_per_kw
         sol_inc = _additions(plan.dedicated_solar_gw * 1e3)
-        sol_cost = sol_inc * paths.solar_capex_rs_per_mw
-        for i in range(N_YEARS):
-            new_ledger.add(i, cell_cost[i], p.wacc, p.battery_life_years)
-            new_ledger.add(i, inv_cost[i], p.wacc, p.inverter_life_years)
-            new_ledger.add(i, sol_cost[i], p.wacc, p.solar_life_years)
-            om_cohorts[i:] += (
-                p.battery_om_fraction * (cell_cost[i] + inv_cost[i])
-                * paths.om_inflation[i:] / paths.om_inflation[i]
-            )
-            om_cohorts[i:] += (
-                sol_inc[i] * p.solar_om_rs_per_mw * paths.om_inflation[i:]
-            )
+        capex = [
+            (cell_cost, p.battery_life_years),
+            (inv_cost, p.inverter_life_years),
+            (sol_inc * paths.solar_capex_rs_per_mw, p.solar_life_years),
+        ]
+        om = [  # dedicated-solar O&M is priced at 2021 levels
+            (p.battery_om_fraction * (cell_cost + inv_cost), inflation),
+            (sol_inc * p.solar_om_rs_per_mw, np.ones(N_YEARS)),
+        ]
         burn = np.zeros(N_YEARS)  # charging is free curtailed RE / owned solar
     else:
         tech = p.tech_costs[plan.option]
         cost = _additions(plan.capacity_mw) * paths.tech_capex_rs_per_mw[plan.option]
-        for i in range(N_YEARS):
-            new_ledger.add(i, cost[i], p.wacc, tech.life_years)
-            om_cohorts[i:] += (
-                tech.om_fraction * cost[i] * paths.om_inflation[i:] / paths.om_inflation[i]
-            )
+        capex, om = [(cost, tech.life_years)], [(tech.om_fraction * cost, inflation)]
         gross_tech = 1.0 / (1.0 - tech.aux)
         gen_kwh = served_by_new_kwh + displaced_gas_kwh
         burn = gen_kwh * paths.tech_fuel_rs_per_kwh[plan.option] * gross_tech
-
-    flows["new_capex"] = new_ledger.flows
-    tails["new_capex"] = new_ledger.tail_npv
-    flows["new_om"] = om_cohorts
+    flows["new_capex"], tails["new_capex"], flows["new_om"] = _cohorts(p, inflation, capex, om)
 
     displaced_kwh = (
         displaced_gas_kwh
@@ -272,18 +246,38 @@ def npv_system_cost(
 
     # --- biodiesel backstop for deliberate undersizing ---
     diesel = p.tech_costs["diesel_gen"]
-    bio_ledger = _CohortLedger(discount, full_life)
     bio_cost = _additions(plan.biodiesel_capacity_mw) * paths.tech_capex_rs_per_mw["diesel_gen"]
-    bio_om = np.zeros(N_YEARS)
-    for i in range(N_YEARS):
-        bio_ledger.add(i, bio_cost[i], p.wacc, diesel.life_years)
-        bio_om[i:] += diesel.om_fraction * bio_cost[i] * paths.om_inflation[i:] / paths.om_inflation[i]
+    bio_capex, tails["biodiesel"], bio_om = _cohorts(
+        p, inflation, [(bio_cost, diesel.life_years)], [(diesel.om_fraction * bio_cost, inflation)])
     bio_fuel = (
         secondary_kwh / (1.0 - diesel.aux) * paths.tech_fuel_rs_per_kwh["diesel_gen"]
     )
-    flows["biodiesel"] = bio_ledger.flows + bio_om + bio_fuel
-    tails["biodiesel"] = bio_ledger.tail_npv
+    flows["biodiesel"] = bio_capex + bio_om + bio_fuel
 
+    new_energy_kwh = served_by_new_kwh + displaced_kwh + secondary_kwh
+    return flows, tails, existing_delivered_kwh, new_energy_kwh
+
+
+def npv_system_cost(
+    totals: Mapping[str, np.ndarray],
+    plan: NewSupplyPlan,
+    params: ScenarioParams,
+    capacity_path: CapacityPath,
+) -> CostReport:
+    """Assemble the decade's cash flows and discount them to 2021.
+
+    ``totals`` are the post-flex despatch totals, one array entry per
+    horizon year (displacement untouched; see ``pipeline.year_totals``).
+    ``plan`` carries the NEW build and the displacement volumes in the
+    same layout.  Prices come from ``build_price_path(params)`` and cash
+    flows are discounted at ``params.discount_rate``.  Every build (RE
+    expansion, NEW supply, the biodiesel backstop) is costed by one
+    cohort rule: each year's additions pay an annuity over the asset's
+    life plus O&M from their build year on (see ``_cohorts``).
+    """
+    flows, tails, existing_kwh, new_kwh = cash_flows(totals, plan, params, capacity_path)
+    discount = params.discount_rate
+    factors = discount_factors(discount)
     npv_by_component = {
         name: float(np.sum(flows[name] / factors)) + tails[name] for name in COMPONENTS
     }
@@ -294,7 +288,6 @@ def npv_system_cost(
         + flows["gas_fuel_2019"] + flows["gas_fuel_nonapm"]
     )
     new_cost = flows["new_capex"] + flows["new_om"] + flows["new_fuel"] + flows["biodiesel"]
-    new_energy_kwh = served_by_new_kwh + displaced_kwh + secondary_kwh
 
     def _levelized(costs, energy):
         try:
@@ -305,9 +298,8 @@ def npv_system_cost(
     return CostReport(
         npv_total=npv_total,
         npv_by_component=npv_by_component,
-        levelized_existing=_levelized(existing_cost, existing_delivered_kwh),
-        levelized_new=_levelized(new_cost, new_energy_kwh),
-        cash_by_component={name: flows[name].copy() for name in COMPONENTS},
+        levelized_existing=_levelized(existing_cost, existing_kwh),
+        levelized_new=_levelized(new_cost, new_kwh),
     )
 
 

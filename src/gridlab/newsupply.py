@@ -168,7 +168,6 @@ class SocTrace:
     solar_gw: float
     soc: np.ndarray
     discharge: np.ndarray
-    served: np.ndarray
     charge_re: np.ndarray
     charge_solar: np.ndarray
     secondary_unmet: np.ndarray
@@ -183,10 +182,6 @@ class SocTrace:
     charge_re_mw = _slots(lambda t: t.charge_re)
     charge_solar_mw = _slots(lambda t: t.charge_solar)
     secondary_unmet_mw = _slots(lambda t: t.secondary_unmet)
-    unmet_mw = _slots(lambda t: t.year.unmet)
-
-    def secondary_unmet_twh(self) -> float:
-        return float(np.sum(self.secondary_unmet_mw)) * SLOT_HOURS / 1e6
 
     def to_csv(self, path) -> None:
         source = _CHARGE_SOURCES[(self.charge_re_mw > 0) + 2 * (self.charge_solar_mw > 0)]
@@ -325,12 +320,13 @@ def simulate_soc(battery: BatterySpec, year: CycleYear, solar_gw: float) -> SocT
     adds the secondary unmet and wraps the matrices in a ``SocTrace``.
     """
     solar = year.solar(solar_gw)
-    cycles = _simulate_cycles(battery, year.unmet, year.curtailed_re, solar)
+    soc, discharge, served, re, sol = _simulate_cycles(
+        battery, year.unmet, year.curtailed_re, solar)
     # discharge losses round-trip through eta and leave +/- ulp dust on
     # "fully served" slots; snap anything below a watt so zero is zero
-    secondary = year.unmet - cycles[2]
+    secondary = year.unmet - served
     secondary[secondary < 1e-6] = 0.0
-    return SocTrace(battery, year, solar_gw, *cycles, secondary)
+    return SocTrace(battery, year, solar_gw, soc, discharge, re, sol, secondary)
 
 
 def _simulate_cycles(battery, u_m, r_m, s_m):

@@ -215,11 +215,24 @@ class ScenarioParams:
             if not 0.0 <= value < 0.5:
                 raise ParameterError(f"{name} {value} outside [0, 0.5)")
         for name in (
+            "re_2021", "hydro_2021", "nuclear_2021",
             "coal_2019_price", "coal_slack_price", "gas_2019_price",
             "gas_nonapm_price", "battery_price_2021_usd", "inr_per_usd_2021",
+            "solar_capex_2021", "wind_capex_2021", "wind_capex_2030",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be positive")
+        for name in ("gas_2021", "inverter_capex_rs_per_kw", "battery_om_fraction",
+                     "solar_om_rs_per_mw", "wind_om_rs_per_mw"):
+            if not getattr(self, name) >= 0:
+                raise ParameterError(f"{name} must be >= 0")
+        if not self.battery_learning_rate < 1.0:
+            raise ParameterError("battery_learning_rate must be < 1")
+        if not 0.0 <= self.coal_retirement_2030 <= self.coal_2021:
+            raise ParameterError(
+                f"coal_retirement_2030 {self.coal_retirement_2030} outside "
+                f"[0, coal_2021 = {self.coal_2021}]"
+            )
         missing = [t for t in NEW_OPTIONS if t != "battery_re" and t not in self.tech_costs]
         if missing:
             raise ParameterError(f"tech_costs missing rows for {missing}")
@@ -228,11 +241,19 @@ class ScenarioParams:
                 raise ParameterError(f"tech_costs[{name!r}].life_years must be >= 1")
             if not 0.0 <= row.aux < 1.0:
                 raise ParameterError(f"tech_costs[{name!r}].aux {row.aux} outside [0, 1)")
+            for key in ("capex_2021", "fuel_2021", "om_fraction"):
+                if not getattr(row, key) >= 0:
+                    raise ParameterError(f"tech_costs[{name!r}].{key} must be >= 0")
+            for key in ("capex_escalation", "fuel_escalation"):
+                if not getattr(row, key) > -1.0:
+                    raise ParameterError(f"tech_costs[{name!r}].{key} must be > -1")
         for name in ("battery_life_years", "inverter_life_years", "solar_life_years",
                      "wind_life_years"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1")
-        for name in ("wacc", "om_inflation", "discount_rate"):
+        for name in ("wacc", "om_inflation", "discount_rate", "hydro_growth", "nuclear_growth",
+                     "coal_escalation", "gas_escalation", "forex_escalation",
+                     "solar_capex_change"):
             rate = getattr(self, name)
             if not rate > -1.0:
                 raise ParameterError(f"{name} {rate} must be > -1")
@@ -311,13 +332,6 @@ class ParamGrid:
             normalized[name] = values
         object.__setattr__(self, "axes", normalized)
 
-    @property
-    def size(self) -> int:
-        n = 1
-        for values in self.axes.values():
-            n *= len(values)
-        return n
-
     @classmethod
     def paper_grid(cls) -> "ParamGrid":
         """The full 189-point base grid: growth x flex x RE x solar share."""
@@ -354,7 +368,6 @@ class CapacityPath:
     """Net busbar GW per year for every tranche, 2021 through 2030."""
 
     years: tuple[int, ...]
-    re_total: np.ndarray
     solar_new: np.ndarray  # dedicated growth beyond the base-year RE blend
     wind_new: np.ndarray
     hydro: np.ndarray
@@ -362,9 +375,7 @@ class CapacityPath:
     coal_total: np.ndarray
     gas_total: np.ndarray
     coal_2019_tranche: np.ndarray
-    coal_slack_tranche: np.ndarray
     gas_2019_tranche: np.ndarray
-    gas_slack_tranche: np.ndarray
 
     def index(self, year: int) -> int:
         if year not in self.years:
@@ -412,7 +423,6 @@ def build_capacity_path(
 
     return CapacityPath(
         years=YEARS,
-        re_total=re_total,
         solar_new=solar_new,
         wind_new=wind_new,
         hydro=hydro,
@@ -420,9 +430,7 @@ def build_capacity_path(
         coal_total=coal,
         gas_total=gas,
         coal_2019_tranche=coal_2019,
-        coal_slack_tranche=coal - coal_2019,
         gas_2019_tranche=gas_2019,
-        gas_slack_tranche=gas - gas_2019,
     )
 
 

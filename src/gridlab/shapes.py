@@ -146,7 +146,6 @@ class BaseYearData:
     year: int
     demand: HalfHourlySeries
     supply_by_fuel: dict[str, HalfHourlySeries]
-    re_correction_factor: float = 1.0
     gaps: dict[str, tuple[tuple[int, int], ...]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -492,7 +491,6 @@ def clean_series(
             raw.year, _fill_gaps(series.values, max_gap_slots, fuel), fuel
         )
 
-    factor = 1.0
     if re_annual_target is not None:
         current = supply["re"].energy_gwh()
         if current <= 0:
@@ -504,7 +502,6 @@ def clean_series(
         year=raw.year,
         demand=demand,
         supply_by_fuel=supply,
-        re_correction_factor=factor,
         gaps=raw.gaps,
     )
 

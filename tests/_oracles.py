@@ -30,13 +30,25 @@ from gridlab.dispatch import (
     net_demand,
     split_must_run,
 )
-from gridlab.economics import ScenarioResult, npv_system_cost
+from gridlab.economics import (
+    COMPONENTS,
+    KWH_PER_MWH,
+    KWH_PER_TWH,
+    CostReport,
+    ScenarioResult,
+    annuity_payment,
+    build_price_path,
+    discount_factors,
+    levelized_cost,
+    npv_system_cost,
+)
 from gridlab.errors import (
     CadenceError,
     DataIntegrityError,
     InfeasibleError,
     ParameterError,
     TimeseriesParseError,
+    UndefinedCostError,
 )
 from gridlab.newsupply import (
     DISPLACEMENT_ORDER,
@@ -394,7 +406,7 @@ def reference_displacement(soc, dy):
     sources = soc.year.flat(soc.year.curtailed_re), soc.year.flat(soc.year.solar(soc.solar_gw))
     leftover = (sources[0] - soc.charge_re_mw) + (sources[1] - soc.charge_solar_mw)
     headroom = min(battery.inverter_capacity_mw, battery.energy_capacity_mwh) - soc.charge_mw
-    extra_charge = np.where(soc.unmet_mw <= 0,
+    extra_charge = np.where(soc.year.flat(soc.year.unmet) <= 0,
                             np.minimum(leftover, np.maximum(headroom, 0.0)), 0.0)
 
     per_day = {name: np.zeros(n_days) for name in DISPLACEMENT_ORDER}
@@ -853,7 +865,8 @@ def reference_battery_plan(params, decade, keep=(), report=()):
             traces[year] = trace
         if year in report:
             secondary[year] = trace.secondary_unmet_mw
-        plan.secondary_unmet_twh[i] = _snap(trace.secondary_unmet_twh())
+        plan.secondary_unmet_twh[i] = _snap(
+            float(np.sum(trace.secondary_unmet_mw)) * SLOT_HOURS / 1e6)
         peak_secondary[i] = _snap(float(np.max(trace.secondary_unmet_mw)) if dy.unmet.size else 0.0)
 
         disp = displace_with_battery(trace, dy)
@@ -947,6 +960,161 @@ def reference_evaluate_scenario(params, decade, detail_years=(), mix_years=()):
     return ScenarioOutcome(params=params, result=result, year_rows=year_rows,
                            details=details, annual_mix=annual_mix)
 
+
+class _CohortLedger:
+    """Accumulates annuitized cohort payments over the horizon.
+
+    Payments run from the build year for the asset's life; the horizon
+    rule truncates them at 2030 unless full-life counting is on, in
+    which case the post-2030 payments show up only in the NPV tail.
+    """
+
+    def __init__(self, discount, full_life):
+        self.flows = np.zeros(N_YEARS)
+        self.tail_npv = 0.0
+        self._discount = discount
+        self._full_life = full_life
+
+    def add(self, build_index, principal, rate, life):
+        if principal <= 0:
+            return
+        payment = annuity_payment(principal, rate, life)
+        last = build_index + life - 1
+        stop = min(last, N_YEARS - 1)
+        self.flows[build_index:stop + 1] += payment
+        if self._full_life and last >= N_YEARS:
+            ks = np.arange(N_YEARS, last + 1, dtype=float)
+            self.tail_npv += float(np.sum(payment / (1.0 + self._discount) ** ks))
+
+
+def _additions(capacity):
+    return np.maximum(np.diff(capacity, prepend=0.0), 0.0)
+
+
+def reference_npv_system_cost(totals, plan, params, capacity_path):
+    """``economics.npv_system_cost`` with one ledger and one loop over
+    build years per cost line (RE, battery, thermal, biodiesel), in the
+    order of every float addition the model must keep."""
+    p = params
+    paths = build_price_path(p)
+    discount = p.discount_rate
+    full_life = p.count_full_life_annuities
+    factors = discount_factors(discount)
+    flows = {name: np.zeros(N_YEARS) for name in COMPONENTS}
+    tails = {name: 0.0 for name in COMPONENTS}
+
+    capex_ledger = _CohortLedger(discount, full_life)
+    solar_mw = capacity_path.solar_new * 1e3
+    wind_mw = capacity_path.wind_new * 1e3
+    solar_cost = _additions(solar_mw) * paths.solar_capex_rs_per_mw
+    wind_cost = _additions(wind_mw) * paths.wind_capex_rs_per_mw
+    for i in range(N_YEARS):
+        capex_ledger.add(i, solar_cost[i], p.wacc, p.solar_life_years)
+        capex_ledger.add(i, wind_cost[i], p.wacc, p.wind_life_years)
+    flows["re_capex"] = capex_ledger.flows
+    tails["re_capex"] = capex_ledger.tail_npv
+    flows["re_om"] = (
+        solar_mw * p.solar_om_rs_per_mw + wind_mw * p.wind_om_rs_per_mw
+    ) * paths.om_inflation
+
+    fuel = paths.fuel_rs_per_kwh
+    unmet_kwh = totals["unmet_twh"] * KWH_PER_TWH
+    existing = ("re", "hydro", "nuclear", "coal_2019", "coal_slack", "gas_2019", "gas_slack")
+    existing_delivered_kwh = sum(totals[k] for k in existing) * KWH_PER_TWH
+    gross_coal = 1.0 / (1.0 - p.aux_coal)
+    gross_gas = 1.0 / (1.0 - p.aux_gas)
+    flows["coal_fuel"] = (
+        totals["coal_2019"] * KWH_PER_TWH * fuel["coal_2019"]
+        + totals["coal_slack"] * KWH_PER_TWH * fuel["coal_slack"]
+    ) * gross_coal
+    flows["gas_fuel_2019"] = totals["gas_2019"] * KWH_PER_TWH * fuel["gas_2019"] * gross_gas
+    flows["gas_fuel_nonapm"] = totals["gas_slack"] * KWH_PER_TWH * fuel["gas_slack"] * gross_gas
+
+    new_ledger = _CohortLedger(discount, full_life)
+    om_cohorts = np.zeros(N_YEARS)
+    secondary_kwh = plan.secondary_unmet_twh * KWH_PER_TWH
+    served_by_new_kwh = np.maximum(unmet_kwh - secondary_kwh, 0.0)
+    displaced_gas_kwh = plan.displaced_gas_twh * KWH_PER_TWH
+    if plan.option == "battery_re":
+        cell_cost = _additions(plan.energy_mwh) * KWH_PER_MWH * paths.battery_cell_rs_per_kwh
+        inv_cost = _additions(plan.capacity_mw) * KWH_PER_MWH * p.inverter_capex_rs_per_kw
+        sol_inc = _additions(plan.dedicated_solar_gw * 1e3)
+        sol_cost = sol_inc * paths.solar_capex_rs_per_mw
+        for i in range(N_YEARS):
+            new_ledger.add(i, cell_cost[i], p.wacc, p.battery_life_years)
+            new_ledger.add(i, inv_cost[i], p.wacc, p.inverter_life_years)
+            new_ledger.add(i, sol_cost[i], p.wacc, p.solar_life_years)
+            om_cohorts[i:] += (
+                p.battery_om_fraction * (cell_cost[i] + inv_cost[i])
+                * paths.om_inflation[i:] / paths.om_inflation[i]
+            )
+            om_cohorts[i:] += (
+                sol_inc[i] * p.solar_om_rs_per_mw * paths.om_inflation[i:]
+            )
+        burn = np.zeros(N_YEARS)
+    else:
+        tech = p.tech_costs[plan.option]
+        cost = _additions(plan.capacity_mw) * paths.tech_capex_rs_per_mw[plan.option]
+        for i in range(N_YEARS):
+            new_ledger.add(i, cost[i], p.wacc, tech.life_years)
+            om_cohorts[i:] += (
+                tech.om_fraction * cost[i] * paths.om_inflation[i:] / paths.om_inflation[i]
+            )
+        gross_tech = 1.0 / (1.0 - tech.aux)
+        gen_kwh = served_by_new_kwh + displaced_gas_kwh
+        burn = gen_kwh * paths.tech_fuel_rs_per_kwh[plan.option] * gross_tech
+    flows["new_capex"] = new_ledger.flows
+    tails["new_capex"] = new_ledger.tail_npv
+    flows["new_om"] = om_cohorts
+
+    displaced_kwh = (
+        displaced_gas_kwh
+        + (plan.displaced_coal_2019_twh + plan.displaced_coal_slack_twh) * KWH_PER_TWH
+    )
+    coal_credit = (
+        plan.displaced_coal_2019_twh * fuel["coal_2019"]
+        + plan.displaced_coal_slack_twh * fuel["coal_slack"]
+    ) * KWH_PER_TWH * gross_coal
+    credits = (
+        displaced_gas_kwh * fuel["gas_slack"] * gross_gas
+        + coal_credit
+        + plan.bonus_curtailment_avoided_twh * KWH_PER_TWH * fuel["coal_slack"] * gross_coal
+    )
+    flows["new_fuel"] = burn - credits
+
+    diesel = p.tech_costs["diesel_gen"]
+    bio_ledger = _CohortLedger(discount, full_life)
+    bio_cost = _additions(plan.biodiesel_capacity_mw) * paths.tech_capex_rs_per_mw["diesel_gen"]
+    bio_om = np.zeros(N_YEARS)
+    for i in range(N_YEARS):
+        bio_ledger.add(i, bio_cost[i], p.wacc, diesel.life_years)
+        bio_om[i:] += diesel.om_fraction * bio_cost[i] * paths.om_inflation[i:] / paths.om_inflation[i]
+    bio_fuel = secondary_kwh / (1.0 - diesel.aux) * paths.tech_fuel_rs_per_kwh["diesel_gen"]
+    flows["biodiesel"] = bio_ledger.flows + bio_om + bio_fuel
+    tails["biodiesel"] = bio_ledger.tail_npv
+
+    npv_by_component = {
+        name: float(np.sum(flows[name] / factors)) + tails[name] for name in COMPONENTS
+    }
+    existing_cost = (
+        flows["re_capex"] + flows["re_om"] + flows["coal_fuel"]
+        + flows["gas_fuel_2019"] + flows["gas_fuel_nonapm"]
+    )
+    new_cost = flows["new_capex"] + flows["new_om"] + flows["new_fuel"] + flows["biodiesel"]
+    new_energy_kwh = served_by_new_kwh + displaced_kwh + secondary_kwh
+
+    def _levelized(costs, energy):
+        try:
+            return levelized_cost(costs, energy, discount)
+        except UndefinedCostError:
+            return None
+
+    return CostReport(
+        npv_total=float(sum(npv_by_component.values())),
+        npv_by_component=npv_by_component,
+        levelized_existing=_levelized(existing_cost, existing_delivered_kwh),
+        levelized_new=_levelized(new_cost, new_energy_kwh),
+    )
 
 def bits(value):
     """``value`` with every float and array replaced by its bytes, for

@@ -56,10 +56,11 @@ def test_criterion_1_closed_form_projections():
     assert projected == pytest.approx(2160.0, rel=0.005)
 
     path = build_price_path(params)
-    cell_2030 = path.battery_cell_usd_per_kwh[path.index(2030)]
+    forex_2030 = params.inr_per_usd_2021 * (1.0 + params.forex_escalation) ** 9
+    cell_2030 = path.battery_cell_rs_per_kwh[-1] / forex_2030  # back to $/kWh
     assert cell_2030 == pytest.approx(91.1, abs=0.1)
 
-    coal_2030 = path.fuel_rs_per_kwh["coal_2019"][path.index(2030)]
+    coal_2030 = path.fuel_rs_per_kwh["coal_2019"][-1]
     assert coal_2030 == pytest.approx(4.03, abs=0.01)
 
     elapsed = time.perf_counter() - start

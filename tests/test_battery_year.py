@@ -229,7 +229,7 @@ def check_battery_years(outcome, decade):
         trace = detail.trace
         battery = trace.battery
         e_cap = battery.energy_capacity_mwh
-        assert np.array_equal(trace.unmet_mw, dy.unmet)
+        assert np.array_equal(trace.year.flat(trace.year.unmet), dy.unmet)
         assert np.all(trace.soc_mwh <= e_cap)
         assert np.all(trace.secondary_unmet_mw >= 0.0)
         assert np.all(trace.secondary_unmet_mw <= dy.unmet + 1e-9)

@@ -273,7 +273,7 @@ def _slot_detail(n_slots, seed=7):
     trace = SocTrace(
         battery=BatterySpec(100.0, 50.0, 0.1, 0.9), year=year, solar_gw=0.0,
         soc=cycles(series()), discharge=cycles(series()),
-        served=year.unmet, secondary_unmet=year.unmet,
+        secondary_unmet=year.unmet,
         charge_re=cycles(rng.choice(charge, n_slots)),
         charge_solar=cycles(rng.choice(charge, n_slots)),
     )
@@ -896,6 +896,15 @@ class TestMain:
         ({"om_inflation": -1.0}, "om_inflation"),
         ({"wacc": -1.0}, "wacc"),
         ({"wacc": -2.0}, "wacc"),
+        ({"inverter_capex_rs_per_kw": -1e4}, "inverter_capex_rs_per_kw"),
+        ({"battery_om_fraction": -1}, "battery_om_fraction"),
+        ({"wind_capex_2021": 0}, "wind_capex_2021"),
+        ({"battery_learning_rate": 1}, "battery_learning_rate"),
+        ({"coal_escalation": -1}, "coal_escalation"),
+        ({"re_2021": 0, "re_2030": 0}, "re_2021"),
+        ({"hydro_2021": 0}, "hydro_2021"),
+        ({"nuclear_growth": -2.0}, "nuclear_growth"),
+        ({"coal_2021": 0}, "coal_retirement_2030"),
     ])
     def test_out_of_range_cost_input_exits_2(self, tmp_path, capsys, payload, key):
         cfg = self.write_config(tmp_path, payload)

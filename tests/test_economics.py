@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _oracles
 from gridlab.dispatch import DispatchYear
 from gridlab.economics import (
     COMPONENTS,
@@ -12,6 +14,7 @@ from gridlab.economics import (
     ScenarioResult,
     annuity_payment,
     build_price_path,
+    cash_flows,
     discount_factors,
     frontier,
     levelized_cost,
@@ -24,9 +27,11 @@ from gridlab.scenario import (
     BASE_YEAR,
     FINAL_YEAR,
     N_YEARS,
+    NEW_OPTIONS,
     YEARS,
     ScenarioParams,
     build_capacity_path,
+    default_tech_costs,
 )
 from gridlab.shapes import SLOT_HOURS
 
@@ -95,6 +100,10 @@ class TestAnnuity:
     def test_zero_rate_is_straight_line(self):
         assert annuity_payment(1000.0, 0.0, 4) == pytest.approx(250.0)
 
+    def test_rate_too_small_to_compound_is_straight_line(self):
+        # (1 + 1e-17) ** 4 rounds to 1.0: the mortgage formula divides by zero
+        assert annuity_payment(1000.0, 1e-17, 4) == 250.0
+
     def test_single_year_repays_with_interest(self):
         assert annuity_payment(1000.0, 0.1, 1) == pytest.approx(1100.0)
 
@@ -106,23 +115,19 @@ class TestAnnuity:
 class TestFuelPrice:
     def test_coal_compounds_to_2030(self):
         path = build_price_path(ScenarioParams())
-        got = path.fuel_rs_per_kwh["coal_2019"][path.index(2030)]
+        got = path.fuel_rs_per_kwh["coal_2019"][FINAL_YEAR - BASE_YEAR]
         assert got == pytest.approx(2.6 * 1.05 ** 9)
         assert got == pytest.approx(4.03, abs=0.01)
 
     def test_base_year_is_the_base_price(self):
         path = build_price_path(ScenarioParams())
-        assert path.fuel_rs_per_kwh["gas_slack"][path.index(2021)] == 5.0
-
-    @pytest.mark.parametrize("year", [2020, 2031])
-    def test_horizon_bounds(self, year):
-        with pytest.raises(ParameterError):
-            build_price_path(ScenarioParams()).index(year)
+        assert path.fuel_rs_per_kwh["gas_slack"][0] == 5.0
 
 
 class TestBatteryPrice:
     def test_learning_curve_usd(self):
-        cell = build_price_path(ScenarioParams()).battery_cell_usd_per_kwh
+        rupees = build_price_path(ScenarioParams()).battery_cell_rs_per_kwh
+        cell = rupees / (73.65 * 1.03 ** np.arange(N_YEARS))
         assert cell[0] == pytest.approx(175.0)
         assert cell[9] == pytest.approx(175.0 * 0.93 ** 9)
         assert cell[9] == pytest.approx(91.1, abs=0.1)
@@ -169,13 +174,6 @@ class TestBuildPricePath:
         path = build_price_path(ScenarioParams())
         assert path.tech_capex_rs_per_mw["diesel_gen"][0] == pytest.approx(20e6)
         assert path.tech_fuel_rs_per_kwh["ocgt"][0] == pytest.approx(6.8)
-
-    def test_index_lookup(self):
-        path = build_price_path(ScenarioParams())
-        assert path.index(2021) == 0
-        assert path.index(2030) == 9
-        with pytest.raises(ParameterError):
-            path.index(2031)
 
     def test_degenerate_escalation_rejected(self):
         with pytest.raises(ParameterError):
@@ -254,8 +252,10 @@ class TestNpvFuelOnly:
 
     def test_cash_flows_exported_per_component(self):
         coal, _ = self.expected_flows()
-        assert set(self.report.cash_by_component) == set(COMPONENTS)
-        assert np.allclose(self.report.cash_by_component["coal_fuel"], coal)
+        flows, tails, _, _ = cash_flows(
+            flat_decade(), empty_thermal_plan(), self.params, self.capacity)
+        assert set(flows) == set(tails) == set(COMPONENTS)
+        assert np.allclose(flows["coal_fuel"], coal)
 
     def test_missing_year_rejected(self):
         decade = flat_decade()
@@ -270,16 +270,15 @@ class TestNpvBatteryCohorts:
         capacity = build_capacity_path(params)
         plan = battery_plan({2021: (1000.0, 400.0)})
         report = npv_system_cost(flat_decade(), plan, params, capacity)
+        flows = cash_flows(flat_decade(), plan, params, capacity)[0]
 
         cell_cost = 1000.0 * 1e3 * 175.0 * 73.65
         inv_cost = 400.0 * 1e3 * 7500.0
         pay = (annuity_payment(cell_cost, 0.085, 15)
                + annuity_payment(inv_cost, 0.085, 13))
         t = np.arange(N_YEARS)
-        assert np.allclose(report.cash_by_component["new_capex"],
-                           np.full(N_YEARS, pay))
-        assert np.allclose(report.cash_by_component["new_om"],
-                           0.015 * (cell_cost + inv_cost) * 1.04 ** t)
+        assert np.allclose(flows["new_capex"], np.full(N_YEARS, pay))
+        assert np.allclose(flows["new_om"], 0.015 * (cell_cost + inv_cost) * 1.04 ** t)
         assert report.npv_by_component["new_fuel"] == 0.0
         assert report.levelized_new is None  # no unmet served, nothing displaced
 
@@ -306,7 +305,7 @@ class TestNpvBatteryCohorts:
         params = no_growth_params()
         paths = build_price_path(params)
         plan = battery_plan({2021: (1000.0, 400.0), 2025: (1600.0, 700.0)})
-        report = npv_system_cost(flat_decade(), plan, params, build_capacity_path(params))
+        flows = cash_flows(flat_decade(), plan, params, build_capacity_path(params))[0]
 
         cell0 = 1000.0 * 1e3 * paths.battery_cell_rs_per_kwh[0]
         inv0 = 400.0 * 1e3 * 7500.0
@@ -317,29 +316,25 @@ class TestNpvBatteryCohorts:
                      + annuity_payment(inv0, 0.085, 13))
         expected[4:] += (annuity_payment(cell4, 0.085, 15)
                          + annuity_payment(inv4, 0.085, 13))
-        assert np.allclose(report.cash_by_component["new_capex"], expected)
+        assert np.allclose(flows["new_capex"], expected)
 
         om = 0.015 * (cell0 + inv0) * 1.04 ** np.arange(N_YEARS)
         om[4:] += 0.015 * (cell4 + inv4) * 1.04 ** np.arange(6)
-        assert np.allclose(report.cash_by_component["new_om"], om)
+        assert np.allclose(flows["new_om"], om)
 
     def test_dedicated_solar_rides_the_new_lines(self):
         params = no_growth_params()
         paths = build_price_path(params)
         plan = battery_plan({2021: (1000.0, 400.0)}, dedicated_solar_gw=every_year(2.0))
         bare = battery_plan({2021: (1000.0, 400.0)})
-        with_solar = npv_system_cost(flat_decade(), plan, params, build_capacity_path(params))
-        without = npv_system_cost(flat_decade(), bare, params, build_capacity_path(params))
+        with_solar = cash_flows(flat_decade(), plan, params, build_capacity_path(params))[0]
+        without = cash_flows(flat_decade(), bare, params, build_capacity_path(params))[0]
 
         sol_cost = 2000.0 * paths.solar_capex_rs_per_mw[0]
         extra_capex = np.full(N_YEARS, annuity_payment(sol_cost, 0.085, 25))
         extra_om = 2000.0 * 600_000.0 * 1.04 ** np.arange(N_YEARS)
-        assert np.allclose(
-            with_solar.cash_by_component["new_capex"]
-            - without.cash_by_component["new_capex"], extra_capex)
-        assert np.allclose(
-            with_solar.cash_by_component["new_om"]
-            - without.cash_by_component["new_om"], extra_om)
+        assert np.allclose(with_solar["new_capex"] - without["new_capex"], extra_capex)
+        assert np.allclose(with_solar["new_om"] - without["new_om"], extra_om)
 
 
 class TestDisplacementCredits:
@@ -350,6 +345,10 @@ class TestDisplacementCredits:
         params = no_growth_params()
         return npv_system_cost(flat_decade(), plan, params, build_capacity_path(params))
 
+    def new_fuel(self, plan):
+        params = no_growth_params()
+        return cash_flows(flat_decade(), plan, params, build_capacity_path(params))[0]["new_fuel"]
+
     def test_credits_price_displaced_fuel_gross_of_aux(self):
         plan = self.base_plan(
             displaced_gas_twh=every_year(0.001),
@@ -357,13 +356,14 @@ class TestDisplacementCredits:
             bonus_curtailment_avoided_twh=every_year(0.0005),
         )
         report = self.run(plan)
+        new_fuel = self.new_fuel(plan)
         t = np.arange(N_YEARS)
         expected = -(
             1e6 * 5.0 * 1.03 ** t / 0.95
             + 2e6 * 3.0 * 1.05 ** t / 0.92
             + 0.5e6 * 3.0 * 1.05 ** t / 0.92
         )
-        assert np.allclose(report.cash_by_component["new_fuel"], expected)
+        assert np.allclose(new_fuel, expected)
         assert report.npv_by_component["new_fuel"] < 0
 
     def test_per_tranche_split_prices_each_tranche(self):
@@ -371,10 +371,9 @@ class TestDisplacementCredits:
             displaced_coal_2019_twh=every_year(0.0015),
             displaced_coal_slack_twh=every_year(0.0005),
         )
-        report = self.run(plan)
         t = np.arange(N_YEARS)
         expected = -(1.5e6 * 2.6 + 0.5e6 * 3.0) * 1.05 ** t / 0.92
-        assert np.allclose(report.cash_by_component["new_fuel"], expected)
+        assert np.allclose(self.new_fuel(plan), expected)
 
     def test_displaced_energy_enters_the_new_denominator(self):
         # no battery cohorts: the displacement credit is the only NEW flow
@@ -395,20 +394,18 @@ class TestThermalFuelAndBiodiesel:
             displaced_gas_twh=every_year(0.002),
         )
         decade = flat_decade(unmet=1.0)  # 24 MWh of unmet each year
-        report = npv_system_cost(decade, plan, params, build_capacity_path(params))
+        flows = cash_flows(decade, plan, params, build_capacity_path(params))[0]
         t = np.arange(N_YEARS)
         served_kwh = 24e3
         gen = served_kwh + 2e6
         burn = gen * 6.8 * 1.03 ** t / (1 - 0.025)
         credit = 2e6 * 5.0 * 1.03 ** t / 0.95
-        assert np.allclose(report.cash_by_component["new_fuel"], burn - credit)
+        assert np.allclose(flows["new_fuel"], burn - credit)
 
         capex = 100.0 * 50e6
         pay = annuity_payment(capex, 0.085, 25)
-        assert np.allclose(report.cash_by_component["new_capex"],
-                           np.full(N_YEARS, pay))
-        assert np.allclose(report.cash_by_component["new_om"],
-                           0.015 * capex * 1.04 ** t)
+        assert np.allclose(flows["new_capex"], np.full(N_YEARS, pay))
+        assert np.allclose(flows["new_om"], 0.015 * capex * 1.04 ** t)
 
     def test_biodiesel_backstop_costing(self):
         params = no_growth_params()
@@ -417,15 +414,79 @@ class TestThermalFuelAndBiodiesel:
             biodiesel_capacity_mw=every_year(50.0),
             secondary_unmet_twh=every_year(0.0001),
         )
-        report = npv_system_cost(
-            flat_decade(unmet=1.0), plan, params, build_capacity_path(params))
+        flows = cash_flows(
+            flat_decade(unmet=1.0), plan, params, build_capacity_path(params))[0]
         t = np.arange(N_YEARS)
         capex = 50.0 * 20e6
         pay = annuity_payment(capex, 0.085, 15)
         om = 0.015 * capex * 1.04 ** t
         fuel = 1e5 / (1 - 0.005) * 20.0 * 1.03 ** t
-        assert np.allclose(report.cash_by_component["biodiesel"],
-                           pay + om + fuel)
+        assert np.allclose(flows["biodiesel"], pay + om + fuel)
+
+
+class TestOneCohortRule:
+    """``npv_system_cost`` costs every build through one cohort helper;
+    the reference keeps one ledger and one loop per cost line.  Equal
+    bits on every output show the helper keeps the order of every float
+    addition."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        option=st.sampled_from(NEW_OPTIONS),
+        seed=st.integers(0, 2**32 - 1),
+        full_life=st.booleans(),
+        lives=st.lists(st.integers(1, 40), min_size=6, max_size=6),
+        rates=st.lists(st.floats(-0.05, 0.2), min_size=3, max_size=3),
+        re_2030=st.floats(98.0, 600.0),
+    )
+    def test_matches_reference_bit_for_bit(self, option, seed, full_life, lives, rates,
+                                           re_2030):
+        rng = np.random.default_rng(seed)
+
+        def cumulative(top):
+            # builds in some years only, so some cohorts are empty
+            adds = rng.uniform(0.0, top, N_YEARS) * (rng.random(N_YEARS) < 0.6)
+            return np.cumsum(adds)
+
+        def volumes(top):
+            return rng.uniform(0.0, top, N_YEARS) * (rng.random(N_YEARS) < 0.7)
+
+        table = default_tech_costs()
+        table["diesel_gen"] = replace(table["diesel_gen"], life_years=lives[4])
+        if option != "battery_re":
+            table[option] = replace(table[option], life_years=lives[5])
+        wacc, discount, om_inflation = rates
+        params = ScenarioParams(
+            new_option=option, re_2030=re_2030, count_full_life_annuities=full_life,
+            battery_life_years=lives[0], inverter_life_years=lives[1],
+            solar_life_years=lives[2], wind_life_years=lives[3], tech_costs=table,
+            wacc=wacc, discount_rate=discount, om_inflation=om_inflation,
+        )
+        battery = option == "battery_re"
+        plan = NewSupplyPlan(
+            option=option,
+            capacity_mw=cumulative(4e4),
+            energy_mwh=cumulative(2e5) if battery else np.zeros(N_YEARS),
+            dedicated_solar_gw=cumulative(60.0) if battery else np.zeros(N_YEARS),
+            secondary_unmet_twh=volumes(0.5),
+            displaced_gas_twh=volumes(5.0),
+            displaced_coal_2019_twh=volumes(5.0),
+            displaced_coal_slack_twh=volumes(5.0),
+            bonus_curtailment_avoided_twh=volumes(1.0),
+            biodiesel_capacity_mw=cumulative(5e3),
+        )
+        totals = {key: rng.uniform(0.0, 800.0, N_YEARS) for key in (
+            "re", "hydro", "nuclear", "coal_2019", "coal_slack", "gas_2019", "gas_slack")}
+        totals["unmet_twh"] = volumes(2.0)
+        capacity = build_capacity_path(params)
+
+        got = npv_system_cost(totals, plan, params, capacity)
+        want = _oracles.reference_npv_system_cost(totals, plan, params, capacity)
+        assert got.npv_total == want.npv_total
+        assert got.npv_by_component == want.npv_by_component
+        assert got.levelized_existing == want.levelized_existing
+        assert got.levelized_new == want.levelized_new
+        assert _oracles.bits(got) == _oracles.bits(want)  # -0.0 is not 0.0 here
 
 
 # --- frontier ranking -----------------------------------------------------

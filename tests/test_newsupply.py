@@ -15,6 +15,7 @@ from gridlab.newsupply import (
     _lowered_daily_max,
     _pad_cycles,
     _search_smallest,
+    _simulate_cycles,
     coal_peak_bonus,
     displace_gas_with_new_coal,
     displace_with_battery,
@@ -25,6 +26,7 @@ from gridlab.newsupply import (
     size_new_capacity,
 )
 from gridlab.scenario import N_YEARS, ScenarioParams
+from gridlab.shapes import SLOT_HOURS
 
 SQRT_RT = float(np.sqrt(0.9))
 
@@ -72,6 +74,15 @@ def soc_trace(battery, unmet, re, sol, boundary_slot=34):
     return simulate_soc(battery, cycles(unmet, re, sol, boundary_slot), 1e-3)
 
 
+def served_mw(trace):
+    """The SoC kernel's served MW per slot on ``trace``'s inputs: the
+    trace keeps only the secondary unmet derived from it."""
+    year = trace.year
+    served = _simulate_cycles(trace.battery, year.unmet, year.curtailed_re,
+                              year.solar(trace.solar_gw))[2]
+    return year.flat(served)
+
+
 def sized(unmet, params, shortfall=None):
     """``size_battery`` on a whole series, given the peak that
     ``dispatch.compute_unmet`` reports for it."""
@@ -84,14 +95,16 @@ SOC_COLUMNS = ("soc", "charge", "discharge", "served", "charge_re", "charge_sola
 
 
 def reference_windows(trace):
-    """Per cycle window, the trace's columns and ``reference_soc``'s."""
+    """Per cycle window, the trace's columns (served from the kernel)
+    and ``reference_soc``'s."""
     year = trace.year
     unmet, re, sol = (year.flat(m) for m in (year.unmet, year.curtailed_re,
                                              year.solar(trace.solar_gw)))
+    got = np.column_stack([served_mw(trace) if c == "served" else year.flat(getattr(trace, c))
+                           for c in SOC_COLUMNS])
     for a, end in _oracles.cycle_windows(year.n_slots, year.boundary_slot):
-        got = np.column_stack([year.flat(getattr(trace, c))[a:end] for c in SOC_COLUMNS])
-        yield got, _oracles.reference_soc(trace.battery, unmet[a:end],
-                                          re[a:end], sol[a:end])
+        yield got[a:end], _oracles.reference_soc(trace.battery, unmet[a:end],
+                                                 re[a:end], sol[a:end])
 
 
 # --- BatterySpec ---------------------------------------------------------
@@ -350,7 +363,7 @@ class TestSimulateSoc:
         b = make_battery(energy=100.0, inverter=1000.0, split="charge_only")
         unmet = np.array([400.0])
         trace = soc_trace(b, unmet, np.zeros(1), np.zeros(1))
-        assert trace.year.flat(trace.served)[0] == pytest.approx(190.0)
+        assert served_mw(trace)[0] == pytest.approx(190.0)
         assert trace.secondary_unmet_mw[0] == pytest.approx(210.0)
         assert trace.discharge_mw[0] == pytest.approx(400.0)
         assert trace.soc_mwh[0] == pytest.approx(-100.0)
@@ -364,7 +377,7 @@ class TestSimulateSoc:
         trace = soc_trace(b, unmet, np.zeros(10), np.zeros(10))
         # round-tripping 100/eta*eta leaves ulp dust; the trace snaps it
         assert trace.secondary_unmet_mw[4] == 0.0
-        assert trace.year.flat(trace.served)[4] == pytest.approx(100.0)
+        assert served_mw(trace)[4] == pytest.approx(100.0)
 
     def test_charge_prefers_curtailed_re_then_solar(self):
         b = make_battery(energy=10.0, inverter=1000.0, split="charge_only")
@@ -412,12 +425,12 @@ class TestSimulateSoc:
         assert np.allclose(trace.charge_mw,
                            trace.charge_re_mw + trace.charge_solar_mw)
         assert np.all(trace.soc_mwh <= energy + tol)
-        assert np.all(trace.year.flat(trace.served) <= unmet + tol)
+        assert np.all(served_mw(trace) <= unmet + tol)
         assert np.all(trace.charge_mw[unmet > 0] == 0)
         assert np.all(trace.discharge_mw[unmet <= 0] == 0)
         assert np.allclose(
             np.abs(trace.secondary_unmet_mw
-                   - np.maximum(unmet - trace.year.flat(trace.served), 0.0)),
+                   - np.maximum(unmet - served_mw(trace), 0.0)),
             0.0, atol=1e-6)
 
         # the SoC recursion balances within every cycle
@@ -809,7 +822,7 @@ class TestUndersizeResidual:
         twh, peak = _oracles.undersize_residual(battery, 0.5, unmet)
         trace = soc_trace(battery.scaled(0.5), unmet, np.zeros(96),
                           np.zeros(96), boundary_slot=34)
-        assert twh == pytest.approx(trace.secondary_unmet_twh())
+        assert twh == pytest.approx(float(np.sum(trace.secondary_unmet_mw)) * SLOT_HOURS / 1e6)
         assert peak == pytest.approx(float(trace.secondary_unmet_mw.max()))
         assert twh > 0.0
 

@@ -2,17 +2,17 @@
 
 import ast
 import dataclasses
+import importlib
+import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gridlab
-from gridlab.dispatch import DispatchYear
-from gridlab.economics import ScenarioResult
 from gridlab.errors import ParameterError
-from gridlab.newsupply import CycleYear, Displacement, NewSupplyPlan, size_battery
-from gridlab.pipeline import DespatchSummary, ScenarioOutcome, YearDetail, YearRecord
+from gridlab.newsupply import CycleYear, size_battery
 from gridlab.scenario import (
     BASE_YEAR,
     FINAL_YEAR,
@@ -108,25 +108,29 @@ def _attributes_read(tree):
     return names
 
 
-#: Result dataclasses whose every field some production code must read.
-#: ``SocTrace`` is left out: its ``served`` is the column the SoC tests
-#: compare with ``_oracles.reference_soc``.
-RESULT_CLASSES = (
-    NewSupplyPlan, DespatchSummary, YearDetail, ScenarioOutcome, ScenarioResult,
-    DispatchYear, YearRecord, Displacement,
-)
+def _dataclasses():
+    """Every dataclass defined in a ``gridlab`` module, but
+    ``RunManifest``: it is written whole, through ``dataclasses.asdict``,
+    so no field of it is read by name."""
+    for info in pkgutil.iter_modules(gridlab.__path__):
+        module = importlib.import_module(f"gridlab.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__ and obj.__name__ != "RunManifest"):
+                yield obj
 
 
 def test_every_param_field_is_read():
     # a parameter only validated, never read, is a config key that
-    # changes no output; a result field nobody reads is dead weight
+    # changes no output; a dataclass field nobody reads is dead weight
     read = set()
     for path in sorted(Path(gridlab.__file__).parent.glob("*.py")):
         read |= _attributes_read(ast.parse(path.read_text()))
     unread = {
         cls.__name__: [f.name for f in dataclasses.fields(cls) if f.name not in read]
-        for cls in (ScenarioParams, *RESULT_CLASSES)
+        for cls in _dataclasses()
     }
+    assert "ScenarioParams" in unread and "CostReport" in unread
     assert {name: fields for name, fields in unread.items() if fields} == {}
 
 
@@ -184,10 +188,43 @@ SMR_ROW = dataclasses.asdict(default_tech_costs()["coal"])
     pytest.param({"wacc": -1.0}, "wacc", id="wacc-minus-1"),
     pytest.param({"wacc": -2.0}, "wacc", id="wacc-minus-2"),
     pytest.param({"tech_costs": {"smr": SMR_ROW}}, "smr", id="unknown-row"),
+    pytest.param({"inverter_capex_rs_per_kw": -1e4}, "inverter_capex_rs_per_kw",
+                 id="inverter-capex-negative"),
+    pytest.param({"battery_om_fraction": -1}, "battery_om_fraction", id="battery-om-negative"),
+    pytest.param({"solar_om_rs_per_mw": -1e9}, "solar_om_rs_per_mw", id="solar-om-negative"),
+    pytest.param({"wind_capex_2021": 0}, "wind_capex_2021", id="wind-capex-0"),
+    pytest.param({"wind_capex_2030": -1.0}, "wind_capex_2030", id="wind-capex-2030-negative"),
+    pytest.param({"solar_capex_2021": 0}, "solar_capex_2021", id="solar-capex-0"),
+    pytest.param({"solar_capex_change": -1.0}, "solar_capex_change", id="solar-change-minus-1"),
+    pytest.param({"battery_learning_rate": 1}, "battery_learning_rate", id="learning-rate-1"),
+    pytest.param({"coal_escalation": -1}, "coal_escalation", id="coal-escalation-minus-1"),
+    pytest.param({"gas_escalation": -1.5}, "gas_escalation", id="gas-escalation-below-minus-1"),
+    pytest.param({"forex_escalation": -1}, "forex_escalation", id="forex-escalation-minus-1"),
+    pytest.param({"tech_costs": {"ocgt": {"capex_2021": -1.0}}}, "tech_costs['ocgt'].capex_2021",
+                 id="row-capex-negative"),
+    pytest.param({"tech_costs": {"coal": {"fuel_2021": -2.0}}}, "tech_costs['coal'].fuel_2021",
+                 id="row-fuel-negative"),
+    pytest.param({"tech_costs": {"ccgt": {"om_fraction": -0.1}}},
+                 "tech_costs['ccgt'].om_fraction", id="row-om-negative"),
+    pytest.param({"tech_costs": {"gas_ic": {"capex_escalation": -1.0}}},
+                 "tech_costs['gas_ic'].capex_escalation", id="row-capex-escalation-minus-1"),
+    pytest.param({"tech_costs": {"diesel_gen": {"fuel_escalation": -2.0}}},
+                 "tech_costs['diesel_gen'].fuel_escalation", id="row-fuel-escalation-minus-2"),
+    pytest.param({"re_2021": 0, "re_2030": 0}, "re_2021", id="re-0"),
+    pytest.param({"hydro_2021": 0}, "hydro_2021", id="hydro-0"),
+    pytest.param({"nuclear_2021": 0}, "nuclear_2021", id="nuclear-0"),
+    pytest.param({"hydro_growth": -1}, "hydro_growth", id="hydro-growth-minus-1"),
+    pytest.param({"nuclear_growth": -2.0}, "nuclear_growth", id="nuclear-growth-minus-2"),
+    pytest.param({"gas_2021": -5}, "gas_2021", id="gas-negative"),
+    pytest.param({"coal_2021": 0}, "coal_retirement_2030", id="coal-0"),
+    pytest.param({"coal_retirement_2030": -5.0}, "coal_retirement_2030", id="retirement-negative"),
+    pytest.param({"coal_retirement_2030": 200.0}, "coal_retirement_2030",
+                 id="retirement-above-fleet"),
 ])
 def test_cost_inputs_are_checked_at_config_time(config, key):
-    # unchecked, each reaches the cost model: nan cells, or a failure
-    # of every scenario rather than one config error
+    # unchecked, each cost or capacity-path input reaches the model: nan
+    # cells, negative costs or output, an internal error, or a failure of
+    # every scenario rather than one config error
     with pytest.raises(ParameterError) as err:
         params_from_config(config)
     assert key in str(err.value)
@@ -198,9 +235,18 @@ def test_cost_inputs_at_their_bounds_pass():
         "tech_costs": {"ocgt": {"aux": 0.0, "life_years": 1}},
         "battery_life_years": 1, "solar_life_years": 1, "discount_rate": -0.99,
         "wacc": -0.99, "om_inflation": -0.99,
+        "inverter_capex_rs_per_kw": 0.0, "battery_om_fraction": 0.0, "solar_om_rs_per_mw": 0.0,
+        "wind_om_rs_per_mw": 0.0, "battery_learning_rate": 0.99, "coal_escalation": -0.99,
+        "gas_escalation": -0.99, "forex_escalation": -0.99, "solar_capex_change": -0.99,
     })
     assert p.tech_costs["ocgt"].aux == 0.0
     assert p.tech_costs["ocgt"].life_years == 1
+    row = {"capex_2021": 0.0, "fuel_2021": 0.0, "om_fraction": 0.0,
+           "capex_escalation": -0.99, "fuel_escalation": -0.99}
+    assert params_from_config({"tech_costs": {"ocgt": row}}).tech_costs["ocgt"].capex_2021 == 0.0
+    p = params_from_config({"hydro_growth": -0.99, "nuclear_growth": -0.99, "gas_2021": 0.0,
+                            "coal_retirement_2030": 162.6, "coal_2021": 162.6})
+    assert build_capacity_path(p).coal_total[-1] == 0.0
 
 
 # --- parameter grids ---------------------------------------------------------
@@ -208,7 +254,7 @@ def test_cost_inputs_at_their_bounds_pass():
 
 def test_paper_grid_has_189_points():
     grid = ParamGrid.paper_grid()
-    assert grid.size == 3 * 3 * 7 * 3 == 189
+    assert math.prod(len(values) for values in grid.axes.values()) == 3 * 3 * 7 * 3 == 189
     scenarios = expand_param_grid(grid)
     assert len(scenarios) == 189
     assert len({(s.demand_growth, s.flex_limit, s.re_2030, s.solar_share)
@@ -240,17 +286,20 @@ def test_grid_validation():
 
 
 def test_re_path_hits_2030_target_exactly():
-    path = build_capacity_path(ScenarioParams())
-    assert path.re_total[0] == pytest.approx(98.0)
-    assert path.re_total[-1] == pytest.approx(450.0)
-    ratios = path.re_total[1:] / path.re_total[:-1]
+    p = ScenarioParams()
+    path = build_capacity_path(p)
+    re_total = p.re_2021 + path.solar_new + path.wind_new
+    assert re_total[0] == pytest.approx(98.0)
+    assert re_total[-1] == pytest.approx(450.0)
+    ratios = re_total[1:] / re_total[:-1]
     np.testing.assert_allclose(ratios, ratios[0])  # compound growth
 
 
 def test_solar_wind_split_follows_share():
     p = ScenarioParams()
     path = build_capacity_path(p)
-    growth = path.re_total - p.re_2021
+    t = np.arange(FINAL_YEAR - BASE_YEAR + 1)
+    growth = p.re_2021 * (p.re_2030 / p.re_2021) ** (t / (FINAL_YEAR - BASE_YEAR)) - p.re_2021
     np.testing.assert_allclose(path.solar_new[1:], p.solar_share * growth[1:])
     np.testing.assert_allclose(path.solar_new + path.wind_new, growth)
 
@@ -286,16 +335,14 @@ def test_tranche_split_against_base_peaks():
     coal_peak_gw = float(np.max(base.supply_by_fuel["coal"].values)) / 1e3
     np.testing.assert_allclose(
         path.coal_2019_tranche, np.minimum(path.coal_total, coal_peak_gw))
-    assert np.all(path.coal_slack_tranche >= -1e-12)
-    assert np.all(path.gas_slack_tranche >= -1e-12)
-    np.testing.assert_allclose(
-        path.coal_2019_tranche + path.coal_slack_tranche, path.coal_total)
+    assert np.all(path.coal_2019_tranche <= path.coal_total)
+    assert np.all(path.gas_2019_tranche <= path.gas_total)
 
 
 def test_tranches_without_base_have_no_slack():
     path = build_capacity_path(ScenarioParams())
-    np.testing.assert_allclose(path.coal_slack_tranche, 0.0, atol=1e-12)
-    np.testing.assert_allclose(path.gas_slack_tranche, 0.0, atol=1e-12)
+    np.testing.assert_allclose(path.coal_total - path.coal_2019_tranche, 0.0, atol=1e-12)
+    np.testing.assert_allclose(path.gas_total - path.gas_2019_tranche, 0.0, atol=1e-12)
 
 
 def test_path_index():

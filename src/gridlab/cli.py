@@ -50,7 +50,7 @@ import numpy as np
 
 from gridlab import __version__
 from gridlab import dispatch as dsp
-from gridlab.economics import COMPONENTS, frontier
+from gridlab.economics import COMPONENTS, build_price_path, frontier
 from gridlab.errors import GridlabError, ParameterError
 from gridlab.pipeline import (
     MIX_KEYS,
@@ -188,6 +188,8 @@ def parse_config(
         scenarios = expand_param_grid(ParamGrid(axes=axes), base)
     else:
         scenarios = [base]
+    for params in scenarios:
+        build_price_path(params)  # its checks read the parameters alone
     return scenarios, base, data_opts
 
 
@@ -261,7 +263,7 @@ def _run_one(group: list[tuple[int, ScenarioParams]], detail: _Detail | None = N
     """
     stages = [OptionStage.start(params) for _, params in group]
     if detail is not None:
-        stages[0] = OptionStage.start(group[0][1], detail.years, YEARS)
+        stages[0] = OptionStage.start(group[0][1], detail.years)
     try:
         despatch = despatch_group(group[0][1], *_WORKER_INPUTS, stages)
     except GridlabError as exc:
@@ -568,7 +570,7 @@ def run(
             detail_files = [path.name for path in export_figures(out)]
         else:
             outcome = evaluate_alone(scenarios[detail_index], *_WORKER_INPUTS,
-                                     detail_years=years, mix_years=YEARS)
+                                     detail_years=years)
             detail_files = _write_detail(out, _Detail(years, outcome))
     files += detail_files
 

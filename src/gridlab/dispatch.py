@@ -87,7 +87,6 @@ class DispatchYear:
     capacity: dict[str, np.ndarray]
     curtailment: np.ndarray
     unmet: np.ndarray
-    coal_flex_floor: np.ndarray | None = None
     flex_re_cut: np.ndarray | None = None
     flex_hydro_cut: np.ndarray | None = None
     relaxed_slots: int = 0
@@ -118,12 +117,12 @@ class DispatchYear:
     def peak_unmet_mw(self) -> float:
         return float(np.max(self.unmet)) if self.n_slots else 0.0
 
-    def check_balance(self, tolerance: float = _TOL) -> None:
+    def check_balance(self) -> None:
         total = sum(self.supply.values()) + self.unmet
         worst = float(np.max(np.abs(total - self.demand))) if self.n_slots else 0.0
-        if not worst <= tolerance:  # NaN fails too
+        if not worst <= _TOL:  # NaN fails too
             raise DataIntegrityError(
-                f"despatch imbalance of {worst:.3e} MW exceeds {tolerance:.1e}"
+                f"despatch imbalance of {worst:.3e} MW exceeds {_TOL:.1e}"
             )
 
 
@@ -219,11 +218,7 @@ def attach_must_run(
     )
 
 
-def apply_coal_flex(
-    dy: DispatchYear,
-    flex_limit: float,
-    floor_day: np.ndarray | None = None,
-) -> DispatchYear:
+def apply_coal_flex(dy: DispatchYear, flex_limit: float) -> DispatchYear:
     """Enforce the daily coal flexibility floor by re-despatch.
 
     The floor for each day is ``flex_limit`` times that day's pre-flex
@@ -236,11 +231,6 @@ def apply_coal_flex(
     cannot carry the floor, it relaxes to the feasible level and the
     slot is counted in ``relaxed_slots``.
 
-    An explicit ``floor_day`` (MW per day) replaces the default
-    flex_limit * daily-max floors.  The despatch never passes it; the
-    brute-force check of ``coal_peak_bonus`` uses it to replay the pass
-    against a lowered coal ceiling.
-
     One pass suffices: floors come from pre-flex maxima and raising
     minima never changes a day's maximum.
     """
@@ -251,14 +241,7 @@ def apply_coal_flex(
 
     coal_pre = dy.coal_total()
     by_day = coal_pre.reshape(dy.n_days, SLOTS_PER_DAY)
-    if floor_day is None:
-        floor_day = flex_limit * by_day.max(axis=1)
-    else:
-        floor_day = np.asarray(floor_day, dtype=float)
-        if floor_day.shape != (dy.n_days,):
-            raise ParameterError(
-                f"floor_day has shape {floor_day.shape}, want ({dy.n_days},)"
-            )
+    floor_day = flex_limit * by_day.max(axis=1)
 
     # The per-slot floor never exceeds the day's floor, so only slots
     # below the day's floor can bind, and only they count as relaxed.
@@ -311,7 +294,6 @@ def apply_coal_flex(
         supply=supply,
         unmet=scatter(dy.unmet, np.where(binding, unmet_new, unmet)),
         curtailment=dy.curtailment + re_cut + hydro_cut,
-        coal_flex_floor=floor_day,
         flex_re_cut=re_cut,
         flex_hydro_cut=hydro_cut,
         relaxed_slots=relaxed,

@@ -83,8 +83,13 @@ def build_price_path(p: ScenarioParams) -> PricePath:
     for name, arr in fuel.items():
         if np.any(arr <= 0):
             raise ParameterError(f"fuel price path for {name} not positive")
-    if np.any(cell_rs <= 0) or np.any(solar <= 0) or np.any(wind <= 0):
+    if np.any(cell_rs <= 0) or np.any(solar <= 0):
         raise ParameterError("capex price paths must stay positive")
+    if np.any(wind <= 0):
+        raise ParameterError(
+            f"wind capex path from wind_capex_2021 {p.wind_capex_2021!r} to "
+            f"wind_capex_2030 {p.wind_capex_2030!r} must stay positive"
+        )
     return path
 
 

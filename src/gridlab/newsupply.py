@@ -617,7 +617,7 @@ def coal_peak_bonus(
     same slot arithmetic the flex pass itself uses, on (days, 48)
     matrices holding only the days with displaced coal.
     """
-    if dy.flex_re_cut is None or dy.coal_flex_floor is None:
+    if dy.flex_re_cut is None:
         raise ParameterError("coal_peak_bonus needs a flex-adjusted despatch year")
     if coal_displaced_in_day.shape != (dy.n_days,):
         raise ParameterError(

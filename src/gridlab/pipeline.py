@@ -226,20 +226,18 @@ class OptionStage:
     """One scenario's option stage, advanced one despatched year at a time.
 
     ``step`` sizes and simulates the NEW option on one year's record
-    and fills that year's entries of ``plan``.  Each of
+    and fills that year's entries of ``plan``.  With ``detail_years``,
+    every year gets its row of ``annual_mix``, and each of
     ``detail_years`` keeps a ``YearDetail``, with the reporting despatch
-    and the SoC trace.  Each of ``mix_years`` gets its row of
-    ``annual_mix``; its reporting despatch is dropped once that row is
-    taken, unless it is a detail year too.  A ``GridlabError`` in a step
-    is kept in ``error``, and the stage takes no further step.
+    and the SoC trace; the other years' reporting despatch is dropped
+    once their row is taken.  A ``GridlabError`` in a step is kept in
+    ``error``, and the stage takes no further step.
     """
 
-    def __init__(self, params: ScenarioParams, detail_years: tuple[int, ...] = (),
-                 mix_years: tuple[int, ...] = ()):
+    def __init__(self, params: ScenarioParams, detail_years: tuple[int, ...] = ()):
         self.params = params
         self.plan = new.NewSupplyPlan(option=params.new_option)
         self.detail_years = detail_years
-        self.mix_years = mix_years
         self.details: dict[int, YearDetail] = {}
         self.annual_mix: dict[int, dict[str, float]] = {}
         self.error: GridlabError | None = None
@@ -247,11 +245,10 @@ class OptionStage:
         self._biodiesel_mw = 0.0
 
     @staticmethod
-    def start(params: ScenarioParams, detail_years: tuple[int, ...] = (),
-              mix_years: tuple[int, ...] = ()) -> OptionStage:
+    def start(params: ScenarioParams, detail_years: tuple[int, ...] = ()) -> OptionStage:
         """The stage of ``params.new_option``."""
         kind = BatteryStage if params.new_option == "battery_re" else ThermalStage
-        return kind(params, detail_years, mix_years)
+        return kind(params, detail_years)
 
     def step(self, i: int, record: YearRecord, solar: np.ndarray) -> None:
         """Advance the plan by horizon year ``i``, whose record this is
@@ -265,26 +262,27 @@ class OptionStage:
 
     def _step(self, i: int, record: YearRecord, solar: np.ndarray) -> None:
         plan, year = self.plan, YEARS[i]
-        secondary_mw, trace = self._size(i, record, solar)
+        served, secondary_mw, trace, days = self._size(i, record, solar)
         plan.secondary_unmet_twh[i] = _snap(float(np.sum(secondary_mw)) * SLOT_HOURS / 1e6)
         peak_secondary = _snap(float(np.max(secondary_mw)) if secondary_mw.size else 0.0)
         self._biodiesel_mw = np.maximum(self._biodiesel_mw, peak_secondary / self._diesel_gross)
         plan.biodiesel_capacity_mw[i] = self._biodiesel_mw
-        if year in self.detail_years or year in self.mix_years:
+        if self.detail_years:
             dy = record.dispatch
-            rep = _reporting_dispatch(self.params, dy, plan,
-                                      None if trace is None else secondary_mw, i)
-            rep.check_balance(tolerance=1.0)
-            if year in self.mix_years:
-                self.annual_mix[year] = _year_mix(dy, rep)
+            rep = _reporting_dispatch(dy, served, secondary_mw, plan.displaced_gas_twh[i], days)
+            rep.check_balance()
+            self.annual_mix[year] = _year_mix(dy, rep)
             if year in self.detail_years:
                 self.details[year] = YearDetail(dispatch=dy, reporting=rep, trace=trace)
 
-    def _size(self, i: int, record: YearRecord, solar: np.ndarray
-              ) -> tuple[np.ndarray, new.SocTrace | None]:
-        """Fill year ``i`` of the plan but for its secondary unmet, which
-        this returns as slot series, with the year's SoC trace (None for a
-        thermal option)."""
+    def _size(self, i: int, record: YearRecord, solar: np.ndarray) -> tuple[
+            np.ndarray, np.ndarray, new.SocTrace | None,
+            tuple[np.ndarray, np.ndarray] | None]:
+        """Fill year ``i`` of the plan but for its secondary unmet, and
+        return what NEW supply did in the year: the slots it serves and
+        the secondary unmet it leaves, the SoC trace, and each day's
+        displaced coal and coal-peak bonus in MWh (the last two None for
+        a thermal option)."""
         raise NotImplementedError
 
 
@@ -337,7 +335,10 @@ class BatteryStage(OptionStage):
         plan.displaced_coal_2019_twh[i] = disp.displaced_twh["coal_2019"]
         plan.displaced_coal_slack_twh[i] = disp.displaced_twh["coal_slack"]
         plan.bonus_curtailment_avoided_twh[i] = float(np.sum(bonus)) / 1e6
-        return trace.secondary_unmet_mw, trace
+        # the trace's secondary unmet is already snapped, so a fully
+        # served slot exports exactly zero rather than eta round-trip dust
+        secondary = trace.secondary_unmet_mw
+        return dy.unmet - secondary, secondary, trace, (per_day_coal, bonus)
 
 
 class ThermalStage(OptionStage):
@@ -356,12 +357,12 @@ class ThermalStage(OptionStage):
         plan.capacity_mw[i] = self._installed_mw * (params.new_coal_size_fraction if coal else 1.0)
         net_cap = plan.capacity_mw[i] * (1.0 - self._tech.aux)
         dy = record.dispatch
+        served = np.minimum(dy.unmet, net_cap)
         secondary = np.maximum(dy.unmet - net_cap, 0.0)
         if coal:
-            served = np.minimum(dy.unmet, net_cap)
             rep = replace(dy, supply={**dy.supply, "new": served}, unmet=dy.unmet - served)
             plan.displaced_gas_twh[i] = new.displace_gas_with_new_coal(net_cap, rep)
-        return secondary, None
+        return served, secondary, None, None
 
 
 def despatch_group(
@@ -395,78 +396,61 @@ def despatch_group(
     return DespatchSummary(path=path, totals=totals)
 
 
+def _cut_coal(supply: dict[str, np.ndarray], cut: np.ndarray) -> None:
+    """Take ``cut`` MW per slot off coal, coal_slack ahead of coal_2019."""
+    take_slack = np.minimum(cut, supply["coal_slack"])
+    supply["coal_slack"] = supply["coal_slack"] - take_slack
+    supply["coal_2019"] = supply["coal_2019"] - (cut - take_slack)
+
+
 def _reporting_dispatch(
-    params: ScenarioParams,
     dy: dsp.DispatchYear,
-    plan: new.NewSupplyPlan,
-    secondary_unmet: np.ndarray | None,
-    i: int,
+    served: np.ndarray,
+    secondary: np.ndarray,
+    gas_twh: float,
+    days: tuple[np.ndarray, np.ndarray] | None,
 ) -> dsp.DispatchYear:
     """Fold NEW supply and displacement into a new despatch year, for exports.
 
-    ``i`` is the year's horizon position in ``plan``, and
-    ``secondary_unmet`` the secondary unmet slots of the battery's SoC
-    trace (None for a thermal option).  ``dy`` is left as it is: every
-    changed series is a new array.  Every reduction is matched by an
-    increase elsewhere, so slot sums against demand stay exact.  Displaced coal comes off each day's peak, one
-    water-fill per row of the (days, 48) coal matrix; the bonus lowers
-    floor-bound slots and hands the energy back to RE (curtailment
-    shrinks by the same amount).
+    ``served`` and ``secondary`` are the slots of ``dy.unmet`` NEW
+    supply serves and leaves, ``gas_twh`` the displaced gas, and
+    ``days`` (None for a thermal option) each day's displaced coal and
+    coal-peak bonus in MWh, as the option stage computed them.  ``dy``
+    is left as it is: every changed series is a new array.  Every
+    reduction is matched by an increase elsewhere, so slot sums against
+    demand stay exact.  A day's displaced coal comes off its peak, by
+    the same water-fill the bonus lowered the floor with; the day's
+    bonus lowers its flex-raised slots and hands the energy back to RE
+    and hydro (curtailment shrinks by the same amount).
     """
-    rep = replace(dy, supply=dict(dy.supply))
-    if secondary_unmet is not None:
-        # the trace's secondary unmet is already snapped, so a fully
-        # served slot leaves exactly zero rather than eta round-trip dust
-        rep.unmet = secondary_unmet
-        served = dy.unmet - rep.unmet
-    else:
-        tech = params.tech_costs[plan.option]
-        net_cap = plan.capacity_mw[i] * (1.0 - tech.aux)
-        served = np.minimum(rep.unmet, net_cap)
-        rep.unmet = np.maximum(rep.unmet - served, 0.0)
+    rep = replace(dy, supply=dict(dy.supply), unmet=secondary)
     rep.supply["new"] = rep.supply["new"] + served
 
-    coal_disp_twh = plan.displaced_coal_2019_twh[i] + plan.displaced_coal_slack_twh[i]
-    gas_disp_twh = plan.displaced_gas_twh[i]
-    bonus_twh = plan.bonus_curtailment_avoided_twh[i]
-
-    if gas_disp_twh > 0:
+    if gas_twh > 0:
         gas = rep.supply["gas_slack"]
         total = float(np.sum(gas)) * SLOT_HOURS
         if total > 0:
-            cut = min(gas_disp_twh * 1e6 / total, 1.0)
+            cut = min(gas_twh * 1e6 / total, 1.0)
             rep.supply["new"] = rep.supply["new"] + gas * cut
             rep.supply["gas_slack"] = gas * (1.0 - cut)
 
-    if coal_disp_twh > 0 or bonus_twh > 0:
-        coal = rep.supply["coal_2019"] + rep.supply["coal_slack"]
-        coal_days = coal.reshape(rep.n_days, SLOTS_PER_DAY)
-        # spread recorded volumes over days proportional to coal energy
-        day_energy = coal_days.sum(axis=1) * SLOT_HOURS
-        total = float(day_energy.sum())
-        if total > 0:
-            per_day = (coal_disp_twh * 1e6) * day_energy / total
-            level = new._lowered_daily_max(coal_days, per_day)
-            cut = np.maximum(coal - np.repeat(level, SLOTS_PER_DAY), 0.0)
-            slack = rep.supply["coal_slack"]
-            take_slack = np.minimum(cut, slack)
-            rep.supply["coal_slack"] = slack - take_slack
-            rep.supply["coal_2019"] = rep.supply["coal_2019"] - (cut - take_slack)
-            rep.supply["new"] = rep.supply["new"] + cut
-        if bonus_twh > 0 and rep.flex_re_cut is not None:
-            cut_profile = rep.flex_re_cut + rep.flex_hydro_cut
-            weight = float(np.sum(cut_profile)) * SLOT_HOURS
-            if weight > 0:
-                scale = min(bonus_twh * 1e6 / weight, 1.0)
-                give_back = cut_profile * scale
-                slack = rep.supply["coal_slack"]
-                take_slack = np.minimum(give_back, slack)
-                rep.supply["coal_slack"] = slack - take_slack
-                rep.supply["coal_2019"] = rep.supply["coal_2019"] - (give_back - take_slack)
-                re_part = np.minimum(give_back, rep.flex_re_cut)
-                rep.supply["re"] = rep.supply["re"] + re_part
-                rep.supply["hydro"] = rep.supply["hydro"] + (give_back - re_part)
-                rep.curtailment = np.maximum(rep.curtailment - give_back, 0.0)
+    if days is not None:
+        per_day_coal, bonus = days
+        coal = rep.coal_total()
+        level = new._lowered_daily_max(coal.reshape(rep.n_days, SLOTS_PER_DAY), per_day_coal)
+        cut = np.maximum(coal - np.repeat(level, SLOTS_PER_DAY), 0.0)
+        _cut_coal(rep.supply, cut)
+        rep.supply["new"] = rep.supply["new"] + cut
+
+        cut_profile = rep.flex_re_cut + rep.flex_hydro_cut
+        weight = cut_profile.reshape(rep.n_days, SLOTS_PER_DAY).sum(axis=1) * SLOT_HOURS
+        scale = np.divide(bonus, weight, out=np.zeros(rep.n_days), where=weight > 0)
+        give_back = cut_profile * np.repeat(np.minimum(scale, 1.0), SLOTS_PER_DAY)
+        _cut_coal(rep.supply, give_back)
+        re_part = np.minimum(give_back, rep.flex_re_cut)
+        rep.supply["re"] = rep.supply["re"] + re_part
+        rep.supply["hydro"] = rep.supply["hydro"] + (give_back - re_part)
+        rep.curtailment = np.maximum(rep.curtailment - give_back, 0.0)
     return rep
 
 
@@ -539,10 +523,9 @@ def evaluate_alone(
     solar_by_year: Mapping[int, np.ndarray],
     wind_by_year: Mapping[int, np.ndarray],
     detail_years: tuple[int, ...] = (),
-    mix_years: tuple[int, ...] = (),
 ) -> ScenarioOutcome:
     """One scenario as a despatch group of its own (see ``OptionStage``
-    for ``detail_years`` and ``mix_years``)."""
-    stage = OptionStage.start(params, detail_years, mix_years)
+    for ``detail_years``)."""
+    stage = OptionStage.start(params, detail_years)
     return evaluate_scenario(
         stage, despatch_group(params, base, solar_by_year, wind_by_year, [stage]))

@@ -189,7 +189,6 @@ def reference_apply_coal_flex(dy, flex_limit, floor_day=None):
         supply=supply,
         unmet=np.where(binding, unmet_new, dy.unmet),
         curtailment=dy.curtailment + re_cut + hydro_cut,
-        coal_flex_floor=floor_day,
         flex_re_cut=re_cut,
         flex_hydro_cut=hydro_cut,
         relaxed_slots=relaxed,
@@ -465,7 +464,7 @@ def brute_force_bonus(dy_pre, dy_flexed, displaced_mwh, flex):
         day = coal[d * SLOTS_PER_DAY:(d + 1) * SLOTS_PER_DAY]
         shaved = min(float(displaced_mwh[d]), float(day.sum()) * SLOT_HOURS)
         new_floor[d] = flex * shaved_level(day, shaved)
-    rerun = apply_coal_flex(dy_pre, flex, floor_day=new_floor)
+    rerun = reference_apply_coal_flex(dy_pre, flex, floor_day=new_floor)
     old_cut = dy_flexed.flex_re_cut + dy_flexed.flex_hydro_cut
     new_cut = rerun.flex_re_cut + rerun.flex_hydro_cut
     per_day = (old_cut - new_cut).reshape(n_days, SLOTS_PER_DAY).sum(axis=1)
@@ -829,12 +828,13 @@ def despatch_decade(params, base, solar_by_year, wind_by_year):
 
 def reference_battery_plan(params, decade, keep=(), report=()):
     """The battery plan over the whole decade, with the SoC traces of
-    the ``keep`` years and the secondary unmet slots of the ``report``
-    years."""
+    the ``keep`` years and the export fold's inputs of the ``report``
+    years: served and secondary unmet slots, and each day's displaced
+    coal and bonus."""
     plan = NewSupplyPlan(option="battery_re")
     boundary = params.cycle_boundary_slot
     extra = params.dedicated_solar_extra
-    traces, secondary = {}, {}
+    traces, folds = {}, {}
     peak_secondary = np.zeros(N_YEARS)
     run_energy = run_inverter = run_solar_gw = 0.0
 
@@ -863,8 +863,6 @@ def reference_battery_plan(params, decade, keep=(), report=()):
             trace = simulate_soc(battery, cycles, run_solar_gw)
         if year in keep:
             traces[year] = trace
-        if year in report:
-            secondary[year] = trace.secondary_unmet_mw
         plan.secondary_unmet_twh[i] = _snap(
             float(np.sum(trace.secondary_unmet_mw)) * SLOT_HOURS / 1e6)
         peak_secondary[i] = _snap(float(np.max(trace.secondary_unmet_mw)) if dy.unmet.size else 0.0)
@@ -876,15 +874,20 @@ def reference_battery_plan(params, decade, keep=(), report=()):
         plan.displaced_coal_2019_twh[i] = disp.displaced_twh["coal_2019"]
         plan.displaced_coal_slack_twh[i] = disp.displaced_twh["coal_slack"]
         plan.bonus_curtailment_avoided_twh[i] = float(np.sum(bonus)) / 1e6
+        if year in report:
+            secondary = trace.secondary_unmet_mw
+            folds[year] = (dy.unmet - secondary, secondary, (per_day_coal, bonus))
 
     diesel_aux = params.tech_costs["diesel_gen"].aux
     plan.biodiesel_capacity_mw = np.maximum.accumulate(peak_secondary / (1.0 - diesel_aux))
-    return plan, traces, secondary
+    return plan, traces, folds
 
 
-def reference_thermal_plan(params, decade):
+def reference_thermal_plan(params, decade, report=()):
     """A thermal plan over the whole decade: the build is the running
-    maximum of the grossed-up requirement, taken in one pass."""
+    maximum of the grossed-up requirement, taken in one pass.  With it
+    come the export fold's inputs of the ``report`` years: served and
+    secondary unmet slots."""
     option = params.new_option
     tech = params.tech_costs[option]
     required = decade.totals["capacity_requirement_mw"]
@@ -894,29 +897,33 @@ def reference_thermal_plan(params, decade):
     plan = NewSupplyPlan(option=option, capacity_mw=installed_mw * size_fraction)
     net_caps = plan.capacity_mw * (1.0 - tech.aux)
     peak_secondary = np.zeros(N_YEARS)
+    folds = {}
     for i, net_cap in enumerate(net_caps):
         dy = decade.years[YEARS[i]].dispatch
+        served = np.minimum(dy.unmet, net_cap)
         secondary = np.maximum(dy.unmet - net_cap, 0.0)
         plan.secondary_unmet_twh[i] = _snap(float(np.sum(secondary)) * SLOT_HOURS / 1e6)
         peak_secondary[i] = _snap(float(np.max(secondary)) if secondary.size else 0.0)
         if option == "coal":
-            served = np.minimum(dy.unmet, net_cap)
             rep = replace(dy, supply={**dy.supply, "new": served}, unmet=dy.unmet - served)
             plan.displaced_gas_twh[i] = displace_gas_with_new_coal(net_cap, rep)
+        if YEARS[i] in report:
+            folds[YEARS[i]] = (served, secondary, None)
 
     diesel_aux = params.tech_costs["diesel_gen"].aux
     plan.biodiesel_capacity_mw = np.maximum.accumulate(peak_secondary / (1.0 - diesel_aux))
-    return plan
+    return plan, folds
 
 
-def reference_evaluate_scenario(params, decade, detail_years=(), mix_years=()):
-    """One scenario sized, simulated and priced on a whole decade."""
-    reported = (*detail_years, *mix_years)
-    traces, secondary = {}, {}
+def reference_evaluate_scenario(params, decade, detail_years=()):
+    """One scenario sized, simulated and priced on a whole decade; with
+    ``detail_years``, every year has its annual mix."""
+    reported = YEARS if detail_years else ()
+    traces = {}
     if params.new_option == "battery_re":
-        plan, traces, secondary = reference_battery_plan(params, decade, detail_years, reported)
+        plan, traces, folds = reference_battery_plan(params, decade, detail_years, reported)
     else:
-        plan = reference_thermal_plan(params, decade)
+        plan, folds = reference_thermal_plan(params, decade, reported)
     plan.validate()
 
     totals = decade.totals
@@ -951,10 +958,10 @@ def reference_evaluate_scenario(params, decade, detail_years=(), mix_years=()):
         row["flex_relaxed_slots"] = dy.relaxed_slots
         year_rows.append(row)
         if year in reported:
-            rep = _reporting_dispatch(params, dy, plan, secondary.pop(year, None), i)
-            rep.check_balance(tolerance=1.0)
-            if year in mix_years:
-                annual_mix[year] = _year_mix(dy, rep)
+            served, secondary, days = folds.pop(year)
+            rep = _reporting_dispatch(dy, served, secondary, plan.displaced_gas_twh[i], days)
+            rep.check_balance()
+            annual_mix[year] = _year_mix(dy, rep)
             if year in detail_years:
                 details[year] = YearDetail(dispatch=dy, reporting=rep, trace=traces.get(year))
     return ScenarioOutcome(params=params, result=result, year_rows=year_rows,

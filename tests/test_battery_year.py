@@ -197,17 +197,17 @@ def small_decade(params, base_year, seed):
     )
 
 
-def stepped(params, decade, detail_years=(), mix_years=()):
+def stepped(params, decade, detail_years=()):
     """The option stage of ``params`` stepped through a decade's years."""
-    stage = OptionStage.start(params, detail_years, mix_years)
+    stage = OptionStage.start(params, detail_years)
     for i, year in enumerate(YEARS):
         stage.step(i, decade.years[year], decade.solar_by_year[year])
     return stage
 
 
-def year_major(params, decade, detail_years=(), mix_years=()):
+def year_major(params, decade, detail_years=()):
     """One scenario stepped year by year through a decade, then priced."""
-    stage = stepped(params, decade, detail_years, mix_years)
+    stage = stepped(params, decade, detail_years)
     return evaluate_scenario(stage, DespatchSummary(path=decade.path, totals=decade.totals))
 
 
@@ -333,14 +333,14 @@ class TestThermalFuzz:
         decade = small_decade(params, base_year, seed)
         detail_years = tuple(sorted(detail))
         try:
-            want = _oracles.reference_evaluate_scenario(params, decade, detail_years, YEARS)
+            want = _oracles.reference_evaluate_scenario(params, decade, detail_years)
         except DataIntegrityError:
             raise  # an imbalance is a bug, not a scenario the model cannot solve
         except GridlabError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                year_major(params, decade, detail_years, YEARS)
+                year_major(params, decade, detail_years)
             return
-        got = year_major(params, decade, detail_years, YEARS)
+        got = year_major(params, decade, detail_years)
         assert _oracles.bits(got) == _oracles.bits(want)
 
     def test_undersized_coal_reaches_secondary_unmet_and_displaced_gas(self, base_year):

@@ -911,6 +911,26 @@ class TestMain:
         assert cli.main(["--config", cfg, "--validate-only"]) == 2
         assert key in capsys.readouterr().err
 
+    def test_wind_path_rounding_to_zero_exits_2_at_validation(self, tmp_path, capsys):
+        # 75e6 + (1e-9 - 75e6) * 9 / 9 is exactly 0.0: the path check fails
+        # on the parameters alone, so it runs at config time
+        cfg = self.write_config(tmp_path, {"wind_capex_2030": 1e-9})
+        assert cli.main(["--config", cfg, "--validate-only"]) == 2
+        assert "wind_capex_2030" in capsys.readouterr().err
+
+    def test_wind_path_rounding_to_zero_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a decade was despatched")
+
+        monkeypatch.setattr(cli, "despatch_group", never)
+        cfg = self.write_config(tmp_path, {"re_2030": 450.0, "wind_capex_2030": [7e7, 1e-9]})
+        out_dir = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--synthetic", "0", "--out", str(out_dir)]) == 2
+        assert "wind_capex_2030" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_data_directory_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope")
         assert cli.main(["--data", missing, "--validate-only"]) == 2

@@ -36,7 +36,14 @@ def test_day_index():
     demand, re, hydro, nuclear, caps, _, flex = _oracles.random_flex_instance(rng, 96)
     pre, flexed = _oracles.model_flex_dispatch(demand, re, hydro, nuclear, caps, flex)
     day_max = pre.coal_total().reshape(2, 48).max(axis=1)
-    np.testing.assert_array_equal(flexed.coal_flex_floor, flex * day_max)
+    # coal is raised to flex times its own day's maximum, on both days
+    net, absorb, coal_cap, _ = _oracles.effective_floor(pre)
+    floor_slot = np.minimum.reduce([np.repeat(flex * day_max, 48), net + absorb, coal_cap])
+    coal = flexed.coal_total()
+    raised = coal > pre.coal_total() + 1e-9
+    assert raised.reshape(2, 48).any(axis=1).all()
+    np.testing.assert_allclose(coal[raised], floor_slot[raised], rtol=1e-12)
+    assert np.all(coal >= floor_slot - 1e-9)
     with pytest.raises(ParameterError):
         apply_coal_flex(_flat_dy(n=50), flex)
 
@@ -163,7 +170,6 @@ def test_flex_raises_coal_and_curtails_re_first():
     pre, flexed = _oracles.model_flex_dispatch(demand, re_s, hy_s, nu_s, caps, 0.6)
     # pre-flex: high slots run coal at 100 (daily max), low slots at 10
     assert float(pre.coal_total().max()) == pytest.approx(100.0)
-    np.testing.assert_allclose(flexed.coal_flex_floor, [60.0])
     low = slice(24, 48)
     # the floor relaxes to net + absorbable must-run = 10 + 45
     np.testing.assert_allclose(flexed.coal_total()[low], 55.0)
@@ -198,17 +204,6 @@ def test_flex_limit_validation():
     pre, _ = _oracles.model_flex_dispatch(demand, re_s, hy_s, nu_s, caps, 0.6)
     with pytest.raises(ParameterError):
         apply_coal_flex(pre, 1.0)
-    with pytest.raises(ParameterError):
-        apply_coal_flex(pre, 0.6, floor_day=np.zeros(3))
-
-
-def test_flex_floor_day_override():
-    demand, re_s, hy_s, nu_s, caps = _one_day(re=80.0)
-    pre, _ = _oracles.model_flex_dispatch(demand, re_s, hy_s, nu_s, caps, 0.6)
-    lowered = apply_coal_flex(pre, 0.6, floor_day=np.array([40.0]))
-    low = slice(24, 48)
-    np.testing.assert_allclose(lowered.coal_total()[low], 40.0)
-    np.testing.assert_allclose(lowered.coal_flex_floor, [40.0])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -216,7 +211,7 @@ def test_flex_invariants_on_random_days(seed):
     rng = np.random.default_rng(seed)
     demand, re_s, hy_s, nu_s, caps, prices, flex = _oracles.random_flex_instance(rng)
     pre, flexed = _oracles.model_flex_dispatch(demand, re_s, hy_s, nu_s, caps, flex)
-    flexed.check_balance(1e-6)
+    flexed.check_balance()
     coal_pre, coal_post = pre.coal_total(), flexed.coal_total()
     assert np.all(coal_post >= coal_pre - 1e-9)
     assert float(coal_post.max()) == pytest.approx(float(coal_pre.max()))
@@ -242,8 +237,8 @@ def test_flex_matches_lp_oracle(seed):
     assert model == pytest.approx(oracle, rel=1e-6, abs=1e-6)
 
 
-def _flex_case(rng, n_days, flex, explicit_floor, zero_gas, tight):
-    """A pre-flex year for the kernel parity test, with its floor_day.
+def _flex_case(rng, n_days, flex, zero_gas, tight):
+    """A pre-flex year for the kernel parity test.
 
     The arrays are drawn independently: a slot may run above its
     capacity or leave unmet demand beside free capacity.  The kernel
@@ -272,7 +267,7 @@ def _flex_case(rng, n_days, flex, explicit_floor, zero_gas, tight):
     unmet = np.where(rng.random(n) < 0.3, rng.uniform(0.0, 20.0, n), 0.0)
 
     day_max = (supply["coal_2019"] + supply["coal_slack"]).reshape(n_days, 48).max(axis=1)
-    floor_day = day_max * rng.uniform(0.0, 1.3, n_days) if explicit_floor else flex * day_max
+    floor_day = flex * day_max
     edges = rng.choice(n, size=12, replace=False)
     offsets = np.array([-2.0, -1.0, -0.5, 0.0, 1.0]) * _TOL
     supply["coal_slack"][edges] = 0.0
@@ -281,7 +276,7 @@ def _flex_case(rng, n_days, flex, explicit_floor, zero_gas, tight):
         demand=sum(supply.values()) + unmet, supply=supply, capacity=capacity,
         curtailment=rng.uniform(0.0, 10.0, n), unmet=unmet,
     )
-    return dy, floor_day if explicit_floor else None
+    return dy
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,20 +284,18 @@ def _flex_case(rng, n_days, flex, explicit_floor, zero_gas, tight):
     seed=st.integers(0, 2**32 - 1),
     n_days=st.integers(1, 4),
     flex=st.one_of(st.sampled_from([0.0, 0.999999]), st.floats(0.3, 0.9)),
-    explicit_floor=st.booleans(),
     zero_gas=st.booleans(),
     tight=st.booleans(),
 )
 def test_flex_kernel_matches_full_length_reference(
-    seed, n_days, flex, explicit_floor, zero_gas, tight
+    seed, n_days, flex, zero_gas, tight
 ):
     """The binding-slot kernel is the full-length pass, bit for bit."""
-    dy, floor_day = _flex_case(np.random.default_rng(seed), n_days, flex, explicit_floor,
-                               zero_gas, tight)
+    dy = _flex_case(np.random.default_rng(seed), n_days, flex, zero_gas, tight)
     inputs = [dy.demand, dy.curtailment, dy.unmet, *dy.supply.values(), *dy.capacity.values()]
     before = [a.tobytes() for a in inputs]
-    got = apply_coal_flex(dy, flex, floor_day=floor_day)
-    want = _oracles.reference_apply_coal_flex(dy, flex, floor_day=floor_day)
+    got = apply_coal_flex(dy, flex)
+    want = _oracles.reference_apply_coal_flex(dy, flex)
 
     def same(a, b):
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -148,6 +148,11 @@ class TestBuildPricePath:
         assert wind[3] == pytest.approx(75e6 + (70.5e6 - 75e6) * 3 / 9)
         assert np.allclose(np.diff(wind), wind[1] - wind[0])
 
+    def test_wind_path_rounding_to_zero_is_refused(self):
+        # both ends pass the config check, but the 2030 price rounds to 0
+        with pytest.raises(ParameterError, match="wind_capex_2030"):
+            build_price_path(ScenarioParams(wind_capex_2030=1e-9))
+
     def test_solar_capex_declines_geometrically(self):
         p = ScenarioParams()
         path = build_price_path(p)

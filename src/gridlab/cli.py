@@ -10,19 +10,20 @@ run expands the cartesian product of all axes.  Two keys are reserved:
   installed solar MW for the wind-shape derivation, gap tolerance).
 
 A sweep groups its scenarios by despatch key (their values of
-``DESPATCH_FIELDS``), in first-appearance order.  One task takes one
-group and runs it year-major: it despatches each year once, advances
-every member's NEW option on that year and drops it before the next,
-then prices each member's finished plan.  The parent process runs the
-group holding scenario 0 itself while the pool works through the
-others.  Scenario 0 is the presumptive detail scenario (the run's
-first success): it carries the reporting the figure CSVs and
-``dispatch_<year>.csv`` need through its own sweep, and the parent
-writes those files as soon as the group is done.  Only when scenario 0
-fails is the first success evaluated again, alone, after the sweep.
-Every table is written once, by the parent, in scenario order, so a
-sweep at any parallelism produces byte-identical files.  The manifest
-is the only file carrying timing and is excluded from that guarantee.
+``DESPATCH_FIELDS``), in first-appearance order.  One runner,
+``_run_one``, evaluates a group wherever it runs: it despatches each
+year once, advances every member's NEW option on that year and drops
+it before the next, then prices each member's finished plan.  The
+parent process runs the group holding scenario 0 itself while the
+pool, when there is one, works through the others.  Scenario 0 is the
+presumptive detail scenario (the run's first success): it carries the
+reporting the figure CSVs and ``dispatch_<year>.csv`` need through its
+own sweep, and the parent writes those files as soon as the group is
+done.  Only when scenario 0 fails is the first success evaluated again
+after the sweep, by the same runner as a group of its own.  Every
+table is written once, by the parent, in scenario order, so a sweep at
+any parallelism produces byte-identical files.  The manifest is the
+only file carrying timing and is excluded from that guarantee.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from gridlab.pipeline import (
     OptionStage,
     ScenarioOutcome,
     despatch_group,
-    evaluate_alone,
     evaluate_scenario,
     year_shapes,
 )
@@ -239,44 +239,46 @@ def _init_worker(base: BaseYearData, solar: PerMwShape, wind: PerMwShape) -> Non
     _WORKER_INPUTS = (base, year_shapes(base, solar), year_shapes(base, wind))
 
 
-@dataclass
-class _Detail:
-    """The detail exports' years, and the detail scenario's outcome with
-    their slot detail once it is evaluated."""
-
-    years: tuple[int, ...]
-    outcome: ScenarioOutcome | None = None
+def _failure(stage: str, exc: GridlabError) -> tuple[str, str, str]:
+    """The ``failures.csv`` cells of ``exc``, raised in ``stage``:
+    stage, error_type and the ``Type: message`` error text."""
+    return stage, type(exc).__name__, f"{type(exc).__name__}: {exc}"
 
 
-def _run_one(group: list[tuple[int, ScenarioParams]], detail: _Detail | None = None):
-    """Despatch one group year by year, stepping every member's option
-    stage on each year, then price each member's finished plan.
+def _run_one(group: list[tuple[int, ScenarioParams]], detail_years: tuple[int, ...] = (),
+             keep: list[ScenarioOutcome] | None = None):
+    """Evaluate one despatch group: despatch it year by year, stepping
+    every member's option stage on each year, then price each member's
+    finished plan.  Pool tasks, the parent's group 0 and the detail
+    re-run all go through here.
 
-    With ``detail``, the first member also keeps what the detail exports
-    read (the slot detail of ``detail.years`` and every year's annual
-    mix), and its outcome goes to ``detail.outcome``; the one in the
-    results carries no slot detail.  A GridlabError is recorded, not
-    raised: in the despatch it fails every member with the same
-    message, in the option stage only its own scenario.  Any other
+    The first member's stage keeps what the detail exports read (the
+    slot detail of ``detail_years`` and every year's annual mix); when
+    it succeeds its full outcome is appended to ``keep``, and the one in
+    the results carries no slot detail.  Each result is ``(index,
+    failure, outcome)``.  A GridlabError is recorded as a failure, not
+    raised: in the despatch it fails every member with the same message,
+    in the option stage or the pricing only its own scenario.  Any other
     exception is a bug, not an unsolvable scenario, and propagates to
     end the run.
     """
-    stages = [OptionStage.start(params) for _, params in group]
-    if detail is not None:
-        stages[0] = OptionStage.start(group[0][1], detail.years)
+    stages = [OptionStage.start(params, detail_years if n == 0 else ())
+              for n, (_, params) in enumerate(group)]
     try:
         despatch = despatch_group(group[0][1], *_WORKER_INPUTS, stages)
     except GridlabError as exc:
-        return [(index, f"{type(exc).__name__}: {exc}", None) for index, _ in group]
+        return [(index, _failure("despatch", exc), None) for index, _ in group]
     results = []
     for (index, _), stage in zip(group, stages):
         try:
             outcome = evaluate_scenario(stage, despatch)
         except GridlabError as exc:
-            results.append((index, f"{type(exc).__name__}: {exc}", None))
+            where = "option" if exc is stage.error else "pricing"
+            results.append((index, _failure(where, exc), None))
             continue
-        if detail is not None and stage is stages[0]:
-            detail.outcome, outcome = outcome, replace(outcome, details={})
+        if keep is not None and stage is stages[0]:
+            keep.append(outcome)
+            outcome = replace(outcome, details={})
         results.append((index, None, outcome))
     return results
 
@@ -345,14 +347,14 @@ def _write_years(path: Path, outcomes: Sequence[tuple[int, ScenarioOutcome]]) ->
 
 
 def _write_failures(
-    path: Path, failures: Sequence[tuple[int, str]], scenarios: Sequence[ScenarioParams]
+    path: Path, failures: Sequence[tuple[int, tuple]], scenarios: Sequence[ScenarioParams]
 ) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario", *AXIS_COLUMNS, "error"])
-        for index, message in failures:
+        writer.writerow(["scenario", *AXIS_COLUMNS, "stage", "error_type", "error"])
+        for index, failure in failures:
             writer.writerow(
-                [index] + [_fmt(v) for v in _axis_values(scenarios[index])] + [message]
+                [index] + [_fmt(v) for v in _axis_values(scenarios[index])] + [*failure]
             )
 
 
@@ -463,32 +465,15 @@ def _dispatch_years(detail_year: int | None) -> tuple[int, ...]:
     return tuple(sorted(years))
 
 
-def _write_detail(out: Path, detail: _Detail) -> list[str]:
+def _write_detail(out: Path, outcome: ScenarioOutcome, years: tuple[int, ...]) -> list[str]:
     """Write the detail scenario's exports: the figure CSVs, then
-    ``dispatch_<year>.csv`` for each of ``detail.years``."""
-    files = [path.name for path in export_figures(out, detail.outcome)]
-    for year in detail.years:
+    ``dispatch_<year>.csv`` for each of ``years``."""
+    files = [path.name for path in export_figures(out, outcome)]
+    for year in years:
         name = f"dispatch_{year}.csv"
-        dsp.to_csv(detail.outcome.details[year].reporting, out / name)
+        dsp.to_csv(outcome.details[year].reporting, out / name)
         files.append(name)
     return files
-
-
-def _run_first_group(
-    group: list[tuple[int, ScenarioParams]], out: Path, years: tuple[int, ...]
-) -> tuple[list, list[str] | None]:
-    """Run the group holding scenario 0 in this process, with scenario 0
-    keeping what the detail exports read.
-
-    When scenario 0 succeeds it is the run's first success, and its
-    exports are written here.  Returns the group's results and the names
-    of the files written, or None when scenario 0 failed.
-    """
-    detail = _Detail(years)
-    results = _run_one(group, detail)
-    if detail.outcome is None:
-        return results, None
-    return results, _write_detail(out, detail)
 
 
 def run(
@@ -524,32 +509,33 @@ def run(
     log.info("evaluating %d scenarios in %d despatch groups at parallelism %d",
              len(scenarios), len(groups), parallelism)
     _init_worker(base, solar, wind)  # the parent runs the first group
-    if parallelism == 1 or not rest:
-        head, detail_files = _run_first_group(first, out, years)
-        raw = chain([head], map(_run_one, rest))
-    else:
+    pool = None
+    if parallelism > 1 and rest:
         from concurrent.futures import ProcessPoolExecutor
 
         # a forked pool starts all its workers at the first submit, so
         # it gets no more of them than there are groups left to run
-        with ProcessPoolExecutor(
+        pool = ProcessPoolExecutor(
             max_workers=min(parallelism, len(rest)),
             initializer=_init_worker,
             initargs=(base, solar, wind),
-        ) as pool:
-            pending = pool.map(_run_one, rest, chunksize=1)
-            try:
-                head, detail_files = _run_first_group(first, out, years)
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-            raw = [head, *pending]
+        )
+    try:
+        pending = pool.map(_run_one, rest, chunksize=1) if pool else map(_run_one, rest)
+        kept: list[ScenarioOutcome] = []
+        raw = [_run_one(first, years, kept)]
+        # scenario 0, when it succeeds, is the run's first success
+        detail_files = _write_detail(out, kept[0], years) if kept else None
+        raw += pending
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     successes: list[tuple[int, ScenarioOutcome]] = []
-    failures: list[tuple[int, str]] = []
-    for index, error, outcome in sorted(chain.from_iterable(raw), key=lambda r: r[0]):
-        (failures.append((index, error)) if error else successes.append((index, outcome)))
-    for index, message in failures:
-        log.error("scenario %d failed: %s", index, message)
+    failures: list[tuple[int, tuple[str, str, str]]] = []
+    for index, failure, outcome in sorted(chain.from_iterable(raw), key=lambda r: r[0]):
+        (failures.append((index, failure)) if failure else successes.append((index, outcome)))
+    for index, (stage, _, message) in failures:
+        log.error("scenario %d failed in its %s stage: %s", index, stage, message)
 
     # successes are in scenario order, so frontier's input-order tie
     # break is the scenario index
@@ -569,9 +555,12 @@ def run(
         if detail_index is None:
             detail_files = [path.name for path in export_figures(out)]
         else:
-            outcome = evaluate_alone(scenarios[detail_index], *_WORKER_INPUTS,
-                                     detail_years=years)
-            detail_files = _write_detail(out, _Detail(years, outcome))
+            # scenario 0 failed: evaluate the first success again, alone
+            ((_, failure, _),) = _run_one([(detail_index, scenarios[detail_index])], years, kept)
+            if failure:
+                raise GridlabError(f"detail re-run of scenario {detail_index} failed: "
+                                   f"{failure[2]}")
+            detail_files = _write_detail(out, kept[0], years)
     files += detail_files
 
     manifest = RunManifest(

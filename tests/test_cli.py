@@ -5,6 +5,8 @@ import csv
 import hashlib
 import json
 import logging
+import math
+import multiprocessing
 import os
 import platform
 import shutil
@@ -18,9 +20,9 @@ import pytest
 
 import _oracles
 import gridlab
-from gridlab import cli, newsupply, pipeline
+from gridlab import cli, economics, newsupply, pipeline
 from gridlab import dispatch as dsp
-from gridlab.errors import InfeasibleError, ParameterError
+from gridlab.errors import InfeasibleError, ParameterError, UndefinedCostError
 from gridlab.newsupply import BatterySpec, CycleYear, SocTrace
 from gridlab.scenario import DESPATCH_FIELDS, YEARS, ScenarioParams
 from gridlab.shapes import derive_wind_shape, rescale_to_cuf, synth_shapes, synth_solar_shape
@@ -619,7 +621,8 @@ class TestDespatchGroups:
         rows = read_rows(tmp_path / "failures.csv")[1:]
         assert [r[0] for r in rows] == ["1", "3", "5"]
         assert [r[5] for r in rows] == ["battery_re", "coal", "ocgt"]
-        assert all(r[-1] == "InfeasibleError: no despatch" for r in rows)
+        assert all(r[-3:] == ["despatch", "InfeasibleError", "InfeasibleError: no despatch"]
+                   for r in rows)
         frontier = read_rows(tmp_path / "frontier.csv")[1:]
         assert sorted(r[1] for r in frontier) == ["0", "2", "4"]
 
@@ -627,9 +630,25 @@ class TestDespatchGroups:
         fail_battery(monkeypatch, 500.0)
         manifest = cli.run(config=TWO_KEYS, out_dir=tmp_path, synthetic_seed=0)
         rows = read_rows(tmp_path / "failures.csv")[1:]
-        assert [(r[0], r[-1]) for r in rows] == [("1", "InfeasibleError: no battery")]
+        assert [(r[0], *r[-3:]) for r in rows] == [
+            ("1", "option", "InfeasibleError", "InfeasibleError: no battery")]
         assert manifest.failed == 1
         assert manifest.detail_scenario == 0
+
+    def test_pricing_failure_names_its_stage(self, tmp_path, monkeypatch):
+        real = economics.npv_system_cost
+
+        def flaky(totals, plan, params, path):
+            if params.new_option == "coal" and params.re_2030 == 500.0:
+                raise UndefinedCostError("no cost")
+            return real(totals, plan, params, path)
+
+        monkeypatch.setattr(economics, "npv_system_cost", flaky)
+        manifest = cli.run(config=TWO_KEYS, out_dir=tmp_path, synthetic_seed=0)
+        rows = read_rows(tmp_path / "failures.csv")[1:]
+        assert [(r[0], *r[-3:]) for r in rows] == [
+            ("3", "pricing", "UndefinedCostError", "UndefinedCostError: no cost")]
+        assert manifest.failed == 1
 
     @pytest.fixture(scope="class")
     def second_alone(self, tmp_path_factory):
@@ -703,11 +722,55 @@ class TestDespatchGroups:
         for name in exports:
             assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
+    def test_a_failed_detail_rerun_exits_2(self, tmp_path, capsys, monkeypatch):
+        # scenario 1 succeeds in the sweep and fails when evaluated again
+        fail_battery(monkeypatch)
+        real = cli.evaluate_scenario
+        calls = []
+
+        def second_call_fails(stage, *args):
+            calls.append(stage.params.new_option)
+            if calls.count("coal") > 1:
+                raise InfeasibleError("gone")
+            return real(stage, *args)
+
+        monkeypatch.setattr(cli, "evaluate_scenario", second_call_fails)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"new_option": ["battery_re", "coal"]}))
+        out_dir = tmp_path / "out"
+        code = cli.main(["--config", str(config), "--synthetic", "0", "--out", str(out_dir)])
+        assert code == 2
+        assert calls == ["battery_re", "coal", "coal"]
+        assert ("error: detail re-run of scenario 1 failed: InfeasibleError: gone"
+                in capsys.readouterr().err)
+
     def test_progress_log_counts_groups(self, tmp_path, caplog):
         config = {"re_2030": [300.0, 500.0], "new_option": ["coal", "ocgt"]}
         with caplog.at_level(logging.INFO, logger="gridlab"):
             cli.run(config=config, out_dir=tmp_path, synthetic_seed=0)
         assert "evaluating 4 scenarios in 2 despatch groups at parallelism 1" in caplog.text
+
+
+class TestDemandGrowthAtFloatResolution:
+    """At demand growth 10 the 2026 busbar peak is 3.2e10 MW, where one
+    ulp (3.8e-6 MW) is more than the balance check's 1e-6 MW."""
+
+    def test_thermal_options_price_to_finite_tables(self, tmp_path):
+        manifest = cli.run(config={"demand_growth": 10, "new_option": ["ocgt", "coal"]},
+                           out_dir=tmp_path, synthetic_seed=0)
+        assert manifest.failed == 0
+        assert read_rows(tmp_path / "failures.csv")[1:] == []
+        for name in ("frontier.csv", "results_by_year.csv"):
+            rows = read_rows(tmp_path / name)[1:]
+            assert len(rows) > 0, name
+            for cell in (c for row in rows for c in row if c not in ("coal", "ocgt")):
+                assert math.isfinite(float(cell)), (name, cell)
+
+    def test_the_battery_option_hits_a_model_limit(self, tmp_path):
+        manifest = cli.run(config={"demand_growth": 10}, out_dir=tmp_path, synthetic_seed=0)
+        assert manifest.failed == 1
+        (row,) = read_rows(tmp_path / "failures.csv")[1:]
+        assert row[-3:-1] == ["option", "InfeasibleError"]
 
 
 class TestMemory:
@@ -975,6 +1038,25 @@ class TestMain:
         assert cli.main(["--synthetic", "0", "--out", str(out_dir)]) == 3
         assert "TypeError: boom" in caplog.text
         assert not (out_dir / "failures.csv").exists()
+
+    def test_program_error_in_group_0_ends_a_pooled_run(self, tmp_path, caplog, monkeypatch):
+        # three despatch keys: the parent runs group 0 while two workers
+        # run the others, and the bug is in group 0 only
+        real = cli.evaluate_scenario
+
+        def broken(stage, *args, **kwargs):
+            if stage.params.re_2030 == 250.0:
+                raise TypeError("boom")
+            return real(stage, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_scenario", broken)
+        cfg = self.write_config(tmp_path, {"new_option": "coal", "re_2030": [250.0, 300.0, 400.0]})
+        out_dir = tmp_path / "out"
+        argv = ["--config", cfg, "--synthetic", "0", "--parallelism", "2", "--out", str(out_dir)]
+        assert cli.main(argv) == 3
+        assert "TypeError: boom" in caplog.text
+        assert not (out_dir / "failures.csv").exists()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("value", ["infoo", "basic_format", "shutdown"])
     def test_unknown_log_level_exits_2_before_any_work(

@@ -368,6 +368,24 @@ def test_check_balance_raises_on_corruption():
         dy.check_balance()
 
 
+def test_check_balance_keeps_1e_6_mw_at_ordinary_demand():
+    # at 2e5 MW, 16 ulps of demand are 4.7e-10 MW: the absolute bound rules
+    dy = _flat_dy(coal=2e5 - 20.0)
+    dy.supply["coal_2019"] = dy.supply["coal_2019"] + 2e-6
+    with pytest.raises(DataIntegrityError, match="exceeds 1.0e-06"):
+        dy.check_balance()
+
+
+def test_check_balance_allows_float_resolution_at_huge_demand():
+    # at 3.2e10 MW one ulp of demand is 3.8e-6 MW, more than 1e-6 MW
+    dy = _flat_dy(coal=3.2e10)
+    dy.supply["coal_2019"] = np.nextafter(dy.supply["coal_2019"], np.inf)
+    dy.check_balance()
+    dy.supply["coal_2019"] = dy.supply["coal_2019"] + 1e-3
+    with pytest.raises(DataIntegrityError, match="exceeds 6.1e-05"):
+        dy.check_balance()
+
+
 # --- CSV output --------------------------------------------------------------
 
 

@@ -19,7 +19,6 @@ from gridlab.pipeline import (
     _year_supplies,
     despatch_group,
     dispatch_year,
-    evaluate_alone,
     evaluate_scenario,
     year_shapes,
 )
@@ -349,12 +348,12 @@ class TestDetails:
         # the figure exports' evaluation: every year's annual mix, slot
         # arrays only for the exported years, the same as keeping all
         params = ScenarioParams(new_option=option)
-        full = evaluate_alone(params, *inputs, detail_years=tuple(YEARS))
-        lean = evaluate_alone(params, *inputs, detail_years=(2024, 2030))
+        full = _oracles.evaluate_alone(params, *inputs, detail_years=tuple(YEARS))
+        lean = _oracles.evaluate_alone(params, *inputs, detail_years=(2024, 2030))
         assert set(lean.details) == {2024, 2030}
         assert list(lean.annual_mix) == list(YEARS)
         assert lean.annual_mix == full.annual_mix
-        assert evaluate_alone(params, *inputs).annual_mix == {}
+        assert _oracles.evaluate_alone(params, *inputs).annual_mix == {}
         for y in YEARS:
             assert lean.annual_mix[y] == _year_mix(full.details[y].dispatch,
                                                    full.details[y].reporting)
@@ -420,7 +419,7 @@ class TestDetails:
         params = ScenarioParams(battery_size_fraction=0.5, re_2030=300.0)
         years = (2022, 2023, 2024, 2025)
         inputs = inputs_of(*load_inputs(None, 3, params, DataOptions()))
-        outcome = evaluate_alone(params, *inputs, detail_years=years)
+        outcome = _oracles.evaluate_alone(params, *inputs, detail_years=years)
         bonus_days = 0
         for year in years:
             detail = outcome.details[year]
@@ -555,7 +554,8 @@ def test_any_base_year_evaluates(year, base_year, outcome, outcome_ocgt):
     solar = rescale_to_cuf(raw, 0.27)
     wind = derive_wind_shape(base.supply_by_fuel["re"], raw, 35_000.0, wind_cuf=0.35)
     for reference in (outcome_ocgt, outcome):
-        got = evaluate_alone(reference.params, *inputs_of(base, solar, wind), detail_years=(2024,))
+        got = _oracles.evaluate_alone(reference.params, *inputs_of(base, solar, wind),
+                                      detail_years=(2024,))
         assert got.details[2024].dispatch.demand.shape == (slots_in_year(2024),)
         if slots_in_year(year) == slots_in_year(base_year.year):
             # same slot grid as the 2021 fixture: nothing may change

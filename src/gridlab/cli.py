@@ -520,13 +520,21 @@ def run(
             initializer=_init_worker,
             initargs=(base, solar, wind),
         )
+    raw: list[list[tuple]] = []
+
+    def done(results: list[tuple]) -> None:
+        raw.append(results)
+        log.info("%d of %d despatch groups done after %.1f s",
+                 len(raw), len(groups), time.monotonic() - start)
+
     try:
         pending = pool.map(_run_one, rest, chunksize=1) if pool else map(_run_one, rest)
         kept: list[ScenarioOutcome] = []
-        raw = [_run_one(first, years, kept)]
+        done(_run_one(first, years, kept))
         # scenario 0, when it succeeds, is the run's first success
         detail_files = _write_detail(out, kept[0], years) if kept else None
-        raw += pending
+        for results in pending:
+            done(results)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

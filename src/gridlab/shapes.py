@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import calendar
 import csv
+import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from itertools import chain, compress, islice
@@ -135,9 +137,6 @@ class HalfHourlySeries:
         """Annual energy in GWh, ignoring gaps."""
         return float(np.nansum(self.values)) * SLOT_HOURS / 1e3
 
-    def energy_twh(self) -> float:
-        return self.energy_gwh() / 1e3
-
 
 @dataclass(frozen=True)
 class BaseYearData:
@@ -155,10 +154,6 @@ class BaseYearData:
         for name, series in self.supply_by_fuel.items():
             if series.year != self.year:
                 raise ParameterError(f"fuel '{name}' is for {series.year}, not {self.year}")
-
-    @property
-    def n_slots(self) -> int:
-        return self.demand.n_slots
 
 
 @dataclass(frozen=True)
@@ -196,29 +191,6 @@ _BLOCK_ROWS = 256
 _BLANK_AS_NAN = {"": "nan"}
 
 
-def _map_prefix(func, items: list) -> tuple[list, ValueError | None]:
-    """``func`` over ``items`` up to the first item it rejects.
-
-    Returns the results before that item (so the rejected item sits at
-    ``len(results)``) and its ``ValueError``, or every result and None.
-    """
-    try:
-        return list(map(func, items)), None
-    except ValueError:
-        results = []
-        for item in items:
-            try:
-                results.append(func(item))
-            except ValueError as exc:
-                return results, exc
-        raise
-
-
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first True in ``mask``, or None."""
-    return int(np.argmax(mask)) if mask.any() else None
-
-
 def _row_blocks(reader) -> Iterator[tuple[list[list[str]], list[int]]]:
     """The rows after the header, ``_BLOCK_ROWS`` at a time, with their
     line numbers; rows with no non-blank cell are left out."""
@@ -229,88 +201,88 @@ def _row_blocks(reader) -> Iterator[tuple[list[list[str]], list[int]]]:
         line += len(block)
 
 
+def _timeseries_row(
+    row: list[str], line: int, year: int, prev_slot: int
+) -> tuple[int, list[float]]:
+    """The slot and six MW values of one base-year row; blank cells are NaN.
+
+    This is the definition of a valid row.  On a faulty row it raises the
+    error for the row's first fault, in this order: field count,
+    timestamp, year, cadence, advance, then the cells left to right.
+    """
+    n_fields = len(TIMESERIES_COLUMNS)
+    if len(row) != n_fields:
+        raise TimeseriesParseError(f"expected {n_fields} fields, got {len(row)}", line)
+    stamp = row[0].strip()
+    try:
+        time = datetime.fromisoformat(stamp)
+    except ValueError as exc:
+        raise TimeseriesParseError(f"bad timestamp {stamp!r}: {exc}", line) from None
+    # wall-clock fields, as written: an offset such as +05:30 is ignored
+    day = time.toordinal() - date(year, 1, 1).toordinal()
+    if not 0 <= day < days_in_year(year):
+        raise TimeseriesParseError(f"timestamp {stamp!r} outside year {year}", line)
+    if time.minute % 30 or time.second or time.microsecond:
+        raise CadenceError(f"line {line}: timestamp {stamp!r} is not on a 30-minute grid")
+    slot = day * SLOTS_PER_DAY + time.hour * 2 + time.minute // 30
+    if slot <= prev_slot:
+        raise CadenceError(
+            f"line {line}: timestamp {row[0]!r} does not advance the 30-minute grid"
+        )
+    values = []
+    for name, cell in zip(TIMESERIES_COLUMNS[1:], map(str.strip, row[1:])):
+        try:
+            value = float(_BLANK_AS_NAN.get(cell, cell))
+        except ValueError:
+            raise TimeseriesParseError(f"bad value {cell!r} in column {name}", line) from None
+        if math.isinf(value) or (math.isnan(value) and cell):
+            raise TimeseriesParseError(f"non-finite value in column {name}", line)
+        if value < 0:
+            raise TimeseriesParseError(f"negative MW ({value}) in column {name}", line)
+        values.append(value)
+    return slot, values
+
+
 def _timeseries_block(
     rows: list[list[str]], lines: list[int], year: int, prev_slot: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slots and ``(rows, 6)`` MW values of one block of base-year rows.
 
-    Each check runs on the whole block at once.  A check only looks at
-    the rows before the first fault an earlier check found, so the error
-    raised is the one for the first faulty line in the file, and on that
-    line the first of: field count, timestamp, year, cadence, advance,
-    then the cells left to right.  Blank cells become NaN.
+    The block is parsed at once and kept when every row is clean; if not,
+    ``_timeseries_row`` reads it again row by row, and raises the first
+    faulty line's error or returns the same values for a valid block the
+    checks here do not recognise, such as one with a cell of spaces.
     """
     n_fields = len(TIMESERIES_COLUMNS)
-    fault: Exception | None = None
-
-    widths = np.fromiter(map(len, rows), np.intp, len(rows))
-    i = _first(widths != n_fields)
-    if i is not None:
-        fault = TimeseriesParseError(f"expected {n_fields} fields, got {widths[i]}", lines[i])
-        rows = rows[:i]
-
-    cells = list(chain.from_iterable(rows))
-    raw_stamps = cells[::n_fields]
-    del cells[::n_fields]
-    stamps = list(map(str.strip, raw_stamps))
-    times, exc = _map_prefix(datetime.fromisoformat, stamps)
-    if exc is not None:
-        i = len(times)
-        fault = TimeseriesParseError(f"bad timestamp {stamps[i]!r}: {exc}", lines[i])
-
-    # wall-clock fields, as written: an offset such as +05:30 is ignored
-    k = len(times)
-    day = np.fromiter(map(datetime.toordinal, times), np.int64, k) - date(year, 1, 1).toordinal()
-    i = _first((day < 0) | (day >= days_in_year(year)))
-    if i is not None:
-        fault = TimeseriesParseError(f"timestamp {stamps[i]!r} outside year {year}", lines[i])
-        k = i
-    minute = np.fromiter(map(attrgetter("minute"), times[:k]), np.int64, k)
-    off_grid = np.fromiter(map(attrgetter("second"), times[:k]), np.int64, k) > 0
-    off_grid |= np.fromiter(map(attrgetter("microsecond"), times[:k]), np.int64, k) > 0
-    i = _first(off_grid | (minute % 30 != 0))
-    if i is not None:
-        fault = CadenceError(
-            f"line {lines[i]}: timestamp {stamps[i]!r} is not on a 30-minute grid"
-        )
-        k = i
-    hour = np.fromiter(map(attrgetter("hour"), times[:k]), np.int64, k)
-    slots = day[:k] * SLOTS_PER_DAY + hour * 2 + minute[:k] // 30
-    i = _first(np.diff(slots, prepend=prev_slot) <= 0)
-    if i is not None:
-        fault = CadenceError(
-            f"line {lines[i]}: timestamp {raw_stamps[i]!r} does not advance the 30-minute grid"
-        )
-        slots = slots[:i]
-
-    n_values = n_fields - 1
-    cells = cells[: slots.size * n_values]
-    floats, exc = _map_prefix(float, list(map(_BLANK_AS_NAN.get, cells, cells)))
-    if exc is not None:  # a cell of spaces is blank too
-        cells = list(map(str.strip, cells))
-        floats, exc = _map_prefix(float, list(map(_BLANK_AS_NAN.get, cells, cells)))
-    values = np.array(floats, dtype=float)
-    non_finite = np.isinf(values)
-    nan_at = np.flatnonzero(np.isnan(values))
-    non_finite[nan_at] = [cells[j] != "" for j in nan_at.tolist()]  # a NaN not from a blank
-    negative = values < 0
-    i = _first(non_finite | negative)
-    if i is not None:
-        line, name = lines[i // n_values], TIMESERIES_COLUMNS[1 + i % n_values]
-        if non_finite[i]:
-            fault = TimeseriesParseError(f"non-finite value in column {name}", line)
+    if all(len(row) == n_fields for row in rows):
+        cells = list(chain.from_iterable(rows))
+        try:
+            times = list(map(datetime.fromisoformat, map(str.strip, cells[::n_fields])))
+            del cells[::n_fields]
+            values = np.array(list(map(float, map(_BLANK_AS_NAN.get, cells, cells))))
+        except ValueError:
+            pass
         else:
-            fault = TimeseriesParseError(
-                f"negative MW ({float(values[i])}) in column {name}", line
+            k = len(times)
+            day = np.fromiter(map(datetime.toordinal, times), np.int64, k)
+            day -= date(year, 1, 1).toordinal()
+            hour, minute, second, microsecond = (
+                np.fromiter(map(attrgetter(name), times), np.int64, k)
+                for name in ("hour", "minute", "second", "microsecond")
             )
-    elif exc is not None:
-        i = values.size
-        line, name = lines[i // n_values], TIMESERIES_COLUMNS[1 + i % n_values]
-        fault = TimeseriesParseError(f"bad value {cells[i]!r} in column {name}", line)
-
-    if fault is not None:
-        raise fault
-    return slots, values.reshape(-1, n_values)
+            slots = day * SLOTS_PER_DAY + hour * 2 + minute // 30
+            ok = (day >= 0) & (day < days_in_year(year)) & (np.diff(slots, prepend=prev_slot) > 0)
+            ok &= (minute % 30 | second | microsecond) == 0
+            # a NaN, infinite or negative value is clean only as a blank cell
+            odd = np.flatnonzero(~np.isfinite(values) | (values < 0))
+            if ok.all() and not any(cells[j] for j in odd):
+                return slots, values.reshape(k, n_fields - 1)
+    slots = np.empty(len(rows), np.int64)
+    values = np.empty((len(rows), n_fields - 1))
+    for i, (row, line) in enumerate(zip(rows, lines)):
+        slots[i], values[i] = _timeseries_row(row, line, year, prev_slot)
+        prev_slot = slots[i]
+    return slots, values
 
 
 def load_timeseries_csv(path: str | Path, year: int) -> BaseYearData:
@@ -367,56 +339,36 @@ def load_timeseries_csv(path: str | Path, year: int) -> BaseYearData:
     )
 
 
-def _shape_block(rows: list[list[str]], lines: list[int], first_slot: int) -> np.ndarray:
-    """Fractions of one block of shape rows, checked as ``_timeseries_block``
-    checks its rows; on a line: field count, parse, order, range."""
-    fault: Exception | None = None
-
-    i = _first(np.fromiter(map(len, rows), np.intp, len(rows)) != 2)
-    if i is not None:
-        fault = TimeseriesParseError(f"expected 2 fields, got {len(rows[i])}", lines[i])
-        rows = rows[:i]
-    cells = list(chain.from_iterable(rows))
-    slots, slot_exc = _map_prefix(int, cells[::2])
-    fractions, frac_exc = _map_prefix(float, cells[1::2])
-    k = min(len(slots), len(fractions))
-    if slot_exc is not None or frac_exc is not None:
-        fault = TimeseriesParseError(f"bad shape row {rows[k]!r}", lines[k])
-    expected = list(range(first_slot, first_slot + k))
-    if slots[:k] != expected:
-        k = next(j for j in range(k) if slots[j] != expected[j])
-        fault = CadenceError(f"line {lines[k]}: slot {slots[k]} out of order")
-    values = np.array(fractions[:k], dtype=float)
-    i = _first(~((values >= 0.0) & (values <= 1.0)))
-    if i is not None:
-        fault = TimeseriesParseError(f"fraction {fractions[i]} outside [0, 1]", lines[i])
-
-    if fault is not None:
-        raise fault
-    return values
-
-
 def load_shape_csv(path: str | Path) -> PerMwShape:
     """Load a per-MW shape CSV with header ``slot,fraction``.
 
     Every non-blank row has exactly two fields: the slot, counting up
-    from 0, and a fraction in [0, 1].  Rows are read and checked
-    ``_BLOCK_ROWS`` at a time.
+    from 0, and a fraction in [0, 1].  A faulty row raises the error for
+    its first fault, in this order: field count, parse, order, range.
     """
     path = Path(path)
-    blocks: list[np.ndarray] = []
-    n_slots = 0
+    fractions = array("d")  # not a list: a float object a row adds 0.5 MB to peak RSS
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["slot", "fraction"]:
             raise TimeseriesParseError(f"unexpected header {header!r}; expected slot,fraction", 1)
         for rows, lines in _row_blocks(reader):
-            blocks.append(_shape_block(rows, lines, n_slots))
-            n_slots += blocks[-1].size
-    if not n_slots:
+            for row, line in zip(rows, lines):
+                if len(row) != 2:
+                    raise TimeseriesParseError(f"expected 2 fields, got {len(row)}", line)
+                try:
+                    slot, fraction = int(row[0]), float(row[1])
+                except ValueError:
+                    raise TimeseriesParseError(f"bad shape row {row!r}", line) from None
+                if slot != len(fractions):
+                    raise CadenceError(f"line {line}: slot {slot} out of order")
+                if not 0.0 <= fraction <= 1.0:
+                    raise TimeseriesParseError(f"fraction {fraction} outside [0, 1]", line)
+                fractions.append(fraction)
+    if not fractions:
         raise DataIntegrityError(f"{path}: no shape rows")
-    return PerMwShape(np.concatenate(blocks), label=path.stem)
+    return PerMwShape(np.array(fractions), label=path.stem)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def write_timeseries_csv(path, base, skip_slots=frozenset(), blank=frozenset()):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMESERIES_COLUMNS)
-        for s in range(base.n_slots):
+        for s in range(base.demand.n_slots):
             if s in skip_slots:
                 continue
             stamp = (start + timedelta(minutes=30 * s)).isoformat(sep=" ")

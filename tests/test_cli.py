@@ -746,9 +746,16 @@ class TestDespatchGroups:
 
     def test_progress_log_counts_groups(self, tmp_path, caplog):
         config = {"re_2030": [300.0, 500.0], "new_option": ["coal", "ocgt"]}
-        with caplog.at_level(logging.INFO, logger="gridlab"):
-            cli.run(config=config, out_dir=tmp_path, synthetic_seed=0)
-        assert "evaluating 4 scenarios in 2 despatch groups at parallelism 1" in caplog.text
+        for parallelism in (1, 2):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="gridlab"):
+                cli.run(config=config, out_dir=tmp_path / str(parallelism), synthetic_seed=0,
+                        parallelism=parallelism)
+            assert (f"evaluating 4 scenarios in 2 despatch groups at parallelism {parallelism}"
+                    in caplog.text)
+            progress = [r.getMessage() for r in caplog.records if "groups done" in r.getMessage()]
+            assert [line.split(" after ")[0] for line in progress] == [
+                "1 of 2 despatch groups done", "2 of 2 despatch groups done"]
 
 
 class TestDemandGrowthAtFloatResolution:

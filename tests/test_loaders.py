@@ -1,10 +1,13 @@
-"""The block-wise input loaders and gap fill against their per-row references.
+"""The input loaders and gap fill against their per-row references.
 
-``shapes.load_timeseries_csv``, ``shapes.load_shape_csv`` and
-``shapes._fill_gaps`` check and convert whole blocks of rows (or slots)
-at once.  ``_oracles`` keeps the one-row-at-a-time versions; here both
-must give bit-identical arrays and gaps, and raise the same error (class,
-message and line) for the same fault.
+``shapes.load_timeseries_csv`` parses whole blocks of rows at once and
+keeps a block only when every row is clean; any other block is read again
+by ``shapes._timeseries_row``, the one definition of a valid row.
+``shapes.load_shape_csv`` reads one row at a time, and
+``shapes._fill_gaps`` fills whole runs of slots at once.  ``_oracles``
+keeps independent one-row (or one-slot) versions; here both must give
+bit-identical arrays and gaps, and raise the same error (class, message
+and line) for the same fault.
 """
 
 import importlib.util
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from conftest import write_timeseries_csv
+from gridlab import shapes
 from gridlab.errors import DataIntegrityError, GridlabError, TimeseriesParseError
 from gridlab.shapes import (
     FUELS,
@@ -78,9 +82,16 @@ def assert_same_cleaned(raw, max_gap_slots=4):
 # --- loaded series, gaps and cleaned arrays -----------------------------------
 
 
+def _no_row_walk(*args):
+    raise AssertionError("a block left the block pass")
+
+
 @pytest.mark.parametrize("seed", [0, 3, 17])
-def test_patchy_files_match_the_per_row_loaders(tmp_path, seed):
+def test_patchy_files_match_the_per_row_loaders(tmp_path, monkeypatch, seed):
     _write_patchy_csv(tmp_path, seed)
+    # blanks, missing rows and outages are clean blocks: the benchmark's
+    # files never pay for the row-by-row walk
+    monkeypatch.setattr(shapes, "_timeseries_row", _no_row_walk)
     raw = load_timeseries_csv(tmp_path / "base_year.csv", 2021)
     assert_same_base_year(raw, _oracles.load_timeseries_csv(tmp_path / "base_year.csv", 2021))
     assert raw.gaps  # the file is patchy: blanks, missing rows and days, an outage
@@ -102,7 +113,7 @@ def _leap_year_file(path):
         },
     )
     rng = np.random.default_rng(2020)
-    n = base.n_slots
+    n = base.demand.n_slots
     skip = {0, 1, n - 1}
     for start, length in zip(rng.integers(48, n - 48, 30), rng.integers(1, 5, 30)):
         skip.update(range(start, start + length))
@@ -119,7 +130,7 @@ def test_leap_year_file_matches_the_per_row_loader(tmp_path):
     path = tmp_path / "base_year.csv"
     _leap_year_file(path)
     raw = load_timeseries_csv(path, 2020)
-    assert raw.n_slots == 17_568
+    assert raw.demand.n_slots == 17_568
     assert raw.gaps["re"][-1] == (17_561, 17_568)
     assert_same_base_year(raw, _oracles.load_timeseries_csv(path, 2020))
     assert_same_cleaned(raw)
@@ -207,6 +218,67 @@ def test_errors_match_the_per_row_loader(tmp_path, full_year_lines, case, place)
     path = _edited(tmp_path / "base_year.csv", full_year_lines, CASES[case], PLACES[place])
     assert_same_base_year(_outcome(load_timeseries_csv, path, 2021),
                           _outcome(_oracles.load_timeseries_csv, path, 2021))
+
+
+def _next_year(line, _):
+    return "2022" + line[4:]
+
+
+@pytest.mark.parametrize("where", [_BLOCK_ROWS, -1], ids=["block_end", "file_end"])
+def test_a_later_year_on_a_last_row_is_outside_the_year(tmp_path, full_year_lines, where):
+    # the slot still advances: only the year check sees the fault
+    path = _edited(tmp_path / "base_year.csv", full_year_lines, [(0, _next_year)], where)
+    want = _outcome(_oracles.load_timeseries_csv, path, 2021)
+    assert "outside year 2021" in want[1]
+    assert _outcome(load_timeseries_csv, path, 2021) == want
+
+
+#: edits beyond the ``CASES`` texts: cells that load (a cell of spaces,
+#: a subnormal) or do not (a spaced NaN), a stamp with an offset and one
+#: of the next year
+EXTRA_EDITS = [
+    *(_cell(column, text) for column in (1, 6) for text in ("  ", " nan ", "1e-320")),
+    lambda line, _: _set_cell(line, 0, line.split(",")[0] + "+05:30"),
+    _next_year,
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_random_edits_match_the_per_row_loader(tmp_path_factory, full_year_lines, data):
+    n_rows = len(full_year_lines) - 1
+    # data lines 1 + k * _BLOCK_ROWS and (k + 1) * _BLOCK_ROWS open and close block k
+    block_edge = st.integers(0, n_rows // _BLOCK_ROWS - 1).flatmap(
+        lambda k: st.sampled_from([1 + k * _BLOCK_ROWS, (k + 1) * _BLOCK_ROWS]))
+    row = st.one_of(block_edge, st.integers(1, n_rows))
+    edit = st.sampled_from([edit for edits in CASES.values() for _, edit in edits] + EXTRA_EDITS)
+    edits = data.draw(st.lists(st.tuples(row, edit), min_size=1, max_size=3), label="edits")
+    lines = list(full_year_lines)
+    for i, edit in edits:
+        lines[i] = edit(lines[i], lines[i - 1])
+    path = tmp_path_factory.mktemp("edited") / "base_year.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert_same_base_year(_outcome(load_timeseries_csv, path, 2021),
+                          _outcome(_oracles.load_timeseries_csv, path, 2021))
+
+
+#: the data directory's stamps (``2021-01-01 00:00:00``) written three more ways
+STAMP_FORMS = {
+    "T": lambda stamp: stamp.replace(" ", "T"),
+    "offset": lambda stamp: stamp + "+05:30",
+    "Z": pytest.param(lambda stamp: stamp + "Z", marks=pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="datetime.fromisoformat reads Z from Python 3.11")),
+}
+
+
+@pytest.mark.parametrize("form", STAMP_FORMS.values(), ids=STAMP_FORMS)
+def test_timestamps_are_read_as_wall_clock_time(tmp_path, data_dir, full_year_lines, form):
+    header, *rows = full_year_lines
+    path = tmp_path / "base_year.csv"
+    path.write_text("\n".join([header] + [f"{form(stamp)},{cells}" for stamp, cells in
+                                          (row.split(",", 1) for row in rows)]) + "\n")
+    assert_same_base_year(load_timeseries_csv(path, 2021),
+                          load_timeseries_csv(data_dir / "base_year.csv", 2021))
 
 
 @pytest.mark.parametrize("text", ["time,demand\n2021-01-01 00:00:00,1\n", ""],

@@ -123,7 +123,6 @@ def test_series_gaps_and_energy():
     assert s.energy_gwh() == pytest.approx((n - 3) * 0.5 / 1e3)
     flat = _full_year(2021, 1.0)
     assert flat.energy_gwh() == pytest.approx(8.76)
-    assert flat.energy_twh() == pytest.approx(0.00876)
 
 
 def test_series_to_year_is_leap_aware():

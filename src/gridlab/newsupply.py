@@ -30,14 +30,14 @@ Conventions for battery flows:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from gridlab.errors import InfeasibleError, ParameterError
 from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS
 from gridlab.dispatch import DispatchYear, write_table
-from gridlab.scenario import EFF_SPLITS, N_YEARS, YEARS, ScenarioParams
+from gridlab.scenario import N_YEARS, PARAM_BOUNDS, YEARS, ScenarioParams, check_bounds
 
 #: Displacement priority: highest marginal cost first.  The gas_2019
 #: tranche is never displaced (committed utilisation pattern).
@@ -47,6 +47,12 @@ DISPLACEMENT_ORDER = ("gas_slack", "coal_slack", "coal_2019")
 _CHARGE_SOURCES = np.array(["", "re", "solar", "re+solar"])
 
 _EPS = 1e-9
+
+
+#: Each spec field shares the bound of the parameter it is sized from,
+#: ``battery_`` + its name.
+_SPEC_BOUNDS = {name: PARAM_BOUNDS["battery_" + name]
+                for name in ("dod_buffer", "roundtrip_eff", "size_fraction", "eff_split")}
 
 
 @dataclass(frozen=True)
@@ -65,14 +71,7 @@ class BatterySpec:
             raise ParameterError("battery capacities must be >= 0")
         if self.energy_capacity_mwh > 0 and self.inverter_capacity_mw <= 0:
             raise ParameterError("a battery with energy needs a positive inverter")
-        if not 0.0 < self.dod_buffer < 1.0:
-            raise ParameterError("dod_buffer must lie in (0, 1)")
-        if not 0.0 < self.roundtrip_eff <= 1.0:
-            raise ParameterError("roundtrip_eff must lie in (0, 1]")
-        if not 0.0 < self.size_fraction <= 1.0:
-            raise ParameterError("size_fraction must lie in (0, 1]")
-        if self.eff_split not in EFF_SPLITS:
-            raise ParameterError(f"unknown eff_split {self.eff_split!r}")
+        check_bounds(self, _SPEC_BOUNDS)
 
     @property
     def usable_mwh(self) -> float:
@@ -82,22 +81,25 @@ class BatterySpec:
     def floor_mwh(self) -> float:
         return self.energy_capacity_mwh * self.dod_buffer
 
+    @staticmethod
+    def efficiencies(roundtrip_eff: float, eff_split: str) -> tuple[float, float]:
+        """``(charge, discharge)`` efficiency: ``charge_only`` books the
+        whole round-trip loss on charge, ``symmetric`` its root each way."""
+        if eff_split == "charge_only":
+            return roundtrip_eff, 1.0
+        root = float(np.sqrt(roundtrip_eff))
+        return root, root
+
     @property
     def charge_eff(self) -> float:
-        if self.eff_split == "charge_only":
-            return self.roundtrip_eff
-        return float(np.sqrt(self.roundtrip_eff))
+        return self.efficiencies(self.roundtrip_eff, self.eff_split)[0]
 
     @property
     def discharge_eff(self) -> float:
-        if self.eff_split == "charge_only":
-            return 1.0
-        return float(np.sqrt(self.roundtrip_eff))
+        return self.efficiencies(self.roundtrip_eff, self.eff_split)[1]
 
     def scaled(self, size_fraction: float) -> "BatterySpec":
         """The same battery re-sized to a fraction of its full sizing."""
-        if size_fraction <= 0:
-            raise ParameterError("size_fraction must be > 0")
         full_energy = self.energy_capacity_mwh / self.size_fraction
         full_inverter = self.inverter_capacity_mw / self.size_fraction
         return BatterySpec(
@@ -284,16 +286,9 @@ def size_battery(year: CycleYear, params: ScenarioParams, peak_mw: float) -> Bat
     slot of full inverter output.  Both scale linearly with the
     configured size fraction.
     """
-    spec = BatterySpec(
-        energy_capacity_mwh=0.0,
-        inverter_capacity_mw=0.0,
-        dod_buffer=params.battery_dod_buffer,
-        roundtrip_eff=params.battery_roundtrip_eff,
-        size_fraction=params.battery_size_fraction,
-        eff_split=params.battery_eff_split,
-    )
-    eta_d = spec.discharge_eff
-    dod = spec.dod_buffer
+    rt, split = params.battery_roundtrip_eff, params.battery_eff_split
+    eta_d = BatterySpec.efficiencies(rt, split)[1]
+    dod = params.battery_dod_buffer
 
     inverter = peak_mw / eta_d
     cycles = year.unmet
@@ -301,8 +296,8 @@ def size_battery(year: CycleYear, params: ScenarioParams, peak_mw: float) -> Bat
     energy = worst_cycle_mwh / ((1.0 - dod) * eta_d)
     energy = max(energy, inverter * SLOT_HOURS / (1.0 - dod))
 
-    f = spec.size_fraction
-    return replace(spec, energy_capacity_mwh=energy * f, inverter_capacity_mw=inverter * f)
+    f = params.battery_size_fraction
+    return BatterySpec(energy * f, inverter * f, dod, rt, f, split)
 
 
 # --- state-of-charge simulation ----------------------------------------

@@ -9,8 +9,9 @@ product of all axes.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -26,8 +27,6 @@ N_YEARS = len(YEARS)
 #: NEW supply options.  "battery_re" is storage charged from curtailed RE
 #: plus dedicated solar; the rest are thermal.
 NEW_OPTIONS = ("battery_re", "coal", "ocgt", "ccgt", "gas_ic", "diesel_gen")
-
-EFF_SPLITS = ("symmetric", "charge_only")
 
 
 def _is_number(value) -> bool:
@@ -49,6 +48,42 @@ _FIELD_TYPES = {
 }
 
 
+def bound(default, rule):
+    """A dataclass field that admits only ``rule``: an interval written
+    like ``"(0, 1]"``, with ``inf`` for an open-ended side, or a tuple of
+    choices.  ``bounds_of`` reads it back and ``check_bounds`` applies it."""
+    return field(default=default, metadata={"bound": rule})
+
+
+def _admitted(rule) -> tuple:
+    """``(lowest, highest, choices, shown)`` for one ``bound`` rule.  An
+    interval becomes the closed float range it admits, so NaN and the
+    infinities fall outside every interval."""
+    if isinstance(rule, tuple):
+        return None, None, rule, "{" + ", ".join(rule) + "}"
+    low, high = (float(end) for end in rule[1:-1].split(","))
+    if rule[0] == "(":
+        low = math.nextafter(low, math.inf)
+    if rule[-1] == ")":
+        high = math.nextafter(high, -math.inf)
+    return low, high, (), rule
+
+
+def bounds_of(cls) -> dict[str, tuple]:
+    """Field name -> ``_admitted`` rule, for every bounded field of ``cls``."""
+    return {f.name: _admitted(f.metadata["bound"]) for f in fields(cls) if "bound" in f.metadata}
+
+
+def check_bounds(obj, bounds: Mapping[str, tuple], prefix: str = "") -> None:
+    """Reject the first field of ``obj`` outside its rule in ``bounds``,
+    naming ``prefix`` + key, the value and the rule."""
+    values = obj.__dict__
+    for name, (low, high, choices, shown) in bounds.items():
+        value = values[name]
+        if not (value in choices if choices else low <= value <= high):
+            raise ParameterError(f"{prefix}{name} {value!r} outside {shown}")
+
+
 def check_field_types(cls, values: Mapping[str, object], prefix: str = "") -> None:
     """Reject a value whose type does not match its ``cls`` field's
     annotation, naming ``prefix`` + key; names that are not fields pass."""
@@ -64,23 +99,32 @@ def check_field_types(cls, values: Mapping[str, object], prefix: str = "") -> No
 class TechCost:
     """One row of the new-capacity cost table."""
 
-    life_years: int
-    capex_2021: float  # Rs/MW
-    capex_escalation: float  # fraction/yr
-    aux: float  # in-plant consumption fraction
-    fuel_2021: float  # Rs/kWh
-    fuel_escalation: float  # fraction/yr
-    om_fraction: float = 0.015  # annual O&M as a fraction of capex
+    life_years: int = bound(MISSING, "[1, 100]")
+    capex_2021: float = bound(MISSING, "[0, inf)")  # Rs/MW
+    capex_escalation: float = bound(MISSING, "(-1, inf)")  # fraction/yr
+    aux: float = bound(MISSING, "[0, 1)")  # in-plant consumption fraction
+    fuel_2021: float = bound(MISSING, "[0, inf)")  # Rs/kWh
+    fuel_escalation: float = bound(MISSING, "(-1, inf)")  # fraction/yr
+    om_fraction: float = bound(0.015, "[0, inf)")  # annual O&M as a fraction of capex
+
+    def __post_init__(self):
+        check_bounds(self, TECH_BOUNDS)
+
+
+TECH_BOUNDS = bounds_of(TechCost)
+
+#: The default rows.  A row is frozen, so every table can share them.
+_DEFAULT_TECH_COSTS = {
+    "coal": TechCost(25, 85_000_000.0, 0.06, 0.080, 2.4, 0.05),
+    "ocgt": TechCost(25, 50_000_000.0, 0.04, 0.025, 6.8, 0.03),
+    "ccgt": TechCost(25, 60_000_000.0, 0.05, 0.050, 5.0, 0.03),
+    "gas_ic": TechCost(18, 55_000_000.0, 0.04, 0.005, 5.8, 0.03),
+    "diesel_gen": TechCost(15, 20_000_000.0, 0.04, 0.005, 20.0, 0.03),
+}
 
 
 def default_tech_costs() -> dict[str, TechCost]:
-    return {
-        "coal": TechCost(25, 85_000_000.0, 0.06, 0.080, 2.4, 0.05),
-        "ocgt": TechCost(25, 50_000_000.0, 0.04, 0.025, 6.8, 0.03),
-        "ccgt": TechCost(25, 60_000_000.0, 0.05, 0.050, 5.0, 0.03),
-        "gas_ic": TechCost(18, 55_000_000.0, 0.04, 0.005, 5.8, 0.03),
-        "diesel_gen": TechCost(15, 20_000_000.0, 0.04, 0.005, 20.0, 0.03),
-    }
+    return dict(_DEFAULT_TECH_COSTS)
 
 
 @dataclass(frozen=True)
@@ -89,174 +133,104 @@ class ScenarioParams:
 
     Defaults are the base case: 5.25% demand growth, 60% coal flex,
     450 GW RE in 2030 at a 2:1 solar:wind split, battery NEW supply.
+    Each field's admitted values are declared beside it with ``bound``;
+    ``__post_init__`` checks them, then the rules that relate two fields.
     """
 
     # headline parametric axes
-    demand_growth: float = 0.0525
-    flex_limit: float = 0.60
-    re_2030: float = 450.0  # GW
-    solar_share: float = 8 / 12  # solar fraction of solar+wind growth
-    new_option: str = "battery_re"
-    battery_size_fraction: float = 1.0
-    new_coal_size_fraction: float = 1.0
-    dedicated_solar_extra: float = 0.0  # 0 = minimum sizing, 1 = full daily recharge
+    demand_growth: float = bound(0.0525, "[0, inf)")
+    flex_limit: float = bound(0.60, "[0.5, 0.8]")
+    re_2030: float = bound(450.0, "(-inf, inf)")  # GW
+    solar_share: float = bound(8 / 12, "(0, 1]")  # solar fraction of solar+wind growth
+    new_option: str = bound("battery_re", NEW_OPTIONS)
+    battery_size_fraction: float = bound(1.0, "(0, 1]")
+    new_coal_size_fraction: float = bound(1.0, "(0, 1]")
+    # 0 = minimum sizing, 1 = full daily recharge
+    dedicated_solar_extra: float = bound(0.0, "[0, 1]")
 
     # base-year system (net busbar GW)
-    re_2021: float = 98.0
-    hydro_2021: float = 35.5
-    gas_2021: float = 21.3
-    nuclear_2021: float = 5.4
-    coal_2021: float = 162.6
+    re_2021: float = bound(98.0, "(0, inf)")
+    hydro_2021: float = bound(35.5, "(0, inf)")
+    gas_2021: float = bound(21.3, "[0, inf)")
+    nuclear_2021: float = bound(5.4, "(0, inf)")
+    coal_2021: float = bound(162.6, "[0, inf)")
 
     # capacity trajectories
-    hydro_growth: float = 0.03
-    nuclear_growth: float = 0.039
-    coal_retirement_2030: float = 20.0  # GW, linear by 2030
-    fgd_penalty: float = 0.025  # relative output penalty once FGD is fitted
-    fgd_start: int = 2023
-    fgd_end: int = 2027
+    hydro_growth: float = bound(0.03, "(-1, inf)")
+    nuclear_growth: float = bound(0.039, "(-1, inf)")
+    coal_retirement_2030: float = bound(20.0, "[0, inf)")  # GW, linear by 2030
+    fgd_penalty: float = bound(0.025, "[0, 0.5)")  # relative output penalty once FGD is fitted
+    fgd_start: int = bound(2023, "(-inf, inf)")
+    fgd_end: int = bound(2027, "(-inf, inf)")
 
     # prospective RE characteristics
-    solar_cuf: float = 0.27
-    wind_cuf: float = 0.35
+    solar_cuf: float = bound(0.27, "(0, 1)")
+    wind_cuf: float = bound(0.35, "(0, 1)")
 
     # despatch constraints
-    ists_loss: float = 0.0339  # busbar uplift over periphery demand
-    grid_buffer: float = 0.05  # despatchable headroom over demand
-    coal_peak_derate: float = 0.10  # coal capacity out for maintenance
+    ists_loss: float = bound(0.0339, "[0, 0.5)")  # busbar uplift over periphery demand
+    grid_buffer: float = bound(0.05, "[0, 0.5)")  # despatchable headroom over demand
+    coal_peak_derate: float = bound(0.10, "[0, 0.5)")  # coal capacity out for maintenance
 
     # auxiliary consumption by fuel (net-to-gross conversion)
-    aux_coal: float = 0.08
-    aux_gas: float = 0.05
+    aux_coal: float = bound(0.08, "[0, 0.5)")
+    aux_gas: float = bound(0.05, "[0, 0.5)")
 
     # existing-fleet fuel prices, Rs/kWh in 2021
-    coal_2019_price: float = 2.6
-    coal_slack_price: float = 3.0
-    gas_2019_price: float = 3.5
-    gas_nonapm_price: float = 5.0
-    coal_escalation: float = 0.05
-    gas_escalation: float = 0.03
+    coal_2019_price: float = bound(2.6, "(0, inf)")
+    coal_slack_price: float = bound(3.0, "(0, inf)")
+    gas_2019_price: float = bound(3.5, "(0, inf)")
+    gas_nonapm_price: float = bound(5.0, "(0, inf)")
+    coal_escalation: float = bound(0.05, "(-1, inf)")
+    gas_escalation: float = bound(0.03, "(-1, inf)")
 
     # battery and inverter
-    battery_price_2021_usd: float = 175.0  # $/kWh of cells
-    battery_learning_rate: float = 0.07
-    inr_per_usd_2021: float = 73.65
-    forex_escalation: float = 0.03
-    battery_life_years: int = 15
-    inverter_life_years: int = 13
-    inverter_capex_rs_per_kw: float = 7500.0
-    battery_dod_buffer: float = 0.05
-    battery_roundtrip_eff: float = 0.90
-    battery_eff_split: str = "symmetric"
-    battery_cycle_boundary_hour: int = 17
-    battery_om_fraction: float = 0.015
+    battery_price_2021_usd: float = bound(175.0, "(0, inf)")  # $/kWh of cells
+    battery_learning_rate: float = bound(0.07, "(-inf, 1)")
+    inr_per_usd_2021: float = bound(73.65, "(0, inf)")
+    forex_escalation: float = bound(0.03, "(-1, inf)")
+    battery_life_years: int = bound(15, "[1, 100]")
+    inverter_life_years: int = bound(13, "[1, 100]")
+    inverter_capex_rs_per_kw: float = bound(7500.0, "[0, inf)")
+    battery_dod_buffer: float = bound(0.05, "(0, 1)")
+    battery_roundtrip_eff: float = bound(0.90, "(0, 1]")
+    battery_eff_split: str = bound("symmetric", ("symmetric", "charge_only"))
+    battery_cycle_boundary_hour: int = bound(17, "[0, 23]")
+    battery_om_fraction: float = bound(0.015, "[0, inf)")
 
     # RE build costs
-    solar_capex_2021: float = 43_000_000.0  # Rs/MW
-    solar_capex_change: float = -0.02
-    wind_capex_2021: float = 75_000_000.0
-    wind_capex_2030: float = 70_500_000.0
-    solar_om_rs_per_mw: float = 600_000.0
-    wind_om_rs_per_mw: float = 500_000.0
-    om_inflation: float = 0.04
-    solar_life_years: int = 25
-    wind_life_years: int = 25
+    solar_capex_2021: float = bound(43_000_000.0, "(0, inf)")  # Rs/MW
+    solar_capex_change: float = bound(-0.02, "(-1, inf)")
+    wind_capex_2021: float = bound(75_000_000.0, "(0, inf)")
+    wind_capex_2030: float = bound(70_500_000.0, "(0, inf)")
+    solar_om_rs_per_mw: float = bound(600_000.0, "[0, inf)")
+    wind_om_rs_per_mw: float = bound(500_000.0, "[0, inf)")
+    om_inflation: float = bound(0.04, "(-1, inf)")
+    solar_life_years: int = bound(25, "[1, 100]")
+    wind_life_years: int = bound(25, "[1, 100]")
 
     # finance
-    wacc: float = 0.085
-    discount_rate: float = 0.06
+    wacc: float = bound(0.085, "(-1, 1]")
+    discount_rate: float = bound(0.06, "(-1, inf)")
     count_full_life_annuities: bool = False
 
     # new-capacity cost table
     tech_costs: Mapping[str, TechCost] = field(default_factory=default_tech_costs)
 
     def __post_init__(self):
-        if not 0.5 <= self.flex_limit <= 0.8:
-            raise ParameterError(f"flex_limit {self.flex_limit} outside [0.5, 0.8]")
+        check_bounds(self, PARAM_BOUNDS)
         if self.re_2030 < self.re_2021:
             raise ParameterError(
-                f"re_2030 ({self.re_2030} GW) below the {self.re_2021} GW base"
-            )
-        if not 0.0 < self.solar_share <= 1.0:
-            raise ParameterError(f"solar_share {self.solar_share} outside (0, 1]")
-        if self.new_option not in NEW_OPTIONS:
-            raise ParameterError(
-                f"new_option {self.new_option!r} not one of {NEW_OPTIONS}"
-            )
-        if not 0.0 < self.battery_size_fraction <= 1.0:
-            raise ParameterError("battery_size_fraction must lie in (0, 1]")
-        if not 0.0 < self.new_coal_size_fraction <= 1.0:
-            raise ParameterError("new_coal_size_fraction must lie in (0, 1]")
-        if not 0.0 <= self.dedicated_solar_extra <= 1.0:
-            raise ParameterError("dedicated_solar_extra must lie in [0, 1]")
-        if not 0.0 < self.battery_dod_buffer < 1.0:
-            raise ParameterError("battery_dod_buffer must lie in (0, 1)")
-        if not 0.0 < self.battery_roundtrip_eff <= 1.0:
-            raise ParameterError("battery_roundtrip_eff must lie in (0, 1]")
-        if self.battery_eff_split not in EFF_SPLITS:
-            raise ParameterError(
-                f"battery_eff_split {self.battery_eff_split!r} not one of {EFF_SPLITS}"
-            )
-        if not 0 <= self.battery_cycle_boundary_hour <= 23:
-            raise ParameterError("battery_cycle_boundary_hour must lie in 0..23")
-        if self.demand_growth < 0:
-            raise ParameterError("demand_growth must be >= 0")
+                f"re_2030 {self.re_2030!r} outside [re_2021 = {self.re_2021!r}, inf)")
         if self.fgd_start > self.fgd_end:
-            raise ParameterError("fgd_start must not exceed fgd_end")
-        for name in ("solar_cuf", "wind_cuf"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ParameterError(f"{name} {value} outside (0, 1)")
-        for name in (
-            "aux_coal", "aux_gas", "ists_loss", "grid_buffer", "coal_peak_derate",
-            "fgd_penalty",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value < 0.5:
-                raise ParameterError(f"{name} {value} outside [0, 0.5)")
-        for name in (
-            "re_2021", "hydro_2021", "nuclear_2021",
-            "coal_2019_price", "coal_slack_price", "gas_2019_price",
-            "gas_nonapm_price", "battery_price_2021_usd", "inr_per_usd_2021",
-            "solar_capex_2021", "wind_capex_2021", "wind_capex_2030",
-        ):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive")
-        for name in ("gas_2021", "inverter_capex_rs_per_kw", "battery_om_fraction",
-                     "solar_om_rs_per_mw", "wind_om_rs_per_mw"):
-            if not getattr(self, name) >= 0:
-                raise ParameterError(f"{name} must be >= 0")
-        if not self.battery_learning_rate < 1.0:
-            raise ParameterError("battery_learning_rate must be < 1")
-        if not 0.0 <= self.coal_retirement_2030 <= self.coal_2021:
             raise ParameterError(
-                f"coal_retirement_2030 {self.coal_retirement_2030} outside "
-                f"[0, coal_2021 = {self.coal_2021}]"
-            )
+                f"fgd_start {self.fgd_start!r} outside (-inf, fgd_end = {self.fgd_end!r}]")
+        if self.coal_retirement_2030 > self.coal_2021:
+            raise ParameterError(f"coal_retirement_2030 {self.coal_retirement_2030!r} "
+                                 f"outside [0, coal_2021 = {self.coal_2021!r}]")
         missing = [t for t in NEW_OPTIONS if t != "battery_re" and t not in self.tech_costs]
         if missing:
             raise ParameterError(f"tech_costs missing rows for {missing}")
-        for name, row in self.tech_costs.items():
-            if row.life_years < 1:
-                raise ParameterError(f"tech_costs[{name!r}].life_years must be >= 1")
-            if not 0.0 <= row.aux < 1.0:
-                raise ParameterError(f"tech_costs[{name!r}].aux {row.aux} outside [0, 1)")
-            for key in ("capex_2021", "fuel_2021", "om_fraction"):
-                if not getattr(row, key) >= 0:
-                    raise ParameterError(f"tech_costs[{name!r}].{key} must be >= 0")
-            for key in ("capex_escalation", "fuel_escalation"):
-                if not getattr(row, key) > -1.0:
-                    raise ParameterError(f"tech_costs[{name!r}].{key} must be > -1")
-        for name in ("battery_life_years", "inverter_life_years", "solar_life_years",
-                     "wind_life_years"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
-        for name in ("wacc", "om_inflation", "discount_rate", "hydro_growth", "nuclear_growth",
-                     "coal_escalation", "gas_escalation", "forex_escalation",
-                     "solar_capex_change"):
-            rate = getattr(self, name)
-            if not rate > -1.0:
-                raise ParameterError(f"{name} {rate} must be > -1")
 
     @property
     def cycle_boundary_slot(self) -> int:
@@ -264,6 +238,7 @@ class ScenarioParams:
 
 
 _FIELD_NAMES = {f.name for f in fields(ScenarioParams)}
+PARAM_BOUNDS = bounds_of(ScenarioParams)
 
 #: Every field the despatch stage reads: scenarios equal on all of them
 #: share one despatched decade.
@@ -304,6 +279,8 @@ def params_from_config(config: Mapping[str, object]) -> ScenarioParams:
                 table[name] = replace(table[name], **row)
             except TypeError as exc:
                 raise ParameterError(f"tech_costs[{name!r}]: {exc}") from None
+            except ParameterError as exc:  # a bound, which names the field first
+                raise ParameterError(f"tech_costs[{name!r}].{exc}") from None
         kwargs["tech_costs"] = table
     check_field_types(ScenarioParams, kwargs)
     return ScenarioParams(**kwargs)

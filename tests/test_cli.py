@@ -975,6 +975,13 @@ class TestMain:
         ({"hydro_2021": 0}, "hydro_2021"),
         ({"nuclear_growth": -2.0}, "nuclear_growth"),
         ({"coal_2021": 0}, "coal_retirement_2030"),
+        # each overflowed the annuity: an internal error, or inf in the NPV
+        ({"battery_life_years": 100000}, "battery_life_years"),
+        ({"solar_life_years": 10000, "new_option": "ocgt"}, "solar_life_years"),
+        ({"new_option": "ocgt", "tech_costs": {"ocgt": {"life_years": 20000}}},
+         "tech_costs['ocgt'].life_years"),
+        ({"wacc": 1e13, "new_option": "ocgt"}, "wacc"),
+        ({"solar_life_years": 8650, "new_option": "ocgt"}, "solar_life_years"),
     ])
     def test_out_of_range_cost_input_exits_2(self, tmp_path, capsys, payload, key):
         cfg = self.write_config(tmp_path, payload)

@@ -153,7 +153,9 @@ def test_a_partial_last_block_matches_the_per_row_loader(tmp_path, data_dir):
 
 
 def _set_cell(line, column, text):
+    # a line an earlier random edit shortened gets blank cells up to ``column``
     cells = line.split(",")
+    cells += [""] * (column + 1 - len(cells))
     cells[column] = text
     return ",".join(cells)
 

@@ -5,19 +5,24 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gridlab
+from gridlab import newsupply, scenario
 from gridlab.errors import ParameterError
 from gridlab.newsupply import CycleYear, size_battery
 from gridlab.scenario import (
     BASE_YEAR,
     FINAL_YEAR,
+    PARAM_BOUNDS,
+    TECH_BOUNDS,
     ParamGrid,
     ScenarioParams,
+    TechCost,
     build_capacity_path,
     default_tech_costs,
     expand_param_grid,
@@ -247,6 +252,110 @@ def test_cost_inputs_at_their_bounds_pass():
     p = params_from_config({"hydro_growth": -0.99, "nuclear_growth": -0.99, "gas_2021": 0.0,
                             "coal_retirement_2030": 162.6, "coal_2021": 162.6})
     assert build_capacity_path(p).coal_total[-1] == 0.0
+
+
+# --- the rulebook of parameter bounds ----------------------------------------
+
+
+#: The cross-field rules that an edge value of a key would otherwise trip.
+_COMPANIONS = {"coal_2021": {"coal_retirement_2030": 0.0}}
+
+
+def _edge_cases():
+    """``(cls, key, value, admitted)`` for every declared interval, read
+    from the declaration text: each closed finite end and the value just
+    inside each open one are admitted; the value just outside each end,
+    an infinite end itself, and NaN are not.  Integer fields step by 1."""
+    for cls in (ScenarioParams, TechCost):
+        for f in dataclasses.fields(cls):
+            rule = f.metadata.get("bound")
+            if not isinstance(rule, str):
+                continue
+            step = ((lambda e, way: e + way) if f.type == "int"
+                    else (lambda e, way: float(np.nextafter(e, way * np.inf))))
+            as_type = int if f.type == "int" else float
+            ends = [float(end) for end in rule[1:-1].split(",")]
+            for end, closed, outward in ((ends[0], rule[0] == "[", -1), (ends[1], rule[-1] == "]", 1)):
+                if math.isinf(end):
+                    yield cls, f.name, end, False
+                elif closed:
+                    yield cls, f.name, as_type(end), True
+                    yield cls, f.name, step(as_type(end), outward), False
+                else:
+                    yield cls, f.name, as_type(end), False
+                    yield cls, f.name, step(as_type(end), -outward), True
+            yield cls, f.name, math.nan, False
+
+
+@pytest.mark.parametrize("cls, key, value, admitted", [
+    pytest.param(*case, id=f"{case[0].__name__}.{case[1]}={case[2]!r}") for case in _edge_cases()
+])
+def test_each_declared_bound_at_and_beyond_its_edges(cls, key, value, admitted):
+    def build():
+        if cls is TechCost:
+            return TechCost(**{**dataclasses.asdict(default_tech_costs()["ocgt"]), key: value})
+        return ScenarioParams(**{**_COMPANIONS.get(key, {}), key: value})
+
+    if admitted:
+        assert getattr(build(), key) == value
+    else:
+        with pytest.raises(ParameterError) as err:
+            build()
+        assert str(err.value).startswith(f"{key} {value!r} outside ")
+
+
+def test_a_cost_row_bound_names_its_row():
+    with pytest.raises(ParameterError) as err:
+        params_from_config({"tech_costs": {"ocgt": {"life_years": 0}}})
+    assert str(err.value) == "tech_costs['ocgt'].life_years 0 outside [1, 100]"
+
+
+def _compared_names(function):
+    """Attribute names that ``function`` compares with a literal."""
+    names = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Constant) for o in operands):
+                names |= {o.attr for o in operands if isinstance(o, ast.Attribute)}
+    return names
+
+
+def _post_init(module, cls_name):
+    tree = ast.parse(Path(module.__file__).read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls_name)
+    return next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__")
+
+
+def test_every_param_field_declares_one_bound():
+    # a field added without a bound fails here; the bool and the cost
+    # table are checked by their type alone
+    unbounded = ("bool", "Mapping[str, TechCost]")
+    for cls in (ScenarioParams, TechCost):
+        for f in dataclasses.fields(cls):
+            assert ("bound" in f.metadata) == (f.type not in unbounded), f"{cls.__name__}.{f.name}"
+    # BatterySpec takes its four bounds from the parameters it is sized
+    # from, object for object, and compares none of them itself
+    assert newsupply._SPEC_BOUNDS.keys() == {"dod_buffer", "roundtrip_eff", "size_fraction",
+                                             "eff_split"}
+    for name, rule in newsupply._SPEC_BOUNDS.items():
+        assert rule is PARAM_BOUNDS["battery_" + name]
+    assert not _compared_names(_post_init(newsupply, "BatterySpec")) & newsupply._SPEC_BOUNDS.keys()
+    # the parameters' own checks compare fields with each other only
+    assert not _compared_names(_post_init(scenario, "ScenarioParams"))
+    assert not _compared_names(_post_init(scenario, "TechCost"))
+
+
+def _readme_ranges():
+    """``{key: range}`` from the README's table of parameter ranges."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return dict(re.findall(r"^\| `([\w\[\].]+)` \| `([^`]+)` \|", text, flags=re.M))
+
+
+def test_readme_table_matches_the_rulebook():
+    rulebook = {**{key: shown for key, (*_, shown) in PARAM_BOUNDS.items()},
+                **{f"tech_costs[row].{key}": shown for key, (*_, shown) in TECH_BOUNDS.items()}}
+    assert _readme_ranges() == rulebook
 
 
 # --- parameter grids ---------------------------------------------------------

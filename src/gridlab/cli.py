@@ -661,7 +661,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = None
         if args.config:
             with open(args.config) as fh:
-                config = json.load(fh)
+                try:
+                    config = json.load(fh)
+                except ValueError as exc:  # bad JSON, or an integer too long to convert
+                    raise ParameterError(f"config is not valid JSON: {exc}") from exc
 
         if args.validate_only:
             _dispatch_years(args.year_detail)
@@ -681,9 +684,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             synthetic_seed=args.synthetic,
             detail_year=args.year_detail,
         )
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
     except (GridlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

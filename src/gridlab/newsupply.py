@@ -48,6 +48,10 @@ _CHARGE_SOURCES = np.array(["", "re", "solar", "re+solar"])
 
 _EPS = 1e-9
 
+#: MW of secondary unmet per slot, or MWh of spare energy per cycle,
+#: below this is rounding residue and is zero.
+RESIDUE = 1e-6
+
 
 #: Each spec field shares the bound of the parameter it is sized from,
 #: ``battery_`` + its name.
@@ -233,10 +237,8 @@ class NewSupplyPlan:
                 raise ParameterError(f"{name}[{YEARS[i]}] is negative: {values[i]}")
 
 
-def _pad_cycles(
-    arr: np.ndarray, boundary_slot: int, fill: float = 0.0
-) -> tuple[np.ndarray, int]:
-    """Reshape a slot series to (cycles, 48), padding both ends with ``fill``.
+def _pad_cycles(arr: np.ndarray, boundary_slot: int) -> tuple[np.ndarray, int]:
+    """Reshape a slot series to (cycles, 48), padding both ends with zeros.
 
     This is the one definition of a battery cycle window.  Windows are
     24h long and split at the daily cycle boundary; the leading (and
@@ -245,16 +247,15 @@ def _pad_cycles(
     ``max(i*48 - front, 0)`` and is booked to the calendar day it starts
     in, ``min(start // 48, n_days - 1)``, so a trailing partial window
     counts towards the last whole day.  Returns the matrix and the front
-    padding length; padded slots are inert (no demand, no sources, or
-    ``fill`` where a row reduction must ignore them) and are trimmed off
-    after the fact.
+    padding length; padded slots are inert (no demand, no sources) and
+    are trimmed off after the fact.
     """
     if not 0 <= boundary_slot < SLOTS_PER_DAY:
         raise ParameterError("boundary_slot must lie in 0..47")
     n = arr.shape[0]
     front = (SLOTS_PER_DAY - boundary_slot) % SLOTS_PER_DAY
     back = (-(front + n)) % SLOTS_PER_DAY
-    padded = np.concatenate([np.full(front, fill), arr, np.full(back, fill)])
+    padded = np.concatenate([np.zeros(front), arr, np.zeros(back)])
     return padded.reshape(-1, SLOTS_PER_DAY), front
 
 
@@ -312,16 +313,28 @@ def simulate_soc(battery: BatterySpec, year: CycleYear, solar_gw: float) -> SocT
     headroom.  Every cycle window (a row of ``year``) starts from a full
     battery: the daily-full-recharge assumption used for sizing and
     displacement accounting.  ``_simulate_cycles`` does the work; this
-    adds the secondary unmet and wraps the matrices in a ``SocTrace``.
+    adds the secondary unmet, zero below ``RESIDUE`` (see
+    ``secondary_unmet``), and wraps the matrices in a ``SocTrace``.
     """
     solar = year.solar(solar_gw)
     soc, discharge, served, re, sol = _simulate_cycles(
         battery, year.unmet, year.curtailed_re, solar)
-    # discharge losses round-trip through eta and leave +/- ulp dust on
-    # "fully served" slots; snap anything below a watt so zero is zero
-    secondary = year.unmet - served
-    secondary[secondary < 1e-6] = 0.0
+    secondary = secondary_unmet(year.unmet, served)
     return SocTrace(battery, year, solar_gw, soc, discharge, re, sol, secondary)
+
+
+def secondary_unmet(unmet: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """The secondary unmet a NEW option leaves, ``unmet - served`` per
+    slot, with values below ``RESIDUE`` set to +0.0.
+
+    This is the one definition for every option: a battery's discharge
+    losses round-trip through eta and leave +/- ulp dust on fully served
+    slots, and a thermal build grossed up and back down by its aux may
+    fall an ulp short of the peak it was sized for.
+    """
+    secondary = unmet - served
+    secondary[secondary < RESIDUE] = 0.0
+    return secondary
 
 
 def _simulate_cycles(battery, u_m, r_m, s_m):
@@ -468,7 +481,7 @@ def size_for_full_recharge(battery: BatterySpec, year: CycleYear,
     if battery.energy_capacity_mwh <= 0:
         return 0.0
     cap = min(battery.inverter_capacity_mw, battery.energy_capacity_mwh)
-    need = battery.usable_mwh - 1e-6
+    need = battery.usable_mwh - RESIDUE
     full = np.flatnonzero((year.starts >= 0) & (year.starts + SLOTS_PER_DAY <= year.n_slots))
 
     def short(gw: float, rows: np.ndarray) -> np.ndarray:
@@ -485,7 +498,7 @@ def size_dedicated_solar(battery: BatterySpec, year: CycleYear, extra: float,
     """Dedicated solar GW between minimum-service and full-recharge sizing.
 
     The minimum is the smallest capacity leaving zero secondary unmet
-    (no slot at or above 1e-6 MW) in every cycle; the maximum
+    (no slot at or above ``RESIDUE`` MW) in every cycle; the maximum
     additionally refills the battery daily.  ``extra`` interpolates
     between the two.  Raises InfeasibleError if even the largest
     searched capacity cannot serve the unmet profile, which is the
@@ -508,8 +521,8 @@ def size_dedicated_solar(battery: BatterySpec, year: CycleYear, extra: float,
             unmet = year.unmet[rows]
             served = _simulate_cycles(battery, unmet, year.curtailed_re[rows],
                                       year.solar(gw, rows))[2]
-            secondary = unmet - served
-        return (secondary >= 1e-6).any(axis=1)
+            secondary = secondary_unmet(unmet, served)
+        return (secondary > 0).any(axis=1)
 
     every_row = _unresolved_rows(unserved, np.arange(year.unmet.shape[0]))
     minimum = _search_smallest(every_row, tolerance_gw, max_gw, "zero secondary unmet")
@@ -538,10 +551,11 @@ def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:
     one row per cycle window.  Spare energy per cycle is the
     conservative minimum of the unused discharge depth (the lowest state
     of charge kept above the floor) and the charging the sources could
-    still have provided.  It displaces the most expensive displaceable
-    tranche first, energy-matched against that tranche's output within
-    the cycle; gas_2019 is never touched.  Volumes are attributed to the
-    calendar day each cycle starts in (see ``_pad_cycles``).
+    still have provided, zero below ``RESIDUE`` MWh.  It displaces the
+    most expensive displaceable tranche first, energy-matched against
+    that tranche's output within the cycle; gas_2019 is never touched.
+    Volumes are attributed to the calendar day each cycle starts in (see
+    ``_pad_cycles``).
     """
     battery = soc.battery
     year = soc.year
@@ -562,6 +576,9 @@ def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:
     depth_margin = np.maximum(soc.soc.min(axis=1) - battery.floor_mwh, 0.0) * eta_d
     charge_margin = extra_charge.sum(axis=1) * SLOT_HOURS * eta_c * eta_d
     spare = np.minimum(depth_margin, charge_margin)
+    # a cycle whose lowest SoC is a few ulps of e_cap above the floor
+    # has nothing spare
+    spare[spare < RESIDUE] = 0.0
 
     day = np.minimum(np.maximum(year.starts, 0) // SLOTS_PER_DAY, n_days - 1)
     per_day: dict[str, np.ndarray] = {}

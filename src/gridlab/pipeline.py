@@ -97,11 +97,6 @@ class ScenarioOutcome:
     annual_mix: dict[int, dict[str, float]] = field(default_factory=dict)
 
 
-def _snap(value: float, epsilon: float = 1e-9) -> float:
-    """Zero out float dust so downstream reports stay clean."""
-    return 0.0 if abs(value) < epsilon else value
-
-
 def _tranche_caps(
     base: BaseYearData, path: CapacityPath, p: ScenarioParams, year: int
 ) -> dict[str, np.ndarray]:
@@ -263,8 +258,8 @@ class OptionStage:
     def _step(self, i: int, record: YearRecord, solar: np.ndarray) -> None:
         plan, year = self.plan, YEARS[i]
         served, secondary_mw, trace, days = self._size(i, record, solar)
-        plan.secondary_unmet_twh[i] = _snap(float(np.sum(secondary_mw)) * SLOT_HOURS / 1e6)
-        peak_secondary = _snap(float(np.max(secondary_mw)) if secondary_mw.size else 0.0)
+        plan.secondary_unmet_twh[i] = float(np.sum(secondary_mw)) * SLOT_HOURS / 1e6
+        peak_secondary = float(np.max(secondary_mw)) if secondary_mw.size else 0.0
         self._biodiesel_mw = np.maximum(self._biodiesel_mw, peak_secondary / self._diesel_gross)
         plan.biodiesel_capacity_mw[i] = self._biodiesel_mw
         if self.detail_years:
@@ -280,9 +275,9 @@ class OptionStage:
             tuple[np.ndarray, np.ndarray] | None]:
         """Fill year ``i`` of the plan but for its secondary unmet, and
         return what NEW supply did in the year: the slots it serves and
-        the secondary unmet it leaves, the SoC trace, and each day's
-        displaced coal and coal-peak bonus in MWh (the last two None for
-        a thermal option)."""
+        the secondary unmet it leaves, by ``newsupply.secondary_unmet``,
+        the SoC trace, and each day's displaced coal and coal-peak bonus
+        in MWh (the last two None for a thermal option)."""
         raise NotImplementedError
 
 
@@ -335,8 +330,6 @@ class BatteryStage(OptionStage):
         plan.displaced_coal_2019_twh[i] = disp.displaced_twh["coal_2019"]
         plan.displaced_coal_slack_twh[i] = disp.displaced_twh["coal_slack"]
         plan.bonus_curtailment_avoided_twh[i] = float(np.sum(bonus)) / 1e6
-        # the trace's secondary unmet is already snapped, so a fully
-        # served slot exports exactly zero rather than eta round-trip dust
         secondary = trace.secondary_unmet_mw
         return dy.unmet - secondary, secondary, trace, (per_day_coal, bonus)
 
@@ -358,9 +351,9 @@ class ThermalStage(OptionStage):
         net_cap = plan.capacity_mw[i] * (1.0 - self._tech.aux)
         dy = record.dispatch
         served = np.minimum(dy.unmet, net_cap)
-        secondary = np.maximum(dy.unmet - net_cap, 0.0)
+        secondary = new.secondary_unmet(dy.unmet, served)
         if coal:
-            rep = replace(dy, supply={**dy.supply, "new": served}, unmet=dy.unmet - served)
+            rep = replace(dy, supply={**dy.supply, "new": served}, unmet=secondary)
             plan.displaced_gas_twh[i] = new.displace_gas_with_new_coal(net_cap, rep)
         return served, secondary, None, None
 

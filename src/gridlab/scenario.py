@@ -211,7 +211,7 @@ class ScenarioParams:
 
     # finance
     wacc: float = bound(0.085, "(-1, 1]")
-    discount_rate: float = bound(0.06, "(-1, inf)")
+    discount_rate: float = bound(0.06, "(-0.5, inf)")
     count_full_life_annuities: bool = False
 
     # new-capacity cost table

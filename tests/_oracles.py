@@ -52,6 +52,7 @@ from gridlab.errors import (
 )
 from gridlab.newsupply import (
     DISPLACEMENT_ORDER,
+    RESIDUE,
     CycleYear,
     Displacement,
     NewSupplyPlan,
@@ -70,7 +71,6 @@ from gridlab.pipeline import (
     ScenarioOutcome,
     YearDetail,
     _reporting_dispatch,
-    _snap,
     _year_mix,
     despatch_group,
     dispatch_year,
@@ -327,7 +327,7 @@ def _cycle_secondary_unmet(battery, unmet, re_src, solar, boundary_slot):
     served = _simulate_cycles(battery, unmet_m, _pad_cycles(re_src, boundary_slot)[0],
                               _pad_cycles(solar, boundary_slot)[0])[2]
     secondary = (unmet_m - served).reshape(-1)[front:front + unmet.shape[0]]
-    secondary[secondary < 1e-6] = 0.0
+    secondary[secondary < RESIDUE] = 0.0
     return float(np.sum(secondary))
 
 
@@ -339,7 +339,7 @@ def _cycle_full_recharge(battery, re_src, solar, boundary_slot):
 
     starts = np.arange(src_m.shape[0]) * SLOTS_PER_DAY - front
     full = (starts >= 0) & (starts + SLOTS_PER_DAY <= re_src.shape[0])
-    return bool(np.all(budget[full] >= battery.usable_mwh - 1e-6))
+    return bool(np.all(budget[full] >= battery.usable_mwh - RESIDUE))
 
 
 def reference_size_for_full_recharge(battery, curtailed_re, unmet, solar_shape,
@@ -366,7 +366,7 @@ def reference_size_dedicated_solar(battery, curtailed_re, unmet, solar_shape, ex
     def served(gw):
         gap = _cycle_secondary_unmet(battery, unmet, curtailed_re,
                                      _solar_gen(solar_shape, gw, n), boundary_slot)
-        return gap <= 1e-9
+        return gap == 0.0
 
     minimum = reference_search_smallest(served, tolerance_gw, max_gw, "zero secondary unmet")
     if extra == 0.0:
@@ -396,8 +396,9 @@ def reference_displacement(soc, dy):
 
     The literal per-window loop behind ``newsupply.displace_with_battery``:
     spare energy is the lesser of the unused depth and the untapped
-    charging, spent on the tranches in ``DISPLACEMENT_ORDER`` and booked
-    to the calendar day the window starts in.
+    charging, zero below ``RESIDUE``, spent on the tranches in
+    ``DISPLACEMENT_ORDER`` and booked to the calendar day the window
+    starts in.
     """
     battery = soc.battery
     eta_c = battery.charge_eff
@@ -418,6 +419,8 @@ def reference_displacement(soc, dy):
         depth_margin = max(min_soc - battery.floor_mwh, 0.0) * eta_d
         charge_margin = float(np.sum(extra_charge[a:b])) * SLOT_HOURS * eta_c * eta_d
         spare = min(depth_margin, charge_margin)
+        if spare < RESIDUE:
+            spare = 0.0
 
         day = min(a // SLOTS_PER_DAY, n_days - 1)
         for name in DISPLACEMENT_ORDER:
@@ -866,9 +869,8 @@ def reference_battery_plan(params, decade, keep=(), report=()):
             trace = simulate_soc(battery, cycles, run_solar_gw)
         if year in keep:
             traces[year] = trace
-        plan.secondary_unmet_twh[i] = _snap(
-            float(np.sum(trace.secondary_unmet_mw)) * SLOT_HOURS / 1e6)
-        peak_secondary[i] = _snap(float(np.max(trace.secondary_unmet_mw)) if dy.unmet.size else 0.0)
+        plan.secondary_unmet_twh[i] = float(np.sum(trace.secondary_unmet_mw)) * SLOT_HOURS / 1e6
+        peak_secondary[i] = float(np.max(trace.secondary_unmet_mw)) if dy.unmet.size else 0.0
 
         disp = displace_with_battery(trace, dy)
         per_day_coal = disp.per_day_mwh["coal_2019"] + disp.per_day_mwh["coal_slack"]
@@ -905,8 +907,9 @@ def reference_thermal_plan(params, decade, report=()):
         dy = decade.years[YEARS[i]].dispatch
         served = np.minimum(dy.unmet, net_cap)
         secondary = np.maximum(dy.unmet - net_cap, 0.0)
-        plan.secondary_unmet_twh[i] = _snap(float(np.sum(secondary)) * SLOT_HOURS / 1e6)
-        peak_secondary[i] = _snap(float(np.max(secondary)) if secondary.size else 0.0)
+        secondary[secondary < RESIDUE] = 0.0
+        plan.secondary_unmet_twh[i] = float(np.sum(secondary)) * SLOT_HOURS / 1e6
+        peak_secondary[i] = float(np.max(secondary)) if secondary.size else 0.0
         if option == "coal":
             rep = replace(dy, supply={**dy.supply, "new": served}, unmet=dy.unmet - served)
             plan.displaced_gas_twh[i] = displace_gas_with_new_coal(net_cap, rep)

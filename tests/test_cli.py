@@ -918,6 +918,15 @@ class TestMain:
         assert cli.main(["--config", cfg, "--validate-only"]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_integer_too_long_to_read_exits_2(self, tmp_path, capsys):
+        # past 4,300 digits Python refuses to convert an integer literal,
+        # and json.load raises a ValueError rather than a JSONDecodeError
+        cfg = self.write_config(tmp_path, '{"coal_2021": ' + "9" * 4400 + "}")
+        assert cli.main(["--config", cfg, "--validate-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON")
+        assert "Traceback" not in err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"re_2031": 400.0})
         assert cli.main(["--config", cfg, "--validate-only"]) == 2
@@ -982,6 +991,8 @@ class TestMain:
          "tech_costs['ocgt'].life_years"),
         ({"wacc": 1e13, "new_option": "ocgt"}, "wacc"),
         ({"solar_life_years": 8650, "new_option": "ocgt"}, "solar_life_years"),
+        ({"discount_rate": -0.999999, "count_full_life_annuities": True,
+          "new_option": "ocgt", "solar_life_years": 100}, "discount_rate"),
     ])
     def test_out_of_range_cost_input_exits_2(self, tmp_path, capsys, payload, key):
         cfg = self.write_config(tmp_path, payload)

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import _oracles
 from gridlab import dispatch as dsp
 from gridlab import newsupply as new
+from gridlab import pipeline
 from gridlab.cli import DataOptions, load_inputs
 from gridlab.economics import COMPONENTS
 from gridlab.pipeline import (
@@ -382,8 +384,9 @@ class TestDetails:
             assert float(np.abs(imbalance).max()) < 1e-6
 
     def test_fully_served_battery_year_reports_zero_unmet(self, outcome, plan):
-        # the export takes the trace's snapped secondary unmet, so eta
-        # round-trip dust on served slots never reaches the tables
+        # the export takes the trace's secondary unmet, zero below
+        # RESIDUE, so eta round-trip dust on served slots never reaches
+        # the tables
         for i, y in enumerate(YEARS):
             assert plan.secondary_unmet_twh[i] == 0.0
             rep = outcome.details[y].reporting
@@ -538,6 +541,55 @@ class TestTrancheCaps:
         assert np.all(record.curtailed_re >= -1e-9)
         # curtailed RE is one part of all curtailment
         assert np.all(record.curtailed_re <= dy.curtailment + 1e-9)
+
+
+def _synthetic_evaluation(seed, params, detail_years=()):
+    base, solar, wind = load_inputs(None, seed, params, DataOptions())
+    stage = OptionStage.start(params, detail_years)
+    despatch = despatch_group(params, *inputs_of(base, solar, wind), [stage])
+    return stage, despatch, evaluate_scenario(stage, despatch)
+
+
+class TestResidue:
+    """NEW-supply rounding dust is zero by one rule, ``newsupply.RESIDUE``."""
+
+    def test_battery_with_nothing_spare_displaces_exactly_zero_gas(self):
+        # synthetic seed 26, 2021: in one cycle the lowest SoC sits 1.7e-13
+        # MWh above the floor, under one ulp of the energy capacity, and
+        # gas_slack runs in that cycle; the spare energy is residue
+        params = ScenarioParams(new_option="battery_re", demand_growth=0.0525,
+                                flex_limit=0.55, re_2030=300.0, solar_share=7 / 12,
+                                battery_size_fraction=1.0, dedicated_solar_extra=1.0)
+        stage, _, outcome = _synthetic_evaluation(26, params)
+        assert stage.plan.displaced_gas_twh[0] == 0.0
+        assert outcome.year_rows[0]["displaced_gas_twh"] == 0.0
+
+    def test_thermal_build_an_ulp_short_of_peak_leaves_no_unmet(self):
+        # synthetic seed 4, 2024: the build grossed up by aux and netted
+        # back down falls one ulp short of the peak unmet it was sized on
+        params = ScenarioParams(new_option="coal", demand_growth=0.05, flex_limit=0.55,
+                                re_2030=250.0, solar_share=7 / 12)
+        stage, despatch, outcome = _synthetic_evaluation(4, params, (2024,))
+        i = YEARS.index(2024)
+        net_cap = stage.plan.capacity_mw[i] * (1.0 - params.tech_costs["coal"].aux)
+        assert np.nextafter(net_cap, np.inf) == despatch.totals["peak_unmet_mw"][i]
+        assert stage.plan.secondary_unmet_twh[i] == 0.0
+        assert stage.plan.biodiesel_capacity_mw[i] == 0.0
+        assert outcome.annual_mix[2024]["unmet_twh"] == 0.0
+        assert np.all(outcome.details[2024].reporting.unmet == 0.0)
+
+    @pytest.mark.parametrize("module", [new, pipeline], ids=lambda m: m.__name__)
+    def test_no_second_residue_threshold(self, module):
+        # a float literal this small is a residue rule; the one rule is
+        # RESIDUE, and _EPS is the plan's tolerance for a negative volume
+        tree = ast.parse(Path(module.__file__).read_text())
+        allowed = {id(node.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign)
+                   and [ast.unparse(t) for t in node.targets] in (["RESIDUE"], ["_EPS"])}
+        small = [(node.lineno, node.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                 and 0.0 < node.value < 1e-3 and id(node) not in allowed]
+        assert small == []
 
 
 @pytest.mark.parametrize("year", range(2019, 2025))

@@ -238,7 +238,7 @@ def test_cost_inputs_are_checked_at_config_time(config, key):
 def test_cost_inputs_at_their_bounds_pass():
     p = params_from_config({
         "tech_costs": {"ocgt": {"aux": 0.0, "life_years": 1}},
-        "battery_life_years": 1, "solar_life_years": 1, "discount_rate": -0.99,
+        "battery_life_years": 1, "solar_life_years": 1, "discount_rate": -0.49,
         "wacc": -0.99, "om_inflation": -0.99,
         "inverter_capex_rs_per_kw": 0.0, "battery_om_fraction": 0.0, "solar_om_rs_per_mw": 0.0,
         "wind_om_rs_per_mw": 0.0, "battery_learning_rate": 0.99, "coal_escalation": -0.99,

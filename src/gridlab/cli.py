@@ -59,7 +59,6 @@ from gridlab.pipeline import (
     ScenarioOutcome,
     despatch_group,
     evaluate_scenario,
-    year_shapes,
 )
 from gridlab.scenario import (
     BASE_YEAR,
@@ -74,6 +73,7 @@ from gridlab.scenario import (
 )
 from gridlab.shapes import (
     SLOT_HOURS,
+    SYNTH_SOLAR_MW,
     BaseYearData,
     PerMwShape,
     clean_series,
@@ -199,11 +199,18 @@ def load_inputs(
     params: ScenarioParams,
     opts: DataOptions,
 ) -> tuple[BaseYearData, PerMwShape, PerMwShape]:
-    """Base-year data plus the per-MW shapes new builds will follow."""
+    """Base-year data plus the per-MW shapes new builds will follow.
+    Synthetic inputs refuse every ``opts`` value changed from its default."""
     if synthetic_seed is not None:
+        default = asdict(DataOptions())
+        changed = sorted(k for k, v in asdict(opts).items() if v != default[k])
+        if changed:
+            raise ParameterError(
+                f"data options {changed} apply to a data directory, not to synthetic inputs"
+            )
         base = synth_shapes(synthetic_seed)
         raw_solar = synth_solar_shape(base.year)
-        solar_capacity_mw = 35_000.0
+        solar_capacity_mw = SYNTH_SOLAR_MW
     elif data_dir is not None:
         directory = Path(data_dir)
         raw = load_timeseries_csv(directory / opts.base_file, opts.year)
@@ -236,7 +243,7 @@ _WORKER_INPUTS: tuple | None = None
 
 def _init_worker(base: BaseYearData, solar: PerMwShape, wind: PerMwShape) -> None:
     global _WORKER_INPUTS
-    _WORKER_INPUTS = (base, year_shapes(base, solar), year_shapes(base, wind))
+    _WORKER_INPUTS = (base, solar, wind)
 
 
 def _failure(stage: str, exc: GridlabError) -> tuple[str, str, str]:
@@ -596,9 +603,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Half-hourly grid balancing sweeps: JSON config in, CSVs out.",
     )
     parser.add_argument("--config", help="JSON config file (axes, overrides, data options)")
-    parser.add_argument("--data", help="directory holding base_year.csv (and optional solar_shape.csv)")
     parser.add_argument("--out", default="gridlab-out", help="output directory (default: %(default)s)")
-    parser.add_argument(
+    inputs = parser.add_mutually_exclusive_group()
+    inputs.add_argument("--data", help="directory holding base_year.csv (and optional solar_shape.csv)")
+    inputs.add_argument(
         "--synthetic",
         type=int,
         metavar="SEED",

@@ -413,9 +413,11 @@ def _format_block(block: list[np.ndarray], formats: Sequence[str], newline: str)
         values = np.stack([block[j] for j in num], axis=1, dtype=np.float64)
         fixed = np.array([formats[j] == "%.3f" for j in num])
         scale = np.where(fixed, 1e3, 1.0)
-        scaled = np.abs(values) * scale
-        nearest = np.rint(scaled)
-        with np.errstate(invalid="ignore"):  # inf - inf; those rows fall back
+        # a value past 1.8e305 overflows when scaled, and inf - inf is
+        # NaN; those rows fall back
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = np.abs(values) * scale
+            nearest = np.rint(scaled)
             ok = (scaled < scale * 1e9) & (
                 np.abs(scaled - nearest) <= (0.5 - np.spacing(scaled)) * fixed)
         bad |= ~ok.all(axis=1)

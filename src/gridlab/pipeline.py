@@ -4,7 +4,9 @@ A despatch group is the scenarios that share a despatch key: their
 values of ``DESPATCH_FIELDS``.  ``despatch_group`` builds the group's
 capacity path and then, for each year 2021-2030 in turn,
 
-1. scales demand and capacities (scenario),
+1. puts the base year and the per-MW shapes on the year's slot grid
+   (``year_series``, the one caller of ``map_values_to_year``) and
+   scales demand and capacities (scenario),
 2. nets demand after must-run, despatches the merit order and the coal
    flex (dispatch),
 3. audits the buffer and takes the capacity requirement (dispatch),
@@ -15,11 +17,11 @@ advances one year on that record:
 
 4. NEW supply sizing, SoC simulation, displacement loops (newsupply).
 
-The group keeps the year's totals row and drops the record before the
-next year is despatched, so no more than one year's slot arrays are
-held at a time.  The option stage is causal in years: sizes carry over
-as running maxima, so stepping the years in order gives the plan a
-whole decade would.  ``evaluate_scenario`` then prices each finished
+The group keeps the year's totals row and drops the record and the
+year's series before the next year is despatched, so no more than one
+year's slot arrays are held at a time.  The option stage is causal in
+years: sizes carry over as running maxima, so stepping the years in
+order gives the plan a whole decade would.  ``evaluate_scenario`` then prices each finished
 plan on the group's ``DespatchSummary``:
 
 5. cash flows and NPV (economics), and the year rows.
@@ -97,8 +99,18 @@ class ScenarioOutcome:
     annual_mix: dict[int, dict[str, float]] = field(default_factory=dict)
 
 
+def year_series(
+    base: BaseYearData, solar: PerMwShape, wind: PerMwShape, year: int
+) -> dict[str, np.ndarray]:
+    """The base year on ``year``'s slot grid: ``demand`` and each fuel's
+    supply in MW, and the ``solar`` and ``wind`` per-MW shapes."""
+    series = {"demand": base.demand, **base.supply_by_fuel,
+              "solar": solar.values, "wind": wind.values}
+    return {key: map_values_to_year(values, base.year, year) for key, values in series.items()}
+
+
 def _tranche_caps(
-    base: BaseYearData, path: CapacityPath, p: ScenarioParams, year: int
+    series: Mapping[str, np.ndarray], path: CapacityPath, p: ScenarioParams, year: int
 ) -> dict[str, np.ndarray]:
     """Per-slot tranche capacities for one year.
 
@@ -111,8 +123,7 @@ def _tranche_caps(
     coal_avail = path.coal_total[i] * 1e3 * (1.0 - p.coal_peak_derate)
     gas_avail = path.gas_total[i] * 1e3
 
-    base_coal = map_values_to_year(base.supply_by_fuel["coal"].values, base.year, year)
-    base_gas = map_values_to_year(base.supply_by_fuel["gas"].values, base.year, year)
+    base_coal, base_gas = series["coal"], series["gas"]
     coal_peak = float(np.max(base_coal))
     gas_peak = float(np.max(base_gas))
 
@@ -132,47 +143,34 @@ def _tranche_caps(
 
 
 def _year_supplies(
-    base: BaseYearData,
-    path: CapacityPath,
-    p: ScenarioParams,
-    year: int,
-    solar_shape: np.ndarray,
-    wind_shape: np.ndarray,
+    series: Mapping[str, np.ndarray], path: CapacityPath, p: ScenarioParams, year: int
 ) -> dict[str, np.ndarray]:
     """Must-run supply series for one year, scaled pro rata."""
     i = path.index(year)
-
-    def base_values(fuel: str) -> np.ndarray:
-        return map_values_to_year(base.supply_by_fuel[fuel].values, base.year, year)
-
     return {
         "re": (
-            base_values("re")
-            + path.solar_new[i] * 1e3 * solar_shape
-            + path.wind_new[i] * 1e3 * wind_shape
+            series["re"]
+            + path.solar_new[i] * 1e3 * series["solar"]
+            + path.wind_new[i] * 1e3 * series["wind"]
         ),
-        "hydro": base_values("hydro") * (path.hydro[i] / p.hydro_2021),
-        "nuclear": base_values("nuclear") * (path.nuclear[i] / p.nuclear_2021),
+        "hydro": series["hydro"] * (path.hydro[i] / p.hydro_2021),
+        "nuclear": series["nuclear"] * (path.nuclear[i] / p.nuclear_2021),
     }
 
 
 def dispatch_year(
-    params: ScenarioParams,
-    base: BaseYearData,
-    path: CapacityPath,
-    year: int,
-    solar_shape: np.ndarray,
-    wind_shape: np.ndarray,
+    params: ScenarioParams, path: CapacityPath, year: int, series: Mapping[str, np.ndarray]
 ) -> YearRecord:
-    """Steps 2-3 for one year: net demand, merit order, flex, buffer."""
+    """Steps 2-3 for one year, on its ``year_series``: net demand,
+    merit order, flex, buffer."""
     i = path.index(year)
-    demand = project_demand(params, base, year)
+    demand = project_demand(params, series["demand"], year)
     busbar = demand * (1.0 + params.ists_loss)
-    supplies = _year_supplies(base, path, params, year, solar_shape, wind_shape)
+    supplies = _year_supplies(series, path, params, year)
 
     net, interim = dsp.net_demand(busbar, supplies["re"], supplies["hydro"], supplies["nuclear"])
     must = dsp.split_must_run(busbar, supplies["re"], supplies["hydro"], supplies["nuclear"])
-    caps = _tranche_caps(base, path, params, year)
+    caps = _tranche_caps(series, path, params, year)
     dy = dsp.merit_dispatch(net, [(k, caps[k]) for k in dsp.TRANCHES])
     dy = dsp.attach_must_run(dy, must, interim)
     dy = dsp.apply_coal_flex(dy, params.flex_limit)
@@ -189,11 +187,6 @@ def dispatch_year(
         capacity_requirement_mw=dsp.compute_unmet(dy, shortfall),
         demand_twh=float(np.sum(busbar)) * SLOT_HOURS / 1e6,
     )
-
-
-def year_shapes(base: BaseYearData, shape: PerMwShape) -> dict[int, np.ndarray]:
-    """A per-MW shape mapped onto every horizon year's slot grid."""
-    return {y: map_values_to_year(shape.values, base.year, y) for y in YEARS}
 
 
 def year_totals(record: YearRecord) -> dict[str, float]:
@@ -358,32 +351,31 @@ class ThermalStage(OptionStage):
         return served, secondary, None, None
 
 
-def despatch_group(
-    params: ScenarioParams,
-    base: BaseYearData,
-    solar_by_year: Mapping[int, np.ndarray],
-    wind_by_year: Mapping[int, np.ndarray],
-    stages: Sequence[OptionStage],
-) -> DespatchSummary:
-    """The despatch stage, year-major: despatch each year of ``params``'s
-    key once, step every stage on it, keep its totals row, drop it.
+def despatch_group(params: ScenarioParams, base: BaseYearData, solar: PerMwShape,
+                   wind: PerMwShape, stages: Sequence[OptionStage]) -> DespatchSummary:
+    """The despatch stage, year-major: put the base year and the per-MW
+    ``solar`` and ``wind`` shapes on each year of ``params``'s key,
+    despatch the year once, step every stage on it, keep its totals row,
+    drop it.
 
-    Every array of a year record is read-only, so the stages sharing it
-    cannot write into each other's inputs.  A ``GridlabError`` of the
-    despatch propagates; one of a stage stays in that stage.
+    Every array of a year's series and record is read-only, so the
+    stages sharing them cannot write into each other's inputs.  A
+    ``GridlabError`` of the despatch propagates; one of a stage stays in
+    that stage.
     """
     path = build_capacity_path(params, base)
     _freeze(v for v in vars(path).values() if isinstance(v, np.ndarray))
     rows = []
     for i, year in enumerate(YEARS):
-        record = dispatch_year(params, base, path, year, solar_by_year[year], wind_by_year[year])
+        series = year_series(base, solar, wind, year)
+        record = dispatch_year(params, path, year, series)
         dy = record.dispatch
-        _freeze([*(v for v in vars(dy).values() if isinstance(v, np.ndarray)),
+        _freeze([*series.values(), *(v for v in vars(dy).values() if isinstance(v, np.ndarray)),
                  *dy.supply.values(), *dy.capacity.values(), record.curtailed_re])
         rows.append(year_totals(record))
         for stage in stages:
-            stage.step(i, record, solar_by_year[year])
-        del record, dy  # before the next year is despatched
+            stage.step(i, record, series["solar"])
+        del series, record, dy  # before the next year is despatched
     totals = {key: np.array([row[key] for row in rows]) for key in rows[0]}
     _freeze(totals.values())
     return DespatchSummary(path=path, totals=totals)

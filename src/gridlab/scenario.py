@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from gridlab.errors import ParameterError
-from gridlab.shapes import BaseYearData, map_values_to_year
+from gridlab.shapes import BaseYearData
 
 BASE_YEAR = 2021
 FINAL_YEAR = 2030
@@ -390,8 +390,8 @@ def build_capacity_path(
     gas = np.full_like(coal, p.gas_2021)
 
     if base is not None:
-        coal_2019_peak = float(np.nanmax(base.supply_by_fuel["coal"].values)) / 1e3
-        gas_2019_peak = float(np.nanmax(base.supply_by_fuel["gas"].values)) / 1e3
+        coal_2019_peak = float(np.nanmax(base.supply_by_fuel["coal"])) / 1e3
+        gas_2019_peak = float(np.nanmax(base.supply_by_fuel["gas"])) / 1e3
     else:
         coal_2019_peak = p.coal_2021
         gas_2019_peak = p.gas_2021
@@ -411,9 +411,10 @@ def build_capacity_path(
     )
 
 
-def project_demand(p: ScenarioParams, base: BaseYearData, year: int) -> np.ndarray:
-    """Scale the base-year demand shape to a target year, pro rata."""
+def project_demand(p: ScenarioParams, demand: np.ndarray, year: int) -> np.ndarray:
+    """Scale base-year ``demand``, already on ``year``'s slot grid, to
+    ``year``, pro rata."""
     if not BASE_YEAR <= year <= FINAL_YEAR:
         raise ParameterError(f"year {year} outside horizon {BASE_YEAR}..{FINAL_YEAR}")
     factor = (1.0 + p.demand_growth) ** (year - BASE_YEAR)
-    return map_values_to_year(base.demand.values, base.year, year) * factor
+    return demand * factor

@@ -1,11 +1,14 @@
-"""Half-hourly timeseries: loading, cleaning, and per-MW shapes.
+"""Half-hourly timeseries: the base year, loading, cleaning, and per-MW shapes.
 
 Everything downstream despatches against half-hourly (30-minute) series
 covering one calendar year: 17,520 slots normally, 17,568 in a leap
-year.  This module owns the slot arithmetic, the base-year CSV loader
-with its gap bookkeeping, the cleaning rules (interpolation, nearest
-clean day, RE energy correction), CUF rescaling for per-MW shapes, and
-a deterministic synthetic generator for self-contained runs.
+year.  The base year is one ``BaseYearData`` of read-only MW arrays on
+its own year's slot grid, checked once when it is built;
+``map_values_to_year`` places such an array on another year's grid.
+This module owns the slot arithmetic, the base-year CSV loader with its
+gap bookkeeping, the cleaning rules (interpolation, nearest clean day,
+RE energy correction), CUF rescaling for per-MW shapes, and a
+deterministic synthetic generator for self-contained runs.
 """
 
 from __future__ import annotations
@@ -97,63 +100,42 @@ def _gap_runs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 
 @dataclass(frozen=True)
-class HalfHourlySeries:
-    """One year of half-hourly MW values, validated at the input boundary.
+class BaseYearData:
+    """Base-year observations, raw from the loader or cleaned.
 
-    Gaps (NaN) are permitted on freshly loaded data and are gone after
-    cleaning.  Negative or infinite values are never allowed.  The model
-    works on the read-only ``values`` array.
+    ``demand`` and each ``supply_by_fuel[fuel]`` are read-only MW arrays
+    on ``year``'s slot grid, checked and copied once, here.  Gaps (NaN)
+    are permitted on freshly loaded data and are gone after cleaning;
+    negative or infinite values are never allowed.
     """
 
     year: int
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        n = slots_in_year(self.year)
-        if vals.shape != (n,):
-            raise ParameterError(
-                f"series '{self.label}' for {self.year} needs {n} slots, "
-                f"got shape {vals.shape}"
-            )
-        if np.any(np.isinf(vals)):
-            raise ParameterError(f"series '{self.label}' contains infinities")
-        if np.any(vals[~np.isnan(vals)] < 0):
-            raise ParameterError(f"series '{self.label}' contains negative MW")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_slots(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def has_gaps(self) -> bool:
-        return bool(np.any(np.isnan(self.values)))
-
-    def energy_gwh(self) -> float:
-        """Annual energy in GWh, ignoring gaps."""
-        return float(np.nansum(self.values)) * SLOT_HOURS / 1e3
-
-
-@dataclass(frozen=True)
-class BaseYearData:
-    """Cleaned (or raw, straight from the loader) base-year observations."""
-
-    year: int
-    demand: HalfHourlySeries
-    supply_by_fuel: dict[str, HalfHourlySeries]
+    demand: np.ndarray
+    supply_by_fuel: dict[str, np.ndarray]
     gaps: dict[str, tuple[tuple[int, int], ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         missing = set(FUELS) - set(self.supply_by_fuel)
         if missing:
             raise ParameterError(f"supply_by_fuel missing {sorted(missing)}")
-        for name, series in self.supply_by_fuel.items():
-            if series.year != self.year:
-                raise ParameterError(f"fuel '{name}' is for {series.year}, not {self.year}")
+        object.__setattr__(self, "demand", self._checked("demand", self.demand))
+        object.__setattr__(self, "supply_by_fuel", {
+            fuel: self._checked(fuel, values) for fuel, values in self.supply_by_fuel.items()})
+
+    def _checked(self, label: str, values) -> np.ndarray:
+        """A read-only copy of the series ``label``."""
+        vals = np.array(values, dtype=float)
+        n = slots_in_year(self.year)
+        if vals.shape != (n,):
+            raise ParameterError(
+                f"series '{label}' for {self.year} needs {n} slots, got shape {vals.shape}"
+            )
+        if np.any(np.isinf(vals)):
+            raise ParameterError(f"series '{label}' contains infinities")
+        if np.any(vals < 0):
+            raise ParameterError(f"series '{label}' contains negative MW")
+        vals.flags.writeable = False
+        return vals
 
 
 @dataclass(frozen=True)
@@ -331,12 +313,8 @@ def load_timeseries_csv(path: str | Path, year: int) -> BaseYearData:
         )
 
     gaps = {name: _gap_runs(np.isnan(values)) for name, values in columns.items()}
-    return BaseYearData(
-        year=year,
-        demand=HalfHourlySeries(year, columns["demand"], "demand"),
-        supply_by_fuel={fuel: HalfHourlySeries(year, columns[fuel], fuel) for fuel in FUELS},
-        gaps={k: v for k, v in gaps.items() if v},
-    )
+    demand = columns.pop("demand")  # the rest are the fuels
+    return BaseYearData(year, demand, columns, gaps={k: v for k, v in gaps.items() if v})
 
 
 def load_shape_csv(path: str | Path) -> PerMwShape:
@@ -433,29 +411,14 @@ def clean_series(
     if re_annual_target is not None and re_annual_target <= 0:
         raise ParameterError(f"re_annual_target must be positive, got {re_annual_target}")
 
-    demand = HalfHourlySeries(
-        raw.year, _fill_gaps(raw.demand.values, max_gap_slots, "demand"), "demand"
-    )
-    supply: dict[str, HalfHourlySeries] = {}
-    for fuel in FUELS:
-        series = raw.supply_by_fuel[fuel]
-        supply[fuel] = HalfHourlySeries(
-            raw.year, _fill_gaps(series.values, max_gap_slots, fuel), fuel
-        )
-
+    demand = _fill_gaps(raw.demand, max_gap_slots, "demand")
+    supply = {fuel: _fill_gaps(raw.supply_by_fuel[fuel], max_gap_slots, fuel) for fuel in FUELS}
     if re_annual_target is not None:
-        current = supply["re"].energy_gwh()
+        current = float(np.sum(supply["re"])) * SLOT_HOURS / 1e3
         if current <= 0:
             raise DataIntegrityError("RE series has zero energy; cannot apply correction")
-        factor = re_annual_target / current
-        supply["re"] = HalfHourlySeries(raw.year, supply["re"].values * factor, "re")
-
-    return BaseYearData(
-        year=raw.year,
-        demand=demand,
-        supply_by_fuel=supply,
-        gaps=raw.gaps,
-    )
+        supply["re"] = supply["re"] * (re_annual_target / current)
+    return BaseYearData(raw.year, demand, supply, raw.gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +464,7 @@ def rescale_to_cuf(
 
 
 def derive_wind_shape(
-    re_series: HalfHourlySeries,
+    re_series: np.ndarray,
     solar_shape: PerMwShape,
     solar_capacity_mw: float,
     wind_cuf: float | None = None,
@@ -515,14 +478,14 @@ def derive_wind_shape(
     """
     if solar_capacity_mw < 0:
         raise ParameterError("solar_capacity_mw must be >= 0")
-    if re_series.has_gaps:
+    if np.any(np.isnan(re_series)):
         raise ParameterError("derive_wind_shape needs a cleaned RE series")
     solar = solar_shape.values
-    if solar.shape != re_series.values.shape:
+    if solar.shape != re_series.shape:
         raise ParameterError(
-            f"solar shape has {solar.size} slots, RE series has {re_series.n_slots}"
+            f"solar shape has {solar.size} slots, RE series has {re_series.size}"
         )
-    wind = np.maximum(re_series.values - solar_capacity_mw * solar, 0.0)
+    wind = np.maximum(re_series - solar_capacity_mw * solar, 0.0)
     peak = wind.max()
     if peak <= 0:
         raise DegenerateShapeError(
@@ -541,6 +504,8 @@ def derive_wind_shape(
 SYNTH_YEAR = 2021
 #: synthetic annual demand, GWh (about 1,360 BU, the 2021 benchmark)
 SYNTH_DEMAND_GWH = 1_360_000.0
+#: installed solar MW behind the synthetic RE column
+SYNTH_SOLAR_MW = 35_000.0
 
 
 def _hours_of_day() -> np.ndarray:
@@ -595,7 +560,7 @@ def synth_shapes(seed: int, peakiness: float = 1.0) -> BaseYearData:
 
     solar_season = 1.0 + 0.05 * np.sin(2 * np.pi * (day - 80) / n_days)
     solar_day_noise = 1.0 + 0.04 * rng.standard_normal(n_days)
-    solar = 35_000.0 * np.outer(solar_season * solar_day_noise, _solar_bell()).reshape(-1)
+    solar = SYNTH_SOLAR_MW * np.outer(solar_season * solar_day_noise, _solar_bell()).reshape(-1)
     solar = np.maximum(solar, 0.0)
 
     monsoon = 1.0 + 0.9 * np.exp(-(((day - 205) / 48.0) ** 2))
@@ -615,12 +580,6 @@ def synth_shapes(seed: int, peakiness: float = 1.0) -> BaseYearData:
 
     return BaseYearData(
         year=SYNTH_YEAR,
-        demand=HalfHourlySeries(SYNTH_YEAR, demand, "demand"),
-        supply_by_fuel={
-            "coal": HalfHourlySeries(SYNTH_YEAR, coal, "coal"),
-            "gas": HalfHourlySeries(SYNTH_YEAR, gas, "gas"),
-            "hydro": HalfHourlySeries(SYNTH_YEAR, hydro, "hydro"),
-            "nuclear": HalfHourlySeries(SYNTH_YEAR, nuclear, "nuclear"),
-            "re": HalfHourlySeries(SYNTH_YEAR, re, "re"),
-        },
+        demand=demand,
+        supply_by_fuel={"coal": coal, "gas": gas, "hydro": hydro, "nuclear": nuclear, "re": re},
     )

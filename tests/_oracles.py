@@ -75,6 +75,7 @@ from gridlab.pipeline import (
     despatch_group,
     dispatch_year,
     evaluate_scenario,
+    year_series,
 )
 from gridlab.scenario import N_YEARS, YEARS, CapacityPath, build_capacity_path
 from gridlab.shapes import (
@@ -83,7 +84,6 @@ from gridlab.shapes import (
     SLOTS_PER_DAY,
     TIMESERIES_COLUMNS,
     BaseYearData,
-    HalfHourlySeries,
     PerMwShape,
     _gap_runs,
     map_values_to_year,
@@ -93,10 +93,13 @@ from gridlab.shapes import (
 UNMET_PRICE = 1.0e5  # Rs/kWh-scale penalty, far above any fuel
 
 
-def series_to_year(series, year):
-    """A base-year series mapped onto another year's slot grid (leap aware)."""
-    values = map_values_to_year(series.values, series.year, year)
-    return HalfHourlySeries(year, values, label=series.label)
+def base_in_year(base, year):
+    """``base`` as the base year ``year``: every series mapped onto that
+    year's slot grid (leap aware)."""
+    return BaseYearData(
+        year, map_values_to_year(base.demand, base.year, year),
+        {fuel: map_values_to_year(mw, base.year, year) for fuel, mw in base.supply_by_fuel.items()},
+    )
 
 
 def random_flex_instance(rng, n_slots=SLOTS_PER_DAY):
@@ -714,10 +717,8 @@ def load_timeseries_csv(path, year):
     }
     return BaseYearData(
         year=year,
-        demand=HalfHourlySeries(year, columns["demand_mw"], "demand"),
-        supply_by_fuel={
-            fuel: HalfHourlySeries(year, columns[f"{fuel}_mw"], fuel) for fuel in FUELS
-        },
+        demand=columns["demand_mw"],
+        supply_by_fuel={fuel: columns[f"{fuel}_mw"] for fuel in FUELS},
         gaps={k: v for k, v in gaps.items() if v},
     )
 
@@ -823,12 +824,12 @@ def decade_totals(records):
     return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 
-def despatch_decade(params, base, solar_by_year, wind_by_year):
+def despatch_decade(params, base, solar, wind):
     """``dispatch_year`` for 2021-2030, all ten kept."""
     path = build_capacity_path(params, base)
-    years = {y: dispatch_year(params, base, path, y, solar_by_year[y], wind_by_year[y])
-             for y in YEARS}
-    return Decade(path=path, years=years, solar_by_year=dict(solar_by_year),
+    series = {y: year_series(base, solar, wind, y) for y in YEARS}
+    years = {y: dispatch_year(params, path, y, series[y]) for y in YEARS}
+    return Decade(path=path, years=years, solar_by_year={y: series[y]["solar"] for y in YEARS},
                   totals=decade_totals(years.values()))
 
 
@@ -975,12 +976,11 @@ def reference_evaluate_scenario(params, decade, detail_years=()):
 
 
 
-def evaluate_alone(params, base, solar_by_year, wind_by_year, detail_years=()):
+def evaluate_alone(params, base, solar, wind, detail_years=()):
     """One scenario as a despatch group of its own, year-major (see
     ``OptionStage`` for ``detail_years``); a GridlabError is raised."""
     stage = OptionStage.start(params, detail_years)
-    return evaluate_scenario(
-        stage, despatch_group(params, base, solar_by_year, wind_by_year, [stage]))
+    return evaluate_scenario(stage, despatch_group(params, base, solar, wind, [stage]))
 
 class _CohortLedger:
     """Accumulates annuitized cohort payments over the horizon.

@@ -40,17 +40,17 @@ def write_timeseries_csv(path, base, skip_slots=frozenset(), blank=frozenset()):
     """
     start = datetime(base.year, 1, 1)
     series = {
-        "demand_mw": base.demand.values,
-        "coal_mw": base.supply_by_fuel["coal"].values,
-        "gas_mw": base.supply_by_fuel["gas"].values,
-        "hydro_mw": base.supply_by_fuel["hydro"].values,
-        "nuclear_mw": base.supply_by_fuel["nuclear"].values,
-        "re_mw": base.supply_by_fuel["re"].values,
+        "demand_mw": base.demand,
+        "coal_mw": base.supply_by_fuel["coal"],
+        "gas_mw": base.supply_by_fuel["gas"],
+        "hydro_mw": base.supply_by_fuel["hydro"],
+        "nuclear_mw": base.supply_by_fuel["nuclear"],
+        "re_mw": base.supply_by_fuel["re"],
     }
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMESERIES_COLUMNS)
-        for s in range(base.demand.n_slots):
+        for s in range(base.demand.size):
             if s in skip_slots:
                 continue
             stamp = (start + timedelta(minutes=30 * s)).isoformat(sep=" ")

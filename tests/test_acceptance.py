@@ -16,9 +16,9 @@ import _oracles
 from gridlab import cli
 from gridlab.economics import build_price_path
 from gridlab.newsupply import coal_peak_bonus
-from gridlab.pipeline import year_shapes
 from gridlab.scenario import YEARS, ScenarioParams, project_demand
 from gridlab.shapes import (
+    SYNTH_SOLAR_MW,
     derive_wind_shape,
     rescale_to_cuf,
     synth_shapes,
@@ -29,14 +29,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def scenario_inputs(seed, params):
-    """Base year and the solar and wind shapes mapped to every year."""
+    """Base year and the per-MW solar and wind shapes."""
     base = synth_shapes(seed)
     raw = synth_solar_shape(base.year)
     solar = rescale_to_cuf(raw, params.solar_cuf)
     wind = derive_wind_shape(
-        base.supply_by_fuel["re"], raw, 35_000.0, wind_cuf=params.wind_cuf
+        base.supply_by_fuel["re"], raw, SYNTH_SOLAR_MW, wind_cuf=params.wind_cuf
     )
-    return base, year_shapes(base, solar), year_shapes(base, wind)
+    return base, solar, wind
 
 
 def read_table(path):
@@ -50,9 +50,9 @@ def test_criterion_1_closed_form_projections():
     params = ScenarioParams()
 
     base = synth_shapes(0)
-    base_twh = base.demand.values.sum() * 0.5 / 1e6
+    base_twh = base.demand.sum() * 0.5 / 1e6
     assert base_twh == pytest.approx(1360.0, rel=1e-9)
-    projected = project_demand(params, base, 2030).sum() * 0.5 / 1e6
+    projected = project_demand(params, base.demand, 2030).sum() * 0.5 / 1e6
     assert projected == pytest.approx(2160.0, rel=0.005)
 
     path = build_price_path(params)

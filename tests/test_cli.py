@@ -148,7 +148,7 @@ class TestLoadInputs:
         params = ScenarioParams()
         base, solar, wind = cli.load_inputs(None, 3, params, cli.DataOptions())
         expect = synth_shapes(3)
-        assert np.array_equal(base.demand.values, expect.demand.values)
+        assert np.array_equal(base.demand, expect.demand)
         raw = synth_solar_shape(expect.year)
         assert np.array_equal(solar.values, rescale_to_cuf(raw, params.solar_cuf).values)
         expect_wind = derive_wind_shape(
@@ -165,7 +165,7 @@ class TestLoadInputs:
         base, solar, _ = cli.load_inputs(data_dir, None, params, cli.DataOptions())
         expect = synth_shapes(3)
         assert base.year == expect.year
-        assert base.demand.values == pytest.approx(expect.demand.values, abs=1e-3)
+        assert base.demand == pytest.approx(expect.demand, abs=1e-3)
         raw = synth_solar_shape(expect.year)
         assert solar.values == pytest.approx(
             rescale_to_cuf(raw, params.solar_cuf).values, abs=1e-6
@@ -538,10 +538,10 @@ def fail_despatch(monkeypatch, re_2030, year=YEARS[0]):
     """Make dispatch_year raise for one RE build-out from ``year`` on."""
     real = pipeline.dispatch_year
 
-    def flaky(params, *args):
-        if params.re_2030 == re_2030 and args[2] >= year:
+    def flaky(params, path, this_year, series):
+        if params.re_2030 == re_2030 and this_year >= year:
             raise InfeasibleError("no despatch")
-        return real(params, *args)
+        return real(params, path, this_year, series)
 
     monkeypatch.setattr(pipeline, "dispatch_year", flaky)
 
@@ -563,9 +563,9 @@ def count_despatches(monkeypatch) -> list:
     calls = []
     real = pipeline.dispatch_year
 
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return real(*args, **kwargs)
+    def counted(params, path, year, series):
+        calls.append(year)
+        return real(params, path, year, series)
 
     monkeypatch.setattr(pipeline, "dispatch_year", counted)
     return calls
@@ -895,6 +895,30 @@ class TestMain:
         out = capsys.readouterr().out
         assert "inputs: ok" in out
         assert "scenarios: 1" in out
+
+    def test_data_and_synthetic_together_exit_2(self, tmp_path, capsys):
+        # one of the two sources would be ignored, silently
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--data", str(tmp_path / "nonexistent"), "--synthetic", "0",
+                      "--validate-only"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, keys", [
+        ({"year": 2020, "solar_capacity_mw": 1000}, "['solar_capacity_mw', 'year']"),
+        ({"base_file": "other.csv"}, "['base_file']"),
+        ({"re_annual_target_gwh": 50_000.0}, "['re_annual_target_gwh']"),
+    ])
+    def test_data_options_with_synthetic_inputs_exit_2(self, tmp_path, capsys, data, keys):
+        cfg = self.write_config(tmp_path, {"data": data})
+        assert cli.main(["--config", cfg, "--synthetic", "0", "--validate-only"]) == 2
+        err = capsys.readouterr().err
+        assert f"data options {keys} apply to a data directory" in err
+
+    def test_default_data_options_pass_with_synthetic_inputs(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {"data": {"year": 2021, "max_gap_slots": 4}})
+        assert cli.main(["--config", cfg, "--synthetic", "0", "--validate-only"]) == 0
+        assert "inputs: ok" in capsys.readouterr().out
 
     def test_validate_only_rejects_a_detail_year_outside_the_horizon(self, capsys):
         assert cli.main(["--validate-only", "--year-detail", "2035"]) == 2

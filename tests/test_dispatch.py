@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -485,6 +486,17 @@ class TestWriteTable:
         columns = [np.arange(2049), values, rng.permutation(values), labels]
         args = (["slot", "a", "b", "source"], columns, ["%d", "%.3f", "%.3f", "%s"], "\r\n")
         write_table(tmp_path / "block.csv", *args)
+        _oracles.reference_write_table(tmp_path / "rows.csv", *args)
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_huge_fixed_point_values_fall_back_without_a_warning(self, tmp_path):
+        # 1e306 * 1e3 overflows while the %.3f cells are scaled; those
+        # rows go through % and nothing is printed to stderr
+        values = np.array([1e306, -1e306, 2.5])
+        args = (["a", "b"], [values, values[::-1].copy()], ["%.3f", "%.3f"], "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_table(tmp_path / "block.csv", *args)
         _oracles.reference_write_table(tmp_path / "rows.csv", *args)
         assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 

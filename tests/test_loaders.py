@@ -26,14 +26,11 @@ from gridlab.errors import DataIntegrityError, GridlabError, TimeseriesParseErro
 from gridlab.shapes import (
     FUELS,
     SLOTS_PER_DAY,
-    BaseYearData,
-    HalfHourlySeries,
     _BLOCK_ROWS,
     _fill_gaps,
     clean_series,
     load_shape_csv,
     load_timeseries_csv,
-    map_values_to_year,
     synth_shapes,
 )
 
@@ -58,8 +55,7 @@ def _outcome(load, *args):
 
 
 def _series(data):
-    return {"demand": data.demand.values,
-            **{fuel: data.supply_by_fuel[fuel].values for fuel in FUELS}}
+    return {"demand": data.demand, **{fuel: data.supply_by_fuel[fuel] for fuel in FUELS}}
 
 
 def assert_same_base_year(got, want):
@@ -103,17 +99,9 @@ def test_patchy_files_match_the_per_row_loaders(tmp_path, monkeypatch, seed):
 def _leap_year_file(path):
     """A 2020 base year with the patchy files' kinds of gap, and gaps at
     both ends of the year and on 29 February."""
-    src = synth_shapes(5)
-    base = BaseYearData(
-        year=2020,
-        demand=HalfHourlySeries(2020, map_values_to_year(src.demand.values, 2021, 2020)),
-        supply_by_fuel={
-            fuel: HalfHourlySeries(2020, map_values_to_year(s.values, 2021, 2020), fuel)
-            for fuel, s in src.supply_by_fuel.items()
-        },
-    )
+    base = _oracles.base_in_year(synth_shapes(5), 2020)
     rng = np.random.default_rng(2020)
-    n = base.demand.n_slots
+    n = base.demand.size
     skip = {0, 1, n - 1}
     for start, length in zip(rng.integers(48, n - 48, 30), rng.integers(1, 5, 30)):
         skip.update(range(start, start + length))
@@ -130,7 +118,7 @@ def test_leap_year_file_matches_the_per_row_loader(tmp_path):
     path = tmp_path / "base_year.csv"
     _leap_year_file(path)
     raw = load_timeseries_csv(path, 2020)
-    assert raw.demand.n_slots == 17_568
+    assert raw.demand.size == 17_568
     assert raw.gaps["re"][-1] == (17_561, 17_568)
     assert_same_base_year(raw, _oracles.load_timeseries_csv(path, 2020))
     assert_same_cleaned(raw)

@@ -22,7 +22,7 @@ from gridlab.pipeline import (
     despatch_group,
     dispatch_year,
     evaluate_scenario,
-    year_shapes,
+    year_series,
 )
 from gridlab.scenario import (
     DESPATCH_FIELDS,
@@ -35,7 +35,6 @@ from gridlab.scenario import (
 from gridlab.shapes import (
     SLOT_HOURS,
     SLOTS_PER_DAY,
-    BaseYearData,
     derive_wind_shape,
     rescale_to_cuf,
     slots_in_year,
@@ -45,20 +44,17 @@ from gridlab.shapes import (
 GROWTH = 1.0525
 
 
-def inputs_of(base, solar, wind):
-    """Base year plus the solar and wind shapes mapped to every year."""
-    return base, year_shapes(base, solar), year_shapes(base, wind)
-
-
 class RecordKeeper:
     """A stand-in option stage that keeps every year record it is
-    stepped on."""
+    stepped on, and the per-MW solar shape that came with it."""
 
     def __init__(self):
         self.records = {}
+        self.solar = {}
 
     def step(self, i, record, solar):
         self.records[YEARS[i]] = record
+        self.solar[YEARS[i]] = solar
 
 
 def step_through(stage, records, solar_by_year):
@@ -70,7 +66,7 @@ def step_through(stage, records, solar_by_year):
 
 @pytest.fixture(scope="module")
 def inputs(base_year, solar_shape, wind_shape):
-    return inputs_of(base_year, solar_shape, wind_shape)
+    return base_year, solar_shape, wind_shape
 
 
 #: The members of the base-case despatch group, with their detail years;
@@ -86,11 +82,12 @@ MEMBERS = {
 @pytest.fixture(scope="module")
 def group(inputs):
     """The base-case group, despatched year-major once: its members'
-    stepped stages, the group's summary and every year's record."""
+    stepped stages, the group's summary, and every year's record and
+    per-MW solar shape."""
     stages = {name: OptionStage.start(p, years) for name, (p, years) in MEMBERS.items()}
     keeper = RecordKeeper()
     summary = despatch_group(ScenarioParams(), *inputs, [keeper, *stages.values()])
-    return stages, summary, keeper.records
+    return stages, summary, keeper.records, keeper.solar
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +95,14 @@ def records(group):
     return group[2]
 
 
+@pytest.fixture(scope="module")
+def solar_by_year(group):
+    """The per-MW solar shape each year's stages were stepped with."""
+    return group[3]
+
+
 def priced(group, name):
-    stages, summary, _ = group
+    stages, summary, *_ = group
     return evaluate_scenario(stages[name], summary)
 
 
@@ -147,13 +150,14 @@ def plan_ocgt(group):
 class TestDecade:
     def test_arrays_are_read_only(self, group):
         # scenarios sharing a year cannot write into each other's inputs
-        _, summary, records = group
+        _, summary, records, solar = group
         dy = records[2030].dispatch
         arrays = [
             dy.demand, dy.unmet, dy.curtailment, dy.flex_re_cut, dy.flex_hydro_cut,
             dy.supply["coal_2019"], dy.supply["re"], dy.capacity["gas_slack"],
             records[2030].curtailed_re, summary.totals["capacity_requirement_mw"],
             summary.path.coal_total,
+            solar[2024],  # mapped onto the leap year's grid for this group
         ]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -184,10 +188,10 @@ class TestDecade:
 
     @pytest.mark.parametrize("kind", ["battery", "thermal"])
     def test_totals_equal_the_slot_sums_bit_for_bit(
-        self, kind, group, inputs, base_year
+        self, kind, group, inputs
     ):
         params = ScenarioParams()
-        _, summary, records = group
+        _, summary, records, _ = group
         if kind == "thermal":
             params = ScenarioParams(new_option="ocgt", re_2030=550.0, flex_limit=0.7)
             keeper = RecordKeeper()
@@ -207,8 +211,9 @@ class TestDecade:
             assert totals["peak_unmet_mw"][i] == dy.peak_unmet_mw()
             assert totals["flex_relaxed_slots"][i] == dy.relaxed_slots
             # the busbar and shortfall series are not kept: rebuild them
-            busbar = project_demand(params, base_year, year) * (1.0 + params.ists_loss)
-            caps = _tranche_caps(base_year, path, params, year)
+            series = year_series(*inputs, year)
+            busbar = project_demand(params, series["demand"], year) * (1.0 + params.ists_loss)
+            caps = _tranche_caps(series, path, params, year)
             despatchable = (caps["coal_avail"] + caps["gas_avail"]
                             + path.hydro[i] * 1e3 + path.nuclear[i] * 1e3)
             shortfall = dsp.buffer_check(dy, busbar, despatchable, params.grid_buffer)
@@ -258,7 +263,7 @@ class TestYearRows:
         assert [r["year"] for r in outcome.year_rows] == list(YEARS)
 
     def test_base_year_busbar_demand(self, outcome, base_year):
-        periphery_twh = float(np.sum(base_year.demand.values)) * 0.5 / 1e6
+        periphery_twh = float(np.sum(base_year.demand)) * 0.5 / 1e6
         expected = periphery_twh * 1.0339
         assert outcome.year_rows[0]["demand_twh"] == pytest.approx(
             expected, rel=1e-12)
@@ -421,7 +426,7 @@ class TestDetails:
         # earns a bonus (the CLI's inputs for --synthetic 3)
         params = ScenarioParams(battery_size_fraction=0.5, re_2030=300.0)
         years = (2022, 2023, 2024, 2025)
-        inputs = inputs_of(*load_inputs(None, 3, params, DataOptions()))
+        inputs = load_inputs(None, 3, params, DataOptions())
         outcome = _oracles.evaluate_alone(params, *inputs, detail_years=years)
         bonus_days = 0
         for year in years:
@@ -466,13 +471,13 @@ class TestUndersizedBattery:
         assert bios[-1] == pytest.approx(peak / (1 - diesel_aux))
         assert all(a <= b + 1e-12 for a, b in zip(bios, bios[1:]))
 
-    def test_matches_undersize_residual_of_full_design(self, records, inputs, outcome,
+    def test_matches_undersize_residual_of_full_design(self, records, solar_by_year, outcome,
                                                        outcome_half, plan_half):
         detail = outcome_half.details[2030]
         record = records[2030]
         twh, peak = _oracles.undersize_residual(
             outcome.details[2030].trace.battery, 0.5, record.dispatch.unmet, record.curtailed_re,
-            inputs[1][2030], plan_half.dedicated_solar_gw[-1], boundary_slot=34)
+            solar_by_year[2030], plan_half.dedicated_solar_gw[-1], boundary_slot=34)
         assert twh == pytest.approx(
             plan_half.secondary_unmet_twh[-1], rel=1e-9)
         assert peak == pytest.approx(
@@ -503,19 +508,19 @@ class TestThermalOptions:
         ocgt_net = plan_ocgt.capacity_mw[-1] * (1 - 0.025)
         assert coal_net == pytest.approx(ocgt_net, rel=1e-9)
 
-    def test_undersized_coal_leaves_secondary(self, records, inputs):
+    def test_undersized_coal_leaves_secondary(self, records, solar_by_year):
         stage = OptionStage.start(ScenarioParams(new_option="coal", new_coal_size_fraction=0.5))
-        plan = step_through(stage, records, inputs[1]).plan
+        plan = step_through(stage, records, solar_by_year).plan
         assert plan.secondary_unmet_twh[-1] > 0
         assert plan.biodiesel_capacity_mw[-1] > 0
 
 
 class TestTrancheCaps:
-    def test_tranches_partition_available_capacity(self, base_year):
+    def test_tranches_partition_available_capacity(self, inputs):
         params = ScenarioParams()
-        path = build_capacity_path(params, base_year)
-        for year in (2021, 2025, 2030):
-            caps = _tranche_caps(base_year, path, params, year)
+        path = build_capacity_path(params, inputs[0])
+        for year in (2021, 2024, 2025, 2030):
+            caps = _tranche_caps(year_series(*inputs, year), path, params, year)
             i = path.index(year)
             coal_avail = path.coal_total[i] * 1e3 * 0.9
             assert np.allclose(caps["coal_2019"] + caps["coal_slack"],
@@ -526,16 +531,14 @@ class TestTrancheCaps:
                 assert np.all(caps[key] >= -1e-9)
             assert np.all(caps["coal_2019"] <= coal_avail + 1e-9)
 
-    def test_single_year_dispatch_contract(self, base_year, solar_shape,
-                                           wind_shape):
+    @pytest.mark.parametrize("year", [2021, 2024])
+    def test_single_year_dispatch_contract(self, inputs, year):
         params = ScenarioParams()
-        path = build_capacity_path(params, base_year)
-        solar = solar_shape.values
-        wind = wind_shape.values
-        record = dispatch_year(params, base_year, path, 2021, solar, wind)
+        path = build_capacity_path(params, inputs[0])
+        record = dispatch_year(params, path, year, year_series(*inputs, year))
         dy = record.dispatch
         dy.check_balance()
-        assert dy.n_slots == slots_in_year(2021)
+        assert dy.n_slots == slots_in_year(year)
         assert isinstance(record, YearRecord)
         assert record.capacity_requirement_mw >= dy.peak_unmet_mw()
         assert np.all(record.curtailed_re >= -1e-9)
@@ -546,7 +549,7 @@ class TestTrancheCaps:
 def _synthetic_evaluation(seed, params, detail_years=()):
     base, solar, wind = load_inputs(None, seed, params, DataOptions())
     stage = OptionStage.start(params, detail_years)
-    despatch = despatch_group(params, *inputs_of(base, solar, wind), [stage])
+    despatch = despatch_group(params, base, solar, wind, [stage])
     return stage, despatch, evaluate_scenario(stage, despatch)
 
 
@@ -592,22 +595,32 @@ class TestResidue:
         assert small == []
 
 
+def test_only_year_series_maps_the_base_year():
+    # the base year and the per-MW shapes reach a horizon year's slot
+    # grid by one path; every other use of the calendar mapping is a
+    # second one
+    users = []
+    for path in sorted(Path(pipeline.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}
+        for node in ast.walk(tree):  # outer functions first, so the innermost wins
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                scope.update((id(inner), getattr(node, "name", "<lambda>"))
+                             for inner in ast.walk(node))
+        users += [f"{path.stem}.{scope.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if "map_values_to_year" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    assert users == ["pipeline.year_series"]
+
+
 @pytest.mark.parametrize("year", range(2019, 2025))
 def test_any_base_year_evaluates(year, base_year, outcome, outcome_ocgt):
     """The base-year data may come from any year, leap years included."""
-    base = BaseYearData(
-        year=year,
-        demand=_oracles.series_to_year(base_year.demand, year),
-        supply_by_fuel={
-            k: _oracles.series_to_year(s, year) for k, s in base_year.supply_by_fuel.items()
-        },
-    )
+    base = _oracles.base_in_year(base_year, year)
     raw = synth_solar_shape(year)
     solar = rescale_to_cuf(raw, 0.27)
     wind = derive_wind_shape(base.supply_by_fuel["re"], raw, 35_000.0, wind_cuf=0.35)
     for reference in (outcome_ocgt, outcome):
-        got = _oracles.evaluate_alone(reference.params, *inputs_of(base, solar, wind),
-                                      detail_years=(2024,))
+        got = _oracles.evaluate_alone(reference.params, base, solar, wind, detail_years=(2024,))
         assert got.details[2024].dispatch.demand.shape == (slots_in_year(2024),)
         if slots_in_year(year) == slots_in_year(base_year.year):
             # same slot grid as the 2021 fixture: nothing may change

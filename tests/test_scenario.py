@@ -441,7 +441,7 @@ def test_tranche_split_against_base_peaks():
     base = synth_shapes(7)
     p = ScenarioParams()
     path = build_capacity_path(p, base)
-    coal_peak_gw = float(np.max(base.supply_by_fuel["coal"].values)) / 1e3
+    coal_peak_gw = float(np.max(base.supply_by_fuel["coal"])) / 1e3
     np.testing.assert_allclose(
         path.coal_2019_tranche, np.minimum(path.coal_total, coal_peak_gw))
     assert np.all(path.coal_2019_tranche <= path.coal_total)
@@ -467,15 +467,15 @@ def test_path_index():
 
 def test_project_demand_base_year_is_identity():
     base = synth_shapes(7)
-    out = project_demand(ScenarioParams(), base, BASE_YEAR)
-    np.testing.assert_allclose(out, base.demand.values)
+    out = project_demand(ScenarioParams(), base.demand, BASE_YEAR)
+    np.testing.assert_allclose(out, base.demand)
 
 
 def test_project_demand_compound_growth():
     base = synth_shapes(7)
     p = ScenarioParams()
-    out = project_demand(p, base, FINAL_YEAR)
-    np.testing.assert_allclose(out, base.demand.values * 1.0525 ** 9)
+    out = project_demand(p, base.demand, FINAL_YEAR)
+    np.testing.assert_allclose(out, base.demand * 1.0525 ** 9)
     # the 2030 energy lands within half a percent of 2,160 BU
     assert float(out.sum()) * 0.5 / 1e6 == pytest.approx(2160.0, rel=0.005)
 
@@ -483,4 +483,4 @@ def test_project_demand_compound_growth():
 def test_project_demand_horizon_check():
     base = synth_shapes(7)
     with pytest.raises(ParameterError):
-        project_demand(ScenarioParams(), base, 2031)
+        project_demand(ScenarioParams(), base.demand, 2031)

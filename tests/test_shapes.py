@@ -18,7 +18,6 @@ from gridlab.errors import (
 from gridlab.shapes import (
     SLOTS_PER_DAY,
     BaseYearData,
-    HalfHourlySeries,
     PerMwShape,
     clean_series,
     derive_wind_shape,
@@ -33,18 +32,13 @@ from gridlab.shapes import (
 )
 
 
-def _full_year(year, value=100.0):
-    return HalfHourlySeries(year, np.full(slots_in_year(year), value), "x")
-
-
 def _base(year=2021, demand=100.0, coal=50.0, gas=21.0, hydro=10.0,
           nuclear=5.0, re=15.0):
     n = slots_in_year(year)
-    mk = lambda v, label: HalfHourlySeries(year, np.full(n, float(v)), label)
     return BaseYearData(
         year=year,
-        demand=mk(demand, "demand"),
-        supply_by_fuel={f: mk(v, f) for f, v in
+        demand=np.full(n, float(demand)),
+        supply_by_fuel={f: np.full(n, float(v)) for f, v in
                         [("coal", coal), ("gas", gas), ("hydro", hydro),
                          ("nuclear", nuclear), ("re", re)]},
     )
@@ -63,9 +57,9 @@ def test_slot_counts():
 def test_map_same_length_passes_through():
     # equal-length years hand back the input itself; series values are
     # read-only, so a write through the result raises instead of aliasing
-    s = _full_year(2021, 3.0)
-    y = map_values_to_year(s.values, 2021, 2022)
-    assert y is s.values
+    s = _base(demand=3.0).demand
+    y = map_values_to_year(s, 2021, 2022)
+    assert y is s
     with pytest.raises(ValueError):
         y[0] = -1.0
 
@@ -91,55 +85,54 @@ def test_map_rejects_wrong_length():
         map_values_to_year(np.zeros(100), 2021, 2024)
 
 
-# --- series containers -----------------------------------------------------
+# --- the base-year container ----------------------------------------------
 
 
-def test_series_validation():
+def _base_with(label, values, year=2021):
+    """``_base()`` with the series ``label`` replaced by ``values``."""
+    base = _base(year)
+    series = {"demand": base.demand, **base.supply_by_fuel, label: values}
+    return BaseYearData(year, series.pop("demand"), series)
+
+
+@pytest.mark.parametrize("label", ["demand", "gas"])
+def test_base_year_series_validation(label):
     n = slots_in_year(2021)
-    with pytest.raises(ParameterError):
-        HalfHourlySeries(2021, np.zeros(n - 1))
+    with pytest.raises(ParameterError, match=f"series '{label}' for 2021 needs 17520 slots"):
+        _base_with(label, np.zeros(n - 1))
     bad = np.zeros(n)
     bad[3] = -2.0
-    with pytest.raises(ParameterError):
-        HalfHourlySeries(2021, bad)
+    with pytest.raises(ParameterError, match=f"series '{label}' contains negative MW"):
+        _base_with(label, bad)
     bad[3] = np.inf
-    with pytest.raises(ParameterError):
-        HalfHourlySeries(2021, bad)
+    with pytest.raises(ParameterError, match=f"series '{label}' contains infinities"):
+        _base_with(label, bad)
+    bad[3] = np.nan
+    _base_with(label, bad)  # a gap, not an error
 
 
-def test_series_values_are_frozen():
-    s = _full_year(2021)
-    with pytest.raises(ValueError):
-        s.values[0] = 1.0
+def test_base_year_series_are_frozen_copies():
+    values = np.full(slots_in_year(2021), 7.0)
+    base = _base_with("re", values)
+    values[0] = 1.0  # the caller's array is not the stored one
+    assert base.supply_by_fuel["re"][0] == 7.0
+    for series in (base.demand, base.supply_by_fuel["re"]):
+        with pytest.raises(ValueError, match="read-only"):
+            series[0] = 1.0
 
 
-def test_series_gaps_and_energy():
-    n = slots_in_year(2021)
-    vals = np.ones(n)
-    vals[100:103] = np.nan
-    s = HalfHourlySeries(2021, vals, "g")
-    assert s.has_gaps
-    # 1 MW for a year of half-hour slots, gaps ignored
-    assert s.energy_gwh() == pytest.approx((n - 3) * 0.5 / 1e3)
-    flat = _full_year(2021, 1.0)
-    assert flat.energy_gwh() == pytest.approx(8.76)
-
-
-def test_series_to_year_is_leap_aware():
-    s = _full_year(2021, 2.0)
-    t = _oracles.series_to_year(s, 2024)
-    assert t.year == 2024 and t.n_slots == slots_in_year(2024)
-    assert float(t.values[59 * 48]) == 2.0
-
-
-def test_base_year_data_validation():
+def test_base_year_data_needs_every_fuel():
     base = _base()
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"supply_by_fuel missing \['gas', 'hydro'"):
         BaseYearData(year=2021, demand=base.demand,
                      supply_by_fuel={"coal": base.supply_by_fuel["coal"]})
-    with pytest.raises(ParameterError):
-        BaseYearData(year=2022, demand=_oracles.series_to_year(base.demand, 2022),
-                     supply_by_fuel=base.supply_by_fuel)
+
+
+def test_base_in_year_is_leap_aware():
+    base = _base(demand=2.0)
+    t = _oracles.base_in_year(base, 2024)
+    assert t.year == 2024 and t.demand.size == slots_in_year(2024)
+    assert float(t.demand[59 * 48]) == 2.0
 
 
 def test_per_mw_shape_bounds():
@@ -164,11 +157,11 @@ def test_loader_roundtrip(tmp_path):
     write_timeseries_csv(path, base)
     loaded = load_timeseries_csv(path, base.year)
     assert loaded.gaps == {}
-    np.testing.assert_allclose(loaded.demand.values, base.demand.values, atol=1e-4)
+    np.testing.assert_allclose(loaded.demand, base.demand, atol=1e-4)
     for fuel in ("coal", "gas", "hydro", "nuclear", "re"):
         np.testing.assert_allclose(
-            loaded.supply_by_fuel[fuel].values,
-            base.supply_by_fuel[fuel].values, atol=1e-4)
+            loaded.supply_by_fuel[fuel],
+            base.supply_by_fuel[fuel], atol=1e-4)
 
 
 def test_loader_accepts_a_utf8_byte_order_mark(tmp_path):
@@ -180,10 +173,10 @@ def test_loader_accepts_a_utf8_byte_order_mark(tmp_path):
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     loaded = load_timeseries_csv(marked, base.year)
     expected = load_timeseries_csv(plain, base.year)
-    np.testing.assert_array_equal(loaded.demand.values, expected.demand.values)
+    np.testing.assert_array_equal(loaded.demand, expected.demand)
     for fuel in ("coal", "gas", "hydro", "nuclear", "re"):
         np.testing.assert_array_equal(
-            loaded.supply_by_fuel[fuel].values, expected.supply_by_fuel[fuel].values)
+            loaded.supply_by_fuel[fuel], expected.supply_by_fuel[fuel])
 
 
 def test_loader_records_gaps(tmp_path):
@@ -197,7 +190,7 @@ def test_loader_records_gaps(tmp_path):
     loaded = load_timeseries_csv(path, base.year)
     assert loaded.gaps["demand"] == ((100, 102), (500, 502))
     assert (200, 201) in loaded.gaps["re"]
-    assert np.isnan(loaded.supply_by_fuel["coal"].values[500])
+    assert np.isnan(loaded.supply_by_fuel["coal"][500])
 
 
 def _tiny_csv(tmp_path, rows, header="timestamp,demand_mw,coal_mw,gas_mw,hydro_mw,nuclear_mw,re_mw"):
@@ -302,57 +295,58 @@ def _with_gaps(values, runs):
 
 def test_clean_interpolates_short_gaps():
     base = _base()
-    vals = np.asarray(base.demand.values).copy()
+    vals = base.demand.copy()
     vals[1000] = 80.0
     vals[1004] = 120.0
     raw = BaseYearData(
         year=2021,
-        demand=HalfHourlySeries(2021, _with_gaps(vals, [(1001, 1004)]), "demand"),
+        demand=_with_gaps(vals, [(1001, 1004)]),
         supply_by_fuel=base.supply_by_fuel,
     )
     cleaned = clean_series(raw, max_gap_slots=4)
     np.testing.assert_allclose(
-        cleaned.demand.values[1001:1004], [90.0, 100.0, 110.0])
-    assert not cleaned.demand.has_gaps
+        cleaned.demand[1001:1004], [90.0, 100.0, 110.0])
+    assert not np.isnan(cleaned.demand).any()
 
 
 def test_clean_copies_nearest_day_for_long_gaps():
     base = _base()
-    vals = np.asarray(base.demand.values).copy()
+    vals = base.demand.copy()
     day, sod = 10, 5
     prev_day_value = 77.0
     vals[(day - 1) * SLOTS_PER_DAY + sod] = prev_day_value
     gap_start = day * SLOTS_PER_DAY
     raw = BaseYearData(
         year=2021,
-        demand=HalfHourlySeries(
-            2021, _with_gaps(vals, [(gap_start, gap_start + 8)]), "demand"),
+        demand=_with_gaps(vals, [(gap_start, gap_start + 8)]),
         supply_by_fuel=base.supply_by_fuel,
     )
     cleaned = clean_series(raw, max_gap_slots=4)
     # 8 slots exceed the interpolation budget: same slot-of-day, day before
-    assert cleaned.demand.values[gap_start + sod] == prev_day_value
+    assert cleaned.demand[gap_start + sod] == prev_day_value
 
 
 def test_clean_boundary_gap_uses_day_copy():
     base = _base()
-    vals = np.asarray(base.demand.values).copy()
+    vals = base.demand.copy()
     raw = BaseYearData(
         year=2021,
-        demand=HalfHourlySeries(2021, _with_gaps(vals, [(0, 2)]), "demand"),
+        demand=_with_gaps(vals, [(0, 2)]),
         supply_by_fuel=base.supply_by_fuel,
     )
     cleaned = clean_series(raw)
-    np.testing.assert_allclose(cleaned.demand.values[:2], vals[SLOTS_PER_DAY:SLOTS_PER_DAY + 2])
+    np.testing.assert_allclose(cleaned.demand[:2], vals[SLOTS_PER_DAY:SLOTS_PER_DAY + 2])
 
 
 def test_clean_applies_re_energy_target():
     base = _base(re=15.0)
-    target = 2.0 * base.supply_by_fuel["re"].energy_gwh()
+    energy_gwh = lambda mw: float(np.sum(mw)) * 0.5 / 1e3
+    target = 2.0 * energy_gwh(base.supply_by_fuel["re"])
+    assert target == pytest.approx(2.0 * 15.0 * 8.76)
     cleaned = clean_series(base, re_annual_target=target)
-    np.testing.assert_allclose(cleaned.supply_by_fuel["re"].values,
-                               2.0 * base.supply_by_fuel["re"].values)
-    assert cleaned.supply_by_fuel["re"].energy_gwh() == pytest.approx(target)
+    np.testing.assert_allclose(cleaned.supply_by_fuel["re"],
+                               2.0 * base.supply_by_fuel["re"])
+    assert energy_gwh(cleaned.supply_by_fuel["re"]) == pytest.approx(target)
 
 
 def test_clean_parameter_errors():
@@ -368,7 +362,7 @@ def test_clean_rejects_all_nan_series():
     n = slots_in_year(2021)
     raw = BaseYearData(
         year=2021,
-        demand=HalfHourlySeries(2021, np.full(n, np.nan), "demand"),
+        demand=np.full(n, np.nan),
         supply_by_fuel=base.supply_by_fuel,
     )
     with pytest.raises(DataIntegrityError):
@@ -419,7 +413,7 @@ def test_derive_wind_shape_subtracts_solar():
     n = slots_in_year(year)
     solar = synth_solar_shape(year)
     wind_mw = np.full(n, 2_000.0)
-    re = HalfHourlySeries(year, 5_000.0 * solar.values + wind_mw, "re")
+    re = 5_000.0 * solar.values + wind_mw
     shape = derive_wind_shape(re, solar, 5_000.0)
     np.testing.assert_allclose(shape.values, 1.0, atol=1e-12)
 
@@ -427,13 +421,12 @@ def test_derive_wind_shape_subtracts_solar():
 def test_derive_wind_shape_errors():
     year = 2021
     solar = synth_solar_shape(year)
-    re = HalfHourlySeries(year, 1_000.0 * solar.values, "re")
+    re = 1_000.0 * solar.values
     with pytest.raises(DegenerateShapeError):
         derive_wind_shape(re, solar, 2_000.0)
-    gappy_vals = 1_000.0 * solar.values + 10.0
-    gappy_vals[5] = np.nan
-    gappy = HalfHourlySeries(year, gappy_vals, "re")
-    with pytest.raises(ParameterError):
+    gappy = 1_000.0 * solar.values + 10.0
+    gappy[5] = np.nan
+    with pytest.raises(ParameterError, match="needs a cleaned RE series"):
         derive_wind_shape(gappy, solar, 100.0)
 
 
@@ -442,7 +435,7 @@ def test_derive_wind_shape_rescales_to_cuf():
     solar = synth_solar_shape(year)
     rng = np.random.default_rng(0)
     wind_mw = 1_500.0 + 500.0 * rng.random(slots_in_year(year))
-    re = HalfHourlySeries(year, 3_000.0 * solar.values + wind_mw, "re")
+    re = 3_000.0 * solar.values + wind_mw
     shape = derive_wind_shape(re, solar, 3_000.0, wind_cuf=0.35)
     assert shape.values.mean() == pytest.approx(0.35, abs=1e-6)
 
@@ -453,25 +446,25 @@ def test_derive_wind_shape_rescales_to_cuf():
 def test_synth_is_deterministic():
     a = synth_shapes(11)
     b = synth_shapes(11)
-    assert np.array_equal(a.demand.values, b.demand.values)
-    assert np.array_equal(a.supply_by_fuel["re"].values, b.supply_by_fuel["re"].values)
+    assert np.array_equal(a.demand, b.demand)
+    assert np.array_equal(a.supply_by_fuel["re"], b.supply_by_fuel["re"])
     c = synth_shapes(12)
-    assert not np.array_equal(a.demand.values, c.demand.values)
+    assert not np.array_equal(a.demand, c.demand)
 
 
 def test_synth_zero_peakiness_is_flat():
     base = synth_shapes(5, peakiness=0.0)
-    assert np.ptp(base.demand.values) == 0.0
+    assert np.ptp(base.demand) == 0.0
 
 
 def test_synth_balances_exactly():
     base = synth_shapes(9)
-    supply = sum(base.supply_by_fuel[f].values for f in
+    supply = sum(base.supply_by_fuel[f] for f in
                  ("coal", "gas", "hydro", "nuclear", "re"))
-    demand = base.demand.values
+    demand = base.demand
     # never under-supplied; exact balance wherever thermal is running
     assert float(np.min(supply - demand)) > -1e-9
-    thermal = base.supply_by_fuel["coal"].values > 0
+    thermal = base.supply_by_fuel["coal"] > 0
     np.testing.assert_allclose(supply[thermal], demand[thermal], rtol=1e-12)
 
 

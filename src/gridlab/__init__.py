@@ -16,6 +16,7 @@ from gridlab.errors import (
     DegenerateShapeError,
     GridlabError,
     InfeasibleError,
+    InvariantError,
     ParameterError,
     TimeseriesParseError,
     UndefinedCostError,
@@ -29,6 +30,7 @@ __all__ = [
     "DataIntegrityError",
     "ParameterError",
     "InfeasibleError",
+    "InvariantError",
     "DegenerateShapeError",
     "UndefinedCostError",
 ]

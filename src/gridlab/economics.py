@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from gridlab.errors import DataIntegrityError, ParameterError, UndefinedCostError
+from gridlab.errors import InvariantError, ParameterError, UndefinedCostError
 from gridlab.newsupply import NewSupplyPlan
 from gridlab.scenario import N_YEARS, CapacityPath, ScenarioParams
 
@@ -33,8 +33,6 @@ KWH_PER_MWH = 1e3
 
 def annuity_payment(principal: float, rate: float, n_years: int) -> float:
     """Level yearly payment amortizing a principal, mortgage-style."""
-    if n_years < 1:
-        raise ParameterError("n_years must be >= 1")
     growth = (1.0 + rate) ** n_years
     if growth == 1.0:  # a zero rate, or one too small to move the growth
         return principal / n_years
@@ -112,7 +110,7 @@ def levelized_cost(costs, energy, discount: float) -> float:
     costs = np.asarray(costs, dtype=float)
     energy = np.asarray(energy, dtype=float)
     if costs.shape != energy.shape:
-        raise ParameterError("cost and energy streams must have equal lengths")
+        raise InvariantError("cost and energy streams must have equal lengths")
     f = discount_factors(discount, costs.shape[0])
     denominator = float(np.sum(energy / f))
     if denominator <= 0:
@@ -172,7 +170,7 @@ def cash_flows(
     """
     short = sorted(k for k, v in totals.items() if np.shape(v) != (N_YEARS,))
     if short:
-        raise DataIntegrityError(f"despatch totals {short} do not cover the {N_YEARS} years")
+        raise InvariantError(f"despatch totals {short} do not cover the {N_YEARS} years")
 
     p = params
     paths = build_price_path(p)
@@ -323,8 +321,6 @@ def frontier(results: Sequence[ScenarioResult]) -> list[int]:
     Ties on NPV break toward less NEW capacity, then less curtailment,
     then input order, which keeps the ranking deterministic.
     """
-    if not results:
-        raise ParameterError("frontier needs at least one scenario result")
     return sorted(range(len(results)), key=lambda i: (
         results[i].report.npv_total,
         results[i].new_capacity_mw,

@@ -2,7 +2,13 @@
 
 
 class GridlabError(Exception):
-    """Base class for all errors raised by this package."""
+    """Refused input (exit 2) or a scenario the model cannot solve (a
+    ``failures.csv`` row); never a bug."""
+
+
+class InvariantError(Exception):
+    """A broken internal invariant: a gridlab bug, never an unsolvable
+    scenario.  It is not a ``GridlabError``, so the run ends with exit 3."""
 
 
 class TimeseriesParseError(GridlabError):
@@ -20,11 +26,12 @@ class CadenceError(GridlabError):
 
 
 class DataIntegrityError(GridlabError):
-    """Input data is too broken to use (e.g. more than 5% of rows missing)."""
+    """Input data too broken to use (e.g. more than 5% of rows missing),
+    or a despatch year that does not balance (``check_balance``)."""
 
 
 class ParameterError(GridlabError, ValueError):
-    """A scenario or operation parameter is out of its allowed range."""
+    """A config value, input option or loaded series is out of its allowed range."""
 
 
 class InfeasibleError(GridlabError):

@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gridlab.errors import InfeasibleError, ParameterError
+from gridlab.errors import InfeasibleError, InvariantError
 from gridlab.shapes import SLOTS_PER_DAY, SLOT_HOURS
 from gridlab.dispatch import DispatchYear, write_table
-from gridlab.scenario import N_YEARS, PARAM_BOUNDS, YEARS, ScenarioParams, check_bounds
+from gridlab.scenario import N_YEARS, YEARS, ScenarioParams
 
 #: Displacement priority: highest marginal cost first.  The gas_2019
 #: tranche is never displaced (committed utilisation pattern).
@@ -53,12 +53,6 @@ _EPS = 1e-9
 RESIDUE = 1e-6
 
 
-#: Each spec field shares the bound of the parameter it is sized from,
-#: ``battery_`` + its name.
-_SPEC_BOUNDS = {name: PARAM_BOUNDS["battery_" + name]
-                for name in ("dod_buffer", "roundtrip_eff", "size_fraction", "eff_split")}
-
-
 @dataclass(frozen=True)
 class BatterySpec:
     """A battery's nameplate numbers plus the efficiency convention."""
@@ -72,10 +66,9 @@ class BatterySpec:
 
     def __post_init__(self):
         if self.energy_capacity_mwh < 0 or self.inverter_capacity_mw < 0:
-            raise ParameterError("battery capacities must be >= 0")
+            raise InvariantError("battery capacities must be >= 0")
         if self.energy_capacity_mwh > 0 and self.inverter_capacity_mw <= 0:
-            raise ParameterError("a battery with energy needs a positive inverter")
-        check_bounds(self, _SPEC_BOUNDS)
+            raise InvariantError("a battery with energy needs a positive inverter")
 
     @property
     def usable_mwh(self) -> float:
@@ -138,7 +131,7 @@ class CycleYear:
         n = unmet.shape[0]
         for name, source in (("curtailed_re", curtailed_re), ("solar_shape", solar_shape)):
             if source.shape != (n,):
-                raise ParameterError(f"{name} has shape {source.shape}, want ({n},)")
+                raise InvariantError(f"{name} has shape {source.shape}, want ({n},)")
         unmet_m, front = _pad_cycles(np.asarray(unmet, dtype=float), boundary_slot)
         return cls(unmet_m, _pad_cycles(curtailed_re, boundary_slot)[0],
                    _pad_cycles(solar_shape, boundary_slot)[0], front, n, boundary_slot)
@@ -234,7 +227,7 @@ class NewSupplyPlan:
             values = getattr(self, name)
             i = int(np.argmin(values))
             if values[i] < -_EPS:
-                raise ParameterError(f"{name}[{YEARS[i]}] is negative: {values[i]}")
+                raise InvariantError(f"{name}[{YEARS[i]}] is negative: {values[i]}")
 
 
 def _pad_cycles(arr: np.ndarray, boundary_slot: int) -> tuple[np.ndarray, int]:
@@ -250,8 +243,6 @@ def _pad_cycles(arr: np.ndarray, boundary_slot: int) -> tuple[np.ndarray, int]:
     padding length; padded slots are inert (no demand, no sources) and
     are trimmed off after the fact.
     """
-    if not 0 <= boundary_slot < SLOTS_PER_DAY:
-        raise ParameterError("boundary_slot must lie in 0..47")
     n = arr.shape[0]
     front = (SLOTS_PER_DAY - boundary_slot) % SLOTS_PER_DAY
     back = (-(front + n)) % SLOTS_PER_DAY
@@ -442,7 +433,7 @@ def _search_smallest(predicate, tolerance_gw: float, max_gw: float, what: str) -
     of ``min``s.
     """
     if not (math.isfinite(max_gw) and max_gw > 0):
-        raise ParameterError(f"max_gw must be finite and positive, got {max_gw}")
+        raise InvariantError(f"max_gw must be finite and positive, got {max_gw}")
     if predicate(0.0):
         return 0.0
     first = min(1.0, max_gw)
@@ -506,11 +497,9 @@ def size_dedicated_solar(battery: BatterySpec, year: CycleYear, extra: float,
     given, is this battery's ``simulate_soc`` trace on ``year`` at 0 GW:
     the search's first probe reads it instead of simulating again.
     """
-    if not 0.0 <= extra <= 1.0:
-        raise ParameterError("extra must lie in [0, 1]")
     if zero_gw is not None and (zero_gw.battery, zero_gw.year, zero_gw.solar_gw) != (
             battery, year, 0.0):
-        raise ParameterError("zero_gw must be this battery's trace on this year at 0 GW")
+        raise InvariantError("zero_gw must be this battery's trace on this year at 0 GW")
     if battery.energy_capacity_mwh <= 0:
         return 0.0
 
@@ -630,9 +619,9 @@ def coal_peak_bonus(
     matrices holding only the days with displaced coal.
     """
     if dy.flex_re_cut is None:
-        raise ParameterError("coal_peak_bonus needs a flex-adjusted despatch year")
+        raise InvariantError("coal_peak_bonus needs a flex-adjusted despatch year")
     if coal_displaced_in_day.shape != (dy.n_days,):
-        raise ParameterError(
+        raise InvariantError(
             f"displaced energy has shape {coal_displaced_in_day.shape}, want ({dy.n_days},)"
         )
 
@@ -672,8 +661,6 @@ def displace_gas_with_new_coal(new_coal_mw: float, dy: DispatchYear) -> float:
     generating; coal output only ever rises, so the flexibility floor
     of the combined fleet cannot be violated.
     """
-    if new_coal_mw < 0:
-        raise ParameterError("new_coal_mw must be >= 0")
     spare = np.maximum(new_coal_mw - dy.supply["new"], 0.0)
     displaced = np.minimum(spare, dy.supply["gas_slack"])
     return float(np.sum(displaced)) * SLOT_HOURS / 1e6

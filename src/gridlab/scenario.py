@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from gridlab.errors import ParameterError
+from gridlab.errors import InvariantError, ParameterError
 from gridlab.shapes import BaseYearData
 
 BASE_YEAR = 2021
@@ -356,7 +356,7 @@ class CapacityPath:
 
     def index(self, year: int) -> int:
         if year not in self.years:
-            raise ParameterError(f"year {year} outside path horizon {self.years[0]}..{self.years[-1]}")
+            raise InvariantError(f"year {year} outside path horizon {self.years[0]}..{self.years[-1]}")
         return year - self.years[0]
 
 
@@ -415,6 +415,6 @@ def project_demand(p: ScenarioParams, demand: np.ndarray, year: int) -> np.ndarr
     """Scale base-year ``demand``, already on ``year``'s slot grid, to
     ``year``, pro rata."""
     if not BASE_YEAR <= year <= FINAL_YEAR:
-        raise ParameterError(f"year {year} outside horizon {BASE_YEAR}..{FINAL_YEAR}")
+        raise InvariantError(f"year {year} outside horizon {BASE_YEAR}..{FINAL_YEAR}")
     factor = (1.0 + p.demand_growth) ** (year - BASE_YEAR)
     return demand * factor

@@ -31,6 +31,7 @@ from gridlab.errors import (
     DataIntegrityError,
     DegenerateShapeError,
     InfeasibleError,
+    InvariantError,
     ParameterError,
     TimeseriesParseError,
 )
@@ -72,7 +73,7 @@ def map_values_to_year(values: np.ndarray, from_year: int, to_year: int) -> np.n
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (slots_in_year(from_year),):
-        raise ParameterError(
+        raise InvariantError(
             f"expected {slots_in_year(from_year)} slots for {from_year}, "
             f"got {values.shape}"
         )
@@ -433,17 +434,14 @@ def rescale_to_cuf(
 
     Values are multiplied up (or down) and clipped at 1.0, then
     re-measured; the clip-and-renormalise loop repeats until the mean is
-    within ``tolerance`` of the target, and raises InfeasibleError if it
-    is not there after ``max_iter`` steps.  Clipping flattens the peak, the
-    intended behaviour for prospective fleets with better siting than
-    the historical one.
+    within ``tolerance`` of the target.  InfeasibleError is raised if it
+    is not there after ``max_iter`` steps, or if the target exceeds the
+    fraction of non-zero slots, as any target does for an all-zero
+    shape.  Clipping flattens the peak, the intended behaviour for
+    prospective fleets with better siting than the historical one.
     """
-    if not 0.0 < target_cuf < 1.0:
-        raise ParameterError(f"target_cuf must lie in (0, 1), got {target_cuf}")
     values = shape.values.copy()
     mean = values.mean()
-    if mean <= 0:
-        raise ParameterError("cannot rescale an all-zero shape")
     ceiling = np.count_nonzero(values > 0) / values.size
     if target_cuf > ceiling + 1e-12:
         raise InfeasibleError(

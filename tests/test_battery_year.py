@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import _oracles
 from gridlab import dispatch as dsp
 from gridlab import newsupply as new
-from gridlab.errors import DataIntegrityError, GridlabError, InfeasibleError
+from gridlab.errors import DataIntegrityError, GridlabError, InfeasibleError, InvariantError
 from gridlab.pipeline import DespatchSummary, OptionStage, YearRecord, evaluate_scenario
 from gridlab.scenario import NEW_OPTIONS, YEARS, ScenarioParams, build_capacity_path
 from gridlab.shapes import SLOT_HOURS, SLOTS_PER_DAY
@@ -99,7 +99,7 @@ class TestSearchParity:
         battery = new.size_battery(year, ScenarioParams(), float(unmet.max()))
         for wrong in (new.simulate_soc(battery.scaled(0.5), year, 0.0),
                       new.simulate_soc(battery, year, 1.0)):
-            with pytest.raises(GridlabError):
+            with pytest.raises(InvariantError):
                 new.size_dedicated_solar(battery, year, 0.0, zero_gw=wrong)
 
 

@@ -22,7 +22,7 @@ import _oracles
 import gridlab
 from gridlab import cli, economics, newsupply, pipeline
 from gridlab import dispatch as dsp
-from gridlab.errors import InfeasibleError, ParameterError, UndefinedCostError
+from gridlab.errors import InfeasibleError, InvariantError, ParameterError, UndefinedCostError
 from gridlab.newsupply import BatterySpec, CycleYear, SocTrace
 from gridlab.scenario import DESPATCH_FIELDS, YEARS, ScenarioParams
 from gridlab.shapes import derive_wind_shape, rescale_to_cuf, synth_shapes, synth_solar_shape
@@ -159,6 +159,13 @@ class TestLoadInputs:
     def test_needs_a_data_directory_or_a_seed(self):
         with pytest.raises(ParameterError, match="data directory or a synthetic seed"):
             cli.load_inputs(None, None, ScenarioParams(), cli.DataOptions())
+
+    def test_a_data_directory_and_a_seed_together_are_refused(self):
+        # the seed used to win, silently, and the directory was never read
+        with pytest.raises(ParameterError) as err:
+            cli.load_inputs("/nonexistent", 0, ScenarioParams(), cli.DataOptions())
+        assert str(err.value) == ("data directory '/nonexistent' and synthetic seed 0 "
+                                  "given together; give one")
 
     def test_reads_base_year_and_solar_shape_from_directory(self, data_dir):
         params = ScenarioParams()
@@ -722,8 +729,9 @@ class TestDespatchGroups:
         for name in exports:
             assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
-    def test_a_failed_detail_rerun_exits_2(self, tmp_path, capsys, monkeypatch):
-        # scenario 1 succeeds in the sweep and fails when evaluated again
+    def test_a_failed_detail_rerun_exits_3(self, tmp_path, caplog, monkeypatch):
+        # scenario 1 succeeds in the sweep and fails when evaluated again:
+        # the same scenario cannot be both solvable and not, so it is a bug
         fail_battery(monkeypatch)
         real = cli.evaluate_scenario
         calls = []
@@ -739,10 +747,10 @@ class TestDespatchGroups:
         config.write_text(json.dumps({"new_option": ["battery_re", "coal"]}))
         out_dir = tmp_path / "out"
         code = cli.main(["--config", str(config), "--synthetic", "0", "--out", str(out_dir)])
-        assert code == 2
+        assert code == 3
         assert calls == ["battery_re", "coal", "coal"]
-        assert ("error: detail re-run of scenario 1 failed: InfeasibleError: gone"
-                in capsys.readouterr().err)
+        assert ("InvariantError: detail re-run of scenario 1 failed: InfeasibleError: gone"
+                in caplog.text)
 
     def test_progress_log_counts_groups(self, tmp_path, caplog):
         config = {"re_2030": [300.0, 500.0], "new_option": ["coal", "ocgt"]}
@@ -1106,6 +1114,37 @@ class TestMain:
         assert "TypeError: boom" in caplog.text
         assert not (out_dir / "failures.csv").exists()
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("where", ["pool worker", "group 0"])
+    def test_broken_invariant_exits_3_and_files_no_failure(
+        self, tmp_path, caplog, monkeypatch, where
+    ):
+        # three despatch keys at parallelism 2: the parent runs group 0
+        # and two workers, forked with the patch in place, run the others
+        parent = os.getpid()
+
+        def broken(plan):
+            if (os.getpid() == parent) == (where == "group 0"):
+                raise InvariantError(f"broken in the {where}")
+
+        monkeypatch.setattr(newsupply.NewSupplyPlan, "validate", broken)
+        cfg = self.write_config(tmp_path, {"new_option": "coal", "re_2030": [250.0, 300.0, 400.0]})
+        out_dir = tmp_path / "out"
+        argv = ["--config", cfg, "--synthetic", "0", "--parallelism", "2", "--out", str(out_dir)]
+        assert cli.main(argv) == 3
+        assert f"InvariantError: broken in the {where}" in caplog.text
+        assert not (out_dir / "failures.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_an_unsolvable_option_stage_is_a_failure_row_and_exits_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        fail_battery(monkeypatch)
+        out_dir = tmp_path / "out"
+        assert cli.main(["--synthetic", "0", "--out", str(out_dir)]) == 1
+        assert "1 scenario(s) failed" in capsys.readouterr().err
+        (row,) = read_rows(out_dir / "failures.csv")[1:]
+        assert row[-3:] == ["option", "InfeasibleError", "InfeasibleError: no battery"]
 
     @pytest.mark.parametrize("value", ["infoo", "basic_format", "shutdown"])
     def test_unknown_log_level_exits_2_before_any_work(

@@ -26,7 +26,7 @@ from gridlab.dispatch import (
     to_csv,
     write_table,
 )
-from gridlab.errors import DataIntegrityError, ParameterError
+from gridlab.errors import DataIntegrityError, InvariantError
 from gridlab.shapes import slots_in_year
 
 
@@ -45,7 +45,7 @@ def test_day_index():
     assert raised.reshape(2, 48).any(axis=1).all()
     np.testing.assert_allclose(coal[raised], floor_slot[raised], rtol=1e-12)
     assert np.all(coal >= floor_slot - 1e-9)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvariantError):
         apply_coal_flex(_flat_dy(n=50), flex)
 
 
@@ -58,7 +58,7 @@ def test_net_demand_algebra():
 
 
 def test_net_demand_length_check():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvariantError):
         net_demand(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3))
 
 
@@ -115,9 +115,9 @@ def test_merit_dispatch_hand_case():
 
 
 def test_merit_dispatch_capacity_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvariantError):
         merit_dispatch(np.zeros(4), [("coal_2019", -1.0)])
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvariantError):
         merit_dispatch(np.zeros(4), [("coal_2019", np.zeros(3))])
 
 
@@ -198,13 +198,6 @@ def test_flex_zero_limit_is_a_no_op():
     for k in TRANCHES:
         np.testing.assert_allclose(flexed.supply[k], pre.supply[k])
     assert flexed.curtailment_twh() == pre.curtailment_twh()
-
-
-def test_flex_limit_validation():
-    demand, re_s, hy_s, nu_s, caps = _one_day()
-    pre, _ = _oracles.model_flex_dispatch(demand, re_s, hy_s, nu_s, caps, 0.6)
-    with pytest.raises(ParameterError):
-        apply_coal_flex(pre, 1.0)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -343,8 +336,6 @@ def test_buffer_check_headroom():
     # requirement 40 MW against 30 MW of headroom
     tight = buffer_check(dy, np.full(48, 800.0), 100.0, grid_buffer=0.05)
     np.testing.assert_allclose(tight, 10.0)
-    with pytest.raises(ParameterError):
-        buffer_check(dy, np.full(48, 800.0), 100.0, grid_buffer=-0.1)
 
 
 def test_compute_unmet_capacity_requirement():
@@ -513,7 +504,7 @@ class TestWriteTable:
     def test_rejected_before_the_file_is_opened(self, tmp_path, columns, formats, newline):
         # unequal columns would otherwise be cut to the shortest by zip
         path = tmp_path / "table.csv"
-        with pytest.raises(ParameterError):
+        with pytest.raises(InvariantError):
             write_table(path, ["x"] * len(formats), columns, formats, newline)
         assert not path.exists()
 

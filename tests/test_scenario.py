@@ -13,7 +13,7 @@ import pytest
 
 import gridlab
 from gridlab import newsupply, scenario
-from gridlab.errors import ParameterError
+from gridlab.errors import InvariantError, ParameterError
 from gridlab.newsupply import CycleYear, size_battery
 from gridlab.scenario import (
     BASE_YEAR,
@@ -334,16 +334,44 @@ def test_every_param_field_declares_one_bound():
     for cls in (ScenarioParams, TechCost):
         for f in dataclasses.fields(cls):
             assert ("bound" in f.metadata) == (f.type not in unbounded), f"{cls.__name__}.{f.name}"
-    # BatterySpec takes its four bounds from the parameters it is sized
-    # from, object for object, and compares none of them itself
-    assert newsupply._SPEC_BOUNDS.keys() == {"dod_buffer", "roundtrip_eff", "size_fraction",
-                                             "eff_split"}
-    for name, rule in newsupply._SPEC_BOUNDS.items():
-        assert rule is PARAM_BOUNDS["battery_" + name]
-    assert not _compared_names(_post_init(newsupply, "BatterySpec")) & newsupply._SPEC_BOUNDS.keys()
+    # BatterySpec is sized from parameters the rulebook has checked and
+    # compares none of their four values itself
+    assert not _compared_names(_post_init(newsupply, "BatterySpec")) & {
+        "dod_buffer", "roundtrip_eff", "size_fraction", "eff_split"}
     # the parameters' own checks compare fields with each other only
     assert not _compared_names(_post_init(scenario, "ScenarioParams"))
     assert not _compared_names(_post_init(scenario, "TechCost"))
+
+
+#: What the model assumes of a parameter and does not check again: the
+#: range the rulebook admits must lie inside it.
+_MODEL_ASSUMES = [
+    ("flex_limit", "[0, 1)", "dispatch.apply_coal_flex"),
+    ("grid_buffer", "[0, inf)", "dispatch.buffer_check"),
+    ("dedicated_solar_extra", "[0, 1]", "newsupply.size_dedicated_solar"),
+    ("battery_cycle_boundary_hour", "[0, 23]", "newsupply._pad_cycles, slots 0..47"),
+    ("battery_dod_buffer", "[0, 1)", "newsupply.BatterySpec"),
+    ("battery_roundtrip_eff", "(0, 1]", "newsupply.BatterySpec"),
+    ("battery_size_fraction", "(0, 1]", "newsupply.BatterySpec.scaled"),
+    ("new_coal_size_fraction", "[0, inf)", "newsupply.displace_gas_with_new_coal"),
+    ("battery_life_years", "[1, inf)", "economics.annuity_payment"),
+    ("inverter_life_years", "[1, inf)", "economics.annuity_payment"),
+    ("solar_life_years", "[1, inf)", "economics.annuity_payment"),
+    ("wind_life_years", "[1, inf)", "economics.annuity_payment"),
+    ("tech_costs[row].life_years", "[1, inf)", "economics.annuity_payment"),
+    ("tech_costs[row].aux", "[0, 1)", "newsupply.size_new_capacity"),
+    ("solar_cuf", "(0, 1)", "shapes.rescale_to_cuf"),
+    ("wind_cuf", "(0, 1)", "shapes.rescale_to_cuf"),
+]
+
+
+@pytest.mark.parametrize("key, assumed, where", _MODEL_ASSUMES,
+                         ids=[key for key, *_ in _MODEL_ASSUMES])
+def test_the_rulebook_keeps_inside_what_the_model_assumes(key, assumed, where):
+    row, _, name = key.rpartition("].")
+    low, high, *_ = (TECH_BOUNDS[name] if row else PARAM_BOUNDS[key])
+    least, most, *_ = scenario._admitted(assumed)
+    assert least <= low and high <= most, where
 
 
 def _readme_ranges():
@@ -458,7 +486,7 @@ def test_path_index():
     path = build_capacity_path(ScenarioParams())
     assert path.index(2021) == 0
     assert path.index(2030) == 9
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvariantError):
         path.index(2031)
 
 
@@ -482,5 +510,5 @@ def test_project_demand_compound_growth():
 
 def test_project_demand_horizon_check():
     base = synth_shapes(7)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvariantError):
         project_demand(ScenarioParams(), base.demand, 2031)

@@ -12,6 +12,7 @@ from gridlab.errors import (
     DataIntegrityError,
     DegenerateShapeError,
     InfeasibleError,
+    InvariantError,
     ParameterError,
     TimeseriesParseError,
 )
@@ -81,7 +82,7 @@ def test_map_roundtrip_through_leap_year():
 
 
 def test_map_rejects_wrong_length():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvariantError):
         map_values_to_year(np.zeros(100), 2021, 2024)
 
 
@@ -392,11 +393,9 @@ def test_rescale_unconverged_raises():
         rescale_to_cuf(synth_solar_shape(2021), 0.27, max_iter=3)
 
 
-def test_rescale_parameter_errors():
-    shape = synth_solar_shape(2021)
-    with pytest.raises(ParameterError):
-        rescale_to_cuf(shape, 1.0)
-    with pytest.raises(ParameterError):
+def test_rescale_all_zero_shape_is_infeasible():
+    # no slot is non-zero, so every target exceeds the feasible ceiling
+    with pytest.raises(InfeasibleError, match="ceiling 0.0000"):
         rescale_to_cuf(PerMwShape(np.zeros(48)), 0.2)
 
 

@@ -13,7 +13,10 @@ the unmet profile, the curtailed RE and the solar shape once into
 ``(cycles, 48)`` rows, one per daily cycle window.  Sizing, the SoC
 kernel and the displacement read those rows, and ``SocTrace`` flattens
 them only as views.  Rows are independent, so a solar-sizing probe
-tests only the cycles a lower capacity left unserved.
+tests only the cycles a lower capacity left unserved.  Dedicated solar
+is sized by two searches, the minimum-service one
+(``size_dedicated_solar``) and the full-recharge one
+(``size_for_full_recharge``), which ``dedicated_solar_gw`` blends.
 
 Conventions for battery flows:
 
@@ -143,8 +146,8 @@ class CycleYear:
     def flat(self, m: np.ndarray) -> np.ndarray:
         return m.reshape(-1)[self.front:self.front + self.n_slots]
 
-    def solar(self, gw: float, rows=slice(None)) -> np.ndarray:
-        return self.solar_shape[rows] * gw * 1e3
+    def solar(self, gw: float) -> np.ndarray:
+        return self.solar_shape * gw * 1e3
 
 
 def _slots(matrix) -> property:
@@ -395,25 +398,29 @@ def _simulate_cycles(battery, u_m, r_m, s_m):
 # --- dedicated solar sizing ---------------------------------------------
 
 
-def _unresolved_rows(fails, rows: np.ndarray):
+def _unresolved_rows(fails, *matrices: np.ndarray):
     """A monotone predicate over solar GW that re-tests only failing rows.
 
-    ``fails(gw, rows)`` flags which of the row indices ``rows`` fail at
-    ``gw``.  Rows are independent and each row's test is monotone in GW,
-    so a row that passed at the largest failing GW so far passes at any
-    higher GW: a probe above it re-tests only the rows it left failing,
-    and one at or below it fails untested.  The answers are exact.
+    ``fails(gw, *matrices)`` flags which rows of the row-aligned
+    ``matrices`` fail at ``gw``.  Rows are independent and each row's
+    test is monotone in GW, so a row that passed at the largest failing
+    GW so far passes at any higher GW: a probe above it re-tests only
+    the rows it left failing, and one at or below it fails untested.
+    Those rows are sliced out of ``matrices`` once, when a probe narrows
+    them.  The answers are exact.
     """
     fail_gw = -math.inf
 
     def predicate(gw: float) -> bool:
-        nonlocal fail_gw, rows
+        nonlocal fail_gw, matrices
         if gw <= fail_gw:
             return False
-        bad = fails(gw, rows)
+        bad = fails(gw, *matrices)
         if not bad.any():
             return True
-        fail_gw, rows = gw, rows[bad]
+        fail_gw = gw
+        if not bad.all():
+            matrices = tuple(m[bad] for m in matrices)
         return False
 
     return predicate
@@ -473,26 +480,23 @@ def size_for_full_recharge(battery: BatterySpec, year: CycleYear,
         return 0.0
     cap = min(battery.inverter_capacity_mw, battery.energy_capacity_mwh)
     need = battery.usable_mwh - RESIDUE
-    full = np.flatnonzero((year.starts >= 0) & (year.starts + SLOTS_PER_DAY <= year.n_slots))
+    full = (year.starts >= 0) & (year.starts + SLOTS_PER_DAY <= year.n_slots)
 
-    def short(gw: float, rows: np.ndarray) -> np.ndarray:
-        source = np.minimum(year.curtailed_re[rows] + year.solar(gw, rows), cap)
+    def short(gw: float, re: np.ndarray, shape: np.ndarray) -> np.ndarray:
+        source = np.minimum(re + shape * gw * 1e3, cap)
         return source.sum(axis=1) * battery.charge_eff * SLOT_HOURS < need
 
-    return _search_smallest(_unresolved_rows(short, full), tolerance_gw, max_gw,
-                            "full daily recharge")
+    every_full_row = _unresolved_rows(short, year.curtailed_re[full], year.solar_shape[full])
+    return _search_smallest(every_full_row, tolerance_gw, max_gw, "full daily recharge")
 
 
-def size_dedicated_solar(battery: BatterySpec, year: CycleYear, extra: float,
-                         tolerance_gw: float = 0.1, max_gw: float = 10_000.0,
-                         zero_gw: SocTrace | None = None) -> float:
-    """Dedicated solar GW between minimum-service and full-recharge sizing.
+def size_dedicated_solar(battery: BatterySpec, year: CycleYear, tolerance_gw: float = 0.1,
+                         max_gw: float = 10_000.0, zero_gw: SocTrace | None = None) -> float:
+    """Smallest dedicated solar GW that serves the battery's unmet profile.
 
-    The minimum is the smallest capacity leaving zero secondary unmet
-    (no slot at or above ``RESIDUE`` MW) in every cycle; the maximum
-    additionally refills the battery daily.  ``extra`` interpolates
-    between the two.  Raises InfeasibleError if even the largest
-    searched capacity cannot serve the unmet profile, which is the
+    That is the smallest capacity leaving zero secondary unmet (no slot
+    at or above ``RESIDUE`` MW) in every cycle.  Raises InfeasibleError
+    if even the largest searched capacity cannot, which is the
     signature of a deliberately undersized battery.  ``zero_gw``, if
     given, is this battery's ``simulate_soc`` trace on ``year`` at 0 GW:
     the search's first probe reads it instead of simulating again.
@@ -503,23 +507,24 @@ def size_dedicated_solar(battery: BatterySpec, year: CycleYear, extra: float,
     if battery.energy_capacity_mwh <= 0:
         return 0.0
 
-    def unserved(gw: float, rows: np.ndarray) -> np.ndarray:
+    def unserved(gw: float, unmet: np.ndarray, re: np.ndarray, shape: np.ndarray) -> np.ndarray:
         if gw == 0.0 and zero_gw is not None:  # the first probe: every row
             secondary = zero_gw.secondary_unmet
         else:
-            unmet = year.unmet[rows]
-            served = _simulate_cycles(battery, unmet, year.curtailed_re[rows],
-                                      year.solar(gw, rows))[2]
+            served = _simulate_cycles(battery, unmet, re, shape * gw * 1e3)[2]
             secondary = secondary_unmet(unmet, served)
         return (secondary > 0).any(axis=1)
 
-    every_row = _unresolved_rows(unserved, np.arange(year.unmet.shape[0]))
-    minimum = _search_smallest(every_row, tolerance_gw, max_gw, "zero secondary unmet")
-    if extra == 0.0:
-        return minimum
-    maximum = size_for_full_recharge(battery, year, tolerance_gw=tolerance_gw, max_gw=max_gw)
-    maximum = max(maximum, minimum)
-    return minimum + extra * (maximum - minimum)
+    every_row = _unresolved_rows(unserved, year.unmet, year.curtailed_re, year.solar_shape)
+    return _search_smallest(every_row, tolerance_gw, max_gw, "zero secondary unmet")
+
+
+def dedicated_solar_gw(minimum_gw: float, full_recharge_gw: float, extra: float) -> float:
+    """The dedicated solar built: ``extra`` of the way from the
+    minimum-service size to the full-recharge size, the larger of the
+    two searches' answers."""
+    maximum = max(full_recharge_gw, minimum_gw)
+    return minimum_gw + extra * (maximum - minimum_gw)
 
 
 # --- displacement -------------------------------------------------------
@@ -533,7 +538,15 @@ class Displacement:
     per_day_mwh: dict[str, np.ndarray]  # calendar-day attribution
 
 
-def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:
+def tranche_cycle_mwh(dy: DispatchYear, year: CycleYear) -> dict[str, np.ndarray]:
+    """Each displaceable tranche's output in every cycle window of
+    ``year``, in MWh and never below zero, by ``DISPLACEMENT_ORDER``."""
+    return {name: np.maximum(
+        _pad_cycles(dy.supply[name], year.boundary_slot)[0].sum(axis=1) * SLOT_HOURS, 0.0)
+        for name in DISPLACEMENT_ORDER}
+
+
+def displace_with_battery(soc: SocTrace, tranche_mwh: dict[str, np.ndarray]) -> Displacement:
     """Spare battery throughput displacing fossil output, cycle by cycle.
 
     Every quantity is a row reduction over the trace's cycle matrices,
@@ -542,9 +555,10 @@ def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:
     of charge kept above the floor) and the charging the sources could
     still have provided, zero below ``RESIDUE`` MWh.  It displaces the
     most expensive displaceable tranche first, energy-matched against
-    that tranche's output within the cycle; gas_2019 is never touched.
-    Volumes are attributed to the calendar day each cycle starts in (see
-    ``_pad_cycles``).
+    that tranche's output within the cycle, ``tranche_mwh``
+    (``tranche_cycle_mwh`` on the trace's year); gas_2019 is never
+    touched.  Volumes are attributed to the calendar day each cycle
+    starts in (see ``_pad_cycles``).
     """
     battery = soc.battery
     year = soc.year
@@ -573,8 +587,7 @@ def displace_with_battery(soc: SocTrace, dy: DispatchYear) -> Displacement:
     per_day: dict[str, np.ndarray] = {}
     displaced_twh: dict[str, float] = {}
     for name in DISPLACEMENT_ORDER:
-        output_m, _ = _pad_cycles(dy.supply[name], year.boundary_slot)
-        take = np.minimum(spare, np.maximum(output_m.sum(axis=1) * SLOT_HOURS, 0.0))
+        take = np.minimum(spare, tranche_mwh[name])
         spare = spare - take
         per_day[name] = np.bincount(day, weights=take, minlength=n_days)
         displaced_twh[name] = float(np.sum(take)) / 1e6

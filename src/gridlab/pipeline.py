@@ -13,16 +13,25 @@ capacity path and then, for each year 2021-2030 in turn,
 
 which ends the year as a frozen ``YearRecord``; the busbar and buffer
 series die with ``dispatch_year``.  Every member's ``OptionStage`` then
-advances one year on that record:
+advances one year on that record, read through the year's ``GroupYear``:
 
 4. NEW supply sizing, SoC simulation, displacement loops (newsupply).
+   The battery members share what depends only on the year, their
+   cycle boundary and their exact battery: the cycle pad and the
+   tranche outputs per cycle, and, for each distinct battery, its 0 GW
+   trace and its minimum-service and full-recharge solar searches, so
+   an undersized member's retry at full size reads its full-size
+   sibling's search.  Each member works out its own running-maximum
+   battery, its trace at its own solar GW, its displacement and its
+   coal-peak bonus.
 
-The group keeps the year's totals row and drops the record and the
-year's series before the next year is despatched, so no more than one
-year's slot arrays are held at a time.  The option stage is causal in
-years: sizes carry over as running maxima, so stepping the years in
-order gives the plan a whole decade would.  ``evaluate_scenario`` then prices each finished
-plan on the group's ``DespatchSummary``:
+The group keeps the year's totals row and drops the record, the
+``GroupYear`` and the year's series before the next year is despatched,
+so no more than one year's slot arrays are held at a time.  The option
+stage is causal in years: sizes carry over as running maxima, so
+stepping the years in order gives the plan a whole decade would.
+``evaluate_scenario`` then prices each finished plan on the group's
+``DespatchSummary``:
 
 5. cash flows and NPV (economics), and the year rows.
 
@@ -210,6 +219,83 @@ def _freeze(arrays: Iterable[np.ndarray]) -> None:
         array.setflags(write=False)
 
 
+class GroupYear:
+    """One despatched year as the option stages of its group read it.
+
+    ``record`` and ``solar``, the year's per-MW solar shape, are what a
+    stage reads.  The rest is battery work the battery members share,
+    each piece worked out on first use, made read-only, and dropped with
+    the year: per cycle boundary slot, the ``CycleYear`` pad and the
+    displaceable tranches' output per cycle; per boundary slot and
+    distinct ``BatterySpec``, the 0 GW trace and the minimum-service and
+    full-recharge solar searches.  Each piece is a pure function of the
+    record, the boundary slot and the exact battery, so a member reads
+    what it would have worked out alone.  A search that raised
+    ``InfeasibleError`` keeps that exception, without its traceback,
+    whose frames would hold the year's arrays.
+    """
+
+    def __init__(self, record: YearRecord, solar: np.ndarray):
+        self.record = record
+        self.solar = solar
+        self._work: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, make):
+        if key not in self._work:
+            made = make()
+            fields = made.values() if isinstance(made, dict) else vars(made).values()
+            _freeze(v for v in fields if isinstance(v, np.ndarray))
+            self._work[key] = made
+        return self._work[key]
+
+    def cycles(self, slot: int) -> new.CycleYear:
+        return self._once(("pad", slot), lambda: new.CycleYear.pad(
+            self.record.dispatch.unmet, self.record.curtailed_re, self.solar, slot))
+
+    def tranche_mwh(self, slot: int) -> dict[str, np.ndarray]:
+        return self._once(("tranches", slot), lambda: new.tranche_cycle_mwh(
+            self.record.dispatch, self.cycles(slot)))
+
+    def zero_trace(self, slot: int, battery: new.BatterySpec) -> new.SocTrace:
+        return self._once(("zero", slot, battery), lambda: new.simulate_soc(
+            battery, self.cycles(slot), 0.0))
+
+    def dedicated_solar(self, slot: int, battery: new.BatterySpec,
+                        extra: float) -> float | InfeasibleError:
+        """The dedicated solar GW a member with ``battery`` builds at
+        ``extra`` (``newsupply.dedicated_solar_gw`` of the two
+        searches), or the ``InfeasibleError`` a search raised.
+
+        An undersized battery can never zero out secondary unmet: when
+        a search fails for it, it builds the solar its full-size design
+        needed, and the rest of its profile falls through to biodiesel.
+        """
+        gw = self._blend(slot, battery, extra)
+        if isinstance(gw, InfeasibleError):
+            gw = self._blend(slot, battery.scaled(1.0), extra)
+        return gw
+
+    def _blend(self, slot: int, battery: new.BatterySpec,
+               extra: float) -> float | InfeasibleError:
+        minimum = self._search(("minimum", slot, battery), lambda: new.size_dedicated_solar(
+            battery, self.cycles(slot), zero_gw=self.zero_trace(slot, battery)))
+        if extra == 0.0 or isinstance(minimum, InfeasibleError):
+            return minimum
+        maximum = self._search(("recharge", slot, battery), lambda: new.size_for_full_recharge(
+            battery, self.cycles(slot)))
+        if isinstance(maximum, InfeasibleError):
+            return maximum
+        return new.dedicated_solar_gw(minimum, maximum, extra)
+
+    def _search(self, key: tuple, search) -> float | InfeasibleError:
+        if key not in self._work:
+            try:
+                self._work[key] = search()
+            except InfeasibleError as exc:
+                self._work[key] = exc.with_traceback(None)
+        return self._work[key]
+
+
 class OptionStage:
     """One scenario's option stage, advanced one despatched year at a time.
 
@@ -219,7 +305,8 @@ class OptionStage:
     ``detail_years`` keeps a ``YearDetail``, with the reporting despatch
     and the SoC trace; the other years' reporting despatch is dropped
     once their row is taken.  A ``GridlabError`` in a step is kept in
-    ``error``, and the stage takes no further step.
+    ``error``, without its traceback, and the stage takes no further
+    step.
     """
 
     def __init__(self, params: ScenarioParams, detail_years: tuple[int, ...] = ()):
@@ -238,19 +325,20 @@ class OptionStage:
         kind = BatteryStage if params.new_option == "battery_re" else ThermalStage
         return kind(params, detail_years)
 
-    def step(self, i: int, record: YearRecord, solar: np.ndarray) -> None:
-        """Advance the plan by horizon year ``i``, whose record this is
-        and whose per-MW solar shape ``solar`` is."""
+    def step(self, i: int, group_year: GroupYear) -> None:
+        """Advance the plan by horizon year ``i``, despatched as
+        ``group_year``."""
         if self.error is not None:
             return
         try:
-            self._step(i, record, solar)
+            self._step(i, group_year)
         except GridlabError as exc:
-            self.error = exc
+            # its frames would keep this year's arrays alive
+            self.error = exc.with_traceback(None)
 
-    def _step(self, i: int, record: YearRecord, solar: np.ndarray) -> None:
-        plan, year = self.plan, YEARS[i]
-        served, secondary_mw, trace, days = self._size(i, record, solar)
+    def _step(self, i: int, group_year: GroupYear) -> None:
+        plan, year, record = self.plan, YEARS[i], group_year.record
+        served, secondary_mw, trace, days = self._size(i, group_year)
         plan.secondary_unmet_twh[i] = float(np.sum(secondary_mw)) * SLOT_HOURS / 1e6
         peak_secondary = float(np.max(secondary_mw)) if secondary_mw.size else 0.0
         self._biodiesel_mw = np.maximum(self._biodiesel_mw, peak_secondary / self._diesel_gross)
@@ -263,7 +351,7 @@ class OptionStage:
             if year in self.detail_years:
                 self.details[year] = YearDetail(dispatch=dy, reporting=rep, trace=trace)
 
-    def _size(self, i: int, record: YearRecord, solar: np.ndarray) -> tuple[
+    def _size(self, i: int, group_year: GroupYear) -> tuple[
             np.ndarray, np.ndarray, new.SocTrace | None,
             tuple[np.ndarray, np.ndarray] | None]:
         """Fill year ``i`` of the plan but for its secondary unmet, and
@@ -277,20 +365,20 @@ class OptionStage:
 class BatteryStage(OptionStage):
     """The battery option: battery and dedicated solar only ever grow,
     and each year re-simulates at the cumulative size under the
-    daily-full-recharge assumption.  A year's series are padded to cycle
-    matrices once, and the trace at 0 GW of dedicated solar is both the
-    solar search's first probe and, while no solar is built, the year's
-    trace."""
+    daily-full-recharge assumption.  The year's cycle pad, the 0 GW
+    trace and the solar searches come from the ``GroupYear``; the trace
+    at 0 GW of dedicated solar is both the minimum-service search's
+    first probe and, while no solar is built, the year's trace."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self._energy_mwh = self._inverter_mw = self._solar_gw = 0.0
 
-    def _size(self, i, record, solar):
+    def _size(self, i, group_year):
         params, plan = self.params, self.plan
+        record, slot = group_year.record, params.cycle_boundary_slot
         dy = record.dispatch
-        cycles = new.CycleYear.pad(dy.unmet, record.curtailed_re, solar,
-                                   params.cycle_boundary_slot)
+        cycles = group_year.cycles(slot)
         sized = new.size_battery(cycles, params, record.capacity_requirement_mw)
         self._energy_mwh = max(self._energy_mwh, sized.energy_capacity_mwh)
         self._inverter_mw = max(self._inverter_mw, sized.inverter_capacity_mw)
@@ -299,24 +387,19 @@ class BatteryStage(OptionStage):
         plan.energy_mwh[i] = self._energy_mwh
         plan.capacity_mw[i] = self._inverter_mw
 
-        trace = new.simulate_soc(battery, cycles, 0.0)
+        gw = 0.0
         if battery.energy_capacity_mwh > 0:
-            extra = params.dedicated_solar_extra
-            try:
-                gw = new.size_dedicated_solar(battery, cycles, extra, zero_gw=trace)
-            except InfeasibleError:
-                # an undersized battery can never zero out secondary
-                # unmet; build the solar its full-size design needed and
-                # let the rest of the profile fall through to biodiesel
-                gw = new.size_dedicated_solar(battery.scaled(1.0), cycles, extra)
-        else:
-            gw = 0.0
+            gw = group_year.dedicated_solar(slot, battery, params.dedicated_solar_extra)
+            if isinstance(gw, InfeasibleError):
+                raise gw
         self._solar_gw = max(self._solar_gw, gw)
         plan.dedicated_solar_gw[i] = self._solar_gw
         if self._solar_gw > 0:
             trace = new.simulate_soc(battery, cycles, self._solar_gw)
+        else:
+            trace = group_year.zero_trace(slot, battery)
 
-        disp = new.displace_with_battery(trace, dy)
+        disp = new.displace_with_battery(trace, group_year.tranche_mwh(slot))
         per_day_coal = disp.per_day_mwh["coal_2019"] + disp.per_day_mwh["coal_slack"]
         bonus = new.coal_peak_bonus(dy, per_day_coal, params.flex_limit)
         plan.displaced_gas_twh[i] = disp.displaced_twh["gas_slack"]
@@ -335,8 +418,8 @@ class ThermalStage(OptionStage):
         self._tech = self.params.tech_costs[self.params.new_option]
         self._installed_mw = 0.0
 
-    def _size(self, i, record, solar):
-        params, plan = self.params, self.plan
+    def _size(self, i, group_year):
+        params, plan, record = self.params, self.plan, group_year.record
         self._installed_mw = new.size_new_capacity(
             record.capacity_requirement_mw, self._tech.aux, self._installed_mw)
         coal = params.new_option == "coal"
@@ -355,8 +438,8 @@ def despatch_group(params: ScenarioParams, base: BaseYearData, solar: PerMwShape
                    wind: PerMwShape, stages: Sequence[OptionStage]) -> DespatchSummary:
     """The despatch stage, year-major: put the base year and the per-MW
     ``solar`` and ``wind`` shapes on each year of ``params``'s key,
-    despatch the year once, step every stage on it, keep its totals row,
-    drop it.
+    despatch the year once, step every stage on its ``GroupYear``, keep
+    its totals row, drop it.
 
     Every array of a year's series and record is read-only, so the
     stages sharing them cannot write into each other's inputs.  A
@@ -373,9 +456,10 @@ def despatch_group(params: ScenarioParams, base: BaseYearData, solar: PerMwShape
         _freeze([*series.values(), *(v for v in vars(dy).values() if isinstance(v, np.ndarray)),
                  *dy.supply.values(), *dy.capacity.values(), record.curtailed_re])
         rows.append(year_totals(record))
+        group_year = GroupYear(record, series["solar"])
         for stage in stages:
-            stage.step(i, record, series["solar"])
-        del series, record, dy  # before the next year is despatched
+            stage.step(i, group_year)
+        del series, record, dy, group_year  # before the next year is despatched
     totals = {key: np.array([row[key] for row in rows]) for key in rows[0]}
     _freeze(totals.values())
     return DespatchSummary(path=path, totals=totals)

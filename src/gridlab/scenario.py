@@ -138,9 +138,9 @@ class ScenarioParams:
     """
 
     # headline parametric axes
-    demand_growth: float = bound(0.0525, "[0, inf)")
+    demand_growth: float = bound(0.0525, "[0, 10]")
     flex_limit: float = bound(0.60, "[0.5, 0.8]")
-    re_2030: float = bound(450.0, "(-inf, inf)")  # GW
+    re_2030: float = bound(450.0, "(-inf, 10000]")  # GW
     solar_share: float = bound(8 / 12, "(0, 1]")  # solar fraction of solar+wind growth
     new_option: str = bound("battery_re", NEW_OPTIONS)
     battery_size_fraction: float = bound(1.0, "(0, 1]")

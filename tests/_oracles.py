@@ -60,11 +60,14 @@ from gridlab.newsupply import (
     _pad_cycles,
     _simulate_cycles,
     coal_peak_bonus,
+    dedicated_solar_gw,
     displace_gas_with_new_coal,
     displace_with_battery,
     simulate_soc,
     size_battery,
     size_dedicated_solar,
+    size_for_full_recharge,
+    tranche_cycle_mwh,
 )
 from gridlab.pipeline import (
     OptionStage,
@@ -359,9 +362,20 @@ def reference_size_for_full_recharge(battery, curtailed_re, unmet, solar_shape,
     return reference_search_smallest(ok, tolerance_gw, max_gw, "full daily recharge")
 
 
+def sized_dedicated_solar(battery, year, extra, zero_gw=None):
+    """The dedicated solar of ``battery`` at ``extra`` from the two
+    production searches, one battery alone: the minimum-service search
+    and, for ``extra`` above 0, the full-recharge one.  An
+    InfeasibleError of either is raised."""
+    minimum = size_dedicated_solar(battery, year, zero_gw=zero_gw)
+    if extra == 0.0:
+        return minimum
+    return dedicated_solar_gw(minimum, size_for_full_recharge(battery, year), extra)
+
+
 def reference_size_dedicated_solar(battery, curtailed_re, unmet, solar_shape, extra,
                                    boundary_slot=34, tolerance_gw=0.1, max_gw=10_000.0):
-    """``newsupply.size_dedicated_solar`` on whole series."""
+    """``sized_dedicated_solar`` on whole series."""
     if battery.energy_capacity_mwh <= 0:
         return 0.0
     n = unmet.shape[0]
@@ -859,9 +873,9 @@ def reference_battery_plan(params, decade, keep=(), report=()):
         trace = simulate_soc(battery, cycles, 0.0)
         if battery.energy_capacity_mwh > 0:
             try:
-                gw = size_dedicated_solar(battery, cycles, extra, zero_gw=trace)
+                gw = sized_dedicated_solar(battery, cycles, extra, zero_gw=trace)
             except InfeasibleError:
-                gw = size_dedicated_solar(battery.scaled(1.0), cycles, extra)
+                gw = sized_dedicated_solar(battery.scaled(1.0), cycles, extra)
         else:
             gw = 0.0
         run_solar_gw = max(run_solar_gw, gw)
@@ -873,7 +887,7 @@ def reference_battery_plan(params, decade, keep=(), report=()):
         plan.secondary_unmet_twh[i] = float(np.sum(trace.secondary_unmet_mw)) * SLOT_HOURS / 1e6
         peak_secondary[i] = float(np.max(trace.secondary_unmet_mw)) if dy.unmet.size else 0.0
 
-        disp = displace_with_battery(trace, dy)
+        disp = displace_with_battery(trace, tranche_cycle_mwh(dy, cycles))
         per_day_coal = disp.per_day_mwh["coal_2019"] + disp.per_day_mwh["coal_slack"]
         bonus = coal_peak_bonus(dy, per_day_coal, params.flex_limit)
         plan.displaced_gas_twh[i] = disp.displaced_twh["gas_slack"]

@@ -2,14 +2,18 @@
 
 The row-restricted solar searches and the days-only coal-peak bonus
 against their whole-series references in ``_oracles``, the work one
-battery year does, a fuzz of the battery option over the validated
-parameter ranges on a small synthetic decade, and a fuzz holding the
-five thermal options, stepped year by year, to the whole-decade
-reference on such decades.
+battery year does and the work a despatch group's battery members
+share, a fuzz of the battery option over the validated parameter ranges
+on a small synthetic decade, and a fuzz holding the five thermal
+options, stepped year by year, to the whole-decade reference on such
+decades.
 """
 
 import dataclasses
+import gc
+import itertools
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +23,14 @@ import _oracles
 from gridlab import dispatch as dsp
 from gridlab import newsupply as new
 from gridlab.errors import DataIntegrityError, GridlabError, InfeasibleError, InvariantError
-from gridlab.pipeline import DespatchSummary, OptionStage, YearRecord, evaluate_scenario
+from gridlab.pipeline import (
+    DespatchSummary,
+    GroupYear,
+    OptionStage,
+    YearRecord,
+    despatch_group,
+    evaluate_scenario,
+)
 from gridlab.scenario import NEW_OPTIONS, YEARS, ScenarioParams, build_capacity_path
 from gridlab.shapes import SLOT_HOURS, SLOTS_PER_DAY
 
@@ -70,7 +81,7 @@ class TestSearchParity:
         battery = new.size_battery(year, params, float(unmet.max()) * (1.0 + shortfall))
         zero = new.simulate_soc(battery, year, 0.0)
         for zero_gw in (None, zero):
-            got = outcome_of(new.size_dedicated_solar, battery, year, extra, zero_gw=zero_gw)
+            got = outcome_of(_oracles.sized_dedicated_solar, battery, year, extra, zero_gw=zero_gw)
             assert got == outcome_of(_oracles.reference_size_dedicated_solar,
                                      battery, re, unmet, shape, extra, boundary)
         assert outcome_of(new.size_for_full_recharge, battery, year) == outcome_of(
@@ -87,7 +98,7 @@ class TestSearchParity:
             for fraction in (0.3, 0.9, 1.0):
                 battery = new.size_battery(
                     year, ScenarioParams(battery_size_fraction=fraction), 2.0 * float(unmet.max()))
-                got = outcome_of(new.size_dedicated_solar, battery, year, 0.0)
+                got = outcome_of(new.size_dedicated_solar, battery, year)
                 assert got == outcome_of(_oracles.reference_size_dedicated_solar,
                                          battery, re, unmet, shape, 0.0, 0)
                 answers.add("infeasible" if got == "infeasible" else
@@ -100,7 +111,7 @@ class TestSearchParity:
         for wrong in (new.simulate_soc(battery.scaled(0.5), year, 0.0),
                       new.simulate_soc(battery, year, 1.0)):
             with pytest.raises(InvariantError):
-                new.size_dedicated_solar(battery, year, 0.0, zero_gw=wrong)
+                new.size_dedicated_solar(battery, year, zero_gw=wrong)
 
 
 def flexed_days(seed, n_days=6):
@@ -201,7 +212,7 @@ def stepped(params, decade, detail_years=()):
     """The option stage of ``params`` stepped through a decade's years."""
     stage = OptionStage.start(params, detail_years)
     for i, year in enumerate(YEARS):
-        stage.step(i, decade.years[year], decade.solar_by_year[year])
+        stage.step(i, GroupYear(decade.years[year], decade.solar_by_year[year]))
     return stage
 
 
@@ -308,6 +319,122 @@ class TestBatteryYearWork:
                       *(dy.supply[name] for name in new.DISPLACEMENT_ORDER)]
             got = padded[i * per_year:(i + 1) * per_year]
             assert sorted(map(id, got)) == sorted(map(id, series))
+
+
+#: One despatch group's battery members: every size fraction, solar extra
+#: and cycle boundary mix.  At demand growth 0.1 the undersized members
+#: retry at full size, and on seed 3 of ``small_decade`` (and on the
+#: real base year) a full daily recharge is out of reach, so the members
+#: with extra solar fail.
+SIBLINGS = tuple(
+    ScenarioParams(battery_size_fraction=f, dedicated_solar_extra=e,
+                   battery_cycle_boundary_hour=h, demand_growth=0.1)
+    for f, e, h in itertools.product((1.0, 0.5, 0.3), (0.0, 0.5, 1.0), (17, 6)))
+
+
+def group_stepped(members, decade, after_year=lambda: None):
+    """The members' option stages stepped as one despatch group: each
+    year, every stage reads the same ``GroupYear``, then ``after_year``
+    runs."""
+    stages = [OptionStage.start(params) for params in members]
+    for i, year in enumerate(YEARS):
+        group_year = GroupYear(decade.years[year], decade.solar_by_year[year])
+        for stage in stages:
+            stage.step(i, group_year)
+        after_year()
+    return stages
+
+
+def priced(stage, decade):
+    """A stepped stage's year rows and result, or its failure's class
+    and text."""
+    try:
+        outcome = evaluate_scenario(stage, DespatchSummary(path=decade.path, totals=decade.totals))
+    except GridlabError as exc:
+        return type(exc).__name__, str(exc)
+    return outcome.year_rows, outcome.result
+
+
+class TestGroupSharing:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_a_member_gets_what_it_gets_alone(self, base_year, seed):
+        decade = small_decade(SIBLINGS[0], base_year, seed)
+        together = [priced(stage, decade) for stage in group_stepped(SIBLINGS, decade)]
+        alone = [priced(stepped(params, decade), decade) for params in SIBLINGS]
+        assert together == alone
+        failed = [got for got in together if isinstance(got[0], str)]
+        assert 0 < len(failed) < len(SIBLINGS) if seed == 3 else not failed
+
+    def test_each_distinct_battery_is_worked_out_once_a_year(self, base_year, monkeypatch):
+        decade = small_decade(SIBLINGS[0], base_year, 0)
+        calls = {"pad": [], "minimum": [], "recharge": []}
+        pad, minimum, recharge = (new.CycleYear.pad, new.size_dedicated_solar,
+                                  new.size_for_full_recharge)
+
+        def counting_pad(unmet, curtailed_re, solar_shape, boundary_slot):
+            calls["pad"].append(boundary_slot)
+            return pad(unmet, curtailed_re, solar_shape, boundary_slot)
+
+        def counting(name, search):
+            def counted(battery, year, **kwargs):
+                calls[name].append((year.boundary_slot, battery))
+                return search(battery, year, **kwargs)
+            return counted
+
+        monkeypatch.setattr(new.CycleYear, "pad", counting_pad)
+        monkeypatch.setattr(new, "size_dedicated_solar", counting("minimum", minimum))
+        monkeypatch.setattr(new, "size_for_full_recharge", counting("recharge", recharge))
+
+        def per_year(members):
+            """Each year's calls of each kind, ``members`` stepped as a group."""
+            years = []
+
+            def take():
+                years.append({name: made[:] for name, made in calls.items()})
+                for made in calls.values():
+                    made.clear()
+
+            group_stepped(members, decade, take)
+            return years
+
+        slots = {params.cycle_boundary_slot for params in SIBLINGS}
+        shared = per_year(SIBLINGS)
+        for year in shared:
+            assert sorted(year["pad"]) == sorted(slots)
+            for name in ("minimum", "recharge"):
+                assert len(year[name]) == len(set(year[name])), name
+        # alone, the members repeat the searches their siblings made; the
+        # undersized ones' retry at full size repeats the full-size search
+        alone = [per_year([params]) for params in SIBLINGS]
+        for name in ("pad", "minimum", "recharge"):
+            together = sum(len(year[name]) for year in shared)
+            apart = sum(len(year[name]) for member in alone for year in member)
+            assert 0 < together < apart, name
+
+    def test_nothing_outlives_its_year(self, base_year, solar_shape, wind_shape):
+        # a kept search failure, or a member's, would hold the frames it
+        # was raised through, and with them the year, in a reference cycle
+        class Watch:
+            """Fails when the previous year's record or ``GroupYear`` is
+            still alive as the next year is stepped."""
+
+            def __init__(self):
+                self.refs = []
+
+            def step(self, i, group_year):
+                assert all(ref() is None for ref in self.refs), YEARS[i - 1]
+                self.refs = [weakref.ref(group_year), weakref.ref(group_year.record)]
+
+        watch = Watch()
+        stages = [OptionStage.start(params, (2030,)) for params in SIBLINGS]
+        gc.disable()
+        try:
+            despatch_group(SIBLINGS[0], base_year, solar_shape, wind_shape, [watch, *stages])
+            assert all(ref() is None for ref in watch.refs), YEARS[-1]
+        finally:
+            gc.enable()
+        failed = [stage for stage in stages if stage.error is not None]
+        assert 0 < len(failed) < len(stages)
 
 
 THERMAL_OPTIONS = tuple(option for option in NEW_OPTIONS if option != "battery_re")

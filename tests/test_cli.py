@@ -1038,6 +1038,33 @@ class TestMain:
         assert cli.main(["--config", cfg, "--validate-only"]) == 2
         assert "wind_capex_2030" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["demand_growth", "re_2030"])
+    def test_overflowing_build_out_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        # demand_growth 1e300 overflowed the growth factor (exit 3), and
+        # re_2030 1e300 wrote inf into the NPV columns (exit 0)
+        def never(*args, **kwargs):
+            raise AssertionError("a decade was despatched")
+
+        monkeypatch.setattr(cli, "despatch_group", never)
+        cfg = self.write_config(tmp_path, {key: 1e300})
+        out_dir = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--synthetic", "0", "--out", str(out_dir)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_largest_re_build_out_prices_to_finite_tables(self, tmp_path):
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(
+            tmp_path, {"re_2030": 10000.0, "new_option": ["battery_re", "coal"]})
+        assert cli.main(["--config", cfg, "--synthetic", "0", "--out", str(out_dir)]) == 0
+        for name in ("frontier.csv", "results_by_year.csv"):
+            rows = read_rows(out_dir / name)[1:]
+            assert len(rows) > 0, name
+            for cell in (c for row in rows for c in row if c not in ("battery_re", "coal")):
+                assert math.isfinite(float(cell)), (name, cell)
+
     def test_wind_path_rounding_to_zero_exits_2_before_any_run(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -14,6 +14,7 @@ from gridlab import pipeline
 from gridlab.cli import DataOptions, load_inputs
 from gridlab.economics import COMPONENTS
 from gridlab.pipeline import (
+    GroupYear,
     OptionStage,
     YearRecord,
     _tranche_caps,
@@ -52,15 +53,15 @@ class RecordKeeper:
         self.records = {}
         self.solar = {}
 
-    def step(self, i, record, solar):
-        self.records[YEARS[i]] = record
-        self.solar[YEARS[i]] = solar
+    def step(self, i, group_year):
+        self.records[YEARS[i]] = group_year.record
+        self.solar[YEARS[i]] = group_year.solar
 
 
 def step_through(stage, records, solar_by_year):
     """Step one option stage through kept year records."""
     for i, year in enumerate(YEARS):
-        stage.step(i, records[year], solar_by_year[year])
+        stage.step(i, GroupYear(records[year], solar_by_year[year]))
     return stage
 
 
@@ -432,7 +433,8 @@ class TestDetails:
         for year in years:
             detail = outcome.details[year]
             dy, rep = detail.dispatch, detail.reporting
-            disp = new.displace_with_battery(detail.trace, dy)
+            tranches = new.tranche_cycle_mwh(dy, detail.trace.year)
+            disp = new.displace_with_battery(detail.trace, tranches)
             per_day = disp.per_day_mwh["coal_2019"] + disp.per_day_mwh["coal_slack"]
             bonus = new.coal_peak_bonus(dy, per_day, params.flex_limit)
 

@@ -348,7 +348,7 @@ def test_every_param_field_declares_one_bound():
 _MODEL_ASSUMES = [
     ("flex_limit", "[0, 1)", "dispatch.apply_coal_flex"),
     ("grid_buffer", "[0, inf)", "dispatch.buffer_check"),
-    ("dedicated_solar_extra", "[0, 1]", "newsupply.size_dedicated_solar"),
+    ("dedicated_solar_extra", "[0, 1]", "newsupply.dedicated_solar_gw"),
     ("battery_cycle_boundary_hour", "[0, 23]", "newsupply._pad_cycles, slots 0..47"),
     ("battery_dod_buffer", "[0, 1)", "newsupply.BatterySpec"),
     ("battery_roundtrip_eff", "(0, 1]", "newsupply.BatterySpec"),

@@ -82,10 +82,8 @@ _MINUS = np.array([0, ord("-"), 0, 0], np.uint8).view(np.uint32)[0]
 class DispatchYear:
     """One year of slot-level despatch.
 
-    ``demand`` is whatever the stack was asked to balance: net demand
-    for a partial result straight out of merit_dispatch, full busbar
-    demand once must-run supplies are attached.  The conservation
-    invariant sum(supply) + unmet == demand holds in both states.
+    ``demand`` is the busbar demand, and the conservation invariant
+    sum(supply) + unmet == demand holds.
 
     No code writes into an array it was given: each step builds its
     result from new arrays and shares the unchanged ones.
@@ -128,9 +126,10 @@ class DispatchYear:
 
     def check_balance(self) -> None:
         """Raise ``DataIntegrityError`` where supply plus unmet misses
-        demand.  In-bound inputs can reach it (``hydro_growth`` 1e200
-        despatches NaN), so it is filed as a model limit, not a bug,
-        until such inputs are bounded."""
+        demand.  In-bound inputs can reach it (``hydro_2021`` 1e300 at
+        ``hydro_growth`` 10 overflows the hydro path and despatches
+        NaN), so it is filed as a model limit, not a bug, until such
+        inputs are bounded."""
         total = sum(self.supply.values()) + self.unmet
         worst = float(np.max(np.abs(total - self.demand))) if self.n_slots else 0.0
         if not worst <= _TOL:  # NaN fails too
@@ -145,11 +144,11 @@ class DispatchYear:
 def net_demand(
     demand: np.ndarray, re: np.ndarray, hydro: np.ndarray, nuclear: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Net demand after must-run supply, and the interim curtailment.
+    """Net demand after must-run supply, and the must-run surplus.
 
-    Must-run output beyond demand cannot be absorbed and comes back as
-    curtailment, reported as a single series.  All four inputs are
-    arrays of one length; both results are new arrays of that length.
+    Must-run output beyond demand cannot be absorbed: the surplus is
+    the year's pre-flex curtailment.  All four inputs are arrays of one
+    length; both results are new arrays of that length.
     """
     if len({a.shape[0] for a in (demand, re, hydro, nuclear)}) != 1:
         raise InvariantError("net_demand inputs must have equal lengths")
@@ -158,14 +157,14 @@ def net_demand(
 
 
 def split_must_run(
-    demand: np.ndarray, re: np.ndarray, hydro: np.ndarray, nuclear: np.ndarray
+    surplus: np.ndarray, re: np.ndarray, hydro: np.ndarray, nuclear: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Per-source must-run supply after netting, curtailing RE first.
+    """Per-source must-run supply served, curtailing RE first.
 
-    Surplus beyond demand is taken out of RE, then hydro, then nuclear,
-    so the returned supplies always sum to min(demand, must-run total).
+    ``net_demand``'s surplus is taken out of RE, then hydro, then
+    nuclear, so the returned supplies always sum to min(demand,
+    must-run total).
     """
-    surplus = np.maximum(re + hydro + nuclear - demand, 0.0)
     re_cut = np.minimum(surplus, re)
     hydro_cut = np.minimum(surplus - re_cut, hydro)
     nuclear_cut = surplus - re_cut - hydro_cut
@@ -176,62 +175,47 @@ def split_must_run(
     }
 
 
-def _as_capacity(values, n_slots: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n_slots, float(arr))
-    if arr.shape != (n_slots,):
-        raise InvariantError(f"capacity for {name!r} has shape {arr.shape}, want ({n_slots},)")
-    if np.any(arr < 0):
+def _check_capacity(cap: np.ndarray, n_slots: int, name: str) -> None:
+    if np.shape(cap) != (n_slots,):
+        raise InvariantError(
+            f"capacity for {name!r} has shape {np.shape(cap)}, want ({n_slots},)")
+    if np.any(cap < 0):
         raise InvariantError(f"capacity for {name!r} has negative entries")
-    return arr
 
 
-def merit_dispatch(net: np.ndarray, tranches: Sequence[tuple[str, object]]) -> DispatchYear:
-    """Greedy fill of net demand through the tranche stack, in order.
+def merit_dispatch(
+    net: np.ndarray, capacity: Mapping[str, np.ndarray]
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Greedy fill of net demand through the ``TRANCHES`` stack, in order.
 
     Each tranche serves what remains of the slot's net demand, up to
-    its own per-slot capacity; anything left after the last tranche is
-    unmet.  The result is partial: must-run supplies are all zero and
-    ``demand`` is the net series.
+    its own per-slot capacity in ``capacity``; anything left after the
+    last tranche is unmet.  Returns each tranche's output and the unmet.
     """
-    n_slots = net.shape[0]
-    supply: dict[str, np.ndarray] = {k: np.zeros(n_slots) for k in ("re", "hydro", "nuclear")}
-    capacity: dict[str, np.ndarray] = {}
+    served: dict[str, np.ndarray] = {}
     remaining = net.copy()
-    for name, cap in tranches:
-        cap = _as_capacity(cap, n_slots, name)
-        take = np.minimum(remaining, cap)
-        supply[name] = take
-        capacity[name] = cap
+    for name in TRANCHES:
+        _check_capacity(capacity[name], net.shape[0], name)
+        served[name] = take = np.minimum(remaining, capacity[name])
         remaining -= take
-    supply["new"] = np.zeros(n_slots)
-    return DispatchYear(
-        demand=net,
-        supply=supply,
-        capacity=capacity,
-        curtailment=np.zeros(n_slots),
-        unmet=remaining,
-    )
+    return served, remaining
 
 
 def attach_must_run(
-    dy: DispatchYear,
-    must_run: Mapping[str, np.ndarray],
-    interim_curtailment: np.ndarray,
+    net: np.ndarray, surplus: np.ndarray, must_run: Mapping[str, np.ndarray],
+    served: Mapping[str, np.ndarray], unmet: np.ndarray, capacity: Mapping[str, np.ndarray],
 ) -> DispatchYear:
-    """Fold must-run supplies into a partial despatch result.
+    """The pre-flex despatch year: must-run supplies beside the tranche
+    outputs, with no NEW supply yet.
 
-    ``demand`` becomes the full busbar demand (net + must-run served),
-    keeping the conservation invariant intact.
+    ``demand`` is net demand plus the must-run served, the busbar
+    demand; ``net_demand``'s surplus is the curtailment.
     """
-    supply = {**dy.supply, **{key: must_run[key] for key in ("re", "hydro", "nuclear")}}
-    return replace(
-        dy,
-        demand=dy.demand + supply["re"] + supply["hydro"] + supply["nuclear"],
-        supply=supply,
-        curtailment=dy.curtailment + interim_curtailment,
-    )
+    return DispatchYear(
+        demand=net + must_run["re"] + must_run["hydro"] + must_run["nuclear"],
+        supply={**must_run, **served, "new": np.zeros(net.shape[0])},
+        capacity={key: capacity[key] for key in TRANCHES},
+        curtailment=surplus, unmet=unmet)
 
 
 def apply_coal_flex(dy: DispatchYear, flex_limit: float) -> DispatchYear:
@@ -317,7 +301,7 @@ def apply_coal_flex(dy: DispatchYear, flex_limit: float) -> DispatchYear:
 def buffer_check(
     dy: DispatchYear,
     demand: np.ndarray,
-    despatchable_capacity,
+    despatchable_capacity: np.ndarray,
     grid_buffer: float,
 ) -> np.ndarray:
     """Audit despatchable headroom against the required buffer.
@@ -326,12 +310,12 @@ def buffer_check(
     minus despatchable output; the requirement scales with demand.
     Returns the shortfall below the requirement, MW per slot.
     """
-    cap = _as_capacity(despatchable_capacity, dy.n_slots, "despatchable")
+    _check_capacity(despatchable_capacity, dy.n_slots, "despatchable")
     output = (
         dy.coal_total() + dy.gas_total()
         + dy.supply["hydro"] + dy.supply["nuclear"] + dy.supply["new"]
     )
-    headroom = cap - output
+    headroom = despatchable_capacity - output
     return np.maximum(grid_buffer * demand - headroom, 0.0)
 
 

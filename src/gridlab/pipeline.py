@@ -7,8 +7,8 @@ capacity path and then, for each year 2021-2030 in turn,
 1. puts the base year and the per-MW shapes on the year's slot grid
    (``year_series``, the one caller of ``map_values_to_year``) and
    scales demand and capacities (scenario),
-2. nets demand after must-run, despatches the merit order and the coal
-   flex (dispatch),
+2. builds the pre-flex year (``preflex``: net demand after must-run
+   and the merit order) and runs the coal flex on it (dispatch),
 3. audits the buffer and takes the capacity requirement (dispatch),
 
 which ends the year as a frozen ``YearRecord``; the busbar and buffer
@@ -167,6 +167,19 @@ def _year_supplies(
     }
 
 
+def preflex(
+    busbar: np.ndarray, supplies: Mapping[str, np.ndarray], caps: Mapping[str, np.ndarray]
+) -> dsp.DispatchYear:
+    """The pre-flex despatch year of ``busbar``: net demand, the must-run
+    split of ``supplies`` and the merit order through the ``TRANCHES``
+    capacities in ``caps``, each series worked out once."""
+    sources = supplies["re"], supplies["hydro"], supplies["nuclear"]
+    net, surplus = dsp.net_demand(busbar, *sources)
+    must_run = dsp.split_must_run(surplus, *sources)
+    served, unmet = dsp.merit_dispatch(net, caps)
+    return dsp.attach_must_run(net, surplus, must_run, served, unmet, caps)
+
+
 def dispatch_year(
     params: ScenarioParams, path: CapacityPath, year: int, series: Mapping[str, np.ndarray]
 ) -> YearRecord:
@@ -176,12 +189,9 @@ def dispatch_year(
     demand = project_demand(params, series["demand"], year)
     busbar = demand * (1.0 + params.ists_loss)
     supplies = _year_supplies(series, path, params, year)
-
-    net, interim = dsp.net_demand(busbar, supplies["re"], supplies["hydro"], supplies["nuclear"])
-    must = dsp.split_must_run(busbar, supplies["re"], supplies["hydro"], supplies["nuclear"])
     caps = _tranche_caps(series, path, params, year)
-    dy = dsp.merit_dispatch(net, [(k, caps[k]) for k in dsp.TRANCHES])
-    dy = dsp.attach_must_run(dy, must, interim)
+    dy = preflex(busbar, supplies, caps)
+    preflex_re_cut = supplies["re"] - dy.supply["re"]
     dy = dsp.apply_coal_flex(dy, params.flex_limit)
     dy.check_balance()
 
@@ -192,7 +202,7 @@ def dispatch_year(
     shortfall = dsp.buffer_check(dy, busbar, despatchable, params.grid_buffer)
     return YearRecord(
         dispatch=dy,
-        curtailed_re=(supplies["re"] - must["re"]) + dy.flex_re_cut,
+        curtailed_re=preflex_re_cut + dy.flex_re_cut,
         capacity_requirement_mw=dsp.compute_unmet(dy, shortfall),
         demand_twh=float(np.sum(busbar)) * SLOT_HOURS / 1e6,
     )

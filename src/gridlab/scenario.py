@@ -101,10 +101,10 @@ class TechCost:
 
     life_years: int = bound(MISSING, "[1, 100]")
     capex_2021: float = bound(MISSING, "[0, inf)")  # Rs/MW
-    capex_escalation: float = bound(MISSING, "(-1, inf)")  # fraction/yr
+    capex_escalation: float = bound(MISSING, "(-1, 10]")  # fraction/yr
     aux: float = bound(MISSING, "[0, 1)")  # in-plant consumption fraction
     fuel_2021: float = bound(MISSING, "[0, inf)")  # Rs/kWh
-    fuel_escalation: float = bound(MISSING, "(-1, inf)")  # fraction/yr
+    fuel_escalation: float = bound(MISSING, "(-1, 10]")  # fraction/yr
     om_fraction: float = bound(0.015, "[0, inf)")  # annual O&M as a fraction of capex
 
     def __post_init__(self):
@@ -156,8 +156,8 @@ class ScenarioParams:
     coal_2021: float = bound(162.6, "[0, inf)")
 
     # capacity trajectories
-    hydro_growth: float = bound(0.03, "(-1, inf)")
-    nuclear_growth: float = bound(0.039, "(-1, inf)")
+    hydro_growth: float = bound(0.03, "(-1, 10]")
+    nuclear_growth: float = bound(0.039, "(-1, 10]")
     coal_retirement_2030: float = bound(20.0, "[0, inf)")  # GW, linear by 2030
     fgd_penalty: float = bound(0.025, "[0, 0.5)")  # relative output penalty once FGD is fitted
     fgd_start: int = bound(2023, "(-inf, inf)")
@@ -181,14 +181,14 @@ class ScenarioParams:
     coal_slack_price: float = bound(3.0, "(0, inf)")
     gas_2019_price: float = bound(3.5, "(0, inf)")
     gas_nonapm_price: float = bound(5.0, "(0, inf)")
-    coal_escalation: float = bound(0.05, "(-1, inf)")
-    gas_escalation: float = bound(0.03, "(-1, inf)")
+    coal_escalation: float = bound(0.05, "(-1, 10]")
+    gas_escalation: float = bound(0.03, "(-1, 10]")
 
     # battery and inverter
     battery_price_2021_usd: float = bound(175.0, "(0, inf)")  # $/kWh of cells
-    battery_learning_rate: float = bound(0.07, "(-inf, 1)")
+    battery_learning_rate: float = bound(0.07, "[-10, 1)")
     inr_per_usd_2021: float = bound(73.65, "(0, inf)")
-    forex_escalation: float = bound(0.03, "(-1, inf)")
+    forex_escalation: float = bound(0.03, "(-1, 10]")
     battery_life_years: int = bound(15, "[1, 100]")
     inverter_life_years: int = bound(13, "[1, 100]")
     inverter_capex_rs_per_kw: float = bound(7500.0, "[0, inf)")
@@ -200,12 +200,12 @@ class ScenarioParams:
 
     # RE build costs
     solar_capex_2021: float = bound(43_000_000.0, "(0, inf)")  # Rs/MW
-    solar_capex_change: float = bound(-0.02, "(-1, inf)")
+    solar_capex_change: float = bound(-0.02, "(-1, 10]")
     wind_capex_2021: float = bound(75_000_000.0, "(0, inf)")
     wind_capex_2030: float = bound(70_500_000.0, "(0, inf)")
     solar_om_rs_per_mw: float = bound(600_000.0, "[0, inf)")
     wind_om_rs_per_mw: float = bound(500_000.0, "[0, inf)")
-    om_inflation: float = bound(0.04, "(-1, inf)")
+    om_inflation: float = bound(0.04, "(-1, 10]")
     solar_life_years: int = bound(25, "[1, 100]")
     wind_life_years: int = bound(25, "[1, 100]")
 

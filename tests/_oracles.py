@@ -23,12 +23,9 @@ from gridlab.dispatch import (
     SUPPLY_KEYS,
     TRANCHES,
     _TOL,
+    DispatchYear,
     apply_coal_flex,
-    attach_must_run,
     load_duration_curve,
-    merit_dispatch,
-    net_demand,
-    split_must_run,
 )
 from gridlab.economics import (
     COMPONENTS,
@@ -78,6 +75,7 @@ from gridlab.pipeline import (
     despatch_group,
     dispatch_year,
     evaluate_scenario,
+    preflex,
     year_series,
 )
 from gridlab.scenario import N_YEARS, YEARS, CapacityPath, build_capacity_path
@@ -124,12 +122,56 @@ def random_flex_instance(rng, n_slots=SLOTS_PER_DAY):
 
 
 def model_flex_dispatch(demand, re, hydro, nuclear, caps, flex):
-    """The production path: net, merit order, must-run attach, flex floor."""
-    net, interim = net_demand(demand, re, hydro, nuclear)
-    must = split_must_run(demand, re, hydro, nuclear)
-    pre = merit_dispatch(net, [(k, caps[k]) for k in TRANCHES])
-    pre = attach_must_run(pre, must, interim)
+    """The production path: the pre-flex year, then the flex floor."""
+    pre = preflex(demand, {"re": re, "hydro": hydro, "nuclear": nuclear}, caps)
     return pre, apply_coal_flex(pre, flex)
+
+
+def reference_preflex(demand, re, hydro, nuclear, caps):
+    """The pre-flex year by the four-step chain of an earlier release.
+
+    Must-run is summed and the surplus taken twice, once for net demand
+    and once for the split; the merit order builds a partial year on
+    net demand with zero must-run, NEW and curtailment arrays, and the
+    must-run supplies are folded in after.
+    """
+    if len({a.shape[0] for a in (demand, re, hydro, nuclear)}) != 1:
+        raise ParameterError("inputs must have equal lengths")
+    must_run = re + hydro + nuclear
+    net = np.maximum(demand - must_run, 0.0)
+    interim = np.maximum(must_run - demand, 0.0)
+
+    surplus = np.maximum(re + hydro + nuclear - demand, 0.0)
+    re_cut = np.minimum(surplus, re)
+    hydro_cut = np.minimum(surplus - re_cut, hydro)
+    nuclear_cut = surplus - re_cut - hydro_cut
+    must = {"re": re - re_cut, "hydro": hydro - hydro_cut, "nuclear": nuclear - nuclear_cut}
+
+    n_slots = net.shape[0]
+    supply = {k: np.zeros(n_slots) for k in ("re", "hydro", "nuclear")}
+    capacity = {}
+    remaining = net.copy()
+    for name in TRANCHES:
+        cap = np.asarray(caps[name], dtype=float)
+        if cap.ndim == 0:
+            cap = np.full(n_slots, float(cap))
+        if cap.shape != (n_slots,) or np.any(cap < 0):
+            raise ParameterError(f"bad capacity for {name!r}")
+        take = np.minimum(remaining, cap)
+        supply[name] = take
+        capacity[name] = cap
+        remaining -= take
+    supply["new"] = np.zeros(n_slots)
+    partial = DispatchYear(demand=net, supply=supply, capacity=capacity,
+                           curtailment=np.zeros(n_slots), unmet=remaining)
+
+    supply = {**partial.supply, **must}
+    return replace(
+        partial,
+        demand=partial.demand + supply["re"] + supply["hydro"] + supply["nuclear"],
+        supply=supply,
+        curtailment=partial.curtailment + interim,
+    )
 
 
 def reference_apply_coal_flex(dy, flex_limit, floor_day=None):

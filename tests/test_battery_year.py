@@ -30,6 +30,7 @@ from gridlab.pipeline import (
     YearRecord,
     despatch_group,
     evaluate_scenario,
+    preflex,
 )
 from gridlab.scenario import NEW_OPTIONS, YEARS, ScenarioParams, build_capacity_path
 from gridlab.shapes import SLOT_HOURS, SLOTS_PER_DAY
@@ -182,21 +183,18 @@ def small_decade(params, base_year, seed):
     nuclear = np.full(n, 5_000.0)
     caps = {"coal_2019": np.full(n, 100_000.0), "gas_2019": np.full(n, 15_000.0),
             "coal_slack": np.full(n, 50_000.0), "gas_slack": np.full(n, 15_000.0)}
-    despatchable = sum(c[0] for c in caps.values()) + 20_000.0
+    despatchable = sum(caps.values()) + 20_000.0
 
     years = {}
     for i, year in enumerate(YEARS):
         busbar = demand0 * (1.0 + params.demand_growth) ** i * (1.0 + params.ists_loss)
         re = re0 * (1.0 + 0.1 * i)
-        net, interim = dsp.net_demand(busbar, re, hydro, nuclear)
-        must = dsp.split_must_run(busbar, re, hydro, nuclear)
-        dy = dsp.merit_dispatch(net, [(k, caps[k]) for k in dsp.TRANCHES])
-        dy = dsp.attach_must_run(dy, must, interim)
-        dy = dsp.apply_coal_flex(dy, params.flex_limit)
+        pre = preflex(busbar, {"re": re, "hydro": hydro, "nuclear": nuclear}, caps)
+        dy = dsp.apply_coal_flex(pre, params.flex_limit)
         shortfall = dsp.buffer_check(dy, busbar, despatchable, params.grid_buffer)
         years[year] = YearRecord(
             dispatch=dy,
-            curtailed_re=(re - must["re"]) + dy.flex_re_cut,
+            curtailed_re=(re - pre.supply["re"]) + dy.flex_re_cut,
             capacity_requirement_mw=dsp.compute_unmet(dy, shortfall),
             demand_twh=float(np.sum(busbar)) * SLOT_HOURS / 1e6,
         )

@@ -1054,6 +1054,66 @@ class TestMain:
         assert key in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"coal_escalation": 1e300}, "coal_escalation"),
+        ({"gas_escalation": 1e300}, "gas_escalation"),
+        ({"forex_escalation": 1e300}, "forex_escalation"),
+        ({"om_inflation": 1e300}, "om_inflation"),
+        ({"solar_capex_change": 1e300}, "solar_capex_change"),
+        ({"hydro_growth": 1e300}, "hydro_growth"),
+        ({"nuclear_growth": 1e300}, "nuclear_growth"),
+        ({"battery_learning_rate": -1e300}, "battery_learning_rate"),
+        ({"new_option": "ocgt", "tech_costs": {"ocgt": {"capex_escalation": 1e300}}},
+         "tech_costs['ocgt'].capex_escalation"),
+        ({"new_option": "coal", "tech_costs": {"coal": {"fuel_escalation": 1e300}}},
+         "tech_costs['coal'].fuel_escalation"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_overflowing_yearly_rate_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, payload, key
+    ):
+        # each of these wrote nan or inf into the tables, or despatched
+        # a nan year, before the rate was bounded
+        def never(*args, **kwargs):
+            raise AssertionError("a decade was despatched")
+
+        monkeypatch.setattr(cli, "despatch_group", never)
+        cfg = self.write_config(tmp_path, payload)
+        out_dir = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--synthetic", "0", "--out", str(out_dir)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_yearly_rates_at_their_edges_price_to_finite_tables(self, tmp_path):
+        # every bounded rate at its edge at once; a numpy overflow on the
+        # way would fail the run as a warning
+        rates = dict.fromkeys(("coal_escalation", "gas_escalation", "forex_escalation",
+                               "om_inflation", "solar_capex_change", "hydro_growth",
+                               "nuclear_growth"), 10.0)
+        rows = {"capex_escalation": 10.0, "fuel_escalation": 10.0}
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, {
+            **rates, "battery_learning_rate": -10.0, "new_option": ["battery_re", "ocgt", "coal"],
+            "tech_costs": {"ocgt": rows, "coal": rows}})
+        assert cli.main(["--config", cfg, "--synthetic", "0", "--out", str(out_dir)]) == 0
+        for name in ("frontier.csv", "results_by_year.csv"):
+            rows = read_rows(out_dir / name)[1:]
+            assert len(rows) == (3 if name == "frontier.csv" else 30), name
+            for cell in (c for row in rows for c in row
+                         if c not in ("battery_re", "ocgt", "coal")):
+                assert math.isfinite(float(cell)), (name, cell)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the hydro path
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_in_bound_hydro_overflow_fails_the_despatch(self, tmp_path):
+        # the example of DispatchYear.check_balance: every value is in
+        # range, but the 2030 hydro fleet overflows and despatches NaN
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, {"hydro_2021": 1e300, "hydro_growth": 10.0})
+        assert cli.main(["--config", cfg, "--synthetic", "0", "--out", str(out_dir)]) == 1
+        rows = read_rows(out_dir / "failures.csv")
+        stage, kind = rows[0].index("stage"), rows[0].index("error_type")
+        assert [(row[stage], row[kind]) for row in rows[1:]] == [("despatch", "DataIntegrityError")]
+
     def test_largest_re_build_out_prices_to_finite_tables(self, tmp_path):
         out_dir = tmp_path / "out"
         cfg = self.write_config(

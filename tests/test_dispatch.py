@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import _oracles
 from gridlab.dispatch import (
+    SUPPLY_KEYS,
     TRANCHES,
     _TOL,
     DispatchYear,
@@ -27,6 +28,7 @@ from gridlab.dispatch import (
     write_table,
 )
 from gridlab.errors import DataIntegrityError, InvariantError
+from gridlab.pipeline import preflex
 from gridlab.shapes import slots_in_year
 
 
@@ -70,10 +72,8 @@ def test_net_demand_rejects_invalid_full_year_result():
     re, hydro, nuclear = np.zeros(n), np.zeros(n), np.zeros(n)
     re[7] = np.inf
     with np.errstate(invalid="ignore"):
-        net, interim = net_demand(d, re, hydro, nuclear)
-        must = split_must_run(d, re, hydro, nuclear)
-        dy = merit_dispatch(net, [(k, 100.0) for k in TRANCHES])
-        dy = attach_must_run(dy, must, interim)
+        dy = preflex(d, {"re": re, "hydro": hydro, "nuclear": nuclear},
+                     {k: np.full(n, 100.0) for k in TRANCHES})
     with pytest.raises(DataIntegrityError):
         dy.check_balance()
 
@@ -81,13 +81,13 @@ def test_net_demand_rejects_invalid_full_year_result():
 def test_split_must_run_cuts_re_first():
     d = np.array([20.0])
     re, hy, nu = np.array([30.0]), np.array([10.0]), np.array([5.0])
-    out = split_must_run(d, re, hy, nu)
+    out = split_must_run(net_demand(d, re, hy, nu)[1], re, hy, nu)
     # 25 MW of surplus: all 30 RE absorbs the first 25
     assert out["re"][0] == pytest.approx(5.0)
     assert out["hydro"][0] == pytest.approx(10.0)
     assert out["nuclear"][0] == pytest.approx(5.0)
 
-    deeper = split_must_run(np.array([8.0]), re, hy, nu)
+    deeper = split_must_run(net_demand(np.array([8.0]), re, hy, nu)[1], re, hy, nu)
     assert deeper["re"][0] == 0.0
     assert deeper["hydro"][0] == pytest.approx(3.0)
     assert deeper["nuclear"][0] == pytest.approx(5.0)
@@ -96,29 +96,35 @@ def test_split_must_run_cuts_re_first():
 def test_split_must_run_sums_to_served():
     rng = np.random.default_rng(2)
     d, re, hy, nu = (rng.uniform(0, 50, 200) for _ in range(4))
-    out = split_must_run(d, re, hy, nu)
+    out = split_must_run(net_demand(d, re, hy, nu)[1], re, hy, nu)
     np.testing.assert_allclose(
         out["re"] + out["hydro"] + out["nuclear"],
         np.minimum(d, re + hy + nu), atol=1e-12)
 
 
+def _caps(n, *values):
+    return {k: np.full(n, v) for k, v in zip(TRANCHES, values)}
+
+
 def test_merit_dispatch_hand_case():
     net = np.array([0.0, 5.0, 12.0, 31.0])
-    dy = merit_dispatch(net, [("coal_2019", 10.0), ("gas_2019", 5.0),
-                              ("coal_slack", 8.0), ("gas_slack", 7.0)])
-    np.testing.assert_allclose(dy.supply["coal_2019"], [0, 5, 10, 10])
-    np.testing.assert_allclose(dy.supply["gas_2019"], [0, 0, 2, 5])
-    np.testing.assert_allclose(dy.supply["coal_slack"], [0, 0, 0, 8])
-    np.testing.assert_allclose(dy.supply["gas_slack"], [0, 0, 0, 7])
-    np.testing.assert_allclose(dy.unmet, [0, 0, 0, 1])
-    dy.check_balance()
+    served, unmet = merit_dispatch(net, _caps(4, 10.0, 5.0, 8.0, 7.0))
+    assert list(served) == list(TRANCHES)
+    np.testing.assert_allclose(served["coal_2019"], [0, 5, 10, 10])
+    np.testing.assert_allclose(served["gas_2019"], [0, 0, 2, 5])
+    np.testing.assert_allclose(served["coal_slack"], [0, 0, 0, 8])
+    np.testing.assert_allclose(served["gas_slack"], [0, 0, 0, 7])
+    np.testing.assert_allclose(unmet, [0, 0, 0, 1])
+    np.testing.assert_array_equal(sum(served.values()) + unmet, net)
 
 
 def test_merit_dispatch_capacity_validation():
-    with pytest.raises(InvariantError):
-        merit_dispatch(np.zeros(4), [("coal_2019", -1.0)])
-    with pytest.raises(InvariantError):
-        merit_dispatch(np.zeros(4), [("coal_2019", np.zeros(3))])
+    with pytest.raises(InvariantError, match="negative"):
+        merit_dispatch(np.zeros(4), {**_caps(4, 0, 0, 0, 0), "coal_2019": np.full(4, -1.0)})
+    with pytest.raises(InvariantError, match="shape"):
+        merit_dispatch(np.zeros(4), {**_caps(4, 0, 0, 0, 0), "gas_slack": np.zeros(3)})
+    with pytest.raises(InvariantError, match="shape"):
+        merit_dispatch(np.zeros(4), {**_caps(4, 0, 0, 0, 0), "gas_2019": np.zeros((4, 1))})
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,29 +133,78 @@ def test_merit_dispatch_capacity_validation():
     caps=hnp.arrays(float, (4, 48), elements=st.floats(0, 60)),
 )
 def test_merit_dispatch_conservation_and_greed(net, caps):
-    dy = merit_dispatch(net, list(zip(TRANCHES, caps)))
-    total = sum(dy.supply[k] for k in TRANCHES)
-    np.testing.assert_allclose(total + dy.unmet, net, atol=1e-9)
+    served, unmet = merit_dispatch(net, dict(zip(TRANCHES, caps)))
+    total = sum(served[k] for k in TRANCHES)
+    np.testing.assert_allclose(total + unmet, net, atol=1e-9)
     for k, cap in zip(TRANCHES, caps):
-        assert np.all(dy.supply[k] <= cap + 1e-9)
-        assert np.all(dy.supply[k] >= 0)
+        assert np.all(served[k] <= cap + 1e-9)
+        assert np.all(served[k] >= 0)
     # greedy property: a later tranche only runs once earlier ones are full
     for i, k in enumerate(TRANCHES[:-1]):
-        later = sum(dy.supply[j] for j in TRANCHES[i + 1:])
-        slack_here = caps[i] - dy.supply[k]
+        later = sum(served[j] for j in TRANCHES[i + 1:])
+        slack_here = caps[i] - served[k]
         assert np.all((later <= 1e-9) | (slack_here <= 1e-9))
 
 
 def test_attach_must_run_restores_busbar_demand():
     net = np.array([10.0, 0.0])
-    dy = merit_dispatch(net, [("coal_2019", 20.0), ("gas_2019", 0.0),
-                              ("coal_slack", 0.0), ("gas_slack", 0.0)])
+    caps = {**_caps(2, 20.0, 0.0, 0.0, 0.0), "coal_avail": np.full(2, 20.0)}
+    served, unmet = merit_dispatch(net, caps)
     must = {"re": np.array([5.0, 8.0]), "hydro": np.array([1.0, 0.0]),
             "nuclear": np.array([2.0, 2.0])}
-    out = attach_must_run(dy, must, np.array([0.0, 3.0]))
+    out = attach_must_run(net, np.array([0.0, 3.0]), must, served, unmet, caps)
     np.testing.assert_allclose(out.demand, [18.0, 10.0])
     np.testing.assert_allclose(out.curtailment, [0.0, 3.0])
+    assert list(out.supply) == list(SUPPLY_KEYS)
+    assert list(out.capacity) == list(TRANCHES)
+    np.testing.assert_array_equal(out.supply["new"], 0.0)
     out.check_balance()
+
+
+def _assert_same_bits(got, want):
+    """Every array of two despatch years holds the same bits, under the
+    same keys in the same order."""
+    assert list(got.supply) == list(want.supply)
+    assert list(got.capacity) == list(want.capacity)
+    pairs = [(got.demand, want.demand), (got.curtailment, want.curtailment),
+             (got.unmet, want.unmet), (got.flex_re_cut, want.flex_re_cut),
+             (got.flex_hydro_cut, want.flex_hydro_cut)]
+    pairs += [(got.supply[k], want.supply[k]) for k in want.supply]
+    pairs += [(got.capacity[k], want.capacity[k]) for k in want.capacity]
+    for a, b in pairs:
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.relaxed_slots == want.relaxed_slots
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_preflex_matches_the_reference_chain_bit_for_bit(seed):
+    # one- and multi-day instances with zero-capacity tranches, slots of
+    # must-run surplus (some deep enough to cut hydro and nuclear) and,
+    # on some seeds, no must-run at all
+    rng = np.random.default_rng(9_000 + seed)
+    n_days = (1, 2, 5)[seed % 3]
+    demand, re, hydro, nuclear, caps, _, flex = _oracles.random_flex_instance(
+        rng, n_days * 48)
+    n = demand.shape[0]
+    for key in TRANCHES:
+        caps[key] = np.where(rng.random(n) < 0.2, 0.0, caps[key])
+    if seed % 4 == 0:
+        caps[TRANCHES[seed // 4 % 4]] = np.zeros(n)
+    if seed % 6 == 5:
+        re, hydro, nuclear = np.zeros(n), np.zeros(n), np.zeros(n)
+    else:
+        re = np.where(rng.random(n) < 0.3, re + demand, re)
+        demand = np.where(rng.random(n) < 0.15, rng.uniform(0.0, 1.0, n) * nuclear, demand)
+    surplus = re + hydro + nuclear > demand
+    assert surplus.any() == (seed % 6 != 5)
+
+    want = _oracles.reference_preflex(demand, re, hydro, nuclear, caps)
+    got, flexed = _oracles.model_flex_dispatch(demand, re, hydro, nuclear, caps, flex)
+    _assert_same_bits(got, want)
+    _assert_same_bits(flexed, apply_coal_flex(want, flex))
 
 
 # --- coal flexibility floor --------------------------------------------------
@@ -163,7 +218,7 @@ def _one_day(net_low=10.0, net_high=120.0, re=40.0, hydro=5.0, nuclear=5.0,
     re_s = np.full(48, re)
     hy_s = np.full(48, hydro)
     nu_s = np.full(48, nuclear)
-    return demand, re_s, hy_s, nu_s, dict(zip(TRANCHES, caps))
+    return demand, re_s, hy_s, nu_s, {k: np.full(48, c) for k, c in zip(TRANCHES, caps)}
 
 
 def test_flex_raises_coal_and_curtails_re_first():
@@ -330,12 +385,16 @@ def _flat_dy(coal=50.0, gas=10.0, hydro=5.0, nuclear=5.0, new=0.0, n=48):
 def test_buffer_check_headroom():
     dy = _flat_dy(coal=50.0, gas=10.0, hydro=5.0, nuclear=5.0)
     # despatchable output is 70 MW; 100 MW of capacity leaves 30 headroom
-    shortfall = buffer_check(dy, np.full(48, 400.0), 100.0, grid_buffer=0.05)
+    shortfall = buffer_check(dy, np.full(48, 400.0), np.full(48, 100.0), grid_buffer=0.05)
     # requirement 0.05 * 400 = 20 MW fits in the 30 MW of headroom
     np.testing.assert_allclose(shortfall, 0.0)
     # requirement 40 MW against 30 MW of headroom
-    tight = buffer_check(dy, np.full(48, 800.0), 100.0, grid_buffer=0.05)
+    tight = buffer_check(dy, np.full(48, 800.0), np.full(48, 100.0), grid_buffer=0.05)
     np.testing.assert_allclose(tight, 10.0)
+    with pytest.raises(InvariantError, match="shape"):
+        buffer_check(dy, np.full(48, 800.0), 100.0, grid_buffer=0.05)
+    with pytest.raises(InvariantError, match="negative"):
+        buffer_check(dy, np.full(48, 800.0), np.full(48, -1.0), grid_buffer=0.05)
 
 
 def test_compute_unmet_capacity_requirement():
